@@ -14,7 +14,7 @@ from .campaign import (
     CampaignManifest,
     DRAIN_EXIT_CODE,
     GracefulShutdown,
-    run_checkpointed_jobs,
+    run_jobs,
 )
 from .corollary2 import (
     Corollary2Row,
@@ -77,7 +77,6 @@ __all__ = [
     "generate_report",
     "measure_ears_milestones",
     "measure_tears_lemmas",
-    "run_checkpointed_jobs",
     "run_coa_growth",
     "format_scaling",
     "format_table1",
@@ -85,6 +84,7 @@ __all__ = [
     "format_theorem1",
     "ordering_is_correct",
     "run_corollary2",
+    "run_jobs",
     "run_message_scaling",
     "run_table1",
     "run_table2",

@@ -19,12 +19,13 @@ process death:
   :class:`CampaignDrained` and the CLI exits with
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
-* :func:`run_checkpointed_jobs` — the one checkpointed execution loop
-  behind ``sweep_gossip`` and ``run_theorem1`` (store-less drivers whose
-  results live in the manifest), and :func:`run_manifest_batch` — its
-  sibling for :func:`repro.store.execute_batch`, where the
-  :class:`~repro.store.RunStore` is the source of truth for results and
-  the manifest tracks membership and progress.
+* :func:`run_jobs` — the one execution loop behind every driver
+  (:func:`repro.store.execute_batch`, ``GridRunner``, ``sweep_gossip``,
+  ``run_theorem1``): key dedupe, the pool, the ok/cancelled/failed
+  triage, manifest checkpointing and the drain.  Store-less drivers
+  keep their results in the manifest; with an artifact store the store
+  is the source of truth and the manifest tracks membership and
+  progress.
 
 The manifest write discipline matches the store's: serialize to a
 temporary file, fsync, ``os.replace`` — a crash leaves either the old
@@ -47,6 +48,8 @@ from typing import (
     Sequence,
 )
 
+from .pool import CANCELLED, OK, TrialOutcome, TrialPool
+
 __all__ = [
     "CampaignDrained",
     "CampaignManifest",
@@ -55,8 +58,7 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "MAX_FAILURE_CHARS",
     "job_key",
-    "run_checkpointed_jobs",
-    "run_manifest_batch",
+    "run_jobs",
     "truncate_error",
     "validate_checkpoint_every",
 ]
@@ -355,241 +357,149 @@ class GracefulShutdown:
         self._previous.clear()
 
 
-def _chunks(items: Sequence[Any], size: int) -> Iterable[Sequence[Any]]:
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
-
-
-def _drain(manifest: CampaignManifest, store: Any = None) -> None:
-    """Common drain tail: flush artifacts, checkpoint, raise."""
-    if store is not None:
-        store.sync()
-    manifest.drained = True
-    manifest.save()
-    raise CampaignDrained(manifest)
-
-
-def run_checkpointed_jobs(
-    jobs: Sequence[Any],
-    job_fn: Callable[[Any], Any],
+def run_jobs(
+    fn: Callable[[Any], Any],
+    jobs: Iterable[Any],
     *,
-    manifest: Any,
-    meta: Optional[Dict[str, Any]] = None,
-    encode: Optional[Callable[[Any], Any]] = None,
-    decode: Optional[Callable[[Any], Any]] = None,
-    checkpoint_every: int = 8,
-    shutdown: Optional[Callable[[], bool]] = None,
+    keys: Optional[Sequence[str]] = None,
     processes: int = 1,
     trial_timeout: Optional[float] = None,
     retries: int = 0,
-) -> List[Optional[Any]]:
-    """Run ``job_fn`` over ``jobs`` with manifest checkpointing.
+    partial: bool = False,
+    manifest: Any = None,
+    meta: Optional[Dict[str, Any]] = None,
+    checkpoint_every: int = 8,
+    shutdown: Optional[Callable[[], bool]] = None,
+    store: Any = None,
+    sink: Optional[Callable[[int, Any], Any]] = None,
+    decode: Optional[Callable[[Any], Any]] = None,
+) -> List[TrialOutcome]:
+    """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
 
-    The execution loop behind the store-less drivers: each job is keyed
-    by :func:`job_key` of its arguments, results are JSON-encoded via
-    ``encode`` into the manifest (and revived via ``decode`` on resume),
-    and the manifest is atomically rewritten after every chunk — at
-    least every ``checkpoint_every`` completions.  Jobs already
-    completed in the manifest never re-execute; failed jobs are recorded
-    and retried on the next run.  Returns one result per job in
-    submission order (``None`` for jobs that failed under the
-    fault-tolerant mode), exactly what an unchunked
-    :meth:`~repro.experiments.pool.TrialPool.map` would have produced.
+    The one execution loop behind ``execute_batch``, ``GridRunner``,
+    ``sweep_gossip`` and ``run_theorem1``: those drivers build jobs,
+    pick a ``sink`` and shape the outcomes; everything else is here.
 
-    ``shutdown`` truthy between chunks (or mid-chunk, via the pool's
-    ``stop_check``) drains: in-flight trials finish, the checkpoint is
-    written, and :class:`CampaignDrained` propagates to the caller.
+    * ``keys`` name the jobs (default :func:`job_key` of each job).
+      Jobs sharing a key execute once and share the outcome.
+    * ``store`` is the caller's result cache (an artifact store, a grid
+      cell cache — anything answering ``key in store``).  A hit runs
+      nothing and comes back as an ok outcome with no value and
+      ``attempts == 0``; the caller reads the result from its store.
+    * ``trial_timeout``/``retries`` (or ``partial=True``) select the
+      fault-tolerant :meth:`~repro.experiments.pool.TrialPool.
+      map_outcomes`: a job that hangs, raises or kills its worker yields
+      a non-ok outcome instead of aborting the run.  Otherwise the
+      first job exception propagates (fail-fast ``map``).
+    * ``sink(index, value)`` receives every freshly executed ok value,
+      in job order, and returns what the manifest should record for it
+      — ``None`` when the result lives in ``store``.  Without a sink the
+      manifest records the value itself.
+    * ``manifest`` (path or :class:`CampaignManifest`) checkpoints the
+      run: every job is recorded as submitted, jobs execute in chunks
+      of ``max(checkpoint_every, processes)``, and the manifest is
+      atomically rewritten after each chunk.  Jobs the manifest (or
+      ``store``) already completed never re-execute; failed jobs are
+      recorded and stay missing, so the next run retries exactly them.
+      A recorded result is revived with ``decode``; fresh results take
+      the same JSON round-trip, so resumed and uninterrupted runs return
+      identical shapes.  Without a manifest the run is one pool call.
+    * ``shutdown`` truthy between chunks (or mid-chunk, via the pool's
+      ``stop_check``) drains: in-flight jobs finish, ``store`` is
+      synced (when it has a ``sync()``), the checkpoint is written
+      with ``drained=True`` and :class:`CampaignDrained` is raised.
     """
-    from .pool import TrialPool
-
-    encode = encode or (lambda value: value)
-    decode = decode or (lambda value: value)
-
-    def normalize(value: Any) -> Any:
-        # Fresh results take the same encode → JSON → decode round-trip
-        # a resumed result takes through the manifest, so resumed and
-        # uninterrupted runs return identical shapes (tuples/dict keys
-        # are JSON-coerced either way).
-        return decode(json.loads(json.dumps(encode(value), default=str)))
-
-    manifest = CampaignManifest.ensure(
-        manifest, meta=meta, checkpoint_every=checkpoint_every
-    )
-    manifest.drained = False
     jobs = list(jobs)
-    keys = [job_key(job) for job in jobs]
-    for key, job in zip(keys, jobs):
-        manifest.submit(key, json.loads(job_key(job)))
+    keys = ([job_key(job) for job in jobs] if keys is None else list(keys))
+    if shutdown is not None and manifest is None:
+        raise ValueError(
+            "a shutdown hook needs a manifest to checkpoint into: pass "
+            "manifest= (a path or a CampaignManifest) along with shutdown="
+        )
+    if manifest is not None:
+        manifest = CampaignManifest.ensure(
+            manifest, meta=meta, checkpoint_every=checkpoint_every
+        )
+        manifest.drained = False
+        for key, job in zip(keys, jobs):
+            manifest.submit(key, job)
 
-    results: Dict[str, Any] = {
-        key: decode(manifest.completed[key])
-        for key in keys if key in manifest.completed
-    }
-    pending = [
-        (key, job) for key, job in zip(keys, jobs)
-        if key not in results
-    ]
-    # Dedupe identical jobs within the batch (same key ⇒ same result).
-    unique: Dict[str, Any] = {}
-    for key, job in pending:
-        unique.setdefault(key, job)
-    pending = list(unique.items())
+    def revive(payload: Any) -> Any:
+        if payload is None or decode is None:
+            return payload
+        return decode(payload)
 
-    fault_tolerant = trial_timeout is not None or retries > 0
-    chunk_size = max(manifest.checkpoint_every, processes)
-    failed: Dict[str, str] = {}
+    def drain() -> None:
+        if hasattr(store, "sync"):
+            store.sync()
+        manifest.drained = True
+        manifest.save()
+        raise CampaignDrained(manifest)
+
+    by_key: Dict[str, TrialOutcome] = {}
+    first: Dict[str, int] = {}  # key -> index of the job that runs it
+    for index, key in enumerate(keys):
+        if key in by_key or key in first:
+            continue
+        if store is not None:
+            done, value = key in store, None
+            if done and manifest is not None:
+                # Back-fill results that reached the store before a
+                # crash could checkpoint them.
+                manifest.complete(key)
+        else:
+            done = manifest is not None and key in manifest.completed
+            value = revive(manifest.completed[key]) if done else None
+        if done:
+            by_key[key] = TrialOutcome(index, OK, value=value, attempts=0)
+        else:
+            first[key] = index
+    pending = list(first.values())
+
+    tolerant = partial or trial_timeout is not None or retries > 0
+    chunk_size = (len(pending) if manifest is None
+                  else max(manifest.checkpoint_every, processes))
     if pending:
         with TrialPool(processes) as pool:
-            for chunk in _chunks(pending, chunk_size):
+            for start in range(0, len(pending), chunk_size):
                 if shutdown is not None and shutdown():
-                    _drain(manifest)
-                chunk_jobs = [job for _key, job in chunk]
-                if fault_tolerant:
+                    drain()
+                chunk = pending[start:start + chunk_size]
+                chunk_jobs = [jobs[index] for index in chunk]
+                if tolerant:
                     outcomes = pool.map_outcomes(
-                        job_fn, chunk_jobs, timeout=trial_timeout,
+                        fn, chunk_jobs, timeout=trial_timeout,
                         retries=retries, stop_check=shutdown,
                     )
-                    cancelled = False
-                    for (key, _job), outcome in zip(chunk, outcomes):
-                        if outcome.ok:
-                            manifest.complete(key, encode(outcome.value))
-                            results[key] = normalize(outcome.value)
-                        elif outcome.status == "cancelled":
-                            cancelled = True
-                        else:
-                            manifest.fail(key, outcome.error or "failed")
-                            failed[key] = outcome.error or "failed"
-                    manifest.maybe_save()
-                    if cancelled:
-                        _drain(manifest)
                 else:
-                    values = pool.map(job_fn, chunk_jobs)
-                    for (key, _job), value in zip(chunk, values):
-                        manifest.complete(key, encode(value))
-                        results[key] = normalize(value)
+                    outcomes = [
+                        TrialOutcome(index, OK, value=value)
+                        for index, value in zip(
+                            chunk, pool.map(fn, chunk_jobs))
+                    ]
+                cancelled = False
+                for index, outcome in zip(chunk, outcomes):
+                    outcome.index = index
+                    key = keys[index]
+                    by_key[key] = outcome
+                    if outcome.ok:
+                        payload = (outcome.value if sink is None
+                                   else sink(index, outcome.value))
+                        if manifest is not None:
+                            manifest.complete(key, payload)
+                            if payload is not None:
+                                outcome.value = revive(json.loads(
+                                    json.dumps(payload, default=str)))
+                    elif outcome.status == CANCELLED:
+                        cancelled = True
+                    elif manifest is not None:
+                        manifest.fail(key, outcome.error or "failed")
+                if manifest is not None:
                     manifest.maybe_save()
-    manifest.maybe_save(force=True)
-    if shutdown is not None and shutdown():
-        _drain(manifest)
-    return [results.get(key) for key in keys]
-
-
-def run_manifest_batch(
-    specs: Sequence[Any],
-    store: Any = None,
-    processes: int = 1,
-    trial_timeout: Optional[float] = None,
-    retries: int = 0,
-    manifest: Any = None,
-    checkpoint_every: int = 8,
-    shutdown: Optional[Callable[[], bool]] = None,
-) -> List[Dict[str, Any]]:
-    """Checkpointed sibling of :func:`repro.store.execute_batch`.
-
-    Jobs are :class:`~repro.spec.runspec.RunSpec` executions keyed by
-    spec hash.  With a store, the store holds the results (the manifest
-    records membership and progress, and completions carry no payload);
-    without one, realized metrics live in the manifest itself, so the
-    batch is still resumable.  Either way the resume set is exactly the
-    submitted-but-not-completed (or failed) spec hashes — seed for seed,
-    because the spec hash pins the seed.
-    """
-    from ..store import make_record
-    from ..store.batch import _spec_job, failed_record
-    from .pool import TrialPool
-
-    specs = list(specs)
-    rng_provenance = sorted({spec.seed for spec in specs})
-    if manifest is None:
-        raise ValueError(
-            "run_manifest_batch needs a manifest (path or "
-            "CampaignManifest); use execute_batch for unmanifested runs"
-        )
-    manifest = CampaignManifest.ensure(
-        manifest,
-        meta={
-            "driver": "execute_batch",
-            "specs": len(specs),
-            "rng": {"seeds": rng_provenance},
-        },
-        checkpoint_every=checkpoint_every,
-    )
-    manifest.drained = False
-    for spec in specs:
-        manifest.submit(spec.spec_hash, spec.to_dict())
-
-    def stored(spec_hash: str) -> bool:
-        if store is not None:
-            return spec_hash in store
-        return spec_hash in manifest.completed
-
-    pending: Dict[str, Any] = {}
-    for spec in specs:
-        if not stored(spec.spec_hash):
-            pending.setdefault(spec.spec_hash, spec)
-        elif store is not None:
-            # Back-fill manifest state for records that reached the
-            # store before a crash could checkpoint them.
-            manifest.complete(spec.spec_hash)
-
-    fault_tolerant = trial_timeout is not None or retries > 0
-    chunk_size = max(manifest.checkpoint_every, processes)
-    failures: Dict[str, Dict[str, Any]] = {}
-    pending_specs = list(pending.values())
-    if pending_specs:
-        with TrialPool(processes) as pool:
-            for chunk in _chunks(pending_specs, chunk_size):
-                if shutdown is not None and shutdown():
-                    _drain(manifest, store)
-                chunk_jobs = [spec.to_dict() for spec in chunk]
-                if fault_tolerant:
-                    outcomes = pool.map_outcomes(
-                        _spec_job, chunk_jobs, timeout=trial_timeout,
-                        retries=retries, stop_check=shutdown,
-                    )
-                    cancelled = False
-                    for spec, outcome in zip(chunk, outcomes):
-                        if outcome.ok:
-                            if store is not None:
-                                store.put(spec, outcome.value)
-                                manifest.complete(spec.spec_hash)
-                            else:
-                                manifest.complete(
-                                    spec.spec_hash, outcome.value
-                                )
-                        elif outcome.status == "cancelled":
-                            cancelled = True
-                        else:
-                            failures[spec.spec_hash] = failed_record(
-                                spec, outcome
-                            )
-                            manifest.fail(
-                                spec.spec_hash, outcome.error or "failed"
-                            )
-                    manifest.maybe_save()
-                    if cancelled:
-                        _drain(manifest, store)
-                else:
-                    values = pool.map(_spec_job, chunk_jobs)
-                    for spec, metrics in zip(chunk, values):
-                        if store is not None:
-                            store.put(spec, metrics)
-                            manifest.complete(spec.spec_hash)
-                        else:
-                            manifest.complete(spec.spec_hash, metrics)
-                    manifest.maybe_save()
-    manifest.maybe_save(force=True)
-    if shutdown is not None and shutdown():
-        _drain(manifest, store)
-
-    def record_for(spec: Any) -> Dict[str, Any]:
-        if store is not None:
-            record = store.get(spec.spec_hash)
-            if record is not None:
-                return record
-            return failures[spec.spec_hash]
-        if spec.spec_hash in failures:
-            return failures[spec.spec_hash]
-        return make_record(spec, manifest.completed[spec.spec_hash])
-
-    return [record_for(spec) for spec in specs]
+                if cancelled:
+                    drain()
+    if manifest is not None:
+        manifest.maybe_save(force=True)
+        if shutdown is not None and shutdown():
+            drain()
+    return [by_key[key] for key in keys]

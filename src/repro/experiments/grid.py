@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..store.cells import canonicalize_params, cell_key, open_cell_log
-from .pool import TIMED_OUT, TrialPool, summarize_outcomes
+from .pool import failure_record, summarize_outcomes
 
 Recorder = Callable[..., Dict[str, Any]]
 
@@ -169,27 +169,6 @@ def _run_cell(args):
     return params, record
 
 
-def failure_record(outcome) -> Dict[str, Any]:
-    """The row a non-ok :class:`~repro.experiments.pool.TrialOutcome`
-    contributes in place of its recorder's record.
-
-    Mirrors the recorder contract's ``completed``/``reason`` fields so
-    downstream aggregation (which skips ``None`` values) degrades
-    gracefully, and carries the error text and attempt count for the
-    report. Failure rows are **never written to the store**, so a later
-    run of the same grid retries exactly the failed cells.
-    """
-    reason = (
-        "trial-timeout" if outcome.status == TIMED_OUT else "trial-failed"
-    )
-    return {
-        "completed": False,
-        "reason": reason,
-        "error": outcome.error,
-        "attempts": outcome.attempts,
-    }
-
-
 @dataclass
 class GridRunner:
     """Executes grid specs with a cell cache and optional parallelism.
@@ -202,7 +181,8 @@ class GridRunner:
     ``trial_timeout`` (seconds) and ``retries`` make the runner
     fault-tolerant: cells that hang, raise, or kill their worker are
     retried up to ``retries`` times and then reported as failure rows
-    (see :func:`failure_record`) instead of aborting the whole grid.
+    (see :func:`~repro.experiments.pool.failure_record`) instead of
+    aborting the whole grid.
     Failed cells stay out of the JSONL store, so re-running the grid
     executes only them. ``last_summary`` holds the
     :func:`~repro.experiments.pool.summarize_outcomes` report of the
@@ -273,120 +253,45 @@ class GridRunner:
     def run(self, spec: GridSpec) -> List[Dict[str, Any]]:
         """Execute every missing cell; return all rows (params ∪ record).
 
-        Cells that fail or time out (see class docstring) contribute
-        failure rows for this call only; everything else comes from the
-        store exactly as before.
+        A view of :func:`~repro.experiments.campaign.run_jobs`: jobs are
+        the grid's cells keyed by :func:`cell_key`, the cell cache is
+        the store (so cached cells run nothing), and the sink appends
+        each fresh record to it.  Cells that fail or time out (see class
+        docstring) contribute failure rows for this call only.
         """
+        from .campaign import run_jobs
+
         store = self._load(spec.name)
-        pending = [
-            cell for cell in spec.cells() if cell_key(cell) not in store
-        ]
-        failures: Dict[str, Dict[str, Any]] = {}
+        cells = spec.cells()
+        keys = [cell_key(cell) for cell in cells]
+        module = _RECORDER_MODULES.get(spec.recorder, "")
         self.last_summary = None
-        if pending and (self.manifest_path or self.shutdown is not None):
-            self._run_checkpointed(spec, pending, failures)
-        elif pending:
-            module = _RECORDER_MODULES.get(spec.recorder, "")
-            jobs = [(spec.recorder, module, cell) for cell in pending]
-            with TrialPool(self.processes) as pool:
-                outcomes = pool.map_outcomes(
-                    _run_cell, jobs,
-                    timeout=self.trial_timeout, retries=self.retries,
-                )
-            self.last_summary = summarize_outcomes(outcomes)
-            for cell, outcome in zip(pending, outcomes):
-                if outcome.ok:
-                    params, record = outcome.value
-                    self._append(spec.name, params, record)
-                else:
-                    failures[cell_key(cell)] = failure_record(outcome)
+        outcomes = run_jobs(
+            _run_cell, [(spec.recorder, module, cell) for cell in cells],
+            keys=keys, processes=self.processes,
+            trial_timeout=self.trial_timeout, retries=self.retries,
+            partial=True,
+            manifest=self.manifest_path,
+            meta={
+                "driver": "grid",
+                "grid": spec.name,
+                "recorder": spec.recorder,
+                "rng": {"seeds": list(spec.seeds)},
+            },
+            checkpoint_every=self.checkpoint_every, shutdown=self.shutdown,
+            store=store,
+            sink=lambda _index, value: self._append(spec.name, *value),
+        )
+        executed = [outcome for outcome in outcomes if outcome.attempts]
+        if executed:
+            self.last_summary = summarize_outcomes(executed)
         rows = []
-        for cell in spec.cells():
-            key = cell_key(cell)
-            record = failures[key] if key in failures else store[key]
+        for cell, key, outcome in zip(cells, keys, outcomes):
             row = dict(cell)
-            row.update(record)
+            row.update(store[key] if outcome.ok
+                       else failure_record(outcome))
             rows.append(row)
         return rows
-
-    def _run_checkpointed(self, spec: GridSpec,
-                          pending: List[Dict[str, Any]],
-                          failures: Dict[str, Dict[str, Any]]) -> None:
-        """Execute ``pending`` cells in checkpointed chunks.
-
-        The JSONL store stays the result cache (cells already in it were
-        filtered out by the caller); the manifest records cell
-        membership and progress so an interrupted grid is resumable and
-        auditable.  Raises
-        :class:`~repro.experiments.campaign.CampaignDrained` when the
-        shutdown flag goes up.
-        """
-        from .campaign import CampaignDrained, CampaignManifest
-
-        manifest = None
-        if self.manifest_path:
-            manifest = CampaignManifest.ensure(
-                self.manifest_path,
-                meta={
-                    "driver": "grid",
-                    "grid": spec.name,
-                    "recorder": spec.recorder,
-                    "rng": {"seeds": list(spec.seeds)},
-                },
-                checkpoint_every=self.checkpoint_every,
-            )
-            manifest.drained = False
-            for cell in spec.cells():
-                manifest.submit(cell_key(cell), canonicalize_params(cell))
-            for cell in spec.cells():
-                if cell_key(cell) in self._stores[spec.name]:
-                    manifest.complete(cell_key(cell))
-
-        def drain() -> None:
-            if manifest is not None:
-                manifest.drained = True
-                manifest.save()
-                raise CampaignDrained(manifest)
-            raise KeyboardInterrupt("grid stopped by shutdown request")
-
-        module = _RECORDER_MODULES.get(spec.recorder, "")
-        chunk_size = max(self.checkpoint_every, self.processes)
-        all_outcomes = []
-        with TrialPool(self.processes) as pool:
-            for start in range(0, len(pending), chunk_size):
-                chunk = pending[start:start + chunk_size]
-                if self.shutdown is not None and self.shutdown():
-                    drain()
-                jobs = [(spec.recorder, module, cell) for cell in chunk]
-                outcomes = pool.map_outcomes(
-                    _run_cell, jobs,
-                    timeout=self.trial_timeout, retries=self.retries,
-                    stop_check=self.shutdown,
-                )
-                cancelled = False
-                for cell, outcome in zip(chunk, outcomes):
-                    if outcome.ok:
-                        params, record = outcome.value
-                        self._append(spec.name, params, record)
-                        if manifest is not None:
-                            manifest.complete(cell_key(cell))
-                    elif outcome.status == "cancelled":
-                        cancelled = True
-                    else:
-                        failures[cell_key(cell)] = failure_record(outcome)
-                        if manifest is not None:
-                            manifest.fail(cell_key(cell),
-                                          outcome.error or "failed")
-                all_outcomes.extend(outcomes)
-                if manifest is not None:
-                    manifest.maybe_save()
-                if cancelled:
-                    drain()
-        if manifest is not None:
-            manifest.maybe_save(force=True)
-        if self.shutdown is not None and self.shutdown():
-            drain()
-        self.last_summary = summarize_outcomes(all_outcomes)
 
     def missing(self, spec: GridSpec) -> int:
         store = self._load(spec.name)

@@ -39,7 +39,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["TrialOutcome", "TrialPool", "summarize_outcomes"]
+__all__ = [
+    "TrialOutcome",
+    "TrialPool",
+    "failure_record",
+    "summarize_outcomes",
+]
 
 #: TrialOutcome.status values.
 OK = "ok"
@@ -71,6 +76,24 @@ class TrialOutcome:
     @property
     def ok(self) -> bool:
         return self.status == OK
+
+
+def failure_record(outcome: TrialOutcome) -> Dict[str, Any]:
+    """The row a non-ok outcome contributes in place of its job's result.
+
+    Mirrors the recorder/metrics contract's ``completed``/``reason``
+    fields so downstream aggregation (which skips ``None`` values)
+    degrades gracefully, and carries the error text and attempt count
+    for the report.  Failure rows are **never written to a store**, so
+    a later run of the same campaign retries exactly the failed jobs.
+    """
+    return {
+        "completed": False,
+        "reason": ("trial-timeout" if outcome.status == TIMED_OUT
+                   else "trial-failed"),
+        "error": outcome.error,
+        "attempts": outcome.attempts,
+    }
 
 
 def summarize_outcomes(outcomes: Sequence[TrialOutcome]) -> Dict[str, Any]:

@@ -35,7 +35,7 @@ from typing import (
 from ..adversary.lower_bound import LowerBoundReport, run_lower_bound
 from ..analysis.stats import success_rate, summarize
 from ..analysis.tables import render_table
-from .pool import TrialPool
+from .campaign import run_jobs
 from ..core.ears import Ears
 from ..core.sears import Sears
 from ..core.sparse import SparseGossip
@@ -77,11 +77,6 @@ def _theorem1_job(args):
         promiscuity_factor=promiscuity_factor,
         slow_quiesce_threshold=slow_quiesce_threshold,
     )
-
-
-def _encode_report(report: LowerBoundReport) -> Dict[str, Any]:
-    """JSON-native form of a report, for checkpoint manifests."""
-    return dataclasses.asdict(report)
 
 
 def _decode_report(payload: Dict[str, Any]) -> LowerBoundReport:
@@ -166,41 +161,23 @@ def run_theorem1(
          slow_quiesce_threshold)
         for name in names for seed in seeds
     ]
-    if manifest is not None or shutdown is not None:
-        from .campaign import run_checkpointed_jobs
-
-        if manifest is None:
-            raise ValueError(
-                "run_theorem1 with a shutdown hook needs a manifest to "
-                "checkpoint into"
-            )
-        all_reports = run_checkpointed_jobs(
-            jobs, _theorem1_job,
-            manifest=manifest,
+    # A failed seed (after its retries) reports as None.
+    all_reports = [
+        outcome.value for outcome in run_jobs(
+            _theorem1_job, jobs,
+            processes=processes, trial_timeout=trial_timeout,
+            retries=retries, manifest=manifest,
             meta={
                 "driver": "theorem1",
                 "algorithms": names,
                 "n": n, "f": f,
                 "rng": {"seeds": seeds},
             },
-            encode=_encode_report, decode=_decode_report,
             checkpoint_every=checkpoint_every, shutdown=shutdown,
-            processes=processes, trial_timeout=trial_timeout,
-            retries=retries,
+            sink=lambda _index, report: dataclasses.asdict(report),
+            decode=_decode_report,
         )
-    else:
-        with TrialPool(processes) as pool:
-            if trial_timeout is not None or retries:
-                outcomes = pool.map_outcomes(
-                    _theorem1_job, jobs, timeout=trial_timeout,
-                    retries=retries,
-                )
-                all_reports = [
-                    outcome.value if outcome.ok else None
-                    for outcome in outcomes
-                ]
-            else:
-                all_reports = pool.map(_theorem1_job, jobs)
+    ]
     rows = []
     for index, name in enumerate(names):
         reports = [

@@ -4,7 +4,7 @@
 :class:`repro.sim.batch.engine.BatchSimulation` (a batch of one);
 :func:`run_batch_specs` runs a whole *group* of specs that share every
 coordinate except the seed — the unit the store layer
-(:func:`repro.store.batch.execute_batch_vectorized`) partitions
+(:func:`repro.store.batch.execute_batch`) partitions
 campaigns into. Both return the same :class:`~repro.spec.results.
 GossipRun` shape the scalar builder produces, with ``sim=None`` (there
 is no per-trial scalar simulation object to hand back).

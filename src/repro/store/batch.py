@@ -2,10 +2,11 @@
 
 The execution layer of the store package: every entry point takes any
 :class:`~repro.store.base.Store` backend and treats a stored spec hash
-as a cache hit that runs no simulation.  Moved verbatim from the
-pre-package ``repro.store`` module; tests monkeypatch
-``repro.store.batch.execute`` / ``repro.store.batch._spec_job`` to
-assert cache-hit behavior.
+as a cache hit that runs no simulation.  :func:`execute_batch` is a view
+of :func:`repro.experiments.campaign.run_jobs` (jobs are serialized
+specs, keys are spec hashes, the sink is ``store.put``); tests
+monkeypatch ``repro.store.batch.execute`` /
+``repro.store.batch._spec_job`` to assert cache-hit behavior.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .base import Store, make_record, metrics_of
 
 __all__ = [
     "execute_batch",
-    "execute_batch_vectorized",
     "execute_cached",
     "failed_record",
 ]
@@ -53,116 +53,57 @@ def failed_record(spec: RunSpec, outcome: Any) -> Dict[str, Any]:
 
     Same layout as :func:`~repro.store.base.make_record` plus
     ``"failed": True`` and a ``metrics`` block that downstream readers
-    treat as a not-completed run (``completed``/``reason``/``error``/
-    ``attempts``). Never written to a store, so a resumed batch retries
-    exactly these specs.
+    treat as a not-completed run (the pool's
+    :func:`~repro.experiments.pool.failure_record` row). Never written
+    to a store, so a resumed batch retries exactly these specs.
     """
-    from ..experiments.pool import TIMED_OUT
+    from ..experiments.pool import failure_record
 
-    reason = (
-        "trial-timeout" if outcome.status == TIMED_OUT else "trial-failed"
-    )
-    record = make_record(spec, {
-        "completed": False,
-        "reason": reason,
-        "error": outcome.error,
-        "attempts": outcome.attempts,
-    })
+    record = make_record(spec, failure_record(outcome))
     record["failed"] = True
     return record
 
 
-def _batch_job(spec_dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Execute one group chunk (same cell, different seeds) vectorized."""
-    from ..spec.vectorized import run_batch_specs
+def _unit_job(job: Any) -> Any:
+    """One pool job: a serialized spec, or a list of them — a same-cell
+    chunk the vectorized engine advances together, whose value is the
+    list of their metrics."""
+    if isinstance(job, list):
+        from ..spec.vectorized import run_batch_specs
 
-    specs = [RunSpec.from_dict(d) for d in spec_dicts]
-    return [metrics_of(run) for run in run_batch_specs(specs)]
+        specs = [RunSpec.from_dict(d) for d in job]
+        return [metrics_of(run) for run in run_batch_specs(specs)]
+    return _spec_job(job)
 
 
-def execute_batch_vectorized(
-    specs: Iterable[RunSpec],
-    store: Optional[Store] = None,
-    processes: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> List[Dict[str, Any]]:
-    """Execute specs with eligible cells batched through the vectorized
-    engine, behind the same store dedupe/cache machinery as
-    :func:`execute_batch`.
-
-    Specs are partitioned by their seed-free canonical identity
-    (:func:`~repro.spec.vectorized.batch_group_key`): groups of eligible
-    specs ride one :class:`~repro.sim.batch.engine.BatchSimulation` in
-    chunks of ``batch_size`` seeds, ineligible specs (adaptive
-    adversaries, consensus, instrumented runs, ...) delegate to the
-    per-trial path unchanged. Records come back in spec order; stored
-    hashes are cache hits and duplicate hashes execute once, exactly as
-    in the per-trial batch.
-    """
-    from ..experiments.pool import TrialPool
+def _vector_chunks(specs: Dict[str, RunSpec], store: Optional[Store],
+                   batch_size: int) -> List[List[str]]:
+    """Group the not-yet-stored specs asking for ``engine="batch"`` by
+    their seed-free canonical identity
+    (:func:`~repro.spec.vectorized.batch_group_key`) and cut each group
+    into chunks of ``batch_size`` seeds; chunks list spec hashes.
+    Anything else — other engines, ineligible cells (adaptive
+    adversaries, consensus, instrumented runs, ...) — is left to the
+    per-trial path."""
+    asking = [key for key, spec in specs.items() if spec.engine == "batch"]
+    if not asking:
+        return []
+    from ..sim.batch import max_batch_trials
     from ..spec.vectorized import batch_eligible, batch_group_key
 
-    specs = list(specs)
-    pending: Dict[str, RunSpec] = {}
-    for spec in specs:
-        if store is None or spec.spec_hash not in store:
-            pending.setdefault(spec.spec_hash, spec)
-
-    groups: Dict[str, List[RunSpec]] = {}
-    scalar: List[RunSpec] = []
-    for spec in pending.values():
-        # Only specs *asking* for the batch engine vectorize: anything
-        # else keeps its scalar engine's bit-exact per-trial execution.
-        if spec.engine == "batch" and batch_eligible(spec):
-            groups.setdefault(batch_group_key(spec), []).append(spec)
-        else:
-            scalar.append(spec)
-
-    from ..sim.batch import max_batch_trials
-
-    chunks: List[List[RunSpec]] = []
+    groups: Dict[str, List[str]] = {}
+    for key in asking:
+        if (store is None or key not in store) \
+                and batch_eligible(specs[key]):
+            groups.setdefault(batch_group_key(specs[key]), []).append(key)
+    chunks: List[List[str]] = []
     for group in groups.values():
         # Cap chunks so one group's packed state fits the memory budget
         # (the I-payload arrays grow with n²).
-        size = max(1, min(int(batch_size), max_batch_trials(group[0].n)))
-        for i in range(0, len(group), size):
-            chunks.append(group[i : i + size])
-
-    fresh: Dict[str, Dict[str, Any]] = {}
-    if chunks:
-        jobs = [[spec.to_dict() for spec in chunk] for chunk in chunks]
-        if processes > 1 and len(chunks) > 1:
-            with TrialPool(processes) as pool:
-                chunk_metrics = pool.map(_batch_job, jobs)
-        else:
-            chunk_metrics = [_batch_job(job) for job in jobs]
-        for chunk, metrics_list in zip(chunks, chunk_metrics):
-            for spec, metrics in zip(chunk, metrics_list):
-                if store is not None:
-                    store.put(spec, metrics)
-                else:
-                    fresh[spec.spec_hash] = make_record(spec, metrics)
-    if scalar:
-        # Per-trial fallback, inline (delegating to execute_batch would
-        # bounce straight back here for engine="batch" specs). execute()
-        # still batch-routes any eligible spec as a batch of one.
-        jobs = [spec.to_dict() for spec in scalar]
-        if processes > 1 and len(scalar) > 1:
-            with TrialPool(processes) as pool:
-                results = pool.map(_spec_job, jobs)
-        else:
-            results = [_spec_job(job) for job in jobs]
-        for spec, metrics in zip(scalar, results):
-            if store is not None:
-                store.put(spec, metrics)
-            else:
-                fresh[spec.spec_hash] = make_record(spec, metrics)
-    if store is None:
-        return [fresh[spec.spec_hash] for spec in specs]
-    return [
-        store.get(spec.spec_hash) or fresh[spec.spec_hash]
-        for spec in specs
-    ]
+        size = max(1, min(int(batch_size),
+                          max_batch_trials(specs[group[0]].n)))
+        chunks += [group[i:i + size] for i in range(0, len(group), size)]
+    return chunks
 
 
 def execute_batch(
@@ -180,13 +121,14 @@ def execute_batch(
 
     Specs travel to workers as their serialized dicts, so parallel
     batches need no pickling support beyond plain data.  Records come
-    back in spec order; with a store, previously stored specs are cache
-    hits and duplicate hashes within the batch execute once.
+    back in spec order; previously stored specs are cache hits and
+    duplicate hashes within the batch execute once.
 
-    Specs requesting ``engine="batch"`` route through
-    :func:`execute_batch_vectorized` (eligible cells grouped and run
-    ``batch_size`` seeds per engine tick) unless the batch is
-    fault-tolerant or checkpointed, where execution stays per-trial —
+    Specs requesting ``engine="batch"`` are grouped by cell and ride the
+    vectorized engine ``batch_size`` seeds per job (ineligible cells
+    run per-trial in the same pool) unless the batch is fault-tolerant
+    or checkpointed, where execution stays per-trial — a whole group is
+    not a unit the fault machinery can retry seed-by-seed, and
     ``execute()`` still vectorizes each eligible spec as a batch of one.
 
     ``trial_timeout`` (seconds per spec) and ``retries`` switch the
@@ -201,72 +143,60 @@ def execute_batch(
     run in chunks, and after each chunk the manifest — which records
     every submitted spec (dict and hash), the completed/failed hashes,
     and the batch's RNG provenance — is atomically rewritten, at least
-    every ``checkpoint_every`` completions.  A batch killed mid-run can
-    then be resumed from the manifest alone and re-runs exactly the
-    missing specs, seed for seed.  ``shutdown`` (a
+    every ``checkpoint_every`` completions.  With a store, the store
+    holds the results and completions carry no payload; without one,
+    realized metrics live in the manifest itself.  A batch killed
+    mid-run can then be resumed from the manifest alone and re-runs
+    exactly the missing specs, seed for seed.  ``shutdown`` (a
     :class:`~repro.experiments.campaign.GracefulShutdown` or any
     0-argument callable) is polled between submissions: when it turns
     truthy the batch stops submitting, drains in-flight trials, flushes
     the store, writes the manifest, and raises
     :class:`~repro.experiments.campaign.CampaignDrained`.
     """
-    from ..experiments.pool import TrialPool
+    from ..experiments.campaign import run_jobs
 
     specs = list(specs)
-    if manifest is not None or shutdown is not None:
-        from ..experiments.campaign import run_manifest_batch
+    hashes = [spec.spec_hash for spec in specs]
+    unique: Dict[str, RunSpec] = {}
+    for key, spec in zip(hashes, specs):
+        unique.setdefault(key, spec)
+    plain = (trial_timeout is None and retries <= 0
+             and manifest is None and shutdown is None)
+    chunks = _vector_chunks(unique, store, batch_size) if plain else []
+    chunked = {key for chunk in chunks for key in chunk}
+    singles = [key for key in unique if key not in chunked]
+    units = chunks + [[key] for key in singles]
 
-        return run_manifest_batch(
-            specs, store=store, processes=processes,
-            trial_timeout=trial_timeout, retries=retries,
-            manifest=manifest, checkpoint_every=checkpoint_every,
-            shutdown=shutdown,
-        )
+    def values_of(index: int, value: Any) -> List[Any]:
+        return value if index < len(chunks) else [value]
 
-    fault_tolerant = trial_timeout is not None or retries > 0
+    def put(index: int, value: Any) -> None:
+        for key, metrics in zip(units[index], values_of(index, value)):
+            store.put(unique[key], metrics)
 
-    if not fault_tolerant and any(spec.engine == "batch" for spec in specs):
-        # Vectorized grouping handles dedupe/caching itself; per-spec
-        # timeouts/retries keep the per-trial path (a whole group is not
-        # a unit the fault machinery can retry seed-by-seed) — there,
-        # execute() still routes each eligible spec as a batch of one.
-        return execute_batch_vectorized(
-            specs, store=store, processes=processes, batch_size=batch_size,
-        )
-
-    def _run_jobs(pool, job_specs):
-        """Execute specs; returns (metrics-or-None list, outcome list)."""
-        jobs = [spec.to_dict() for spec in job_specs]
-        if not fault_tolerant:
-            return pool.map(_spec_job, jobs), None
-        outcomes = pool.map_outcomes(
-            _spec_job, jobs, timeout=trial_timeout, retries=retries,
-        )
-        return [o.value if o.ok else None for o in outcomes], outcomes
-
+    outcomes = run_jobs(
+        _unit_job,
+        [[unique[key].to_dict() for key in chunk] for chunk in chunks]
+        + [unique[key].to_dict() for key in singles],
+        keys=[unit[0] for unit in units],
+        processes=processes, trial_timeout=trial_timeout, retries=retries,
+        manifest=manifest,
+        meta={
+            "driver": "execute_batch",
+            "specs": len(specs),
+            "rng": {"seeds": sorted({spec.seed for spec in specs})},
+        },
+        checkpoint_every=checkpoint_every, shutdown=shutdown,
+        store=store, sink=put if store is not None else None,
+    )
+    fresh: Dict[str, Dict[str, Any]] = {}
+    for index, (unit, outcome) in enumerate(zip(units, outcomes)):
+        if not outcome.ok:
+            fresh[unit[0]] = failed_record(unique[unit[0]], outcome)
+        elif store is None:
+            for key, metrics in zip(unit, values_of(index, outcome.value)):
+                fresh[key] = make_record(unique[key], metrics)
     if store is None:
-        with TrialPool(processes) as pool:
-            metrics, outcomes = _run_jobs(pool, specs)
-        return [
-            make_record(spec, m) if m is not None
-            else failed_record(spec, outcomes[i])
-            for i, (spec, m) in enumerate(zip(specs, metrics))
-        ]
-    pending: Dict[str, RunSpec] = {}
-    for spec in specs:
-        if spec.spec_hash not in store:
-            pending.setdefault(spec.spec_hash, spec)
-    failures: Dict[str, Dict[str, Any]] = {}
-    if pending:
-        pending_specs = list(pending.values())
-        with TrialPool(processes) as pool:
-            results, outcomes = _run_jobs(pool, pending_specs)
-        for i, (spec, metrics) in enumerate(zip(pending_specs, results)):
-            if metrics is not None:
-                store.put(spec, metrics)
-            else:
-                failures[spec.spec_hash] = failed_record(spec, outcomes[i])
-    return [
-        store.get(spec.spec_hash) or failures[spec.spec_hash]
-        for spec in specs
-    ]
+        return [fresh[key] for key in hashes]
+    return [store.get(key) or fresh[key] for key in hashes]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..analysis.stats import Summary, summarize
+from ..sim.errors import ConfigurationError
 from ..sim.events import StepProfiler
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
@@ -38,48 +40,33 @@ def geometric_ns(start: int = 16, stop: int = 256, factor: int = 2
     return ns
 
 
-def _job_spec(args):
-    """Split one sweep job into (RunSpec, params-object override).
-
-    Serializable knobs live in the spec; an algorithm parameter *object*
-    (e.g. :class:`SearsParams`) cannot, so it rides as an override.
-    The optional trailing ``engine``/``topology`` fields keep job tuples
-    from manifests written before those knobs decodable (9 fields =
-    ``engine="auto"``, 10 fields = complete topology).
-    """
-    algorithm, n, f, d, delta, seed, crashes, params, max_steps, *rest = (
-        args
-    )
-    engine = rest[0] if rest else "auto"
-    topology = rest[1] if len(rest) > 1 else None
-    spec = RunSpec(
-        kind="gossip", algorithm=algorithm, n=n, f=f, d=d, delta=delta,
-        seed=seed, params=params if isinstance(params, dict) else None,
-        crashes=crashes, max_steps=max_steps, engine=engine,
-        topology=topology,
-    )
-    return spec, None if isinstance(params, dict) else params
-
-
-def _sweep_job(args):
+def _sweep_job(job, observers=()):
     """One (n, seed) gossip run, reduced to the aggregated fields.
 
+    A job is ``(spec.to_dict(), params_override)``: serializable knobs
+    live in the spec; an algorithm parameter *object* (e.g.
+    :class:`SearsParams`) cannot, so it rides as an override.
     Module-level so parallel sweeps can ship it to worker processes.
     """
-    spec, params = _job_spec(args)
-    run = execute(spec, params=params)
+    spec_dict, params = job
+    run = execute(RunSpec.from_dict(spec_dict), params=params,
+                  observers=observers)
     return run.completed, run.completion_time, run.messages
 
 
-def run_and_profile(args, profiler: StepProfiler):
-    """As :func:`_sweep_job`, with ``profiler`` observing every step.
-
-    The same profiler instance rides along every run, so its buckets
-    accumulate the whole sweep's per-phase wall time.
-    """
-    spec, params = _job_spec(args)
-    run = execute(spec, params=params, observers=(profiler,))
-    return run.completed, run.completion_time, run.messages
+def _refuse_tuple_jobs(manifest) -> None:
+    """Refuse a sweep manifest whose jobs are the positional tuples
+    older builds wrote: their keys can never match a spec job's, so a
+    resume would re-run everything and leave the tuple keys missing."""
+    for payload in manifest.submitted.values():
+        if not (isinstance(payload, (list, tuple)) and len(payload) == 2
+                and isinstance(payload[0], dict)):
+            raise ConfigurationError(
+                f"sweep manifest {manifest.path!r} was written in the "
+                f"older positional-tuple job format, which this build "
+                f"cannot resume; finish it with the build that wrote "
+                f"it or start a fresh manifest"
+            )
 
 
 def sweep_gossip(
@@ -141,81 +128,70 @@ def sweep_gossip(
     ``"batch"`` sweep over them transparently runs per-trial.
     """
     # Lazy import: repro.experiments.scaling imports this module, so a
-    # top-level import of the pool would be circular.
-    from ..experiments.pool import TrialPool
+    # top-level import of the campaign layer would be circular.
+    from ..experiments.campaign import CampaignManifest, run_jobs
 
     seeds = list(seeds)
-    jobs = []
+    specs, overrides = [], []
     for n in ns:
         f = f_of_n(n)
         params = params_of_n(n) if params_of_n else None
+        in_spec = params is None or isinstance(params, dict)
         for seed in seeds:
-            jobs.append((algorithm, n, f, d, delta, seed,
-                         f if crash else None, params, max_steps, engine,
-                         topology))
+            specs.append(RunSpec(
+                kind="gossip", algorithm=algorithm, n=n, f=f, d=d,
+                delta=delta, seed=seed, params=params if in_spec else None,
+                crashes=f if crash else None, max_steps=max_steps,
+                engine=engine, topology=topology,
+            ))
+            overrides.append(None if in_spec else params)
 
-    if profile is not None:
-        outcomes = [
-            run_and_profile(job, profile) for job in jobs
-        ]
-    elif manifest is not None or shutdown is not None:
-        from ..experiments.campaign import run_checkpointed_jobs
-
-        if manifest is None:
-            raise ValueError(
-                "sweep_gossip with a shutdown hook needs a manifest to "
-                "checkpoint into"
-            )
-        results = run_checkpointed_jobs(
-            jobs, _sweep_job,
-            manifest=manifest,
-            meta={
-                "driver": "sweep",
-                "algorithm": algorithm,
-                "ns": list(ns),
-                "rng": {"seeds": seeds},
-            },
-            encode=list, decode=tuple,
-            checkpoint_every=checkpoint_every, shutdown=shutdown,
-            processes=processes, trial_timeout=trial_timeout,
-            retries=retries,
-        )
-        # A failed (None) run aggregates as a not-completed trial.
-        outcomes = [
-            tuple(result) if result is not None else (False, None, None)
-            for result in results
-        ]
-    elif trial_timeout is not None or retries:
-        with TrialPool(processes) as pool:
-            trial_outcomes = pool.map_outcomes(
-                _sweep_job, jobs, timeout=trial_timeout, retries=retries,
-            )
-        # A failed/timed-out trial aggregates as a not-completed run.
-        outcomes = [
-            outcome.value if outcome.ok else (False, None, None)
-            for outcome in trial_outcomes
-        ]
-    elif engine == "batch" and all(
-        job[7] is None or isinstance(job[7], dict) for job in jobs
-    ):
+    plain = (profile is None and manifest is None and shutdown is None
+             and trial_timeout is None and not retries)
+    if plain and engine == "batch" and all(
+            override is None for override in overrides):
         # Vectorized grouping: same-cell seeds ride one batched engine
         # tick; ineligible cells fall back per-trial inside the batch.
         # (Params *objects* cannot ride a spec, so such sweeps keep the
-        # per-trial pool below.)
+        # per-trial jobs below.)
         from ..store.batch import execute_batch
 
-        records = execute_batch(
-            [_job_spec(job)[0] for job in jobs],
-            store=None, processes=processes,
-        )
         outcomes = [
             (record["metrics"]["completed"], record["metrics"]["time"],
              record["metrics"]["messages"])
-            for record in records
+            for record in execute_batch(specs, processes=processes)
         ]
     else:
-        with TrialPool(processes) as pool:
-            outcomes = pool.map(_sweep_job, jobs)
+        fn = _sweep_job
+        if profile is not None:
+            # The profiler must see every step, so it cannot cross a
+            # process boundary: profiled sweeps run inline.
+            fn, processes = partial(_sweep_job, observers=(profile,)), 1
+        if manifest is not None:
+            manifest = CampaignManifest.ensure(
+                manifest,
+                meta={
+                    "driver": "sweep",
+                    "algorithm": algorithm,
+                    "ns": list(ns),
+                    "rng": {"seeds": seeds},
+                },
+                checkpoint_every=checkpoint_every,
+            )
+            _refuse_tuple_jobs(manifest)
+        # A failed/timed-out trial aggregates as a not-completed run.
+        outcomes = [
+            outcome.value if outcome.ok else (False, None, None)
+            for outcome in run_jobs(
+                fn,
+                [(spec.to_dict(), override)
+                 for spec, override in zip(specs, overrides)],
+                processes=processes, trial_timeout=trial_timeout,
+                retries=retries, manifest=manifest,
+                checkpoint_every=checkpoint_every, shutdown=shutdown,
+                decode=tuple,
+            )
+        ]
 
     points = []
     for index, n in enumerate(ns):

@@ -9,7 +9,9 @@ from repro.experiments import (
     CampaignDrained,
     CampaignManifest,
     GracefulShutdown,
-    run_checkpointed_jobs,
+    GridRunner,
+    GridSpec,
+    run_jobs,
     run_theorem1,
 )
 from repro.spec import RunSpec
@@ -31,6 +33,11 @@ def _maybe_square(args):
 
 def _nested_tuple(args):
     return (args[0], (args[0], args[0] + 1))
+
+
+def _values(jobs, fn, **kwargs):
+    """``run_jobs`` reduced to its values (None for a failed job)."""
+    return [outcome.value for outcome in run_jobs(fn, jobs, **kwargs)]
 
 
 class TestManifest:
@@ -154,16 +161,14 @@ class TestCheckpointedJobs:
     def test_results_match_plain_map_and_resume_skips(self, tmp_path):
         path = str(tmp_path / "campaign.json")
         jobs = [(value,) for value in range(5)]
-        results = run_checkpointed_jobs(
-            jobs, _square, manifest=path, checkpoint_every=2,
-        )
+        results = _values(jobs, _square, manifest=path, checkpoint_every=2)
         assert results == [0, 1, 4, 9, 16]
 
         # Resume re-executes nothing: a poisoned job_fn proves it.
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        assert run_checkpointed_jobs(jobs, boom, manifest=path) == results
+        assert _values(jobs, boom, manifest=path) == results
 
     def test_fresh_and_resumed_results_share_shape(self, tmp_path):
         """Regression: fresh jobs returned raw values while resumed jobs
@@ -172,13 +177,14 @@ class TestCheckpointedJobs:
         Both paths must take the same encode → JSON → decode trip."""
         path = str(tmp_path / "campaign.json")
         jobs = [(1,), (2,)]
-        kwargs = dict(manifest=path, encode=list, decode=tuple)
-        fresh = run_checkpointed_jobs(jobs, _nested_tuple, **kwargs)
+        kwargs = dict(manifest=path, sink=lambda _index, value: list(value),
+                      decode=tuple)
+        fresh = _values(jobs, _nested_tuple, **kwargs)
 
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        resumed = run_checkpointed_jobs(jobs, boom, **kwargs)
+        resumed = _values(jobs, boom, **kwargs)
         assert fresh == resumed
         # decode=tuple revives the outer tuple only; the nested tuple is
         # JSON-coerced to a list in both runs alike.
@@ -187,9 +193,8 @@ class TestCheckpointedJobs:
     def test_failed_jobs_stay_missing_and_retry(self, tmp_path):
         path = str(tmp_path / "campaign.json")
         jobs = [(2,), (-1,), (3,)]
-        results = run_checkpointed_jobs(
-            jobs, _maybe_square, manifest=path, trial_timeout=30,
-        )
+        results = _values(jobs, _maybe_square, manifest=path,
+                          trial_timeout=30)
         assert results == [4, None, 9]
         manifest = CampaignManifest.load(path)
         assert len(manifest.failed) == 1
@@ -202,8 +207,7 @@ class TestCheckpointedJobs:
             executed.append(args)
             return _square(args)
 
-        results = run_checkpointed_jobs(jobs, tracked, manifest=path,
-                                        trial_timeout=30)
+        results = _values(jobs, tracked, manifest=path, trial_timeout=30)
         assert results == [4, 1, 9]
         assert executed == [(-1,)]  # only the failed job re-ran
 
@@ -212,8 +216,7 @@ class TestCheckpointedJobs:
         shutdown = GracefulShutdown(verbose=False)
         shutdown.requested = True
         with pytest.raises(CampaignDrained) as excinfo:
-            run_checkpointed_jobs([(1,)], _square, manifest=path,
-                                  shutdown=shutdown)
+            _values([(1,)], _square, manifest=path, shutdown=shutdown)
         assert excinfo.value.remaining == 1
         assert CampaignManifest.load(path).drained
 
@@ -230,12 +233,12 @@ class TestCheckpointedJobs:
             return _square(args)
 
         with pytest.raises(CampaignDrained) as excinfo:
-            run_checkpointed_jobs(jobs, stop_after_two, manifest=path,
-                                  checkpoint_every=1, shutdown=shutdown)
+            _values(jobs, stop_after_two, manifest=path,
+                    checkpoint_every=1, shutdown=shutdown)
         assert 0 < excinfo.value.completed < 6
         assert excinfo.value.completed + excinfo.value.remaining == 6
 
-        results = run_checkpointed_jobs(jobs, _square, manifest=path)
+        results = _values(jobs, _square, manifest=path)
         assert results == [0, 1, 4, 9, 16, 25]
 
 
@@ -320,10 +323,42 @@ class TestCheckpointedDrivers:
         assert meta["driver"] == "sweep"
         assert meta["rng"] == {"seeds": [0, 1]}
 
-    def test_sweep_shutdown_requires_manifest(self):
+    def test_sweep_refuses_manifest_in_the_older_tuple_format(
+            self, tmp_path):
+        """Sweep jobs used to be positional tuples; such a manifest can
+        never key-match a spec job, so it is refused, not half-resumed."""
+        from repro.experiments.campaign import job_key
+        from repro.sim.errors import ConfigurationError
+
+        job = ("ears", 16, 4, 1, 1, 0, None, None, None, "auto", None)
+        old = CampaignManifest(str(tmp_path / "sweep.json"),
+                               meta={"driver": "sweep"})
+        old.submit(job_key(job), list(job))
+        old.complete(job_key(job), [True, 30, 500])
+        old.save()
+        before = (tmp_path / "sweep.json").read_text()
+
+        with pytest.raises(ConfigurationError, match="older positional"):
+            sweep_gossip("ears", ns=[16], f_of_n=quarter, seeds=[0],
+                         manifest=old.path)
+        assert (tmp_path / "sweep.json").read_text() == before
+
+    @pytest.mark.parametrize("driver", ["sweep", "theorem1", "batch",
+                                        "grid"])
+    def test_shutdown_requires_manifest(self, driver):
+        shutdown = GracefulShutdown(verbose=False)
+        run = {
+            "sweep": lambda: sweep_gossip(
+                "ears", ns=[16], f_of_n=quarter, shutdown=shutdown),
+            "theorem1": lambda: run_theorem1(
+                n=32, f=8, seeds=[0], algorithms=["trivial"],
+                shutdown=shutdown),
+            "batch": lambda: execute_batch([SPEC], shutdown=shutdown),
+            "grid": lambda: GridRunner(shutdown=shutdown).run(GridSpec(
+                "g", "gossip", grid={"algorithm": ["trivial"], "n": [8]})),
+        }[driver]
         with pytest.raises(ValueError, match="needs a manifest"):
-            sweep_gossip("ears", ns=[16], f_of_n=quarter,
-                         shutdown=GracefulShutdown(verbose=False))
+            run()
 
     def test_theorem1_checkpointed_equals_plain(self, tmp_path):
         kwargs = dict(n=32, f=8, seeds=[0], algorithms=["trivial"],

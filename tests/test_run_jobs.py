@@ -1,0 +1,137 @@
+"""Driver parity: every view of ``run_jobs`` returns the same results
+plain, fault-tolerant, checkpointed, and killed-then-resumed — and a
+parallel call creates exactly one worker pool."""
+
+import pytest
+
+from repro.experiments import (
+    CampaignManifest,
+    GridRunner,
+    GridSpec,
+    TrialPool,
+    run_theorem1,
+)
+from repro.spec import RunSpec
+from repro.store import execute_batch, open_store
+from repro.workloads.sweeps import quarter, sweep_gossip
+
+SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
+SPECS = [SPEC.replace(seed=seed) for seed in range(4)]
+#: Two eligible cells asking for the vectorized engine (two chunks), an
+#: ineligible cell asking for it too, and scalar-engine specs riding the
+#: same call.
+MIXED = (
+    [spec.replace(engine="batch") for spec in SPECS]
+    + [SPEC.replace(n=24, f=6, seed=seed, engine="batch")
+       for seed in range(2)]
+    + [SPEC.replace(algorithm="tears", engine="batch")]
+    + [SPEC.replace(n=12, f=3, seed=seed) for seed in range(2)]
+)
+GRID = GridSpec(
+    "parity", "gossip",
+    grid={"algorithm": ["trivial", "ears"], "n": [8, 12], "f": [0],
+          "d": [1], "delta": [1]},
+    seeds=[0],
+)
+
+
+def _metrics(records):
+    return [(r["spec_hash"], r["metrics"]) for r in records]
+
+
+def _batch_with_store(tmp_path, tag, **kwargs):
+    store = open_store(str(tmp_path / f"{tag}.jsonl"))
+    return _metrics(execute_batch(SPECS, store=store, **kwargs))
+
+
+def _batch_storeless(tmp_path, tag, **kwargs):
+    return _metrics(execute_batch(SPECS, **kwargs))
+
+
+def _batch_mixed(tmp_path, tag, **kwargs):
+    store = open_store(str(tmp_path / f"{tag}.sqlite"))
+    return _metrics(execute_batch(MIXED, store=store, **kwargs))
+
+
+def _grid(tmp_path, tag, manifest=None, **kwargs):
+    runner = GridRunner(out_dir=str(tmp_path / tag), manifest_path=manifest,
+                        **kwargs)
+    return runner.run(GRID)
+
+
+def _sweep(tmp_path, tag, **kwargs):
+    return sweep_gossip("ears", ns=[16, 24], f_of_n=quarter,
+                        seeds=range(2), **kwargs)
+
+
+def _theorem1(tmp_path, tag, **kwargs):
+    rows = run_theorem1(n=32, f=8, seeds=[0, 1], algorithms=["trivial"],
+                        samples=2, phase1_cap=200, **kwargs)
+    return [(row.algorithm, row.cases, row.reports) for row in rows]
+
+
+VIEWS = [_batch_with_store, _batch_storeless, _batch_mixed, _grid,
+         _sweep, _theorem1]
+
+
+class _Killed(BaseException):
+    """Stands in for SIGKILL: nothing on the way out may catch it."""
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_modes_agree(view, tmp_path, monkeypatch):
+    plain = view(tmp_path, "plain")
+    assert view(tmp_path, "tolerant", retries=1) == plain
+    assert view(tmp_path, "checkpointed",
+                manifest=str(tmp_path / "checkpointed.json"),
+                checkpoint_every=1) == plain
+
+    # Die right after the first checkpoint reaches disk, then resume.
+    path = str(tmp_path / "killed.json")
+    real_save = CampaignManifest.maybe_save
+
+    def save_then_die(self, force=False):
+        if real_save(self, force):
+            raise _Killed
+
+    with monkeypatch.context() as patched:
+        patched.setattr(CampaignManifest, "maybe_save", save_then_die)
+        with pytest.raises(_Killed):
+            view(tmp_path, "killed", manifest=path, checkpoint_every=1)
+    assert CampaignManifest.load(path).missing_keys()
+    assert view(tmp_path, "killed", manifest=path) == plain
+    assert CampaignManifest.load(path).missing_keys() == []
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_one_call_creates_one_pool(view, tmp_path, monkeypatch):
+    created = []
+    real_ensure = TrialPool._ensure_pool
+
+    def spy(self):
+        if self._pool is None:
+            created.append(self)
+        return real_ensure(self)
+
+    monkeypatch.setattr(TrialPool, "_ensure_pool", spy)
+    view(tmp_path, "pooled", processes=2)
+    assert len(created) == 1
+
+
+def test_grid_manifest_written_by_an_older_build_resumes(tmp_path):
+    """Grid manifests used to record the canonical cell params as the
+    submitted payload; only the keys matter for a resume."""
+    from repro.experiments.grid import canonicalize_params, cell_key
+
+    done = GridRunner(out_dir=str(tmp_path / "grid")).run(GRID)
+    old = CampaignManifest(str(tmp_path / "old.json"),
+                           meta={"driver": "grid"})
+    for cell in GRID.cells():
+        old.submit(cell_key(cell), canonicalize_params(cell))
+    old.save()
+
+    runner = GridRunner(out_dir=str(tmp_path / "grid"),
+                        manifest_path=old.path)
+    assert runner.run(GRID) == done
+    assert runner.last_summary is None  # every cell was a cache hit
+    assert CampaignManifest.load(old.path).missing_keys() == []

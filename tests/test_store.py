@@ -219,6 +219,21 @@ def test_batch_dedupes_within_batch(fresh_store, monkeypatch):
     assert records[0] == records[1]
 
 
+def test_batch_dedupes_within_batch_without_store(monkeypatch):
+    executed = []
+    real_job = batch_module._spec_job
+
+    def spy(spec_dict):
+        executed.append(spec_dict["seed"])
+        return real_job(spec_dict)
+
+    monkeypatch.setattr(batch_module, "_spec_job", spy)
+    records = execute_batch([SPEC, SPEC.replace(seed=1), SPEC])
+    assert executed == [0, 1]
+    assert records[0] == records[2]
+    assert [r["spec"]["seed"] for r in records] == [0, 1, 0]
+
+
 def test_batch_partial_results_and_resume(fresh_store, monkeypatch):
     good = [SPEC.replace(seed=seed) for seed in (0, 1)]
     bad = SPEC.replace(algorithm="nonexistent")
