@@ -14,13 +14,14 @@ inside a δ-window sized for ``n`` (the ``n/(n-f)`` slowdown of Theorem 4),
 or δ much larger than ``n`` — leave most steps empty, and there the leap
 engine skips them in O(1).
 
-On a dense schedule the raw leap loop pays one ``next_event_at`` query
-per executed step and lands below 1x — the ``"auto"`` engine exists to
-close exactly that gap: it probes for skippable gaps and drops the query
-once a probe window comes back dry. The auto-dense cells gate on auto
-staying at parity with stepwise (floor 0.95x, measurement noise
-allowed), while the auto-sparse cell checks the probe does not cost the
-leap win.
+``"auto"`` (the default) and ``"leap"`` are the same loop: one
+``next_event_at`` query per executed step, answered from a residue index
+in O(log n). On a dense schedule that query is all the loop adds over
+stepwise, so both dense controls gate on parity (floor 0.95x, measurement
+noise allowed); the ``auto`` sparse cells check that the default engine
+gets the leap win — including the failure-free ``delta >> n`` cell whose
+first 128 steps of every window are busy, which the former density probe
+mistook for a dense run.
 
 Usage (standalone, not pytest-benchmark)::
 
@@ -90,8 +91,9 @@ def full_cells():
             "rrw64-n128-ears-failure-free",
             RunSpec(algorithm="ears", n=128, f=0, d=2, delta=64, seed=0),
             sparse=False,
+            min_speedup=0.95,
             note="control: dense residue map (2 pids/step), nothing to "
-                 "skip — honest ~1x",
+                 "skip — parity is the gate",
         ),
         cell(
             "rrw64-n128-ears-wave-2-survivors",
@@ -122,8 +124,8 @@ def full_cells():
             sparse=False,
             min_speedup=0.95,
             engine="auto",
-            note="the dense control under auto: the probe stops paying "
-                 "next_event_at, so parity with stepwise is the gate",
+            note="the dense control under auto (the default engine): "
+                 "parity with stepwise is the gate",
         ),
         cell(
             "auto-rrw64-n128-ears-wave-2-survivors",
@@ -132,8 +134,16 @@ def full_cells():
             min_speedup=5.0,
             adversary=two_survivor_wave(128, 64, 2, seed=0),
             engine="auto",
-            note="the headline sparse cell under auto: probing must not "
-                 "cost the leap win",
+            note="the headline sparse cell under auto",
+        ),
+        cell(
+            "auto-delta1024-n128-ears-failure-free",
+            RunSpec(algorithm="ears", n=128, f=0, d=2, delta=1024, seed=0),
+            sparse=True,
+            min_speedup=3.0,
+            engine="auto",
+            note="failure-free delta >> n on the default engine: every "
+                 "window opens with 128 busy steps, then 896 empty ones",
         ),
     ]
 
@@ -169,9 +179,9 @@ def quick_cells():
             min_speedup=0.7,
             engine="auto",
             note="CI gate: auto stays near stepwise on the dense control; "
-                 "the run is so short (~15ms) that the 64-step probe "
-                 "prefix and timer noise dominate, so the floor is loose "
-                 "here — the full run gates real parity at 0.95x",
+                 "the run is so short (~15ms) that timer noise dominates, "
+                 "so the floor is loose here — the full run gates real "
+                 "parity at 0.95x",
         ),
         cell(
             "quick-auto-delta256-n32-ears-failure-free",
@@ -180,6 +190,15 @@ def quick_cells():
             min_speedup=1.0,
             engine="auto",
             note="CI gate: auto keeps the sparse-cell leap win",
+        ),
+        cell(
+            "quick-auto-delta576-n72-ears-failure-free",
+            RunSpec(algorithm="ears", n=72, f=0, d=2, delta=576, seed=0),
+            sparse=True,
+            min_speedup=2.0,
+            engine="auto",
+            note="CI gate: a 72-step busy prefix per window (longer than "
+                 "the former 64-step probe) must not cost the leap win",
         ),
     ]
 
@@ -248,6 +267,18 @@ def run_cell(spec_cell, repeats):
     }
 
 
+def earlier_runs(path, quick):
+    """The trajectory already in ``path`` (same cell set only)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            previous = json.load(handle)
+    except (OSError, ValueError):
+        return []
+    if previous.get("quick") != quick:
+        return []
+    return previous.get("trajectory", [])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -265,6 +296,11 @@ def main(argv=None):
     parser.add_argument(
         "--no-gate", action="store_true",
         help="record speedups without enforcing the per-cell floors",
+    )
+    parser.add_argument(
+        "--label", default="unlabelled",
+        help="name of this run in the output's trajectory (e.g. the "
+             "commit measured); earlier entries of --out are kept",
     )
     args = parser.parse_args(argv)
     repeats = args.repeats or (2 if args.quick else 3)
@@ -297,6 +333,14 @@ def main(argv=None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cells": rows,
+        "trajectory": earlier_runs(args.out, args.quick) + [{
+            "label": args.label,
+            "cells": {
+                row["id"]: {key: row[key]
+                            for key in ("stepwise_s", "leap_s", "speedup")}
+                for row in rows
+            },
+        }],
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)

@@ -48,9 +48,7 @@ class CrashPlan:
 
     def has_pending(self, t: int) -> bool:
         """True if some crash fires at time ``>= t``."""
-        if t > self._last_time:
-            return False
-        return any(time >= t for time in self._events)
+        return t <= self._last_time
 
     def next_event_at(self, t: int) -> Optional[int]:
         """Earliest crash time ``>= t``, or ``None`` once the plan is

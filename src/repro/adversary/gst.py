@@ -28,7 +28,7 @@ from typing import FrozenSet, Optional, Set
 
 from ..sim.errors import ConfigurationError
 from ..sim.message import Message
-from ..sim.scheduler import next_residue_step
+from ..sim.scheduler import RoundRobinWindows
 from .base import Adversary
 from .crash_plans import CrashPlan, no_crashes
 
@@ -60,6 +60,10 @@ class GstAdversary(Adversary):
         )
         self.seed = seed
         self.crashes = crashes if crashes is not None else no_crashes()
+        # Both regimes are residue-class schedules (δ=1 is the one-residue
+        # case: everyone, every step).
+        self._pre_gst = RoundRobinWindows(self.pre_gst_delta)
+        self._post_gst = RoundRobinWindows(delta)
 
     # -- helpers ----------------------------------------------------------- #
 
@@ -74,16 +78,11 @@ class GstAdversary(Adversary):
     def crashes_at(self, t: int) -> Set[int]:
         return self.crashes.crashes_at(t)
 
+    def _plan(self, t: int) -> RoundRobinWindows:
+        return self._post_gst if t >= self.gst else self._pre_gst
+
     def schedule_at(self, t: int, alive: FrozenSet[int]) -> Set[int]:
-        if t >= self.gst:
-            if self.delta == 1:
-                return set(alive)
-            residue = t % self.delta
-            return {pid for pid in alive if pid % self.delta == residue}
-        residue = t % self.pre_gst_delta
-        return {
-            pid for pid in alive if pid % self.pre_gst_delta == residue
-        }
+        return self._plan(t).scheduled_at(t, alive)
 
     def assign_delay(self, msg: Message) -> int:
         if msg.sent_at >= self.gst:
@@ -112,16 +111,10 @@ class GstAdversary(Adversary):
         sim = getattr(self, "sim", None)
         if sim is None:
             return None
-        alive = sim.alive_pids
         crash = self.crashes.next_event_at(t)
-        sched: Optional[int]
+        sched = self._plan(t).next_event_at(t, sim.alive_pids)
         if t < self.gst:
-            sched = next_residue_step(t, self.pre_gst_delta, alive)
             sched = self.gst if sched is None else min(sched, self.gst)
-        elif self.delta == 1:
-            sched = t if alive else None
-        else:
-            sched = next_residue_step(t, self.delta, alive)
         if sched is None:
             return crash
         if crash is None:

@@ -19,7 +19,7 @@ from ..adversary.oblivious import ObliviousAdversary
 from ..core.base import make_processes
 from ..sim.engine import Simulation
 from ..sim.events import Observer
-from ..sim.monitor import GossipCompletionMonitor
+from ..sim.monitor import GossipCompletionMonitor, quiescent
 
 
 @dataclass
@@ -150,7 +150,7 @@ def measure_dissemination(
         # progress).
         if sampler.saturated():
             break
-        if sim._stalled() and not sim.adversary.has_pending_events(sim.now):
+        if quiescent(sim) and not sim.adversary.has_pending_events(sim.now):
             break
     return sampler.curve(n)
 

@@ -31,37 +31,29 @@ from .errors import (
     InvalidScheduleError,
 )
 from .events import BitMeterObserver, Observer, TraceObserver
-from .monitor import CompletionMonitor
+from .monitor import CompletionMonitor, quiescent
 from .network import Network
 from .process import Algorithm, Context, ProcessHandle
 from .rng import derive_rng
 from .trace import EventTrace
 
 __all__ = [
-    "AUTO_PROBE_WINDOW",
     "ENGINES",
     "RunResult",
     "SimSnapshot",
     "Simulation",
 ]
 
-#: Recognized execution strategies. ``"auto"`` (the default) probes the
-#: event-driven time-leap fast path and falls back to the stepwise loop
-#: on dense schedules where the adversary offers no skippable gap — so
-#: it is never slower than either explicit choice by more than the probe
-#: window, and always bit-identical to ``"stepwise"``. ``"leap"``
-#: requests the fast path unconditionally (it still degrades per-step
-#: when the adversary cannot predict its next event); ``"stepwise"``
-#: forces the classical one-step-at-a-time loop (the reference
-#: semantics).
+#: Recognized execution strategies, all driven by one run loop and all
+#: bit-identical. ``"stepwise"`` never asks the adversary for its next
+#: event and executes every time step — the reference semantics, and the
+#: oracle the other two are tested against. ``"leap"`` and ``"auto"`` (the
+#: default) are the same path: ask ``next_event_at`` before each step and
+#: jump over the inert gap it reports; when the adversary cannot predict
+#: (``None``) that iteration is a plain step. The query is O(log n) on the
+#: built-in residue schedules, so dense runs pay nothing measurable for
+#: it. Both names stay because specs, stores and the CLI carry them.
 ENGINES = ("auto", "stepwise", "leap")
-
-#: How many consecutive steps the ``"auto"`` engine probes for a
-#: skippable gap before concluding the schedule is dense and dropping
-#: the per-step ``next_event_at`` query. A crash re-arms the probe: the
-#: post-crash schedule often turns sparse (the Theorem 4 starvation
-#: regime), which is exactly when leaping starts to pay.
-AUTO_PROBE_WINDOW = 64
 
 
 class SimSnapshot:
@@ -288,19 +280,6 @@ class Simulation(EngineCore):
             for handler in self._obs_step_end:
                 handler(t)
 
-    def _stalled(self) -> bool:
-        """True when no future step can change anything but a crash.
-
-        Holds when the network is empty and every live process is quiescent:
-        scheduled steps then deliver nothing and (by the quiescence contract)
-        send nothing.
-        """
-        if self.network.in_flight:
-            return False
-        return all(
-            self.processes[pid].algorithm.is_quiescent() for pid in self._alive
-        )
-
     def run(self, max_steps: int = 1_000_000,
             strict: bool = False) -> RunResult:
         """Step until the monitor holds, the system stalls, or the limit.
@@ -323,34 +302,32 @@ class Simulation(EngineCore):
         reason, the in-flight message count and the quiescent set, instead
         of returning a ``completed=False`` result.
 
-        The ``engine=`` knob selects the execution strategy: ``"stepwise"``
-        grinds through every time step; ``"leap"`` uses the event-driven
-        time-leap fast path, which asks the adversary for its next event
-        and jumps over provably inert gaps; ``"auto"`` probes the leap
-        path and drops its per-step ``next_event_at`` query on dense
-        schedules that never offer a gap. All strategies are seed-for-seed
-        bit-identical (same RunResult, same metrics, same RNG
-        consumption); the leap path only skips steps in which no process
-        is scheduled and no crash fires.
+        There is one loop; the ``engine=`` knob only decides whether it
+        asks the adversary for its next event. ``"stepwise"`` never asks
+        and executes every time step (the reference). ``"auto"`` and
+        ``"leap"`` ask before each step and jump over the inert gap the
+        adversary reports — an inert step (nothing scheduled, no crash)
+        mutates nothing but the clock, so :meth:`_leap_gap` reproduces
+        what stepping through it would have done; an adversary that
+        cannot predict (``None``) gets a plain step. All three are
+        seed-for-seed bit-identical (same RunResult, same metrics, same
+        RNG consumption, same observer stream).
         """
-        if self.engine == "stepwise":
-            return self._run_stepwise(max_steps, strict)
-        if self.engine == "leap":
-            return self._run_leap(max_steps, strict)
-        return self._run_auto(max_steps, strict)
-
-    def _run_stepwise(self, max_steps: int, strict: bool,
-                      known_false_at: Optional[int] = None) -> RunResult:
-        """The reference loop: one :meth:`step` per time step.
-
-        ``known_false_at`` carries an in-progress monitor watermark when
-        the auto engine hands over mid-run; a fresh run starts with none.
-        """
+        ask = self.engine != "stepwise"
         # Step index of the last monitor check that returned False; the
         # completion cannot pre-date it.
-        if known_false_at is None:
-            known_false_at = self._now - 1
+        known_false_at = self._now - 1
         while self._now < max_steps:
+            if ask:
+                nxt = self.adversary.next_event_at(self._now)
+                if nxt is not None and nxt > self._now:
+                    outcome, known_false_at = self._leap_gap(
+                        min(nxt, max_steps), known_false_at, strict
+                    )
+                    if outcome is not None:
+                        return outcome
+                    if self._now >= max_steps:
+                        break
             self.step()
             if self.monitor is not None and (
                 self._now % self.check_interval == 0
@@ -358,7 +335,7 @@ class Simulation(EngineCore):
                 if self.monitor.check(self):
                     return self._complete(known_false_at)
                 known_false_at = self._now
-            if self._stalled() and not self.adversary.has_pending_events(
+            if quiescent(self) and not self.adversary.has_pending_events(
                 self._now
             ):
                 return self._stall_stop(known_false_at, strict)
@@ -369,97 +346,20 @@ class Simulation(EngineCore):
             return self._complete(known_false_at)
         return self._finish(False, "step-limit", strict)
 
-    def _run_leap(self, max_steps: int, strict: bool) -> RunResult:
-        """The time-leap loop: jump over gaps of provably inert steps.
+    def _skip_to(self, target: int) -> None:
+        """Move the clock over the inert steps ``[now, target)``.
 
-        Identical to :meth:`_run_stepwise` observable-for-observable: an
-        inert step (nothing scheduled, no crash) mutates nothing but the
-        clock, so jumping the clock — while back-filling
-        ``steps_elapsed``, observer ``step_begin``/``step_end`` emissions,
-        the stalled-system early stop, and the monitor's
-        ``check_interval`` boundaries — reproduces the stepwise execution
-        exactly. Any time the adversary cannot predict its next event
-        (``next_event_at`` returns ``None``) the loop degrades to plain
-        stepwise iteration.
+        Nothing but the clock, ``steps_elapsed`` and the observers'
+        ``step_begin``/``step_end`` stream moves in an inert step.
         """
-        known_false_at = self._now - 1
-        while self._now < max_steps:
-            nxt = self.adversary.next_event_at(self._now)
-            if nxt is not None and nxt > self._now:
-                outcome, known_false_at = self._leap_gap(
-                    min(nxt, max_steps), known_false_at, strict
-                )
-                if outcome is not None:
-                    return outcome
-                if self._now >= max_steps:
-                    break
-            self.step()
-            if self.monitor is not None and (
-                self._now % self.check_interval == 0
-            ):
-                if self.monitor.check(self):
-                    return self._complete(known_false_at)
-                known_false_at = self._now
-            if self._stalled() and not self.adversary.has_pending_events(
-                self._now
-            ):
-                return self._stall_stop(known_false_at, strict)
-        if (self.monitor is not None and known_false_at != self._now
-                and self.monitor.check(self)):
-            return self._complete(known_false_at)
-        return self._finish(False, "step-limit", strict)
-
-    def _run_auto(self, max_steps: int, strict: bool) -> RunResult:
-        """The default strategy: leap, but stop probing dense schedules.
-
-        Identical in observables to both other loops. The one cost the
-        leap path adds over stepwise is an adversary ``next_event_at``
-        query per executed step; on a dense schedule (something happens
-        every step) that query never pays for itself. So the auto loop
-        runs the leap protocol while counting skipped steps, and once a
-        full :data:`AUTO_PROBE_WINDOW` of executed steps yields zero
-        skips it hands the rest of the run to :meth:`_run_stepwise`
-        (passing the monitor watermark through so completion back-dating
-        is unchanged). A crash re-arms the probe first — post-crash
-        schedules are where sparsity typically appears.
-        """
-        known_false_at = self._now - 1
-        probe_start = self._now
-        skipped = 0
-        crashes_seen = self.metrics.crashes
-        while self._now < max_steps:
-            if self.metrics.crashes != crashes_seen:
-                crashes_seen = self.metrics.crashes
-                probe_start = self._now
-                skipped = 0
-            if skipped == 0 and self._now - probe_start >= AUTO_PROBE_WINDOW:
-                return self._run_stepwise(max_steps, strict, known_false_at)
-            nxt = self.adversary.next_event_at(self._now)
-            if nxt is not None and nxt > self._now:
-                before = self._now
-                outcome, known_false_at = self._leap_gap(
-                    min(nxt, max_steps), known_false_at, strict
-                )
-                skipped += self._now - before
-                if outcome is not None:
-                    return outcome
-                if self._now >= max_steps:
-                    break
-            self.step()
-            if self.monitor is not None and (
-                self._now % self.check_interval == 0
-            ):
-                if self.monitor.check(self):
-                    return self._complete(known_false_at)
-                known_false_at = self._now
-            if self._stalled() and not self.adversary.has_pending_events(
-                self._now
-            ):
-                return self._stall_stop(known_false_at, strict)
-        if (self.monitor is not None and known_false_at != self._now
-                and self.monitor.check(self)):
-            return self._complete(known_false_at)
-        return self._finish(False, "step-limit", strict)
+        if self._obs_step_begin or self._obs_step_end:
+            for t in range(self._now, target):
+                for handler in self._obs_step_begin:
+                    handler(t)
+                for handler in self._obs_step_end:
+                    handler(t)
+        self._now = target
+        self.metrics.steps_elapsed = target
 
     def _leap_gap(self, target: int, known_false_at: int, strict: bool):
         """Jump ``_now`` over the inert gap up to ``target``.
@@ -474,7 +374,7 @@ class Simulation(EngineCore):
         # (has_pending_events is monotone non-increasing, so bisect) and
         # stop the jump there.
         stop_at = None
-        if self._stalled():
+        if quiescent(self):
             nxt = self._now + 1
             if not self.adversary.has_pending_events(nxt):
                 stop_at = nxt
@@ -503,30 +403,20 @@ class Simulation(EngineCore):
             if stop_at is not None and target < stop_at:
                 stop_at = None
 
-        start = self._now
-        if self._obs_step_begin or self._obs_step_end:
-            for t in range(start, target):
-                for handler in self._obs_step_begin:
-                    handler(t)
-                for handler in self._obs_step_end:
-                    handler(t)
-
         if self.monitor is not None and boundary <= target:
             # State is frozen across the gap, so every interval check in
-            # (start, target] returns the same verdict: evaluate once at
+            # (now, target] returns the same verdict: evaluate once at
             # the first boundary — with the clock showing the boundary,
             # reproducing both a true-verdict stop and time-stamped side
             # effects (gathering_time) exactly as stepwise would — then
             # fast-forward. (For non-leap-safe monitors the jump was
             # capped at the first boundary above, so this *is* the real
             # per-boundary evaluation.)
-            self._now = boundary
-            self.metrics.steps_elapsed = boundary
+            self._skip_to(boundary)
             if self.monitor.check(self):
                 return self._complete(known_false_at), known_false_at
             known_false_at = (target // k) * k
-        self._now = target
-        self.metrics.steps_elapsed = target
+        self._skip_to(target)
 
         if stop_at is not None and self._now == stop_at:
             return self._stall_stop(known_false_at, strict), known_false_at
@@ -576,28 +466,19 @@ class Simulation(EngineCore):
     def run_for(self, steps: int) -> None:
         """Execute exactly ``steps`` further steps (no monitor checks).
 
-        Under the leap engine, inert gaps inside the window are jumped
-        (with observer back-fill), bit-identically to stepping them.
+        Unless the engine is ``"stepwise"``, inert gaps inside the window
+        are jumped (with observer back-fill), bit-identically to stepping
+        them.
         """
-        if self.engine == "stepwise":
-            for _ in range(steps):
-                self.step()
-            return
+        ask = self.engine != "stepwise"
         end = self._now + steps
         while self._now < end:
-            nxt = self.adversary.next_event_at(self._now)
-            if nxt is not None and nxt > self._now:
-                target = min(nxt, end)
-                if self._obs_step_begin or self._obs_step_end:
-                    for t in range(self._now, target):
-                        for handler in self._obs_step_begin:
-                            handler(t)
-                        for handler in self._obs_step_end:
-                            handler(t)
-                self._now = target
-                self.metrics.steps_elapsed = target
-                if self._now >= end:
-                    return
+            if ask:
+                nxt = self.adversary.next_event_at(self._now)
+                if nxt is not None and nxt > self._now:
+                    self._skip_to(min(nxt, end))
+                    if self._now >= end:
+                        return
             self.step()
 
     # ------------------------------------------------------------------ #

@@ -14,9 +14,24 @@ network holds no in-flight message, no message is ever sent again.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Optional
 
 from .._util import popcount
+
+
+def quiescent(sim) -> bool:
+    """Nothing in flight and every live process quiescent.
+
+    From here on scheduled steps deliver nothing and (by the quiescence
+    contract) send nothing, so only a crash can still change the state.
+    """
+    if sim.network.in_flight:
+        return False
+    processes = sim.processes
+    return all(
+        processes[pid].algorithm.is_quiescent() for pid in sim.alive_pids
+    )
 
 
 class CompletionMonitor(ABC):
@@ -41,6 +56,10 @@ class CompletionMonitor(ABC):
 
     def describe(self) -> str:
         return type(self).__name__
+
+
+#: ``GossipCompletionMonitor``'s scope memo before any live set was seen.
+_NO_SCOPE = (None, None, frozenset(), 0)
 
 
 class GossipCompletionMonitor(CompletionMonitor):
@@ -72,40 +91,58 @@ class GossipCompletionMonitor(CompletionMonitor):
         #: First time at which the rumor-gathering condition held (quiescence
         #: may lag behind it); useful for separating the two costs.
         self.gathering_time: Optional[int] = None
+        # Pure memo: (alive, byz, honest pids, their target mask) for the
+        # last live set seen, keyed on identity — the engine hands over the
+        # same cached frozenset until a crash — plus the pid that failed
+        # the last scan. Clones start empty (see __getstate__).
+        self._scope: tuple = _NO_SCOPE
+        self._witness: Optional[int] = None
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _scope=_NO_SCOPE)
+
+    def _honest(self, sim) -> tuple:
+        """``(honest live pids, their rumor bits)``, rebuilt per live set."""
+        alive = sim.alive_pids
+        byz = getattr(sim.adversary, "byzantine_pids", None)
+        scope = self._scope
+        if scope[0] is not alive or scope[1] is not byz:
+            honest = alive.difference(byz) if byz else alive
+            target = 0
+            for pid in honest:
+                target |= 1 << pid
+            scope = self._scope = (alive, byz, honest, target)
+            self._witness = None
+        return scope[2], scope[3]
 
     def gathered(self, sim) -> bool:
-        alive = sim.alive_pids
-        byz = frozenset(getattr(sim.adversary, "byzantine_pids", ()) or ())
-        if byz:
-            alive = frozenset(pid for pid in alive if pid not in byz)
-        if not alive:
-            return True
+        """Exact at every call: a false verdict re-tests the pid that failed
+        last time first (O(1) while it still lacks a rumor); a true verdict
+        is never latched, because state tampering (chaos runs) can make
+        V(p) shrink."""
+        honest, target = self._honest(sim)
+        processes = sim.processes
+        candidates = honest
+        if self._witness is not None:
+            candidates = chain((self._witness,), honest)
         if self.majority:
             need = sim.n // 2 + 1
-            for pid in alive:
-                if popcount(sim.processes[pid].algorithm.rumor_mask) < need:
+            for pid in candidates:
+                if popcount(processes[pid].algorithm.rumor_mask) < need:
+                    self._witness = pid
                     return False
             return True
-        target = 0
-        for pid in alive:
-            target |= 1 << pid
-        for pid in alive:
-            if target & ~sim.processes[pid].algorithm.rumor_mask:
+        for pid in candidates:
+            if target & ~processes[pid].algorithm.rumor_mask:
+                self._witness = pid
                 return False
         return True
-
-    def quiescent(self, sim) -> bool:
-        if sim.network.in_flight:
-            return False
-        return all(
-            sim.processes[pid].algorithm.is_quiescent() for pid in sim.alive_pids
-        )
 
     def check(self, sim) -> bool:
         gathered = self.gathered(sim)
         if gathered and self.gathering_time is None:
             self.gathering_time = sim.now
-        return gathered and self.quiescent(sim)
+        return gathered and quiescent(sim)
 
     def describe(self) -> str:
         return "majority-gossip" if self.majority else "gossip"
@@ -117,11 +154,7 @@ class QuiescenceMonitor(CompletionMonitor):
     leap_safe = True
 
     def check(self, sim) -> bool:
-        if sim.network.in_flight:
-            return False
-        return all(
-            sim.processes[pid].algorithm.is_quiescent() for pid in sim.alive_pids
-        )
+        return quiescent(sim)
 
 
 class PredicateMonitor(CompletionMonitor):

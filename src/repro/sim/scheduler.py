@@ -14,29 +14,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from typing import FrozenSet, Optional, Sequence, Set
 
-
-def next_residue_step(
-    t: int, period: int, alive: FrozenSet[int]
-) -> Optional[int]:
-    """Smallest ``t' >= t`` with some alive pid ``≡ t' (mod period)``.
-
-    The shared kernel of round-robin ``next_event_at`` implementations
-    (used by :class:`RoundRobinWindows` and the GST adversary's two
-    regimes): a residue-class schedule has an empty step exactly when no
-    live pid occupies the step's residue, so the next busy step is found
-    by bisecting the sorted set of occupied residues. Returns ``None``
-    when ``alive`` is empty.
-    """
-    if not alive:
-        return None
-    if period <= 1:
-        return t
-    residues = sorted({pid % period for pid in alive})
-    r = t % period
-    idx = bisect_left(residues, r)
-    if idx < len(residues):
-        return t + (residues[idx] - r)
-    return t + (period - r) + residues[0]
+#: ``RoundRobinWindows``'s residue index before any live set was seen.
+_NO_INDEX = (None, {}, ())
 
 
 class SchedulePlan(ABC):
@@ -98,13 +77,47 @@ class RoundRobinWindows(SchedulePlan):
             raise ValueError(f"delta must be >= 1, got {delta}")
         self.delta = delta
         self.target_delta = delta
+        # Pure memo: (alive, {residue: pids}, sorted occupied residues) for
+        # the last ``alive`` frozenset seen, keyed on its identity — the
+        # engine hands over the same cached object until a crash. Like
+        # StaggeredWindows._slot_cache it is never part of the plan's
+        # identity: forks share the plan and may alternate live sets, which
+        # only costs rebuilds, and clones/pickles start empty.
+        self._index: tuple = _NO_INDEX
+
+    def _indexed(self, alive: FrozenSet[int]) -> tuple:
+        index = self._index
+        if index[0] is not alive:
+            index = self._index = self._build_index(alive)
+        return index
+
+    def _build_index(self, alive: FrozenSet[int]) -> tuple:
+        buckets: dict = {}
+        for pid in alive:
+            buckets.setdefault(pid % self.delta, []).append(pid)
+        return (
+            alive,
+            {residue: frozenset(pids) for residue, pids in buckets.items()},
+            sorted(buckets),
+        )
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _index=_NO_INDEX)
 
     def scheduled_at(self, t: int, alive: FrozenSet[int]) -> Set[int]:
-        residue = t % self.delta
-        return {pid for pid in alive if pid % self.delta == residue}
+        return self._indexed(alive)[1].get(t % self.delta, frozenset())
 
     def next_event_at(self, t: int, alive: FrozenSet[int]) -> Optional[int]:
-        return next_residue_step(t, self.delta, alive)
+        # A residue-class schedule has an empty step exactly when no live
+        # pid occupies the step's residue: bisect the occupied residues.
+        residues = self._indexed(alive)[2]
+        if not residues:
+            return None
+        r = t % self.delta
+        idx = bisect_left(residues, r)
+        if idx < len(residues):
+            return t + (residues[idx] - r)
+        return t + (self.delta - r) + residues[0]
 
 
 class StaggeredWindows(SchedulePlan):

@@ -18,7 +18,7 @@ from repro.adversary.adaptive import (
 from repro.adversary.crash_plans import crash_at, wave_crashes
 from repro.adversary.delay_plans import HashDelay
 from repro.adversary.oblivious import ObliviousAdversary
-from repro.sim.engine import AUTO_PROBE_WINDOW, ENGINES, Simulation
+from repro.sim.engine import ENGINES, Simulation
 from repro.sim.errors import ConfigurationError
 from repro.sim.events import Observer
 from repro.sim.scheduler import (
@@ -238,23 +238,37 @@ class RecordingObserver(Observer):
 
 
 class TestObserverBackfill:
-    def test_step_stream_is_identical(self):
+    @staticmethod
+    def _streams(**cell):
         streams = {}
         for engine in ("stepwise", "leap"):
             observer = RecordingObserver()
             spec = RunSpec(
-                kind="gossip", algorithm="ears", n=10, d=2, delta=13, seed=6,
-                engine=engine,
+                kind="gossip", n=10, d=2, delta=13, engine=engine, **cell
             )
             execute(spec, observers=[observer])
             streams[engine] = observer.events
+        return streams
+
+    def test_step_stream_is_identical(self):
+        streams = self._streams(algorithm="ears", seed=6)
+        assert streams["stepwise"] == streams["leap"]
+
+    @pytest.mark.parametrize("seed", [3, 9, 11])
+    def test_backfill_stops_at_the_completing_boundary(self, seed):
+        # A never-quiescing algorithm completes at an interval-check
+        # boundary inside a gap; the back-fill must not run past it.
+        streams = self._streams(
+            algorithm="ps-push-pull", seed=seed, check_interval=7
+        )
         assert streams["stepwise"] == streams["leap"]
 
 
-def _build_sim(engine="auto", n=10, delta=9, seed=4, max_steps=None):
+def _build_sim(engine="auto", n=10, delta=9, seed=4, max_steps=None,
+               f=None):
     spec = RunSpec(
-        kind="gossip", algorithm="ears", n=n, d=2, delta=delta, seed=seed,
-        engine=engine, max_steps=max_steps,
+        kind="gossip", algorithm="ears", n=n, f=f, d=2, delta=delta,
+        seed=seed, engine=engine, max_steps=max_steps,
     )
     from repro.spec.builder import build
 
@@ -301,19 +315,26 @@ class TestForkRestore:
 
 
 class CountingAdversary:
-    """Forwards to a real adversary while counting next_event_at calls."""
+    """Forwards to a real adversary while counting next_event_at calls
+    and executed steps (one schedule_at call each)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.next_event_calls = 0
+        self.schedule_calls = 0
 
     def next_event_at(self, now):
         self.next_event_calls += 1
         return self._inner.next_event_at(now)
 
+    def schedule_at(self, t, alive):
+        self.schedule_calls += 1
+        return self._inner.schedule_at(t, alive)
+
     def clone_into(self, target):
         clone = CountingAdversary(self._inner.clone_into(target))
         clone.next_event_calls = self.next_event_calls
+        clone.schedule_calls = self.schedule_calls
         return clone
 
     def __getattr__(self, name):
@@ -340,35 +361,99 @@ def _run_counted(engine, *, n=12, delta=None, crashes=None, seed=3):
 
 
 class TestAutoEngineProbe:
-    """The auto engine stops querying next_event_at on dense schedules."""
+    """The default engine is the leap path: one cheap next_event_at query
+    per busy step, an index rebuilt only when the live set changes, and a
+    monitor that stays exact."""
 
-    def test_dense_run_stops_probing_after_window(self):
-        # delta == n with f=0 occupies every residue: nothing to skip.
-        run, counter = _run_counted("auto", n=12, delta=12)
+    def test_failure_free_sparse_run_executes_only_busy_steps(self):
+        # n >= 64 keeps a 64-step prefix of every window busy; delta > n
+        # leaves the rest of it empty. One pid per busy step (n < delta),
+        # so local steps count busy steps.
+        run, counter = _run_counted("auto", n=72, delta=288)
         assert run.completed
-        assert counter.next_event_calls <= AUTO_PROBE_WINDOW + 1
-
-    def test_leap_engine_keeps_probing_dense_runs(self):
-        run, counter = _run_counted("leap", n=12, delta=12)
-        assert run.completed
-        assert counter.next_event_calls > AUTO_PROBE_WINDOW + 1
+        busy_steps = run.metrics["local_steps_taken"]
+        assert counter.schedule_calls == busy_steps < run.steps / 2
+        assert counter.next_event_calls <= busy_steps + 1
 
     def test_sparse_run_keeps_leaping(self):
-        # delta >> n: most steps are empty, so the probe finds skips
-        # immediately and auto never abandons the fast path — it executes
-        # far fewer next_event_at calls than there are time steps.
+        # delta >> n: most steps are empty — far fewer next_event_at
+        # calls than there are time steps.
         run, counter = _run_counted("auto", n=8, delta=96)
         assert run.completed
         assert counter.next_event_calls < run.steps / 2
 
-    def test_crash_rearms_probe(self):
+    def test_crash_wave_turns_schedule_sparse(self):
         # Dense until the wave at t=1 leaves 2 survivors in an n-sized
-        # window: the crash must re-arm the probe so auto discovers the
-        # now-sparse schedule and leaps (calls ≪ steps).
+        # window: the now-sparse schedule must be leapt (calls ≪ steps).
         run, counter = _run_counted(
             "auto", n=16, delta=16, crashes=range(2, 16)
         )
         assert counter.next_event_calls < run.steps / 2
+
+    @pytest.mark.parametrize(
+        "crashes, builds", [(None, 1), (range(2, 16), 2)],
+        ids=["dense", "crash-wave"],
+    )
+    def test_residue_index_built_once_per_live_set(
+        self, monkeypatch, crashes, builds
+    ):
+        calls = []
+        build_index = RoundRobinWindows._build_index
+
+        def spy(plan, alive):
+            calls.append(alive)
+            return build_index(plan, alive)
+
+        monkeypatch.setattr(RoundRobinWindows, "_build_index", spy)
+        run, _ = _run_counted("auto", n=16, delta=16, crashes=crashes)
+        assert run.steps > 16
+        assert len(calls) == builds
+
+    def test_forks_sharing_a_plan_stay_identical_to_stepwise(self):
+        # Forks share the oblivious plans, so two forks whose live sets
+        # differ evict each other's index on every interleaved call; the
+        # index is a pure memo, so that must cost rebuilds and nothing else.
+        def continuations(engine, forked):
+            """Interleave two continuations of one start, one of which
+            crashes pid 5: forks of one simulation, or separate builds.
+            The crashed one runs first, so a shared index is first built
+            from the smaller live set."""
+            def start():
+                return _build_sim(engine=engine, n=12, delta=24, f=1).sim
+
+            if forked:
+                base = start()
+                keeps, crashes = base.fork(), base.fork()
+                assert keeps.adversary.schedule is crashes.adversary.schedule
+            else:
+                keeps, crashes = start(), start()
+            crashes.crash(5)
+            trace = []
+            for _ in range(40):
+                for sim in (crashes, keeps):
+                    sim.run_for(7)
+                    trace.append((sim.now, sim.metrics.snapshot()))
+            return trace
+
+        assert continuations("auto", forked=True) == continuations(
+            "stepwise", forked=False
+        )
+
+    def test_monitor_does_not_latch(self):
+        built = _build_sim(n=8, delta=8)
+        sim, monitor = built.sim, built.sim.monitor
+        before = sim.snapshot()
+        assert not monitor.gathered(sim)
+        sim.run(max_steps=built.max_steps)
+        assert monitor.gathered(sim) and monitor.check(sim)
+        # What the rumor-loss state tamperer does: V(p) is not monotone
+        # under chaos runs, so a true verdict must be re-derived.
+        sim.algorithm(3).rumors.mask &= ~(1 << 6)
+        assert not monitor.check(sim)
+        sim.restore(before)
+        assert sim.monitor.gathering_time is None
+        assert not sim.monitor.check(sim)
+        assert sim.run(max_steps=built.max_steps).completed
 
     @pytest.mark.parametrize("cell", SPEC_CELLS)
     def test_auto_bit_identical_to_stepwise(self, cell):
@@ -379,8 +464,7 @@ class TestAutoEngineProbe:
         assert_equivalent(runs["stepwise"], runs["auto"])
 
     def test_auto_bit_identical_on_dense_long_run(self):
-        # Longer than the probe window, so the mid-run handover to the
-        # stepwise loop actually happens and must preserve observables.
+        # Every step busy, interval checks that do not divide the run.
         spec = RunSpec(
             kind="gossip", algorithm="ears", n=12, d=2, delta=12, seed=5,
             check_interval=7,

@@ -2,7 +2,11 @@
 
 from repro.core.tears import Tears
 from repro.core.trivial import TrivialGossip
-from repro.sim.monitor import GossipCompletionMonitor, QuiescenceMonitor
+from repro.sim.monitor import (
+    GossipCompletionMonitor,
+    QuiescenceMonitor,
+    quiescent,
+)
 
 from ..conftest import build_gossip_sim
 
@@ -37,7 +41,7 @@ class TestGossipCompletionMonitor:
         sim.step()  # broadcasts sent, all in flight with delay 5
         monitor = GossipCompletionMonitor()
         assert not monitor.check(sim)
-        assert not monitor.quiescent(sim)
+        assert not quiescent(sim)
 
 
 class TestQuiescenceMonitor:

@@ -12,7 +12,6 @@ from repro.sim.scheduler import (
     SchedulePlan,
     StaggeredWindows,
     SubsetEveryStep,
-    next_residue_step,
 )
 
 ALIVE = frozenset(range(8))
@@ -180,15 +179,33 @@ class TestNextEventAt:
         # progress ("an event may happen right now").
         assert Unknown().next_event_at(42, ALIVE) == 42
 
-    def test_next_residue_step_kernel(self):
-        alive = frozenset({0, 3, 6})
+    def test_round_robin_index_follows_the_live_set(self):
+        # One plan, alternating live sets (what forks sharing a plan do):
+        # the memoized residue index must answer for the set it is given.
+        sets = [frozenset({0, 3, 6}), frozenset({3}), frozenset(), ALIVE]
         for period in (1, 2, 5, 8, 64):
             plan = RoundRobinWindows(period)
             for t in range(0, 3 * period + 2):
-                assert next_residue_step(t, period, alive) == brute_next_event(
-                    plan, t, alive
-                )
-        assert next_residue_step(10, 4, frozenset()) is None
+                for alive in sets:
+                    assert plan.next_event_at(t, alive) == brute_next_event(
+                        RoundRobinWindows(period), t, alive
+                    )
+                    assert plan.scheduled_at(t, alive) == {
+                        pid for pid in alive if pid % period == t % period
+                    }
+
+    @pytest.mark.parametrize(
+        "cloner",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_robin_clones_exclude_index(self, cloner):
+        plan = RoundRobinWindows(5)
+        assert plan.next_event_at(4, ALIVE) == 4
+        assert plan._index[0] is ALIVE  # warmed
+        dup = cloner(plan)
+        assert dup._index[0] is None
+        assert dup.next_event_at(4, frozenset({2})) == 7
 
 
 class TestStaggeredWindowsCache:
