@@ -9,8 +9,8 @@ state that depends on the algorithm's coin flips.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
+from hashlib import sha256
 from typing import Iterable, Tuple
 
 from ..sim.errors import ConfigurationError
@@ -55,12 +55,13 @@ class HashDelay(DelayPlan):
         self.seed = seed
 
     def assign(self, msg: Message) -> int:
-        if self.target_d == 1:
+        d = self.target_d
+        if d == 1:
             return 1
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self.seed}/{msg.src}/{msg.dst}/{msg.sent_at}".encode()
         ).digest()
-        return 1 + int.from_bytes(digest[:4], "big") % self.target_d
+        return 1 + int.from_bytes(digest[:4], "big") % d
 
 
 class SlowLinksDelay(DelayPlan):

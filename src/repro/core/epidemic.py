@@ -154,8 +154,7 @@ class EpidemicGossip(GossipAlgorithm):
             payloads = dict(self.rumors.payloads) if self.rumors.payloads else None
             payload = (self.rumors.mask, payloads, self._I)
             kind = KIND_SHUTDOWN if self.sleep_cnt >= 1 else KIND_GOSSIP
-            for dst in targets:
-                ctx.send(dst, payload, kind=kind)
+            ctx.send_many(targets, payload, kind=kind)
             # Record the new pairs only after the payload snapshot, exactly
             # as Figure 2 sends ⟨V(p), I(p)⟩ first and extends I(p) after.
             stamp = self.rumors.mask

@@ -70,15 +70,13 @@ class DeterministicMajorityGossip(GossipAlgorithm):
 
         if not self.first_sent:
             payload = self._payload(first_level=True)
-            for dst in self.pi1:
-                ctx.send(dst, payload, kind=KIND_FIRST)
+            ctx.send_many(self.pi1, payload, kind=KIND_FIRST)
             self.first_sent = True
 
         if self.first_level_received >= self._next_trigger:
             self._next_trigger += self.trigger_spacing
             payload = self._payload(first_level=False)
-            for dst in self.pi2:
-                ctx.send(dst, payload, kind=KIND_SECOND)
+            ctx.send_many(self.pi2, payload, kind=KIND_SECOND)
 
     def _payload(self, first_level: bool):
         payloads = dict(self.rumors.payloads) if self.rumors.payloads else None

@@ -131,14 +131,12 @@ class Tears(GossipAlgorithm):
 
         if not self.first_level_sent:
             payload = self._payload(flag_up=True)
-            for dst in self.pi1:
-                ctx.send(dst, payload, kind=KIND_FIRST_LEVEL)
+            ctx.send_many(self.pi1, payload, kind=KIND_FIRST_LEVEL)
             self.first_level_sent = True
 
         if self._crossed_trigger(old_count, self.up_msg_cnt):
             payload = self._payload(flag_up=False)
-            for dst in self.pi2:
-                ctx.send(dst, payload, kind=KIND_SECOND_LEVEL)
+            ctx.send_many(self.pi2, payload, kind=KIND_SECOND_LEVEL)
             self.second_level_batches += 1
             self.safe_rumor_mask = self.first_level_rumor_mask
 

@@ -36,9 +36,10 @@ class TrivialGossip(GossipAlgorithm):
             snapshot = self.rumors.snapshot()
             # ctx.peers() is every other pid on the complete graph and the
             # neighbor set under a restricted topology.
-            for dst in ctx.peers():
-                if dst != self.pid:
-                    ctx.send(dst, snapshot, kind=self.KIND)
+            ctx.send_many(
+                [dst for dst in ctx.peers() if dst != self.pid],
+                snapshot, kind=self.KIND,
+            )
             self._broadcast_done = True
 
     def is_quiescent(self) -> bool:

@@ -100,6 +100,11 @@ class FaultInjector(Observer):
     def on_attach(self, engine) -> None:
         self.sim = engine
 
+    def _inject(self, msg: Message) -> None:
+        """Put ``msg`` straight into the network, bypassing the send path
+        (no delay assignment, no send accounting, no ``send`` event)."""
+        self.sim.network.enqueue([msg], self.sim.alive_pids)
+
     def _pick_alive(self) -> Optional[int]:
         pids = sorted(self.sim.alive_pids)
         if not pids:
@@ -189,7 +194,7 @@ class ForgedMessageFault(FaultInjector):
         dst = self._pick_alive()
         if dst is None:
             return
-        self.sim.network.enqueue(Message(
+        self._inject(Message(
             src=self._crashed, dst=dst, payload=None, kind="forged",
             sent_at=t, delay=1,
         ))
@@ -221,7 +226,7 @@ class ForgedMessageLiveFault(FaultInjector):
             dst = (dst + 1) % len(self.sim.processes)
             if dst not in self.sim.alive_pids:
                 return
-        self.sim.network.enqueue(Message(
+        self._inject(Message(
             src=src, dst=dst, payload=None, kind="forged",
             sent_at=t, delay=1,
         ))
@@ -427,7 +432,7 @@ class MessageDuplicationFault(FaultInjector):
     def on_send(self, t: int, msg) -> None:
         if self.fired or t < self.trigger_step:
             return
-        self.sim.network.enqueue(Message(
+        self._inject(Message(
             src=msg.src, dst=msg.dst, payload=msg.payload, kind=msg.kind,
             sent_at=msg.sent_at, delay=msg.delay,
         ))
@@ -465,18 +470,10 @@ class MessageLossFault(FaultInjector):
     def on_step_end(self, t: int) -> None:
         if self.fired or self._target is None:
             return
-        dst, uid = self._target
-        heap = self.sim.network._pending.get(dst, [])
-        for index, entry in enumerate(heap):
-            if entry[1] == uid:
-                heap.pop(index)
-                import heapq
-
-                heapq.heapify(heap)
-                self.sim.network._in_flight -= 1
-                self.fired_at = t
-                return
-        self._target = None  # message never enqueued; try the next send
+        if self.sim.network.remove(*self._target):
+            self.fired_at = t
+        else:
+            self._target = None  # message never enqueued; try the next send
 
 
 # -- registry ----------------------------------------------------------------#

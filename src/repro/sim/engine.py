@@ -242,17 +242,23 @@ class Simulation(EngineCore):
                 f"{sorted(scheduled - alive)}"
             )
 
+        # Only the layer objects are bound here; their methods (and the
+        # adversary's) are looked up where they are called, never cached
+        # at construction: tracers and fault injectors replace them on
+        # the built instances.
+        metrics = self.metrics
+        network = self.network
         for pid in sorted(scheduled):
             handle = self.processes[pid]
-            self.metrics.record_scheduled(pid, t)
+            metrics.record_scheduled(pid, t)
             handle.last_scheduled_at = t
             if self._obs_schedule:
                 for handler in self._obs_schedule:
                     handler(t, pid)
-            inbox = self.network.collect(pid, t)
+            inbox = network.collect(pid, t)
             if inbox:
-                self.metrics.record_delivery(
-                    len(inbox), max(m.delay for m in inbox)
+                metrics.record_delivery(
+                    len(inbox), network.max_delivered_delay
                 )
                 if self._obs_deliver:
                     for handler in self._obs_deliver:
@@ -260,19 +266,22 @@ class Simulation(EngineCore):
             outbox = handle.run_step(inbox)
             if self._corrupts:
                 outbox = self.adversary.corrupt_outbox(t, pid, outbox)
+            if not outbox:
+                continue
+            # The outbox pipeline: the whole outbox is delayed, then
+            # counted, then announced, then enqueued.
+            assign_delay = self.adversary.assign_delay
             for msg in outbox:
                 msg.sent_at = t
-                msg.delay = int(self.adversary.assign_delay(msg))
-                self.metrics.record_send(pid, msg.kind, t, dst=msg.dst)
-                if self._obs_send:
+                msg.delay = int(assign_delay(msg))
+            metrics.record_send(pid, outbox, t)
+            if self._obs_send:
+                for msg in outbox:
                     for handler in self._obs_send:
                         handler(t, msg)
-                if msg.dst in self._alive:
-                    self.network.enqueue(msg)
-                else:
-                    # Messages to crashed processes count toward message
-                    # complexity but can never be delivered.
-                    self.metrics.messages_dropped += 1
+            # Messages to crashed processes count toward message
+            # complexity but can never be delivered.
+            metrics.messages_dropped += network.enqueue(outbox, self._alive)
 
         self._now += 1
         self.metrics.steps_elapsed = self._now

@@ -7,7 +7,8 @@ engine. The engines emit a small, fixed vocabulary of events:
 
 - ``on_schedule(t, pid)`` — a process is about to take a local step;
 - ``on_deliver(t, pid, inbox)`` — a non-empty inbox was handed to ``pid``;
-- ``on_send(t, msg)`` — a message left a process (delay already assigned);
+- ``on_send(t, msg)`` — a message left a process (its whole outbox delayed
+  and counted, not yet enqueued);
 - ``on_crash(t, pid)`` — a process crashed;
 - ``on_complete(t)`` — the completion condition first held;
 - ``on_step_begin(t)`` / ``on_step_end(t)`` — brackets around one global
@@ -70,7 +71,16 @@ class Observer:
         """A non-empty ``inbox`` was handed to ``pid`` at time ``t``."""
 
     def on_send(self, t: int, msg) -> None:
-        """``msg`` left its sender at time ``t`` (delay already assigned)."""
+        """``msg`` left its sender at time ``t`` (delay already assigned).
+
+        Fires once per message, in outbox order, after the sending
+        process-step's *whole* outbox was delayed and counted and before
+        any of it is enqueued: ``metrics`` already includes every message
+        of the outbox (``messages_sent``, the per-kind/sender/pair
+        counters, ``last_send_time``), while ``network.in_flight``,
+        ``total_enqueued`` and ``metrics.messages_dropped`` do not yet
+        include any of them.
+        """
 
     def on_step_end(self, t: int) -> None:
         """Global step ``t`` finished executing."""

@@ -37,7 +37,7 @@ def is_byzantine_kind(kind: str) -> bool:
     return kind.startswith(BYZ_PREFIX)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A single point-to-point message.
 
@@ -60,7 +60,7 @@ class Message:
     kind: str = "msg"
     sent_at: int = -1
     delay: int = 1
-    uid: int = field(default_factory=lambda: next(_UID_COUNTER))
+    uid: int = field(default_factory=_UID_COUNTER.__next__)
 
     @property
     def deliverable_at(self) -> int:

@@ -84,16 +84,39 @@ class Metrics:
 
     _last_scheduled: Dict[int, int] = field(default_factory=dict)
 
-    def record_send(self, sender: int, kind: str, now: int, count: int = 1,
-                    dst: Optional[int] = None) -> None:
+    def record_send(self, sender: int, outbox, now: int) -> None:
+        """Count one process-step's outbox: every message in it was sent
+        by ``sender`` at ``now``.
+
+        ``sender`` is the process that took the step, whatever ``msg.src``
+        claims (a Byzantine forgery spoofs the field, not the accounting).
+        Totals move once per outbox and the per-kind counters once per run
+        of equal kinds; only ``messages_by_pair`` is per message.
+        """
+        if not outbox:
+            return
+        count = len(outbox)
         self.messages_sent += count
-        self.messages_by_kind[kind] += count
         self.messages_by_sender[sender] += count
+        by_pair = self.messages_by_pair
+        pair_count = by_pair.get
+        kind = outbox[0].kind
+        run = 0
+        for msg in outbox:
+            pair = (sender, msg.dst)
+            by_pair[pair] = pair_count(pair, 0) + 1
+            if msg.kind is not kind:
+                self._count_kind(kind, run)
+                kind = msg.kind
+                run = 0
+            run += 1
+        self._count_kind(kind, run)
+        self.last_send_time = now
+
+    def _count_kind(self, kind: str, count: int) -> None:
+        self.messages_by_kind[kind] += count
         if is_byzantine_kind(kind):
             self.byz_messages_sent += count
-        if dst is not None:
-            self.messages_by_pair[(sender, dst)] += count
-        self.last_send_time = now
 
     def record_delivery(self, count: int, max_delay: int) -> None:
         self.messages_delivered += count

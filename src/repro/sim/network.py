@@ -12,7 +12,7 @@ known bound.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Container, Dict, List, Optional, Sequence
 
 from .errors import InvalidDelayError
 from .message import Message, is_byzantine_kind
@@ -38,19 +38,42 @@ class Network:
         """Number of messages sent but not yet received (or dropped)."""
         return self._in_flight
 
-    def enqueue(self, msg: Message) -> None:
-        """Accept a sent message with its adversary-assigned delay."""
-        if msg.delay < 1:
-            raise InvalidDelayError(
-                f"message delay must be >= 1, got {msg.delay}"
-            )
-        heapq.heappush(
-            self._pending[msg.dst], (msg.deliverable_at, msg.uid, msg)
-        )
-        self._in_flight += 1
-        self.total_enqueued += 1
-        if is_byzantine_kind(msg.kind):
-            self.byz_enqueued += 1
+    def enqueue(self, outbox: Sequence[Message], alive: Container[int]) -> int:
+        """Accept one process-step's outbox, delays already assigned.
+
+        Messages addressed to a pid outside ``alive`` can never be
+        received and are not queued; their number is returned (they count
+        toward message complexity, so the caller books them as dropped).
+        A delay below 1 anywhere in the outbox raises
+        :class:`InvalidDelayError` on the spot.
+        """
+        pending = self._pending
+        push = heapq.heappush
+        dropped = 0
+        byz = 0
+        kind = None
+        tagged = False
+        for msg in outbox:
+            delay = msg.delay
+            if delay < 1:
+                raise InvalidDelayError(
+                    f"message delay must be >= 1, got {delay}"
+                )
+            dst = msg.dst
+            if dst not in alive:
+                dropped += 1
+                continue
+            push(pending[dst], (msg.sent_at + delay, msg.uid, msg))
+            if msg.kind is not kind:
+                kind = msg.kind
+                tagged = is_byzantine_kind(kind)
+            if tagged:
+                byz += 1
+        queued = len(outbox) - dropped
+        self._in_flight += queued
+        self.total_enqueued += queued
+        self.byz_enqueued += byz
+        return dropped
 
     def collect(self, pid: int, now: int) -> List[Message]:
         """Deliver every message to ``pid`` that is deliverable at ``now``.
@@ -60,16 +83,35 @@ class Network:
         scheduled step satisfies that bound for every message's assigned
         delay. (An adversary wanting later delivery simply assigns a larger
         delay at send time, which is what determines the execution's ``d``.)
+        ``max_delivered_delay`` is folded over everything handed out.
         """
         heap = self._pending[pid]
         inbox: List[Message] = []
+        if not heap or heap[0][0] > now:
+            return inbox
+        pop = heapq.heappop
+        deliver = inbox.append
+        longest = self.max_delivered_delay
         while heap and heap[0][0] <= now:
-            _, _, msg = heapq.heappop(heap)
-            inbox.append(msg)
-            self._in_flight -= 1
-            if msg.delay > self.max_delivered_delay:
-                self.max_delivered_delay = msg.delay
+            msg = pop(heap)[2]
+            deliver(msg)
+            if msg.delay > longest:
+                longest = msg.delay
+        self.max_delivered_delay = longest
+        self._in_flight -= len(inbox)
         return inbox
+
+    def remove(self, dst: int, uid: int) -> bool:
+        """Take the queued message ``uid`` out of ``dst``'s queue (a lossy
+        link, used by fault injection); returns whether it was there."""
+        heap = self._pending.get(dst, ())
+        for index, entry in enumerate(heap):
+            if entry[1] == uid:
+                del heap[index]
+                heapq.heapify(heap)
+                self._in_flight -= 1
+                return True
+        return False
 
     def drop_all_for(self, pid: int) -> int:
         """Discard pending messages to a crashed process; returns the count.

@@ -95,26 +95,44 @@ class Context:
             return range(self.n)
         return self.neighbors
 
+    def _bad_destination(self, dst: int) -> AlgorithmError:
+        if not 0 <= dst < self.n:
+            return AlgorithmError(f"send() to invalid pid {dst} (n={self.n})")
+        return AlgorithmError(
+            f"send() from {self.pid} to non-neighbor {dst} under a "
+            "restricted topology"
+        )
+
     def send(self, dst: int, payload: Any, kind: str = "msg") -> Message:
         """Queue one point-to-point message to ``dst``."""
-        if not 0 <= dst < self.n:
-            raise AlgorithmError(f"send() to invalid pid {dst} (n={self.n})")
-        if self._neighbor_set is not None and dst not in self._neighbor_set:
-            raise AlgorithmError(
-                f"send() from {self.pid} to non-neighbor {dst} under a "
-                "restricted topology"
-            )
-        msg = Message(src=self.pid, dst=dst, payload=payload, kind=kind)
+        allowed = self._neighbor_set
+        if not 0 <= dst < self.n or (allowed is not None
+                                     and dst not in allowed):
+            raise self._bad_destination(dst)
+        msg = Message(self.pid, dst, payload, kind)
         self.outbox.append(msg)
         return msg
 
     def send_many(self, dsts: Iterable[int], payload: Any, kind: str = "msg") -> int:
-        """Queue one message per destination; returns the number queued."""
-        sent = 0
+        """Queue one message per destination, all sharing ``payload``;
+        returns the number queued.
+
+        The batch primitive of the send path: destinations are validated
+        exactly as :meth:`send` validates them, and the outbox grows only
+        once every one of them passed — a call that raises queues nothing.
+        """
+        pid = self.pid
+        n = self.n
+        allowed = self._neighbor_set
+        batch = []
+        queue = batch.append
         for dst in dsts:
-            self.send(dst, payload, kind=kind)
-            sent += 1
-        return sent
+            if not 0 <= dst < n or (allowed is not None
+                                    and dst not in allowed):
+                raise self._bad_destination(dst)
+            queue(Message(pid, dst, payload, kind))
+        self.outbox.extend(batch)
+        return len(batch)
 
     def random_peer(self) -> int:
         """A uniformly random gossip target.

@@ -63,9 +63,13 @@ class SyncContext:
             raise ConfigurationError(f"send() to invalid pid {dst}")
         self.outbox.append(SyncMessage(self.pid, dst, payload, kind))
 
-    def send_many(self, dsts, payload: Any, kind: str = "msg") -> None:
+    def send_many(self, dsts, payload: Any, kind: str = "msg") -> int:
+        """Queue one message per destination; returns the number queued."""
+        sent = 0
         for dst in dsts:
             self.send(dst, payload, kind)
+            sent += 1
+        return sent
 
 
 class SyncAlgorithm(ABC):
@@ -199,12 +203,13 @@ class SyncSimulation(EngineCore):
                     for handler in self._obs_deliver:
                         handler(r, pid, inbox)
             self.algorithms[pid].on_round(ctx, inbox)
-            for msg in ctx.outbox:
-                self.metrics.record_send(pid, msg.kind, r, dst=msg.dst)
-                if self._obs_send:
+            outbox = ctx.outbox
+            self.metrics.record_send(pid, outbox, r)
+            if self._obs_send:
+                for msg in outbox:
                     for handler in self._obs_send:
                         handler(r, msg)
-                self._in_flight.append(msg)
+            self._in_flight.extend(outbox)
         self.round += 1
         self.metrics.steps_elapsed = self.round
         if self._obs_step_end:

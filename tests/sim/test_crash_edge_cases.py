@@ -54,11 +54,11 @@ class TestQueueAccounting:
     def test_drop_all_for_updates_in_flight(self):
         sim = make_sim([Silent() for _ in range(4)], f=2)
         for uid_seed in range(3):
-            sim.network.enqueue(Message(
+            sim.network.enqueue([Message(
                 src=0, dst=2, payload=uid_seed, sent_at=0, delay=5,
-            ))
-        sim.network.enqueue(Message(src=0, dst=3, payload="x", sent_at=0,
-                                    delay=5))
+            )], sim.alive_pids)
+        sim.network.enqueue([Message(src=0, dst=3, payload="x", sent_at=0,
+                                     delay=5)], sim.alive_pids)
         assert sim.network.in_flight == 4
         sim.crash(2)
         # The engine drops the crashed receiver's queue on crash.
@@ -68,8 +68,8 @@ class TestQueueAccounting:
 
     def test_drop_all_for_returns_count(self):
         sim = make_sim([Silent() for _ in range(3)], f=1)
-        sim.network.enqueue(Message(src=0, dst=1, payload=None, sent_at=0,
-                                    delay=3))
+        sim.network.enqueue([Message(src=0, dst=1, payload=None, sent_at=0,
+                                     delay=3)], sim.alive_pids)
         assert sim.network.drop_all_for(1) == 1
         assert sim.network.drop_all_for(1) == 0
         assert sim.network.in_flight == 0

@@ -102,10 +102,10 @@ class TestCrashConsistency:
         sim = built.sim
         sim.run_for(3)
         assert not sim.is_alive(4)
-        sim.network.enqueue(Message(
+        sim.network.enqueue([Message(
             src=4, dst=0, payload=None, kind="forged",
             sent_at=sim.now, delay=1,
-        ))
+        )], sim.alive_pids)
         with pytest.raises(InvariantViolation) as info:
             sim.run_for(3)
         assert info.value.invariant == "crash-consistency"

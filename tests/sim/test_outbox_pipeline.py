@@ -1,0 +1,236 @@
+"""The send path's unit of work is one process-step's outbox.
+
+``Context.send_many`` → engine (delay, count, announce, enqueue) →
+``Metrics.record_send(sender, outbox, now)`` → ``Network.enqueue(outbox,
+alive)``. These tests pin that the batch forms account exactly as the
+per-message forms they replaced, and that the engine keeps calling the
+layer boundaries the e2e tracer patches by name.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.errors import AlgorithmError, InvalidDelayError
+from repro.sim.events import Observer
+from repro.sim.message import Message, is_byzantine_kind
+from repro.sim.metrics import Metrics
+from repro.sim.network import Network
+from repro.sim.process import Context
+from repro.spec import RunSpec, build
+from repro.sync.engine import SyncContext
+
+KINDS = ("gossip", "shutdown", "byz:tamper:gossip", "byz:forge:shutdown")
+
+
+def per_message_accounting(metrics, sender, kind, now, dst):
+    """What ``record_send`` did when it was called once per message."""
+    metrics.messages_sent += 1
+    metrics.messages_by_kind[kind] += 1
+    metrics.messages_by_sender[sender] += 1
+    if is_byzantine_kind(kind):
+        metrics.byz_messages_sent += 1
+    metrics.messages_by_pair[(sender, dst)] += 1
+    metrics.last_send_time = now
+
+
+def send_state(metrics):
+    return (
+        metrics.messages_sent,
+        +metrics.messages_by_kind,
+        +metrics.messages_by_sender,
+        +metrics.messages_by_pair,
+        metrics.byz_messages_sent,
+        metrics.last_send_time,
+    )
+
+
+class TestRecordSend:
+    @given(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),              # sender
+            st.lists(st.tuples(
+                st.integers(min_value=0, max_value=5),          # dst
+                st.sampled_from(KINDS),
+                st.booleans(),                                  # fresh str?
+            ), max_size=12),
+        ),
+        max_size=8,
+    ))
+    @settings(max_examples=120, deadline=None)
+    def test_outbox_accounting_equals_the_per_message_sum(self, steps):
+        batch, reference = Metrics(n=6), Metrics(n=6)
+        for now, (sender, sends) in enumerate(steps):
+            outbox = [
+                # An equal-but-not-identical kind string must count the
+                # same as a shared one (runs are an optimization only).
+                Message(sender, dst, None,
+                        "".join(list(kind)) if fresh else kind)
+                for dst, kind, fresh in sends
+            ]
+            batch.record_send(sender, outbox, now)
+            for msg in outbox:
+                per_message_accounting(reference, sender, msg.kind, now,
+                                       msg.dst)
+        assert send_state(batch) == send_state(reference)
+
+    def test_empty_outbox_leaves_no_trace(self):
+        m = Metrics(n=3)
+        m.record_send(1, [], now=4)
+        assert send_state(m) == send_state(Metrics(n=3))
+
+    def test_pairs_follow_the_stepping_process_not_a_spoofed_src(self):
+        m = Metrics(n=4)
+        m.record_send(2, [Message(0, 3, None, "byz:forge:gossip")], now=1)
+        assert m.messages_by_pair == Counter({(2, 3): 1})
+        assert m.messages_by_sender == Counter({2: 1})
+
+
+def stamped(dst, delay, kind="gossip", sent_at=0):
+    return Message(src=0, dst=dst, payload=None, kind=kind,
+                   sent_at=sent_at, delay=delay)
+
+
+class TestEnqueueOutbox:
+    def test_crashed_destination_in_the_middle_of_an_outbox(self):
+        net = Network(5)
+        outbox = [stamped(1, 2), stamped(2, 1, "byz:tamper:gossip"),
+                  stamped(3, 1), stamped(2, 4), stamped(4, 3,
+                                                        "byz:forge:gossip")]
+        assert net.enqueue(outbox, alive={0, 1, 3, 4}) == 2
+        assert net.in_flight == 3
+        assert net.total_enqueued == 3
+        assert net.byz_enqueued == 1
+        assert net.pending_for(2) == 0
+        assert [net.pending_for(pid) for pid in (1, 3, 4)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_delay_below_one_anywhere_in_the_outbox_raises(self, position):
+        outbox = [stamped(1, 1), stamped(2, 1), stamped(3, 1)]
+        outbox[position].delay = 0
+        with pytest.raises(InvalidDelayError):
+            Network(4).enqueue(outbox, alive=range(4))
+
+    def test_remove_takes_one_queued_message_out(self):
+        net = Network(3)
+        outbox = [stamped(1, delay) for delay in (3, 1, 2)]
+        net.enqueue(outbox, alive=range(3))
+        assert net.remove(1, outbox[1].uid) is True
+        assert net.remove(1, outbox[1].uid) is False
+        assert net.remove(2, outbox[0].uid) is False
+        assert net.in_flight == 2
+        assert net.collect(1, 10) == [outbox[2], outbox[0]]
+
+
+class ConservationProbe(Observer):
+    """sent == delivered + dropped + in-flight, after every step."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def on_attach(self, engine):
+        self.sim = engine
+
+    def on_step_end(self, t):
+        m = self.sim.metrics
+        assert m.messages_sent == (
+            m.messages_delivered + m.messages_dropped
+            + self.sim.network.in_flight
+        ), t
+        self.steps += 1
+
+
+@pytest.mark.parametrize("algorithm", ["trivial", "tears", "sears"])
+def test_conservation_holds_after_every_step_of_a_crash_wave(algorithm):
+    probe = ConservationProbe()
+    n = 24
+    built = build(RunSpec(
+        algorithm=algorithm, n=n, f=n // 2, d=3, delta=3, seed=5,
+        crashes={"name": "wave", "count": n // 2, "at": 2},
+    ), observers=(probe,))
+    built.run()
+    assert probe.steps > 0
+    # The wave really made both kinds of drop happen: sends addressed to
+    # the already-crashed never entered a queue, the rest were emptied
+    # out of a queue at crash time.
+    sim = built.sim
+    dropped_at_send = sim.metrics.messages_sent - sim.network.total_enqueued
+    assert sim.metrics.messages_dropped > dropped_at_send > 0
+
+
+class TestSendMany:
+    def context(self, neighbors=None):
+        return Context(2, 6, 0, random.Random(0), neighbors)
+
+    def test_queues_in_order_sharing_the_payload(self):
+        ctx = self.context()
+        payload = ("mask", None)
+        assert ctx.send_many([4, 0, 5], payload, kind="direct") == 3
+        assert [(m.src, m.dst, m.kind) for m in ctx.outbox] == [
+            (2, 4, "direct"), (2, 0, "direct"), (2, 5, "direct")]
+        assert all(m.payload is payload for m in ctx.outbox)
+        uids = [m.uid for m in ctx.outbox]
+        assert uids == sorted(uids)
+        assert ctx.send_many(iter(()), payload) == 0
+
+    def test_sync_context_returns_the_count_too(self):
+        sync = SyncContext(2, 6, 0, random.Random(0))
+        assert sync.send_many([4, 0, 5], "x", kind="direct") == 3
+        assert [m.dst for m in sync.outbox] == [4, 0, 5]
+
+    @pytest.mark.parametrize("neighbors, bad", [
+        (None, 6), (None, -1), ((0, 1, 3), 4), ((0, 1, 3), 2),
+    ])
+    def test_rejects_exactly_as_send_and_queues_nothing_of_the_call(
+            self, neighbors, bad):
+        good = 1
+        one = self.context(neighbors)
+        with pytest.raises(AlgorithmError) as single:
+            one.send(bad, "x")
+        ctx = self.context(neighbors)
+        ctx.send(good, "before")
+        with pytest.raises(AlgorithmError) as many:
+            ctx.send_many([good, bad, good], "x")
+        assert str(many.value) == str(single.value)
+        assert [m.payload for m in ctx.outbox] == ["before"]
+
+
+TRACED_BOUNDARIES = {
+    "adversary": ("schedule_at", "crashes_at", "assign_delay",
+                  "next_event_at"),
+    "network": ("enqueue", "collect"),
+    "metrics": ("record_send", "record_delivery", "record_scheduled"),
+}
+
+
+def test_engine_calls_every_traced_layer_boundary_on_the_instance():
+    """benchmarks/e2e/tracing.py times the layers by replacing these nine
+    methods on the built instances; an engine that cached a bound method
+    at construction, or routed around one, would leave its layer dark."""
+    built = build(RunSpec(algorithm="ears", n=16, f=4, crashes=2,
+                          d=2, delta=2, seed=3))
+    calls = Counter()
+
+    def spy(owner, attr):
+        inner = getattr(owner, attr)
+
+        def delegate(*args, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        setattr(owner, attr, delegate)
+
+    for layer, attrs in TRACED_BOUNDARIES.items():
+        for attr in attrs:
+            spy(getattr(built.sim, layer), attr)
+    result = built.run()
+    assert result.completed
+    assert all(calls[attr] > 0 for attrs in TRACED_BOUNDARIES.values()
+               for attr in attrs), calls
+    # One span per sending process-step, one delay per message.
+    assert calls["record_send"] == calls["enqueue"]
+    assert calls["enqueue"] <= calls["record_scheduled"]
+    assert calls["assign_delay"] == built.sim.metrics.messages_sent
