@@ -28,6 +28,7 @@ from repro.core.ears import Ears
 from repro.core.tears import Tears
 from repro.core.trivial import TrivialGossip
 from repro.sim.engine import Simulation
+from repro.sim.events import TraceObserver
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.trace import EventTrace
 
@@ -77,7 +78,7 @@ def demo_timeline() -> None:
     sim = Simulation(
         n=6, f=1, algorithms=make_processes(6, 1, TrivialGossip),
         adversary=adversary, monitor=GossipCompletionMonitor(),
-        seed=0, trace=trace,
+        seed=0, observers=(TraceObserver(trace),),
     )
     sim.run(max_steps=100)
     print("timeline: trivial gossip, every link touching pid 3 delayed 9x")

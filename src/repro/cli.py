@@ -31,6 +31,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from .api import GOSSIP_ALGORITHMS, run_gossip
@@ -51,7 +52,6 @@ from .experiments import (
     run_table2,
     run_theorem1,
 )
-from .experiments.grid import gossip_recorder, register_recorder
 from .sim.events import StepProfiler
 from .workloads import SCENARIOS
 from .workloads.sweeps import (
@@ -67,22 +67,6 @@ _F_RULES = {
     "near-half": near_half,
     "three-quarters": three_quarters,
 }
-
-
-def _gossip_frac_recorder(**params):
-    """Grid recorder: like ``gossip`` but with f given as a fraction of n.
-
-    Registered at import time of this module so parallel grid workers
-    (which import ``repro.cli`` from the job's recorder-module field) can
-    resolve it even under spawn-style multiprocessing.
-    """
-    params = dict(params)
-    frac = params.pop("f_frac", 0.25)
-    params.setdefault("f", int(params["n"] * frac))
-    return gossip_recorder(**params)
-
-
-register_recorder("gossip-frac", _gossip_frac_recorder)
 
 
 def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
@@ -225,12 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=2)
     _add_topology(p)
     p.add_argument("--name", default="cli-grid",
-                   help="grid (and cache file) name")
+                   help="grid (and store file) name")
     p.add_argument("--out-dir", default=None,
-                   help="cell cache directory (no caching if omitted)")
+                   help="directory of the grid's spec store, <name>.jsonl or "
+                        ".sqlite (no caching if omitted)")
     p.add_argument("--backend", default="jsonl",
                    choices=["jsonl", "sqlite"],
-                   help="cell cache format under --out-dir "
+                   help="store backend under --out-dir "
                         "(default: jsonl)")
     p.add_argument("--processes", type=int, default=1,
                    help="worker processes (default: sequential)")
@@ -637,41 +622,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         algorithms = [a.strip() for a in args.algorithms.split(",")
                       if a.strip()]
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
-        grid = {"algorithm": algorithms, "n": ns, "d": [args.d],
-                "delta": [args.delta], "f_frac": [args.f_frac]}
+        axes = {"algorithm": algorithms, "d": [args.d],
+                "delta": [args.delta]}
         topology = _parse_topology(args)
         if topology is not None:
-            # Only a non-default topology enters the grid axes, so
-            # existing cell caches (keyed by the cell params) stay valid.
-            grid["topology"] = [topology]
+            # Only a non-default topology becomes an axis, so the rows
+            # of a complete-graph grid carry no topology column.
+            axes["topology"] = [topology]
         spec = GridSpec(
             name=args.name,
-            recorder="gossip-frac",
-            grid=grid,
+            kind="gossip",
+            # f is a function of n: one sub-grid per n.
+            grid=[{**axes, "n": [n], "f": [int(n * args.f_frac)]}
+                  for n in ns],
             seeds=list(range(args.seeds)),
         )
-        if args.profile:
+        profiler = StepProfiler() if args.profile else None
+        if profiler is not None:
             # Profiling wants the observer on every step of every cell, so
             # run the cells directly (sequential, bypassing the cache).
-            profiler = StepProfiler()
+            from .spec import execute
+
             rows = []
-            for cell in spec.cells():
-                run = run_gossip(
-                    cell["algorithm"], n=cell["n"],
-                    f=int(cell["n"] * cell["f_frac"]),
-                    d=cell["d"], delta=cell["delta"], seed=cell["seed"],
-                    observers=(profiler,),
-                    topology=cell.get("topology"),
-                )
-                rows.append({
-                    "algorithm": cell["algorithm"], "n": cell["n"],
-                    "time": run.completion_time, "messages": run.messages,
-                })
-        elif args.resume:
+            for cell, run_spec in zip(spec.cells(), spec.specs()):
+                run = execute(run_spec, observers=(profiler,))
+                rows.append({**cell, "time": run.completion_time,
+                             "messages": run.messages})
+        else:
             from .experiments import CampaignDrained, GracefulShutdown
 
-            profiler = None
-            with GracefulShutdown() as shutdown:
+            guard = GracefulShutdown() if args.resume else nullcontext()
+            with guard as shutdown:
                 runner = GridRunner(
                     out_dir=args.out_dir,
                     processes=args.processes,
@@ -686,20 +667,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     rows = runner.run(spec)
                 except CampaignDrained as exc:
                     return _drained_exit(exc)
-        else:
-            profiler = None
-            runner = GridRunner(out_dir=args.out_dir,
-                                processes=args.processes,
-                                trial_timeout=args.trial_timeout,
-                                retries=args.retries,
-                                backend=args.backend)
-            rows = runner.run(spec)
-        if profiler is None:
-            summary = runner.last_summary
-            if summary and (summary["failed"] or summary["timed_out"]):
-                print(f"partial grid: {summary['ok']}/{summary['jobs']} "
-                      f"cells ok, {summary['failed']} failed, "
-                      f"{summary['timed_out']} timed out "
+            failed = sum(row["reason"] == "trial-failed" for row in rows)
+            timed_out = sum(row["reason"] == "trial-timeout" for row in rows)
+            if failed or timed_out:
+                print(f"partial grid: {len(rows) - failed - timed_out}/"
+                      f"{len(rows)} cells ok, {failed} failed, "
+                      f"{timed_out} timed out "
                       f"(failed cells stay uncached; re-run retries them)")
         time_by = aggregate(rows, ["algorithm", "n"], "time")
         msgs_by = aggregate(rows, ["algorithm", "n"], "messages")

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.message import Message
-from ..sim.process import Algorithm, Context
+from ..sim.process import Algorithm, Context, SubContext
 from .._util import popcount
 from . import coin
 from .values import (
@@ -58,60 +58,6 @@ GossipFactory = Callable[..., Any]
 KIND_PROBE = "probe"
 KIND_PROBE_REPLY = "probe-reply"
 KIND_DECIDED = "decided"
-
-
-class _GossipContextShim:
-    """The Context-like facade handed to embedded gossip instances.
-
-    Forwards the capability surface gossip algorithms use (pid, n, f, rng,
-    random_peer, send, send_many) while wrapping every payload in a
-    consensus :class:`Envelope` tagged with the current instance.
-    """
-
-    def __init__(self, owner: "CanettiRabinConsensus") -> None:
-        self._owner = owner
-
-    @property
-    def pid(self) -> int:
-        return self._owner._ctx.pid
-
-    @property
-    def n(self) -> int:
-        return self._owner._ctx.n
-
-    @property
-    def f(self) -> int:
-        return self._owner._ctx.f
-
-    @property
-    def rng(self):
-        return self._owner._ctx.rng
-
-    @property
-    def local_step(self) -> int:
-        return self._owner._ctx.local_step
-
-    @property
-    def isolated(self) -> bool:
-        # Consensus always runs on the complete graph (RunSpec rejects a
-        # topology for kind="consensus"), so no process is ever isolated.
-        return False
-
-    def peers(self):
-        return self._owner._ctx.peers()
-
-    def random_peer(self) -> int:
-        return self._owner._ctx.random_peer()
-
-    def send(self, dst: int, payload: Any, kind: str = "msg") -> None:
-        self._owner._send_enveloped(dst, payload, kind)
-
-    def send_many(self, dsts, payload: Any, kind: str = "msg") -> int:
-        sent = 0
-        for dst in dsts:
-            self.send(dst, payload, kind)
-            sent += 1
-        return sent
 
 
 class CanettiRabinConsensus(Algorithm):
@@ -144,7 +90,6 @@ class CanettiRabinConsensus(Algorithm):
         self.instance: InstanceTag = first_instance()
         self.history: Dict[InstanceTag, Dict[int, Any]] = {}
         self.gossip: Optional[Any] = None
-        self._shim = _GossipContextShim(self)
         self._ctx: Optional[Context] = None
         self._idle_steps = 0
         self._sent_this_step = 0
@@ -316,7 +261,7 @@ class CanettiRabinConsensus(Algorithm):
         ]
 
         self._ensure_gossip(ctx)
-        self.gossip.on_step(self._shim, sub_inbox)
+        self.gossip.on_step(SubContext(ctx, self._send_enveloped), sub_inbox)
         self._check_local_completion()
 
         if self.decided is not None:

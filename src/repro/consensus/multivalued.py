@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.message import Message
-from ..sim.process import Algorithm, Context
+from ..sim.process import Algorithm, Context, SubContext
 from .canetti_rabin import CanettiRabinConsensus
 
 
@@ -44,55 +44,6 @@ class MvEnvelope:
     proposals: Dict[int, Any] = field(default_factory=dict)
     decided_rounds: Dict[int, int] = field(default_factory=dict)
     mv_decided: Optional[Any] = None
-
-
-class _InnerContextShim:
-    """Context facade handed to the inner binary consensus: wraps every
-    inner send in an :class:`MvEnvelope` tagged with the mv-round."""
-
-    def __init__(self, owner: "MultivaluedConsensus") -> None:
-        self._owner = owner
-
-    @property
-    def pid(self) -> int:
-        return self._owner._ctx.pid
-
-    @property
-    def n(self) -> int:
-        return self._owner._ctx.n
-
-    @property
-    def f(self) -> int:
-        return self._owner._ctx.f
-
-    @property
-    def rng(self):
-        return self._owner._ctx.rng
-
-    @property
-    def local_step(self) -> int:
-        return self._owner._ctx.local_step
-
-    @property
-    def isolated(self) -> bool:
-        # Consensus is complete-graph only; nobody is ever isolated.
-        return False
-
-    def peers(self):
-        return self._owner._ctx.peers()
-
-    def random_peer(self) -> int:
-        return self._owner._ctx.random_peer()
-
-    def send(self, dst: int, payload: Any, kind: str = "msg") -> None:
-        self._owner._send_outer(dst, payload, kind)
-
-    def send_many(self, dsts, payload: Any, kind: str = "msg") -> int:
-        sent = 0
-        for dst in dsts:
-            self.send(dst, payload, kind)
-            sent += 1
-        return sent
 
 
 class MultivaluedConsensus(Algorithm):
@@ -116,7 +67,6 @@ class MultivaluedConsensus(Algorithm):
         self.decided_rounds: Dict[int, int] = {}
 
         self._inner: Optional[CanettiRabinConsensus] = None
-        self._shim = _InnerContextShim(self)
         self._ctx: Optional[Context] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -222,7 +172,7 @@ class MultivaluedConsensus(Algorithm):
 
         self._ensure_inner()
         round_before = self.mv_round
-        self._inner.on_step(self._shim, inner_inbox)
+        self._inner.on_step(SubContext(ctx, self._send_outer), inner_inbox)
         if (self._inner is not None and self._inner.decided is not None
                 and self.mv_round == round_before):
             self._mv_decide_round(round_before, self._inner.decided)

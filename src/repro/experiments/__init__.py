@@ -22,15 +22,7 @@ from .corollary2 import (
     run_coa_growth,
     run_corollary2,
 )
-from .grid import (
-    GridRunner,
-    GridSpec,
-    aggregate,
-    canonicalize_params,
-    cell_key,
-    get_recorder,
-    register_recorder,
-)
+from .grid import GridRunner, GridSpec, aggregate
 from .pool import TrialPool
 from .lemmas import (
     EarsMilestones,
@@ -62,8 +54,6 @@ __all__ = [
     "GridSpec",
     "PORTFOLIO",
     "aggregate",
-    "get_recorder",
-    "register_recorder",
     "ReportConfig",
     "ScalingRow",
     "Table1Row",
@@ -71,8 +61,6 @@ __all__ = [
     "TearsLemmaReport",
     "Theorem1Row",
     "TrialPool",
-    "canonicalize_params",
-    "cell_key",
     "format_corollary2",
     "generate_report",
     "measure_ears_milestones",

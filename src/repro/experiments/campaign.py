@@ -20,12 +20,12 @@ process death:
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
 * :func:`run_jobs` — the one execution loop behind every driver
-  (:func:`repro.store.execute_batch`, ``GridRunner``, ``sweep_gossip``,
-  ``run_theorem1``): key dedupe, the pool, the ok/cancelled/failed
-  triage, manifest checkpointing and the drain.  Store-less drivers
-  keep their results in the manifest; with an artifact store the store
-  is the source of truth and the manifest tracks membership and
-  progress.
+  (:func:`repro.store.execute_batch` — and ``GridRunner`` through it —
+  ``sweep_gossip``, ``run_theorem1``): key dedupe, the pool, the
+  ok/cancelled/failed triage, manifest checkpointing and the drain.
+  Store-less drivers keep their results in the manifest; with an
+  artifact store the store is the source of truth and the manifest
+  tracks membership and progress.
 
 The manifest write discipline matches the store's: serialize to a
 temporary file, fsync, ``os.replace`` — a crash leaves either the old
@@ -115,10 +115,8 @@ def validate_checkpoint_every(value: Any) -> int:
 def job_key(payload: Any) -> str:
     """Canonical JSON identity of one job's parameters.
 
-    The same convention the grid cache uses (:func:`~repro.experiments.
-    grid.cell_key`): order- and representation-independent, so a job
-    submitted before a crash and its re-submission after resume key
-    identically.
+    Order- and representation-independent, so a job submitted before a
+    crash and its re-submission after resume key identically.
     """
     return json.dumps(payload, sort_keys=True, default=str)
 
@@ -365,7 +363,6 @@ def run_jobs(
     processes: int = 1,
     trial_timeout: Optional[float] = None,
     retries: int = 0,
-    partial: bool = False,
     manifest: Any = None,
     meta: Optional[Dict[str, Any]] = None,
     checkpoint_every: int = 8,
@@ -376,21 +373,22 @@ def run_jobs(
 ) -> List[TrialOutcome]:
     """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
 
-    The one execution loop behind ``execute_batch``, ``GridRunner``,
-    ``sweep_gossip`` and ``run_theorem1``: those drivers build jobs,
-    pick a ``sink`` and shape the outcomes; everything else is here.
+    The one execution loop behind ``execute_batch`` (and, through it,
+    ``GridRunner``), ``sweep_gossip`` and ``run_theorem1``: those
+    drivers build jobs, pick a ``sink`` and shape the outcomes;
+    everything else is here.
 
     * ``keys`` name the jobs (default :func:`job_key` of each job).
       Jobs sharing a key execute once and share the outcome.
-    * ``store`` is the caller's result cache (an artifact store, a grid
-      cell cache — anything answering ``key in store``).  A hit runs
+    * ``store`` is the caller's result cache (an artifact store —
+      anything answering ``key in store``).  A hit runs
       nothing and comes back as an ok outcome with no value and
       ``attempts == 0``; the caller reads the result from its store.
-    * ``trial_timeout``/``retries`` (or ``partial=True``) select the
-      fault-tolerant :meth:`~repro.experiments.pool.TrialPool.
-      map_outcomes`: a job that hangs, raises or kills its worker yields
-      a non-ok outcome instead of aborting the run.  Otherwise the
-      first job exception propagates (fail-fast ``map``).
+    * ``trial_timeout``/``retries`` select the fault-tolerant
+      :meth:`~repro.experiments.pool.TrialPool.map_outcomes`: a job
+      that hangs, raises or kills its worker yields a non-ok outcome
+      instead of aborting the run.  Otherwise the first job exception
+      propagates (fail-fast ``map``).
     * ``sink(index, value)`` receives every freshly executed ok value,
       in job order, and returns what the manifest should record for it
       — ``None`` when the result lives in ``store``.  Without a sink the
@@ -456,7 +454,7 @@ def run_jobs(
             first[key] = index
     pending = list(first.values())
 
-    tolerant = partial or trial_timeout is not None or retries > 0
+    tolerant = trial_timeout is not None or retries > 0
     chunk_size = (len(pending) if manifest is None
                   else max(manifest.checkpoint_every, processes))
     if pending:

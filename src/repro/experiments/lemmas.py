@@ -47,6 +47,7 @@ from ..core.ears import Ears
 from ..core.rumors import mask_of
 from ..core.tears import KIND_FIRST_LEVEL, KIND_SECOND_LEVEL, Tears
 from ..sim.engine import Simulation
+from ..sim.events import TraceObserver
 from ..sim.monitor import GossipCompletionMonitor
 from ..sim.trace import EventTrace
 
@@ -176,7 +177,7 @@ def measure_tears_lemmas(
     sim = Simulation(
         n=n, f=f, algorithms=make_processes(n, f, Tears, **kwargs),
         adversary=adversary, monitor=GossipCompletionMonitor(majority=True),
-        seed=seed, trace=trace,
+        seed=seed, observers=(TraceObserver(trace),),
     )
     result = sim.run(max_steps=max_steps)
 

@@ -43,7 +43,6 @@ __all__ = [
     "TrialOutcome",
     "TrialPool",
     "failure_record",
-    "summarize_outcomes",
 ]
 
 #: TrialOutcome.status values.
@@ -93,28 +92,6 @@ def failure_record(outcome: TrialOutcome) -> Dict[str, Any]:
                    else "trial-failed"),
         "error": outcome.error,
         "attempts": outcome.attempts,
-    }
-
-
-def summarize_outcomes(outcomes: Sequence[TrialOutcome]) -> Dict[str, Any]:
-    """Aggregate a batch's outcomes into the partial-result report dict.
-
-    This is the summary grids/sweeps print when cells fail: counts per
-    status, the indices (and terminal errors) of every non-ok job, the
-    total attempts, and the summed wall-clock duration.
-    """
-    failed = [o for o in outcomes if o.status == FAILED]
-    timed_out = [o for o in outcomes if o.status == TIMED_OUT]
-    return {
-        "jobs": len(outcomes),
-        "ok": sum(1 for o in outcomes if o.ok),
-        "failed": len(failed),
-        "timed_out": len(timed_out),
-        "cancelled": sum(1 for o in outcomes if o.status == CANCELLED),
-        "attempts": sum(o.attempts for o in outcomes),
-        "errors": {o.index: o.error for o in failed},
-        "timed_out_indices": [o.index for o in timed_out],
-        "duration": sum(o.duration for o in outcomes),
     }
 
 

@@ -1,20 +1,26 @@
 """Fault injection and chaos campaigns.
 
 This package is the offensive half of the robustness story whose
-defensive half lives in :mod:`repro.sim.invariants`: seeded, registrable
-fault injectors that deliberately break the paper's execution model
-(:mod:`repro.faults.injectors`), and a campaign driver that runs the
-canonical algorithm/scenario cells with each fault armed and asserts the
-invariant checkers catch every seeded violation — a self-test of the
-detectors (:mod:`repro.faults.campaign`).
+defensive half lives in :mod:`repro.sim.invariants`.  It holds three
+matrices, numbered as ``repro chaos --matrix model|fleet|byzantine``
+lists them.
 
-A second, on-disk matrix targets the artifact store: seeded corruption
+The first, ``model`` (:mod:`repro.faults.campaign`): seeded, registrable
+fault injectors that deliberately break the paper's execution model
+(:mod:`repro.faults.injectors`), run against the canonical
+algorithm/scenario cells with each fault armed, asserting the invariant
+checkers catch every seeded violation — a self-test of the detectors.
+Its on-disk cells target the artifact store: seeded corruption
 injectors (:mod:`repro.faults.store_faults`) tear or bit-flip a scratch
 ``RunStore`` log and the campaign asserts the store's durability layer
 (checksum verify + recovery quarantine) detects every corruption.
 
-A third matrix attacks in-band (:mod:`repro.faults.byzantine_faults`):
-each cell runs a canonical algorithm under the
+The second, ``fleet`` (:mod:`repro.faults.fleet_faults`), breaks the
+fleet protocol — leases, heartbeats, re-issue — against live worker
+processes and asserts the campaign still finishes with a clean store.
+
+The third, ``byzantine`` (:mod:`repro.faults.byzantine_faults`),
+attacks in-band: each cell runs a canonical algorithm under the
 :class:`~repro.adversary.byzantine.ByzantineAdversary` with one behavior
 active — equivocation, tampering, silence or identity forgery — and is
 classified *tolerated* (run completes, honest invariants clean) or

@@ -43,7 +43,13 @@ from .monitor import (
     QuiescenceMonitor,
 )
 from .network import Network
-from .process import Algorithm, Context, ProcessHandle, ProcessStatus
+from .process import (
+    Algorithm,
+    Context,
+    ProcessHandle,
+    ProcessStatus,
+    SubContext,
+)
 from .rng import clone_rng, derive_rng, derive_seed
 from .scheduler import (
     EveryStep,
@@ -93,6 +99,7 @@ __all__ = [
     "SimulationError",
     "StaggeredWindows",
     "StepProfiler",
+    "SubContext",
     "SubsetEveryStep",
     "TraceEvent",
     "TraceObserver",

@@ -30,12 +30,11 @@ from .errors import (
     IncompleteRunError,
     InvalidScheduleError,
 )
-from .events import BitMeterObserver, Observer, TraceObserver
+from .events import Observer
 from .monitor import CompletionMonitor, quiescent
 from .network import Network
 from .process import Algorithm, Context, ProcessHandle
 from .rng import derive_rng
-from .trace import EventTrace
 
 __all__ = [
     "ENGINES",
@@ -87,8 +86,6 @@ class Simulation(EngineCore):
         monitor: Optional[CompletionMonitor] = None,
         seed: int = 0,
         check_interval: int = 1,
-        trace: Optional[EventTrace] = None,
-        bit_meter=None,
         observers: Sequence[Observer] = (),
         engine: str = "auto",
         topology=None,
@@ -125,19 +122,8 @@ class Simulation(EngineCore):
         #: first step at which the monitor could have become true.
         self._last_active_step = -1
 
-        # The trace=/bit_meter= keywords are shims over the observer bus,
-        # preserved so existing call sites (and forks of their sims) keep
-        # working; sim.trace / sim.bit_meter read back through them.
-        self._trace_observer: Optional[TraceObserver] = None
-        self._bit_observer: Optional[BitMeterObserver] = None
         for observer in observers:
             self.add_observer(observer)
-        if trace is not None:
-            self._trace_observer = TraceObserver(trace)
-            self.add_observer(self._trace_observer)
-        if bit_meter is not None:
-            self._bit_observer = BitMeterObserver(bit_meter)
-            self.add_observer(self._bit_observer)
 
         restricted = topology is not None and not topology.is_complete
         for pid in range(n):
@@ -178,20 +164,6 @@ class Simulation(EngineCore):
     @property
     def completed(self) -> bool:
         return self._completed
-
-    @property
-    def trace(self) -> Optional[EventTrace]:
-        """The trace behind the ``trace=`` shim, if one was attached."""
-        if self._trace_observer is None:
-            return None
-        return self._trace_observer.trace
-
-    @property
-    def bit_meter(self):
-        """The meter behind the ``bit_meter=`` shim, if one was attached."""
-        if self._bit_observer is None:
-            return None
-        return self._bit_observer.meter
 
     def algorithm(self, pid: int) -> Algorithm:
         return self.processes[pid].algorithm
@@ -556,15 +528,8 @@ class Simulation(EngineCore):
         target._last_active_step = self._last_active_step
 
         target._reset_observers()
-        target._trace_observer = None
-        target._bit_observer = None
         for observer in self._observers:
-            dup = observer.clone()
-            target.add_observer(dup)
-            if observer is self._trace_observer:
-                target._trace_observer = dup
-            if observer is self._bit_observer:
-                target._bit_observer = dup
+            target.add_observer(observer.clone())
 
         target.adversary = self.adversary.clone_into(target)
         target._corrupts = bool(

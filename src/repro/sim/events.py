@@ -107,10 +107,10 @@ def overridden_events(observer: Observer) -> List[str]:
 class TraceObserver(Observer):
     """Adapts an :class:`~repro.sim.trace.EventTrace` to the observer bus.
 
-    Emits exactly the records the engine used to write inline, so existing
-    trace consumers (timeline rendering, delay-contract property tests) are
-    unaffected. The ``trace=`` keyword of both engines is a shim that
-    subscribes one of these.
+    Emits exactly the records the engine used to write inline, so trace
+    consumers (timeline rendering, delay-contract property tests) read
+    the same events.  The caller keeps the ``EventTrace`` handle and
+    passes ``observers=(TraceObserver(trace),)`` to either engine.
     """
 
     def __init__(self, trace: Optional[EventTrace] = None) -> None:
@@ -142,8 +142,7 @@ class BitMeterObserver(Observer):
     """Accumulates estimated wire bits into ``engine.metrics.bits_sent``.
 
     The meter itself is stateless; the accumulator lives in the engine's
-    metrics, so results are identical to the old inline ``bit_meter=``
-    wiring and survive engine forks with the metrics clone.
+    metrics, so results survive engine forks with the metrics clone.
     """
 
     def __init__(self, meter: Callable[[Any], int]) -> None:

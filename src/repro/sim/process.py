@@ -17,7 +17,16 @@ import copy
 import enum
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .errors import AlgorithmError
 from .message import Message
@@ -163,6 +172,45 @@ class Context:
                       self.neighbors)
         dup._local_step = self._local_step
         return dup
+
+
+class SubContext(Context):
+    """The context a protocol layer hands to the layer it embeds.
+
+    Consensus runs gossip inside envelopes, multivalued consensus runs
+    binary consensus inside envelopes of its own: the embedded layer
+    must see the very same process — pid, n, f, the one RNG stream,
+    ``local_step``, the neighbor view — but its sends belong to the
+    embedding layer.  So this *is* ``parent``'s context (every
+    :class:`Context` slot is shared with it, whatever slots there are,
+    and every method but the send path is inherited), and each message
+    goes through ``wrap(dst, payload, kind)``, the owner's envelope
+    function: one call per message, in send order.
+
+    Built per step around the live parent (a :class:`Context` or
+    another ``SubContext``), so ``local_step`` is the current one; it
+    carries no state of its own.
+    """
+
+    __slots__ = ("_wrap",)
+
+    def __init__(self, parent: Context,
+                 wrap: Callable[[int, Any, str], Any]) -> None:
+        for name in Context.__slots__:
+            setattr(self, name, getattr(parent, name))
+        self._wrap = wrap
+
+    def send(self, dst: int, payload: Any, kind: str = "msg") -> None:
+        self._wrap(dst, payload, kind)
+
+    def send_many(self, dsts: Iterable[int], payload: Any,
+                  kind: str = "msg") -> int:
+        wrap = self._wrap
+        sent = 0
+        for dst in dsts:
+            wrap(dst, payload, kind)
+            sent += 1
+        return sent
 
 
 class Algorithm(ABC):

@@ -7,7 +7,7 @@
   that every entry point resolves through;
 * :mod:`repro.spec.builder` — ``build(spec) -> Simulation`` and
   ``execute(spec) -> run``, the single implementation behind
-  ``run_gossip``, ``run_consensus``, the grid recorders and the CLI.
+  ``run_gossip``, ``run_consensus``, grids and the CLI.
 
 The provenance-stamped artifact store over executed specs lives in the
 sibling module :mod:`repro.store`.

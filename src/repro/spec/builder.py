@@ -3,7 +3,7 @@ place a declarative :class:`~repro.spec.runspec.RunSpec` becomes a live
 execution.
 
 Every entry point — ``repro.api.run_gossip``, ``repro.consensus.runner.
-run_consensus``, the grid recorders, the sweep drivers, the CLI — is a
+run_consensus``, grids, the sweep drivers, the CLI — is a
 shim over this module.  The builder is written to be *seed-for-seed
 bit-identical* to the historical entry points it absorbed: it constructs
 the same crash plan, adversary, monitor, processes and simulation, with
@@ -28,7 +28,7 @@ from ..core.base import make_processes
 from ..core.properties import gathering_holds
 from ..sim.engine import Simulation
 from ..sim.errors import ConfigurationError
-from ..sim.events import Observer
+from ..sim.events import BitMeterObserver, Observer
 from ..sim.monitor import GossipCompletionMonitor, PredicateMonitor
 from ..sim.topology import build_topology
 from .registry import (
@@ -315,11 +315,10 @@ def _build_gossip(spec, observers, payloads, params, adversary) -> BuiltRun:
 
     processes = make_processes(n, f, algorithm_class, payloads, **kwargs)
     observers = _with_invariants(spec, observers)
-    bit_meter = None
     if spec.measure_bits:
         from ..sim.bits import BitMeter
 
-        bit_meter = BitMeter(n)
+        observers = (*observers, BitMeterObserver(BitMeter(n)))
     sim = Simulation(
         n=n,
         f=f,
@@ -328,7 +327,6 @@ def _build_gossip(spec, observers, payloads, params, adversary) -> BuiltRun:
         monitor=monitor,
         seed=seed,
         check_interval=spec.check_interval,
-        bit_meter=bit_meter,
         observers=observers,
         engine=_scalar_engine(spec.engine),
         topology=topology,

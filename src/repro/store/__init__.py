@@ -15,13 +15,12 @@ provenance-stamped record format:
   journal mode, ``ingest``/``export`` round-trips with the JSONL form.
 * :mod:`repro.store.batch` — :func:`execute_cached` /
   :func:`execute_batch`, the cache-hit-never-re-simulates execution
-  layer over any backend.
+  layer over any backend (a :class:`~repro.experiments.grid.GridRunner`
+  grid is one ``execute_batch`` call into ``<out_dir>/<name>.jsonl``).
 * :mod:`repro.store.merge` — deterministic shard merge for stores and
   campaign manifests, plus spec-hash sharding helpers.
 * :mod:`repro.store.query` — the filter language behind
   :meth:`Store.select` and ``repro-gossip store query``.
-* :mod:`repro.store.cells` — the grid cell caches behind
-  :class:`~repro.experiments.grid.GridRunner`.
 
 Everything the pre-package flat module exported is re-exported here, so
 ``from repro.store import RunStore, execute_batch`` keeps working.

@@ -27,9 +27,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from ..adversary.crash_plans import CrashPlan, no_crashes
 from ..sim.base import EngineCore, RunResult
 from ..sim.errors import ConfigurationError
-from ..sim.events import BitMeterObserver, Observer, TraceObserver
+from ..sim.events import Observer
 from ..sim.rng import derive_rng
-from ..sim.trace import EventTrace
 
 
 @dataclass
@@ -117,8 +116,6 @@ class SyncSimulation(EngineCore):
         crashes: Optional[CrashPlan] = None,
         monitor: Optional[Callable[["SyncSimulation"], bool]] = None,
         seed: int = 0,
-        trace: Optional[EventTrace] = None,
-        bit_meter=None,
         observers: Sequence[Observer] = (),
     ) -> None:
         if len(algorithms) != n:
@@ -134,10 +131,6 @@ class SyncSimulation(EngineCore):
             )
         for observer in observers:
             self.add_observer(observer)
-        if trace is not None:
-            self.add_observer(TraceObserver(trace))
-        if bit_meter is not None:
-            self.add_observer(BitMeterObserver(bit_meter))
         self.contexts = [
             SyncContext(pid, n, f, derive_rng(seed, "sync-proc", pid))
             for pid in range(n)

@@ -1,206 +1,254 @@
-"""Tests for the experiment-grid runner."""
+"""Tests for experiment grids: a grid is a list of RunSpecs run through
+``execute_batch`` into a spec store."""
 
-import sys
+import json
+import sqlite3
+import time
 
 import pytest
 
-from repro.experiments.grid import (
-    _RECORDERS,
-    GridRunner,
-    GridSpec,
-    _run_cell,
-    aggregate,
-    canonicalize_params,
-    cell_key,
-    get_recorder,
-    register_recorder,
-)
+import repro.store.batch as batch_module
+from repro.experiments.grid import GridRunner, GridSpec, aggregate
+from repro.sim.errors import ConfigurationError
+from repro.spec import RunSpec
+from repro.store import execute_batch, open_store
 
-CALLS = []
+AXES = {"algorithm": ["trivial"], "n": [8], "f": [0], "d": [1], "delta": [1]}
 
 
-def counting_recorder(**params):
-    CALLS.append(dict(params))
-    return {"doubled": params["x"] * 2, "completed": True}
+def small(name, seeds=(0, 1), **axes):
+    return GridSpec(name, "gossip", grid={**AXES, **axes}, seeds=list(seeds))
 
 
-register_recorder("counting", counting_recorder)
+@pytest.fixture
+def executed(monkeypatch):
+    """The (n, seed) of every spec that really ran (inline runs only)."""
+    ran = []
+    real_job = batch_module._spec_job
 
+    def spy(spec_dict):
+        ran.append((spec_dict["n"], spec_dict["seed"]))
+        return real_job(spec_dict)
 
-def misbehaving_recorder(**params):
-    """x == 1 raises, x == 2 hangs, everything else succeeds."""
-    import time
-
-    if params["x"] == 1:
-        raise RuntimeError("cell exploded")
-    if params["x"] == 2:
-        time.sleep(3600)
-    return {"completed": True, "value": params["x"]}
-
-
-register_recorder("misbehaving", misbehaving_recorder)
+    monkeypatch.setattr(batch_module, "_spec_job", spy)
+    return ran
 
 
 class TestGridSpec:
     def test_cells_cross_product_with_seeds(self):
-        spec = GridSpec("t", "counting",
-                        grid={"x": [1, 2], "y": ["a"]}, seeds=[0, 1])
+        spec = GridSpec("t", "gossip",
+                        grid={"n": [8, 12], "algorithm": ["ears"]},
+                        seeds=[0, 1])
         cells = spec.cells()
         assert len(cells) == 4
-        assert {"x": 1, "y": "a", "seed": 0} in cells
+        assert {"n": 8, "algorithm": "ears", "seed": 0} in cells
 
-    def test_cell_key_order_independent(self):
-        assert cell_key({"a": 1, "b": 2}) == cell_key({"b": 2, "a": 1})
+    def test_specs_are_the_cells_as_runspecs(self):
+        spec = GridSpec("t", "consensus",
+                        grid={"n": [8, 12], "algorithm": ["all-to-all"]},
+                        seeds=[3])
+        assert spec.specs() == [
+            RunSpec(kind="consensus", algorithm="all-to-all", n=n, seed=3)
+            for n in (8, 12)
+        ]
 
-    def test_cell_key_matches_json_round_trip(self):
-        # A key computed from live Python params must equal the key of the
-        # same params after a JSONL round trip (tuples -> lists, int dict
-        # keys -> strings); otherwise reloads never hit the cache.
-        import json
+    def test_sub_grids_are_concatenated(self):
+        # Coupled axes (f as a function of n): one sub-grid per n.
+        spec = GridSpec("t", "gossip",
+                        grid=[{"n": [n], "f": [n // 4]} for n in (8, 12)])
+        assert [(c["n"], c["f"]) for c in spec.cells()] == [(8, 2), (12, 3)]
 
-        params = {"pair": (2, 3), "plan": {0: [1]}, "seed": 0}
-        reloaded = json.loads(json.dumps(params, default=str))
-        assert cell_key(params) == cell_key(reloaded)
-
-    def test_canonicalize_params_normalizes_tuples(self):
-        assert canonicalize_params({"pair": (1, 2)}) == {"pair": [1, 2]}
+    def test_unknown_axis_is_named(self):
+        spec = GridSpec("t", "gossip", grid={"n": [8], "f_frac": [0.25]})
+        with pytest.raises(ConfigurationError, match="f_frac"):
+            spec.specs()
 
 
 class TestGridRunner:
-    def test_runs_all_cells(self):
-        CALLS.clear()
-        spec = GridSpec("run-all", "counting", grid={"x": [1, 2, 3]},
-                        seeds=[0])
-        rows = GridRunner().run(spec)
-        assert len(rows) == 3
-        assert sorted(r["doubled"] for r in rows) == [2, 4, 6]
-        assert len(CALLS) == 3
+    def test_runs_all_cells(self, executed):
+        rows = GridRunner().run(small("run-all", n=[8, 10, 12], seeds=[0]))
+        assert [r["n"] for r in rows] == [8, 10, 12]
+        assert [r["messages"] for r in rows] == [n * (n - 1)
+                                                 for n in (8, 10, 12)]
+        assert executed == [(8, 0), (10, 0), (12, 0)]
 
-    def test_in_memory_cache_avoids_reruns(self):
-        CALLS.clear()
+    def test_in_memory_cache_avoids_reruns(self, executed):
+        """What is left of the in-memory cache: duplicate cells within
+        one call run once.  Across calls only ``out_dir`` caches."""
         runner = GridRunner()
-        spec = GridSpec("cache", "counting", grid={"x": [5]}, seeds=[0, 1])
+        spec = small("cache", n=[8, 8], seeds=[0, 1])
+        rows = runner.run(spec)
+        assert len(rows) == 4 and rows[0] == rows[2]
+        assert executed == [(8, 0), (8, 1)]
         runner.run(spec)
-        assert len(CALLS) == 2
-        runner.run(spec)
-        assert len(CALLS) == 2  # nothing re-executed
+        assert len(executed) == 4  # store-less: the second call re-runs
 
-    def test_jsonl_persistence_across_runners(self, tmp_path):
-        CALLS.clear()
-        spec = GridSpec("persist", "counting", grid={"x": [1, 2]},
-                        seeds=[0])
-        GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2
-        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2  # loaded from disk
-        assert len(rows) == 2
+    def test_jsonl_persistence_across_runners(self, tmp_path, executed):
+        spec = small("persist", n=[8, 12], seeds=[0])
+        for backend in ("jsonl", "sqlite"):
+            del executed[:]
+            first = GridRunner(out_dir=str(tmp_path),
+                               backend=backend).run(spec)
+            assert len(executed) == 2
+            again = GridRunner(out_dir=str(tmp_path),
+                               backend=backend).run(spec)
+            assert len(executed) == 2  # loaded from disk
+            assert again == first
+            assert (tmp_path / f"persist.{backend}").exists()
 
-    def test_partial_grid_extension(self, tmp_path):
-        CALLS.clear()
+    def test_partial_grid_extension(self, tmp_path, executed):
         runner = GridRunner(out_dir=str(tmp_path))
-        runner.run(GridSpec("extend", "counting", grid={"x": [1]},
-                            seeds=[0]))
-        bigger = GridSpec("extend", "counting", grid={"x": [1, 2]},
-                          seeds=[0])
-        assert runner.missing(bigger) == 1
-        runner.run(bigger)
-        assert len(CALLS) == 2
+        runner.run(small("extend", n=[8], seeds=[0]))
+        runner.run(small("extend", n=[8, 12], seeds=[0]))
+        assert executed == [(8, 0), (12, 0)]
 
     def test_unknown_recorder(self):
-        with pytest.raises(KeyError):
-            get_recorder("alchemy")
+        """The second GridSpec field used to name a recorder; it is the
+        spec kind, and an unknown one is refused like any bad spec."""
+        with pytest.raises(ConfigurationError, match="alchemy"):
+            GridRunner().run(GridSpec("t", "alchemy", grid={"n": [8]}))
 
-    def test_tuple_valued_params_hit_cache_after_reload(self, tmp_path):
-        # Regression: tuple-valued params (e.g. a (d, delta) pair) must be
-        # cache hits when the JSONL store — where they come back as lists —
-        # is reloaded by a fresh runner.
-        CALLS.clear()
-        spec = GridSpec("tuples", "counting",
-                        grid={"x": [7], "pair": [(1, 2), (3, 4)]},
+    def test_tuple_valued_params_hit_cache_after_reload(self, tmp_path,
+                                                        executed):
+        # Regression: tuple-valued axis values (here consensus initial
+        # values) must be cache hits when the store — where they come
+        # back as lists — is reloaded by a fresh runner.
+        spec = GridSpec("tuples", "consensus",
+                        grid={"algorithm": ["all-to-all"], "n": [4],
+                              "values": [(0, 1, 0, 1), (1, 1, 0, 0)]},
                         seeds=[0])
         GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2
-        fresh = GridRunner(out_dir=str(tmp_path))
-        assert fresh.missing(spec) == 0
-        rows = fresh.run(spec)
-        assert len(CALLS) == 2  # all cells served from the reloaded store
+        assert len(executed) == 2
+        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        assert len(executed) == 2  # all cells served from the store
         assert len(rows) == 2
 
     def test_parallel_run_matches_sequential(self, tmp_path):
-        spec = GridSpec(
-            "par", "gossip",
-            grid={"algorithm": ["trivial"], "n": [8, 12], "f": [0],
-                  "d": [1], "delta": [1]},
-            seeds=[0],
-        )
+        spec = small("par", n=[8, 12], seeds=[0])
         sequential = GridRunner().run(spec)
         parallel = GridRunner(processes=2).run(spec)
         assert sequential == parallel
+
+    def test_grid_store_and_execute_batch_satisfy_each_other(
+            self, tmp_path, executed):
+        """A grid's cache *is* a spec store, in both directions."""
+        spec = small("shared", n=[8, 12])
+        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        del executed[:]
+        records = execute_batch(
+            spec.specs(), store=open_store(str(tmp_path / "shared.jsonl")))
+        assert executed == []
+        assert [r["metrics"]["messages"] for r in records] == [
+            r["messages"] for r in rows]
+
+        other = small("other", n=[10])
+        execute_batch(other.specs(),
+                      store=open_store(str(tmp_path / "other.jsonl")))
+        del executed[:]
+        GridRunner(out_dir=str(tmp_path)).run(other)
+        assert executed == []
 
 
 class TestFaultTolerantGrid:
     """Cells that hang or raise degrade to failure rows, not crashes."""
 
-    def test_partial_results_and_store_resume(self, tmp_path):
-        spec = GridSpec("chaos", "misbehaving", grid={"x": [0, 1, 2, 3]},
-                        seeds=[0])
-        runner = GridRunner(out_dir=str(tmp_path), processes=2,
-                            trial_timeout=1.0)
-        rows = runner.run(spec)
-        by_x = {r["x"]: r for r in rows}
-        assert by_x[0]["completed"] and by_x[0]["value"] == 0
-        assert by_x[3]["completed"] and by_x[3]["value"] == 3
-        assert not by_x[1]["completed"]
-        assert by_x[1]["reason"] == "trial-failed"
-        assert "cell exploded" in by_x[1]["error"]
-        assert not by_x[2]["completed"]
-        assert by_x[2]["reason"] == "trial-timeout"
-        summary = runner.last_summary
-        assert summary["ok"] == 2
-        assert summary["failed"] == 1
-        assert summary["timed_out"] == 1
-        # Failure rows never reach the store: a fresh runner sees exactly
-        # the failed cells as missing and would retry only those.
-        fresh = GridRunner(out_dir=str(tmp_path))
-        assert fresh.missing(spec) == 2
+    def test_partial_results_and_store_resume(self, tmp_path, monkeypatch):
+        real_job = batch_module._spec_job
 
-    def test_clean_grid_leaves_no_summary_on_cache_hit(self, tmp_path):
-        spec = GridSpec("clean", "counting", grid={"x": [4]}, seeds=[0])
-        runner = GridRunner(out_dir=str(tmp_path), trial_timeout=5.0)
-        runner.run(spec)
-        assert runner.last_summary["ok"] == 1
-        runner.run(spec)  # pure cache hit
-        assert runner.last_summary is None
+        def misbehaving(spec_dict):
+            """Seed 1 raises, seed 2 hangs, everything else succeeds."""
+            if spec_dict["seed"] == 1:
+                raise RuntimeError("cell exploded")
+            if spec_dict["seed"] == 2:
+                time.sleep(3600)
+            return real_job(spec_dict)
+
+        # Workers are forked at the first parallel map, after the patch.
+        monkeypatch.setattr(batch_module, "_spec_job", misbehaving)
+        spec = small("chaos", seeds=[0, 1, 2, 3])
+        rows = GridRunner(out_dir=str(tmp_path), processes=2,
+                          trial_timeout=1.0).run(spec)
+        by_seed = {r["seed"]: r for r in rows}
+        assert by_seed[0]["completed"] and by_seed[0]["messages"] == 56
+        assert by_seed[3]["completed"] and by_seed[3]["messages"] == 56
+        assert not by_seed[1]["completed"]
+        assert by_seed[1]["reason"] == "trial-failed"
+        assert "cell exploded" in by_seed[1]["error"]
+        assert not by_seed[2]["completed"]
+        assert by_seed[2]["reason"] == "trial-timeout"
+        # Failure rows never reach the store: a fresh runner executes
+        # exactly the failed cells and nothing else.
+        stored = open_store(str(tmp_path / "chaos.jsonl"))
+        assert sorted(r["spec"]["seed"] for r in stored.records()) == [0, 3]
+        retried = []
+
+        def spy(spec_dict):
+            retried.append(spec_dict["seed"])
+            return real_job(spec_dict)
+
+        monkeypatch.setattr(batch_module, "_spec_job", spy)
+        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        assert retried == [1, 2]
+        assert all(r["completed"] for r in rows)
 
 
-class TestRecorderShipping:
-    """Parallel cells resolve recorders inside the worker process."""
+class TestLegacyFormats:
+    """What grids wrote before they were spec stores: a JSONL cell log
+    is refused, a SQLite ``cells`` table ignored (the cell-key manifest
+    is refused too, see ``tests/test_run_jobs.py``)."""
 
-    def test_run_cell_reimports_recorder_module(self):
-        # Simulate a spawn-started worker: empty registry, module not yet
-        # imported. _run_cell must import the shipped module (whose import
-        # re-registers) and execute the cell.
-        module = "tests.analysis._recorder_fixture"
-        _RECORDERS.pop("fixture-recorder", None)
-        sys.modules.pop(module, None)
-        params, record = _run_cell(
-            ("fixture-recorder", module, {"x": 21, "seed": 0})
-        )
-        assert record == {"tripled": 63}
-        assert "fixture-recorder" in _RECORDERS
+    def test_jsonl_cell_log_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({
+            "params": {"algorithm": "trivial", "n": 8, "seed": 0},
+            "record": {"completed": True, "messages": 56},
+        }) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="cell log"):
+            GridRunner(out_dir=str(tmp_path)).run(small("old"))
+        assert path.read_bytes() == before
+        assert not (tmp_path / "old.jsonl.quarantine").exists()
 
-    def test_run_cell_fails_fast_when_import_does_not_register(self):
-        _RECORDERS.pop("ghost", None)
-        with pytest.raises(KeyError, match="register_recorder"):
-            _run_cell(("ghost", "json", {"x": 1}))
+    def test_sqlite_cells_table_is_ignored(self, tmp_path, executed):
+        conn = sqlite3.connect(str(tmp_path / "old.sqlite"))
+        conn.execute("CREATE TABLE cells (key TEXT PRIMARY KEY, "
+                     "params TEXT NOT NULL, record TEXT NOT NULL)")
+        conn.execute("INSERT INTO cells VALUES ('k', '{}', '{}')")
+        conn.commit()
+        conn.close()
+        runner = GridRunner(out_dir=str(tmp_path), backend="sqlite")
+        assert len(runner.run(small("old"))) == 2
+        assert len(executed) == 2
+        runner.run(small("old"))
+        assert len(executed) == 2
 
-    def test_run_cell_fails_fast_without_module(self):
-        _RECORDERS.pop("ghost", None)
-        with pytest.raises(KeyError, match="not registered"):
-            _run_cell(("ghost", "", {"x": 1}))
+
+#: ``GridRunner().run`` of this grid at the parent commit (cba37b0),
+#: where a gossip row was ``cell ∪ gossip_recorder(**cell)``.
+PARENT_GRID = GridSpec(
+    "gossip-grid", "gossip",
+    grid={"algorithm": ["trivial", "ears"], "n": [12], "f": [3],
+          "d": [2], "delta": [2]},
+    seeds=[0, 1],
+)
+PARENT_ROWS = [
+    {"algorithm": algorithm, "d": 2, "delta": 2, "f": 3, "n": 12,
+     "seed": seed, "completed": True, "reason": "completed", "time": t,
+     "gathering_time": gathered, "messages": messages, "bits": 0,
+     "realized_d": 2, "realized_delta": 2, "crashes": 0,
+     "spec_hash": spec_hash}
+    for algorithm, seed, t, gathered, messages, spec_hash in [
+        ("trivial", 0, 5, 5, 132, "28011322766dcef6"),
+        ("trivial", 1, 5, 5, 132, "2c870930cd2f7592"),
+        ("ears", 0, 42, 20, 221, "89c63a78a184896c"),
+        ("ears", 1, 52, 21, 236, "a1278036718019c9"),
+    ]
+]
 
 
 class TestBuiltInRecorders:
+    """The two spec kinds, end to end."""
+
     def test_gossip_recorder_end_to_end(self):
         spec = GridSpec(
             "gossip-grid", "gossip",
@@ -214,14 +262,40 @@ class TestBuiltInRecorders:
         trivial_rows = [r for r in rows if r["algorithm"] == "trivial"]
         assert all(r["messages"] == 12 * 11 for r in trivial_rows)
 
+    def test_gossip_rows_equal_the_parent_rows(self, tmp_path):
+        assert GridRunner().run(PARENT_GRID) == PARENT_ROWS
+        for backend in ("jsonl", "sqlite"):
+            runner = GridRunner(out_dir=str(tmp_path), backend=backend)
+            assert runner.run(PARENT_GRID) == PARENT_ROWS  # fresh
+            assert runner.run(PARENT_GRID) == PARENT_ROWS  # from the store
+
     def test_consensus_recorder_end_to_end(self):
         spec = GridSpec(
             "consensus-grid", "consensus",
-            grid={"gossip": ["all-to-all"], "n": [8], "f": [3]},
+            grid={"algorithm": ["all-to-all"], "n": [8], "f": [3]},
             seeds=[0],
         )
         rows = GridRunner().run(spec)
         assert rows[0]["agreement"] and rows[0]["validity"]
+
+    def test_batch_engine_axis_runs_vectorized_chunks(self, monkeypatch):
+        """An ``engine: ["batch"]`` axis advances a cell's seeds in one
+        vectorized job instead of batches of one."""
+        jobs = []
+        real_unit = batch_module._unit_job
+
+        def spy(job):
+            jobs.append(job)
+            return real_unit(job)
+
+        monkeypatch.setattr(batch_module, "_unit_job", spy)
+        spec = GridSpec("vec", "gossip",
+                        grid={"algorithm": ["ears"], "n": [16], "f": [4],
+                              "engine": ["batch"]},
+                        seeds=range(4))
+        rows = GridRunner().run(spec)
+        assert all(r["completed"] for r in rows)
+        assert len(jobs) == 1 and len(jobs[0]) == 4
 
 
 class TestAggregate:

@@ -6,6 +6,7 @@ from repro.analysis.timeline import crash_summary, render_timeline
 from repro.core.base import make_processes
 from repro.core.trivial import TrivialGossip
 from repro.sim.engine import Simulation
+from repro.sim.events import TraceObserver
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.scheduler import RoundRobinWindows
 from repro.sim.trace import EventTrace
@@ -17,7 +18,7 @@ def traced_run(n=4, crashes=None, schedule=None, steps=8):
     sim = Simulation(
         n=n, f=n - 1, algorithms=make_processes(n, n - 1, TrivialGossip),
         adversary=adversary, monitor=GossipCompletionMonitor(),
-        seed=0, trace=trace,
+        seed=0, observers=(TraceObserver(trace),),
     )
     sim.run_for(steps)
     return trace, sim

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.pool import TrialPool, summarize_outcomes
+from repro.experiments.pool import TrialPool
 from repro.faults.jobs import (
     flaky_until_marker_job,
     hang_if_job,
@@ -156,17 +156,3 @@ class TestMapOutcomes:
             good = pool.map(_square, range(4))
         assert bad[0].status == "failed" and bad[1].ok
         assert good == [0, 1, 4, 9]
-
-    def test_summarize_outcomes(self):
-        jobs = [(0, False), (1, True), (2, False)]
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(raise_if_job, jobs)
-        summary = summarize_outcomes(outcomes)
-        assert summary["jobs"] == 3
-        assert summary["ok"] == 2
-        assert summary["failed"] == 1
-        assert summary["timed_out"] == 0
-        assert summary["attempts"] == 3
-        assert list(summary["errors"]) == [1]
-        assert summary["timed_out_indices"] == []
-        assert summary["duration"] >= 0.0

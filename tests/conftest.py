@@ -19,7 +19,6 @@ def build_gossip_sim(
     seed=0,
     crashes=None,
     majority=False,
-    trace=None,
     **algorithm_kwargs,
 ):
     """Construct a ready-to-run gossip simulation with a uniform adversary."""
@@ -32,7 +31,6 @@ def build_gossip_sim(
         adversary=adversary,
         monitor=GossipCompletionMonitor(majority=majority),
         seed=seed,
-        trace=trace,
     )
 
 

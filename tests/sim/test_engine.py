@@ -11,6 +11,7 @@ from repro.sim.errors import (
     CrashBudgetExceeded,
     IncompleteRunError,
 )
+from repro.sim.events import TraceObserver
 from repro.sim.monitor import PredicateMonitor, QuiescenceMonitor
 from repro.sim.process import Algorithm
 from repro.sim.scheduler import RoundRobinWindows
@@ -20,7 +21,7 @@ from .algos import Echo, Kickoff, RandomSpammer, RingSender, Silent
 
 
 def make_sim(algorithms, adversary=None, f=None, monitor=None, seed=0,
-             trace=None):
+             observers=()):
     n = len(algorithms)
     return Simulation(
         n=n,
@@ -29,7 +30,7 @@ def make_sim(algorithms, adversary=None, f=None, monitor=None, seed=0,
         adversary=adversary or ObliviousAdversary.synchronous_like(),
         monitor=monitor,
         seed=seed,
-        trace=trace,
+        observers=observers,
     )
 
 
@@ -256,7 +257,8 @@ class TestTraceIntegration:
         )
         algos = [RingSender(count=1) for _ in range(3)]
         sim = make_sim(algos, adversary=adversary, f=1,
-                       monitor=QuiescenceMonitor(), trace=trace)
+                       monitor=QuiescenceMonitor(),
+                       observers=(TraceObserver(trace),))
         sim.run(max_steps=20)
         assert trace.count("send") == 3
         assert trace.count("crash") == 1

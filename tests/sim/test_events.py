@@ -1,4 +1,4 @@
-"""Observer bus: dispatch, fast path, shims, cross-engine parity."""
+"""Observer bus: dispatch, fast path, cross-engine parity."""
 
 import pytest
 
@@ -137,34 +137,20 @@ class TestDispatch:
         assert plain.metrics == observed.metrics
 
 
-class TestShims:
-    def test_trace_kwarg_equals_trace_observer(self):
-        trace_a, trace_b = EventTrace(), EventTrace()
-        make_sim(trace=trace_a).run()
-        make_sim(observers=(TraceObserver(trace_b),)).run()
-        records = lambda t: [  # noqa: E731
-            (e.t, e.kind, tuple(sorted(e.fields))) for e in t.events
-        ]
-        assert records(trace_a) == records(trace_b)
+class TestObserversOnly:
+    def test_engines_take_no_trace_or_bit_meter_keyword(self):
+        """Instrumentation attaches through ``observers=`` alone."""
+        for kwargs in ({"trace": EventTrace()}, {"bit_meter": BitMeter(8)}):
+            with pytest.raises(TypeError):
+                make_sim(**kwargs)
+            with pytest.raises(TypeError):
+                SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
+                               **kwargs)
 
-    def test_trace_readback_property(self):
-        trace = EventTrace()
-        sim = make_sim(trace=trace)
-        assert sim.trace is trace
-        assert make_sim().trace is None
-
-    def test_bit_meter_kwarg_equals_bit_observer(self):
-        run_a = make_sim(bit_meter=BitMeter(8)).run()
-        run_b = make_sim(
-            observers=(BitMeterObserver(BitMeter(8)),)
-        ).run()
-        assert run_a.metrics["bits_sent"] == run_b.metrics["bits_sent"] > 0
-
-    def test_bit_meter_readback_property(self):
-        meter = BitMeter(8)
-        sim = make_sim(bit_meter=meter)
-        assert sim.bit_meter is meter
-        assert make_sim().bit_meter is None
+    def test_bit_meter_observer_fills_bits_sent(self):
+        run = make_sim(observers=(BitMeterObserver(BitMeter(8)),)).run()
+        assert run.metrics["bits_sent"] > 0
+        assert make_sim().run().metrics["bits_sent"] == 0
 
 
 class SyncCounter:
@@ -184,7 +170,7 @@ class TestSyncEngineObservers:
     def test_trace_on_sync_run(self):
         trace = EventTrace()
         sim = SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                             trace=trace)
+                             observers=(TraceObserver(trace),))
         sim.run(max_rounds=5)
         assert trace.count("send") == sim.metrics.messages_sent > 0
         assert trace.count("schedule") > 0
@@ -193,7 +179,7 @@ class TestSyncEngineObservers:
 
     def test_bit_meter_on_sync_run(self):
         sim = SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                             bit_meter=BitMeter(4))
+                             observers=(BitMeterObserver(BitMeter(4)),))
         sim.run(max_rounds=5)
         assert sim.metrics.bits_sent > 0
 
@@ -244,15 +230,16 @@ class TestStepProfiler:
 class TestForkCarriesObservers:
     def test_forked_trace_diverges_independently(self):
         trace = EventTrace()
-        sim = make_sim(trace=trace)
+        sim = make_sim(observers=(TraceObserver(trace),))
         sim.run_for(3)
         fork = sim.fork()
-        assert fork.trace is not None
-        assert fork.trace is not trace
+        (forked,) = fork._observers
+        assert isinstance(forked, TraceObserver)
+        assert forked.trace is not trace
         before = len(trace.events)
         fork.run_for(2)
         assert len(trace.events) == before
-        assert len(fork.trace.events) > before
+        assert len(forked.trace.events) > before
 
     def test_forked_recording_observer_rebinds(self):
         observer = RecordingObserver()

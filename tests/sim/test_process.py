@@ -7,6 +7,7 @@ from repro.sim.process import (
     Context,
     ProcessHandle,
     ProcessStatus,
+    SubContext,
 )
 from repro.sim.rng import derive_rng
 
@@ -56,6 +57,46 @@ class TestProcessHandle:
         algo = Minimal()
         assert not algo.is_quiescent()
         assert algo.summary() == {}
+
+
+def _envelope(sink):
+    def wrap(dst, payload, kind):
+        sink.append((dst, payload, kind))
+    return wrap
+
+
+class TestSubContext:
+    """The one context an embedding layer hands the layer it embeds."""
+
+    def test_everything_but_sends_is_the_parent(self):
+        parent = Context(2, 6, 1, derive_rng(0, "h", 2), neighbors=(1, 3))
+        twin = Context(2, 6, 1, derive_rng(0, "h", 2), neighbors=(1, 3))
+        parent._local_step = twin._local_step = 5
+        sub = SubContext(SubContext(parent, _envelope([])), _envelope([]))
+        assert isinstance(sub, Context)
+        assert (sub.pid, sub.n, sub.f, sub.local_step) == (2, 6, 1, 5)
+        assert sub.rng is parent.rng
+        assert sub.peers() == (1, 3) and sub.neighbors == (1, 3)
+        assert not sub.isolated
+        # Same stream, same draws as the bare context.
+        assert ([sub.random_peer() for _ in range(8)]
+                == [twin.random_peer() for _ in range(8)])
+
+    def test_shares_every_context_slot(self):
+        """No lock-step patching: a slot added to Context is shared."""
+        parent = Context(0, 4, 1, derive_rng(0, "h", 0))
+        sub = SubContext(parent, _envelope([]))
+        for name in Context.__slots__:
+            assert getattr(sub, name) is getattr(parent, name)
+
+    def test_sends_go_through_the_wrap_one_call_per_message(self):
+        parent = Context(0, 4, 1, derive_rng(0, "h", 0))
+        seen = []
+        sub = SubContext(parent, _envelope(seen))
+        sub.send(1, "a", kind="x")
+        assert sub.send_many(iter([2, 3]), "b") == 2
+        assert seen == [(1, "a", "x"), (2, "b", "msg"), (3, "b", "msg")]
+        assert parent.outbox == []  # only the wrap decides what is sent
 
 
 class TestExpanderOverlayOptional:

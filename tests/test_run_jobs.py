@@ -2,6 +2,8 @@
 plain, fault-tolerant, checkpointed, and killed-then-resumed — and a
 parallel call creates exactly one worker pool."""
 
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -11,6 +13,7 @@ from repro.experiments import (
     TrialPool,
     run_theorem1,
 )
+from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
 from repro.store import execute_batch, open_store
 from repro.workloads.sweeps import quarter, sweep_gossip
@@ -118,20 +121,20 @@ def test_one_call_creates_one_pool(view, tmp_path, monkeypatch):
     assert len(created) == 1
 
 
-def test_grid_manifest_written_by_an_older_build_resumes(tmp_path):
-    """Grid manifests used to record the canonical cell params as the
-    submitted payload; only the keys matter for a resume."""
-    from repro.experiments.grid import canonicalize_params, cell_key
-
-    done = GridRunner(out_dir=str(tmp_path / "grid")).run(GRID)
+def test_grid_manifest_written_by_an_older_build_is_refused(tmp_path):
+    """Grid manifests used to be keyed by canonical cell params; no spec
+    hash can ever match those keys, so resuming one is refused (as for
+    positional-tuple sweep manifests) and the file is left as it was."""
     old = CampaignManifest(str(tmp_path / "old.json"),
-                           meta={"driver": "grid"})
+                           meta={"driver": "grid", "grid": GRID.name})
     for cell in GRID.cells():
-        old.submit(cell_key(cell), canonicalize_params(cell))
+        old.submit(json.dumps(cell, sort_keys=True), cell)
     old.save()
+    before = (tmp_path / "old.json").read_bytes()
 
     runner = GridRunner(out_dir=str(tmp_path / "grid"),
                         manifest_path=old.path)
-    assert runner.run(GRID) == done
-    assert runner.last_summary is None  # every cell was a cache hit
-    assert CampaignManifest.load(old.path).missing_keys() == []
+    with pytest.raises(ConfigurationError, match="cell-key format"):
+        runner.run(GRID)
+    assert (tmp_path / "old.json").read_bytes() == before
+    assert not (tmp_path / "grid").exists()  # nothing ran
