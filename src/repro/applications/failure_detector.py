@@ -77,7 +77,7 @@ class HeartbeatProcess(Algorithm):
                 self.false_suspicions += 1
 
         snapshot = tuple(self.heartbeats)
-        targets = {ctx.random_peer() for _ in range(self.fanout)}
+        targets = set(ctx.random_peers(self.fanout))
         for dst in targets:
             ctx.send(dst, snapshot, kind=KIND_HEARTBEAT)
 

@@ -68,7 +68,7 @@ class AdaptiveFanoutGossip(GossipAlgorithm):
             self.quiet_steps += 1
 
         if self.quiet_steps < self.quiet_threshold and not ctx.isolated:
-            targets = {ctx.random_peer() for _ in range(self.fanout)}
+            targets = set(ctx.random_peers(self.fanout))
             snapshot = self.rumors.snapshot()
             for dst in targets:
                 ctx.send(dst, snapshot, kind=KIND_ADAPTIVE)

@@ -17,10 +17,22 @@ rumor making L(p) ≠ ∅, it awakens and resumes (Figure 2, lines 12–14).
 Representation
 --------------
 V(p) is an n-bit mask. I(p) is a single n²-bit integer with bit ``q·n + r``
-set iff (r, q) ∈ I(p). Merging a received informed-list is then one integer
-OR, and "L(p) = ∅" is the single comparison ``replicate(V) & ~I == 0`` where
-``replicate(V) = V · (Σ_q 2^{q·n})`` stamps V into every q-block. Message
-payloads share these immutable ints, so snapshotting costs nothing.
+set iff (r, q) ∈ I(p), so merging a received informed-list is one integer
+OR. A step folds before it stamps: received lists are OR-ed into a local and
+received masks into one n-bit word before I(p) is assigned once, and the
+pairs for a step's targets are OR-ed together and added once, after the
+payload snapshot. Payloads share these immutable ints, so snapshotting
+costs nothing.
+
+"L(p) = ∅" is exactly ``replicate(V) & ~I == 0``, where ``replicate(V) =
+V · (Σ_q 2^{q·n})`` stamps V into every q-block. That product is the dearest
+operation here, and while L(p) ≠ ∅ one uncertified destination proves it:
+:class:`InformedListGossip` keeps such a *witness* q and re-tests only block
+q of I(p). The full difference ``(replicate(V) | I) ^ I`` (the same bits,
+without negating an n²-bit int) is taken only once the witness has become
+certified, and its top set bit names the next witness. The witness is a
+memo, never a latch: every call re-reads V and I, so state written from
+outside (the fault injectors do) gets the verdict of the formula above.
 
 One inference the pseudocode leaves implicit is made explicit here: the pairs
 (r, p) for rumors r delivered *to* p are added to I(p) by the receiver
@@ -31,7 +43,8 @@ so the receiver would otherwise never learn that its own copy counts as
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import lru_cache
+from typing import List
 
 from ..sim.message import Message
 from ..sim.process import Context
@@ -40,20 +53,92 @@ from .base import GossipAlgorithm
 KIND_GOSSIP = "gossip"
 KIND_SHUTDOWN = "shutdown"
 
-_REPUNIT_CACHE: Dict[int, int] = {}
 
-
+@lru_cache(maxsize=None)
 def _repunit(n: int) -> int:
     """Σ_{q=0}^{n-1} 2^{q·n}: multiplying an n-bit mask by this stamps the
     mask into each of the n blocks of an n²-bit informed-list."""
-    value = _REPUNIT_CACHE.get(n)
-    if value is None:
-        value = ((1 << (n * n)) - 1) // ((1 << n) - 1) if n > 0 else 0
-        _REPUNIT_CACHE[n] = value
-    return value
+    return ((1 << (n * n)) - 1) // ((1 << n) - 1) if n > 0 else 0
 
 
-class EpidemicGossip(GossipAlgorithm):
+@lru_cache(maxsize=8)
+def _replicate(v: int, n: int) -> int:
+    """V stamped into each of the n blocks. Once the rumors have spread the
+    live processes hold the same few V, so the last few products are kept —
+    shared by every process, where a copy each would cost n² bits apiece."""
+    return v * _repunit(n)
+
+
+def _top_block(pairs: int, n: int) -> int:
+    """The highest destination with a bit set in the packed ``pairs``. A V
+    with a bit >= n (a fault injector's) spills past block n−1; the spill
+    counts for n−1, so that every non-zero difference names a destination."""
+    return min((pairs.bit_length() - 1) // n, n - 1)
+
+
+class InformedListGossip(GossipAlgorithm):
+    """V(p), a packed informed-list I(p), the L(p) queries on them and the
+    sleep counter of a stopping rule that waits for L(p) = ∅."""
+
+    def __init__(self, pid: int, n: int, f: int, rumor_payload=None) -> None:
+        super().__init__(pid, n, f, rumor_payload)
+        # I(p), packed. Initially p knows its own rumor "reached" itself.
+        self._I = self.rumors.mask << (pid * n)
+        # A destination in [0, n) last found in L(p) (module docstring).
+        self._witness = n - 1
+        # Consecutive steps (including this one) during which L(p) was empty;
+        # 0 while L(p) is non-empty. Figure 2's sleep_cnt; a subclass sets
+        # ``shutdown_sends``, how many of them it keeps sending through.
+        self.sleep_cnt = 0
+
+    @property
+    def informed_list(self) -> int:
+        """The packed informed-list I(p) (bit q·n + r ⟺ (r, q) ∈ I)."""
+        return self._I
+
+    def knows_sent(self, rumor: int, dst: int) -> bool:
+        """True iff (rumor, dst) ∈ I(p)."""
+        return bool(self._I >> (dst * self.n + rumor) & 1)
+
+    def _uncertified(self) -> int:
+        """``replicate(V) & ~I``: bit q·n + r ⟺ r ∈ V(p) and (r, q) ∉ I(p)."""
+        informed = self._I
+        return (_replicate(self.rumors.mask, self.n) | informed) ^ informed
+
+    def uncertified_mask(self) -> int:
+        """Bitmask of L(p): processes not yet known to have been sent all of V."""
+        n = self.n
+        mask = 0
+        rest = self._uncertified()
+        while rest:
+            q = _top_block(rest, n)
+            mask |= 1 << q
+            rest &= (1 << (q * n)) - 1
+        return mask
+
+    def l_is_empty(self) -> bool:
+        n = self.n
+        v = self.rumors.mask
+        # One block of I(p) decides only while the copies of V in
+        # replicate(V) cannot overlap, i.e. while V < 2ⁿ.
+        if not v >> n and (self._I >> (self._witness * n)) & v != v:
+            return False
+        rest = self._uncertified()
+        if not rest:
+            return True
+        self._witness = _top_block(rest, n)
+        return False
+
+    @property
+    def asleep(self) -> bool:
+        """True once the shut-down phase has completed (Figure 2 sleeping)."""
+        return self.sleep_cnt > self.shutdown_sends
+
+    def is_quiescent(self) -> bool:
+        return self.asleep
+
+
+class EpidemicGossip(InformedListGossip):
     """The Figure 2 loop, parameterized by fanout and shut-down length."""
 
     def __init__(
@@ -74,42 +159,6 @@ class EpidemicGossip(GossipAlgorithm):
             )
         self.fanout = fanout
         self.shutdown_sends = shutdown_sends
-        # I(p), packed. Initially p knows its own rumor "reached" itself.
-        self._I = self.rumors.mask << (pid * n)
-        # Consecutive steps (including this one) during which L(p) was empty;
-        # 0 while L(p) is non-empty. Figure 2's sleep_cnt.
-        self.sleep_cnt = 0
-
-    # -- inspection used by tests and the lower-bound analysis ------------ #
-
-    @property
-    def informed_list(self) -> int:
-        """The packed informed-list I(p) (bit q·n + r ⟺ (r, q) ∈ I)."""
-        return self._I
-
-    def knows_sent(self, rumor: int, dst: int) -> bool:
-        """True iff (rumor, dst) ∈ I(p)."""
-        return bool(self._I >> (dst * self.n + rumor) & 1)
-
-    def uncertified_mask(self) -> int:
-        """Bitmask of L(p): processes not yet known to have been sent all of V."""
-        mask = 0
-        v = self.rumors.mask
-        for q in range(self.n):
-            if v & ~(self._I >> (q * self.n)):
-                mask |= 1 << q
-        return mask
-
-    def l_is_empty(self) -> bool:
-        return not (self.rumors.mask * _repunit(self.n) & ~self._I)
-
-    @property
-    def asleep(self) -> bool:
-        """True once the shut-down phase has completed (Figure 2 sleeping)."""
-        return self.sleep_cnt > self.shutdown_sends
-
-    def is_quiescent(self) -> bool:
-        return self.asleep
 
     # -- the Figure 2 main loop ------------------------------------------ #
 
@@ -117,7 +166,7 @@ class EpidemicGossip(GossipAlgorithm):
         """``fanout`` i.i.d. uniform target draws, deduplicated.
 
         On the complete graph the draws are uniform over [n] (the paper's
-        step); under a restricted topology :meth:`Context.random_peer`
+        step); under a restricted topology :meth:`Context.random_peers`
         samples the process's neighbors instead, and an isolated process
         simply has nobody to gossip with.
 
@@ -129,18 +178,24 @@ class EpidemicGossip(GossipAlgorithm):
             return []
         if self.fanout == 1:
             return [ctx.random_peer()]
-        draws = [ctx.random_peer() for _ in range(self.fanout)]
-        return list(dict.fromkeys(draws))
+        return list(dict.fromkeys(ctx.random_peers(self.fanout)))
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         n = self.n
-        for msg in inbox:
-            mask, payloads, informed = msg.payload
-            self.rumors.merge(mask, payloads)
-            self._I |= informed
-            # Receiver-side inference: the rumors in this message were, by
-            # definition, sent to me.
-            self._I |= mask << (self.pid * n)
+        rumors = self.rumors
+        if inbox:
+            informed = self._I
+            got = 0
+            for msg in inbox:
+                mask, payloads, theirs = msg.payload
+                if payloads:
+                    rumors.payloads.update(payloads)
+                informed |= theirs
+                got |= mask
+            rumors.mask |= got
+            # Receiver-side inference: the rumors in these messages were,
+            # by definition, sent to me.
+            self._I = informed | got << (self.pid * n)
 
         if self.l_is_empty():
             self.sleep_cnt += 1
@@ -151,15 +206,15 @@ class EpidemicGossip(GossipAlgorithm):
             # Epidemic transmission mode (shut-down phase included: the
             # process "continues as before" until the phase completes).
             targets = self._choose_targets(ctx)
-            payloads = dict(self.rumors.payloads) if self.rumors.payloads else None
-            payload = (self.rumors.mask, payloads, self._I)
+            mask, payloads = rumors.snapshot()
             kind = KIND_SHUTDOWN if self.sleep_cnt >= 1 else KIND_GOSSIP
-            ctx.send_many(targets, payload, kind=kind)
+            ctx.send_many(targets, (mask, payloads, self._I), kind=kind)
             # Record the new pairs only after the payload snapshot, exactly
             # as Figure 2 sends ⟨V(p), I(p)⟩ first and extends I(p) after.
-            stamp = self.rumors.mask
+            sent = 0
             for dst in targets:
-                self._I |= stamp << (dst * n)
+                sent |= mask << (dst * n)
+            self._I |= sent
 
     def summary(self) -> dict:
         data = super().summary()

@@ -33,52 +33,38 @@ from typing import List
 from .._util import ln
 from ..sim.message import Message
 from ..sim.process import Context
-from .base import GossipAlgorithm
-from .epidemic import _repunit
+from .epidemic import InformedListGossip
 
 KIND_DIGEST = "pp-digest"
 KIND_DELTA = "pp-delta"
 KIND_ACK = "pp-ack"
 
 
-class PushPullGossip(GossipAlgorithm):
+class PushPullGossip(InformedListGossip):
     """Digest/delta epidemic with a locally-certified stopping rule."""
 
     def __init__(self, pid: int, n: int, f: int, rumor_payload=None,
                  shutdown_constant: float = 2.0) -> None:
+        # Here the packed I(p) holds local evidence only: bit q·n + r means
+        # "I have direct evidence rumor r reached q".
         super().__init__(pid, n, f, rumor_payload)
-        # Packed local-evidence informed-list: bit q·n + r means "I have
-        # direct evidence rumor r reached q".
-        self._I = self.rumors.mask << (pid * n)
         self.shutdown_sends = max(1, math.ceil(
             shutdown_constant * (n / max(1, n - f)) * ln(n)
         ))
-        self.sleep_cnt = 0
-
-    # -- state inspection --------------------------------------------------
-
-    def l_is_empty(self) -> bool:
-        return not (self.rumors.mask * _repunit(self.n) & ~self._I)
-
-    @property
-    def asleep(self) -> bool:
-        return self.sleep_cnt > self.shutdown_sends
-
-    def is_quiescent(self) -> bool:
-        return self.asleep
-
-    # -- the loop ------------------------------------------------------------
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         n = self.n
         delta_replies = []
         ack_replies = []
         saw_unknown = False
+        # Pairs learnt this step, folded here and OR-ed into I(p) once.
+        evidence = 0
+        got = 0
         for msg in inbox:
             if msg.kind == KIND_DIGEST:
                 their_mask = msg.payload
                 # The digest proves its sender holds those rumors.
-                self._I |= their_mask << (msg.src * n)
+                evidence |= their_mask << (msg.src * n)
                 if their_mask & ~self.rumors.mask:
                     # The sender holds rumors we have never seen: wake up
                     # (if asleep) so our next digests pull them.
@@ -94,11 +80,11 @@ class PushPullGossip(GossipAlgorithm):
                     # answered, so no ping-pong.
                     ack_replies.append(msg.src)
             elif msg.kind == KIND_ACK:
-                self._I |= msg.payload << (msg.src * n)
+                evidence |= msg.payload << (msg.src * n)
             else:  # KIND_DELTA
                 mask, payloads = msg.payload
                 self.rumors.merge(mask, payloads)
-                self._I |= mask << (self.pid * n)
+                got |= mask
 
         for dst, missing in delta_replies:
             payloads = (
@@ -108,9 +94,11 @@ class PushPullGossip(GossipAlgorithm):
                 or None
             )
             ctx.send(dst, (missing, payloads), kind=KIND_DELTA)
-            self._I |= missing << (dst * n)
+            evidence |= missing << (dst * n)
         for dst in ack_replies:
             ctx.send(dst, self.rumors.mask, kind=KIND_ACK)
+        if inbox:
+            self._I |= evidence | got << (self.pid * n)
 
         if saw_unknown or not self.l_is_empty():
             self.sleep_cnt = 0

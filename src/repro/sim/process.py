@@ -160,6 +160,27 @@ class Context:
             )
         return self.neighbors[self.rng.randrange(len(self.neighbors))]
 
+    def random_peers(self, k: int) -> List[int]:
+        """``k`` :meth:`random_peer` draws in one call: the same values in
+        draw order, the same stream state afterwards.
+
+        On the complete graph this spells out CPython's ``randrange(n)`` —
+        ``getrandbits(n.bit_length())`` redrawn until below ``n`` — without
+        the three calls per draw; ``tests/sim/test_process.py`` pins the
+        equivalence on every CI interpreter.
+        """
+        if self.neighbors is not None:
+            return [self.random_peer() for _ in range(k)]
+        n = self.n
+        bits = n.bit_length()
+        getrandbits = self.rng.getrandbits
+        peers: List[int] = []
+        while len(peers) < k:
+            draw = getrandbits(bits)
+            if draw < n:
+                peers.append(draw)
+        return peers
+
     def clone(self) -> "Context":
         """O(1) copy for simulation forking.
 

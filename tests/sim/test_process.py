@@ -9,6 +9,7 @@ from repro.sim.process import (
     ProcessStatus,
     SubContext,
 )
+from repro.sim.errors import AlgorithmError
 from repro.sim.rng import derive_rng
 
 
@@ -57,6 +58,34 @@ class TestProcessHandle:
         algo = Minimal()
         assert not algo.is_quiescent()
         assert algo.summary() == {}
+
+
+class TestRandomPeers:
+    """random_peers(k) is k random_peer() calls: same values, same stream
+    afterwards. On the complete graph it spells out CPython's randrange
+    (getrandbits(n.bit_length()) redrawn until below n), so this is the
+    test that pins that spelling to the interpreter running the suite."""
+
+    @pytest.mark.parametrize("k", [0, 1, 89])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 128, 255, 256, 257])
+    @pytest.mark.parametrize("graph", ["complete", "ring"])
+    def test_same_draws_same_stream_state(self, graph, n, k):
+        if graph == "ring":
+            neighbors = sorted({(n // 2 - 1) % n, (n // 2 + 1) % n} - {n // 2})
+        else:
+            neighbors = None
+        single = Context(n // 2, n, 0, derive_rng(n, "p", k), neighbors)
+        batch = single.clone()
+        if neighbors == []:
+            assert batch.random_peers(0) == []
+            with pytest.raises(AlgorithmError):
+                batch.random_peers(1)
+            return
+        for _ in range(3):      # consecutive calls continue one stream
+            expected = [single.random_peer() for _ in range(k)]
+            assert batch.random_peers(k) == expected
+            assert batch.rng.getstate() == single.rng.getstate()
+        assert all(0 <= peer < n for peer in expected)
 
 
 def _envelope(sink):
