@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Sequence, Set
 
 from ..sim.message import Message
 
@@ -64,6 +64,22 @@ class Adversary(ABC):
     @abstractmethod
     def assign_delay(self, msg: Message) -> int:
         """Delay (>= 1) for a just-sent message; determines the execution's d."""
+
+    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+        """Stamp ``sent_at = t`` and a delay on every message of one
+        process-step's outbox; the engine's one call into the delay layer.
+
+        Implement :meth:`assign_delay`: this default asks it once per
+        message, in outbox order, with ``sent_at`` already set. Override
+        the batch call only to compute those same delays, in that same
+        order, more cheaply (as :class:`ObliviousAdversary` does) — and
+        then anything that wraps or subclasses the adversary to change
+        ``assign_delay`` must bring the batch call back to this loop.
+        """
+        assign_delay = self.assign_delay
+        for msg in outbox:
+            msg.sent_at = t
+            msg.delay = int(assign_delay(msg))
 
     def corrupt_outbox(self, t: int, pid: int, outbox):
         """Rewrite the messages ``pid`` emitted at step ``t``.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..sim.errors import ConfigurationError
 from ..sim.message import Message, base_kind
@@ -166,6 +166,10 @@ class ByzantineAdversary(Adversary):
 
     def assign_delay(self, msg: Message) -> int:
         return self.inner.assign_delay(msg)
+
+    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+        # Sound only because ``assign_delay`` above is a pure forward.
+        self.inner.delay_outbox(outbox, t)
 
     def has_pending_events(self, t: int) -> bool:
         return self.inner.has_pending_events(t)

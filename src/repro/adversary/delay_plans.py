@@ -11,10 +11,25 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from hashlib import sha256
-from typing import Iterable, Tuple
+from struct import Struct
+from typing import Iterable, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
 from ..sim.message import Message
+
+#: Outboxes shorter than this are stamped message by message: hashing the
+#: shared prefix on its own costs more than it saves one or two messages
+#: (every EARS step sends that few).
+_SHORT_OUTBOX = 3
+
+_FIRST_WORD = Struct(">I").unpack_from
+#: ASCII decimal digits of the small pids, so the hot loop formats none.
+_DIGITS = tuple(b"%d" % pid for pid in range(1024))
+
+
+def _keyed(text: str):
+    """A SHA-256 state that has absorbed ``text``."""
+    return sha256(text.encode())
 
 
 class DelayPlan(ABC):
@@ -26,6 +41,15 @@ class DelayPlan(ABC):
     @abstractmethod
     def assign(self, msg: Message) -> int:
         """Delay in ``[1, target_d]`` for ``msg``."""
+
+    def stamp(self, outbox: Sequence[Message], t: int) -> None:
+        """Stamp ``sent_at = t`` and :meth:`assign`'s delay on each message
+        of an outbox, in order. A plan overrides this only to compute the
+        same delays more cheaply."""
+        assign = self.assign
+        for msg in outbox:
+            msg.sent_at = t
+            msg.delay = int(assign(msg))
 
 
 class FixedDelay(DelayPlan):
@@ -58,10 +82,45 @@ class HashDelay(DelayPlan):
         d = self.target_d
         if d == 1:
             return 1
-        digest = sha256(
-            f"{self.seed}/{msg.src}/{msg.dst}/{msg.sent_at}".encode()
-        ).digest()
-        return 1 + int.from_bytes(digest[:4], "big") % d
+        key = f"{self.seed}/{msg.src}/{msg.dst}/{msg.sent_at}"
+        return 1 + _FIRST_WORD(_keyed(key).digest())[0] % d
+
+    def stamp(self, outbox: Sequence[Message], t: int) -> None:
+        """:meth:`assign`'s delays for a whole outbox.
+
+        Past a couple of messages the ``"{seed}/{src}/"`` prefix is hashed
+        once per run of equal ``src`` (a Byzantine forgery may spoof
+        ``src`` mid-outbox) and each message feeds only its own
+        ``"{dst}/{t}"`` to a copy of that state — the same digest. Nothing
+        is remembered between calls: plans are shared across forks and a
+        hash state does not pickle.
+        """
+        d = self.target_d
+        if d == 1 or len(outbox) < _SHORT_OUTBOX:
+            # The default loop, spelt out: this is every EARS step, where
+            # one more call layer shows.
+            for msg in outbox:
+                msg.sent_at = t
+                msg.delay = self.assign(msg)
+            return
+        seed = self.seed
+        tail = f"/{t}".encode()
+        digits = _DIGITS
+        known = len(digits)
+        first_word = _FIRST_WORD
+        src = prefix = None
+        for msg in outbox:
+            if msg.src != src:
+                src = msg.src
+                prefix = _keyed(f"{seed}/{src}/").copy
+            state = prefix()
+            dst = msg.dst
+            state.update(
+                digits[dst] if 0 <= dst < known else f"{dst}".encode()
+            )
+            state.update(tail)
+            msg.sent_at = t
+            msg.delay = 1 + first_word(state.digest())[0] % d
 
 
 class SlowLinksDelay(DelayPlan):

@@ -23,14 +23,14 @@ until GST.
 
 from __future__ import annotations
 
-import hashlib
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Sequence, Set
 
 from ..sim.errors import ConfigurationError
 from ..sim.message import Message
 from ..sim.scheduler import RoundRobinWindows
 from .base import Adversary
 from .crash_plans import CrashPlan, no_crashes
+from .delay_plans import HashDelay
 
 
 class GstAdversary(Adversary):
@@ -64,14 +64,9 @@ class GstAdversary(Adversary):
         # case: everyone, every step).
         self._pre_gst = RoundRobinWindows(self.pre_gst_delta)
         self._post_gst = RoundRobinWindows(delta)
-
-    # -- helpers ----------------------------------------------------------- #
-
-    def _jitter(self, msg: Message, span: int) -> int:
-        digest = hashlib.sha256(
-            f"{self.seed}/{msg.src}/{msg.dst}/{msg.sent_at}".encode()
-        ).digest()
-        return int.from_bytes(digest[:4], "big") % max(1, span)
+        # The post-GST delay in [1, d], which is also where a message held
+        # through the chaotic prefix lands inside the post-GST window.
+        self._delays = HashDelay(d, seed=seed)
 
     # -- Adversary contract ------------------------------------------------ #
 
@@ -85,15 +80,18 @@ class GstAdversary(Adversary):
         return self._plan(t).scheduled_at(t, alive)
 
     def assign_delay(self, msg: Message) -> int:
-        if msg.sent_at >= self.gst:
-            if self.d == 1:
-                return 1
-            return 1 + self._jitter(msg, self.d)
         # Chaotic prefix: hold the message until (at least) GST, landing
         # it within the post-GST delay window — the adversary exercising
         # unbounded pre-GST delays without breaking eventual delivery.
-        horizon = self.gst - msg.sent_at
-        return max(1, horizon + 1 + self._jitter(msg, self.d))
+        hold = max(0, self.gst - msg.sent_at)
+        return hold + self._delays.assign(msg)
+
+    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+        self._delays.stamp(outbox, t)
+        hold = self.gst - t
+        if hold > 0:
+            for msg in outbox:
+                msg.delay += hold
 
     def has_pending_events(self, t: int) -> bool:
         # Crashes may still fire, and before GST the world still changes.

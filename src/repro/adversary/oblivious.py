@@ -9,7 +9,7 @@ and TEARS efficient.
 from __future__ import annotations
 
 import copy
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Sequence, Set
 
 from ..sim.message import Message
 from ..sim.scheduler import EveryStep, RoundRobinWindows, SchedulePlan
@@ -80,6 +80,9 @@ class ObliviousAdversary(Adversary):
 
     def assign_delay(self, msg: Message) -> int:
         return self.delays.assign(msg)
+
+    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+        self.delays.stamp(outbox, t)
 
     def has_pending_events(self, t: int) -> bool:
         return self.crashes.has_pending(t)

@@ -79,8 +79,7 @@ def mass_in_system(sim: Simulation) -> float:
         sim.algorithm(pid).s for pid in sim.alive_pids
     )
     for pid in range(sim.n):
-        heap = sim.network._pending[pid]
-        total += sum(entry[2].payload[0] for entry in heap)
+        total += sum(msg.payload[0] for msg in sim.network.queued_for(pid))
     return total
 
 

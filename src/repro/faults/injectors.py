@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..adversary.base import Adversary
 from ..sim.events import Observer
 from ..sim.message import Message
 
@@ -269,6 +270,10 @@ class _AdversaryProxy:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+    # Forwarded, the batch call would run the inner adversary's own delay
+    # pass and never reach a subclass's ``assign_delay``.
+    delay_outbox = Adversary.delay_outbox
 
 
 class _BurstDelays(_AdversaryProxy):

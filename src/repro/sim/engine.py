@@ -242,10 +242,7 @@ class Simulation(EngineCore):
                 continue
             # The outbox pipeline: the whole outbox is delayed, then
             # counted, then announced, then enqueued.
-            assign_delay = self.adversary.assign_delay
-            for msg in outbox:
-                msg.sent_at = t
-                msg.delay = int(assign_delay(msg))
+            self.adversary.delay_outbox(outbox, t)
             metrics.record_send(pid, outbox, t)
             if self._obs_send:
                 for msg in outbox:

@@ -65,6 +65,29 @@ class TestForkEquivalence:
         assert sim.now == 5 and fork.now == 10
         assert sim.metrics.messages_sent < fork.metrics.messages_sent
 
+    @pytest.mark.parametrize("algorithm", ["trivial", "tears"])
+    def test_fork_with_unsorted_mailboxes_in_flight(self, algorithm):
+        # δ = 3: whoever is not scheduled keeps receiving, so mailboxes
+        # hold an appended, not yet sorted tail when the fork is taken.
+        def mailboxes(sim):
+            return [
+                [(msg.deliverable_at, msg.uid)
+                 for msg in sim.network.queued_for(pid)]
+                for pid in range(sim.n)
+            ]
+
+        sim = make_sim(algorithm, adversary=ObliviousAdversary.uniform(
+            4, 3, seed=1, crashes=crash_at({3: [15]})))
+        sim.run_for(2)
+        before = mailboxes(sim)
+        assert any(queue != sorted(queue) for queue in before)
+        fork = sim.fork()
+        assert mailboxes(fork) == before
+        forked = finish(fork)
+        assert mailboxes(sim) == before
+        assert sim.network.in_flight == sum(map(len, before))
+        assert forked == finish(sim)
+
     @pytest.mark.parametrize("kind", ["targeted-delay", "crash-eager"])
     def test_fork_with_adaptive_adversary(self, kind):
         if kind == "targeted-delay":

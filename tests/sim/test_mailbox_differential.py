@@ -1,0 +1,293 @@
+"""Append-and-sort mailboxes against the heaps they replaced.
+
+``HeapNetwork`` is the per-receiver-heap ``Network`` as it stood before the
+mailboxes became lists, kept verbatim as the oracle. Every operation is
+applied to both and every observable compared afterwards: the inbox (same
+uids, same order), the counters, and the queue queries.
+"""
+
+import heapq
+import random
+from typing import Container, Dict, List, Optional, Sequence
+
+import pytest
+
+from repro.sim.errors import InvalidDelayError
+from repro.sim.message import Message, is_byzantine_kind
+from repro.sim.network import Network
+
+
+class HeapNetwork:
+    """Per-receiver priority queues of in-flight messages."""
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        # Heap entries are (deliverable_at, uid, message) so ties break on
+        # send order, keeping executions deterministic.
+        self._pending: Dict[int, List] = {pid: [] for pid in range(n)}
+        self._in_flight = 0
+        self.total_enqueued = 0
+        self.byz_enqueued = 0
+        self.max_delivered_delay = 0
+
+    @property
+    def in_flight(self) -> int:
+        return self._in_flight
+
+    def enqueue(self, outbox: Sequence[Message], alive: Container[int]) -> int:
+        pending = self._pending
+        push = heapq.heappush
+        dropped = 0
+        byz = 0
+        kind = None
+        tagged = False
+        for msg in outbox:
+            delay = msg.delay
+            if delay < 1:
+                raise InvalidDelayError(
+                    f"message delay must be >= 1, got {delay}"
+                )
+            dst = msg.dst
+            if dst not in alive:
+                dropped += 1
+                continue
+            push(pending[dst], (msg.sent_at + delay, msg.uid, msg))
+            if msg.kind is not kind:
+                kind = msg.kind
+                tagged = is_byzantine_kind(kind)
+            if tagged:
+                byz += 1
+        queued = len(outbox) - dropped
+        self._in_flight += queued
+        self.total_enqueued += queued
+        self.byz_enqueued += byz
+        return dropped
+
+    def collect(self, pid: int, now: int) -> List[Message]:
+        heap = self._pending[pid]
+        inbox: List[Message] = []
+        if not heap or heap[0][0] > now:
+            return inbox
+        pop = heapq.heappop
+        deliver = inbox.append
+        longest = self.max_delivered_delay
+        while heap and heap[0][0] <= now:
+            msg = pop(heap)[2]
+            deliver(msg)
+            if msg.delay > longest:
+                longest = msg.delay
+        self.max_delivered_delay = longest
+        self._in_flight -= len(inbox)
+        return inbox
+
+    def remove(self, dst: int, uid: int) -> bool:
+        heap = self._pending.get(dst, ())
+        for index, entry in enumerate(heap):
+            if entry[1] == uid:
+                del heap[index]
+                heapq.heapify(heap)
+                self._in_flight -= 1
+                return True
+        return False
+
+    def drop_all_for(self, pid: int) -> int:
+        dropped = len(self._pending[pid])
+        self._pending[pid] = []
+        self._in_flight -= dropped
+        return dropped
+
+    def clone(self) -> "HeapNetwork":
+        dup = HeapNetwork.__new__(HeapNetwork)
+        dup._n = self._n
+        dup._pending = {pid: list(heap) for pid, heap in self._pending.items()}
+        dup._in_flight = self._in_flight
+        dup.total_enqueued = self.total_enqueued
+        dup.byz_enqueued = self.byz_enqueued
+        dup.max_delivered_delay = self.max_delivered_delay
+        return dup
+
+    def pending_for(self, pid: int) -> int:
+        return len(self._pending[pid])
+
+    def earliest_deliverable(self, pid: int) -> Optional[int]:
+        heap = self._pending[pid]
+        if not heap:
+            return None
+        return heap[0][0]
+
+    def earliest_deliverable_any(self) -> Optional[int]:
+        earliest: Optional[int] = None
+        for heap in self._pending.values():
+            if heap and (earliest is None or heap[0][0] < earliest):
+                earliest = heap[0][0]
+        return earliest
+
+
+def uids(inbox):
+    return [msg.uid for msg in inbox]
+
+
+def observables(net, n):
+    return {
+        "in_flight": net.in_flight,
+        "total_enqueued": net.total_enqueued,
+        "byz_enqueued": net.byz_enqueued,
+        "max_delivered_delay": net.max_delivered_delay,
+        "pending_for": [net.pending_for(pid) for pid in range(n)],
+        "earliest": [net.earliest_deliverable(pid) for pid in range(n)],
+        "earliest_any": net.earliest_deliverable_any(),
+    }
+
+
+class Pair:
+    """The list network and the heap oracle, driven in lockstep."""
+
+    def __init__(self, n):
+        self.n = n
+        self.new = Network(n)
+        self.old = HeapNetwork(n)
+        self.alive = set(range(n))
+        self.uids = []
+
+    def agree(self):
+        assert observables(self.new, self.n) == observables(self.old, self.n)
+        for pid in range(self.n):
+            queued = list(self.new.queued_for(pid))
+            assert len(queued) == self.new.pending_for(pid)
+            assert all(msg.dst == pid for msg in queued)
+
+    def enqueue(self, now, sends):
+        """``sends``: (dst, delay[, kind]) per message, stamped at ``now``."""
+        outbox = [
+            Message(src=0, dst=send[0], payload=None,
+                    kind=send[2] if len(send) > 2 else "gossip",
+                    sent_at=now, delay=send[1])
+            for send in sends
+        ]
+        self.uids += [(msg.dst, msg.uid) for msg in outbox]
+        assert (self.new.enqueue(outbox, self.alive)
+                == self.old.enqueue(outbox, self.alive))
+        self.agree()
+
+    def collect(self, pid, now):
+        got = self.new.collect(pid, now)
+        assert isinstance(got, list)
+        assert uids(got) == uids(self.old.collect(pid, now))
+        self.agree()
+        return got
+
+    def remove(self, dst, uid):
+        assert self.new.remove(dst, uid) == self.old.remove(dst, uid)
+        self.agree()
+
+    def crash(self, pid):
+        self.alive.discard(pid)
+        assert self.new.drop_all_for(pid) == self.old.drop_all_for(pid)
+        self.agree()
+
+    def fork(self):
+        """Continue on clones; hand back the originals and their state."""
+        left_behind = (self.new, self.old, observables(self.new, self.n))
+        self.new, self.old = self.new.clone(), self.old.clone()
+        self.agree()
+        return left_behind
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_interleavings_agree_after_every_operation(seed):
+    rng = random.Random(seed)
+    n = 5
+    pair = Pair(n)
+    now = 0
+    left_behind = []
+    for _ in range(250):
+        op = rng.random()
+        if op < 0.40:
+            pair.enqueue(now, [
+                (rng.randrange(n), rng.randint(1, 5),
+                 rng.choice(("gossip", "gossip", "byz:tamper:gossip")))
+                for _ in range(rng.randrange(7))
+            ])
+        elif op < 0.75:
+            pair.collect(rng.randrange(n), now)
+        elif op < 0.83 and pair.uids:
+            # Queued, already delivered, or never queued (dead dst): all
+            # three must answer alike.
+            pair.remove(*rng.choice(pair.uids))
+        elif op < 0.86:
+            pair.crash(rng.randrange(n))
+        elif op < 0.90:
+            left_behind.append(pair.fork())
+        else:
+            now += rng.randint(1, 3)
+    # Drain: every survivor's inbox, in order, to the end.
+    for pid in range(n):
+        pair.collect(pid, now + 10)
+    assert pair.new.in_flight == 0
+    # Nothing done to a clone reached the network it was cloned from,
+    # which still delivers what it held, in order.
+    for new, old, seen in left_behind:
+        assert observables(new, n) == observables(old, n) == seen
+        for pid in range(n):
+            assert uids(new.collect(pid, now + 10)) == uids(
+                old.collect(pid, now + 10))
+
+
+def test_polls_of_an_unchanged_queue_and_of_nothing_due():
+    pair = Pair(3)
+    pair.enqueue(0, [(1, 4), (1, 2), (1, 4), (1, 3)])
+    assert pair.collect(1, 1) == []          # sorted now, nothing due
+    assert pair.collect(1, 1) == []          # unchanged since that poll
+    assert len(pair.collect(1, 3)) == 2      # a partial prefix
+    assert pair.collect(1, 3) == []          # unchanged, rest not due
+    pair.enqueue(3, [(1, 1), (1, 5), (2, 1)])
+    assert len(pair.collect(1, 4)) == 3      # old leftovers + new arrival
+    assert len(pair.collect(1, 100)) == 1
+    assert pair.collect(1, 100) == []        # empty
+
+
+def test_a_larger_delay_after_the_ceiling_was_reached():
+    pair = Pair(3)
+    pair.enqueue(0, [(1, 2), (2, 2)])
+    pair.collect(1, 2)
+    assert pair.new.max_delivered_delay == 2     # the ceiling so far
+    pair.enqueue(2, [(2, 1)])
+    pair.collect(2, 3)                           # steady state: no rescan
+    pair.enqueue(3, [(1, 5), (2, 1)])            # the ceiling moves up
+    pair.collect(2, 4)
+    assert pair.new.max_delivered_delay == 2     # ... but 5 is undelivered
+    pair.collect(1, 8)
+    assert pair.new.max_delivered_delay == 5
+
+
+def test_the_largest_delay_may_never_be_delivered():
+    pair = Pair(3)
+    pair.enqueue(0, [(1, 9), (2, 1)])
+    pair.crash(1)
+    pair.enqueue(0, [(1, 12), (2, 3)])           # to the dead: not queued
+    pair.collect(2, 1)
+    pair.collect(2, 3)
+    assert pair.new.max_delivered_delay == 3
+
+
+def test_removal_from_the_sorted_part_and_from_the_unsorted_tail():
+    pair = Pair(2)
+    pair.enqueue(0, [(1, 5), (1, 3), (1, 4)])
+    pair.collect(1, 0)                           # sorts, delivers nothing
+    pair.remove(*pair.uids[1])                   # out of the sorted part
+    pair.enqueue(0, [(1, 1)])                    # back to the sorted length
+    assert len(pair.collect(1, 1)) == 1
+    pair.enqueue(1, [(1, 2), (1, 1)])            # unsorted tail
+    pair.remove(*pair.uids[-1])                  # out of the tail
+    pair.remove(*pair.uids[0])
+    pair.enqueue(1, [(1, 1)])
+    assert len(pair.collect(1, 10)) == 3
+
+
+def test_a_clone_that_sorts_leaves_the_original_to_sort_for_itself():
+    pair = Pair(2)
+    pair.enqueue(0, [(1, 3), (1, 1), (1, 2)])    # never polled: unsorted
+    new, old, _ = pair.fork()
+    assert pair.collect(1, 0) == []              # the clone sorts its copy
+    assert uids(new.collect(1, 10)) == uids(old.collect(1, 10))
+    assert len(pair.collect(1, 10)) == 3

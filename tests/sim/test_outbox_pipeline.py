@@ -14,10 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.base import Adversary
+from repro.api import GOSSIP_ALGORITHMS
+from repro.core.base import make_processes
+from repro.sim.engine import Simulation
 from repro.sim.errors import AlgorithmError, InvalidDelayError
 from repro.sim.events import Observer
 from repro.sim.message import Message, is_byzantine_kind
 from repro.sim.metrics import Metrics
+from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.network import Network
 from repro.sim.process import Context
 from repro.spec import RunSpec, build
@@ -114,6 +119,21 @@ class TestEnqueueOutbox:
         with pytest.raises(InvalidDelayError):
             Network(4).enqueue(outbox, alive=range(4))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_an_enqueue_that_raises_queues_nothing(self, position):
+        net = Network(4)
+        net.enqueue([stamped(1, 2)], alive=range(4))
+        outbox = [stamped(1, 1), stamped(2, 1, "byz:tamper:gossip"),
+                  stamped(3, 1)]
+        outbox[position].delay = 0
+        with pytest.raises(InvalidDelayError):
+            net.enqueue(outbox, alive=range(4))
+        # Queues and counters still agree for whoever catches the error.
+        assert [net.pending_for(pid) for pid in range(4)] == [0, 1, 0, 0]
+        assert (net.in_flight, net.total_enqueued, net.byz_enqueued) == (
+            1, 1, 0)
+        assert len(net.collect(1, 5)) == 1
+
     def test_remove_takes_one_queued_message_out(self):
         net = Network(3)
         outbox = [stamped(1, delay) for delay in (3, 1, 2)]
@@ -199,38 +219,66 @@ class TestSendMany:
 
 
 TRACED_BOUNDARIES = {
-    "adversary": ("schedule_at", "crashes_at", "assign_delay",
+    "adversary": ("schedule_at", "crashes_at", "delay_outbox",
                   "next_event_at"),
     "network": ("enqueue", "collect"),
     "metrics": ("record_send", "record_delivery", "record_scheduled"),
 }
 
 
-def test_engine_calls_every_traced_layer_boundary_on_the_instance():
-    """benchmarks/e2e/tracing.py times the layers by replacing these nine
-    methods on the built instances; an engine that cached a bound method
-    at construction, or routed around one, would leave its layer dark."""
-    built = build(RunSpec(algorithm="ears", n=16, f=4, crashes=2,
-                          d=2, delta=2, seed=3))
-    calls = Counter()
-
-    def spy(owner, attr):
-        inner = getattr(owner, attr)
-
-        def delegate(*args, **kwargs):
-            calls[attr] += 1
-            return inner(*args, **kwargs)
+def spy_on(owner, attrs, calls):
+    for attr in attrs:
+        def delegate(*args, _inner=getattr(owner, attr), _attr=attr,
+                     **kwargs):
+            calls[_attr] += 1
+            return _inner(*args, **kwargs)
 
         setattr(owner, attr, delegate)
 
+
+def test_engine_calls_every_traced_layer_boundary_on_the_instance():
+    """benchmarks/e2e/tracing.py times the layers by replacing methods on
+    the built instances; an engine that cached a bound method at
+    construction, or routed around one, would leave its layer dark. The
+    adversary's delay boundary is ``delay_outbox``."""
+    built = build(RunSpec(algorithm="ears", n=16, f=4, crashes=2,
+                          d=2, delta=2, seed=3))
+    calls = Counter()
     for layer, attrs in TRACED_BOUNDARIES.items():
-        for attr in attrs:
-            spy(getattr(built.sim, layer), attr)
+        spy_on(getattr(built.sim, layer), attrs, calls)
     result = built.run()
     assert result.completed
     assert all(calls[attr] > 0 for attrs in TRACED_BOUNDARIES.values()
                for attr in attrs), calls
-    # One span per sending process-step, one delay per message.
-    assert calls["record_send"] == calls["enqueue"]
+    # One span of each send-path layer per sending process-step.
+    assert calls["delay_outbox"] == calls["record_send"] == calls["enqueue"]
     assert calls["enqueue"] <= calls["record_scheduled"]
-    assert calls["assign_delay"] == built.sim.metrics.messages_sent
+
+
+class OnlyAssignDelay(Adversary):
+    """All a third-party adversary has to implement."""
+
+    def crashes_at(self, t):
+        return set()
+
+    def schedule_at(self, t, alive):
+        return set(alive)
+
+    def assign_delay(self, msg):
+        return 1 + (msg.src + msg.dst) % 3
+
+
+def test_an_adversary_that_only_implements_assign_delay_is_asked_per_message():
+    n = 12
+    sim = Simulation(
+        n=n, f=0, algorithms=make_processes(n, 0, GOSSIP_ALGORITHMS["ears"]),
+        adversary=OnlyAssignDelay(), monitor=GossipCompletionMonitor(),
+        seed=2,
+    )
+    calls = Counter()
+    spy_on(sim.adversary, ("assign_delay", "delay_outbox"), calls)
+    spy_on(sim.metrics, ("record_send",), calls)
+    assert sim.run(max_steps=5_000).completed
+    assert calls["delay_outbox"] == calls["record_send"] > 0
+    assert calls["assign_delay"] == sim.metrics.messages_sent
+    assert sim.metrics.realized_d == 3
