@@ -236,13 +236,11 @@ class LowerBoundExperiment:
             self.seed, "lb-sample", p, i
         )
         base_sent = fork.metrics.messages_by_sender[p]
-        base_pairs = {
-            q: fork.metrics.messages_by_pair[(p, q)] for q in peers
-        }
+        base_pairs = {q: fork.metrics.pair_count(p, q) for q in peers}
         fork.run_for(self.isolated_steps)
         contacted = {
             q for q in peers
-            if fork.metrics.messages_by_pair[(p, q)] > base_pairs[q]
+            if fork.metrics.pair_count(p, q) > base_pairs[q]
         }
         return fork.metrics.messages_by_sender[p] - base_sent, contacted
 
@@ -327,6 +325,17 @@ class LowerBoundExperiment:
     def _run_case_2(self, sim, adversary, phase1_time, promiscuous,
                     nonpromiscuous, expected_sends, silence
                     ) -> LowerBoundReport:
+        """Isolate a mutually-silent pair and crash whoever they contact.
+
+        After each step the newly contacted S1 processes are crashed while
+        the budget lasts, the lower pid's destinations first, each in
+        first-send order — the order the engine stepped ``{p, q}``. Which
+        pairs get visited *first* only matters on the step the budget runs
+        out, and there every still-live contact was first contacted on
+        that very step (an earlier one was crashed when it was), so this
+        is the same crash sequence as walking all pairs in global
+        first-send order.
+        """
         pool = nonpromiscuous if len(nonpromiscuous) >= 2 else self.s2
         p, q = self._pick_pair(pool, silence)
 
@@ -339,28 +348,24 @@ class LowerBoundExperiment:
         adversary.delay = 1
         adversary.suppress_delivery_until = None
 
-        cross_before = (
-            sim.metrics.messages_by_pair[(p, q)]
-            + sim.metrics.messages_by_pair[(q, p)]
-        )
-        pair_snapshot = dict(sim.metrics.messages_by_pair)
+        pair_count = sim.metrics.pair_count
+        cross_before = pair_count(p, q) + pair_count(q, p)
+        s1 = set(self.s1)
+        seen = {src: dict(sim.metrics.sent_to(src)) for src in (p, q)}
         for _ in range(self.isolated_steps):
             sim.step()
             # Fail every S1 process p or q contacted, before it can act
             # (it is never scheduled anyway, but the proof crashes it).
-            for (src, dst), count in sim.metrics.messages_by_pair.items():
-                if src in (p, q) and dst in set(self.s1):
-                    if count > pair_snapshot.get((src, dst), 0):
-                        pair_snapshot[(src, dst)] = count
+            for src in sorted((p, q)):
+                for dst, count in sim.metrics.sent_to(src).items():
+                    if dst in s1 and count > seen[src].get(dst, 0):
+                        seen[src][dst] = count
                         if (sim.is_alive(dst)
                                 and sim.metrics.crashes < self.requested_f):
                             sim.crash(dst)
                             crashes_used += 1
 
-        cross_after = (
-            sim.metrics.messages_by_pair[(p, q)]
-            + sim.metrics.messages_by_pair[(q, p)]
-        )
+        cross_after = pair_count(p, q) + pair_count(q, p)
         exchanged_rumors = (
             sim.algorithm(p).knows_rumor_of(q)
             or sim.algorithm(q).knows_rumor_of(p)

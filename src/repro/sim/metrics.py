@@ -9,9 +9,11 @@ these are per-execution quantities the algorithm never sees.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from operator import attrgetter
+from types import MappingProxyType
+from typing import DefaultDict, Dict, Mapping, Optional
 
 from .message import is_byzantine_kind
 
@@ -19,6 +21,8 @@ from .message import is_byzantine_kind
 #: engine's columnar ``last_scheduled`` arrays use it directly; the scalar
 #: :class:`Metrics` maps its ``dict.get(pid) is None`` case onto it.
 NEVER_SCHEDULED = -1
+
+_dst = attrgetter("dst")
 
 
 def trailing_gap(end, last_scheduled):
@@ -57,9 +61,6 @@ class Metrics:
     messages_dropped: int = 0
     messages_by_kind: Counter = field(default_factory=Counter)
     messages_by_sender: Counter = field(default_factory=Counter)
-    #: Point-to-point (src, dst) counts; the Theorem 1 adversary reads these
-    #: to classify processes and find mutually-silent pairs.
-    messages_by_pair: Counter = field(default_factory=Counter)
     #: Estimated payload bits sent (populated only when the simulation has
     #: a bit meter attached; see repro.sim.bits).
     bits_sent: int = 0
@@ -83,6 +84,11 @@ class Metrics:
     last_send_time: Optional[int] = None
 
     _last_scheduled: Dict[int, int] = field(default_factory=dict)
+    # Point-to-point counts, one plain ``{dst: count}`` dict per sender;
+    # read through ``pair_count`` / ``sent_to`` / ``messages_by_pair``.
+    _sent_to: DefaultDict[int, Dict[int, int]] = field(
+        default_factory=lambda: defaultdict(dict)
+    )
 
     def record_send(self, sender: int, outbox, now: int) -> None:
         """Count one process-step's outbox: every message in it was sent
@@ -90,21 +96,21 @@ class Metrics:
 
         ``sender`` is the process that took the step, whatever ``msg.src``
         claims (a Byzantine forgery spoofs the field, not the accounting).
-        Totals move once per outbox and the per-kind counters once per run
-        of equal kinds; only ``messages_by_pair`` is per message.
+        Totals move once per outbox, the pair counts in one C counting
+        loop over the destinations, and the per-kind counters once per run
+        of equal kinds — the run detection is the one statement left per
+        message (cheaper than any C spelling measured, see
+        docs/performance.md).
         """
         if not outbox:
             return
         count = len(outbox)
         self.messages_sent += count
         self.messages_by_sender[sender] += count
-        by_pair = self.messages_by_pair
-        pair_count = by_pair.get
+        _count_elements(self._sent_to[sender], map(_dst, outbox))
         kind = outbox[0].kind
         run = 0
         for msg in outbox:
-            pair = (sender, msg.dst)
-            by_pair[pair] = pair_count(pair, 0) + 1
             if msg.kind is not kind:
                 self._count_kind(kind, run)
                 kind = msg.kind
@@ -117,6 +123,26 @@ class Metrics:
         self.messages_by_kind[kind] += count
         if is_byzantine_kind(kind):
             self.byz_messages_sent += count
+
+    def pair_count(self, src: int, dst: int) -> int:
+        """Messages ``src`` has sent to ``dst``; O(1)."""
+        return self._sent_to.get(src, {}).get(dst, 0)
+
+    def sent_to(self, src: int) -> Mapping[int, int]:
+        """Read-only live view of ``{dst: count}`` for everything ``src``
+        has sent, destinations in first-send order."""
+        return MappingProxyType(self._sent_to.get(src, {}))
+
+    @property
+    def messages_by_pair(self) -> Counter:
+        """Point-to-point ``(src, dst)`` counts as a fresh ``Counter`` —
+        O(pairs) to build, for tests and outside readers; code that asks
+        per step uses :meth:`pair_count` / :meth:`sent_to`."""
+        return Counter({
+            (src, dst): count
+            for src, counts in self._sent_to.items()
+            for dst, count in counts.items()
+        })
 
     def record_delivery(self, count: int, max_delay: int) -> None:
         self.messages_delivered += count
@@ -173,7 +199,6 @@ class Metrics:
             messages_dropped=self.messages_dropped,
             messages_by_kind=Counter(self.messages_by_kind),
             messages_by_sender=Counter(self.messages_by_sender),
-            messages_by_pair=Counter(self.messages_by_pair),
             bits_sent=self.bits_sent,
             byz_messages_sent=self.byz_messages_sent,
             steps_elapsed=self.steps_elapsed,
@@ -185,6 +210,9 @@ class Metrics:
             completion_time=self.completion_time,
             last_send_time=self.last_send_time,
             _last_scheduled=dict(self._last_scheduled),
+            _sent_to=defaultdict(dict, {
+                src: dict(counts) for src, counts in self._sent_to.items()
+            }),
         )
 
     @property

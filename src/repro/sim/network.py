@@ -11,25 +11,38 @@ known bound.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterator, List, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import attrgetter
+from typing import (
+    Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import InvalidDelayError
 from .message import Message, is_byzantine_kind
 
+_uid = attrgetter("uid")
+_delay = attrgetter("delay")
+
 
 class Network:
-    """Per-receiver queues of in-flight messages."""
+    """Per-receiver mailboxes of in-flight messages, bucketed by delivery
+    time.
+
+    A mailbox is ``{deliverable_at: [messages, in arrival order]}`` plus a
+    heap of that receiver's distinct pending *times* — one heap entry per
+    slot, not per message, so between ``send_many`` and ``on_step`` the
+    :class:`Message` itself is the only thing allocated per message.
+    """
 
     def __init__(self, n: int) -> None:
         self._n = n
-        # Queue entries are (deliverable_at, uid, message): sorting them
-        # breaks ties on send order, keeping executions deterministic, and
-        # never compares two messages (uids are unique). ``enqueue``
-        # appends; a queue is only put in order when it is polled.
-        self._pending: Dict[int, List] = {pid: [] for pid in range(n)}
-        # Per queue, its length when ``collect`` last left it — in order.
-        # A longer queue has an unsorted tail appended since.
-        self._sorted = [0] * n
+        self._slots: Dict[int, Dict[int, List[Message]]] = {
+            pid: {} for pid in range(n)
+        }
+        # The keys of ``_slots[pid]`` as a heap: "nothing due" and the
+        # earliest pending time are both ``times[0]``.
+        self._times: Dict[int, List[int]] = {pid: [] for pid in range(n)}
         self._in_flight = 0
         self.total_enqueued = 0
         #: Messages that entered the queues carrying a ``byz:*`` provenance
@@ -40,6 +53,14 @@ class Network:
         # is): a ceiling on ``max_delivered_delay``, which ``collect`` stops
         # re-scanning for once it is reached.
         self._delay_ceiling = 1
+        # Largest uid ever queued. A message at or below it arrived out of
+        # uid order (a replay, a forgery, a hand-built outbox) and gets its
+        # ``(dst, deliverable_at)`` slot marked for a uid sort at delivery;
+        # every other slot is in ``(deliverable_at, uid)`` order as it
+        # stands. A mark that outlives its slot (``remove``, a crash) costs
+        # at most one sort of an ordered slot.
+        self._newest_uid = -1
+        self._unordered: Set[Tuple[int, int]] = set()
 
     @property
     def in_flight(self) -> int:
@@ -65,7 +86,8 @@ class Network:
                     f"message delay must be >= 1, got {delay}"
                 )
         self._delay_ceiling = ceiling
-        pending = self._pending
+        mailboxes = self._slots
+        newest = self._newest_uid
         dropped = 0
         byz = 0
         kind = None
@@ -75,12 +97,25 @@ class Network:
             if dst not in alive:
                 dropped += 1
                 continue
-            pending[dst].append((msg.sent_at + msg.delay, msg.uid, msg))
+            at = msg.sent_at + msg.delay
+            slots = mailboxes[dst]
+            slot = slots.get(at)
+            if slot is None:
+                slots[at] = [msg]
+                heappush(self._times[dst], at)
+            else:
+                slot.append(msg)
+            uid = msg.uid
+            if uid > newest:
+                newest = uid
+            else:
+                self._unordered.add((dst, at))
             if msg.kind is not kind:
                 kind = msg.kind
                 tagged = is_byzantine_kind(kind)
             if tagged:
                 byz += 1
+        self._newest_uid = newest
         queued = len(outbox) - dropped
         self._in_flight += queued
         self.total_enqueued += queued
@@ -97,41 +132,51 @@ class Network:
         delay. (An adversary wanting later delivery simply assigns a larger
         delay at send time, which is what determines the execution's ``d``.)
         ``max_delivered_delay`` is folded over everything handed out.
+
+        Due slots are popped off the heap of times and concatenated —
+        O(due slots · log pending times), and O(1) when nothing is due.
+        Only a slot ``enqueue`` marked as out of uid order is sorted.
         """
-        queue = self._pending[pid]
-        if not queue:
+        times = self._times[pid]
+        if not times or times[0] > now:
             return []
-        if len(queue) != self._sorted[pid]:
-            # Sorted prefix plus appended tail: near-linear for timsort.
-            queue.sort()
-        inbox: List[Message] = []
-        for entry in queue:
-            if entry[0] > now:
+        slots = self._slots[pid]
+        unordered = self._unordered
+        inbox: Optional[List[Message]] = None
+        while True:
+            at = heappop(times)
+            slot = slots.pop(at)
+            if unordered and (pid, at) in unordered:
+                unordered.discard((pid, at))
+                slot.sort(key=_uid)
+            if inbox is None:
+                inbox = slot
+            else:
+                inbox += slot
+            if not times or times[0] > now:
                 break
-            inbox.append(entry[2])
-        due = len(inbox)
-        self._sorted[pid] = len(queue) - due
-        if not due:
-            return inbox
-        del queue[:due]
         if self.max_delivered_delay < self._delay_ceiling:
             self.max_delivered_delay = max(
-                self.max_delivered_delay, max(msg.delay for msg in inbox)
+                self.max_delivered_delay, max(map(_delay, inbox))
             )
-        self._in_flight -= due
+        self._in_flight -= len(inbox)
         return inbox
 
     def remove(self, dst: int, uid: int) -> bool:
         """Take the queued message ``uid`` out of ``dst``'s queue (a lossy
         link, used by fault injection); returns whether it was there."""
-        queue = self._pending.get(dst, ())
-        for index, entry in enumerate(queue):
-            if entry[1] == uid:
-                del queue[index]
-                if index < self._sorted[dst]:
-                    self._sorted[dst] -= 1
-                self._in_flight -= 1
-                return True
+        slots = self._slots.get(dst, {})
+        for at, slot in slots.items():
+            for index, msg in enumerate(slot):
+                if msg.uid == uid:
+                    del slot[index]
+                    if not slot:
+                        del slots[at]
+                        times = self._times[dst]
+                        times.remove(at)
+                        heapify(times)
+                    self._in_flight -= 1
+                    return True
         return False
 
     def drop_all_for(self, pid: int) -> int:
@@ -141,51 +186,54 @@ class Network:
         can never be received. Dropping them keeps the ``in_flight`` counter
         meaningful for quiescence detection.
         """
-        dropped = len(self._pending[pid])
-        self._pending[pid] = []
-        self._sorted[pid] = 0
+        dropped = self.pending_for(pid)
+        self._slots[pid] = {}
+        self._times[pid] = []
         self._in_flight -= dropped
         return dropped
 
     def clone(self) -> "Network":
         """O(in-flight) copy for simulation forking.
 
-        Queues are list copies, and the :class:`Message` objects themselves
-        are **shared** between the original and the clone: a message is
-        frozen once enqueued — the adversary assigns ``sent_at``/``delay``
-        before :meth:`enqueue` and no one mutates it afterwards — so
-        sharing is safe and keeps the fork cost proportional to queue
-        length, not payload size.
+        Slots and heaps are copied, and the :class:`Message` objects
+        themselves are **shared** between the original and the clone: a
+        message is frozen once enqueued — the adversary assigns
+        ``sent_at``/``delay`` before :meth:`enqueue` and no one mutates it
+        afterwards — so sharing is safe and keeps the fork cost
+        proportional to queue length, not payload size.
         """
         dup = Network.__new__(Network)
         dup._n = self._n
-        dup._pending = {pid: list(q) for pid, q in self._pending.items()}
-        dup._sorted = list(self._sorted)
+        dup._slots = {
+            pid: {at: list(slot) for at, slot in slots.items()}
+            for pid, slots in self._slots.items()
+        }
+        dup._times = {pid: list(times) for pid, times in self._times.items()}
         dup._in_flight = self._in_flight
         dup.total_enqueued = self.total_enqueued
         dup.byz_enqueued = self.byz_enqueued
         dup.max_delivered_delay = self.max_delivered_delay
         dup._delay_ceiling = self._delay_ceiling
+        dup._newest_uid = self._newest_uid
+        dup._unordered = set(self._unordered)
         return dup
 
     def queued_for(self, pid: int) -> Iterator[Message]:
         """The messages currently queued for ``pid``, in no particular
         order."""
-        return (entry[2] for entry in self._pending[pid])
+        return chain.from_iterable(self._slots[pid].values())
 
     def pending_for(self, pid: int) -> int:
         """Number of messages currently queued for ``pid``."""
-        return len(self._pending[pid])
+        return sum(map(len, self._slots[pid].values()))
 
     def earliest_deliverable(self, pid: int) -> Optional[int]:
         """Earliest ``deliverable_at`` among messages queued for ``pid``.
 
         Returns ``None`` when the queue is empty.
         """
-        queue = self._pending[pid]
-        if not queue:
-            return None
-        return min(queue)[0]
+        times = self._times[pid]
+        return times[0] if times else None
 
     def earliest_deliverable_any(self) -> Optional[int]:
         """Earliest ``deliverable_at`` across *all* receivers, or ``None``
@@ -199,6 +247,6 @@ class Network:
         plans.)
         """
         return min(
-            (min(queue)[0] for queue in self._pending.values() if queue),
+            (times[0] for times in self._times.values() if times),
             default=None,
         )

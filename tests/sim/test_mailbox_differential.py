@@ -1,9 +1,10 @@
-"""Append-and-sort mailboxes against the heaps they replaced.
+"""Time-slot mailboxes against the per-message heaps they replaced.
 
 ``HeapNetwork`` is the per-receiver-heap ``Network`` as it stood before the
-mailboxes became lists, kept verbatim as the oracle. Every operation is
-applied to both and every observable compared afterwards: the inbox (same
-uids, same order), the counters, and the queue queries.
+mailboxes stopped holding an entry per message, kept verbatim as the
+oracle. Every operation is applied to both and every observable compared
+afterwards: the inbox (same uids, same order), the counters, and the queue
+queries.
 """
 
 import heapq
@@ -140,7 +141,7 @@ def observables(net, n):
 
 
 class Pair:
-    """The list network and the heap oracle, driven in lockstep."""
+    """The slot network and the heap oracle, driven in lockstep."""
 
     def __init__(self, n):
         self.n = n
@@ -156,8 +157,9 @@ class Pair:
             assert len(queued) == self.new.pending_for(pid)
             assert all(msg.dst == pid for msg in queued)
 
-    def enqueue(self, now, sends):
-        """``sends``: (dst, delay[, kind]) per message, stamped at ``now``."""
+    def enqueue(self, now, sends, order=None):
+        """``sends``: (dst, delay[, kind]) per message, stamped at ``now``
+        and given uids in list order; enqueued as ``order(outbox)``."""
         outbox = [
             Message(src=0, dst=send[0], payload=None,
                     kind=send[2] if len(send) > 2 else "gossip",
@@ -165,6 +167,10 @@ class Pair:
             for send in sends
         ]
         self.uids += [(msg.dst, msg.uid) for msg in outbox]
+        self.send(order(outbox) if order else outbox)
+        return outbox
+
+    def send(self, outbox):
         assert (self.new.enqueue(outbox, self.alive)
                 == self.old.enqueue(outbox, self.alive))
         self.agree()
@@ -291,3 +297,78 @@ def test_a_clone_that_sorts_leaves_the_original_to_sort_for_itself():
     assert pair.collect(1, 0) == []              # the clone sorts its copy
     assert uids(new.collect(1, 10)) == uids(old.collect(1, 10))
     assert len(pair.collect(1, 10)) == 3
+
+
+def backwards(outbox):
+    return outbox[::-1]
+
+
+def test_an_outbox_enqueued_backwards_is_delivered_in_uid_order():
+    pair = Pair(3)
+    pair.enqueue(0, [(1, 2), (1, 2), (2, 2), (1, 2), (1, 3), (1, 3)],
+                 order=backwards)
+    got = pair.collect(1, 3)                     # two slots, both marked
+    assert uids(got) == sorted(uids(got)) and len(got) == 5
+    assert len(pair.collect(2, 3)) == 1
+
+
+def test_an_older_message_arriving_later_in_the_same_slot():
+    pair = Pair(3)
+    early = Message(src=0, dst=1, payload=None, sent_at=0, delay=3)
+    pair.enqueue(1, [(1, 2), (2, 2), (1, 2)])    # newer uids, same slot
+    pair.send([early])
+    pair.enqueue(2, [(1, 1)])                    # newer again, same slot
+    got = pair.collect(1, 3)
+    assert got[0] is early and len(got) == 4
+    # The slot after it starts clean: nothing is sorted that need not be.
+    pair.enqueue(3, [(1, 1), (1, 1)])
+    assert len(pair.collect(1, 4)) == 2
+
+
+def test_the_same_old_message_enqueued_again_by_an_injector():
+    pair = Pair(3)
+    first, _ = pair.enqueue(0, [(1, 3), (1, 3)])
+    pair.enqueue(1, [(1, 2), (2, 2)])            # newer uids, same slot
+    pair.send([first])                           # FaultInjector._inject
+    got = pair.collect(1, 3)
+    assert got[:2] == [first, first] and len(got) == 4
+    assert pair.new.in_flight == 1
+
+
+def test_many_distinct_pending_times_and_few_of_them_due():
+    rng = random.Random(7)
+    pair = Pair(2)
+    delivered = 0
+    for now in range(400):
+        pair.enqueue(now, [(1, rng.randint(1, 2000))
+                           for _ in range(rng.randrange(4))])
+        delivered += len(pair.collect(1, now))
+    assert pair.new.pending_for(1) > 300 > delivered > 0
+    delivered += len(pair.collect(1, 2400))
+    assert delivered == pair.new.total_enqueued and pair.new.in_flight == 0
+
+
+def test_removing_the_last_message_of_a_slot_removes_its_time():
+    pair = Pair(2)
+    pair.enqueue(0, [(1, 2), (1, 5), (1, 9), (1, 5)])
+    pair.remove(*pair.uids[0])                   # the only one due at 2
+    assert pair.new.earliest_deliverable(1) == 5
+    assert pair.collect(1, 2) == []
+    pair.remove(*pair.uids[2])                   # ... and the one at 9
+    pair.remove(*pair.uids[1])                   # slot 5 keeps a message
+    assert len(pair.collect(1, 5)) == 1
+    assert pair.new.earliest_deliverable_any() is None
+    pair.enqueue(5, [(1, 4)])                    # time 9 is usable again
+    assert len(pair.collect(1, 9)) == 1
+
+
+def test_a_clone_taken_with_an_unordered_slot_in_flight():
+    pair = Pair(2)
+    pair.enqueue(0, [(1, 2), (1, 2), (1, 2)], order=backwards)
+    new, old, seen = pair.fork()
+    pair.enqueue(1, [(1, 1)])                    # lands in the clone only
+    assert len(pair.collect(1, 2)) == 4          # the clone sorts its slot
+    assert observables(new, 2) == observables(old, 2) == seen
+    got = new.collect(1, 2)                      # the original, untouched,
+    assert uids(got) == uids(old.collect(1, 2))  # still sorts for itself
+    assert uids(got) == sorted(uids(got)) and len(got) == 3

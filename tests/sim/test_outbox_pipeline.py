@@ -7,7 +7,9 @@ per-message forms they replaced, and that the engine keeps calling the
 layer boundaries the e2e tracer patches by name.
 """
 
+import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -31,14 +33,16 @@ from repro.sync.engine import SyncContext
 KINDS = ("gossip", "shutdown", "byz:tamper:gossip", "byz:forge:shutdown")
 
 
-def per_message_accounting(metrics, sender, kind, now, dst):
-    """What ``record_send`` did when it was called once per message."""
+def per_message_accounting(metrics, pairs, sender, kind, now, dst):
+    """What ``record_send`` did when it was called once per message; the
+    pair counts go to the reference's own ``pairs`` Counter
+    (``messages_by_pair`` is a derived view: writes to it are lost)."""
     metrics.messages_sent += 1
     metrics.messages_by_kind[kind] += 1
     metrics.messages_by_sender[sender] += 1
     if is_byzantine_kind(kind):
         metrics.byz_messages_sent += 1
-    metrics.messages_by_pair[(sender, dst)] += 1
+    pairs[(sender, dst)] += 1
     metrics.last_send_time = now
 
 
@@ -47,7 +51,6 @@ def send_state(metrics):
         metrics.messages_sent,
         +metrics.messages_by_kind,
         +metrics.messages_by_sender,
-        +metrics.messages_by_pair,
         metrics.byz_messages_sent,
         metrics.last_send_time,
     )
@@ -67,7 +70,7 @@ class TestRecordSend:
     ))
     @settings(max_examples=120, deadline=None)
     def test_outbox_accounting_equals_the_per_message_sum(self, steps):
-        batch, reference = Metrics(n=6), Metrics(n=6)
+        batch, reference, pairs = Metrics(n=6), Metrics(n=6), Counter()
         for now, (sender, sends) in enumerate(steps):
             outbox = [
                 # An equal-but-not-identical kind string must count the
@@ -78,20 +81,53 @@ class TestRecordSend:
             ]
             batch.record_send(sender, outbox, now)
             for msg in outbox:
-                per_message_accounting(reference, sender, msg.kind, now,
-                                       msg.dst)
+                per_message_accounting(reference, pairs, sender, msg.kind,
+                                       now, msg.dst)
         assert send_state(batch) == send_state(reference)
+        view = batch.messages_by_pair
+        assert view == pairs and min(view.values(), default=1) > 0
+        # The O(1)/O(n) accessors answer as the view does, absent pairs
+        # and silent senders included; a sender's destinations come in
+        # first-send order (the Theorem 1 adversary walks them).
+        for src in range(6):
+            assert list(batch.sent_to(src).items()) == [
+                (dst, count) for (s, dst), count in pairs.items() if s == src]
+            for dst in range(6):
+                assert batch.pair_count(src, dst) == pairs[(src, dst)]
 
     def test_empty_outbox_leaves_no_trace(self):
         m = Metrics(n=3)
         m.record_send(1, [], now=4)
         assert send_state(m) == send_state(Metrics(n=3))
+        assert m.messages_by_pair == Counter()
 
     def test_pairs_follow_the_stepping_process_not_a_spoofed_src(self):
         m = Metrics(n=4)
         m.record_send(2, [Message(0, 3, None, "byz:forge:gossip")], now=1)
         assert m.messages_by_pair == Counter({(2, 3): 1})
         assert m.messages_by_sender == Counter({2: 1})
+        assert (m.pair_count(2, 3), m.pair_count(0, 3)) == (1, 0)
+        assert dict(m.sent_to(2)) == {3: 1} and not m.sent_to(0)
+
+    def test_the_pair_view_is_a_copy_and_the_accessor_read_only(self):
+        m = Metrics(n=4)
+        m.record_send(1, [Message(1, 2, None), Message(1, 2, None)], now=0)
+        m.messages_by_pair[(1, 2)] += 5
+        assert m.pair_count(1, 2) == 2
+        with pytest.raises(TypeError):
+            m.sent_to(1)[2] = 0
+
+    def test_a_clone_counts_pairs_on_its_own(self):
+        m = Metrics(n=4)
+        m.record_send(1, [Message(1, 2, None), Message(1, 3, None)], now=0)
+        dup = m.clone()
+        dup.record_send(1, [Message(1, 2, None)], now=1)
+        dup.record_send(0, [Message(0, 2, None)], now=1)
+        m.record_send(3, [Message(3, 0, None)], now=1)
+        assert m.messages_by_pair == Counter(
+            {(1, 2): 1, (1, 3): 1, (3, 0): 1})
+        assert dup.messages_by_pair == Counter(
+            {(1, 2): 2, (1, 3): 1, (0, 2): 1})
 
 
 def stamped(dst, delay, kind="gossip", sent_at=0):
@@ -143,6 +179,32 @@ class TestEnqueueOutbox:
         assert net.remove(2, outbox[0].uid) is False
         assert net.in_flight == 2
         assert net.collect(1, 10) == [outbox[2], outbox[0]]
+
+
+def blocks_allocated_by(call):
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        call()
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+
+
+def test_a_message_costs_no_allocation_past_its_own():
+    """Between ``send_many`` and ``on_step`` the ``Message`` is the only
+    thing allocated per message: queueing an outbox grows the heap by its
+    slots, counting it by its distinct destinations."""
+    outbox = [stamped(dst=1 + i % 4, delay=3) for i in range(10_000)]
+    net, metrics = Network(6), Metrics(n=6)
+    alive = frozenset(range(6))
+    assert blocks_allocated_by(lambda: net.enqueue(outbox, alive)) <= 64
+    assert blocks_allocated_by(
+        lambda: metrics.record_send(0, outbox, 0)) <= 64
+    assert net.in_flight == metrics.messages_sent == 10_000
+    assert [net.pending_for(pid) for pid in range(6)] == [
+        0, 2500, 2500, 2500, 2500, 0]
 
 
 class ConservationProbe(Observer):
