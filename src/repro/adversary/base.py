@@ -10,6 +10,7 @@ before the execution (independently of the algorithm's coin flips); an
 from __future__ import annotations
 
 import copy
+import weakref
 from abc import ABC, abstractmethod
 from typing import FrozenSet, Optional, Sequence, Set
 
@@ -31,6 +32,22 @@ class Adversary(ABC):
     #: so honest runs pay nothing for the hook.
     corrupts_traffic = False
 
+    @property
+    def sim(self):
+        """The simulation this adversary is attached to, or ``None``.
+
+        Held weakly: ``sim.adversary.sim`` would otherwise be the one
+        reference cycle of an un-instrumented run, and a finished
+        simulation (n n²-bit integers under SEARS) would wait for the
+        cycle collector instead of being freed when its last user lets go.
+        """
+        ref = self.__dict__.get("_sim")
+        return None if ref is None else ref()
+
+    @sim.setter
+    def sim(self, sim) -> None:
+        self._sim = weakref.ref(sim)
+
     def on_attach(self, sim) -> None:
         """Called once when the simulation is constructed."""
         self.sim = sim
@@ -39,17 +56,11 @@ class Adversary(ABC):
         """An independent copy of this adversary bound to a forked ``sim``.
 
         Part of the engine's snapshot protocol. The default is a deepcopy
-        with the currently-attached simulation memoized to the fork, so
-        adversaries that hold ``self.sim`` are rebound to the fork instead
-        of dragging a second copy of the (already-cloned) simulation along.
-        Subclasses with known-small or immutable state override this with
-        an O(state) copy.
+        (the weak back-reference is atomic to it, so the simulation is not
+        dragged along) rebound to the fork. Subclasses with known-small or
+        immutable state override this with an O(state) copy.
         """
-        memo: dict = {}
-        current = getattr(self, "sim", None)
-        if current is not None:
-            memo[id(current)] = sim
-        dup = copy.deepcopy(self, memo)
+        dup = copy.deepcopy(self)
         dup.sim = sim
         return dup
 

@@ -1,6 +1,8 @@
 """The declarative configuration plane: RunSpec, registries, builder."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -187,6 +189,25 @@ class TestBuilder:
     def test_unknown_algorithm_raises_configuration_error(self):
         with pytest.raises(ConfigurationError, match="ears"):
             execute(RunSpec(algorithm="earz", n=8))
+
+    @pytest.mark.parametrize("adversary", [
+        None, {"name": "gst", "gst": 10, "pre_gst_delta": 4}])
+    def test_a_finished_run_is_freed_without_the_cycle_collector(
+            self, adversary):
+        """``sim.adversary.sim`` is a weak reference, so an un-instrumented
+        simulation is no cycle: dropping the run frees it at once."""
+        spec = RunSpec(algorithm="sears", n=16, f=4, crashes=2, d=2,
+                       delta=2, seed=1, adversary=adversary)
+        built = build(spec)
+        assert built.sim.adversary.sim is built.sim
+        del built
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(execute(spec).sim)
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_scenario_supplies_regime_and_crashes(self):
         run = execute(RunSpec(algorithm="ears", n=16, f=4, seed=2,
