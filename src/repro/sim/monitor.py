@@ -139,10 +139,16 @@ class GossipCompletionMonitor(CompletionMonitor):
         return True
 
     def check(self, sim) -> bool:
-        gathered = self.gathered(sim)
-        if gathered and self.gathering_time is None:
-            self.gathering_time = sim.now
-        return gathered and quiescent(sim)
+        if self.gathering_time is not None:
+            # Timestamped already, so only the verdict is wanted: the
+            # cheap half first, and only a quiescent system pays the O(n)
+            # true-verdict scan. Both halves are still read from live
+            # state on every call — nothing is latched.
+            return quiescent(sim) and self.gathered(sim)
+        if not self.gathered(sim):
+            return False
+        self.gathering_time = sim.now
+        return quiescent(sim)
 
     def describe(self) -> str:
         return "majority-gossip" if self.majority else "gossip"
