@@ -32,17 +32,18 @@ class Adversary(ABC):
     #: so honest runs pay nothing for the hook.
     corrupts_traffic = False
 
+    _sim: Optional[weakref.ref] = None
+
     @property
     def sim(self):
         """The simulation this adversary is attached to, or ``None``.
 
         Held weakly: ``sim.adversary.sim`` would otherwise be the one
         reference cycle of an un-instrumented run, and a finished
-        simulation (n n²-bit integers under SEARS) would wait for the
-        cycle collector instead of being freed when its last user lets go.
+        simulation would wait for the cycle collector to be freed.
         """
-        ref = self.__dict__.get("_sim")
-        return None if ref is None else ref()
+        ref = self._sim
+        return ref and ref()
 
     @sim.setter
     def sim(self, sim) -> None:

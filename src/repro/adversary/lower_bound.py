@@ -327,14 +327,12 @@ class LowerBoundExperiment:
                     ) -> LowerBoundReport:
         """Isolate a mutually-silent pair and crash whoever they contact.
 
-        After each step the newly contacted S1 processes are crashed while
-        the budget lasts, the lower pid's destinations first, each in
-        first-send order — the order the engine stepped ``{p, q}``. Which
-        pairs get visited *first* only matters on the step the budget runs
-        out, and there every still-live contact was first contacted on
-        that very step (an earlier one was crashed when it was), so this
-        is the same crash sequence as walking all pairs in global
-        first-send order.
+        Newly contacted S1 processes are crashed after each step while the
+        budget lasts: the lower pid's destinations first, each in
+        first-send order (the order the engine stepped ``{p, q}``). Order
+        only matters on the step the budget runs out, where every live
+        contact is new that very step, so this is the crash sequence a
+        walk over all pairs in global first-send order gives.
         """
         pool = nonpromiscuous if len(nonpromiscuous) >= 2 else self.s2
         p, q = self._pick_pair(pool, silence)
@@ -351,12 +349,13 @@ class LowerBoundExperiment:
         pair_count = sim.metrics.pair_count
         cross_before = pair_count(p, q) + pair_count(q, p)
         s1 = set(self.s1)
-        seen = {src: dict(sim.metrics.sent_to(src)) for src in (p, q)}
+        pair = sorted((p, q))
+        seen = {src: dict(sim.metrics.sent_to(src)) for src in pair}
         for _ in range(self.isolated_steps):
             sim.step()
             # Fail every S1 process p or q contacted, before it can act
             # (it is never scheduled anyway, but the proof crashes it).
-            for src in sorted((p, q)):
+            for src in pair:
                 for dst, count in sim.metrics.sent_to(src).items():
                     if dst in s1 and count > seen[src].get(dst, 0):
                         seen[src][dst] = count

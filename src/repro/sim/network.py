@@ -14,9 +14,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import attrgetter
-from typing import (
-    Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Container, Dict, Iterator, List, Optional, Sequence
 
 from .errors import InvalidDelayError
 from .message import Message, is_byzantine_kind
@@ -60,7 +58,7 @@ class Network:
         # stands. A mark that outlives its slot (``remove``, a crash) costs
         # at most one sort of an ordered slot.
         self._newest_uid = -1
-        self._unordered: Set[Tuple[int, int]] = set()
+        self._unordered = set()
 
     @property
     def in_flight(self) -> int:
