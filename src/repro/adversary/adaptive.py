@@ -23,8 +23,6 @@ class AdaptiveAdversary(Adversary):
     subclasses override the dimensions they manipulate.
     """
 
-    sim = None
-
     def crashes_at(self, t: int) -> Set[int]:
         return set()
 

@@ -99,6 +99,10 @@ class TestForkEquivalence:
         fork = sim.fork()
         assert fork.adversary is not sim.adversary
         assert fork.adversary.sim is fork
+        # The back-reference is the weak property, not a strong instance
+        # attribute the default deepcopy would drag the simulation along by.
+        assert "sim" not in vars(fork.adversary)
+        assert "sim" not in vars(sim.adversary)
         assert finish(fork) == finish(sim)
 
     def test_fork_with_scripted_adversary_is_independent(self):

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from repro.adversary.adaptive import TargetedDelayAdversary
 from repro.sim.errors import ConfigurationError
 from repro.spec import (
     GOSSIP_ALGORITHMS,
@@ -191,20 +192,30 @@ class TestBuilder:
             execute(RunSpec(algorithm="earz", n=8))
 
     @pytest.mark.parametrize("adversary", [
-        None, {"name": "gst", "gst": 10, "pre_gst_delta": 4}])
+        None,
+        {"name": "gst", "gst": 10, "pre_gst_delta": 4},
+        lambda: TargetedDelayAdversary(victims={0, 1}, d=3),
+    ], ids=["oblivious", "gst", "adaptive"])
     def test_a_finished_run_is_freed_without_the_cycle_collector(
             self, adversary):
         """``sim.adversary.sim`` is a weak reference, so an un-instrumented
         simulation is no cycle: dropping the run frees it at once."""
         spec = RunSpec(algorithm="sears", n=16, f=4, crashes=2, d=2,
-                       delta=2, seed=1, adversary=adversary)
-        built = build(spec)
+                       delta=2, seed=1)
+        if callable(adversary):
+            def kwargs():
+                return {"adversary": adversary()}
+        else:
+            spec = spec.replace(adversary=adversary)
+            kwargs = dict
+        built = build(spec, **kwargs())
         assert built.sim.adversary.sim is built.sim
+        assert "sim" not in vars(built.sim.adversary)
         del built
         gc.collect()
         gc.disable()
         try:
-            ref = weakref.ref(execute(spec).sim)
+            ref = weakref.ref(execute(spec, **kwargs()).sim)
             assert ref() is None
         finally:
             gc.enable()
