@@ -236,12 +236,11 @@ class LowerBoundExperiment:
             self.seed, "lb-sample", p, i
         )
         base_sent = fork.metrics.messages_by_sender[p]
-        base_pairs = {q: fork.metrics.pair_count(p, q) for q in peers}
+        sent = fork.metrics.sent_to(p)
+        base_pairs = {q: sent.get(q, 0) for q in peers}
         fork.run_for(self.isolated_steps)
-        contacted = {
-            q for q in peers
-            if fork.metrics.pair_count(p, q) > base_pairs[q]
-        }
+        sent = fork.metrics.sent_to(p)
+        contacted = {q for q in peers if sent.get(q, 0) > base_pairs[q]}
         return fork.metrics.messages_by_sender[p] - base_sent, contacted
 
     def _run_phase_b(
@@ -346,17 +345,17 @@ class LowerBoundExperiment:
         adversary.delay = 1
         adversary.suppress_delivery_until = None
 
-        pair_count = sim.metrics.pair_count
-        cross_before = pair_count(p, q) + pair_count(q, p)
+        sent_to = sim.metrics.sent_to
+        cross_before = sent_to(p).get(q, 0) + sent_to(q).get(p, 0)
         s1 = set(self.s1)
         pair = sorted((p, q))
-        seen = {src: dict(sim.metrics.sent_to(src)) for src in pair}
+        seen = {src: dict(sent_to(src)) for src in pair}
         for _ in range(self.isolated_steps):
             sim.step()
             # Fail every S1 process p or q contacted, before it can act
             # (it is never scheduled anyway, but the proof crashes it).
             for src in pair:
-                for dst, count in sim.metrics.sent_to(src).items():
+                for dst, count in sent_to(src).items():
                     if dst in s1 and count > seen[src].get(dst, 0):
                         seen[src][dst] = count
                         if (sim.is_alive(dst)
@@ -364,7 +363,7 @@ class LowerBoundExperiment:
                             sim.crash(dst)
                             crashes_used += 1
 
-        cross_after = pair_count(p, q) + pair_count(q, p)
+        cross_after = sent_to(p).get(q, 0) + sent_to(q).get(p, 0)
         exchanged_rumors = (
             sim.algorithm(p).knows_rumor_of(q)
             or sim.algorithm(q).knows_rumor_of(p)

@@ -85,7 +85,7 @@ class Metrics:
 
     _last_scheduled: Dict[int, int] = field(default_factory=dict)
     # Point-to-point counts, one plain ``{dst: count}`` dict per sender;
-    # read through ``pair_count`` / ``sent_to`` / ``messages_by_pair``.
+    # read through ``sent_to`` / ``messages_by_pair``.
     _sent_to: DefaultDict[int, Dict[int, int]] = field(
         default_factory=lambda: defaultdict(dict)
     )
@@ -124,20 +124,19 @@ class Metrics:
         if is_byzantine_kind(kind):
             self.byz_messages_sent += count
 
-    def pair_count(self, src: int, dst: int) -> int:
-        """Messages ``src`` has sent to ``dst``; O(1)."""
-        return self._sent_to.get(src, {}).get(dst, 0)
-
     def sent_to(self, src: int) -> Mapping[int, int]:
-        """Read-only live view of ``{dst: count}`` for everything ``src``
-        has sent, destinations in first-send order."""
+        """Read-only ``{dst: count}`` of everything ``src`` has sent so
+        far, destinations in first-send order; O(1), and
+        ``sent_to(src).get(dst, 0)`` is one pair's count. Ask again after
+        a step instead of holding the mapping: a sender that has sent
+        nothing gets a fresh empty one that later sends do not reach."""
         return MappingProxyType(self._sent_to.get(src, {}))
 
     @property
     def messages_by_pair(self) -> Counter:
         """Point-to-point ``(src, dst)`` counts as a fresh ``Counter`` —
         O(pairs) to build, for tests and outside readers; code that asks
-        per step uses :meth:`pair_count` / :meth:`sent_to`."""
+        per step uses :meth:`sent_to`."""
         return Counter({
             (src, dst): count
             for src, counts in self._sent_to.items()

@@ -55,8 +55,7 @@ class Network:
         # uid order (a replay, a forgery, a hand-built outbox) and gets its
         # ``(dst, deliverable_at)`` slot marked for a uid sort at delivery;
         # every other slot is in ``(deliverable_at, uid)`` order as it
-        # stands. A mark that outlives its slot (``remove``, a crash) costs
-        # at most one sort of an ordered slot.
+        # stands. A mark goes when its slot does.
         self._newest_uid = -1
         self._unordered = set()
 
@@ -173,6 +172,7 @@ class Network:
                         times = self._times[dst]
                         times.remove(at)
                         heapify(times)
+                        self._unordered.discard((dst, at))
                     self._in_flight -= 1
                     return True
         return False
@@ -185,6 +185,10 @@ class Network:
         meaningful for quiescence detection.
         """
         dropped = self.pending_for(pid)
+        if self._unordered:
+            self._unordered.difference_update(
+                [(pid, at) for at in self._slots[pid]]
+            )
         self._slots[pid] = {}
         self._times[pid] = []
         self._in_flight -= dropped

@@ -362,6 +362,23 @@ def test_removing_the_last_message_of_a_slot_removes_its_time():
     assert len(pair.collect(1, 9)) == 1
 
 
+def test_a_mark_goes_when_its_slot_does():
+    """Crashed receivers and emptied slots leave no mark behind for every
+    later fork to copy."""
+    pair = Pair(3)
+    pair.enqueue(0, [(1, 2), (1, 2), (2, 4), (2, 4), (2, 5)],
+                 order=backwards)
+    assert pair.new._unordered == {(1, 2), (2, 4)}
+    pair.crash(2)
+    assert pair.new._unordered == {(1, 2)}
+    pair.remove(*pair.uids[0])
+    assert pair.new._unordered == {(1, 2)}       # the slot is still there
+    pair.remove(*pair.uids[1])
+    assert not pair.new._unordered
+    pair.enqueue(0, [(1, 2), (1, 2)])            # the same slot, in order
+    assert not pair.new._unordered and len(pair.collect(1, 2)) == 2
+
+
 def test_a_clone_taken_with_an_unordered_slot_in_flight():
     pair = Pair(2)
     pair.enqueue(0, [(1, 2), (1, 2), (1, 2)], order=backwards)
