@@ -3,7 +3,7 @@
 Measures wall-clock for B seeds of one cell run two ways — the scalar
 ``engine="stepwise"`` reference, one trial at a time, vs. one
 :class:`~repro.sim.batch.engine.BatchSimulation` advancing all B seeds
-per tick — and emits ``BENCH_engine_batch.json``.
+per tick.
 
 The batch engine's win is amortization: one numpy dispatch per tick
 covers B trials' worth of scheduling, delivery, merge, emptiness test
@@ -11,312 +11,108 @@ and sends, so the per-trial interpreter overhead that dominates the
 scalar engines on *dense* schedules (where the leap engine has nothing
 to skip — see bench_engine_leap.py) is divided by B. The headline cell
 is therefore exactly the leap benchmark's control: failure-free dense
-``RoundRobinWindows(64)`` at n=128, where leap is honestly ~1x and the
-batch engine gates on >= 5x at B=64.
+``RoundRobinWindows(64)`` at n=128, where leap is honestly ~1x. Its gate
+is order — one B-trial batch is not slower than B stepwise runs — on the
+failure-free cells; how many times faster is in the report's trajectory
+(6.7x when the file was first written at PR 7, ≈ 2.4x since PRs 13–18
+made the stepwise trial 2.5x cheaper). Crash plans force the per-trial
+python crash path and queue compaction, so that cell is recorded, not
+gated.
 
 The batch engine is seed-deterministic under its own counter-based RNG
 discipline, not bit-identical to scalar (distributional equivalence is
 tested in tests/sim/test_batch_engine.py), so unlike the leap benchmark
-this one asserts *batch-side determinism* across repeats, never
-cross-engine equality. The dense scalar control (auto vs. stepwise,
-floor 0.95x) rides along so a batch-engine regression that leaks into
-the scalar path is caught here too.
+this one requires *batch-side determinism* across repeats, never
+cross-engine equality. The leap benchmark's dense scalar control (auto
+vs. stepwise, parity) rides along so a batch-engine regression that
+leaks into the scalar path is caught here too.
 
-Usage (standalone, not pytest-benchmark)::
-
-    PYTHONPATH=src python benchmarks/bench_engine_batch.py \
-        --out BENCH_engine_batch.json
-    PYTHONPATH=src python benchmarks/bench_engine_batch.py --quick
-
-``--quick`` runs shrunken cells in a few seconds for CI with loosened
-floors; the full run gates the headline cell on the committed 5x floor.
-Without numpy the batch cells are skipped (recorded as such) and the
-gates pass vacuously — the scalar control still runs.
+Without numpy the batch cells are recorded as ``skipped`` with the
+reason and nothing else — the scalar control still runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
-import time
+import _harness as harness
+from bench_engine_leap import cell as scalar_cell
 
-if "src" not in sys.path:  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "src")
+from repro.sim.batch import batch_ineligibility
+from repro.spec.builder import execute
+from repro.spec.runspec import RunSpec
+from repro.spec.vectorized import run_batch_specs
+
+BENCHMARK = "engine_batch"
+
+
+def batch_cell(cell_id, spec, trials, *, gated, note=""):
+    def seeds(engine):
+        return [spec.replace(seed=seed, engine=engine)
+                for seed in range(trials)]
+
+    def measure(repeats):
+        reason = batch_ineligibility(spec.replace(engine="batch"))
+        if reason is not None:
+            raise harness.Skipped(reason)
+        scalar, vector = seeds("stepwise"), seeds("batch")
+        scalar_s, _ = harness.best_of(
+            lambda: [harness.fingerprint(execute(one)) for one in scalar],
+            repeats)
+        vector_s, _ = harness.best_of(
+            lambda: [harness.fingerprint(run)
+                     for run in run_batch_specs(vector)],
+            repeats)
+        return harness.versus("stepwise_s", scalar_s, "batch_s", vector_s)
+
+    return harness.Cell(
+        cell_id, note,
+        {"algorithm": spec.algorithm, "n": spec.n, "f": spec.resolved_f,
+         "d": spec.d, "delta": spec.delta, "crashes": spec.crashes,
+         "trials": trials},
+        measure,
+        (harness.gate("speedup", ">=", harness.ORDER_FLOOR),) if gated else (),
     )
 
-from repro.sim.batch import HAVE_NUMPY, batch_ineligibility  # noqa: E402
-from repro.spec.builder import execute  # noqa: E402
-from repro.spec.runspec import RunSpec  # noqa: E402
 
-
-def batch_cell(cell_id, spec, trials, *, min_speedup=None, note=""):
-    return {
-        "id": cell_id,
-        "kind": "batch",
-        "spec": spec,
-        "trials": trials,
-        "min_speedup": min_speedup,
-        "note": note,
-    }
-
-
-def scalar_control(cell_id, spec, *, engine="auto", min_speedup=None,
-                   note=""):
-    return {
-        "id": cell_id,
-        "kind": "scalar-control",
-        "spec": spec,
-        "engine": engine,
-        "min_speedup": min_speedup,
-        "note": note,
-    }
-
-
-def full_cells():
+def cells(quick):
+    if quick:
+        dense32 = RunSpec(algorithm="ears", n=32, f=0, d=2, delta=16, seed=0)
+        return [
+            batch_cell("quick-batch32-rrw16-n32-ears-failure-free", dense32,
+                       32, gated=True, note="shrunken headline cell"),
+            batch_cell("quick-batch16-rrw16-n32-sears-crashes",
+                       RunSpec(algorithm="sears", n=32, f=8, d=2, delta=16,
+                               seed=0, crashes=8),
+                       16, gated=False,
+                       note="shrunken crash cell; recorded, not gated"),
+            scalar_cell("quick-auto-rrw16-n32-ears-failure-free", dense32,
+                        quick=True, sparse=False, engine="auto",
+                        note="shrunken dense scalar control (loose quick "
+                             "parity, see bench_engine_leap)"),
+        ]
     dense128 = RunSpec(algorithm="ears", n=128, f=0, d=2, delta=64, seed=0)
     return [
-        batch_cell(
-            "batch64-rrw64-n128-ears-failure-free",
-            dense128, trials=64,
-            min_speedup=5.0,
-            note="headline: the leap benchmark's dense control, where "
-                 "skipping wins nothing and only amortization helps; "
-                 "gate: one 64-trial batch beats 64 stepwise runs 5x",
-        ),
-        batch_cell(
-            "batch64-rrw64-n128-sears-crashes",
-            RunSpec(algorithm="sears", n=128, f=32, d=2, delta=64, seed=0,
-                    crashes=32),
-            trials=64,
-            note="crash plans force the per-trial python crash path and "
-                 "queue compaction; recorded, not gated",
-        ),
-        batch_cell(
-            "batch128-rrw64-n128-ears-failure-free",
-            dense128, trials=128,
-            note="doubling B past the gate point: amortization should "
-                 "hold or improve; recorded, not gated",
-        ),
-        scalar_control(
-            "auto-rrw64-n128-ears-failure-free",
-            dense128,
-            min_speedup=0.95,
-            note="dense scalar control: auto holds parity with stepwise "
-                 "(same gate as bench_engine_leap), proving the batch "
-                 "dispatch layer costs the scalar path nothing",
-        ),
+        batch_cell("batch64-rrw64-n128-ears-failure-free", dense128, 64,
+                   gated=True,
+                   note="headline: the leap benchmark's dense control, "
+                        "where skipping wins nothing and only amortization "
+                        "helps"),
+        batch_cell("batch64-rrw64-n128-sears-crashes",
+                   RunSpec(algorithm="sears", n=128, f=32, d=2, delta=64,
+                           seed=0, crashes=32),
+                   64, gated=False,
+                   note="crash plans force the per-trial python crash path "
+                        "and queue compaction; recorded, not gated"),
+        batch_cell("batch128-rrw64-n128-ears-failure-free", dense128, 128,
+                   gated=True,
+                   note="doubling B: amortization should hold or improve"),
+        scalar_cell("auto-rrw64-n128-ears-failure-free", dense128,
+                    quick=False, sparse=False, engine="auto",
+                    note="dense scalar control: auto holds parity with "
+                         "stepwise (same gate as bench_engine_leap), so the "
+                         "batch dispatch layer costs the scalar path "
+                         "nothing"),
     ]
-
-
-def quick_cells():
-    dense32 = RunSpec(algorithm="ears", n=32, f=0, d=2, delta=16, seed=0)
-    return [
-        batch_cell(
-            "quick-batch32-rrw16-n32-ears-failure-free",
-            dense32, trials=32,
-            min_speedup=1.5,
-            note="shrunken headline cell; CI floor is loose (short runs, "
-                 "timer noise) — the full run gates 5x at n=128",
-        ),
-        batch_cell(
-            "quick-batch16-rrw16-n32-sears-crashes",
-            RunSpec(algorithm="sears", n=32, f=8, d=2, delta=16, seed=0,
-                    crashes=8),
-            trials=16,
-            note="shrunken crash cell; recorded, not gated",
-        ),
-        scalar_control(
-            "quick-auto-rrw16-n32-ears-failure-free",
-            dense32,
-            min_speedup=0.7,
-            note="shrunken dense scalar control (loose floor, see "
-                 "bench_engine_leap quick cells)",
-        ),
-    ]
-
-
-def fingerprint(run):
-    return {
-        "completed": run.completed,
-        "reason": run.reason,
-        "completion_time": run.completion_time,
-        "gathering_time": run.gathering_time,
-        "messages": run.messages,
-        "realized_d": run.realized_d,
-        "realized_delta": run.realized_delta,
-    }
-
-
-def time_scalar_trials(spec, trials, engine, repeats):
-    """Best-of wall clock for ``trials`` seeds run one at a time."""
-    best, prints = None, []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        runs = [
-            execute(spec.replace(seed=seed, engine=engine))
-            for seed in range(trials)
-        ]
-        wall = time.perf_counter() - start
-        best = wall if best is None else min(best, wall)
-        prints.append([fingerprint(run) for run in runs])
-    for other in prints[1:]:
-        if other != prints[0]:
-            raise AssertionError(
-                f"non-deterministic runs under engine={engine}"
-            )
-    return best, prints[0]
-
-
-def time_batch_trials(spec, trials, repeats):
-    """Best-of wall clock for one B=``trials`` vectorized batch."""
-    from repro.spec.vectorized import run_batch_specs
-
-    specs = [
-        spec.replace(seed=seed, engine="batch") for seed in range(trials)
-    ]
-    best, prints = None, []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        runs = run_batch_specs(specs)
-        wall = time.perf_counter() - start
-        best = wall if best is None else min(best, wall)
-        prints.append([fingerprint(run) for run in runs])
-    for other in prints[1:]:
-        if other != prints[0]:
-            raise AssertionError("non-deterministic batch-engine runs")
-    return best, prints[0]
-
-
-def run_batch_cell(spec_cell, repeats):
-    spec, trials = spec_cell["spec"], spec_cell["trials"]
-    reason = batch_ineligibility(spec.replace(engine="batch"))
-    if reason is not None:
-        return {
-            "id": spec_cell["id"],
-            "note": spec_cell["note"],
-            "skipped": reason,
-        }
-    scalar_s, _ = time_scalar_trials(spec, trials, "stepwise", repeats)
-    vector_s, _ = time_batch_trials(spec, trials, repeats)
-    speedup = scalar_s / vector_s if vector_s > 0 else float("inf")
-    return {
-        "id": spec_cell["id"],
-        "note": spec_cell["note"],
-        "n": spec.n,
-        "f": spec.resolved_f,
-        "d": spec.d,
-        "delta": spec.delta,
-        "algorithm": spec.algorithm,
-        "trials": trials,
-        "min_speedup": spec_cell["min_speedup"],
-        "stepwise_s": round(scalar_s, 4),
-        "batch_s": round(vector_s, 4),
-        "stepwise_per_trial_ms": round(scalar_s / trials * 1000, 3),
-        "batch_per_trial_ms": round(vector_s / trials * 1000, 3),
-        "speedup": round(speedup, 2),
-    }
-
-
-def run_scalar_control(spec_cell, repeats):
-    spec, engine = spec_cell["spec"], spec_cell["engine"]
-    stepwise_s, ref = time_scalar_trials(spec, 1, "stepwise", repeats)
-    fast_s, got = time_scalar_trials(spec, 1, engine, repeats)
-    if got != ref:
-        raise AssertionError(
-            f"[{spec_cell['id']}] scalar engines diverged:\n"
-            f"  stepwise: {ref}\n  {engine}: {got}"
-        )
-    speedup = stepwise_s / fast_s if fast_s > 0 else float("inf")
-    return {
-        "id": spec_cell["id"],
-        "note": spec_cell["note"],
-        "n": spec.n,
-        "f": spec.resolved_f,
-        "d": spec.d,
-        "delta": spec.delta,
-        "algorithm": spec.algorithm,
-        "engine": engine,
-        "min_speedup": spec_cell["min_speedup"],
-        "stepwise_s": round(stepwise_s, 4),
-        "batch_s": round(fast_s, 4),
-        "speedup": round(speedup, 2),
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shrunken cells for CI (seconds, loosened floors)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_engine_batch.json",
-        help="output JSON path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="wall-clock repeats per side (default: 3, quick: 2)",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record speedups without enforcing the per-cell floors",
-    )
-    args = parser.parse_args(argv)
-    repeats = args.repeats or (2 if args.quick else 3)
-    cells = quick_cells() if args.quick else full_cells()
-
-    rows, failures = [], []
-    for spec_cell in cells:
-        if spec_cell["kind"] == "batch":
-            row = run_batch_cell(spec_cell, repeats)
-        else:
-            row = run_scalar_control(spec_cell, repeats)
-        rows.append(row)
-        if "skipped" in row:
-            print(f"{row['id']}: SKIPPED ({row['skipped']})")
-            continue
-        status = ""
-        floor = row["min_speedup"]
-        if floor is not None and not args.no_gate:
-            if row["speedup"] < floor:
-                failures.append(
-                    f"{row['id']}: speedup {row['speedup']}x is below "
-                    f"the floor {floor}x"
-                )
-                status = "  [GATE FAILED]"
-            else:
-                status = f"  [>= {floor}x ok]"
-        print(
-            f"{row['id']}: stepwise {row['stepwise_s']}s, "
-            f"fast {row['batch_s']}s -> {row['speedup']}x{status}"
-        )
-
-    report = {
-        "benchmark": "engine_batch",
-        "quick": args.quick,
-        "repeats": repeats,
-        "numpy": HAVE_NUMPY,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cells": rows,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if failures:
-        print("speedup gates FAILED:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__name__))

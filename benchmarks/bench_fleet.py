@@ -6,147 +6,116 @@ attempt accounting, and insert-if-absent dedupe:
 
 * **single-worker overhead** — one in-process :class:`FleetWorker`
   draining a campaign vs. the same specs executed directly
-  (``execute`` + ``put_record``).  The gate caps the per-job
+  (``execute`` + ``put_new``). The gate is a ceiling on the per-job
   orchestration overhead: claiming, refreshing, and releasing a lease
   is a handful of tiny file operations and must stay a small constant
   cost, not scale with the simulation.
 * **two-worker drain** — two real ``repro fleet join`` subprocesses
-  draining a sharded campaign.  The gate asserts completeness (store
-  verify clean, zero missing, zero superseded) — the speedup itself is
-  machine-dependent and only reported.
+  draining a sharded campaign. Completeness is exact and raises (store
+  verify clean, zero missing, zero failed, zero superseded) — the
+  drain time itself is machine-dependent and only reported.
 
-Usage (standalone, not pytest-benchmark)::
-
-    PYTHONPATH=src python benchmarks/bench_fleet.py --out BENCH_fleet.json
-    PYTHONPATH=src python benchmarks/bench_fleet.py --quick
-
-``--quick`` shrinks the campaign for CI and keeps only the sanity
-gates; the full run uses more cells for a steadier overhead estimate.
+``--quick`` shrinks the campaign for CI; the full run uses more specs
+for a steadier overhead estimate.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import shutil
-import sys
 import tempfile
-import time
 
-if "src" not in sys.path:  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "src")
-    )
+import _harness as harness
 
-from repro.fleet import (  # noqa: E402
-    FleetCampaign,
-    FleetConfig,
-    FleetWorker,
-    run_fleet,
-)
-from repro.spec.builder import execute  # noqa: E402
-from repro.spec.runspec import RunSpec  # noqa: E402
-from repro.store import open_store  # noqa: E402
-from repro.store.base import metrics_of  # noqa: E402
+from repro.fleet import FleetCampaign, FleetConfig, FleetWorker, run_fleet
+from repro.spec.builder import execute
+from repro.spec.runspec import RunSpec
+from repro.store import open_store
+from repro.store.base import metrics_of
+
+BENCHMARK = "fleet"
 
 FULL_SPECS = 48
 QUICK_SPECS = 12
 
-#: Per-job orchestration overhead ceiling, seconds.  Lease claim +
-#: refresh + release + attempts bookkeeping is ~10 small file ops;
-#: 150 ms/job is an order of magnitude above anything healthy.
-OVERHEAD_CEILING_S = 0.15
+#: Per-job orchestration overhead ceiling. Lease claim + refresh +
+#: release + attempts bookkeeping is ~10 small file ops; 150 ms/job is
+#: an order of magnitude above anything healthy (≈ 5 ms measured).
+OVERHEAD_CEILING_MS = 150
+
+CONFIG = FleetConfig(poll_interval=0.01)
 
 
-def _specs(count):
-    return [RunSpec(kind="gossip", algorithm="ears", n=96, f=24,
-                    seed=seed) for seed in range(count)]
+def overhead_cell(specs):
+    def direct(store):
+        return sum(store.put_new(spec, metrics_of(execute(spec)))[1]
+                   for spec in specs)
 
+    def worker(campaign):
+        summary = FleetWorker(campaign, "bench").run()
+        return summary["completed"], campaign.status()["complete"]
 
-def bench_direct(specs, root):
-    store = open_store(os.path.join(root, "direct.jsonl"))
-    start = time.perf_counter()
-    for spec in specs:
-        store.put_new(spec, metrics_of(execute(spec)))
-    return time.perf_counter() - start
+    def measure(repeats):
+        with tempfile.TemporaryDirectory(prefix="bench-fleet-") as root:
+            direct_s, stored = harness.best_of(
+                direct, repeats, fresh=lambda: open_store(
+                    os.path.join(tempfile.mkdtemp(dir=root), "direct.jsonl")))
+            solo_s, drained = harness.best_of(
+                worker, repeats, fresh=lambda: FleetCampaign.create(
+                    tempfile.mkdtemp(dir=root), specs, config=CONFIG))
+        harness.require_equal(len(specs), stored, "direct arm stored")
+        harness.require_equal(
+            (len(specs), True), drained, "single worker (completed, complete)")
+        return {
+            "direct_s": harness.seconds(direct_s),
+            "single_worker_s": harness.seconds(solo_s),
+            "overhead_ms_per_job": round(
+                max(0.0, solo_s - direct_s) / len(specs) * 1000, 2),
+        }
 
-
-def bench_single_worker(specs, root):
-    campaign = FleetCampaign.create(
-        os.path.join(root, "solo"), specs,
-        config=FleetConfig(poll_interval=0.01))
-    start = time.perf_counter()
-    summary = FleetWorker(campaign, "bench").run()
-    elapsed = time.perf_counter() - start
-    assert summary["completed"] == len(specs), summary
-    assert campaign.status()["complete"]
-    return elapsed
-
-
-def bench_two_workers(specs, root):
-    start = time.perf_counter()
-    status = run_fleet(os.path.join(root, "duo"), specs=specs,
-                       workers=2, timeout=600.0,
-                       config=FleetConfig(poll_interval=0.01))
-    elapsed = time.perf_counter() - start
-    assert status["complete"], status
-    assert status["verify_ok"], status
-    assert status["missing"] == 0 and status["failed"] == 0
-    assert status["verify"]["superseded"] == 0
-    return elapsed
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-
-    count = QUICK_SPECS if args.quick else FULL_SPECS
-    specs = _specs(count)
-    root = tempfile.mkdtemp(prefix="bench-fleet-")
-    try:
-        direct_s = bench_direct(specs, root)
-        solo_s = bench_single_worker(specs, root)
-        duo_s = bench_two_workers(specs, root)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    overhead_per_job = max(0.0, solo_s - direct_s) / count
-    report = {
-        "bench": "fleet",
-        "quick": args.quick,
-        "specs": count,
-        "python": platform.python_version(),
-        "direct_s": round(direct_s, 4),
-        "single_worker_s": round(solo_s, 4),
-        "two_worker_s": round(duo_s, 4),
-        "overhead_per_job_s": round(overhead_per_job, 5),
-        "overhead_ceiling_s": OVERHEAD_CEILING_S,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-
-    if overhead_per_job > OVERHEAD_CEILING_S:
-        print(
-            f"GATE FAIL: fleet orchestration costs "
-            f"{overhead_per_job * 1000:.1f} ms/job "
-            f"(ceiling {OVERHEAD_CEILING_S * 1000:.0f} ms)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"GATE OK: orchestration overhead "
-        f"{overhead_per_job * 1000:.1f} ms/job; two-worker drain "
-        f"complete and verify-clean in {duo_s:.2f}s"
+    return harness.Cell(
+        "single-worker-overhead",
+        "one in-process FleetWorker against execute + put_new of the "
+        "same specs",
+        {"specs": len(specs)}, measure,
+        (harness.gate("overhead_ms_per_job", "<=", OVERHEAD_CEILING_MS),),
     )
-    return 0
+
+
+def drain_cell(specs):
+    def drain(root):
+        status = run_fleet(root, specs=specs, workers=2, timeout=600.0,
+                           config=CONFIG)
+        return {
+            "complete": status["complete"],
+            "verify_ok": status["verify_ok"],
+            "missing": status["missing"],
+            "failed": status["failed"],
+            "superseded": status["verify"]["superseded"],
+        }
+
+    def measure(repeats):
+        with tempfile.TemporaryDirectory(prefix="bench-fleet-") as root:
+            duo_s, outcome = harness.best_of(
+                drain, repeats, fresh=lambda: tempfile.mkdtemp(dir=root))
+        harness.require_equal(
+            {"complete": True, "verify_ok": True, "missing": 0,
+             "failed": 0, "superseded": 0},
+            outcome, "two-worker drain is not complete and verify-clean")
+        return {"two_worker_s": harness.seconds(duo_s)}
+
+    return harness.Cell(
+        "two-worker-drain",
+        "two `repro fleet join` subprocesses on a sharded campaign; "
+        "complete and verify-clean or the cell raises",
+        {"specs": len(specs), "workers": 2}, measure,
+    )
+
+
+def cells(quick):
+    specs = [RunSpec(kind="gossip", algorithm="ears", n=96, f=24, seed=seed)
+             for seed in range(QUICK_SPECS if quick else FULL_SPECS)]
+    return [overhead_cell(specs), drain_cell(specs)]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(harness.main(__name__))

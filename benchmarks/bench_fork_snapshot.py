@@ -1,27 +1,35 @@
-"""Benchmark: O(state) fork/snapshot vs ``copy.deepcopy`` of a simulation.
+"""Benchmark FORK-SNAPSHOT: O(state) fork vs ``copy.deepcopy``.
 
 The Theorem 1 adversary forks the whole execution once per Monte-Carlo
 sample (Phase B), which made ``copy.deepcopy`` the hottest line of the
 lower-bound pipeline. The component snapshot protocol replaces it; this
-bench measures both on the Theorem 1 configuration (n = 64 mid-flight under
-the scripted adversary) and asserts the protocol's ≥ 3× speedup, plus the
-semantic requirement that a fork is a bit-equivalent continuation.
+bench times both on the Theorem 1 configuration (n = 64 mid-flight under
+the scripted adversary). ``copy.deepcopy`` is an oracle this repo does
+not optimise, so the gate is the protocol's ≥ 3× (≈ 8× measured). That a
+fork is a bit-equivalent continuation of a deepcopy, and that a restored
+snapshot replays, are claims, not timings:
+``tests/sim/test_fork_snapshot.py`` holds them.
 """
 
 from __future__ import annotations
 
 import copy
-import time
+
+import _harness as harness
 
 from repro.adversary.adaptive import ScriptedAdversary
 from repro.core.base import make_processes
 from repro.core.ears import Ears
 from repro.sim.engine import Simulation
 
+BENCHMARK = "fork_snapshot"
+
 N = 64
 F = 16
 WARMUP_STEPS = 20          # Phase A-ish prefix: real queues, real state
 CLONES = 60                # Phase B at samples=6 forks ~48 times
+QUICK_CLONES = 15
+MIN_SPEEDUP = 3.0
 
 
 def make_theorem1_sim() -> Simulation:
@@ -39,60 +47,29 @@ def make_theorem1_sim() -> Simulation:
     return sim
 
 
-def time_clones(clone_fn) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(CLONES):
-            clone_fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def cells(quick):
+    clones = QUICK_CLONES if quick else CLONES
+
+    def measure(repeats):
+        sim = make_theorem1_sim()
+
+        def clone_with(clone):
+            return harness.best_of(
+                lambda: [clone(sim).now for _ in range(clones)], repeats)[0]
+
+        # copy.deepcopy is what fork() used to be.
+        return harness.versus("deepcopy_s", clone_with(copy.deepcopy),
+                              "fork_s", clone_with(Simulation.fork))
+
+    return [harness.Cell(
+        "theorem1-n64-midflight",
+        "clone the Phase B forking point: deepcopy of the object graph "
+        "against the component snapshot protocol",
+        {"n": N, "f": F, "warmup_steps": WARMUP_STEPS, "clones": clones},
+        measure,
+        (harness.gate("speedup", ">=", MIN_SPEEDUP),),
+    )]
 
 
-def deepcopy_clone(sim: Simulation) -> Simulation:
-    # What fork() used to be: one deepcopy of the full object graph.
-    return copy.deepcopy(sim)
-
-
-def test_fork_at_least_3x_faster_than_deepcopy(benchmark, once):
-    sim = make_theorem1_sim()
-    deep_seconds = time_clones(lambda: deepcopy_clone(sim))
-    fork_seconds = once(lambda: time_clones(sim.fork))
-    speedup = deep_seconds / fork_seconds
-    benchmark.extra_info["deepcopy_seconds"] = deep_seconds
-    benchmark.extra_info["fork_seconds"] = fork_seconds
-    benchmark.extra_info["speedup"] = speedup
-    print(f"\nfork vs deepcopy on Theorem 1 config (n={N}, f={F}, "
-          f"{CLONES} clones): deepcopy={deep_seconds:.4f}s "
-          f"fork={fork_seconds:.4f}s speedup={speedup:.1f}x")
-    assert speedup >= 3.0, (
-        f"snapshot-protocol fork is only {speedup:.1f}x faster than "
-        f"deepcopy (need >= 3x)"
-    )
-
-
-def test_fork_is_equivalent_to_deepcopy_continuation(benchmark, once):
-    """Both clone styles must yield the same continuation (determinism)."""
-    sim = make_theorem1_sim()
-    fork = once(sim.fork)
-    deep = deepcopy_clone(sim)
-    fork.run_for(10)
-    deep.run_for(10)
-    assert fork.metrics.messages_sent == deep.metrics.messages_sent
-    assert fork.metrics.snapshot() == deep.metrics.snapshot()
-    assert fork.now == deep.now
-
-
-def test_snapshot_restore_round_trip(benchmark, once):
-    sim = make_theorem1_sim()
-    snap = sim.snapshot()
-    sim.run_for(10)
-    reference = sim.metrics.messages_sent
-
-    def restore_and_replay():
-        sim.restore(snap)
-        sim.run_for(10)
-        return sim.metrics.messages_sent
-
-    replayed = once(restore_and_replay)
-    assert replayed == reference
+if __name__ == "__main__":
+    raise SystemExit(harness.main(__name__))

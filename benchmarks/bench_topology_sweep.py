@@ -1,9 +1,10 @@
 """Benchmark TOPOLOGY-SWEEP: spread-time exponents across topologies.
 
 Runs the Panagiotou–Speidel asynchronous push–pull n-sweep on the
-complete graph, supercritical G(n, p) and the ring, fits completion time
-≈ c · n^e per family via the shared fitting machinery, and emits
-``BENCH_topology_sweep.json``.
+complete graph, supercritical G(n, p) and the ring and fits completion
+time ≈ c · n^e per family via the shared fitting machinery. The measures
+are simulated statistics, the same on every host; the sweep's wall clock
+rides along, ungated.
 
 The gates encode the literature's ordering, not exact constants:
 
@@ -16,31 +17,17 @@ The gates encode the literature's ordering, not exact constants:
 * the ring exponent exceeds the G(n, p) exponent by ≥ 0.3, the
   separation the topology layer exists to demonstrate.
 
-Usage (standalone, not pytest-benchmark)::
-
-    PYTHONPATH=src python benchmarks/bench_topology_sweep.py \
-        --out BENCH_topology_sweep.json
-    PYTHONPATH=src python benchmarks/bench_topology_sweep.py --quick
+``tests/test_topology.py`` asserts the same sweep against the same three
+constants in tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
+import _harness as harness
 
-if "src" not in sys.path:  # allow running without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "src")
-    )
+from repro.workloads.topology import sweep_topology_gossip
 
-from repro.workloads.topology import (  # noqa: E402
-    format_topology_curves,
-    sweep_topology_gossip,
-)
+BENCHMARK = "topology_sweep"
 
 #: Exponent gates: the ring must look linear, the expander-like families
 #: sublinear, and the gap between them must be unmistakable.
@@ -48,114 +35,60 @@ RING_MIN_EXPONENT = 0.6
 SUBLINEAR_MAX_EXPONENT = 0.45
 MIN_SEPARATION = 0.3
 
+ALGORITHM = "ps-push-pull"
+TOPOLOGIES = ("complete", "gnp", "ring")
+#: Keyed by ``quick``.
+NS = {False: [16, 32, 64, 128], True: [16, 32, 64]}
+SEEDS = {False: 3, True: 2}
+
 
 def run_sweep(quick):
-    ns = [16, 32, 64] if quick else [16, 32, 64, 128]
-    seeds = range(2) if quick else range(3)
     return sweep_topology_gossip(
-        "ps-push-pull",
-        topologies=("complete", "gnp", "ring"),
-        ns=ns,
-        seeds=seeds,
-    )
+        ALGORITHM, topologies=TOPOLOGIES, ns=NS[quick],
+        seeds=range(SEEDS[quick]))
 
 
-def gate(curves):
-    by_name = {c.topology: c for c in curves}
-    failures = []
+def shape(curves):
+    """The fitted shape of a sweep as flat measures."""
+    measures = {}
     for curve in curves:
-        if min(curve.completion_rates, default=0.0) < 1.0:
-            failures.append(
-                f"{curve.topology}: completion rate "
-                f"{min(curve.completion_rates):.2f} < 1.0"
-            )
         if getattr(curve.raw_fit, "skipped", False):
-            failures.append(
-                f"{curve.topology}: fit skipped ({curve.raw_fit.reason})"
-            )
-    if failures:
-        return failures
-    ring = by_name["ring"].raw_fit.exponent
-    gnp = by_name["gnp"].raw_fit.exponent
-    complete = by_name["complete"].raw_fit.exponent
-    if ring < RING_MIN_EXPONENT:
-        failures.append(
-            f"ring exponent {ring:.2f} < {RING_MIN_EXPONENT} "
-            "(expected near-linear spread)"
-        )
-    for name, exponent in (("gnp", gnp), ("complete", complete)):
-        if exponent > SUBLINEAR_MAX_EXPONENT:
-            failures.append(
-                f"{name} exponent {exponent:.2f} > "
-                f"{SUBLINEAR_MAX_EXPONENT} (expected Θ(log n) spread)"
-            )
-    if ring - gnp < MIN_SEPARATION:
-        failures.append(
-            f"ring ({ring:.2f}) does not separate from gnp ({gnp:.2f}) "
-            f"by {MIN_SEPARATION}"
-        )
-    return failures
+            raise AssertionError(
+                f"{curve.topology}: fit skipped ({curve.raw_fit.reason})")
+        measures.update({
+            f"{curve.topology}_exponent": round(curve.raw_fit.exponent, 4),
+            f"{curve.topology}_r_squared": round(curve.raw_fit.r_squared, 4),
+            f"{curve.topology}_deloged_exponent": round(
+                curve.deloged_fit.exponent, 4),
+        })
+    measures["ring_minus_gnp"] = round(
+        measures["ring_exponent"] - measures["gnp_exponent"], 4)
+    measures["min_completion_rate"] = min(
+        rate for curve in curves for rate in curve.completion_rates)
+    return measures
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shrunken sweep for CI (max n 64, 2 seeds)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_topology_sweep.json",
-        help="output JSON path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-gate", action="store_true",
-        help="record the exponents without enforcing the ordering gates",
-    )
-    args = parser.parse_args(argv)
+def cells(quick):
+    def measure(repeats):
+        sweep_s, measures = harness.best_of(
+            lambda: shape(run_sweep(quick)), repeats)
+        return {**measures, "sweep_s": harness.seconds(sweep_s)}
 
-    curves = run_sweep(args.quick)
-    print(format_topology_curves(curves))
-
-    report = {
-        "benchmark": "topology_sweep",
-        "quick": args.quick,
-        "algorithm": "ps-push-pull",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "gates": {
-            "ring_min_exponent": RING_MIN_EXPONENT,
-            "sublinear_max_exponent": SUBLINEAR_MAX_EXPONENT,
-            "min_separation": MIN_SEPARATION,
-        },
-        "curves": [
-            {
-                "topology": c.topology,
-                "algorithm": c.algorithm,
-                "ns": c.ns,
-                "mean_times": c.times,
-                "completion_rates": c.completion_rates,
-                "fitted_exponent": c.raw_fit.exponent,
-                "fitted_r_squared": c.raw_fit.r_squared,
-                "deloged_exponent": c.deloged_fit.exponent,
-                "deloged_log_power": c.deloged_fit.log_power,
-                "predicted_exponent": c.predicted_exponent,
-            }
-            for c in curves
-        ],
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    failures = [] if args.no_gate else gate(curves)
-    if failures:
-        print("topology gates FAILED:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    return 0
+    return [harness.Cell(
+        "ps-push-pull-complete-gnp-ring",
+        "failure-free n-sweep per family, completion time fitted to c·n^e",
+        {"algorithm": ALGORITHM, "topologies": list(TOPOLOGIES),
+         "ns": NS[quick], "seeds": SEEDS[quick]},
+        measure,
+        (
+            harness.gate("min_completion_rate", "==", 1.0),
+            harness.gate("ring_exponent", ">=", RING_MIN_EXPONENT),
+            harness.gate("gnp_exponent", "<=", SUBLINEAR_MAX_EXPONENT),
+            harness.gate("complete_exponent", "<=", SUBLINEAR_MAX_EXPONENT),
+            harness.gate("ring_minus_gnp", ">=", MIN_SEPARATION),
+        ),
+    )]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__name__))

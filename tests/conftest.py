@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+
 import pytest
 
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.core.base import make_processes
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
+
+BENCHMARKS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks")
+
+
+def import_benchmark(name):
+    """Import ``benchmarks/<name>.py``. The directory is not a package:
+    its scripts find ``_harness`` as a sibling, so it goes on the path."""
+    if BENCHMARKS not in sys.path:
+        sys.path.insert(0, BENCHMARKS)
+    return importlib.import_module(name)
 
 
 def build_gossip_sim(

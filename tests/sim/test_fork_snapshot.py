@@ -6,6 +6,8 @@ completion, produce identical RunResults — for every gossip algorithm and
 for adaptive adversaries (which hold references back into the simulation).
 """
 
+import copy
+
 import pytest
 
 from repro.adversary.adaptive import (
@@ -19,6 +21,8 @@ from repro.api import GOSSIP_ALGORITHMS
 from repro.core.base import make_processes
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
+
+from ..conftest import import_benchmark
 
 
 def make_sim(algorithm="ears", n=16, f=4, seed=0, adversary=None):
@@ -173,3 +177,17 @@ class TestLowerBoundForkPath:
             totals.add(fork.metrics.messages_sent)
         assert sim.metrics.messages_sent == messages_before
         assert sim.now == 4
+
+    def test_fork_continues_as_a_deepcopy_does(self):
+        """``copy.deepcopy`` is what ``fork()`` used to be, and stays the
+        oracle: from the point ``benchmarks/bench_fork_snapshot.py`` times
+        (n = 64 mid-flight, scripted adversary, no monitor) both clones
+        continue bit for bit alike."""
+        sim = import_benchmark("bench_fork_snapshot").make_theorem1_sim()
+        fork, deep = sim.fork(), copy.deepcopy(sim)
+        fork.run_for(10)
+        deep.run_for(10)
+        assert fork.now == deep.now == sim.now + 10
+        assert fork.metrics.messages_sent == deep.metrics.messages_sent \
+            > sim.metrics.messages_sent
+        assert fork.metrics.snapshot() == deep.metrics.snapshot()

@@ -25,6 +25,8 @@ from repro.sim.topology import (
 )
 from repro.spec import RunSpec, execute
 
+from .conftest import import_benchmark
+
 RANDOM_FAMILIES = ("gnp", "random-regular", "small-world")
 
 
@@ -268,22 +270,29 @@ class TestTopologyRuns:
 
 class TestSweepsAndFits:
     def test_sweep_topology_gossip_shapes(self):
-        from repro.workloads import (
-            format_topology_curves,
-            sweep_topology_gossip,
-        )
+        """The ordering the literature states, as a claim: the sweep
+        ``benchmarks/bench_topology_sweep.py`` runs — complete / gnp /
+        ring over n in {16, 32, 64, 128} x 3 seeds — against the bench's
+        own three constants, so bench and test cannot disagree."""
+        from repro.workloads import format_topology_curves
 
-        curves = sweep_topology_gossip(
-            "ps-push-pull", topologies=("complete", "ring"),
-            ns=[8, 16, 32], seeds=range(2),
-        )
+        bench = import_benchmark("bench_topology_sweep")
+        curves = bench.run_sweep(quick=False)
         by_name = {c.topology: c for c in curves}
-        assert set(by_name) == {"complete", "ring"}
+        assert set(by_name) == {"complete", "gnp", "ring"}
+        assert all(c.ns == [16, 32, 64, 128] for c in curves)
         assert all(min(c.completion_rates) == 1.0 for c in curves)
-        # The headline separation: ring spreads like n, complete like
-        # log n. Small populations are noisy, so gate only the ordering.
-        assert by_name["ring"].raw_fit.exponent > \
-            by_name["complete"].raw_fit.exponent
+        ring, gnp, complete = (by_name[name].raw_fit.exponent
+                               for name in ("ring", "gnp", "complete"))
+        # Ring spreads like n (one contact moves the rumor a constant
+        # distance), supercritical G(n, p) and the complete graph like
+        # log n (Panagiotou & Speidel), and the gap is unmistakable.
+        assert (bench.RING_MIN_EXPONENT, bench.SUBLINEAR_MAX_EXPONENT,
+                bench.MIN_SEPARATION) == (0.6, 0.45, 0.3)
+        assert ring >= bench.RING_MIN_EXPONENT
+        assert gnp <= bench.SUBLINEAR_MAX_EXPONENT
+        assert complete <= bench.SUBLINEAR_MAX_EXPONENT
+        assert ring - gnp >= bench.MIN_SEPARATION
         assert "ring" in format_topology_curves(curves)
 
     def test_topology_scenario_matrix(self):
