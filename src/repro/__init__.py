@@ -34,26 +34,28 @@ or, declaratively::
                              d=2, delta=2, seed=1))
 """
 
-from .api import GossipRun, run_consensus, run_gossip
-from .core import Ears, Sears, Tears, TrivialGossip, UniformEpidemicGossip
-from .sim import RunResult, Simulation
-from .spec import RunSpec, build, execute
+from ._util import lazy_exports
 
 __version__ = "1.7.0"
 
-__all__ = [
-    "Ears",
-    "GossipRun",
-    "RunResult",
-    "RunSpec",
-    "Sears",
-    "Simulation",
-    "Tears",
-    "TrivialGossip",
-    "UniformEpidemicGossip",
-    "__version__",
-    "build",
-    "execute",
-    "run_consensus",
-    "run_gossip",
-]
+# name -> defining submodule, imported on first use (see lazy_exports):
+# ``import repro`` is what every ``repro.x.y`` import pays first.
+_EXPORTS = {
+    "GossipRun": "api",
+    "run_consensus": "api",
+    "run_gossip": "api",
+    "Ears": "core",
+    "Sears": "core",
+    "Tears": "core",
+    "TrivialGossip": "core",
+    "UniformEpidemicGossip": "core",
+    "RunResult": "sim",
+    "Simulation": "sim",
+    "RunSpec": "spec",
+    "build": "spec",
+    "execute": "spec",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

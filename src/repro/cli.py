@@ -34,38 +34,17 @@ import time
 from contextlib import nullcontext
 from typing import List, Optional
 
-from .api import GOSSIP_ALGORITHMS, run_gossip
-from .consensus import run_consensus
-from .experiments import (
-    GridRunner,
-    GridSpec,
-    aggregate,
-    format_corollary2,
-    format_scaling,
-    format_table1,
-    format_table2,
-    format_theorem1,
-    ordering_is_correct,
-    run_corollary2,
-    run_message_scaling,
-    run_table1,
-    run_table2,
-    run_theorem1,
-)
-from .sim.events import StepProfiler
-from .workloads import SCENARIOS
-from .workloads.sweeps import (
-    geometric_ns,
-    near_half,
-    quarter,
-    sweep_gossip,
-    three_quarters,
-)
+from .spec.registry import GOSSIP_ALGORITHMS
 
+# The parser is built from names alone; each subcommand's branch of
+# ``main`` imports the drivers it runs, so ``repro gossip`` does not load
+# the report generator and ``repro --help`` loads no experiment at all.
+
+#: ``--f-rule`` choice -> function of :mod:`repro.workloads.sweeps`.
 _F_RULES = {
-    "quarter": quarter,
-    "near-half": near_half,
-    "three-quarters": three_quarters,
+    "quarter": "quarter",
+    "near-half": "near_half",
+    "three-quarters": "three_quarters",
 }
 
 
@@ -543,6 +522,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     if args.command == "gossip":
+        from .api import run_gossip
+
         f = args.f if args.f is not None else args.n // 4
         run = run_gossip(
             args.algorithm, n=args.n, f=f, d=args.d, delta=args.delta,
@@ -559,6 +540,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if run.completed else 1
 
     if args.command == "consensus":
+        from .consensus import run_consensus
+
         f = args.f if args.f is not None else (args.n - 1) // 2
         run = run_consensus(
             args.transport, n=args.n, f=f, d=args.d, delta=args.delta,
@@ -574,6 +557,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if run.completed and run.agreement else 1
 
     if args.command == "table1":
+        from .experiments import format_table1, run_table1
+
         f = args.f if args.f is not None else args.n // 4
         print(format_table1(run_table1(
             n=args.n, f=f, d=max(2, args.d), delta=max(2, args.delta),
@@ -582,6 +567,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "table2":
+        from .experiments import format_table2, run_table2
+
         f = args.f if args.f is not None else (args.n - 1) // 2
         print(format_table2(run_table2(
             n=args.n, f=f, d=max(2, args.d), delta=max(2, args.delta),
@@ -590,6 +577,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "theorem1":
+        from .experiments import format_theorem1, run_theorem1
+
         f = args.f if args.f is not None else args.n // 4
         print(format_theorem1(run_theorem1(
             n=args.n, f=f, seeds=range(args.seeds),
@@ -597,6 +586,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "corollary2":
+        from .experiments import format_corollary2, run_corollary2
+
         f = args.f if args.f is not None else args.n // 4
         print(format_corollary2(run_corollary2(
             n=args.n, f=f, seeds=range(args.seeds),
@@ -604,6 +595,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "scaling":
+        from .experiments import (
+            format_scaling,
+            ordering_is_correct,
+            run_message_scaling,
+        )
+        from .workloads.sweeps import geometric_ns
+
         rows = run_message_scaling(
             ns=geometric_ns(args.min_n, args.max_n),
             seeds=range(args.seeds),
@@ -614,6 +612,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "grid":
+        from .experiments import GridRunner, GridSpec, aggregate
+        from .sim.events import StepProfiler
+
         if args.resume and args.profile:
             print("--resume and --profile cannot be combined: profiling "
                   "runs cells sequentially without checkpointing",
@@ -688,6 +689,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "sweep":
         from .experiments import CampaignDrained, GracefulShutdown
+        from .sim.events import StepProfiler
+        from .workloads import sweeps
 
         if args.resume and args.profile:
             print("--resume and --profile cannot be combined: profiling "
@@ -696,7 +699,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         profiler = StepProfiler() if args.profile else None
         sweep_kwargs = dict(
-            f_of_n=_F_RULES[args.f_rule],
+            f_of_n=getattr(sweeps, _F_RULES[args.f_rule]),
             d=args.d, delta=args.delta,
             seeds=range(args.seeds), crash=args.crash,
             processes=1 if args.profile else args.processes,
@@ -705,11 +708,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
             topology=_parse_topology(args),
         )
-        ns = geometric_ns(args.min_n, args.max_n, args.factor)
+        ns = sweeps.geometric_ns(args.min_n, args.max_n, args.factor)
         if args.resume:
             with GracefulShutdown() as shutdown:
                 try:
-                    points = sweep_gossip(
+                    points = sweeps.sweep_gossip(
                         args.algorithm, ns,
                         manifest=args.resume,
                         checkpoint_every=args.checkpoint_every,
@@ -719,7 +722,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 except CampaignDrained as exc:
                     return _drained_exit(exc)
         else:
-            points = sweep_gossip(args.algorithm, ns, **sweep_kwargs)
+            points = sweeps.sweep_gossip(args.algorithm, ns, **sweep_kwargs)
         for point in points:
             print(f"{args.algorithm}: n={point.n:5d} f={point.f:4d} "
                   f"completion={point.completion_rate:4.2f} "
@@ -731,6 +734,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "scenarios":
+        from .workloads import SCENARIOS
+
         for name, scenario in sorted(SCENARIOS.items()):
             print(f"{name:16s} d={scenario.d} delta={scenario.delta}  "
                   f"{scenario.description}")
@@ -1184,7 +1189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .adversary.crash_plans import random_crashes
         from .adversary.oblivious import ObliviousAdversary
         from .analysis.timeline import TimelineRecorder
-        from .api import GOSSIP_ALGORITHMS as registry
         from .core.base import make_processes
         from .sim.engine import Simulation
         from .sim.monitor import GossipCompletionMonitor
@@ -1199,7 +1203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         recorder = TimelineRecorder()
         sim = Simulation(
             n=n, f=f,
-            algorithms=make_processes(n, f, registry[args.algorithm]),
+            algorithms=make_processes(n, f, GOSSIP_ALGORITHMS[args.algorithm]),
             adversary=ObliviousAdversary.uniform(
                 args.d, args.delta, seed=args.seed, crashes=plan,
             ),

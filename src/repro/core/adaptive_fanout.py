@@ -52,11 +52,7 @@ class AdaptiveFanoutGossip(GossipAlgorithm):
         self.quiet_steps = 0
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        novelty = False
-        for msg in inbox:
-            mask, payloads = msg.payload
-            if self.rumors.merge(mask, payloads):
-                novelty = True
+        novelty = self.rumors.merge_inbox(inbox)
 
         if novelty:
             # Something new is circulating: re-open the fanout and reset

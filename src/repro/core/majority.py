@@ -62,11 +62,20 @@ class DeterministicMajorityGossip(GossipAlgorithm):
         self._next_trigger = max(1, self.k // 4)
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        for msg in inbox:
-            mask, payloads, first_level = msg.payload
-            self.rumors.merge(mask, payloads)
-            if first_level:
-                self.first_level_received += 1
+        if inbox:
+            # Fold the inbox into locals, store once (RumorSet.merge_inbox
+            # with a third field: first-level messages are counted).
+            rumors = self.rumors
+            got = received = 0
+            for msg in inbox:
+                mask, payloads, first_level = msg.payload
+                if payloads:
+                    rumors.payloads.update(payloads)
+                got |= mask
+                if first_level:
+                    received += 1
+            rumors.mask |= got
+            self.first_level_received += received
 
         if not self.first_sent:
             payload = self._payload(first_level=True)

@@ -66,6 +66,9 @@ class PanagiotouSpeidelPushPull(GossipAlgorithm):
                     )
                     ctx.send(msg.src, (missing, reply_payloads),
                              kind=KIND_REPLY)
+            # Merged per message, not folded after the loop: the reply to
+            # message k is computed from V as messages 1..k-1 left it, so
+            # the order of reads and merges is the algorithm.
             self.rumors.merge(mask, payloads)
 
         if not ctx.isolated:

@@ -82,6 +82,10 @@ class PushPullGossip(InformedListGossip):
             elif msg.kind == KIND_ACK:
                 evidence |= msg.payload << (msg.src * n)
             else:  # KIND_DELTA
+                # Merged per message, not folded after the loop: a later
+                # digest's reply (``missing``, ``saw_unknown``) is
+                # computed from V as this delta left it, so the order of
+                # reads and merges is the algorithm.
                 mask, payloads = msg.payload
                 self.rumors.merge(mask, payloads)
                 got |= mask

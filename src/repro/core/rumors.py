@@ -67,6 +67,25 @@ class RumorSet:
             self.payloads.update(payloads)
         return new
 
+    def merge_inbox(self, inbox: Iterable[Any]) -> bool:
+        """Union in every ``(mask, payloads)`` message of one step's inbox;
+        returns True if the mask grew (some message was new).
+
+        The masks are OR-ed into a local and stored once — what the
+        receiver pays per message — and payload dicts update in message
+        order, exactly as one :meth:`merge` per message would leave them.
+        """
+        payloads = self.payloads
+        got = 0
+        for msg in inbox:
+            mask, theirs = msg.payload
+            if theirs:
+                payloads.update(theirs)
+            got |= mask
+        before = self.mask
+        self.mask = merged = before | got
+        return merged != before
+
     def merge_set(self, other: "RumorSet") -> bool:
         return self.merge(other.mask, other.payloads)
 

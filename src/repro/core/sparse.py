@@ -40,11 +40,7 @@ class SparseGossip(GossipAlgorithm):
         self._remaining = budget
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        learned = False
-        for msg in inbox:
-            mask, payloads = msg.payload
-            if self.rumors.merge(mask, payloads):
-                learned = True
+        learned = self.rumors.merge_inbox(inbox)
         if learned and self.rearm:
             self._remaining = self.budget
         if self._remaining > 0 and not ctx.isolated:

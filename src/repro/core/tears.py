@@ -122,12 +122,22 @@ class Tears(GossipAlgorithm):
             self._build_membership(ctx)
 
         old_count = self.up_msg_cnt
-        for msg in inbox:
-            mask, payloads, flag_up = msg.payload
-            self.rumors.merge(mask, payloads)
-            if flag_up:
-                self.up_msg_cnt += 1
-                self.first_level_rumor_mask |= mask
+        if inbox:
+            # Fold the inbox into locals, store once (RumorSet.merge_inbox
+            # with a third field: raised flags are counted on the way).
+            rumors = self.rumors
+            got = first_level = raised = 0
+            for msg in inbox:
+                mask, payloads, flag_up = msg.payload
+                if payloads:
+                    rumors.payloads.update(payloads)
+                got |= mask
+                if flag_up:
+                    raised += 1
+                    first_level |= mask
+            rumors.mask |= got
+            self.up_msg_cnt += raised
+            self.first_level_rumor_mask |= first_level
 
         if not self.first_level_sent:
             payload = self._payload(flag_up=True)

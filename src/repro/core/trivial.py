@@ -29,9 +29,7 @@ class TrivialGossip(GossipAlgorithm):
         self._broadcast_done = False
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        for msg in inbox:
-            mask, payloads = msg.payload
-            self.rumors.merge(mask, payloads)
+        self.rumors.merge_inbox(inbox)
         if not self._broadcast_done:
             snapshot = self.rumors.snapshot()
             # ctx.peers() is every other pid on the complete graph and the

@@ -40,9 +40,7 @@ class UniformEpidemicGossip(GossipAlgorithm):
         self._steps = 0
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        for msg in inbox:
-            mask, payloads = msg.payload
-            self.rumors.merge(mask, payloads)
+        self.rumors.merge_inbox(inbox)
         if (self.stop_after_steps is None
                 or self._steps < self.stop_after_steps) and not ctx.isolated:
             ctx.send(ctx.random_peer(), self.rumors.snapshot(), kind=self.KIND)

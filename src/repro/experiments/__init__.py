@@ -9,74 +9,48 @@ Each module regenerates one paper artifact:
 * :mod:`.scaling` — scaling-shape validation of the Table 1 columns.
 """
 
-from .campaign import (
-    CampaignDrained,
-    CampaignManifest,
-    DRAIN_EXIT_CODE,
-    GracefulShutdown,
-    run_jobs,
-)
-from .corollary2 import (
-    Corollary2Row,
-    format_corollary2,
-    run_coa_growth,
-    run_corollary2,
-)
-from .grid import GridRunner, GridSpec, aggregate
-from .pool import TrialPool
-from .lemmas import (
-    EarsMilestones,
-    TearsLemmaReport,
-    measure_ears_milestones,
-    measure_tears_lemmas,
-)
-from .report import ReportConfig, generate_report
-from .scaling import (
-    ScalingRow,
-    format_scaling,
-    ordering_is_correct,
-    run_message_scaling,
-    run_time_scaling,
-    run_time_vs_latency,
-)
-from .table1 import Table1Row, format_table1, run_table1
-from .table2 import Table2Row, format_table2, run_table2
-from .theorem1 import PORTFOLIO, Theorem1Row, format_theorem1, run_theorem1
+from .._util import lazy_exports
 
-__all__ = [
-    "CampaignDrained",
-    "CampaignManifest",
-    "Corollary2Row",
-    "DRAIN_EXIT_CODE",
-    "EarsMilestones",
-    "GracefulShutdown",
-    "GridRunner",
-    "GridSpec",
-    "PORTFOLIO",
-    "aggregate",
-    "ReportConfig",
-    "ScalingRow",
-    "Table1Row",
-    "Table2Row",
-    "TearsLemmaReport",
-    "Theorem1Row",
-    "TrialPool",
-    "format_corollary2",
-    "generate_report",
-    "measure_ears_milestones",
-    "measure_tears_lemmas",
-    "run_coa_growth",
-    "format_scaling",
-    "format_table1",
-    "format_table2",
-    "format_theorem1",
-    "ordering_is_correct",
-    "run_corollary2",
-    "run_jobs",
-    "run_message_scaling",
-    "run_table1",
-    "run_table2",
-    "run_theorem1",
-    "run_time_scaling",
-    "run_time_vs_latency",
-]
+# name -> defining submodule, imported on first use (see lazy_exports):
+# a pool worker that wants TrialPool does not load the report generator.
+_EXPORTS = {
+    "CampaignDrained": "campaign",
+    "CampaignManifest": "campaign",
+    "DRAIN_EXIT_CODE": "campaign",
+    "GracefulShutdown": "campaign",
+    "run_jobs": "campaign",
+    "Corollary2Row": "corollary2",
+    "format_corollary2": "corollary2",
+    "run_coa_growth": "corollary2",
+    "run_corollary2": "corollary2",
+    "GridRunner": "grid",
+    "GridSpec": "grid",
+    "aggregate": "grid",
+    "TrialPool": "pool",
+    "EarsMilestones": "lemmas",
+    "TearsLemmaReport": "lemmas",
+    "measure_ears_milestones": "lemmas",
+    "measure_tears_lemmas": "lemmas",
+    "ReportConfig": "report",
+    "generate_report": "report",
+    "ScalingRow": "scaling",
+    "format_scaling": "scaling",
+    "ordering_is_correct": "scaling",
+    "run_message_scaling": "scaling",
+    "run_time_scaling": "scaling",
+    "run_time_vs_latency": "scaling",
+    "Table1Row": "table1",
+    "format_table1": "table1",
+    "run_table1": "table1",
+    "Table2Row": "table2",
+    "format_table2": "table2",
+    "run_table2": "table2",
+    "PORTFOLIO": "theorem1",
+    "Theorem1Row": "theorem1",
+    "format_theorem1": "theorem1",
+    "run_theorem1": "theorem1",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

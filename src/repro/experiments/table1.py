@@ -18,7 +18,7 @@ from ..analysis.stats import Summary, summarize
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
-from ..store import RunStore, execute_batch
+from ..store import Store, execute_batch
 from ..sync import run_ck_gossip
 
 
@@ -74,7 +74,7 @@ def run_table1(
     algorithms: Sequence[str] = ASYNC_ALGORITHMS,
     crash: bool = True,
     include_sync: bool = True,
-    store: Optional[RunStore] = None,
+    store: Optional[Store] = None,
     processes: int = 1,
 ) -> List[Table1Row]:
     """Measure every Table 1 row at one (n, f, d, δ) configuration.

@@ -17,7 +17,7 @@ from ..analysis.stats import Summary, summarize
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
-from ..store import RunStore, execute_batch
+from ..store import Store, execute_batch
 
 
 @dataclass
@@ -68,7 +68,7 @@ def run_table2(
     crash: bool = True,
     include_ben_or: bool = False,
     max_steps: Optional[int] = None,
-    store: Optional[RunStore] = None,
+    store: Optional[Store] = None,
     processes: int = 1,
 ) -> List[Table2Row]:
     """Measure every Table 2 row at one (n, f, d, δ) configuration.

@@ -12,7 +12,7 @@ algorithm/scenario cells with each fault armed, asserting the invariant
 checkers catch every seeded violation — a self-test of the detectors.
 Its on-disk cells target the artifact store: seeded corruption
 injectors (:mod:`repro.faults.store_faults`) tear or bit-flip a scratch
-``RunStore`` log and the campaign asserts the store's durability layer
+``JsonlStore`` log and the campaign asserts the store's durability layer
 (checksum verify + recovery quarantine) detects every corruption.
 
 The second, ``fleet`` (:mod:`repro.faults.fleet_faults`), breaks the

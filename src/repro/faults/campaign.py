@@ -180,9 +180,9 @@ def _make_scratch_store(path: str, records: int, seed: int):
     run to exercise it — so the records carry synthetic metrics stamped
     exactly like real ones (schema, spec hash, CRC).
     """
-    from ..store import RunStore
+    from ..store import JsonlStore
 
-    store = RunStore(path)
+    store = JsonlStore(path)
     for index, spec in enumerate(_scratch_specs(records, seed)):
         store.put(spec, {
             "completed": True, "reason": "completed",
@@ -196,28 +196,28 @@ def _execute_store_cell(fault, trials_dir: str, trial: int, seed: int,
     """Run one store-fault cell; returns (detected, message, fired).
 
     Detection requires *all three* legs of the durability contract: the
-    read-only :meth:`~repro.store.RunStore.verify` scan must flag
+    read-only :meth:`~repro.store.JsonlStore.verify` scan must flag
     exactly the injected lines, a recovery load must salvage every
     surviving record while quarantining the corrupt ones, and replaying
     the corrupted WAL into an index
     (:meth:`~repro.store.SqliteStore.ingest`) must quarantine exactly
     the injected lines while ingesting exactly the survivors.
     """
-    from ..store import RunStore, SqliteStore
+    from ..store import JsonlStore, SqliteStore
 
     path = os.path.join(trials_dir, f"{fault.name}-{trial}.jsonl")
     _make_scratch_store(path, records, seed)
     rng = derive_rng(seed, "chaos-store", fault.name, trial)
     info = fault.inject(path, rng)
 
-    report = RunStore(path).verify()
+    report = JsonlStore(path).verify()
     if report["ok"] or len(report["corrupt"]) != info["corrupted_lines"]:
         return None, (
             f"verify missed the corruption: reported "
             f"{len(report['corrupt'])} corrupt line(s), injected "
             f"{info['corrupted_lines']} ({info})"
         ), True
-    recovered = RunStore(path)
+    recovered = JsonlStore(path)
     salvaged = len(recovered)
     if salvaged != info["surviving_records"]:
         return None, (
@@ -323,12 +323,12 @@ def run_campaign(
                         ok=detected in expected, message=message,
                     ))
             # False-positive control: a pristine store must verify clean.
-            from ..store import RunStore
+            from ..store import JsonlStore
 
             clean_path = os.path.join(trials_dir, "clean-control.jsonl")
             _make_scratch_store(clean_path, 4, seed)
             report.controls += 1
-            clean = RunStore(clean_path).verify()
+            clean = JsonlStore(clean_path).verify()
             if not clean["ok"]:
                 report.false_positives.append(CampaignCell(
                     fault="(none)", kind="store", algorithm="runstore",

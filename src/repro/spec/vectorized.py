@@ -9,10 +9,12 @@ campaigns into. Both return the same :class:`~repro.spec.results.
 GossipRun` shape the scalar builder produces, with ``sim=None`` (there
 is no per-trial scalar simulation object to hand back).
 
-Eligibility is decided by :func:`repro.sim.batch.batch_ineligibility`;
-callers fall back to :func:`repro.spec.builder.execute` for anything it
-refuses, which keeps adaptive adversaries, consensus, Theorem 1 and
-instrumented runs byte-identical to today.
+Eligibility is decided by :func:`batch_ineligibility` — the attribute
+gate of :mod:`repro.sim.batch`, then the engine import itself; callers
+fall back to :func:`repro.spec.builder.execute` for anything it refuses,
+which keeps adaptive adversaries, consensus, Theorem 1 and instrumented
+runs byte-identical to today. numpy is loaded by that import and by
+nothing before it: a process whose specs all fall back never pays for it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.params import DEFAULT_EARS, DEFAULT_SEARS
 from ..sim.base import RunResult
-from ..sim.batch import batch_eligible, batch_ineligibility
+from ..sim.batch import batch_ineligibility as _gate_ineligibility
 from ..sim.errors import ConfigurationError
 from .builder import _apply_scenario, default_step_limit, resolve_crash_plan
 from .registry import MAJORITY_ALGORITHMS
@@ -35,6 +37,32 @@ __all__ = [
     "execute_batch_spec",
     "run_batch_specs",
 ]
+
+
+def _engine():
+    """:mod:`repro.sim.batch.engine` — the one import that loads numpy."""
+    from ..sim.batch import engine
+
+    return engine
+
+
+def batch_ineligibility(spec) -> Optional[str]:
+    """``None`` when the batch engine can run ``spec``, else the reason
+    for the scalar fallback: the attribute gate's
+    (:func:`repro.sim.batch.batch_ineligibility`, which only asks whether
+    a numpy is *installed*), or — for a spec that passes it — that the
+    installed numpy does not import."""
+    reason = _gate_ineligibility(spec)
+    if reason is None:
+        try:
+            _engine()
+        except ImportError as exc:
+            reason = f"numpy is not available ({exc})"
+    return reason
+
+
+def batch_eligible(spec) -> bool:
+    return batch_ineligibility(spec) is None
 
 
 def batch_group_key(spec: RunSpec) -> str:
@@ -65,8 +93,6 @@ def run_batch_specs(specs: Sequence[RunSpec]) -> List[GossipRun]:
     Each trial's stream depends only on its own seed (batch-composition
     invariance), so splitting or merging groups never changes results.
     """
-    from ..sim.batch.engine import BatchSimulation
-
     if not specs:
         return []
     head = specs[0]
@@ -103,7 +129,7 @@ def run_batch_specs(specs: Sequence[RunSpec]) -> List[GossipRun]:
         head.max_steps if head.max_steps is not None
         else default_step_limit(n, f, d, delta)
     )
-    sim = BatchSimulation(
+    sim = _engine().BatchSimulation(
         n,
         f,
         [spec.seed for spec in specs],

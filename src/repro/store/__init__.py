@@ -6,8 +6,8 @@ provenance-stamped record format:
 * :mod:`repro.store.base` — the record format (schema, CRC stamps,
   :func:`make_record`/:func:`metrics_of`) and the :class:`Store`
   backend protocol; :func:`open_store` picks a backend by extension.
-* :mod:`repro.store.jsonl` — :class:`JsonlStore` (alias
-  :class:`RunStore`), the durable append-only JSONL write-ahead log:
+* :mod:`repro.store.jsonl` — :class:`JsonlStore`, the durable
+  append-only JSONL write-ahead log:
   crash recovery by quarantine, advisory locking, fsync policies,
   cross-process freshness.
 * :mod:`repro.store.sqlite` — :class:`SqliteStore`, the indexed query
@@ -22,57 +22,39 @@ provenance-stamped record format:
 * :mod:`repro.store.query` — the filter language behind
   :meth:`Store.select` and ``repro-gossip store query``.
 
-Everything the pre-package flat module exported is re-exported here, so
-``from repro.store import RunStore, execute_batch`` keeps working.
+Every public name is importable from here (``from repro.store import
+JsonlStore, execute_batch``) and resolves on first use.
 """
 
-from .base import (
-    BACKENDS,
-    FSYNC_POLICIES,
-    STORE_SCHEMA_VERSION,
-    Store,
-    UnknownSchemaError,
-    atomic_replace_json,
-    backend_for_path,
-    make_record,
-    metrics_of,
-    open_store,
-    record_crc,
-)
-from .batch import execute_batch, execute_cached, failed_record
-from .jsonl import JsonlStore, RunStore
-from .merge import (
-    MERGE_POLICIES,
-    MergeConflict,
-    merge_manifests,
-    merge_stores,
-    shard_of,
-    shard_specs,
-)
-from .sqlite import SqliteStore
+from .._util import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "FSYNC_POLICIES",
-    "JsonlStore",
-    "MERGE_POLICIES",
-    "MergeConflict",
-    "RunStore",
-    "STORE_SCHEMA_VERSION",
-    "SqliteStore",
-    "Store",
-    "UnknownSchemaError",
-    "atomic_replace_json",
-    "backend_for_path",
-    "execute_batch",
-    "execute_cached",
-    "failed_record",
-    "make_record",
-    "merge_manifests",
-    "merge_stores",
-    "metrics_of",
-    "open_store",
-    "record_crc",
-    "shard_of",
-    "shard_specs",
-]
+# name -> defining submodule, imported on first use (see lazy_exports):
+# a JSONL campaign does not load sqlite3, nor any campaign the merge tool.
+_EXPORTS = {
+    "BACKENDS": "base",
+    "FSYNC_POLICIES": "base",
+    "STORE_SCHEMA_VERSION": "base",
+    "Store": "base",
+    "UnknownSchemaError": "base",
+    "atomic_replace_json": "base",
+    "backend_for_path": "base",
+    "make_record": "base",
+    "metrics_of": "base",
+    "open_store": "base",
+    "record_crc": "base",
+    "execute_batch": "batch",
+    "execute_cached": "batch",
+    "failed_record": "batch",
+    "JsonlStore": "jsonl",
+    "MERGE_POLICIES": "merge",
+    "MergeConflict": "merge",
+    "merge_manifests": "merge",
+    "merge_stores": "merge",
+    "shard_of": "merge",
+    "shard_specs": "merge",
+    "SqliteStore": "sqlite",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

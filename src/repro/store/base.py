@@ -10,7 +10,7 @@ backends and the checkpoint manifests (:func:`atomic_replace_json`,
 :func:`advisory_lock`).
 
 :class:`Store` is the backend protocol extracted from the original
-monolithic ``RunStore`` surface: ``get``/``put``/``records``/``verify``/
+monolithic JSONL store's surface: ``get``/``put``/``records``/``verify``/
 ``compact``/``sync``/``quarantined_entries``, plus the raw-record write
 primitive ``put_record`` (what :mod:`repro.store.merge` and
 ``SqliteStore.ingest`` build on) and the query entry point

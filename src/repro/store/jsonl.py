@@ -1,7 +1,7 @@
 """Durable, provenance-stamped JSONL write-ahead log.
 
-This is the original ``repro.store.RunStore`` demoted to one backend of
-the layered store: the durable write-ahead format that campaign workers
+One backend of the layered store, and the original one: the durable
+write-ahead format that campaign workers
 append to, and that :class:`~repro.store.sqlite.SqliteStore` ingests
 into an indexed form for querying.
 
@@ -68,7 +68,7 @@ from .base import (
     scan_jsonl_lines,
 )
 
-__all__ = ["JsonlStore", "RunStore"]
+__all__ = ["JsonlStore"]
 
 
 class JsonlStore(Store):
@@ -412,7 +412,3 @@ class JsonlStore(Store):
             self._append_locked(record)
         records[record["spec_hash"]] = record
         return record, True
-
-
-#: Backward-compatible name: the store predating the backend split.
-RunStore = JsonlStore

@@ -56,11 +56,7 @@ class CkStyleGossip(SyncAlgorithm):
         return self.rumors.mask
 
     def on_round(self, ctx: SyncContext, inbox: List[SyncMessage]) -> None:
-        changed = False
-        for msg in inbox:
-            mask, payloads = msg.payload
-            if self.rumors.merge(mask, payloads):
-                changed = True
+        changed = self.rumors.merge_inbox(inbox)
         if changed or not self._started:
             self._quiet_rounds = 0
             self._started = True

@@ -10,13 +10,13 @@ from repro.faults import (
     run_campaign,
 )
 from repro.spec import RunSpec
-from repro.store import RunStore
+from repro.store import JsonlStore
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
 
 
 def _store_with_records(path, count=4):
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     for seed in range(count):
         store.put(SPEC.replace(seed=seed),
                   {"completed": True, "time": seed})
@@ -32,12 +32,12 @@ def test_injected_corruption_is_detected_and_salvaged(
     fault = make_store_fault(fault_name)
     info = fault.inject(str(path), random.Random(trial))
 
-    report = RunStore(str(path)).verify()
+    report = JsonlStore(str(path)).verify()
     assert not report["ok"]
     assert len(report["corrupt"]) == info["corrupted_lines"]
     assert report["corrupt"][0]["line"] == info["line"]
 
-    recovered = RunStore(str(path))
+    recovered = JsonlStore(str(path))
     assert len(recovered) == info["surviving_records"]
     assert len(recovered.quarantined_entries()) == info["corrupted_lines"]
 
@@ -61,7 +61,7 @@ def test_checksum_flip_keeps_line_as_valid_json(tmp_path):
     flipped = json.loads(lines[info["line"] - 1])  # still parses
     assert flipped["spec_hash"]  # payload intact; only the CRC lies
     reasons = [c["reason"]
-               for c in RunStore(str(path)).verify()["corrupt"]]
+               for c in JsonlStore(str(path)).verify()["corrupt"]]
     assert reasons == ["checksum-mismatch"]
 
 

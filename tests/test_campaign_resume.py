@@ -18,7 +18,7 @@ import pytest
 
 from repro.experiments import CampaignManifest
 from repro.spec import RunSpec
-from repro.store import RunStore, execute_batch, open_store
+from repro.store import JsonlStore, execute_batch, open_store
 
 N_SPECS = 30
 
@@ -139,7 +139,7 @@ def test_sigkill_mid_campaign_then_resume_matches_uninterrupted(
 
     # Byte-for-byte the same science as a never-interrupted campaign.
     uninterrupted = execute_batch(
-        _specs(engine), store=RunStore(str(tmp_path / "clean.jsonl")),
+        _specs(engine), store=JsonlStore(str(tmp_path / "clean.jsonl")),
     )
     assert _metrics_by_hash(records) == _metrics_by_hash(uninterrupted)
 
@@ -187,4 +187,4 @@ def test_cli_batch_drains_on_sigterm_and_resumes(tmp_path):
                             text=True, timeout=120)
     assert finish.returncode == 0, finish.stderr
     assert f"{N_SPECS}/{N_SPECS} spec(s) ok" in finish.stdout
-    assert len(RunStore(store_path)) == N_SPECS
+    assert len(JsonlStore(store_path)) == N_SPECS

@@ -15,7 +15,7 @@ from repro.experiments import (
     run_theorem1,
 )
 from repro.spec import RunSpec
-from repro.store import RunStore, execute_batch
+from repro.store import JsonlStore, execute_batch
 from repro.workloads.sweeps import quarter, sweep_gossip
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
@@ -248,7 +248,7 @@ class TestCheckpointedBatch:
         manifest_path = str(tmp_path / "batch.json")
         specs = [SPEC.replace(seed=seed) for seed in range(3)]
 
-        records = execute_batch(specs, store=RunStore(store_path),
+        records = execute_batch(specs, store=JsonlStore(store_path),
                                 manifest=manifest_path, checkpoint_every=1)
         assert all(r["metrics"]["completed"] for r in records)
         manifest = CampaignManifest.load(manifest_path)
@@ -260,7 +260,7 @@ class TestCheckpointedBatch:
         assert set(manifest.completed.values()) == {None}
 
         # Identical records to an unmanifested batch on the same store.
-        plain = execute_batch(specs, store=RunStore(store_path))
+        plain = execute_batch(specs, store=JsonlStore(store_path))
         assert plain == records
 
     def test_batch_backfills_manifest_from_store(self, tmp_path):
@@ -269,7 +269,7 @@ class TestCheckpointedBatch:
         store_path = str(tmp_path / "runs.jsonl")
         manifest_path = str(tmp_path / "batch.json")
         specs = [SPEC.replace(seed=seed) for seed in range(2)]
-        execute_batch(specs[:1], store=RunStore(store_path))
+        execute_batch(specs[:1], store=JsonlStore(store_path))
 
         executed = []
         import repro.store.batch as batch_module
@@ -282,7 +282,7 @@ class TestCheckpointedBatch:
 
         try:
             batch_module._spec_job = spy
-            execute_batch(specs, store=RunStore(store_path),
+            execute_batch(specs, store=JsonlStore(store_path),
                           manifest=manifest_path)
         finally:
             batch_module._spec_job = real_job

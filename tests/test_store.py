@@ -16,7 +16,6 @@ from repro import __version__
 from repro.spec import RunSpec
 from repro.store import (
     JsonlStore,
-    RunStore,
     SqliteStore,
     STORE_SCHEMA_VERSION,
     UnknownSchemaError,
@@ -61,7 +60,6 @@ def test_open_store_picks_backend_by_extension(tmp_path):
         open_store(str(tmp_path / "a.jsonl"), backend="sqlite"),
         SqliteStore,
     )
-    assert RunStore is JsonlStore
 
 
 def test_record_is_provenance_stamped(fresh_store):
@@ -272,7 +270,7 @@ def test_missing_schema_stamp_refused(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text('{"spec_hash": "00", "metrics": {}}\n')
     with pytest.raises(UnknownSchemaError):
-        len(RunStore(str(path)))
+        len(JsonlStore(str(path)))
 
 
 def test_batch_without_store_returns_records_in_order():

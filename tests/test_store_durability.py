@@ -8,7 +8,7 @@ import pytest
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
 from repro.store import (
-    RunStore,
+    JsonlStore,
     STORE_SCHEMA_VERSION,
     UnknownSchemaError,
     execute_cached,
@@ -20,7 +20,7 @@ SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
 
 
 def _filled_store(path, seeds=(0, 1, 2)):
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     for seed in seeds:
         store.put(SPEC.replace(seed=seed), {"completed": True, "time": seed})
     return store
@@ -31,7 +31,7 @@ def test_records_carry_verifying_crc(tmp_path):
     for record in store.records():
         assert record["crc"] == record_crc(record)
     # The stamp survives the JSON round trip through disk.
-    for record in RunStore(store.path).records():
+    for record in JsonlStore(store.path).records():
         assert record["crc"] == record_crc(record)
 
 
@@ -44,7 +44,7 @@ def test_truncated_trailing_record_salvages_valid_prefix(tmp_path):
     lines = whole.splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:25])
 
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     assert len(store) == 2  # the torn tail is gone, the prefix loads
     assert store.last_recovery["quarantined"][0]["reason"] == (
         "torn-or-unparseable"
@@ -60,10 +60,10 @@ def test_put_after_torn_tail_keeps_new_record_intact(tmp_path):
     whole = path.read_text()
     path.write_text(whole[:-30])  # tear the final record, no newline
 
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     record = store.put(SPEC.replace(seed=99), {"completed": True})
 
-    fresh = RunStore(str(path))
+    fresh = JsonlStore(str(path))
     assert fresh.get(record["spec_hash"]) == record
     report = fresh.verify()
     # Only the pre-existing torn line is corrupt; the append survived.
@@ -81,7 +81,7 @@ def test_checksum_mismatch_is_quarantined(tmp_path):
     lines[1] = lines[1].replace('"time": 1', '"time": 999')
     path.write_text("\n".join(lines) + "\n")
 
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     assert len(store) == 2
     entries = store.quarantined_entries()
     assert [e["reason"] for e in entries] == ["checksum-mismatch"]
@@ -94,7 +94,7 @@ def test_quarantine_sidecar_written_atomically(tmp_path):
     _filled_store(path)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"torn')
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     len(store)
     assert (tmp_path / "runs.jsonl.quarantine").exists()
     assert not (tmp_path / "runs.jsonl.quarantine.tmp").exists()
@@ -107,7 +107,7 @@ def test_verify_is_read_only_and_exact(tmp_path):
         handle.write('{"torn')
     before = path.read_text()
 
-    report = RunStore(str(path)).verify()
+    report = JsonlStore(str(path)).verify()
     assert not report["ok"]
     assert report["records"] == 3
     assert report["corrupt"] == [
@@ -131,7 +131,7 @@ def test_compact_drops_superseded_and_corrupt(tmp_path):
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"torn')
 
-    fresh = RunStore(str(path))
+    fresh = JsonlStore(str(path))
     len(fresh)  # load → quarantine sidecar appears
     result = fresh.compact()
     assert result == {
@@ -140,7 +140,7 @@ def test_compact_drops_superseded_and_corrupt(tmp_path):
     assert not (tmp_path / "runs.jsonl.quarantine").exists()
     # Last-write-wins semantics preserved through compaction.
     assert fresh.get(SPEC.replace(seed=0).spec_hash)["metrics"]["time"] == 42
-    assert RunStore(str(path)).verify()["ok"]
+    assert JsonlStore(str(path)).verify()["ok"]
 
 
 def test_compact_refuses_unknown_schema(tmp_path):
@@ -155,7 +155,7 @@ def test_compact_refuses_unknown_schema(tmp_path):
     before = path.read_text()
 
     with pytest.raises(UnknownSchemaError, match="will not compact"):
-        RunStore(str(path)).compact()
+        JsonlStore(str(path)).compact()
     assert path.read_text() == before  # the log is untouched
 
 
@@ -166,9 +166,9 @@ def test_compact_restamps_v1_records(tmp_path):
     record["schema"] = 1
     path.write_text(json.dumps(record) + "\n")
 
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     store.compact()
-    (upgraded,) = RunStore(str(path)).records()
+    (upgraded,) = JsonlStore(str(path)).records()
     assert upgraded["schema"] == STORE_SCHEMA_VERSION
     assert upgraded["crc"] == record_crc(upgraded)
 
@@ -181,7 +181,7 @@ def test_v1_records_still_load_and_cache_hit(tmp_path):
     record["schema"] = 1
     path.write_text(json.dumps(record) + "\n")
 
-    store = RunStore(str(path))
+    store = JsonlStore(str(path))
     assert len(store) == 1
     got, hit = execute_cached(SPEC, store)
     assert hit and got["metrics"]["time"] == 7
@@ -206,24 +206,24 @@ def test_put_writes_disk_before_cache(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert victim.spec_hash not in store  # cache was not mutated
-    assert victim.spec_hash not in RunStore(store.path)
+    assert victim.spec_hash not in JsonlStore(store.path)
 
 
 def test_fsync_policy_validated(tmp_path):
     with pytest.raises(ConfigurationError, match="fsync policy"):
-        RunStore(str(tmp_path / "runs.jsonl"), fsync="sometimes")
-    store = RunStore(str(tmp_path / "runs.jsonl"), fsync="always")
+        JsonlStore(str(tmp_path / "runs.jsonl"), fsync="sometimes")
+    store = JsonlStore(str(tmp_path / "runs.jsonl"), fsync="always")
     store.put(SPEC, {"completed": True})
-    assert len(RunStore(store.path)) == 1
+    assert len(JsonlStore(store.path)) == 1
 
 
 def test_concurrent_appends_interleave_whole_lines(tmp_path):
     """Two store objects appending to the same path never tear lines."""
     path = str(tmp_path / "runs.jsonl")
-    one, two = RunStore(path), RunStore(path)
+    one, two = JsonlStore(path), JsonlStore(path)
     for seed in range(4):
         (one if seed % 2 else two).put(
             SPEC.replace(seed=seed), {"completed": True}
         )
-    report = RunStore(path).verify()
+    report = JsonlStore(path).verify()
     assert report["ok"] and report["records"] == 4
