@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterable, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,26 @@ def summarize(values: Sequence[float]) -> Summary:
         count=n, mean=mean, stdev=stdev,
         minimum=min(values), maximum=max(values), ci95=ci95,
     )
+
+
+def summarize_completed(
+    records: Iterable[Mapping[str, Any]],
+    metrics: Sequence[str] = ("time", "messages"),
+) -> Tuple[Any, ...]:
+    """Reduce one cell's store records (one per seed) to ``(completion
+    rate, Summary of metrics[0], Summary of metrics[1], ...)``.
+
+    Rates count every record; the summaries cover the completed trials
+    only — a failed or timed-out trial's
+    :func:`~repro.store.failed_record` is one more not-completed row —
+    and are NaN for a cell where nothing completed.
+    """
+    rows = [record["metrics"] for record in records]
+    done = [row for row in rows if row["completed"]]
+    return (len(done) / len(rows), *(
+        summarize([float(row[metric]) for row in done] or [float("nan")])
+        for metric in metrics
+    ))
 
 
 def success_rate(outcomes: Sequence[bool]) -> float:

@@ -62,9 +62,9 @@ def run_gossip(
         crashes: ``None`` (failure-free), an int (that many random victims
             with random early crash times), or an explicit
             :class:`~repro.adversary.crash_plans.CrashPlan`.
-        params: algorithm parameter object (:class:`EarsParams`,
-            :class:`SearsParams` or :class:`TearsParams`); defaults used
-            otherwise.
+        params: algorithm knobs — a mapping (``{"eps": 0.25}``) or a
+            parameter object (:class:`EarsParams`, :class:`SearsParams`,
+            :class:`TearsParams`); both become the spec's ``params``.
         payloads: optional per-process rumor contents.
         max_steps: step ceiling; default derived from (n, f, d, delta).
         majority: override the completion notion; default is majority
@@ -96,7 +96,7 @@ def run_gossip(
         d=d,
         delta=delta,
         seed=seed,
-        params=params if isinstance(params, dict) else None,
+        params=params,
         crashes=(
             crash_plan_config(crashes) if isinstance(crashes, CrashPlan)
             else crashes
@@ -108,12 +108,7 @@ def run_gossip(
         engine=engine,
         topology=topology,
     )
-    return execute(
-        spec,
-        observers=observers,
-        payloads=payloads,
-        params=None if isinstance(params, dict) else params,
-    )
+    return execute(spec, observers=observers, payloads=payloads)
 
 
 def run_consensus(

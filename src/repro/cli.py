@@ -31,9 +31,9 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
 from typing import List, Optional
 
+from .sim.errors import ConfigurationError
 from .spec.registry import GOSSIP_ALGORITHMS
 
 # The parser is built from names alone; each subcommand's branch of
@@ -99,7 +99,6 @@ def _add_topology(parser: argparse.ArgumentParser) -> None:
 
 def _parse_topology(args) -> "object":
     """The parsed --topology config, exiting with code 2 on a bad value."""
-    from .sim.errors import ConfigurationError
     from .sim.topology import parse_topology_arg
 
     try:
@@ -507,19 +506,40 @@ def _drained_exit(exc) -> int:
     return DRAIN_EXIT_CODE
 
 
+def _resumable(args, call, **kwargs):
+    """``call(**kwargs)`` — under ``--resume`` with the manifest, the
+    checkpoint cadence and a SIGINT/SIGTERM drain guard, where a graceful
+    drain exits with the resumable code."""
+    if not args.resume:
+        return call(**kwargs)
+    from .experiments import CampaignDrained, GracefulShutdown
+
+    with GracefulShutdown() as shutdown:
+        try:
+            return call(manifest=args.resume,
+                        checkpoint_every=args.checkpoint_every,
+                        shutdown=shutdown, **kwargs)
+        except CampaignDrained as exc:
+            raise SystemExit(_drained_exit(exc))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        # Unknown names, bad knobs, unknown spec fields, refused
+        # manifests: one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if getattr(args, "checkpoint_every", None) is not None:
         from .experiments.campaign import validate_checkpoint_every
-        from .sim.errors import ConfigurationError
 
-        try:
-            args.checkpoint_every = validate_checkpoint_every(
-                args.checkpoint_every)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        args.checkpoint_every = validate_checkpoint_every(
+            args.checkpoint_every)
 
     if args.command == "gossip":
         from .api import run_gossip
@@ -650,24 +670,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 rows.append({**cell, "time": run.completion_time,
                              "messages": run.messages})
         else:
-            from .experiments import CampaignDrained, GracefulShutdown
-
-            guard = GracefulShutdown() if args.resume else nullcontext()
-            with guard as shutdown:
-                runner = GridRunner(
+            rows = _resumable(
+                args,
+                lambda manifest=None, **checkpointing: GridRunner(
                     out_dir=args.out_dir,
                     processes=args.processes,
                     trial_timeout=args.trial_timeout,
                     retries=args.retries,
-                    manifest_path=args.resume,
-                    checkpoint_every=args.checkpoint_every,
-                    shutdown=shutdown,
+                    manifest_path=manifest,
                     backend=args.backend,
-                )
-                try:
-                    rows = runner.run(spec)
-                except CampaignDrained as exc:
-                    return _drained_exit(exc)
+                    **checkpointing,
+                ).run(spec),
+            )
             failed = sum(row["reason"] == "trial-failed" for row in rows)
             timed_out = sum(row["reason"] == "trial-timeout" for row in rows)
             if failed or timed_out:
@@ -688,7 +702,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "sweep":
-        from .experiments import CampaignDrained, GracefulShutdown
         from .sim.events import StepProfiler
         from .workloads import sweeps
 
@@ -698,7 +711,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 2
         profiler = StepProfiler() if args.profile else None
-        sweep_kwargs = dict(
+        points = _resumable(
+            args, sweeps.sweep_gossip, algorithm=args.algorithm,
+            ns=sweeps.geometric_ns(args.min_n, args.max_n, args.factor),
             f_of_n=getattr(sweeps, _F_RULES[args.f_rule]),
             d=args.d, delta=args.delta,
             seeds=range(args.seeds), crash=args.crash,
@@ -708,21 +723,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
             topology=_parse_topology(args),
         )
-        ns = sweeps.geometric_ns(args.min_n, args.max_n, args.factor)
-        if args.resume:
-            with GracefulShutdown() as shutdown:
-                try:
-                    points = sweeps.sweep_gossip(
-                        args.algorithm, ns,
-                        manifest=args.resume,
-                        checkpoint_every=args.checkpoint_every,
-                        shutdown=shutdown,
-                        **sweep_kwargs,
-                    )
-                except CampaignDrained as exc:
-                    return _drained_exit(exc)
-        else:
-            points = sweeps.sweep_gossip(args.algorithm, ns, **sweep_kwargs)
         for point in points:
             print(f"{args.algorithm}: n={point.n:5d} f={point.f:4d} "
                   f"completion={point.completion_rate:4.2f} "
@@ -744,7 +744,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "batch":
         import json as _json
 
-        from .experiments import CampaignDrained, GracefulShutdown
         from .spec import RunSpec
         from .store import execute_batch, open_store, shard_specs
 
@@ -765,25 +764,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             open_store(args.store, backend=args.backend, fsync=args.fsync)
             if args.store else None
         )
-        batch_kwargs = dict(
+        records = _resumable(
+            args, execute_batch, specs=specs,
             store=store, processes=args.processes,
             trial_timeout=args.trial_timeout, retries=args.retries,
             batch_size=args.batch_size,
         )
-        if args.resume:
-            with GracefulShutdown() as shutdown:
-                try:
-                    records = execute_batch(
-                        specs,
-                        manifest=args.resume,
-                        checkpoint_every=args.checkpoint_every,
-                        shutdown=shutdown,
-                        **batch_kwargs,
-                    )
-                except CampaignDrained as exc:
-                    return _drained_exit(exc)
-        else:
-            records = execute_batch(specs, **batch_kwargs)
         if args.as_json:
             print(_json.dumps(records, indent=2, sort_keys=True))
         else:
@@ -883,8 +869,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
                 values = [_literal(token) for token in text.split(",")]
                 filters[key] = values if len(values) > 1 else values[0]
-            from .sim.errors import ConfigurationError
-
             try:
                 records = store.select(where=args.where, limit=args.limit,
                                        **filters)
@@ -1186,42 +1170,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "inspect":
-        from .adversary.crash_plans import random_crashes
-        from .adversary.oblivious import ObliviousAdversary
         from .analysis.timeline import TimelineRecorder
-        from .core.base import make_processes
-        from .sim.engine import Simulation
-        from .sim.monitor import GossipCompletionMonitor
+        from .spec import RunSpec, build
 
-        n = args.n
-        f = args.f if args.f is not None else n // 4
-        plan = (
-            random_crashes(n, args.crashes, 8 * (args.d + args.delta),
-                           seed=args.seed)
-            if args.crashes else None
-        )
         recorder = TimelineRecorder()
-        sim = Simulation(
-            n=n, f=f,
-            algorithms=make_processes(n, f, GOSSIP_ALGORITHMS[args.algorithm]),
-            adversary=ObliviousAdversary.uniform(
-                args.d, args.delta, seed=args.seed, crashes=plan,
+        run = build(
+            RunSpec(
+                algorithm=args.algorithm, n=args.n,
+                f=args.f if args.f is not None else args.n // 4,
+                d=args.d, delta=args.delta, seed=args.seed,
+                crashes=args.crashes or None, max_steps=100_000,
             ),
-            monitor=GossipCompletionMonitor(
-                majority=args.algorithm == "tears"
-            ),
-            seed=args.seed,
             observers=(recorder,),
-        )
-        result = sim.run(max_steps=100_000)
+        ).run()
         print(recorder.render(width=args.width))
         for line in recorder.crash_lines():
             print(line)
         print(
-            f"{args.algorithm}: completed={result.completed} "
-            f"time={result.completion_time} messages={result.messages}"
+            f"{args.algorithm}: completed={run.completed} "
+            f"time={run.completion_time} messages={run.messages}"
         )
-        return 0 if result.completed else 1
+        return 0 if run.completed else 1
 
     return 2
 

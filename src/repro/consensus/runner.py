@@ -11,7 +11,6 @@ re-exported here for compatibility.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Optional, Sequence, Union
 
 from ..adversary.crash_plans import CrashPlan
@@ -26,17 +25,14 @@ __all__ = [
 ]
 
 
-def make_transport(name: str, params: Any = None):
-    """Resolve a transport name to a gossip factory, with optional params.
+def make_transport(name: str):
+    """Resolve a transport name to its gossip class.
 
     Unknown names raise through the registry's did-you-mean lookup.
     (``'ben-or'`` is *not* suggested: it is a standalone consensus
     protocol selected by algorithm name, not a get-core transport.)
     """
-    transport = TRANSPORTS[name]
-    if params is not None:
-        return partial(transport, params=params)
-    return transport
+    return TRANSPORTS[name]
 
 
 def default_values(n: int) -> list:
@@ -80,7 +76,7 @@ def run_consensus(
         d=d,
         delta=delta,
         seed=seed,
-        params=params if isinstance(params, dict) else None,
+        params=params,
         crashes=(
             crash_plan_config(crashes) if isinstance(crashes, CrashPlan)
             else crashes
@@ -92,8 +88,4 @@ def run_consensus(
         max_steps=max_steps,
         engine=engine,
     )
-    return execute(
-        spec,
-        params=None if isinstance(params, dict) else params,
-        adversary=adversary,
-    )
+    return execute(spec, adversary=adversary)

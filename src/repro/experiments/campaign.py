@@ -20,9 +20,10 @@ process death:
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
 * :func:`run_jobs` — the one execution loop behind every driver
-  (:func:`repro.store.execute_batch` — and ``GridRunner`` through it —
-  ``sweep_gossip``, ``run_theorem1``): key dedupe, the pool, the
-  ok/cancelled/failed triage, manifest checkpointing and the drain.
+  (:func:`repro.store.execute_batch` — and ``GridRunner`` and
+  ``sweep_gossip`` through it — and ``run_theorem1``): key dedupe, the
+  pool, the ok/cancelled/failed triage, manifest checkpointing and the
+  drain.
   Store-less drivers keep their results in the manifest; with an
   artifact store the store is the source of truth and the manifest
   tracks membership and progress.
@@ -374,7 +375,7 @@ def run_jobs(
     """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
 
     The one execution loop behind ``execute_batch`` (and, through it,
-    ``GridRunner``), ``sweep_gossip`` and ``run_theorem1``: those
+    ``GridRunner`` and ``sweep_gossip``) and ``run_theorem1``: those
     drivers build jobs, pick a ``sink`` and shape the outcomes;
     everything else is here.
 

@@ -27,9 +27,10 @@ from typing import Iterable, List, Sequence
 
 from ..adversary.crash_plans import random_crashes
 from ..analysis.coa import CoaReport, coa_report
-from ..analysis.stats import summarize
+from ..analysis.stats import summarize, summarize_completed
 from ..analysis.tables import render_table
-from ..api import run_gossip
+from ..spec.runspec import RunSpec
+from ..store import execute_batch
 from ..sync import run_ck_gossip
 from .theorem1 import Theorem1Row, run_theorem1
 
@@ -67,36 +68,40 @@ def _sync_baseline(n: int, f: int, seeds: Sequence[int]):
     return summarize(times).mean, summarize(msgs).mean
 
 
-def _benign_measurement(name: str, n: int, f: int, seeds: Sequence[int]):
-    times, msgs = [], []
-    for seed in seeds:
-        if name == "sparse":
-            from ..adversary.oblivious import ObliviousAdversary
-            from ..core.base import make_processes
-            from ..core.properties import gathering_holds
-            from ..core.sparse import SparseGossip
-            from ..sim.engine import Simulation
-            from ..sim.monitor import PredicateMonitor
+def _sparse_benign_metrics(n: int, f: int, seed: int) -> dict:
+    """One failure-free synchronous-like run of the frugal strategy
+    (budget 1), stopped at gathering — not a RunSpec: specs complete at
+    quiescence."""
+    from ..adversary.oblivious import ObliviousAdversary
+    from ..core.base import make_processes
+    from ..core.properties import gathering_holds
+    from ..core.sparse import SparseGossip
+    from ..sim.engine import Simulation
+    from ..sim.monitor import PredicateMonitor
 
-            sim = Simulation(
-                n=n, f=f,
-                algorithms=make_processes(n, f, SparseGossip, budget=1),
-                adversary=ObliviousAdversary.synchronous_like(),
-                monitor=PredicateMonitor(gathering_holds, "gathering"),
-                seed=seed,
-            )
-            result = sim.run(max_steps=20_000)
-            if result.completed:
-                times.append(float(result.completion_time))
-                msgs.append(float(result.messages))
-        else:
-            run = run_gossip(name, n=n, f=f, d=1, delta=1, seed=seed,
-                             crashes=f)
-            if run.completed:
-                times.append(float(run.completion_time))
-                msgs.append(float(run.messages))
-    return (summarize(times or [float("nan")]).mean,
-            summarize(msgs or [float("nan")]).mean)
+    sim = Simulation(
+        n=n, f=f,
+        algorithms=make_processes(n, f, SparseGossip, budget=1),
+        adversary=ObliviousAdversary.synchronous_like(),
+        monitor=PredicateMonitor(gathering_holds, "gathering"),
+        seed=seed,
+    )
+    result = sim.run(max_steps=20_000)
+    return {"completed": result.completed, "time": result.completion_time,
+            "messages": result.messages}
+
+
+def _benign_measurement(name: str, n: int, f: int, seeds: Sequence[int]):
+    if name == "sparse":
+        records = [{"metrics": _sparse_benign_metrics(n, f, seed)}
+                   for seed in seeds]
+    else:
+        records = execute_batch([
+            RunSpec(algorithm=name, n=n, f=f, seed=seed, crashes=f)
+            for seed in seeds
+        ])
+    _, time, messages = summarize_completed(records)
+    return time.mean, messages.mean
 
 
 def run_corollary2(

@@ -141,24 +141,6 @@ class GridRunner:
             _refuse_cell_log(path)
         return open_store(path, backend=self.backend)
 
-    def _manifest(self) -> Optional[Any]:
-        """The checkpoint to resume from; one keyed by the old cell
-        keys could never match a spec hash, so it is refused."""
-        path = self.manifest_path
-        if path is None or not os.path.exists(path):
-            return path
-        from .campaign import CampaignManifest
-
-        manifest = CampaignManifest.load(path)
-        if manifest.meta.get("driver") == "grid":
-            raise ConfigurationError(
-                f"grid manifest {path!r} was written in the older "
-                f"cell-key format, which this build cannot resume; "
-                f"finish it with the build that wrote it or start a "
-                f"fresh manifest"
-            )
-        return manifest
-
     def run(self, spec: GridSpec) -> List[Dict[str, Any]]:
         """Execute every missing cell; return all rows, in cell order.
 
@@ -171,7 +153,7 @@ class GridRunner:
         records = execute_batch(
             spec.specs(), store=self._store(spec.name),
             processes=self.processes, trial_timeout=self.trial_timeout,
-            retries=self.retries, manifest=self._manifest(),
+            retries=self.retries, manifest=self.manifest_path,
             checkpoint_every=self.checkpoint_every, shutdown=self.shutdown,
         )
         return [

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..adversary.crash_plans import random_crashes
 from ..analysis import bounds
-from ..analysis.stats import Summary, summarize
+from ..analysis.stats import Summary, summarize, summarize_completed
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
@@ -114,22 +114,14 @@ def run_table1(
             )
             for seed in seeds
         ]
-        records = execute_batch(specs, store=store, processes=processes)
-        times, msgs, completions = [], [], []
-        for record in records:
-            metrics = record["metrics"]
-            completions.append(metrics["completed"])
-            if metrics["completed"]:
-                times.append(float(metrics["time"]))
-                msgs.append(float(metrics["messages"]))
+        rate, time, messages = summarize_completed(
+            execute_batch(specs, store=store, processes=processes))
         bound_t, bound_m = _bounds_for(algorithm, n, f, d, delta)
         rows.append(
             Table1Row(
                 algorithm=algorithm, model="part-synch", n=n, f=f,
-                d=d, delta=delta,
-                time=summarize(times or [float("nan")]),
-                messages=summarize(msgs or [float("nan")]),
-                completion_rate=sum(completions) / len(completions),
+                d=d, delta=delta, time=time, messages=messages,
+                completion_rate=rate,
                 bound_time=bound_t, bound_messages=bound_m,
             )
         )

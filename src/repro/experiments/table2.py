@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from ..analysis import bounds
-from ..analysis.stats import Summary, summarize
+from ..analysis.stats import Summary, summarize_completed
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
@@ -92,15 +92,10 @@ def run_table2(
             for seed in seeds
         ]
         records = execute_batch(specs, store=store, processes=processes)
-        times, msgs, rounds, completions, agreements = [], [], [], [], []
-        for record in records:
-            metrics = record["metrics"]
-            completions.append(metrics["completed"])
-            agreements.append(metrics["agreement"] and metrics["validity"])
-            if metrics["completed"]:
-                times.append(float(metrics["time"]))
-                msgs.append(float(metrics["messages"]))
-                rounds.append(float(metrics["rounds"]))
+        rate, time, messages, rounds = summarize_completed(
+            records, ("time", "messages", "rounds"))
+        safe = [record["metrics"]["agreement"]
+                and record["metrics"]["validity"] for record in records]
         bound_t, bound_m = _bounds_for(transport, n, d, delta)
         label = ("CR-" + transport if transport in TRANSPORT_ROWS
                  and transport != "all-to-all" else
@@ -109,11 +104,9 @@ def run_table2(
         rows.append(
             Table2Row(
                 protocol=label, n=n, f=f, d=d, delta=delta,
-                time=summarize(times or [float("nan")]),
-                messages=summarize(msgs or [float("nan")]),
-                rounds=summarize(rounds or [float("nan")]),
-                completion_rate=sum(completions) / len(completions),
-                agreement_rate=sum(agreements) / len(agreements),
+                time=time, messages=messages, rounds=rounds,
+                completion_rate=rate,
+                agreement_rate=sum(safe) / len(safe),
                 bound_time=bound_t, bound_messages=bound_m,
             )
         )

@@ -10,16 +10,16 @@ the same crash plan, adversary, monitor, processes and simulation, with
 the same arguments in the same order, so `tests/test_seed_regression.py`
 pins the equivalence.
 
-Runtime-only objects that cannot live in a serializable spec — observer
-instances, rumor payloads, algorithm parameter *objects* (as opposed to
-mappings), a hand-built adversary — are accepted as keyword overrides to
-:func:`build` / :func:`execute` and take precedence over the spec's
-corresponding fields.
+Live objects that cannot be serialized — observer instances, rumor
+payloads, a hand-built adversary — are accepted as keyword overrides to
+:func:`build` / :func:`execute`; everything else, algorithm parameters
+included, is spec data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from .._util import ceil_log2
@@ -38,6 +38,7 @@ from .registry import (
     GATHERING_ONLY_ALGORITHMS,
     GOSSIP_ALGORITHMS,
     MAJORITY_ALGORITHMS,
+    PARAMS_CLASSES,
     ensure_scenarios,
 )
 from .results import GossipRun
@@ -169,6 +170,30 @@ def _make_adversary(
         ) from None
 
 
+def _algorithm_kwargs(spec: RunSpec, algorithm_class: type,
+                      f: int) -> Dict[str, Any]:
+    """The constructor keywords ``spec.params`` stands for: the fields of
+    the algorithm's parameter dataclass where it has one
+    (:data:`~repro.spec.registry.PARAMS_CLASSES`), the constructor's own
+    keywords otherwise."""
+    if not spec.params:
+        return {}
+    params_class = PARAMS_CLASSES.get(algorithm_class)
+    try:
+        kwargs = (dict(spec.params) if params_class is None
+                  else {"params": params_class(**spec.params)})
+        # The constructors own the range checks, and Canetti–Rabin builds
+        # its transport mid-run: construct one process now so that every
+        # misfit fails here, by name.
+        algorithm_class(0, spec.n, f, None, **kwargs)
+    except (TypeError, ValueError, OverflowError,
+            ConfigurationError) as exc:
+        raise ConfigurationError(
+            f"bad params for algorithm {spec.algorithm!r}: {exc}"
+        ) from None
+    return kwargs
+
+
 # -- build ------------------------------------------------------------------#
 
 @dataclass
@@ -195,20 +220,14 @@ def build(
     *,
     observers: Sequence[Observer] = (),
     payloads: Optional[Sequence[Any]] = None,
-    params: Any = None,
-    values: Optional[Sequence[Any]] = None,
     adversary: Any = None,
 ) -> BuiltRun:
     """Realize ``spec`` into a :class:`BuiltRun` without running it."""
     if spec.kind == "gossip":
-        if values is not None:
-            raise ConfigurationError(
-                "initial values are a consensus-only input"
-            )
-        return _build_gossip(spec, observers, payloads, params, adversary)
+        return _build_gossip(spec, observers, payloads, adversary)
     if payloads is not None:
         raise ConfigurationError("payloads are a gossip-only input")
-    return _build_consensus(spec, observers, params, values, adversary)
+    return _build_consensus(spec, observers, adversary)
 
 
 def execute(
@@ -216,8 +235,6 @@ def execute(
     *,
     observers: Sequence[Observer] = (),
     payloads: Optional[Sequence[Any]] = None,
-    params: Any = None,
-    values: Optional[Sequence[Any]] = None,
     adversary: Any = None,
 ):
     """Build and run ``spec``; returns a :class:`GossipRun` or
@@ -232,8 +249,7 @@ def execute(
     the CLI — inherits the routing for free.
     """
     if spec.engine == "batch" and not (
-        observers or payloads is not None or params is not None
-        or values is not None or adversary is not None
+        observers or payloads is not None or adversary is not None
     ):
         from .vectorized import execute_batch_spec
 
@@ -241,8 +257,7 @@ def execute(
         if run is not None:
             return run
     return build(
-        spec, observers=observers, payloads=payloads, params=params,
-        values=values, adversary=adversary,
+        spec, observers=observers, payloads=payloads, adversary=adversary,
     ).run()
 
 
@@ -264,13 +279,12 @@ def _with_invariants(spec: RunSpec, observers: Sequence[Observer]
 
 # -- gossip ---------------------------------------------------------------- #
 
-def _build_gossip(spec, observers, payloads, params, adversary) -> BuiltRun:
+def _build_gossip(spec, observers, payloads, adversary) -> BuiltRun:
     algorithm_class = GOSSIP_ALGORITHMS[spec.algorithm]
     n, seed = spec.n, spec.seed
     f = spec.resolved_f
     d, delta, crashes = _apply_scenario(spec, f)
-    if params is None:
-        params = spec.params
+    kwargs = _algorithm_kwargs(spec, algorithm_class, f)
 
     if adversary is None:
         plan = resolve_crash_plan(crashes, n, f, d, delta, seed)
@@ -282,10 +296,10 @@ def _build_gossip(spec, observers, payloads, params, adversary) -> BuiltRun:
 
     monitor: Any
     if (spec.algorithm in GATHERING_ONLY_ALGORITHMS
-            and not isinstance(params, dict)):
+            and kwargs.get("stop_after_steps") is None):
         # No stopping rule, so these never quiesce; completion =
-        # gathering only. (The uniform baseline's stop_after_steps params
-        # override restores quiescence and the standard monitor.)
+        # gathering only. (The uniform baseline's stop_after_steps knob
+        # restores quiescence and the standard monitor.)
         monitor = PredicateMonitor(
             lambda sim: gathering_holds(sim), name="gathering-only",
             state_driven=True,
@@ -305,13 +319,6 @@ def _build_gossip(spec, observers, payloads, params, adversary) -> BuiltRun:
         # instead of grinding the never-true monitor to the step limit.
         if not majority and n - topology.largest_component_size() > f:
             incompleteness = "topology-disconnected"
-
-    kwargs: Dict[str, Any] = {}
-    if params is not None and spec.algorithm != "trivial":
-        if isinstance(params, dict):
-            kwargs.update(params)
-        else:
-            kwargs["params"] = params
 
     processes = make_processes(n, f, algorithm_class, payloads, **kwargs)
     observers = _with_invariants(spec, observers)
@@ -375,7 +382,7 @@ def _finish_gossip(built: BuiltRun) -> GossipRun:
 
 # -- consensus ------------------------------------------------------------- #
 
-def _build_consensus(spec, observers, params, values, adversary) -> BuiltRun:
+def _build_consensus(spec, observers, adversary) -> BuiltRun:
     # Lazy: repro.consensus imports this module's registry sibling, so a
     # top-level import here would be circular.
     from ..consensus.ben_or import BenOrConsensus
@@ -388,18 +395,14 @@ def _build_consensus(spec, observers, params, values, adversary) -> BuiltRun:
         raise ConfigurationError(
             f"consensus requires 0 <= f < n/2, got f={f}, n={n}"
         )
-    if values is None:
-        values = (
-            list(spec.values) if spec.values is not None
-            else default_values(n)
-        )
+    values = (
+        list(spec.values) if spec.values is not None else default_values(n)
+    )
     if len(values) != n:
         raise ConfigurationError(
             f"expected {n} initial values, got {len(values)}"
         )
     d, delta, crashes = _apply_scenario(spec, f)
-    if params is None:
-        params = spec.params
 
     plan = None
     if adversary is None:
@@ -409,11 +412,14 @@ def _build_consensus(spec, observers, params, values, adversary) -> BuiltRun:
         spec.probe_interval if spec.probe_interval is not None else 6
     )
     if spec.algorithm == BEN_OR:
+        knobs = _algorithm_kwargs(spec, BenOrConsensus, f)  # it has none
         algorithms = [
-            BenOrConsensus(pid, n, f, values[pid]) for pid in range(n)
+            BenOrConsensus(pid, n, f, values[pid], **knobs)
+            for pid in range(n)
         ]
     else:
-        factory = make_transport(spec.algorithm, params)
+        transport = make_transport(spec.algorithm)
+        factory = partial(transport, **_algorithm_kwargs(spec, transport, f))
         algorithms = [
             CanettiRabinConsensus(
                 pid, n, f, values[pid], factory,

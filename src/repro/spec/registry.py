@@ -34,6 +34,7 @@ from ..adversary.gst import GstAdversary
 from ..adversary.oblivious import ObliviousAdversary
 from ..core.adaptive_fanout import AdaptiveFanoutGossip
 from ..core.ears import Ears
+from ..core.params import EarsParams, SearsParams, TearsParams
 from ..core.ps_push_pull import PanagiotouSpeidelPushPull
 from ..core.push_pull import PushPullGossip
 from ..core.sears import Sears
@@ -49,6 +50,7 @@ __all__ = [
     "GATHERING_ONLY_ALGORITHMS",
     "GOSSIP_ALGORITHMS",
     "MAJORITY_ALGORITHMS",
+    "PARAMS_CLASSES",
     "Registry",
     "SCENARIOS",
     "TOPOLOGIES",
@@ -143,9 +145,14 @@ MAJORITY_ALGORITHMS = frozenset({"tears"})
 #: completion (gathered ∧ quiescent ∧ empty network) is unsatisfiable and
 #: the builder pairs them with the gathering-only monitor instead. The
 #: ``uniform`` baseline keeps its historical caveat — a
-#: ``stop_after_steps`` params override makes it quiescent, in which case
-#: the standard monitor applies.
+#: ``stop_after_steps`` knob makes it quiescent, in which case the
+#: standard monitor applies.
 GATHERING_ONLY_ALGORITHMS = frozenset({"uniform", "ps-push-pull"})
+
+#: Algorithms whose knobs are the fields of a parameter dataclass: a
+#: spec's ``params`` mapping names those fields. Every other algorithm's
+#: knobs are its constructor's own keywords.
+PARAMS_CLASSES = {Ears: EarsParams, Sears: SearsParams, Tears: TearsParams}
 
 
 # -- consensus get-core transports (formerly consensus.runner.TRANSPORTS) -- #

@@ -59,7 +59,13 @@ class RunSpec:
             ``"ben-or"`` (the transport-free consensus protocol).
         n, f, d, delta, seed: the paper's execution coordinates.  ``f``
             defaults per kind (0 for gossip, ``(n-1)//2`` for consensus).
-        params: algorithm knobs as a JSON mapping.
+        params: algorithm knobs as a JSON mapping — the fields of the
+            algorithm's parameter dataclass (``{"eps": 0.25}`` for
+            SEARS) or its constructor keywords (``{"budget": 1}`` for
+            ``sparse``); ``docs/specs.md`` lists them. A
+            :mod:`repro.core.params` object is accepted and stored as
+            the mapping of its non-default fields, so
+            ``SearsParams(eps=0.25)`` and ``{"eps": 0.25}`` are one spec.
         crashes: ``None`` (failure-free), an int (that many random early
             victims), ``{"events": {t: [pids]}}`` (an explicit plan), or
             ``{"name": ..., **knobs}`` (a registered crash-plan factory).
@@ -143,6 +149,12 @@ class RunSpec:
                 f"unknown engine {self.engine!r}; choose from "
                 "['auto', 'stepwise', 'leap', 'batch']"
             )
+        if dataclasses.is_dataclass(self.params):
+            object.__setattr__(self, "params", {
+                knob.name: getattr(self.params, knob.name)
+                for knob in fields(self.params)
+                if getattr(self.params, knob.name) != knob.default
+            })
         for name in ("params", "adversary"):
             value = getattr(self, name)
             if value is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..sim.errors import ConfigurationError
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 from .base import Store, make_record, metrics_of
@@ -154,9 +155,28 @@ def execute_batch(
     the store, writes the manifest, and raises
     :class:`~repro.experiments.campaign.CampaignDrained`.
     """
-    from ..experiments.campaign import run_jobs
+    from ..experiments.campaign import CampaignManifest, run_jobs
 
     specs = list(specs)
+    meta = {
+        "driver": "execute_batch",
+        "specs": len(specs),
+        "rng": {"seeds": sorted({spec.seed for spec in specs})},
+    }
+    if manifest is not None:
+        manifest = CampaignManifest.ensure(
+            manifest, meta=meta, checkpoint_every=checkpoint_every)
+        driver = manifest.meta.get("driver", "execute_batch")
+        if driver not in ("execute_batch", "fleet"):
+            # Sweeps and grids once kept their own job keys (parameter
+            # tuples, cell dicts); no spec hash can match those, so a
+            # resume would re-run everything and leave them missing.
+            raise ConfigurationError(
+                f"manifest {manifest.path!r} was written by the "
+                f"{driver!r} driver, whose jobs are not keyed by spec "
+                f"hash, so this build cannot resume it; finish it with "
+                f"the build that wrote it or start a fresh manifest"
+            )
     hashes = [spec.spec_hash for spec in specs]
     unique: Dict[str, RunSpec] = {}
     for key, spec in zip(hashes, specs):
@@ -181,12 +201,7 @@ def execute_batch(
         + [unique[key].to_dict() for key in singles],
         keys=[unit[0] for unit in units],
         processes=processes, trial_timeout=trial_timeout, retries=retries,
-        manifest=manifest,
-        meta={
-            "driver": "execute_batch",
-            "specs": len(specs),
-            "rng": {"seeds": sorted({spec.seed for spec in specs})},
-        },
+        manifest=manifest, meta=meta,
         checkpoint_every=checkpoint_every, shutdown=shutdown,
         store=store, sink=put if store is not None else None,
     )

@@ -143,16 +143,6 @@ class SyncSimulation(EngineCore):
     def alive_pids(self) -> frozenset:
         return frozenset(self.alive)
 
-    @property
-    def messages_sent(self) -> int:
-        """Total messages so far (compat alias for ``metrics.messages_sent``)."""
-        return self.metrics.messages_sent
-
-    @property
-    def messages_by_kind(self):
-        """Per-kind counter (compat alias for ``metrics.messages_by_kind``)."""
-        return self.metrics.messages_by_kind
-
     def algorithm(self, pid: int) -> SyncAlgorithm:
         return self.algorithms[pid]
 

@@ -130,7 +130,8 @@ def run_push_pull(
     )
     result = sim.run(max_rounds=max_rounds)
     transmissions = sum(
-        sim.messages_by_kind.get(kind, 0) for kind in TRANSMISSION_KINDS
+        sim.metrics.messages_by_kind.get(kind, 0)
+        for kind in TRANSMISSION_KINDS
     )
     return RumorSpreadResult(
         completed=result.completed,

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..analysis.stats import Summary, summarize
-from ..sim.errors import ConfigurationError
+from ..analysis.stats import Summary, summarize_completed
 from ..sim.events import StepProfiler
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
@@ -40,35 +38,6 @@ def geometric_ns(start: int = 16, stop: int = 256, factor: int = 2
     return ns
 
 
-def _sweep_job(job, observers=()):
-    """One (n, seed) gossip run, reduced to the aggregated fields.
-
-    A job is ``(spec.to_dict(), params_override)``: serializable knobs
-    live in the spec; an algorithm parameter *object* (e.g.
-    :class:`SearsParams`) cannot, so it rides as an override.
-    Module-level so parallel sweeps can ship it to worker processes.
-    """
-    spec_dict, params = job
-    run = execute(RunSpec.from_dict(spec_dict), params=params,
-                  observers=observers)
-    return run.completed, run.completion_time, run.messages
-
-
-def _refuse_tuple_jobs(manifest) -> None:
-    """Refuse a sweep manifest whose jobs are the positional tuples
-    older builds wrote: their keys can never match a spec job's, so a
-    resume would re-run everything and leave the tuple keys missing."""
-    for payload in manifest.submitted.values():
-        if not (isinstance(payload, (list, tuple)) and len(payload) == 2
-                and isinstance(payload[0], dict)):
-            raise ConfigurationError(
-                f"sweep manifest {manifest.path!r} was written in the "
-                f"older positional-tuple job format, which this build "
-                f"cannot resume; finish it with the build that wrote "
-                f"it or start a fresh manifest"
-            )
-
-
 def sweep_gossip(
     algorithm: str,
     ns: Sequence[int],
@@ -99,118 +68,68 @@ def sweep_gossip(
     per-phase wall-time breakdown; profiled sweeps run sequentially so
     the observer sees every step.
 
-    ``trial_timeout``/``retries`` route the runs through
-    :meth:`~repro.experiments.pool.TrialPool.map_outcomes`: a run that
-    hangs, raises, or kills its worker counts as a not-completed trial
-    in its cell's ``completion_rate`` instead of aborting the sweep.
-
-    ``engine`` selects the execution strategy for every run.
-    ``"batch"`` additionally groups a plain sweep's eligible (cell,
-    seed) runs through the vectorized batched-trial engine
-    (:func:`repro.store.batch.execute_batch`), advancing many seeds of
-    one cell per engine tick; profiled, fault-tolerant, and
-    checkpointed sweeps keep per-trial execution, where ``execute``
-    still routes each eligible spec through the batch engine as a
-    batch of one.
-
-    ``manifest`` (path or
-    :class:`~repro.experiments.campaign.CampaignManifest`) checkpoints
-    the sweep: per-run results are persisted (atomically, at least
-    every ``checkpoint_every`` completions) keyed by the run's
-    parameters, so a sweep killed mid-way resumes seed-for-seed,
-    re-executing only the missing (n, seed) runs.  ``shutdown`` drains
-    the sweep on a graceful-stop request and raises
+    ``trial_timeout``/``retries``, ``manifest``/``checkpoint_every`` and
+    ``shutdown`` are :func:`repro.store.execute_batch`'s, which runs the
+    (n × seed) specs: a run that hangs, raises, or kills its worker
+    counts as a not-completed trial in its cell's ``completion_rate``
+    instead of aborting the sweep; a checkpointed sweep killed mid-way
+    resumes seed-for-seed, re-executing only the missing runs; a
+    graceful-stop request drains it and raises
     :class:`~repro.experiments.campaign.CampaignDrained`.
+
+    ``engine`` selects the execution strategy for every run;
+    ``"batch"`` lets a plain sweep's eligible same-cell seeds ride one
+    vectorized engine tick, as in any other ``execute_batch`` call.
+
+    ``params_of_n`` gives the algorithm's knobs at each n — a mapping or
+    a :mod:`repro.core.params` object, either way part of the spec.
 
     ``topology`` restricts every run to a communication graph (a family
     name or ``{"name": ..., **knobs}``); ``None``/``"complete"`` is the
     paper's model.  Non-complete topologies are batch-ineligible, so a
     ``"batch"`` sweep over them transparently runs per-trial.
     """
-    # Lazy import: repro.experiments.scaling imports this module, so a
-    # top-level import of the campaign layer would be circular.
-    from ..experiments.campaign import CampaignManifest, run_jobs
+    # Lazy import: resolving a scenario name imports this package, and a
+    # worker that only does that should not load the store layer.
+    from ..store import execute_batch, make_record, metrics_of
 
     seeds = list(seeds)
-    specs, overrides = [], []
+    specs = []
     for n in ns:
         f = f_of_n(n)
         params = params_of_n(n) if params_of_n else None
-        in_spec = params is None or isinstance(params, dict)
-        for seed in seeds:
-            specs.append(RunSpec(
+        specs += [
+            RunSpec(
                 kind="gossip", algorithm=algorithm, n=n, f=f, d=d,
-                delta=delta, seed=seed, params=params if in_spec else None,
+                delta=delta, seed=seed, params=params,
                 crashes=f if crash else None, max_steps=max_steps,
                 engine=engine, topology=topology,
-            ))
-            overrides.append(None if in_spec else params)
-
-    plain = (profile is None and manifest is None and shutdown is None
-             and trial_timeout is None and not retries)
-    if plain and engine == "batch" and all(
-            override is None for override in overrides):
-        # Vectorized grouping: same-cell seeds ride one batched engine
-        # tick; ineligible cells fall back per-trial inside the batch.
-        # (Params *objects* cannot ride a spec, so such sweeps keep the
-        # per-trial jobs below.)
-        from ..store.batch import execute_batch
-
-        outcomes = [
-            (record["metrics"]["completed"], record["metrics"]["time"],
-             record["metrics"]["messages"])
-            for record in execute_batch(specs, processes=processes)
+            )
+            for seed in seeds
+        ]
+    if profile is not None:
+        # The profiler must see every step, so it cannot cross a
+        # process boundary: profiled sweeps run inline.
+        records = [
+            make_record(spec, metrics_of(execute(spec, observers=(profile,))))
+            for spec in specs
         ]
     else:
-        fn = _sweep_job
-        if profile is not None:
-            # The profiler must see every step, so it cannot cross a
-            # process boundary: profiled sweeps run inline.
-            fn, processes = partial(_sweep_job, observers=(profile,)), 1
-        if manifest is not None:
-            manifest = CampaignManifest.ensure(
-                manifest,
-                meta={
-                    "driver": "sweep",
-                    "algorithm": algorithm,
-                    "ns": list(ns),
-                    "rng": {"seeds": seeds},
-                },
-                checkpoint_every=checkpoint_every,
-            )
-            _refuse_tuple_jobs(manifest)
-        # A failed/timed-out trial aggregates as a not-completed run.
-        outcomes = [
-            outcome.value if outcome.ok else (False, None, None)
-            for outcome in run_jobs(
-                fn,
-                [(spec.to_dict(), override)
-                 for spec, override in zip(specs, overrides)],
-                processes=processes, trial_timeout=trial_timeout,
-                retries=retries, manifest=manifest,
-                checkpoint_every=checkpoint_every, shutdown=shutdown,
-                decode=tuple,
-            )
-        ]
+        records = execute_batch(
+            specs, processes=processes, trial_timeout=trial_timeout,
+            retries=retries, manifest=manifest,
+            checkpoint_every=checkpoint_every, shutdown=shutdown,
+        )
 
     points = []
     for index, n in enumerate(ns):
-        f = f_of_n(n)
-        per_n = outcomes[index * len(seeds):(index + 1) * len(seeds)]
-        times, messages, completions = [], [], []
-        for completed, completion_time, message_count in per_n:
-            completions.append(completed)
-            if completed:
-                times.append(float(completion_time))
-                messages.append(float(message_count))
+        rate, time, messages = summarize_completed(
+            records[index * len(seeds):(index + 1) * len(seeds)])
         points.append(
             SweepPoint(
-                algorithm=algorithm, n=n, f=f, d=d, delta=delta,
-                seeds=len(seeds),
-                completion_rate=sum(completions) / len(completions),
-                time=summarize(times or [float("nan")]),
-                messages=summarize(messages or [float("nan")]),
-                extras={},
+                algorithm=algorithm, n=n, f=f_of_n(n), d=d, delta=delta,
+                seeds=len(seeds), completion_rate=rate, time=time,
+                messages=messages, extras={},
             )
         )
     return points

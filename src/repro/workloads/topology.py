@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..analysis.fitting import PowerLawFit, SkippedFit, safe_fit_power_law
+from ..analysis.stats import summarize_completed
 from ..analysis.tables import format_fit, render_table
 from ..sim.topology import topology_name
-from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 from .sweeps import SweepPoint, geometric_ns, sweep_gossip
 
@@ -184,6 +184,8 @@ def topology_scenario_matrix(
     sparse topology's live subgraph, and the matrix is how that
     fragility is measured.
     """
+    from ..store import execute_batch  # lazy, as in sweep_gossip
+
     if scenarios is None:
         scenarios = _DEFAULT_SCENARIOS
     if f is None:
@@ -195,31 +197,24 @@ def topology_scenario_matrix(
         for entry in scenarios:
             entry = dict(entry)
             label = entry.pop("label")
-            completed, times, messages = 0, [], []
-            for seed in seeds:
-                spec = RunSpec(
+            rate, time, messages = summarize_completed(execute_batch([
+                RunSpec(
                     kind="gossip", algorithm=algorithm, n=n, f=f,
                     seed=seed, topology=config, max_steps=max_steps,
                     **entry,
                 )
-                run = execute(spec)
-                if run.completed:
-                    completed += 1
-                    times.append(float(run.completion_time))
-                    messages.append(float(run.messages))
-            count = len(seeds)
+                for seed in seeds
+            ]))
             rows.append({
                 "topology": name,
                 "scenario": label,
                 "algorithm": algorithm,
                 "n": n,
                 "f": f,
-                "seeds": count,
-                "completion_rate": completed / count if count else 0.0,
-                "mean_time": (sum(times) / len(times)) if times else None,
-                "mean_messages": (
-                    sum(messages) / len(messages) if messages else None
-                ),
+                "seeds": len(seeds),
+                "completion_rate": rate,
+                "mean_time": time.mean if rate else None,
+                "mean_messages": messages.mean if rate else None,
             })
     return rows
 

@@ -78,6 +78,20 @@ class TestScalingDriver:
         for row in rows:
             assert row.raw_fit.r_squared > 0.97
 
+    def test_fig_scale_m_message_means_are_pinned(self):
+        """FIG-SCALE-M (ε = 1/4, scaled TEARS) as numbers: the sweep runs
+        its SearsParams / TearsParams knobs as spec data now, and must
+        measure what the parameter objects measured (captured at
+        68c0b95)."""
+        rows = run_message_scaling(ns=[16, 32, 64], seeds=range(2),
+                                   crash=True)
+        assert {row.algorithm: row.messages for row in rows} == {
+            "trivial": [240.0, 992.0, 4000.5],
+            "ears": [293.0, 710.0, 1755.5],
+            "sears": [439.5, 1458.0, 3940.5],
+            "tears": [326.0, 1209.5, 4069.5],
+        }
+
     def test_time_vs_latency_monotone(self):
         points = run_time_vs_latency("trivial", n=24,
                                      d_delta_pairs=((1, 1), (4, 4)),

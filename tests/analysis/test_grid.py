@@ -315,3 +315,16 @@ class TestAggregate:
             {"algo": "a", "time": 4},
         ]
         assert aggregate(rows, by=["algo"], value="time") == {("a",): 4.0}
+
+
+def test_params_is_a_grid_axis():
+    """An algorithm knob crosses like any other RunSpec field."""
+    spec = GridSpec("eps", "gossip", seeds=[0], grid={
+        "algorithm": ["sears"], "n": [32], "f": [8],
+        "params": [{"eps": 0.25}, {"eps": 0.5}],
+    })
+    rows = GridRunner().run(spec)
+    assert [row["params"] for row in rows] == [{"eps": 0.25}, {"eps": 0.5}]
+    assert rows[0]["spec_hash"] != rows[1]["spec_hash"]
+    assert rows[0]["completed"] and rows[1]["completed"]
+    assert rows[0]["messages"] < rows[1]["messages"]

@@ -1,8 +1,15 @@
 """Tests for statistics helpers and table rendering."""
 
+import math
+
 import pytest
 
-from repro.analysis.stats import success_rate, summarize, wilson_interval
+from repro.analysis.stats import (
+    success_rate,
+    summarize,
+    summarize_completed,
+    wilson_interval,
+)
 from repro.analysis.tables import format_cell, render_markdown, render_table
 
 
@@ -24,6 +31,44 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+class TestSummarizeCompleted:
+    @staticmethod
+    def record(completed, time=None, messages=None, rounds=None):
+        return {"metrics": {"completed": completed, "time": time,
+                            "messages": messages, "rounds": rounds}}
+
+    def test_all_completed(self):
+        records = [self.record(True, 10, 100, 1),
+                   self.record(True, 20, 300, 3)]
+        rate, time, messages, rounds = summarize_completed(
+            records, ("time", "messages", "rounds"))
+        assert rate == 1.0
+        assert (time, messages, rounds) == (
+            summarize([10.0, 20.0]), summarize([100.0, 300.0]),
+            summarize([1.0, 3.0]))
+
+    def test_none_completed_is_nan_at_rate_zero(self):
+        rate, time, messages = summarize_completed(
+            [self.record(False), self.record(False, 99, 9)])
+        assert rate == 0.0
+        assert math.isnan(time.mean) and math.isnan(messages.mean)
+        assert time.count == 1  # the NaN placeholder, as the tables print
+
+    def test_a_failed_trial_is_one_more_not_completed_row(self):
+        from repro.experiments.pool import TIMED_OUT, TrialOutcome
+        from repro.spec import RunSpec
+        from repro.store import failed_record
+
+        failed = failed_record(
+            RunSpec(algorithm="trivial", n=8),
+            TrialOutcome(0, TIMED_OUT, error="timed out", attempts=2))
+        rate, time, messages = summarize_completed(
+            [self.record(True, 10, 100), failed, self.record(True, 30, 200)])
+        assert rate == pytest.approx(2 / 3)
+        assert time == summarize([10.0, 30.0])
+        assert messages == summarize([100.0, 200.0])
 
 
 class TestRates:

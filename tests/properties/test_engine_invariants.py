@@ -4,6 +4,9 @@ These hold for *every* execution of *any* algorithm — they pin down the
 substrate's bookkeeping, which all complexity measurements rest on.
 """
 
+import dataclasses
+import inspect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,10 @@ from repro.core.tears import Tears
 from repro.core.trivial import TrivialGossip
 from repro.core.uniform import UniformEpidemicGossip
 from repro.sim.engine import Simulation
+from repro.sim.errors import ConfigurationError
+from repro.spec import GOSSIP_ALGORITHMS, TRANSPORTS, RunSpec
+from repro.spec import build as build_spec
+from repro.spec.registry import PARAMS_CLASSES
 
 ALGORITHMS = [TrivialGossip, Ears, Tears, UniformEpidemicGossip]
 
@@ -118,3 +125,49 @@ class TestStateMonotonicity:
                 informed = sim.algorithm(pid).informed_list
                 assert informed & previous[pid] == previous[pid]
                 previous[pid] = informed
+
+
+# -- the RunSpec space ------------------------------------------------------ #
+
+def _knob_names(algorithm_class):
+    params_class = PARAMS_CLASSES.get(algorithm_class)
+    if params_class is not None:
+        return [knob.name for knob in dataclasses.fields(params_class)]
+    return list(inspect.signature(algorithm_class).parameters)[4:]
+
+
+#: (kind, algorithm, its real knob names) for everything a spec can name.
+SPEC_ALGORITHMS = (
+    [("gossip", name, _knob_names(cls))
+     for name, cls in sorted(GOSSIP_ALGORITHMS.items())]
+    + [("consensus", name, _knob_names(cls))
+       for name, cls in sorted(TRANSPORTS.items())]
+    + [("consensus", "ben-or", [])]
+)
+
+knob_values = st.one_of(
+    st.none(), st.integers(), st.floats(), st.booleans())
+
+
+@st.composite
+def specs_with_params(draw):
+    kind, algorithm, knobs = draw(st.sampled_from(SPEC_ALGORITHMS))
+    names = st.sampled_from(knobs + ["junk", "pid", "params", "fanout"])
+    return RunSpec(
+        kind=kind, algorithm=algorithm, n=draw(st.integers(3, 12)),
+        seed=draw(st.integers(0, 10 ** 6)),
+        params=draw(st.dictionaries(names, knob_values, max_size=3)),
+    )
+
+
+class TestSpecSpace:
+    @given(specs_with_params())
+    @settings(max_examples=150, deadline=None)
+    def test_any_params_mapping_builds_or_is_refused_by_name(self, spec):
+        """The first clause of the spec-space fuzz target: whatever the
+        ``params`` mapping holds, ``build`` returns or raises a
+        ``ConfigurationError`` — never a TypeError from a constructor."""
+        try:
+            build_spec(spec)
+        except ConfigurationError as exc:
+            assert repr(spec.algorithm) in str(exc)

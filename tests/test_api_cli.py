@@ -228,3 +228,54 @@ class TestCli:
                             "spec_ears.json")
         assert main(["run", "--spec", path]) == 0
         assert "4b533c0adb6065c5" in capsys.readouterr().out
+
+    def test_run_command_knob_spec_is_a_cache_hit(self, capsys, tmp_path):
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "spec_sears_eps.json")
+        argv = ["run", "--spec", path, "--store", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "messages = 3928" in first and "cache hit" not in first
+        assert main(argv) == 0
+        assert "cache hit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, needle", [
+        ({"algorithm": "earz"}, "did you mean 'ears'"),
+        ({"algorithm": "sears", "params": {"epz": 0.25}},
+         "bad params for algorithm 'sears'"),
+        ({"algorithm": "trivial", "params": {"eps": 0.25}},
+         "bad params for algorithm 'trivial'"),
+        ({"algorithm": "all-to-all", "kind": "consensus", "n": 8,
+          "params": {"fanout": 2}},
+         "bad params for algorithm 'all-to-all'"),
+        ({"algorithm": "sears", "kind": "consensus", "n": 8,
+          "params": {"fanout": 2}}, "'fanout'"),
+        ({"algorithm": "ben-or", "kind": "consensus", "n": 8,
+          "params": {"eps": 0.25}}, "bad params for algorithm 'ben-or'"),
+        ({"algorithm": "ears", "fanout": 2}, "unknown RunSpec field"),
+    ])
+    def test_malformed_spec_is_one_error_line(self, capsys, tmp_path,
+                                              spec, needle):
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_refused_manifest_is_one_error_line(self, capsys, tmp_path):
+        from repro.experiments import CampaignManifest
+
+        old = CampaignManifest(str(tmp_path / "old.json"),
+                               meta={"driver": "sweep"})
+        old.save()
+        assert main(["sweep", "--algorithm", "trivial", "--min-n", "8",
+                     "--max-n", "8", "--seeds", "1",
+                     "--resume", old.path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'sweep' driver" in err

@@ -320,7 +320,7 @@ class TestCheckpointedDrivers:
                                     **kwargs)
         assert checkpointed == plain
         meta = CampaignManifest.load(manifest_path).meta
-        assert meta["driver"] == "sweep"
+        assert meta["driver"] == "execute_batch"
         assert meta["rng"] == {"seeds": [0, 1]}
 
     def test_sweep_refuses_manifest_in_the_older_tuple_format(
@@ -338,7 +338,8 @@ class TestCheckpointedDrivers:
         old.save()
         before = (tmp_path / "sweep.json").read_text()
 
-        with pytest.raises(ConfigurationError, match="older positional"):
+        with pytest.raises(ConfigurationError,
+                           match="written by the 'sweep' driver"):
             sweep_gossip("ears", ns=[16], f_of_n=quarter, seeds=[0],
                          manifest=old.path)
         assert (tmp_path / "sweep.json").read_text() == before

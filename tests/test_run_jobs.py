@@ -134,7 +134,8 @@ def test_grid_manifest_written_by_an_older_build_is_refused(tmp_path):
 
     runner = GridRunner(out_dir=str(tmp_path / "grid"),
                         manifest_path=old.path)
-    with pytest.raises(ConfigurationError, match="cell-key format"):
+    with pytest.raises(ConfigurationError,
+                       match="written by the 'grid' driver"):
         runner.run(GRID)
     assert (tmp_path / "old.json").read_bytes() == before
     assert not (tmp_path / "grid").exists()  # nothing ran

@@ -257,3 +257,124 @@ class TestBuilder:
         run = execute(RunSpec(kind="consensus", algorithm="tears", n=8,
                               f=2, seed=0))
         assert run.completed and run.agreement and run.validity
+
+
+# -- algorithm knobs -------------------------------------------------------- #
+
+def _transport_knob(name):
+    """Read a knob off the gossip instance a CR process's factory makes."""
+    def read(consensus):
+        gossip = consensus.gossip_factory(pid=0, n=8, f=3,
+                                          rumor_payload=None)
+        return getattr(gossip.params, name)
+    return read
+
+
+#: (kind, algorithm) -> (one valid knob, its value, how process 0 shows
+#: it, what it shows), or None for an algorithm that takes no knobs.
+KNOBS = {
+    ("gossip", "ears"): ("shutdown_constant", 4.0,
+                         lambda a: a.params.shutdown_constant, 4.0),
+    ("gossip", "sears"): ("eps", 0.25, lambda a: a.params.eps, 0.25),
+    ("gossip", "tears"): ("c_a", 1.0, lambda a: a.params.c_a, 1.0),
+    ("gossip", "uniform"): ("stop_after_steps", 20,
+                            lambda a: a.stop_after_steps, 20),
+    ("gossip", "sparse"): ("budget", 3, lambda a: a.budget, 3),
+    ("gossip", "adaptive-fanout"): ("quiet_threshold", 5,
+                                    lambda a: a.quiet_threshold, 5),
+    # n = 8, f = 0: ceil(4 · n/(n−f) · ln n) = 9 shut-down sends
+    ("gossip", "push-pull"): ("shutdown_constant", 4.0,
+                              lambda a: a.shutdown_sends, 9),
+    ("gossip", "trivial"): None,
+    ("gossip", "ps-push-pull"): None,
+    ("consensus", "ears"): ("shutdown_constant", 4.0,
+                            _transport_knob("shutdown_constant"), 4.0),
+    ("consensus", "sears"): ("eps", 0.25, _transport_knob("eps"), 0.25),
+    ("consensus", "tears"): ("c_kappa", 2.0, _transport_knob("c_kappa"),
+                             2.0),
+    ("consensus", "all-to-all"): None,
+    ("consensus", "ben-or"): None,
+}
+
+
+class TestParams:
+    def test_table_covers_every_registered_algorithm(self):
+        assert set(KNOBS) == (
+            {("gossip", name) for name in GOSSIP_ALGORITHMS}
+            | {("consensus", name) for name in [*TRANSPORTS, "ben-or"]}
+        )
+
+    @pytest.mark.parametrize("kind, algorithm", sorted(KNOBS))
+    def test_valid_knob_reaches_the_algorithm_misspelt_is_named(
+            self, kind, algorithm):
+        spec = RunSpec(kind=kind, algorithm=algorithm, n=8, seed=0)
+        build(spec)  # no params
+        knob, value, read, shown = (KNOBS[(kind, algorithm)]
+                                    or ("knob", 1, None, None))
+        if read is not None:
+            built = build(spec.replace(params={knob: value}))
+            assert read(built.sim.algorithm(0)) == shown
+            knob += "z"
+        with pytest.raises(ConfigurationError) as caught:
+            build(spec.replace(params={knob: value}))
+        assert repr(algorithm) in str(caught.value)
+        assert repr(knob) in str(caught.value)
+
+    def test_out_of_range_value_is_a_configuration_error(self):
+        for algorithm, params in (("sears", {"eps": 2}),
+                                  ("sparse", {"budget": 0})):
+            with pytest.raises(ConfigurationError, match=algorithm):
+                build(RunSpec(algorithm=algorithm, n=8, params=params))
+
+    def test_same_gossip_run_three_ways(self):
+        from repro import run_gossip
+        from repro.core.params import SearsParams
+        from repro.store import metrics_of
+
+        spec = RunSpec(algorithm="sears", n=32, f=8, seed=3,
+                       params={"eps": 0.25})
+        again = RunSpec.from_json(spec.to_json())
+        assert again.spec_hash == spec.spec_hash == spec.replace(
+            params=SearsParams(eps=0.25)).spec_hash
+        runs = [
+            run_gossip("sears", n=32, f=8, seed=3,
+                       params=SearsParams(eps=0.25)),
+            execute(spec), execute(again),
+        ]
+        assert [metrics_of(run) for run in runs] == [metrics_of(runs[0])] * 3
+        # pinned at the parent of the PR that made params spec data
+        assert (runs[0].messages, runs[0].completion_time) == (1486, 7)
+
+    @pytest.mark.parametrize("transport, params, messages, time", [
+        ("tears", "scaled", 4722, 26),
+        ("sears", {"eps": 0.25}, 2850, 35),
+    ])
+    def test_same_consensus_run_three_ways(self, transport, params,
+                                           messages, time):
+        from repro.consensus import run_consensus
+        from repro.core.params import TearsParams
+        from repro.store import metrics_of
+
+        if params == "scaled":
+            params = TearsParams.scaled(0.25)
+        spec = RunSpec(kind="consensus", algorithm=transport, n=16, seed=3,
+                       params=params)
+        again = RunSpec.from_json(spec.to_json())
+        assert again.spec_hash == spec.spec_hash
+        runs = [run_consensus(transport, n=16, seed=3, params=params),
+                execute(spec), execute(again)]
+        assert [metrics_of(run) for run in runs] == [metrics_of(runs[0])] * 3
+        assert (runs[0].messages, runs[0].decision_time) == (messages, time)
+
+    def test_completion_monitor_follows_the_knob_not_the_type(self):
+        base = RunSpec(algorithm="uniform", n=16, seed=1)
+        bare, empty = execute(base), execute(base.replace(params={}))
+        assert base.spec_hash != base.replace(params={}).spec_hash
+        assert (empty.completed, empty.completion_time, empty.messages) \
+            == (bare.completed, bare.completion_time, bare.messages) \
+            == (True, 10, 160)
+        assert not empty.sim.algorithm(0).is_quiescent()  # by gathering
+        stopping = execute(base.replace(params={"stop_after_steps": 20}))
+        assert stopping.completed and stopping.completion_time == 21
+        assert all(stopping.sim.algorithm(pid).is_quiescent()
+                   for pid in stopping.sim.alive_pids)
