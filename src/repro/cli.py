@@ -371,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3,
                    help="trials per fault (distinct seeds/victims)")
     p.add_argument("--faults", default=None,
-                   help="comma-separated fault names, simulation or store "
-                        "faults in any mix (default: all registered "
-                        "except message-loss)")
+                   help="comma-separated fault names in any mix: "
+                        "simulation or store faults (model), fleet-* "
+                        "(fleet), byz-<behavior> (byzantine); a matrix "
+                        "given none of its own runs its controls only "
+                        "(default: all registered except message-loss)")
     p.add_argument("-n", type=int, default=24,
                    help="gossip population for campaign cells")
     p.add_argument("--consensus-n", type=int, default=9,
@@ -937,6 +939,7 @@ def _run(args) -> int:
 
     if args.command == "chaos":
         from .faults import (
+            BYZANTINE_MATRIX,
             FAULTS,
             FLEET_FAULTS,
             STORE_FAULTS,
@@ -948,7 +951,23 @@ def _run(args) -> int:
             run_fleet_campaign,
         )
 
-        matrices = ("model", "fleet", "byzantine", "all")
+        trials = 1 if args.quick else args.trials
+        # matrix -> runner; ``pick(registry)`` is the --faults selection
+        # the registry owns, or None (no --faults: the matrix defaults).
+        runners = {
+            "model": lambda pick: run_campaign(
+                seed=args.seed, trials=trials, faults=pick(FAULTS),
+                n=args.n, consensus_n=args.consensus_n,
+                store_faults=pick(STORE_FAULTS)),
+            "fleet": lambda pick: run_fleet_campaign(
+                seed=args.seed, trials=trials, faults=pick(FLEET_FAULTS),
+                workers=args.workers),
+            "byzantine": lambda pick: run_byzantine_campaign(
+                seed=args.seed, trials=trials,
+                behaviors=pick(BYZANTINE_MATRIX, prefix="byz-"),
+                n=args.n, consensus_n=args.consensus_n),
+        }
+        matrices = (*runners, "all")
         if args.matrix not in matrices:
             import difflib
 
@@ -957,47 +976,35 @@ def _run(args) -> int:
             print(f"unknown matrix {args.matrix!r}; choose from "
                   f"{', '.join(matrices)}{hint}", file=sys.stderr)
             return 2
-        trials = 1 if args.quick else args.trials
-        faults = store_faults = fleet_faults = None
+        names = None
         if args.faults:
             names = [name.strip() for name in args.faults.split(",")
                      if name.strip()]
+            registries = (sorted(FAULTS), sorted(STORE_FAULTS),
+                          sorted(FLEET_FAULTS),
+                          [f"byz-{name}" for name in sorted(BYZANTINE_MATRIX)])
             unknown = [name for name in names
-                       if name not in FAULTS and name not in STORE_FAULTS
-                       and name not in FLEET_FAULTS]
+                       if not any(name in known for known in registries)]
             if unknown:
-                print(f"unknown fault(s): {', '.join(unknown)}; "
-                      f"registered: {sorted(FAULTS)} + "
-                      f"{sorted(STORE_FAULTS)} + {sorted(FLEET_FAULTS)}",
-                      file=sys.stderr)
+                print(f"unknown fault(s): {', '.join(unknown)}; registered: "
+                      f"{' + '.join(map(str, registries))}", file=sys.stderr)
                 return 2
-            faults = [name for name in names if name in FAULTS]
-            store_faults = [name for name in names if name in STORE_FAULTS]
-            fleet_faults = [name for name in names if name in FLEET_FAULTS]
+
+        def pick(registry, prefix=""):
+            if names is None:
+                return None
+            owned = [name.removeprefix(prefix) for name in names
+                     if name.startswith(prefix)]
+            return [name for name in owned if name in registry]
+
         ok = True
-        if args.matrix in ("model", "all"):
-            report = run_campaign(
-                seed=args.seed, trials=trials, faults=faults,
-                n=args.n, consensus_n=args.consensus_n,
-                store_faults=store_faults,
-            )
+        for matrix, run in runners.items():
+            if args.matrix not in (matrix, "all"):
+                continue
+            report = run(pick)
             print(format_campaign(report))
             ok = ok and report.ok
-        if args.matrix in ("fleet", "all"):
-            report = run_fleet_campaign(
-                seed=args.seed, trials=trials, faults=fleet_faults,
-                workers=args.workers,
-            )
-            print(format_campaign(report))
-            ok = ok and report.ok
-        if args.matrix in ("byzantine", "all"):
-            report = run_byzantine_campaign(
-                seed=args.seed, trials=trials,
-                n=args.n, consensus_n=args.consensus_n,
-            )
-            print(format_campaign(report))
-            ok = ok and report.ok
-            if not args.quick:
+            if matrix == "byzantine" and not args.quick:
                 print()
                 print(format_agreement_grid(
                     byzantine_agreement_grid(seed=args.seed)))

@@ -25,6 +25,13 @@ attacks in-band: each cell runs a canonical algorithm under the
 active — equivocation, tampering, silence or identity forgery — and is
 classified *tolerated* (run completes, honest invariants clean) or
 *detected* (a Byzantine-aware invariant names the corruption).
+
+Each matrix is a list of cells — plain dicts — and one runner executes
+them all: :func:`repro.faults.campaign.run_chaos_cells` hands the list
+to :func:`repro.experiments.campaign.run_jobs`, whose job,
+:func:`~repro.faults.campaign.run_chaos_cell`, dispatches on the cell's
+matrix to the simulation, store or fleet executor, and folds the
+outcomes (controls included) into one :class:`CampaignReport`.
 """
 
 from .byzantine_faults import (

@@ -17,7 +17,9 @@ single behavior active, and the verdict is a classification:
 
 Each matrix run also executes an uninjected control per canonical cell —
 the same Byzantine adversary with ``b = 0`` — which must be violation
-free; anything it trips is a false positive of the detectors.
+free; anything it trips is a false positive of the detectors.  The
+matrix is a cell list run by :func:`repro.faults.campaign.run_chaos_cells`
+on the model matrix's simulation executor.
 
 The module also carries the paper-facing experiment the adversary was
 built for: :func:`byzantine_agreement_grid` runs Ben-Or and
@@ -33,15 +35,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import render_table
 from ..sim.errors import IncompleteRunError, InvariantViolation
-from ..sim.monitor import PredicateMonitor
 from ..spec.builder import build
 from ..spec.runspec import RunSpec
 from .campaign import (
-    CONSENSUS_ALGORITHMS,
-    DETECT_STEP_CAP,
-    GOSSIP_ALGORITHMS,
-    CampaignCell,
+    ALGORITHMS,
     CampaignReport,
+    canonical_algorithm,
+    chaos_cell,
+    run_chaos_cells,
 )
 
 __all__ = [
@@ -81,48 +82,6 @@ BYZANTINE_MATRIX: Dict[str, Dict[str, Tuple[str, ...]]] = {
 }
 
 
-def _byz_spec(kind: str, algorithm: str, n: int, seed: int, b: int,
-              behaviors: Tuple[str, ...]) -> RunSpec:
-    adversary = {"name": "byzantine", "b": b, "behaviors": list(behaviors)}
-    if kind == "gossip":
-        return RunSpec(
-            kind="gossip", algorithm=algorithm, n=n, f=n // 4, d=2,
-            delta=2, seed=seed, check_invariants=True, adversary=adversary,
-        )
-    return RunSpec(
-        kind="consensus", algorithm=algorithm, n=n, seed=seed,
-        check_invariants=True, adversary=adversary,
-    )
-
-
-def _execute_byz_cell(spec: RunSpec,
-                      expects: Tuple[str, ...]) -> Tuple[Optional[str], str]:
-    """Run one Byzantine cell strictly; returns (detector-fired, message).
-
-    Mirrors the model matrix's :func:`~repro.faults.campaign._execute_cell`
-    run-on discipline: cells expected to be *detected* keep running past
-    natural completion (capped) so a lucky schedule can never let a
-    corrupt execution finish before its detector sees the evidence.
-    """
-    built = build(spec)
-    if expects:
-        built.sim.monitor = PredicateMonitor(
-            lambda sim: False, name="chaos-run-on"
-        )
-        built.max_steps = min(built.max_steps, DETECT_STEP_CAP)
-    try:
-        built.sim.run(max_steps=built.max_steps, strict=True)
-    except InvariantViolation as exc:
-        return exc.invariant, str(exc)
-    except IncompleteRunError as exc:
-        return "liveness", str(exc)
-    metrics = built.sim.metrics
-    return None, (
-        f"run completed clean; honest messages "
-        f"{metrics.honest_messages_sent}/{metrics.messages_sent}"
-    )
-
-
 def run_byzantine_campaign(
     seed: int = 0,
     trials: int = 3,
@@ -150,54 +109,27 @@ def run_byzantine_campaign(
                 f"unknown Byzantine behaviors {unknown}; choose from "
                 f"{sorted(BYZANTINE_MATRIX)}"
             )
-    report = CampaignReport()
-
-    for trial in range(trials):
-        for behavior in behaviors:
-            for kind in ("gossip", "consensus"):
-                if kind == "gossip":
-                    algorithm = GOSSIP_ALGORITHMS[
-                        trial % len(GOSSIP_ALGORITHMS)]
-                    cell_n, cell_b = n, b
-                else:
-                    algorithm = CONSENSUS_ALGORITHMS[
-                        trial % len(CONSENSUS_ALGORITHMS)]
-                    cell_n, cell_b = consensus_n, consensus_b
-                expected = BYZANTINE_MATRIX[behavior][kind]
-                spec = _byz_spec(kind, algorithm, cell_n, seed + trial,
-                                 cell_b, (behavior,))
-                detected, message = _execute_byz_cell(spec, expected)
-                ok = (
-                    detected in expected if expected else detected is None
-                )
-                report.cells.append(CampaignCell(
-                    fault=f"byz-{behavior}", kind=kind, algorithm=algorithm,
-                    trial=trial, seed=seed + trial, expected=expected,
-                    detected=detected, fired=True, ok=ok, message=message,
-                ))
-
+    sizes = {"gossip": {"n": n, "b": b},
+             "consensus": {"n": consensus_n, "b": consensus_b}}
+    cells = [
+        chaos_cell("byzantine", f"byz-{behavior}", kind,
+                   canonical_algorithm(kind, trial), trial, seed + trial,
+                   BYZANTINE_MATRIX[behavior][kind], behaviors=[behavior],
+                   **sizes[kind])
+        for trial in range(trials) for behavior in behaviors
+        for kind in ("gossip", "consensus")
+    ]
     # Uninjected controls: the Byzantine adversary with b=0 must be
     # behaviorally invisible — a violation here is a detector false
     # positive (or a b=0 corruption leak).
-    controls = (
-        [("gossip", algorithm, n) for algorithm in GOSSIP_ALGORITHMS]
-        + [("consensus", algorithm, consensus_n)
-           for algorithm in CONSENSUS_ALGORITHMS]
-    )
-    for kind, algorithm, cell_n in controls:
-        spec = _byz_spec(kind, algorithm, cell_n, seed, 0,
-                         tuple(sorted(BYZANTINE_MATRIX)))
-        report.controls += 1
-        try:
-            build(spec).run()
-        except (InvariantViolation, IncompleteRunError) as exc:
-            report.false_positives.append(CampaignCell(
-                fault="(none)", kind=kind, algorithm=algorithm, trial=0,
-                seed=seed, expected=(), fired=False, ok=False,
-                detected=getattr(exc, "invariant", "liveness"),
-                message=str(exc),
-            ))
-    return report
+    cells += [
+        chaos_cell("byzantine", "(none)", kind, algorithm, 0, seed,
+                   control=True, n=sizes[kind]["n"], b=0,
+                   behaviors=sorted(BYZANTINE_MATRIX))
+        for kind, algorithms in ALGORITHMS.items()
+        for algorithm in algorithms
+    ]
+    return run_chaos_cells(cells)
 
 
 # -- the (n, f, b) agreement grid ----------------------------------------- #

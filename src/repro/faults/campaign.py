@@ -1,9 +1,20 @@
 """Chaos campaigns: prove the invariant checkers catch seeded faults.
 
-A campaign is a self-test of the robustness plane.  For every registered
-fault and every trial it builds a canonical cell (EARS/SEARS/TEARS
-gossip, Ben-Or consensus) with the kind's safety invariants attached
-(``RunSpec(check_invariants=True)``), arms the fault on the built run,
+A campaign is a self-test of the robustness plane.  Every chaos matrix
+— ``model`` (simulation faults, plus store faults against scratch
+artifact stores), ``fleet`` (:mod:`repro.faults.fleet_faults`) and
+``byzantine`` (:mod:`repro.faults.byzantine_faults`) — is a list of
+*cells*, plain dicts naming the matrix, fault, kind, algorithm, trial,
+seed, expected detectors, the sizes the cell needs and whether it is a
+``control``.  :func:`run_chaos_cells` is the one runner: it hands the
+list to :func:`repro.experiments.campaign.run_jobs` with
+:func:`run_chaos_cell` as the job, which dispatches on ``matrix`` to one
+of three executors (simulation, store, fleet), and folds the outcomes
+into a :class:`CampaignReport`.
+
+A simulation cell builds a canonical run (EARS/SEARS/TEARS gossip,
+Ben-Or consensus) with the kind's safety invariants attached
+(``RunSpec(check_invariants=True)``), arms the fault if it has one,
 executes in strict mode, and records which detector fired:
 
 * a fault whose ``expects`` names invariants is *detected* iff the run
@@ -14,21 +25,24 @@ executes in strict mode, and records which detector fired:
 * a tolerance fault (empty ``expects``) passes iff the run completed
   with **no** detector firing.
 
-Alongside the fault matrix the campaign runs each canonical cell clean
-(invariants on, no fault) — any violation there is a false positive and
-fails the campaign.  ``repro chaos`` exits nonzero unless detection is
-100% with zero false positives.
+Every matrix also carries control cells — its canonical cells run clean
+(invariants on, no fault).  A control judged not ok is a false positive
+and fails the campaign.  ``repro chaos`` exits nonzero unless detection
+is 100% with zero false positives.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import render_table
+from ..experiments.campaign import run_jobs
 from ..sim.errors import IncompleteRunError, InvariantViolation
 from ..sim.monitor import PredicateMonitor
 from ..sim.rng import derive_rng
@@ -40,13 +54,20 @@ from .store_faults import STORE_FAULTS, make_store_fault
 __all__ = [
     "CampaignCell",
     "CampaignReport",
+    "chaos_cell",
     "format_campaign",
     "run_campaign",
+    "run_chaos_cell",
+    "run_chaos_cells",
 ]
 
 #: The campaign's gossip portfolio (the paper's three efficient algorithms).
 GOSSIP_ALGORITHMS: Tuple[str, ...] = ("ears", "sears", "tears")
 CONSENSUS_ALGORITHMS: Tuple[str, ...] = ("ben-or",)
+ALGORITHMS: Dict[str, Tuple[str, ...]] = {
+    "gossip": GOSSIP_ALGORITHMS,
+    "consensus": CONSENSUS_ALGORITHMS,
+}
 
 #: Detection happens within a few steps of the trigger; cap run length so
 #: a *missed* detection costs bounded wall time, not the full step limit.
@@ -96,36 +117,53 @@ class CampaignReport:
         return not self.missed and not self.false_positives
 
 
-def _gossip_spec(algorithm: str, n: int, seed: int,
-                 with_crashes: bool) -> RunSpec:
-    return RunSpec(
-        kind="gossip", algorithm=algorithm, n=n, f=n // 4, d=2, delta=2,
-        seed=seed, crashes=(n // 8 if with_crashes else None),
-        check_invariants=True,
-    )
+def chaos_cell(matrix: str, fault: str, kind: str, algorithm: str,
+               trial: int, seed: int, expected: Sequence[str] = (),
+               control: bool = False, **inputs: Any) -> Dict[str, Any]:
+    """One chaos cell as plain data (a control's ``fault`` is
+    ``"(none)"``); ``inputs`` are the sizes and other knobs its
+    executor reads."""
+    return {"matrix": matrix, "fault": fault, "kind": kind,
+            "algorithm": algorithm, "trial": trial, "seed": seed,
+            "expected": list(expected), "control": control, **inputs}
 
 
-def _consensus_spec(algorithm: str, n: int, seed: int,
-                    with_crashes: bool) -> RunSpec:
-    return RunSpec(
-        kind="consensus", algorithm=algorithm, n=n, seed=seed,
-        crashes=(n // 4 if with_crashes else None),
-        check_invariants=True,
-    )
+def canonical_algorithm(kind: str, trial: int) -> str:
+    """The canonical algorithm a fault cell of ``kind`` runs in
+    ``trial`` (gossip rotates through EARS/SEARS/TEARS)."""
+    algorithms = ALGORITHMS[kind]
+    return algorithms[trial % len(algorithms)]
 
 
-def _spec_for(kind: str, algorithm: str, n: int, consensus_n: int,
-              seed: int, with_crashes: bool) -> RunSpec:
-    if kind == "gossip":
-        return _gossip_spec(algorithm, n, seed, with_crashes)
-    return _consensus_spec(algorithm, consensus_n, seed, with_crashes)
+# -- the three executors ---------------------------------------------------- #
+
+#: What an executor returns: ``(detected, message, fired)``.
+Verdict = Tuple[Optional[str], str, bool]
+
+def _cell_spec(cell: Dict[str, Any]) -> RunSpec:
+    """The canonical spec of a simulation cell, invariants armed."""
+    n, gossip = cell["n"], cell["kind"] == "gossip"
+    crashes = None
+    if cell.get("crashes"):
+        crashes = n // 8 if gossip else n // 4
+    adversary = None
+    if cell["matrix"] == "byzantine":
+        adversary = {"name": "byzantine", "b": cell["b"],
+                     "behaviors": cell["behaviors"]}
+    timing = {"f": n // 4, "d": 2, "delta": 2} if gossip else {}
+    return RunSpec(kind=cell["kind"], algorithm=cell["algorithm"], n=n,
+                   seed=cell["seed"], crashes=crashes, adversary=adversary,
+                   check_invariants=True, **timing)
 
 
-def _execute_cell(spec: RunSpec, fault, rng) -> Tuple[Optional[str], str]:
-    """Build, arm, run strictly; returns (detector-fired, message)."""
-    built = build(spec)
-    fault.arm(built, rng)
-    if fault.expects and fault.expects != ("liveness",):
+def _execute_sim_cell(cell: Dict[str, Any]) -> Verdict:
+    """Build, arm the model fault if any, run strictly."""
+    built = build(_cell_spec(cell))
+    fault = None
+    if cell["matrix"] == "model" and not cell["control"]:
+        fault = make_fault(cell["fault"])
+        fault.arm(built, derive_rng(*cell["rng"]))
+    if cell["expected"] and cell["expected"] != ["liveness"]:
         # Detection needs the victim rescheduled *after* the tamper; keep
         # the run going past its natural completion so timing never saves
         # a broken execution from its detector.
@@ -136,54 +174,39 @@ def _execute_cell(spec: RunSpec, fault, rng) -> Tuple[Optional[str], str]:
     try:
         built.sim.run(max_steps=built.max_steps, strict=True)
     except InvariantViolation as exc:
-        return exc.invariant, str(exc)
+        detected, message = exc.invariant, str(exc)
     except IncompleteRunError as exc:
-        return "liveness", str(exc)
-    return None, "run completed with no detector firing"
+        detected, message = "liveness", str(exc)
+    else:
+        metrics = built.sim.metrics
+        detected, message = None, (
+            f"run completed with no detector firing; honest messages "
+            f"{metrics.honest_messages_sent}/{metrics.messages_sent}"
+        )
+    fired = fault.fired if fault is not None else not cell["control"]
+    return detected, message, fired
 
 
-_SCRATCH_SPECS: Dict[Tuple[int, int], List[RunSpec]] = {}
-
-
-def _scratch_specs(records: int, seed: int) -> List[RunSpec]:
-    """The spec list every scratch store of one (records, seed) matrix
-    cell shares, built once and round-tripped through the same
-    :meth:`RunSpec.load_many` path ``repro batch`` uses (so the scratch
-    records exercise exactly the serialized-spec provenance format).
-    """
-    key = (records, seed)
-    specs = _SCRATCH_SPECS.get(key)
-    if specs is None:
-        import json
-
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8"
-        ) as handle:
-            json.dump([
-                RunSpec(kind="gossip", algorithm="ears", n=16, f=4,
-                        seed=seed * 1000 + index).to_dict()
-                for index in range(records)
-            ], handle)
-            spec_path = handle.name
-        try:
-            specs = RunSpec.load_many(spec_path)
-        finally:
-            os.unlink(spec_path)
-        _SCRATCH_SPECS[key] = specs
-    return specs
-
-
-def _make_scratch_store(path: str, records: int, seed: int):
+def _make_scratch_store(path: str, seed: int, records: int = 4):
     """A small real store: genuine specs, fabricated (cheap) metrics.
 
     Corruption detection is purely syntactic — no simulation needs to
     run to exercise it — so the records carry synthetic metrics stamped
-    exactly like real ones (schema, spec hash, CRC).
+    exactly like real ones (schema, spec hash, CRC).  The specs take the
+    :meth:`RunSpec.load_many` round trip ``repro batch`` uses, so the
+    records exercise exactly the serialized-spec provenance format.
     """
     from ..store import JsonlStore
 
+    spec_path = os.path.join(os.path.dirname(path), "specs.json")
+    with open(spec_path, "w", encoding="utf-8") as handle:
+        json.dump([
+            RunSpec(kind="gossip", algorithm="ears", n=16, f=4,
+                    seed=seed * 1000 + index).to_dict()
+            for index in range(records)
+        ], handle)
     store = JsonlStore(path)
-    for index, spec in enumerate(_scratch_specs(records, seed)):
+    for index, spec in enumerate(RunSpec.load_many(spec_path)):
         store.put(spec, {
             "completed": True, "reason": "completed",
             "time": 10 + index, "messages": 100 + index,
@@ -191,12 +214,11 @@ def _make_scratch_store(path: str, records: int, seed: int):
     return store
 
 
-def _execute_store_cell(fault, trials_dir: str, trial: int, seed: int,
-                        records: int = 4) -> Tuple[Optional[str], str, bool]:
-    """Run one store-fault cell; returns (detected, message, fired).
+def _judge_store(path: str,
+                 info: Dict[str, Any]) -> Tuple[Optional[str], str]:
+    """Detection requires *all three* legs of the durability contract.
 
-    Detection requires *all three* legs of the durability contract: the
-    read-only :meth:`~repro.store.JsonlStore.verify` scan must flag
+    The read-only :meth:`~repro.store.JsonlStore.verify` scan must flag
     exactly the injected lines, a recovery load must salvage every
     surviving record while quarantining the corrupt ones, and replaying
     the corrupted WAL into an index
@@ -205,27 +227,22 @@ def _execute_store_cell(fault, trials_dir: str, trial: int, seed: int,
     """
     from ..store import JsonlStore, SqliteStore
 
-    path = os.path.join(trials_dir, f"{fault.name}-{trial}.jsonl")
-    _make_scratch_store(path, records, seed)
-    rng = derive_rng(seed, "chaos-store", fault.name, trial)
-    info = fault.inject(path, rng)
-
     report = JsonlStore(path).verify()
     if report["ok"] or len(report["corrupt"]) != info["corrupted_lines"]:
         return None, (
             f"verify missed the corruption: reported "
             f"{len(report['corrupt'])} corrupt line(s), injected "
             f"{info['corrupted_lines']} ({info})"
-        ), True
+        )
     recovered = JsonlStore(path)
     salvaged = len(recovered)
     if salvaged != info["surviving_records"]:
         return None, (
             f"recovery salvaged {salvaged} record(s), expected "
             f"{info['surviving_records']}"
-        ), True
+        )
     if len(recovered.quarantined_entries()) != info["corrupted_lines"]:
-        return None, "corrupt line was not quarantined", True
+        return None, "corrupt line was not quarantined"
     with SqliteStore(path + ".sqlite") as index:
         ingest = index.ingest(path)
         if (ingest["ingested"] != info["surviving_records"]
@@ -234,14 +251,120 @@ def _execute_store_cell(fault, trials_dir: str, trial: int, seed: int,
                 f"sqlite ingest took {ingest['ingested']} record(s) and "
                 f"quarantined {ingest['quarantined']}, expected "
                 f"{info['surviving_records']}/{info['corrupted_lines']}"
-            ), True
+            )
         if not index.verify()["ok"]:
-            return None, "sqlite index failed verify after ingest", True
+            return None, "sqlite index failed verify after ingest"
     return "store-corruption", (
         f"verify flagged line {info.get('line')} "
         f"({report['corrupt'][0]['reason']}); "
         f"{salvaged} record(s) salvaged and indexed"
-    ), True
+    )
+
+
+def _execute_store_cell(cell: Dict[str, Any]) -> Verdict:
+    """Corrupt a scratch store and judge it; the control verifies a
+    pristine one, which must come back clean."""
+    from ..store import JsonlStore
+
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-store-") as root:
+        path = os.path.join(root, "store.jsonl")
+        _make_scratch_store(path, cell["seed"])
+        if cell["control"]:
+            clean = JsonlStore(path).verify()
+            if clean["ok"]:
+                return None, "clean store verified clean", False
+            return ("store-corruption",
+                    f"clean store failed verify: {clean['corrupt']}", False)
+        fault = make_store_fault(cell["fault"])
+        rng = derive_rng(cell["seed"], "chaos-store", fault.name,
+                         cell["trial"])
+        detected, message = _judge_store(path, fault.inject(path, rng))
+        return detected, message, True
+
+
+def _execute_fleet_cell(cell: Dict[str, Any]) -> Verdict:
+    """Start a live fleet, inject the cell's fault (nothing for the
+    control), wait, and judge its recovery.
+
+    Every cell, the control included, kills its workers on the way out,
+    and any exception is the verdict rather than a crash.
+    """
+    from ..fleet import FleetConfig, start_fleet
+    from .fleet_faults import (
+        _fleet_specs,
+        _judge_cell,
+        _reference_metrics,
+        make_fleet_fault,
+    )
+
+    control, trial = cell["control"], cell["trial"]
+    specs = _fleet_specs(cell["seed"], 999 if control else trial,
+                         cell["specs"])
+    reference = _reference_metrics(specs)
+    root = tempfile.mkdtemp(prefix="repro-chaos-fleet-")
+    fleet = None
+    try:
+        fleet = start_fleet(root, specs=specs, workers=cell["workers"],
+                            config=FleetConfig(
+                                lease_ttl=2.0, heartbeat_interval=0.5,
+                                backoff_base=0.1, backoff_cap=1.0,
+                                max_attempts=5, straggler_factor=4.0,
+                                straggler_min_age=1.0, poll_interval=0.02))
+        info: Dict[str, Any] = {}
+        if not control:
+            rng = random.Random(repr((cell["seed"], cell["fault"], trial)))
+            info = make_fleet_fault(cell["fault"]).inject(fleet, rng)
+        defect = _judge_cell(fleet.campaign, fleet.wait(timeout=120.0),
+                             reference, info)
+    except Exception as error:  # noqa: BLE001 — verdict, not crash
+        defect = f"campaign error: {error!r}"
+    finally:
+        if fleet is not None:
+            fleet.kill_all()
+        if not cell["keep_dirs"]:
+            shutil.rmtree(root, ignore_errors=True)
+    if defect is None:
+        return "fleet-recovered", "recovered", not control
+    return None, defect, not control
+
+
+_EXECUTORS = {
+    "model": _execute_sim_cell,
+    "byzantine": _execute_sim_cell,
+    "store": _execute_store_cell,
+    "fleet": _execute_fleet_cell,
+}
+
+
+def run_chaos_cell(cell: Dict[str, Any]) -> Verdict:
+    """Execute one cell through its matrix's executor."""
+    return _EXECUTORS[cell["matrix"]](cell)
+
+
+def run_chaos_cells(cells: Sequence[Dict[str, Any]]) -> CampaignReport:
+    """Run ``cells`` in order, sequentially, and fold them into a report.
+
+    Fault cells become report rows in list order.  Every control is
+    counted, and a control judged not ok becomes a false positive.
+    """
+    report = CampaignReport()
+    for cell, outcome in zip(cells, run_jobs(run_chaos_cell, cells)):
+        detected, message, fired = outcome.value
+        expected = tuple(cell["expected"])
+        judged = CampaignCell(
+            fault=cell["fault"], kind=cell["kind"],
+            algorithm=cell["algorithm"], trial=cell["trial"],
+            seed=cell["seed"], expected=expected, detected=detected,
+            fired=fired, message=message,
+            ok=detected in expected if expected else detected is None,
+        )
+        if not cell["control"]:
+            report.cells.append(judged)
+            continue
+        report.controls += 1
+        if not judged.ok:
+            report.false_positives.append(judged)
+    return report
 
 
 def run_campaign(
@@ -271,95 +394,41 @@ def run_campaign(
         store_faults = sorted(STORE_FAULTS) if faults is None else ()
     if faults is None:
         faults = sorted(name for name in FAULTS if name != "message-loss")
-    report = CampaignReport()
+    sizes = {"gossip": n, "consensus": consensus_n}
 
+    cells = []
     for trial in range(trials):
-        for fault_name in faults:
-            prototype = make_fault(fault_name)
-            kinds = (
-                ("gossip", "consensus") if prototype.kind == "any"
-                else (prototype.kind,)
-            )
-            for kind in kinds:
-                algorithms = (
-                    GOSSIP_ALGORITHMS if kind == "gossip"
-                    else CONSENSUS_ALGORITHMS
-                )
-                algorithm = algorithms[trial % len(algorithms)]
-                cell_seed = seed + trial
-                fault = make_fault(fault_name)
-                rng = derive_rng(seed, "chaos", fault_name, kind, trial)
-                spec = _spec_for(kind, algorithm, n, consensus_n,
-                                 cell_seed, fault.needs_crashes)
-                detected, message = _execute_cell(spec, fault, rng)
-                expected = tuple(fault.expects)
-                ok = (
-                    detected in expected if expected else detected is None
-                )
-                report.cells.append(CampaignCell(
-                    fault=fault_name, kind=kind, algorithm=algorithm,
-                    trial=trial, seed=cell_seed, expected=expected,
-                    detected=detected, fired=fault.fired, ok=ok,
-                    message=message,
-                ))
-
+        for name in faults:
+            fault = make_fault(name)
+            kinds = (("gossip", "consensus") if fault.kind == "any"
+                     else (fault.kind,))
+            cells += [
+                chaos_cell("model", name, kind,
+                           canonical_algorithm(kind, trial), trial,
+                           seed + trial, fault.expects, n=sizes[kind],
+                           crashes=fault.needs_crashes,
+                           rng=[seed, "chaos", name, kind, trial])
+                for kind in kinds
+            ]
     # Artifact-store matrix: each store fault corrupts a scratch store;
     # the durability layer (verify + recovery load) must flag it.
+    cells += [
+        chaos_cell("store", name, "store", "runstore", trial, seed + trial,
+                   make_store_fault(name).expects)
+        for trial in range(trials) for name in store_faults
+    ]
     if store_faults:
-        trials_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
-        try:
-            for trial in range(trials):
-                for fault_name in store_faults:
-                    fault = make_store_fault(fault_name)
-                    detected, message, fired = _execute_store_cell(
-                        fault, trials_dir, trial, seed + trial,
-                    )
-                    expected = tuple(fault.expects)
-                    report.cells.append(CampaignCell(
-                        fault=fault_name, kind="store",
-                        algorithm="runstore", trial=trial,
-                        seed=seed + trial, expected=expected,
-                        detected=detected, fired=fired,
-                        ok=detected in expected, message=message,
-                    ))
-            # False-positive control: a pristine store must verify clean.
-            from ..store import JsonlStore
-
-            clean_path = os.path.join(trials_dir, "clean-control.jsonl")
-            _make_scratch_store(clean_path, 4, seed)
-            report.controls += 1
-            clean = JsonlStore(clean_path).verify()
-            if not clean["ok"]:
-                report.false_positives.append(CampaignCell(
-                    fault="(none)", kind="store", algorithm="runstore",
-                    trial=0, seed=seed, expected=(), fired=False,
-                    ok=False, detected="store-corruption",
-                    message=f"clean store failed verify: {clean['corrupt']}",
-                ))
-        finally:
-            shutil.rmtree(trials_dir, ignore_errors=True)
-
+        cells.append(chaos_cell("store", "(none)", "store", "runstore", 0,
+                                seed, control=True))
     # Clean controls: canonical cells, invariants on, no fault — any
     # violation here is a false positive of the detectors themselves.
-    controls = (
-        [("gossip", algorithm, crashed)
-         for algorithm in GOSSIP_ALGORITHMS for crashed in (False, True)]
-        + [("consensus", algorithm, crashed)
-           for algorithm in CONSENSUS_ALGORITHMS for crashed in (False, True)]
-    )
-    for kind, algorithm, with_crashes in controls:
-        spec = _spec_for(kind, algorithm, n, consensus_n, seed, with_crashes)
-        report.controls += 1
-        try:
-            build(spec).run()
-        except (InvariantViolation, IncompleteRunError) as exc:
-            report.false_positives.append(CampaignCell(
-                fault="(none)", kind=kind, algorithm=algorithm, trial=0,
-                seed=seed, expected=(), fired=False, ok=False,
-                detected=getattr(exc, "invariant", "liveness"),
-                message=str(exc),
-            ))
-    return report
+    cells += [
+        chaos_cell("model", "(none)", kind, algorithm, 0, seed,
+                   control=True, n=sizes[kind], crashes=crashes)
+        for kind, algorithms in ALGORITHMS.items()
+        for algorithm in algorithms for crashes in (False, True)
+    ]
+    return run_chaos_cells(cells)
 
 
 def format_campaign(report: CampaignReport) -> str:

@@ -24,7 +24,10 @@ The detection contract is uniform, and stricter than "it didn't crash":
 after the fault, the surviving fleet must finish the campaign such that
 the store verifies clean with **zero missing and zero double-counted
 cells** and every record bit-identical to an uninterrupted
-single-process reference run (``"fleet-recovered"``).
+single-process reference run (``"fleet-recovered"``).  The matrix is a
+cell list; the one chaos runner (:mod:`repro.faults.campaign`) starts,
+injects, waits for, judges (:func:`_judge_cell`) and tears down each
+cell's fleet, the uninjected control's included.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from __future__ import annotations
 import json
 import os
 import random
-import shutil
 import signal
-import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -42,7 +43,7 @@ from ..sim.errors import ConfigurationError
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 from ..store.base import metrics_of
-from .campaign import CampaignCell, CampaignReport
+from .campaign import CampaignReport, chaos_cell, run_chaos_cells
 
 __all__ = [
     "FLEET_FAULTS",
@@ -274,83 +275,24 @@ def run_fleet_campaign(
     specs_per_cell: int = 8,
     keep_dirs: bool = False,
 ) -> CampaignReport:
-    """Run every fleet fault ``trials`` times against live fleets.
+    """Run every fleet fault ``trials`` times against live fleets, plus
+    one uninjected control fleet that must also land clean.
 
     Each cell: a fresh campaign of ``specs_per_cell`` seeded gossip
     specs, ``workers`` subprocess workers on aggressive timings
-    (2 s lease TTL), one injected fault, then the recovery judgment of
-    :func:`_judge_cell` — complete, verify-clean, dedupe-exact, and
-    seed-for-seed identical to the uninterrupted reference.
+    (2 s lease TTL), the cell's fault injected, then the recovery
+    judgment of :func:`_judge_cell` — complete, verify-clean,
+    dedupe-exact, and seed-for-seed identical to the uninterrupted
+    reference.
     """
-    from ..fleet import FleetConfig, start_fleet
-
-    report = CampaignReport()
-    if faults is None:
-        names = sorted(FLEET_FAULTS)
-    else:
-        names = list(faults)
-    for name in names:
-        for trial in range(trials):
-            fault = make_fleet_fault(name)
-            rng = random.Random((seed, name, trial).__repr__())
-            specs = _fleet_specs(seed, trial, specs_per_cell)
-            reference = _reference_metrics(specs)
-            root = tempfile.mkdtemp(prefix=f"fleet-{name}-")
-            config = FleetConfig(
-                lease_ttl=2.0, heartbeat_interval=0.5,
-                backoff_base=0.1, backoff_cap=1.0, max_attempts=5,
-                straggler_factor=4.0, straggler_min_age=1.0,
-                poll_interval=0.02)
-            detected: Optional[str] = "fleet-recovered"
-            message = ""
-            fleet = None
-            try:
-                fleet = start_fleet(root, specs=specs, workers=workers,
-                                    config=config)
-                info = fault.inject(fleet, rng)
-                exit_codes = fleet.wait(timeout=120.0)
-                defect = _judge_cell(fleet.campaign, exit_codes,
-                                     reference, info)
-                if defect is not None:
-                    detected = None
-                    message = defect
-            except Exception as error:  # noqa: BLE001 — verdict, not crash
-                detected = None
-                message = f"campaign error: {error!r}"
-            finally:
-                if fleet is not None:
-                    fleet.kill_all()
-                if not keep_dirs:
-                    shutil.rmtree(root, ignore_errors=True)
-            report.cells.append(CampaignCell(
-                fault=name, kind="fleet", algorithm="ears", trial=trial,
-                seed=seed, expected=tuple(fault.expects),
-                detected=detected, fired=True,
-                ok=detected in fault.expects,
-                message=message if message else
-                ("recovered" if detected else ""),
-            ))
-    # False-positive control: an uninjected fleet must also land clean.
-    control_specs = _fleet_specs(seed, 999, specs_per_cell)
-    control_reference = _reference_metrics(control_specs)
-    root = tempfile.mkdtemp(prefix="fleet-control-")
-    try:
-        fleet = start_fleet(root, specs=control_specs, workers=workers,
-                            config=FleetConfig(
-                                lease_ttl=2.0, heartbeat_interval=0.5,
-                                backoff_base=0.1, backoff_cap=1.0,
-                                poll_interval=0.02))
-        exit_codes = fleet.wait(timeout=120.0)
-        defect = _judge_cell(fleet.campaign, exit_codes,
-                             control_reference, {})
-        report.controls += 1
-        if defect is not None:
-            report.false_positives.append(CampaignCell(
-                fault="none", kind="fleet", algorithm="ears", trial=0,
-                seed=seed, expected=(), detected=None, fired=False,
-                ok=False, message=defect,
-            ))
-    finally:
-        if not keep_dirs:
-            shutil.rmtree(root, ignore_errors=True)
-    return report
+    names = sorted(FLEET_FAULTS) if faults is None else list(faults)
+    sizes = {"workers": workers, "specs": specs_per_cell,
+             "keep_dirs": keep_dirs}
+    cells = [
+        chaos_cell("fleet", name, "fleet", "ears", trial, seed,
+                   make_fleet_fault(name).expects, **sizes)
+        for name in names for trial in range(trials)
+    ]
+    cells.append(chaos_cell("fleet", "(none)", "fleet", "ears", 0, seed,
+                            FleetFault.expects, control=True, **sizes))
+    return run_chaos_cells(cells)
