@@ -94,7 +94,6 @@ class LowerBoundExperiment:
         promiscuity_factor: float = 32.0,
         silence_threshold: float = 0.25,
         slow_quiesce_threshold: Optional[int] = None,
-        pool=None,
     ) -> None:
         if not 0 < f < n:
             raise ConfigurationError(f"require 0 < f < n, got f={f}, n={n}")
@@ -122,18 +121,6 @@ class LowerBoundExperiment:
             slow_quiesce_threshold if slow_quiesce_threshold is not None
             else self.f
         )
-
-        if pool is None:
-            # Imported lazily: repro.experiments.theorem1 imports this
-            # module, so a top-level import would be circular.
-            from ..experiments.pool import TrialPool
-
-            pool = TrialPool()
-        #: Executes the Phase B Monte-Carlo clone batch. Forked live
-        #: simulations cannot cross a process boundary (their observer
-        #: handler lists hold bound methods), so samples go through the
-        #: pool's in-process batch path.
-        self.pool = pool
 
         self.s2_size = self.f // 2
         self.s2 = list(range(n - self.s2_size, n))
@@ -251,18 +238,14 @@ class LowerBoundExperiment:
         Each sample forks the entire execution and re-seeds the subject's
         private randomness, sampling its future coin flips i.i.d. — the
         distribution over which the proof defines promiscuity and N(p).
-        The per-subject sample batch executes through :attr:`pool`; the
-        forks hold live engine state, so the batch runs in-process.
+        The forks hold live engine state, so the samples run in-process.
         """
         expected: Dict[int, float] = {}
         silence: Dict[int, Dict[int, float]] = {}
         for p in self.s2:
             peers = [q for q in self.s2 if q != p]
-            outcomes = self.pool.run_local([
-                (lambda p=p, i=i, peers=peers:
-                 self._phase_b_sample(sim, p, i, peers))
-                for i in range(self.samples)
-            ])
+            outcomes = [self._phase_b_sample(sim, p, i, peers)
+                        for i in range(self.samples)]
             totals = [sent for sent, _ in outcomes]
             expected[p] = sum(totals) / len(totals)
             silence[p] = {

@@ -98,14 +98,11 @@ def _add_topology(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_topology(args) -> "object":
-    """The parsed --topology config, exiting with code 2 on a bad value."""
+    """The parsed --topology config (a bad value is a ConfigurationError,
+    which :func:`main` ends in one ``error:`` line and exit 2)."""
     from .sim.topology import parse_topology_arg
 
-    try:
-        return parse_topology_arg(getattr(args, "topology", None))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    return parse_topology_arg(getattr(args, "topology", None))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -747,17 +744,11 @@ def _run(args) -> int:
         import json as _json
 
         from .spec import RunSpec
-        from .store import execute_batch, open_store, shard_specs
+        from .store import execute_batch, open_store, parse_shard, shard_specs
 
         specs = RunSpec.load_many(args.specs)
         if args.shard:
-            try:
-                index_text, count_text = args.shard.split("/", 1)
-                index, count = int(index_text), int(count_text)
-            except ValueError:
-                print(f"bad --shard {args.shard!r}: expected INDEX/COUNT "
-                      f"(e.g. 0/4)", file=sys.stderr)
-                return 2
+            index, count = parse_shard(args.shard)
             total = len(specs)
             specs = shard_specs(specs, index, count)
             print(f"shard {index}/{count}: {len(specs)}/{total} spec(s)",
@@ -1019,11 +1010,11 @@ def _run(args) -> int:
             FleetConfig,
             FleetTimeout,
             FleetWorker,
-            parse_shard,
             read_workers,
             run_fleet,
         )
         from .spec import RunSpec
+        from .store import parse_shard
 
         if args.fleet_command == "run":
             specs = (RunSpec.load_many(args.specs)

@@ -2,19 +2,15 @@
 
 Every sweep-shaped driver in the repository — :class:`GridRunner` cells,
 :func:`repro.workloads.sweeps.sweep_gossip` points, the per-seed Theorem 1
-executions, the lower-bound adversary's Monte-Carlo clone batch — has the
-same shape: a list of independent jobs whose results are combined in job
-order. :class:`TrialPool` is the one implementation of that shape:
+executions — has the same shape: a list of independent jobs whose results
+are combined in job order. :class:`TrialPool` is the one implementation of
+that shape:
 
 * ``processes=1`` (the default) runs jobs inline, with zero setup cost and
   full determinism — results are bit-identical to a plain loop;
 * ``processes>1`` keeps one ``multiprocessing.Pool`` alive across ``map``
   calls and submits jobs in chunks, so a driver issuing many small batches
-  (a grid re-run, a multi-point sweep) pays the worker startup cost once;
-* :meth:`run_local` executes a batch of closures in the current process in
-  order — the path for jobs that are inherently unpicklable, such as the
-  lower-bound adversary's forked live simulations (whose observer handler
-  lists hold bound methods).
+  (a grid re-run, a multi-point sweep) pays the worker startup cost once.
 
 ``map`` is the fail-fast path: the first job exception propagates and the
 batch is lost, which is the right contract for deterministic re-runnable
@@ -110,12 +106,10 @@ class TrialPool:
     #: Seconds between result polls in :meth:`map_outcomes`.
     poll_interval = 0.02
 
-    def __init__(self, processes: int = 1,
-                 chunk_size: Optional[int] = None) -> None:
+    def __init__(self, processes: int = 1) -> None:
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
-        self.chunk_size = chunk_size
         self._pool = None
         self._warned_no_introspection = False
 
@@ -182,8 +176,6 @@ class TrialPool:
         return frozenset(p.pid for p in workers)
 
     def _chunk(self, n_jobs: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
         # A few chunks per worker balances scheduling slack against IPC
         # overhead for the short, uniform jobs sweeps produce.
         return max(1, n_jobs // (self.processes * 4))
@@ -424,13 +416,3 @@ class TrialPool:
                        max_backoff: float) -> None:
         if backoff > 0:
             time.sleep(min(max_backoff, backoff * (2 ** (attempt - 1))))
-
-    def run_local(self, thunks: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Run a batch of zero-argument closures in-process, in order.
-
-        This is the submission path for jobs that cannot cross a process
-        boundary (e.g. forked live simulations); batching them through the
-        pool keeps the driver code uniform and leaves one place to grow
-        a thread- or subinterpreter-backed local executor later.
-        """
-        return [thunk() for thunk in thunks]

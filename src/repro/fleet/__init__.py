@@ -12,8 +12,7 @@ safety/liveness argument.
 from .driver import (FleetTimeout, LiveFleet, run_fleet, spawn_worker,
                      start_fleet)
 from .heartbeat import alive_workers, beat, read_workers
-from .layout import (FLEET_SCHEMA_VERSION, FleetCampaign, FleetConfig,
-                     parse_shard)
+from .layout import FLEET_SCHEMA_VERSION, FleetCampaign, FleetConfig
 from .leases import (Lease, claim, read_all_leases, read_lease,
                      reap_expired, refresh, release)
 from .worker import FleetIntegrityError, FleetWorker
@@ -30,7 +29,6 @@ __all__ = [
     "alive_workers",
     "beat",
     "claim",
-    "parse_shard",
     "read_all_leases",
     "read_lease",
     "reap_expired",

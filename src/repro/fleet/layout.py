@@ -36,42 +36,22 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from ..experiments.campaign import MAX_FAILURE_CHARS
 from ..sim.errors import ConfigurationError
 from ..spec.runspec import RunSpec
 from ..store import open_store
 from ..store.base import Store, advisory_lock, atomic_replace_json
+from .leases import create_exclusive
 
 __all__ = [
     "FLEET_SCHEMA_VERSION",
     "FleetCampaign",
     "FleetConfig",
-    "parse_shard",
 ]
 
 FLEET_SCHEMA_VERSION = 1
-
-#: Maximum characters of a job error stored in attempt/failure files
-#: (mirrors the manifest's cap; see
-#: :data:`repro.experiments.campaign.MAX_FAILURE_CHARS`).
-_ATTEMPT_ERROR_CHARS = 2000
-
-
-def parse_shard(text: str) -> Tuple[int, int]:
-    """Parse ``"INDEX/COUNT"`` (e.g. ``"0/4"``) into a validated tuple."""
-    try:
-        index_text, count_text = str(text).split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad shard {text!r}: expected INDEX/COUNT (e.g. 0/4)"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ConfigurationError(
-            f"shard index {index} out of range for {count} shard(s)"
-        )
-    return index, count
 
 
 @dataclass(frozen=True)
@@ -312,7 +292,7 @@ class FleetCampaign:
         """
         state = self.attempt_state(key)
         attempts = max(1, state["attempts"])
-        error = str(error)[:_ATTEMPT_ERROR_CHARS]
+        error = str(error)[:MAX_FAILURE_CHARS]
         atomic_replace_json(self._attempt_path(key), {
             "key": key, "attempts": attempts, "worker": worker,
             "not_before": time.time() + self.backoff_for(attempts),
@@ -327,22 +307,12 @@ class FleetCampaign:
                                 attempts: int) -> Dict[str, Any]:
         """Mark ``key`` permanently failed (exactly-once via hard link)."""
         payload = {
-            "key": key, "error": str(error)[:_ATTEMPT_ERROR_CHARS],
+            "key": key, "error": str(error)[:MAX_FAILURE_CHARS],
             "attempts": attempts, "worker": worker, "time": time.time(),
         }
-        path = os.path.join(self.failed_dir, f"{key}.json")
-        tmp = os.path.join(self.failed_dir,
-                           f".tmp-{worker}-{os.getpid()}.json")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            pass  # a peer recorded the terminal failure first
-        finally:
-            os.unlink(tmp)
+        # Exactly once: if a peer recorded the failure first, its stands.
+        create_exclusive(os.path.join(self.failed_dir, f"{key}.json"),
+                         payload, worker)
         return payload
 
     def terminal_failures(self) -> Dict[str, Dict[str, Any]]:

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "Lease",
     "claim",
+    "create_exclusive",
     "read_all_leases",
     "read_lease",
     "reap_expired",
@@ -91,11 +92,31 @@ def _lease_path(leases_dir: str, key: str) -> str:
     return os.path.join(leases_dir, f"{key}.json")
 
 
-def _write_payload(path: str, lease: Lease) -> None:
+def _write_payload(path: str, payload: Dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(lease.to_dict(), handle, sort_keys=True)
+        json.dump(payload, handle, sort_keys=True)
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def create_exclusive(path: str, payload: Dict[str, Any],
+                     worker: str) -> bool:
+    """Create ``path`` holding ``payload`` unless it already exists.
+
+    Writes a fsynced temp file beside ``path`` and hard-links it into
+    place: of any number of racing writers exactly one gets ``True``;
+    ``False`` means a peer created ``path`` first.
+    """
+    tmp = os.path.join(os.path.dirname(path),
+                       f".claim-{worker}-{os.getpid()}.json")
+    _write_payload(tmp, payload)
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(tmp)
+    return True
 
 
 def claim(leases_dir: str, key: str, worker: str, ttl: float,
@@ -107,15 +128,10 @@ def claim(leases_dir: str, key: str, worker: str, ttl: float,
                   pid=os.getpid() if pid is None else pid,
                   attempt=attempt, claimed_at=now, expires_at=now + ttl,
                   speculative=speculative)
-    tmp = os.path.join(leases_dir, f".claim-{worker}-{os.getpid()}.json")
-    _write_payload(tmp, lease)
-    try:
-        os.link(tmp, _lease_path(leases_dir, key))
-    except FileExistsError:
-        return None
-    finally:
-        os.unlink(tmp)
-    return lease
+    if create_exclusive(_lease_path(leases_dir, key), lease.to_dict(),
+                        worker):
+        return lease
+    return None
 
 
 def read_lease(leases_dir: str, key: str) -> Optional[Lease]:
@@ -160,7 +176,7 @@ def refresh(leases_dir: str, lease: Lease,
     path = _lease_path(leases_dir, lease.key)
     tmp = os.path.join(leases_dir,
                        f".renew-{lease.worker}-{os.getpid()}.json")
-    _write_payload(tmp, renewed)
+    _write_payload(tmp, renewed.to_dict())
     # The ownership check above makes overwriting a peer's re-claim
     # unlikely, not impossible (no compare-and-swap on POSIX renames).
     # A lost refresh is harmless: both executions insert-if-absent.

@@ -50,6 +50,7 @@ _EXPORTS = {
     "MergeConflict": "merge",
     "merge_manifests": "merge",
     "merge_stores": "merge",
+    "parse_shard": "merge",
     "shard_of": "merge",
     "shard_specs": "merge",
     "SqliteStore": "sqlite",

@@ -5,9 +5,11 @@ object per executed spec — the canonical spec hash, the serialized spec
 itself, the record schema version, the package version that produced it,
 the realized metrics, and (schema 2) a CRC-32 over the canonical body.
 This module owns that format (:func:`make_record`, :func:`record_crc`,
-:func:`metrics_of`) plus the write-discipline helpers shared by the
-backends and the checkpoint manifests (:func:`atomic_replace_json`,
-:func:`advisory_lock`).
+:func:`metrics_of`), the one rule for whether a stored record is
+readable (:func:`classify_line`, :func:`check_schema`, and
+``Store.verify`` / ``Store._compaction`` on top of them), plus the
+write-discipline helpers shared by the backends and the checkpoint
+manifests (:func:`atomic_replace_json`, :func:`advisory_lock`).
 
 :class:`Store` is the backend protocol extracted from the original
 monolithic JSONL store's surface: ``get``/``put``/``records``/``verify``/
@@ -34,6 +36,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -140,15 +143,34 @@ def make_record(spec: RunSpec, metrics: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def check_schema(record: Dict[str, Any], context: str) -> None:
-    """Raise :class:`UnknownSchemaError` for unreadable schema stamps."""
-    schema = record.get("schema")
-    if (not isinstance(schema, int)
-            or not 1 <= schema <= STORE_SCHEMA_VERSION):
-        raise UnknownSchemaError(
-            f"{context} holds a record with schema version {schema!r}; "
-            f"this build reads versions 1..{STORE_SCHEMA_VERSION}"
-        )
+def _known_schema(schema: Any) -> bool:
+    return isinstance(schema, int) and 1 <= schema <= STORE_SCHEMA_VERSION
+
+
+def check_schema(schema: Any, where: str, compacting: bool = False) -> None:
+    """Raise :class:`UnknownSchemaError` for a schema stamp this build
+    cannot read.
+
+    The one unknown-schema refusal: loads, ``SqliteStore.ingest`` and the
+    SQLite row decoder refuse such a record, and ``compact()``
+    (``compacting``) refuses to drop it.  ``where`` names the record,
+    e.g. ``store 'runs.jsonl' line 7``.
+    """
+    if _known_schema(schema):
+        return
+    raise UnknownSchemaError(
+        f"{where} holds a record with schema version {schema!r}; "
+        f"this build reads versions 1..{STORE_SCHEMA_VERSION}"
+        + (" and will not compact away records it cannot interpret"
+           if compacting else "")
+    )
+
+
+def restamp(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of ``record`` stamped at the current schema, fresh CRC."""
+    record = dict(record, schema=STORE_SCHEMA_VERSION)
+    record["crc"] = record_crc(record)
+    return record
 
 
 @contextmanager
@@ -229,7 +251,9 @@ class Store:
       ``execute_cached`` decides a cache hit;
     * ``verify()`` inspects integrity without mutating; ``compact()``
       rewrites the store clean (one record per hash, re-stamped at the
-      current schema) and refuses to drop unknown-schema records;
+      current schema) and refuses to drop unknown-schema records.  Both
+      read the backend's :meth:`_scan` and judge each record by
+      :func:`classify_line` here — the one integrity rule;
     * ``sync()`` is the drain/flush path for graceful shutdown;
     * ``quarantined_entries()`` lists corrupt inputs the backend set
       aside instead of refusing to load;
@@ -258,9 +282,6 @@ class Store:
         raise NotImplementedError
 
     def records(self) -> List[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def verify(self) -> Dict[str, Any]:
         raise NotImplementedError
 
     def compact(self) -> Dict[str, Any]:
@@ -306,16 +327,69 @@ class Store:
     def __len__(self) -> int:
         return len(self.records())
 
-    def merge_from(self, source: "Store", policy: str = "error"
-                   ) -> Dict[str, Any]:
-        """Merge every record of ``source`` into this store.
+    # -- integrity -------------------------------------------------------#
 
-        Thin wrapper over :func:`repro.store.merge.merge_stores`; see
-        there for the conflict policies.
+    def _scan(self) -> Iterator[Tuple[Any, ...]]:
+        """Every stored record as ``(line, raw, entry, problem, ...)``,
+        classified by :func:`classify_line`.
+
+        The default reads :attr:`path` as a JSONL log
+        (:func:`scan_jsonl_lines`, whose fifth field is the byte offset);
+        :class:`~repro.store.sqlite.SqliteStore` scans its rows by rowid.
         """
-        from .merge import merge_stores
+        return scan_jsonl_lines(self.path)
 
-        return merge_stores(self, [source], policy=policy)
+    def _integrity_findings(self) -> List[Dict[str, Any]]:
+        """Whole-store corruption :meth:`verify` reports ahead of the
+        per-record scan (a log file has none)."""
+        return []
+
+    def verify(self) -> Dict[str, Any]:
+        """Scan the store for corruption without mutating anything.
+
+        Returns a report: total ``lines`` scanned, ``records`` that
+        parsed and checksummed clean, ``unique`` spec hashes,
+        ``superseded`` duplicate lines, and a ``corrupt`` list of
+        ``{"line", "reason"}`` entries (torn lines, checksum mismatches,
+        non-object records, unknown schemas; for SQLite ``line`` is the
+        rowid).  ``ok`` is True iff ``corrupt`` is empty — a clean store
+        must report zero findings.
+        """
+        corrupt = self._integrity_findings()
+        lines = 0
+        hashes: Dict[str, int] = {}
+        for line, _raw, entry, problem, *_ in self._scan():
+            lines += 1
+            if problem is not None:
+                corrupt.append({"line": line, "reason": problem})
+                continue
+            hashes[entry["spec_hash"]] = hashes.get(entry["spec_hash"], 0) + 1
+        valid = sum(hashes.values())
+        return {
+            "path": self.path,
+            "lines": lines,
+            "records": valid,
+            "unique": len(hashes),
+            "superseded": valid - len(hashes),
+            "corrupt": corrupt,
+            "ok": not corrupt,
+        }
+
+    def _compaction(self) -> Iterator[Tuple[Any, Optional[Dict[str, Any]]]]:
+        """Compaction's keep/drop decision, shared by both backends.
+
+        Yields ``(line, record)`` per scanned record: the record
+        re-stamped at the current schema to keep, or ``None`` for a
+        corrupt one to drop.  A record of unknown schema is not
+        corruption — it may be valid data from a newer build — so
+        compaction refuses (:class:`UnknownSchemaError`) instead.
+        """
+        for line, _raw, entry, problem, *_ in self._scan():
+            if problem == "unknown-schema":
+                check_schema(entry.get("schema"),
+                             f"store {self.path!r} line {line}",
+                             compacting=True)
+            yield line, None if problem else restamp(entry)
 
     def select(
         self,
@@ -387,17 +461,16 @@ def open_store(path: str, backend: Optional[str] = None,
 
 
 def classify_line(raw: str):
-    """Classify one JSONL log line → ``(record-or-None, problem-or-None)``.
+    """Classify one stored record → ``(record-or-None, problem-or-None)``.
 
-    Problems are *corruption* (unparseable line, checksum mismatch,
-    non-object line) — recoverable by quarantine.  Unknown schema
-    versions are not corruption and are left to the caller: the record
-    is returned with problem ``"unknown-schema"`` so ``verify`` can
-    report it while loaders refuse it.  Blank lines classify as
-    ``(None, None)`` — skippable, neither record nor corruption.
+    The one readability rule for both backends: ``raw`` is a JSONL log
+    line or a SQLite row's blob.  Problems are *corruption* (unparseable
+    text, a non-object, a checksum mismatch) — recoverable by
+    quarantine.  Unknown schema versions are not corruption and are left
+    to the caller: the record is returned with problem
+    ``"unknown-schema"`` so ``verify`` can report it while loaders
+    refuse it (:func:`check_schema`).
     """
-    if not raw.strip():
-        return None, None
     try:
         entry = json.loads(raw)
     except json.JSONDecodeError:
@@ -405,21 +478,22 @@ def classify_line(raw: str):
     if not isinstance(entry, dict):
         return None, "not-a-record"
     schema = entry.get("schema")
-    if (not isinstance(schema, int)
-            or not 1 <= schema <= STORE_SCHEMA_VERSION):
+    if not _known_schema(schema):
         return entry, "unknown-schema"
-    if schema >= 2:
-        if entry.get("crc") != record_crc(entry):
-            return entry, "checksum-mismatch"
+    if schema >= 2 and entry.get("crc") != record_crc(entry):
+        return entry, "checksum-mismatch"
     return entry, None
 
 
 def scan_jsonl_lines(path: str, start: int = 0, first_lineno: int = 1):
-    """Scan a JSONL record log; yield ``(lineno, raw, record, problem)``.
+    """Scan a JSONL record log; yield
+    ``(lineno, raw, record, problem, offset)``.
 
     The shared recovery scan behind :class:`JsonlStore` loading,
     ``verify``/``compact``, and ``SqliteStore.ingest``; line
     classification is :func:`classify_line` (blank lines are skipped).
+    ``offset`` is the byte offset just past the line — where a later
+    tail scan resumes.
 
     ``start``/``first_lineno`` support incremental tail scans: reading
     resumes at byte offset ``start``, numbering lines from
@@ -432,14 +506,13 @@ def scan_jsonl_lines(path: str, start: int = 0, first_lineno: int = 1):
     with open(path, "rb") as handle:
         if start:
             handle.seek(start)
-        lineno = first_lineno - 1
+        offset, lineno = start, first_lineno - 1
         for line in handle:
+            offset += len(line)
             lineno += 1
             raw = line.decode("utf-8", errors="replace").rstrip("\n")
-            entry, problem = classify_line(raw)
-            if entry is None and problem is None:
-                continue
-            yield lineno, raw, entry, problem
+            if raw.strip():
+                yield (lineno, raw, *classify_line(raw), offset)
 
 
 def iter_records(source: Union[Store, str, Iterable[Dict[str, Any]]]

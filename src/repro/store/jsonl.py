@@ -25,9 +25,10 @@ Durability contract (schema 2):
   the way into a ``<path>.quarantine`` sidecar and the valid records
   load normally, instead of one bad tail line poisoning the whole
   artifact set;
-* :meth:`JsonlStore.verify` reports corruption without mutating
-  anything, and :meth:`JsonlStore.compact` rewrites the log atomically,
-  dropping superseded duplicates and corrupt lines.
+* ``verify()`` reports corruption without mutating anything, and
+  :meth:`JsonlStore.compact` rewrites the log atomically, dropping
+  superseded duplicates and corrupt lines — both judge lines by the
+  rule in :mod:`repro.store.base`, the same one the SQLite backend uses.
 
 Schema-1 records (no ``crc`` field) load unchanged — their lines simply
 have no checksum to check — so stores written by older builds keep
@@ -49,22 +50,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-
-from ..sim.errors import ConfigurationError
-from ..spec.runspec import RunSpec
 from .base import (
-    FSYNC_POLICIES,
-    STORE_SCHEMA_VERSION,
     Store,
-    UnknownSchemaError,
+    _validate_fsync,
     advisory_lock,
     atomic_replace_json,
-    classify_line,
+    check_schema,
     fsync_directory,
-    make_record,
-    record_crc,
     scan_jsonl_lines,
 )
 
@@ -84,13 +78,8 @@ class JsonlStore(Store):
     backend = "jsonl"
 
     def __init__(self, path: str, fsync: str = "never") -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"unknown fsync policy {fsync!r}; "
-                f"choose from {list(FSYNC_POLICIES)}"
-            )
         self.path = str(path)
-        self.fsync = fsync
+        self.fsync = _validate_fsync(fsync)
         self._records: Optional[Dict[str, Dict[str, Any]]] = None
         self._quarantined: List[Dict[str, Any]] = []
         #: Byte offset the recovery scan has consumed so far; refreshes
@@ -115,11 +104,6 @@ class JsonlStore(Store):
 
     # -- scanning ---------------------------------------------------------#
 
-    def _scan(self) -> Iterator[Tuple[int, str, Optional[Dict[str, Any]],
-                                      Optional[str]]]:
-        """Full recovery scan; see :func:`~repro.store.base.scan_jsonl_lines`."""
-        return scan_jsonl_lines(self.path)
-
     def _stat(self) -> Optional[Tuple[int, int]]:
         try:
             stat = os.stat(self.path)
@@ -137,32 +121,17 @@ class JsonlStore(Store):
         assert self._records is not None
         fresh_quarantine = False
         offset, lineno = start, first_lineno - 1
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as handle:
-                if start:
-                    handle.seek(start)
-                for line in handle:
-                    offset += len(line)
-                    lineno += 1
-                    raw = line.decode("utf-8", errors="replace")
-                    raw = raw.rstrip("\n")
-                    entry, problem = classify_line(raw)
-                    if entry is None and problem is None:
-                        continue
-                    if problem == "unknown-schema":
-                        schema = (entry or {}).get("schema")
-                        raise UnknownSchemaError(
-                            f"store {self.path!r} holds a record with "
-                            f"schema version {schema!r}; this build reads "
-                            f"versions 1..{STORE_SCHEMA_VERSION}"
-                        )
-                    if problem is not None:
-                        self._quarantined.append(
-                            {"line": lineno, "reason": problem, "raw": raw}
-                        )
-                        fresh_quarantine = True
-                        continue
-                    self._records[entry["spec_hash"]] = entry
+        for lineno, raw, entry, problem, offset in scan_jsonl_lines(
+                self.path, start, first_lineno):
+            if problem == "unknown-schema":
+                check_schema(entry.get("schema"),
+                             f"store {self.path!r} line {lineno}")
+            if problem is not None:
+                self._quarantined.append(
+                    {"line": lineno, "reason": problem, "raw": raw})
+                fresh_quarantine = True
+                continue
+            self._records[entry["spec_hash"]] = entry
         self._scan_offset = offset
         self._scan_lines = lineno
         self._file_stat = self._stat()
@@ -213,75 +182,27 @@ class JsonlStore(Store):
 
     # -- integrity --------------------------------------------------------#
 
-    def verify(self) -> Dict[str, Any]:
-        """Scan the log for corruption without mutating anything.
-
-        Returns a report: total ``lines`` scanned, ``records`` that
-        parsed and checksummed clean, ``unique`` spec hashes,
-        ``superseded`` duplicate lines, and a ``corrupt`` list of
-        ``{"line", "reason"}`` entries (torn lines, checksum mismatches,
-        unknown schemas).  ``ok`` is True iff ``corrupt`` is empty — a
-        clean store must report zero findings.
-        """
-        lines = 0
-        valid = 0
-        hashes: Dict[str, int] = {}
-        corrupt: List[Dict[str, Any]] = []
-        for lineno, _raw, entry, problem in self._scan():
-            lines += 1
-            if problem is not None:
-                corrupt.append({"line": lineno, "reason": problem})
-                continue
-            valid += 1
-            hashes[entry["spec_hash"]] = (
-                hashes.get(entry["spec_hash"], 0) + 1
-            )
-        return {
-            "path": self.path,
-            "lines": lines,
-            "records": valid,
-            "unique": len(hashes),
-            "superseded": sum(count - 1 for count in hashes.values()),
-            "corrupt": corrupt,
-            "ok": not corrupt,
-        }
-
     def compact(self) -> Dict[str, Any]:
         """Atomically rewrite the log with one clean record per hash.
 
-        Drops superseded duplicates (the last valid record per spec hash
-        wins, matching load semantics) and corrupt lines, re-stamps every
-        kept record at the current schema with a fresh CRC, and removes
-        the quarantine sidecar.  The rewrite goes through a fsynced
-        temporary file and ``os.replace``, so a crash mid-compaction
-        leaves the original log untouched.
-
-        Lines with a schema version this build does not know are *not*
-        corruption — they may be valid records from a newer build — so
-        compaction refuses to run (:class:`UnknownSchemaError`) rather
-        than silently deleting them.
+        Keeps what :meth:`~repro.store.base.Store._compaction` keeps —
+        the last valid record per spec hash (matching load semantics),
+        re-stamped at the current schema — drops superseded and corrupt
+        lines, refuses on unknown schemas, and removes the quarantine
+        sidecar.  The rewrite goes through a fsynced temporary file and
+        ``os.replace``, so a crash mid-compaction leaves the original log
+        untouched.
         """
         with advisory_lock(self.lock_path):
             kept: Dict[str, Dict[str, Any]] = {}
             lines = 0
             dropped_corrupt = 0
-            for lineno, _raw, entry, problem in self._scan():
+            for _line, record in self._compaction():
                 lines += 1
-                if problem == "unknown-schema":
-                    schema = (entry or {}).get("schema")
-                    raise UnknownSchemaError(
-                        f"store {self.path!r} line {lineno} has schema "
-                        f"version {schema!r}; this build reads versions "
-                        f"1..{STORE_SCHEMA_VERSION} and will not compact "
-                        f"away records it cannot interpret"
-                    )
-                if problem is not None:
+                if record is None:
                     dropped_corrupt += 1
-                    continue
-                entry = dict(entry)
-                entry["schema"] = STORE_SCHEMA_VERSION
-                entry["crc"] = record_crc(entry)
-                kept[entry["spec_hash"]] = entry
+                else:
+                    kept[record["spec_hash"]] = record
             if os.path.exists(self.path):
                 tmp_path = self.path + ".tmp"
                 with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -332,23 +253,6 @@ class JsonlStore(Store):
 
     # -- writes -----------------------------------------------------------#
 
-    def put(self, spec: RunSpec, metrics: Dict[str, Any]) -> Dict[str, Any]:
-        """Append one record durably, then update the in-memory cache.
-
-        The write happens (and is flushed, plus fsynced under the
-        ``"always"`` policy) *before* the cache mutation: a failed open
-        or write raises with cache and disk still agreeing.  The line is
-        emitted through a single ``write`` call so concurrent lockless
-        readers never observe an interleaved record.
-
-        A crash can leave the log with a torn final line and no trailing
-        newline; appending directly onto it would corrupt the *new*
-        record too.  So under the lock the tail is checked first and a
-        separating newline is written when the last byte is not one —
-        the torn line stays quarantinable, the new record stays intact.
-        """
-        return self.put_record(make_record(spec, metrics))
-
     def _append_locked(self, record: Dict[str, Any]) -> None:
         """Append one record line; the caller holds the advisory lock."""
         line = (json.dumps(record, default=str) + "\n").encode("utf-8")
@@ -385,6 +289,20 @@ class JsonlStore(Store):
             os.makedirs(parent, exist_ok=True)
 
     def put_record(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Append one record durably, then update the in-memory cache.
+
+        The write happens (and is flushed, plus fsynced under the
+        ``"always"`` policy) *before* the cache mutation: a failed open
+        or write raises with cache and disk still agreeing.  The line is
+        emitted through a single ``write`` call so concurrent lockless
+        readers never observe an interleaved record.
+
+        A crash can leave the log with a torn final line and no trailing
+        newline; appending directly onto it would corrupt the *new*
+        record too.  So under the lock the tail is checked first and a
+        separating newline is written when the last byte is not one —
+        the torn line stays quarantinable, the new record stays intact.
+        """
         records = self._load()
         self._ensure_parent()
         with advisory_lock(self.lock_path):

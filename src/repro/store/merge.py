@@ -1,7 +1,9 @@
 """Shard merge for stores and campaign manifests.
 
 A large campaign can be split across hosts by spec hash
-(:func:`shard_of` / :func:`shard_specs`): each host runs its slice
+(:func:`shard_of` / :func:`shard_specs`, with :func:`parse_shard`
+reading the ``INDEX/COUNT`` form every ``--shard`` flag takes): each
+host runs its slice
 against its own store and manifest, and the shards are merged back into
 one artifact set afterwards.  Merging is **deterministic**: the result
 is independent of the order the shards are merged in.
@@ -44,6 +46,7 @@ __all__ = [
     "MergeConflict",
     "merge_manifests",
     "merge_stores",
+    "parse_shard",
     "shard_of",
     "shard_specs",
 ]
@@ -228,6 +231,26 @@ def shard_of(spec_hash: str, shards: int) -> int:
     return int(str(spec_hash)[:8], 16) % shards
 
 
+def _check_shard(index: int, count: int) -> None:
+    if not 0 <= index < count:
+        raise ConfigurationError(
+            f"shard index {index} out of range for {count} shard(s)"
+        )
+
+
+def parse_shard(text: str) -> Tuple[int, int]:
+    """Parse ``"INDEX/COUNT"`` (e.g. ``"0/4"``) into a validated tuple."""
+    try:
+        index_text, count_text = str(text).split("/", 1)
+        index, count = int(index_text), int(count_text)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad shard {text!r}: expected INDEX/COUNT (e.g. 0/4)"
+        ) from None
+    _check_shard(index, count)
+    return index, count
+
+
 def shard_specs(specs: Sequence[Any], index: int,
                 count: int) -> List[Any]:
     """The slice of ``specs`` belonging to shard ``index`` of ``count``.
@@ -236,9 +259,6 @@ def shard_specs(specs: Sequence[Any], index: int,
     spec lands in exactly one shard, so running all ``count`` shards and
     merging their stores covers the campaign exactly once.
     """
-    if not 0 <= index < count:
-        raise ConfigurationError(
-            f"shard index {index} out of range for {count} shard(s)"
-        )
+    _check_shard(index, count)
     return [spec for spec in specs
             if shard_of(spec.spec_hash, count) == index]

@@ -34,13 +34,12 @@ import os
 import sqlite3
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.errors import ConfigurationError
 from .base import (
-    FSYNC_POLICIES,
-    STORE_SCHEMA_VERSION,
     Store,
     UnknownSchemaError,
-    record_crc,
+    _validate_fsync,
+    check_schema,
+    classify_line,
     scan_jsonl_lines,
 )
 
@@ -84,13 +83,8 @@ class SqliteStore(Store):
     backend = "sqlite"
 
     def __init__(self, path: str, fsync: str = "never") -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"unknown fsync policy {fsync!r}; "
-                f"choose from {list(FSYNC_POLICIES)}"
-            )
         self.path = str(path)
-        self.fsync = fsync
+        self.fsync = _validate_fsync(fsync)
         self._conn: Optional[sqlite3.Connection] = None
         #: Shape parity with the JSONL recovery report; SQLite recovers
         #: through its own WAL, so quarantining happens on :meth:`ingest`.
@@ -158,12 +152,7 @@ class SqliteStore(Store):
         return row
 
     def _decode(self, blob: str, schema: int) -> Dict[str, Any]:
-        if not 1 <= schema <= STORE_SCHEMA_VERSION:
-            raise UnknownSchemaError(
-                f"store {self.path!r} holds a record with schema "
-                f"version {schema!r}; this build reads versions "
-                f"1..{STORE_SCHEMA_VERSION}"
-            )
+        check_schema(schema, f"store {self.path!r}")
         return json.loads(blob)
 
     # -- queries ----------------------------------------------------------#
@@ -279,96 +268,47 @@ class SqliteStore(Store):
 
     # -- integrity --------------------------------------------------------#
 
-    def verify(self) -> Dict[str, Any]:
-        """Integrity scan without mutation, same report shape as JSONL.
+    def _scan(self):
+        """Every row by rowid as ``(rowid, blob, entry, problem)``: the
+        blob goes through the same :func:`classify_line` a JSONL log
+        line does, so a bit flip inside a stored blob is caught even
+        though the database file itself is well-formed."""
+        rows = self._connect().execute(
+            "SELECT rowid, record FROM records ORDER BY rowid").fetchall()
+        for rowid, blob in rows:
+            yield (rowid, blob, *classify_line(blob))
 
-        Checks SQLite's own file integrity (``PRAGMA integrity_check``),
-        then re-verifies every stored record's CRC stamp against its
-        canonical body — a bit flip inside a stored blob is caught even
-        though the database file itself is well-formed.  ``line`` in the
-        corrupt list is the table rowid.
-        """
-        conn = self._connect()
-        corrupt: List[Dict[str, Any]] = []
-        integrity = conn.execute("PRAGMA integrity_check").fetchone()[0]
+    def _integrity_findings(self) -> List[Dict[str, Any]]:
+        """SQLite's own file check (``PRAGMA integrity_check``)."""
+        integrity = self._connect().execute(
+            "PRAGMA integrity_check").fetchone()[0]
         if integrity != "ok":  # pragma: no cover - needs a mangled db
-            corrupt.append({"line": 0, "reason": "sqlite-integrity"})
-        lines = 0
-        valid = 0
-        for rowid, blob, schema in conn.execute(
-                "SELECT rowid, record, schema FROM records"):
-            lines += 1
-            if not isinstance(schema, int) \
-                    or not 1 <= schema <= STORE_SCHEMA_VERSION:
-                corrupt.append({"line": rowid, "reason": "unknown-schema"})
-                continue
-            try:
-                entry = json.loads(blob)
-            except json.JSONDecodeError:  # pragma: no cover
-                corrupt.append(
-                    {"line": rowid, "reason": "torn-or-unparseable"})
-                continue
-            if entry.get("schema", schema) >= 2 \
-                    and entry.get("crc") != record_crc(entry):
-                corrupt.append(
-                    {"line": rowid, "reason": "checksum-mismatch"})
-                continue
-            valid += 1
-        return {
-            "path": self.path,
-            "lines": lines,
-            "records": valid,
-            "unique": valid,
-            "superseded": 0,
-            "corrupt": corrupt,
-            "ok": not corrupt,
-        }
+            return [{"line": 0, "reason": "sqlite-integrity"}]
+        return []
 
     def compact(self) -> Dict[str, Any]:
         """Re-stamp every record at the current schema and VACUUM.
 
         The primary key already enforces one record per hash, so there
-        are never superseded rows to drop; compaction upgrades v1
-        records (fresh CRC at the current schema), deletes rows whose
-        stored blob fails its checksum, clears the quarantine table, and
-        reclaims space.  Unknown-schema rows abort the compaction
-        (:class:`UnknownSchemaError`) exactly like the JSONL backend —
-        they may be valid records from a newer build.
+        are never superseded rows to drop.  In one transaction, rows
+        :meth:`~repro.store.base.Store._compaction` keeps are rewritten
+        re-stamped (upgrading v1 records), corrupt rows are deleted and
+        the quarantine table is cleared; an unknown-schema row aborts
+        the whole transaction.  ``VACUUM`` then reclaims space.
         """
         conn = self._connect()
         kept = 0
         dropped = 0
         conn.execute("BEGIN")
         try:
-            for rowid, blob, schema in conn.execute(
-                    "SELECT rowid, record, schema FROM records").fetchall():
-                if not isinstance(schema, int) \
-                        or not 1 <= schema <= STORE_SCHEMA_VERSION:
-                    raise UnknownSchemaError(
-                        f"store {self.path!r} row {rowid} has schema "
-                        f"version {schema!r}; this build reads versions "
-                        f"1..{STORE_SCHEMA_VERSION} and will not compact "
-                        f"away records it cannot interpret"
-                    )
-                try:
-                    entry = json.loads(blob)
-                except json.JSONDecodeError:  # pragma: no cover
-                    entry = None
-                if entry is not None and entry.get("schema", schema) >= 2 \
-                        and entry.get("crc") != record_crc(entry):
-                    entry = None
-                if entry is None:
+            for rowid, record in self._compaction():
+                if record is None:
                     conn.execute("DELETE FROM records WHERE rowid = ?",
                                  (rowid,))
                     dropped += 1
                     continue
                 kept += 1
-                if entry.get("schema") == STORE_SCHEMA_VERSION:
-                    continue
-                entry = dict(entry)
-                entry["schema"] = STORE_SCHEMA_VERSION
-                entry["crc"] = record_crc(entry)
-                row = self._row_of(entry)
+                row = self._row_of(record)
                 conn.execute(
                     "UPDATE records SET schema = ?, record = ? "
                     "WHERE rowid = ?",
@@ -408,15 +348,11 @@ class SqliteStore(Store):
         quarantined: List[Dict[str, Any]] = []
         conn.execute("BEGIN")
         try:
-            for lineno, raw, entry, problem in scan_jsonl_lines(
+            for lineno, raw, entry, problem, _ in scan_jsonl_lines(
                     str(jsonl_path)):
                 if problem == "unknown-schema":
-                    schema = (entry or {}).get("schema")
-                    raise UnknownSchemaError(
-                        f"log {source!r} line {lineno} has schema "
-                        f"version {schema!r}; this build reads versions "
-                        f"1..{STORE_SCHEMA_VERSION}"
-                    )
+                    check_schema(entry.get("schema"),
+                                 f"log {source!r} line {lineno}")
                 if problem is not None:
                     quarantined.append(
                         {"line": lineno, "reason": problem, "raw": raw})

@@ -1,4 +1,4 @@
-"""TrialPool: ordering, parallel/sequential equivalence, local batches."""
+"""TrialPool: ordering, parallel/sequential equivalence, fault tolerance."""
 
 import pytest
 
@@ -32,16 +32,6 @@ class TestSequential:
         with pytest.raises(ValueError):
             TrialPool(processes=0)
 
-    def test_run_local_preserves_order_and_closures(self):
-        captured = []
-
-        def thunk(i):
-            return lambda: (captured.append(i), i * 10)[1]
-
-        results = TrialPool().run_local([thunk(i) for i in range(4)])
-        assert results == [0, 10, 20, 30]
-        assert captured == [0, 1, 2, 3]
-
 
 class TestParallel:
     def test_parallel_matches_sequential(self):
@@ -68,12 +58,6 @@ class TestParallel:
         assert pool.map(_square, [5]) == [25]
         # One job never warrants spinning up workers.
         assert pool._pool is None
-
-    def test_explicit_chunk_size(self):
-        with TrialPool(2, chunk_size=3) as pool:
-            assert pool.map(_square, range(10)) == [
-                x * x for x in range(10)
-            ]
 
     def test_close_is_idempotent(self):
         pool = TrialPool(2)

@@ -10,7 +10,6 @@ from repro.fleet import (
     FleetCampaign,
     FleetConfig,
     claim,
-    parse_shard,
     read_all_leases,
     read_lease,
     reap_expired,
@@ -19,6 +18,7 @@ from repro.fleet import (
 )
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
+from repro.store import parse_shard
 
 
 def _specs(count=4):

@@ -179,6 +179,19 @@ class TestCli:
         assert main(argv) == 2
         assert "checkpoint_every must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shard", ["1", "4/4"])
+    def test_batch_bad_shard_is_one_error_line(self, capsys, tmp_path,
+                                               shard):
+        from repro.spec import RunSpec
+
+        spec_path = tmp_path / "specs.json"
+        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        assert main(["batch", "--specs", str(spec_path),
+                     "--shard", shard]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == err
+        assert len(err) == 1 and "shard" in err[0]
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -144,6 +144,67 @@ def test_unknown_schema_version_refused(fresh_store):
         fresh_store().compact()
 
 
+def test_unknown_schema_refusal_names_store_and_schema(fresh_store):
+    future = make_record(SPEC, {"completed": True})
+    future["schema"] = 99
+    fresh_store().put_record(future)
+    for refuse in (lambda store: store.get(SPEC.spec_hash),
+                   lambda store: store.compact()):
+        with pytest.raises(UnknownSchemaError) as info:
+            refuse(fresh_store())
+        assert fresh_store.path in str(info.value)
+        assert "schema version 99" in str(info.value)
+
+
+#: verify() reason -> the text planted in place of a clean record, as a
+#: JSONL line and as a SQLite blob alike.
+PLANTS = {
+    "checksum-mismatch": lambda record: json.dumps(
+        dict(record, metrics={"completed": False})),
+    "not-a-record": lambda record: "[1]",
+    "unknown-schema": lambda record: json.dumps(dict(record, schema=99)),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(PLANTS))
+def test_planted_record_gets_one_reason_on_both_backends(tmp_path, reason):
+    """One integrity rule: the same planted text is the same finding in
+    a JSONL log, in a SQLite row, and when the log is replayed through
+    ``SqliteStore.ingest``."""
+    log = tmp_path / "runs.jsonl"
+    wal = JsonlStore(str(log))
+    for seed in range(3):
+        wal.put(SPEC.replace(seed=seed), {"completed": True})
+    index = SqliteStore(str(tmp_path / "runs.sqlite"))
+    index.ingest(str(log))
+    victim = SPEC.replace(seed=1).spec_hash
+    planted = PLANTS[reason](wal.get(victim))
+
+    lines = log.read_text().splitlines()
+    lines[1] = planted
+    log.write_text("\n".join(lines) + "\n")
+    conn = index._connect()
+    (rowid,) = conn.execute("SELECT rowid FROM records WHERE spec_hash = ?",
+                            (victim,)).fetchone()
+    conn.execute("UPDATE records SET record = ? WHERE rowid = ?",
+                 (planted, rowid))
+
+    assert JsonlStore(str(log)).verify()["corrupt"] == [
+        {"line": 2, "reason": reason}]
+    assert index.verify()["corrupt"] == [{"line": rowid, "reason": reason}]
+
+    replay = SqliteStore(str(tmp_path / "replay.sqlite"))
+    if reason == "unknown-schema":
+        with pytest.raises(UnknownSchemaError) as info:
+            replay.ingest(str(log))
+        assert str(log) in str(info.value)
+        assert "schema version 99" in str(info.value)
+    else:
+        replay.ingest(str(log))
+        assert [entry["reason"] for entry in replay.quarantined_entries()] \
+            == [reason]
+
+
 def test_v1_records_load_and_compact_restamps(fresh_store):
     """Stores written before the checksum era keep working unchanged,
     and compaction upgrades them to the current schema."""

@@ -168,3 +168,24 @@ class TestGuards:
         assert result == {"kept": 1, "dropped_superseded": 0,
                           "dropped_corrupt": 1}
         assert SqliteStore(path).verify()["ok"]
+
+    def test_non_object_blob_is_not_a_record(self, tmp_path):
+        """A blob that parses but is not an object is corruption with a
+        reason, exactly as the same JSONL line would be — not an
+        AttributeError out of verify or compact."""
+        path = str(tmp_path / "runs.sqlite")
+        store = SqliteStore(path)
+        store.put(SPEC, {"completed": True})
+        store.put(SPEC.replace(seed=1), {"completed": True})
+        store.close()
+        with sqlite3.connect(path) as conn:
+            (rowid,) = conn.execute(
+                "SELECT rowid FROM records WHERE spec_hash = ?",
+                (SPEC.spec_hash,)).fetchone()
+            conn.execute("UPDATE records SET record = '[1]' WHERE rowid = ?",
+                         (rowid,))
+
+        assert SqliteStore(path).verify()["corrupt"] == [
+            {"line": rowid, "reason": "not-a-record"}]
+        assert SqliteStore(path).compact()["dropped_corrupt"] == 1
+        assert SqliteStore(path).verify()["ok"]
