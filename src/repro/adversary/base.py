@@ -32,6 +32,13 @@ class Adversary(ABC):
     #: so honest runs pay nothing for the hook.
     corrupts_traffic = False
 
+    #: True when :meth:`delay_outbox` also stamps
+    #: :class:`~repro.sim.message.FanOut` records (``sent_at`` and one
+    #: delay per destination). An adversary that leaves it False is handed
+    #: every fan-out expanded into its messages, so it sees nothing but
+    #: :class:`Message` objects.
+    stamps_fanouts = False
+
     _sim: Optional[weakref.ref] = None
 
     @property

@@ -15,12 +15,7 @@ from struct import Struct
 from typing import Iterable, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
-from ..sim.message import Message
-
-#: Outboxes shorter than this are stamped message by message: hashing the
-#: shared prefix on its own costs more than it saves one or two messages
-#: (every EARS step sends that few).
-_SHORT_OUTBOX = 3
+from ..sim.message import _SHORT_OUTBOX, FanOut, Message
 
 _FIRST_WORD = Struct(">I").unpack_from
 #: ASCII decimal digits of the small pids, so the hot loop formats none.
@@ -42,14 +37,30 @@ class DelayPlan(ABC):
     def assign(self, msg: Message) -> int:
         """Delay in ``[1, target_d]`` for ``msg``."""
 
-    def stamp(self, outbox: Sequence[Message], t: int) -> None:
+    def stamp(self, outbox: Sequence, t: int) -> None:
         """Stamp ``sent_at = t`` and :meth:`assign`'s delay on each message
-        of an outbox, in order. A plan overrides this only to compute the
-        same delays more cheaply."""
+        of an outbox, in order — on a :class:`FanOut`, one delay per
+        destination, each asked for that destination's message. A plan
+        overrides this only to compute the same delays more cheaply."""
         assign = self.assign
         for msg in outbox:
             msg.sent_at = t
-            msg.delay = int(assign(msg))
+            if type(msg) is FanOut:
+                msg.delays = [int(assign(msg.message(index)))
+                              for index in range(len(msg.dsts))]
+            else:
+                msg.delay = int(assign(msg))
+
+
+def _stamp_fixed(outbox: Sequence, t: int, d: int) -> None:
+    """Stamp ``sent_at = t`` and delay ``d`` on every message and every
+    destination of a record."""
+    for msg in outbox:
+        msg.sent_at = t
+        if type(msg) is FanOut:
+            msg.delays = [d] * len(msg.dsts)
+        else:
+            msg.delay = d
 
 
 class FixedDelay(DelayPlan):
@@ -62,6 +73,9 @@ class FixedDelay(DelayPlan):
 
     def assign(self, msg: Message) -> int:
         return self.target_d
+
+    def stamp(self, outbox: Sequence, t: int) -> None:
+        _stamp_fixed(outbox, t, self.target_d)
 
 
 class HashDelay(DelayPlan):
@@ -85,20 +99,27 @@ class HashDelay(DelayPlan):
         key = f"{self.seed}/{msg.src}/{msg.dst}/{msg.sent_at}"
         return 1 + _FIRST_WORD(_keyed(key).digest())[0] % d
 
-    def stamp(self, outbox: Sequence[Message], t: int) -> None:
+    def stamp(self, outbox: Sequence, t: int) -> None:
         """:meth:`assign`'s delays for a whole outbox.
 
-        Past a couple of messages the ``"{seed}/{src}/"`` prefix is hashed
-        once per run of equal ``src`` (a Byzantine forgery may spoof
-        ``src`` mid-outbox) and each message feeds only its own
-        ``"{dst}/{t}"`` to a copy of that state — the same digest. Nothing
-        is remembered between calls: plans are shared across forks and a
-        hash state does not pickle.
+        Past a couple of messages (and for every :class:`FanOut`) the
+        ``"{seed}/{src}/"`` prefix is hashed once per run of equal ``src``
+        (a Byzantine forgery may spoof ``src`` mid-outbox) and each
+        destination feeds only its own ``"{dst}/{t}"`` to a copy of that
+        state — the same digest. Nothing is remembered between calls:
+        plans are shared across forks and a hash state does not pickle.
         """
         d = self.target_d
-        if d == 1 or len(outbox) < _SHORT_OUTBOX:
-            # The default loop, spelt out: this is every EARS step, where
-            # one more call layer shows.
+        if d == 1:
+            _stamp_fixed(outbox, t, 1)
+            return
+        if not outbox:
+            return
+        if (len(outbox) < _SHORT_OUTBOX and type(outbox[0]) is not FanOut
+                and type(outbox[-1]) is not FanOut):
+            # One or two messages (the first entry and the last are all of
+            # them). The default loop, spelt out: this is every EARS step,
+            # where one more call layer shows.
             for msg in outbox:
                 msg.sent_at = t
                 msg.delay = self.assign(msg)
@@ -113,13 +134,25 @@ class HashDelay(DelayPlan):
             if msg.src != src:
                 src = msg.src
                 prefix = _keyed(f"{seed}/{src}/").copy
+            msg.sent_at = t
+            if type(msg) is FanOut:
+                delays = []
+                for dst in msg.dsts:
+                    state = prefix()
+                    state.update(
+                        digits[dst] if 0 <= dst < known
+                        else f"{dst}".encode()
+                    )
+                    state.update(tail)
+                    delays.append(1 + first_word(state.digest())[0] % d)
+                msg.delays = delays
+                continue
             state = prefix()
             dst = msg.dst
             state.update(
                 digits[dst] if 0 <= dst < known else f"{dst}".encode()
             )
             state.update(tail)
-            msg.sent_at = t
             msg.delay = 1 + first_word(state.digest())[0] % d
 
 

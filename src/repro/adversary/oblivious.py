@@ -24,6 +24,8 @@ class ObliviousAdversary(Adversary):
     # The composed plans each document the (d, δ) they guarantee for the
     # whole execution, so the declared targets are checkable invariants.
     declares_bounds = True
+    # Every DelayPlan.stamp stamps fan-out records.
+    stamps_fanouts = True
 
     def __init__(
         self,

@@ -272,8 +272,10 @@ class _AdversaryProxy:
         return getattr(self._inner, name)
 
     # Forwarded, the batch call would run the inner adversary's own delay
-    # pass and never reach a subclass's ``assign_delay``.
+    # pass and never reach a subclass's ``assign_delay`` — which also
+    # means this batch call stamps messages only.
     delay_outbox = Adversary.delay_outbox
+    stamps_fanouts = False
 
 
 class _BurstDelays(_AdversaryProxy):

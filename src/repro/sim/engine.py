@@ -31,6 +31,7 @@ from .errors import (
     InvalidScheduleError,
 )
 from .events import Observer
+from .message import expand
 from .monitor import CompletionMonitor, quiescent
 from .network import Network
 from .process import Algorithm, Context, ProcessHandle
@@ -220,6 +221,14 @@ class Simulation(EngineCore):
         # the built instances.
         metrics = self.metrics
         network = self.network
+        # Fan-out records travel as one object unless something may look
+        # at single messages: then each outbox is expanded into the
+        # messages it stands for. Asked every step, because observers and
+        # adversary wrappers are attached after construction.
+        per_message = bool(
+            self._observers or self._corrupts
+            or not getattr(self.adversary, "stamps_fanouts", False)
+        )
         for pid in sorted(scheduled):
             handle = self.processes[pid]
             metrics.record_scheduled(pid, t)
@@ -236,6 +245,8 @@ class Simulation(EngineCore):
                     for handler in self._obs_deliver:
                         handler(t, pid, inbox)
             outbox = handle.run_step(inbox)
+            if per_message:
+                outbox = expand(outbox)
             if self._corrupts:
                 outbox = self.adversary.corrupt_outbox(t, pid, outbox)
             if not outbox:

@@ -2,16 +2,28 @@
 
 A :class:`Message` is the unit the paper's complexity measure counts: one
 point-to-point message, regardless of payload size (the paper explicitly
-defers bit complexity to future work).
+defers bit complexity to future work). A :class:`FanOut` is one record
+standing for several of them — a ``send_many`` of one payload to many
+destinations — and counts as that many messages everywhere.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Any
+from itertools import count, islice
+from typing import Any, List, Optional, Sequence, Tuple
 
 _UID_COUNTER = count()
+# Consumes an iterator in C (the itertools "consume" recipe).
+_skip = deque(maxlen=0).extend
+
+#: ``send_many`` to fewer destinations than this queues one
+#: :class:`Message` each, and a delay plan stamps an outbox shorter than
+#: this message by message: a shared record, or a hashed shared prefix,
+#: costs more than it saves on one or two messages (every EARS step sends
+#: that few).
+_SHORT_OUTBOX = 3
 
 #: Prefix a Byzantine adversary stamps on the ``kind`` of every message it
 #: mutated, forged or fabricated: ``byz:<behavior>:<original-kind>``. The
@@ -72,3 +84,64 @@ class Message:
             f"Message({self.src}->{self.dst} kind={self.kind!r} "
             f"sent_at={self.sent_at} delay={self.delay})"
         )
+
+
+class FanOut:
+    """One payload sent to ``len(dsts)`` destinations in one call: the
+    record ``Context.send_many`` queues for :data:`_SHORT_OUTBOX` or more
+    destinations.
+
+    It stands for ``len(dsts)`` point-to-point messages — the ``i``-th to
+    ``dsts[i]`` with uid ``uid + i`` and delay ``delays[i]`` — and reserves
+    exactly the uids that many ``Message(...)`` calls would have taken, so
+    :func:`expand` turns it into the very messages a per-destination send
+    would have built. The delay layer, the accounting and the network each
+    handle the record once; the network puts the same object in every
+    live destination's mailbox, so a receiver reads ``src``, ``kind``,
+    ``payload`` and ``sent_at`` off a record it shares with the other
+    receivers of the fan-out.
+    """
+
+    __slots__ = ("src", "dsts", "payload", "kind", "sent_at", "delays",
+                 "uid")
+
+    def __init__(self, src: int, dsts: Tuple[int, ...], payload: Any,
+                 kind: str = "msg") -> None:
+        self.src = src
+        self.dsts = dsts
+        self.payload = payload
+        self.kind = kind
+        self.sent_at = -1
+        #: One delay per destination, stamped by the delay layer.
+        self.delays: Optional[List[int]] = None
+        self.uid = _UID_COUNTER.__next__()
+        _skip(islice(_UID_COUNTER, len(dsts) - 1))
+
+    def message(self, index: int) -> Message:
+        """The message to ``dsts[index]`` this record stands for."""
+        delays = self.delays
+        return Message(self.src, self.dsts[index], self.payload, self.kind,
+                       self.sent_at, 1 if delays is None else delays[index],
+                       self.uid + index)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"FanOut({self.src}->{list(self.dsts)} kind={self.kind!r} "
+            f"sent_at={self.sent_at})"
+        )
+
+
+def expand(outbox: Sequence) -> Sequence[Message]:
+    """``outbox`` with every :class:`FanOut` replaced by its messages, in
+    destination order: the per-message outbox a ``send`` per destination
+    would have queued (same uids, same order). An outbox without a record
+    comes back as it is."""
+    if FanOut not in map(type, outbox):
+        return outbox
+    out: List[Message] = []
+    for msg in outbox:
+        if type(msg) is FanOut:
+            out += map(msg.message, range(len(msg.dsts)))
+        else:
+            out.append(msg)
+    return out

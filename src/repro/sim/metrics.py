@@ -15,7 +15,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import DefaultDict, Dict, Mapping, Optional
 
-from .message import is_byzantine_kind
+from .message import FanOut, is_byzantine_kind
 
 #: Sentinel for "never scheduled" in :func:`trailing_gap`. The batch
 #: engine's columnar ``last_scheduled`` arrays use it directly; the scalar
@@ -100,24 +100,41 @@ class Metrics:
         loop over the destinations, and the per-kind counters once per run
         of equal kinds — the run detection is the one statement left per
         message (cheaper than any C spelling measured, see
-        docs/performance.md).
+        docs/performance.md). A :class:`FanOut` counts as its
+        ``len(dsts)`` messages, with one counting loop over ``dsts``.
         """
         if not outbox:
             return
-        count = len(outbox)
+        sent_to = self._sent_to[sender]
+        if FanOut in map(type, outbox):
+            count = self._count_entries(sent_to, outbox)
+        else:
+            count = len(outbox)
+            _count_elements(sent_to, map(_dst, outbox))
+            kind = outbox[0].kind
+            run = 0
+            for msg in outbox:
+                if msg.kind is not kind:
+                    self._count_kind(kind, run)
+                    kind = msg.kind
+                    run = 0
+                run += 1
+            self._count_kind(kind, run)
         self.messages_sent += count
         self.messages_by_sender[sender] += count
-        _count_elements(self._sent_to[sender], map(_dst, outbox))
-        kind = outbox[0].kind
-        run = 0
-        for msg in outbox:
-            if msg.kind is not kind:
-                self._count_kind(kind, run)
-                kind = msg.kind
-                run = 0
-            run += 1
-        self._count_kind(kind, run)
         self.last_send_time = now
+
+    def _count_entries(self, sent_to: Dict[int, int], outbox) -> int:
+        """The pair and kind counts of an outbox holding fan-out records,
+        entry by entry in outbox order (``sent_to`` keeps first-send
+        order); returns the number of messages."""
+        count = 0
+        for msg in outbox:
+            dsts = msg.dsts if type(msg) is FanOut else (msg.dst,)
+            _count_elements(sent_to, dsts)
+            self._count_kind(msg.kind, len(dsts))
+            count += len(dsts)
+        return count
 
     def _count_kind(self, kind: str, count: int) -> None:
         self.messages_by_kind[kind] += count

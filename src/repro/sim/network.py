@@ -17,10 +17,36 @@ from operator import attrgetter
 from typing import Container, Dict, Iterator, List, Optional, Sequence
 
 from .errors import InvalidDelayError
-from .message import Message, is_byzantine_kind
+from .message import FanOut, Message, is_byzantine_kind
 
 _uid = attrgetter("uid")
-_delay = attrgetter("delay")
+_sent_at = attrgetter("sent_at")
+
+
+def _messages_in(pid: int, at: int, slot: List) -> List:
+    """``pid``'s slot ``at`` with each fan-out copy in it replaced by the
+    :class:`Message` it stands for; ``slot`` itself when it holds none.
+
+    A record's copies in one slot are its indices ``i`` with ``dsts[i] ==
+    pid`` and ``sent_at + delays[i] == at``, appended in index order, so
+    the ``j``-th copy is the ``j``-th such index.
+    """
+    if FanOut not in map(type, slot):
+        return slot
+    out = []
+    indices: Dict[int, Iterator[int]] = {}
+    for msg in slot:
+        if type(msg) is FanOut:
+            copies = indices.get(id(msg))
+            if copies is None:
+                copies = indices[id(msg)] = iter([
+                    i for i, (dst, delay)
+                    in enumerate(zip(msg.dsts, msg.delays))
+                    if dst == pid and msg.sent_at + delay == at
+                ])
+            msg = msg.message(next(copies))
+        out.append(msg)
+    return out
 
 
 class Network:
@@ -29,8 +55,11 @@ class Network:
 
     A mailbox is ``{deliverable_at: [messages, in arrival order]}`` plus a
     heap of that receiver's distinct pending *times* — one heap entry per
-    slot, not per message, so between ``send_many`` and ``on_step`` the
-    :class:`Message` itself is the only thing allocated per message.
+    slot, not per message, so between ``send_many`` and ``on_step`` a
+    message costs at most its :class:`Message`. A :class:`FanOut` record
+    costs nothing per destination but a slot entry: the same object sits
+    in every live destination's slot, and each entry counts as one
+    message in every counter and query.
     """
 
     def __init__(self, n: int) -> None:
@@ -74,8 +103,16 @@ class Network:
         :class:`InvalidDelayError` before anything is queued.
         """
         ceiling = self._delay_ceiling
+        sent = len(outbox)
         for msg in outbox:
-            delay = msg.delay
+            if type(msg) is FanOut:
+                sent += len(msg.dsts) - 1
+                # Its least delay if that one is bad, else its largest.
+                delay = min(msg.delays)
+                if delay >= 1:
+                    delay = max(msg.delays)
+            else:
+                delay = msg.delay
             if delay > ceiling:
                 ceiling = delay
             elif delay < 1:
@@ -90,6 +127,16 @@ class Network:
         kind = None
         tagged = False
         for msg in outbox:
+            if msg.kind is not kind:
+                kind = msg.kind
+                tagged = is_byzantine_kind(kind)
+            if type(msg) is FanOut:
+                queued = self._enqueue_fanout(msg, alive, newest)
+                dropped += len(msg.dsts) - queued
+                newest = max(newest, msg.uid + len(msg.dsts) - 1)
+                if tagged:
+                    byz += queued
+                continue
             dst = msg.dst
             if dst not in alive:
                 dropped += 1
@@ -107,17 +154,41 @@ class Network:
                 newest = uid
             else:
                 self._unordered.add((dst, at))
-            if msg.kind is not kind:
-                kind = msg.kind
-                tagged = is_byzantine_kind(kind)
             if tagged:
                 byz += 1
         self._newest_uid = newest
-        queued = len(outbox) - dropped
+        queued = sent - dropped
         self._in_flight += queued
         self.total_enqueued += queued
         self.byz_enqueued += byz
         return dropped
+
+    def _enqueue_fanout(self, record: FanOut, alive: Container[int],
+                        newest: int) -> int:
+        """Put ``record`` itself in the slot of each live destination;
+        returns how many copies were queued. Its uids run from
+        ``record.uid`` up, so its slots are marked for a uid sort only
+        when that first uid is not above ``newest``."""
+        mailboxes = self._slots
+        times = self._times
+        sent_at = record.sent_at
+        in_order = record.uid > newest
+        queued = 0
+        for dst, delay in zip(record.dsts, record.delays):
+            if dst not in alive:
+                continue
+            queued += 1
+            at = sent_at + delay
+            slots = mailboxes[dst]
+            slot = slots.get(at)
+            if slot is None:
+                slots[at] = [record]
+                heappush(times[dst], at)
+            else:
+                slot.append(record)
+            if not in_order:
+                self._unordered.add((dst, at))
+        return queued
 
     def collect(self, pid: int, now: int) -> List[Message]:
         """Deliver every message to ``pid`` that is deliverable at ``now``,
@@ -128,11 +199,13 @@ class Network:
         scheduled step satisfies that bound for every message's assigned
         delay. (An adversary wanting later delivery simply assigns a larger
         delay at send time, which is what determines the execution's ``d``.)
-        ``max_delivered_delay`` is folded over everything handed out.
+        ``max_delivered_delay`` is folded over everything handed out: an
+        entry's delay is its slot's time minus its ``sent_at``.
 
         Due slots are popped off the heap of times and concatenated —
         O(due slots · log pending times), and O(1) when nothing is due.
-        Only a slot ``enqueue`` marked as out of uid order is sorted.
+        Only a slot ``enqueue`` marked as out of uid order is sorted (its
+        fan-out records first replaced by their messages to ``pid``).
         """
         times = self._times[pid]
         if not times or times[0] > now:
@@ -145,25 +218,29 @@ class Network:
             slot = slots.pop(at)
             if unordered and (pid, at) in unordered:
                 unordered.discard((pid, at))
+                slot = _messages_in(pid, at, slot)
                 slot.sort(key=_uid)
+            if self.max_delivered_delay < self._delay_ceiling:
+                self.max_delivered_delay = max(
+                    self.max_delivered_delay, at - min(map(_sent_at, slot))
+                )
             if inbox is None:
                 inbox = slot
             else:
                 inbox += slot
             if not times or times[0] > now:
                 break
-        if self.max_delivered_delay < self._delay_ceiling:
-            self.max_delivered_delay = max(
-                self.max_delivered_delay, max(map(_delay, inbox))
-            )
         self._in_flight -= len(inbox)
         return inbox
 
     def remove(self, dst: int, uid: int) -> bool:
         """Take the queued message ``uid`` out of ``dst``'s queue (a lossy
-        link, used by fault injection); returns whether it was there."""
+        link, used by fault injection); returns whether it was there. A
+        fan-out record loses only ``dst``'s copy: the slots searched hold
+        their messages to ``dst`` from then on."""
         slots = self._slots.get(dst, {})
         for at, slot in slots.items():
+            slot[:] = _messages_in(dst, at, slot)
             for index, msg in enumerate(slot):
                 if msg.uid == uid:
                     del slot[index]
@@ -197,12 +274,13 @@ class Network:
     def clone(self) -> "Network":
         """O(in-flight) copy for simulation forking.
 
-        Slots and heaps are copied, and the :class:`Message` objects
-        themselves are **shared** between the original and the clone: a
-        message is frozen once enqueued — the adversary assigns
-        ``sent_at``/``delay`` before :meth:`enqueue` and no one mutates it
-        afterwards — so sharing is safe and keeps the fork cost
-        proportional to queue length, not payload size.
+        Slots and heaps are copied, and the :class:`Message` and
+        :class:`FanOut` objects themselves are **shared** between the
+        original and the clone: an entry is frozen once enqueued — the
+        adversary assigns ``sent_at`` and the delays before
+        :meth:`enqueue` and no one mutates it afterwards — so sharing is
+        safe and keeps the fork cost proportional to queue length, not
+        payload size.
         """
         dup = Network.__new__(Network)
         dup._n = self._n
@@ -222,8 +300,12 @@ class Network:
 
     def queued_for(self, pid: int) -> Iterator[Message]:
         """The messages currently queued for ``pid``, in no particular
-        order."""
-        return chain.from_iterable(self._slots[pid].values())
+        order; a fan-out record's copy is the message to ``pid`` it
+        stands for (own uid, ``delay`` = slot time − ``sent_at``)."""
+        return chain.from_iterable(
+            _messages_in(pid, at, slot)
+            for at, slot in self._slots[pid].items()
+        )
 
     def pending_for(self, pid: int) -> int:
         """Number of messages currently queued for ``pid``."""

@@ -29,7 +29,7 @@ from typing import (
 )
 
 from .errors import AlgorithmError
-from .message import Message
+from .message import _SHORT_OUTBOX, FanOut, Message
 from .rng import clone_rng
 
 
@@ -129,10 +129,21 @@ class Context:
         The batch primitive of the send path: destinations are validated
         exactly as :meth:`send` validates them, and the outbox grows only
         once every one of them passed — a call that raises queues nothing.
+        From ``_SHORT_OUTBOX`` destinations on, the call is queued as one
+        :class:`~repro.sim.message.FanOut` record over a copy of ``dsts``
+        instead of a :class:`Message` per destination.
         """
-        pid = self.pid
+        dsts = tuple(dsts)
         n = self.n
         allowed = self._neighbor_set
+        if (len(dsts) >= _SHORT_OUTBOX and 0 <= min(dsts)
+                and max(dsts) < n
+                and (allowed is None or allowed.issuperset(dsts))):
+            self.outbox.append(FanOut(self.pid, dsts, payload, kind))
+            return len(dsts)
+        # A short send, or a fan-out this loop rejects with the error
+        # send() would raise for its first bad destination.
+        pid = self.pid
         batch = []
         queue = batch.append
         for dst in dsts:
@@ -244,7 +255,16 @@ class Algorithm(ABC):
 
     @abstractmethod
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        """Execute one local step: consume ``inbox``, compute, send via ctx."""
+        """Execute one local step: consume ``inbox``, compute, send via ctx.
+
+        A receiver reads ``src``, ``kind``, ``payload`` and ``sent_at`` off
+        each inbox entry, and nothing else. An entry may be a
+        :class:`~repro.sim.message.FanOut` shared by every receiver of one
+        ``send_many``; the engine hands out plain :class:`Message` objects
+        instead whenever anything can look at single messages (an attached
+        observer, a traffic-rewriting adversary, a delay layer that does
+        not declare ``stamps_fanouts``).
+        """
 
     def on_start(self, ctx: Context) -> None:
         """Called once before the first step (no messages may be sent)."""
@@ -277,8 +297,7 @@ class ProcessHandle:
     """Engine-side record for one process: algorithm + status + counters."""
 
     __slots__ = ("pid", "algorithm", "ctx", "status", "crashed_at",
-                 "steps_taken", "last_scheduled_at", "messages_sent",
-                 "byzantine")
+                 "steps_taken", "last_scheduled_at", "byzantine")
 
     def __init__(self, pid: int, algorithm: Algorithm, ctx: Context) -> None:
         self.pid = pid
@@ -288,7 +307,6 @@ class ProcessHandle:
         self.crashed_at: Optional[int] = None
         self.steps_taken = 0
         self.last_scheduled_at: Optional[int] = None
-        self.messages_sent = 0
         #: Marked by a Byzantine adversary at attach time. The process
         #: itself runs the honest algorithm either way (corruption happens
         #: to its *traffic*); the mark lets monitors, metrics reporting
@@ -314,16 +332,14 @@ class ProcessHandle:
         dup.crashed_at = self.crashed_at
         dup.steps_taken = self.steps_taken
         dup.last_scheduled_at = self.last_scheduled_at
-        dup.messages_sent = self.messages_sent
         dup.byzantine = self.byzantine
         return dup
 
     def run_step(self, inbox: List[Message]) -> List[Message]:
-        """Run one local step and return the messages queued by it."""
+        """Run one local step and return its outbox (messages and fan-out
+        records; ``Metrics.messages_by_sender`` counts the messages)."""
         self.ctx.outbox = []
         self.algorithm.on_step(self.ctx, inbox)
         self.ctx._local_step += 1
         self.steps_taken += 1
-        out = self.ctx.outbox
-        self.messages_sent += len(out)
-        return out
+        return self.ctx.outbox

@@ -29,7 +29,7 @@ from repro.adversary.delay_plans import (
 from repro.adversary.gst import GstAdversary
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.faults.injectors import _AdversaryProxy, _BurstDelays
-from repro.sim.message import Message
+from repro.sim.message import FanOut, Message, expand
 
 SEEDS = (0, 12345, -7, 2 ** 70)
 LENGTHS = (0, 1, 2, 3, 255)
@@ -109,6 +109,36 @@ def test_the_default_stamp_asks_assign_for_every_message(plan, length):
         msg.delay = int(plan.assign(msg))
     assert stamps(outbox) == stamps(reference)
     assert all(type(msg.delay) is int for msg in outbox)
+
+
+@pytest.mark.parametrize("plan", [
+    FixedDelay(4),
+    HashDelay(1, seed=3),
+    HashDelay(7, seed=5),
+    SlowLinksDelay({(3, 677), (3, 30), (2, 0)}, d_slow=9, d_fast=2),
+    MutableDelay(6),
+    HalfStepsPlan(),
+], ids=lambda plan: f"{type(plan).__name__}-{plan.target_d}")
+@pytest.mark.parametrize("shape", ["record", "record-message",
+                                   "interleaved"])
+def test_a_record_gets_the_delays_of_its_messages(plan, shape):
+    def outbox():
+        record = FanOut(3, (5, 677, 1383, 5, 2000), None)
+        message = Message(3, 30, None)
+        return {
+            "record": [record],
+            "record-message": [record, message],
+            "interleaved": [message, record, Message(2, 0, None),
+                            FanOut(2, (0, 1, 30), None)],
+        }[shape]
+
+    records, messages = outbox(), expand(outbox())
+    for t in SEND_TIMES[:3]:
+        plan.stamp(records, t)
+        plan.stamp(messages, t)
+        assert stamps(expand(records)) == stamps(messages)
+        assert all(type(delay) is int for record in records
+                   if type(record) is FanOut for delay in record.delays)
 
 
 class TestGst:

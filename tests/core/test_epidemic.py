@@ -18,7 +18,7 @@ from repro.core.push_pull import PushPullGossip
 from repro.core.rumors import mask_of
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
-from repro.sim.message import Message
+from repro.sim.message import Message, expand
 from repro.sim.process import Context
 from repro.sim.rng import derive_rng
 
@@ -34,13 +34,13 @@ def deliver(algo, ctx, payload, src=1):
     msg = Message(src=src, dst=algo.pid, payload=payload)
     ctx.outbox = []
     algo.on_step(ctx, [msg])
-    return ctx.outbox
+    return expand(ctx.outbox)
 
 
 def step(algo, ctx):
     ctx.outbox = []
     algo.on_step(ctx, [])
-    return ctx.outbox
+    return expand(ctx.outbox)
 
 
 class TestRepunit:
@@ -346,7 +346,7 @@ def test_on_step_matches_the_per_message_body(n, fanout, neighbors,
             states.append((
                 algo._I, algo.rumors.mask, algo.rumors.payloads,
                 list(algo.rumors.payloads), algo.sleep_cnt,
-                [(m.dst, m.kind, m.payload) for m in ctx.outbox],
+                [(m.dst, m.kind, m.payload) for m in expand(ctx.outbox)],
                 ctx.rng.getstate(),
             ))
         assert states[0] == states[1]

@@ -22,7 +22,7 @@ from repro.core.sparse import SparseGossip
 from repro.core.tears import KIND_FIRST_LEVEL, KIND_SECOND_LEVEL, Tears
 from repro.core.trivial import TrivialGossip
 from repro.core.uniform import UniformEpidemicGossip
-from repro.sim.message import Message
+from repro.sim.message import Message, expand
 from repro.sim.process import Context
 from repro.sim.rng import derive_rng
 from repro.sync.ck_gossip import CkStyleGossip
@@ -184,7 +184,7 @@ def state_of(algo, ctx):
     return (
         algo.rumors.mask, algo.rumors.payloads, list(algo.rumors.payloads),
         counters,
-        [(m.dst, m.kind, m.payload) for m in ctx.outbox],
+        [(m.dst, m.kind, m.payload) for m in expand(ctx.outbox)],
         ctx.rng.getstate(),
     )
 

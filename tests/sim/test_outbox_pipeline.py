@@ -16,19 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.adaptive import (
+    CrashEagerSendersAdversary,
+    TargetedDelayAdversary,
+)
 from repro.adversary.base import Adversary
+from repro.adversary.crash_plans import crash_at, wave_crashes
+from repro.adversary.delay_plans import HashDelay
+from repro.adversary.oblivious import ObliviousAdversary
 from repro.api import GOSSIP_ALGORITHMS
 from repro.core.base import make_processes
+from repro.core.majority import DeterministicMajorityGossip
+from repro.faults.injectors import _AdversaryProxy
 from repro.sim.engine import Simulation
 from repro.sim.errors import AlgorithmError, InvalidDelayError
 from repro.sim.events import Observer
-from repro.sim.message import Message, is_byzantine_kind
+from repro.sim.message import FanOut, Message, expand, is_byzantine_kind
 from repro.sim.metrics import Metrics
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.network import Network
-from repro.sim.process import Context
+from repro.sim.process import Algorithm, Context
+from repro.sim.scheduler import RoundRobinWindows, SubsetEveryStep
 from repro.spec import RunSpec, build
 from repro.sync.engine import SyncContext
+
+from .test_engine_leap import ALGORITHMS, PLAN_FACTORIES, SPEC_CELLS
 
 KINDS = ("gossip", "shutdown", "byz:tamper:gossip", "byz:forge:shutdown")
 
@@ -192,6 +204,93 @@ class TestEnqueueOutbox:
         assert net.collect(1, 10) == [outbox[2], outbox[0]]
 
 
+def stamped_fanout(dsts, delays, kind="gossip", sent_at=0):
+    record = FanOut(0, tuple(dsts), None, kind)
+    record.sent_at = sent_at
+    record.delays = list(delays)
+    return record
+
+
+def queue_view(net, pid):
+    return sorted((m.deliverable_at, m.uid, m.src, m.dst, m.kind, m.sent_at,
+                   m.delay) for m in net.queued_for(pid))
+
+
+class TestFanOutEntries:
+    """A record in the mailboxes answers every query as the messages it
+    stands for, queued one by one, would."""
+
+    def pair(self, alive=range(5)):
+        early = stamped(1, 1)
+        record = stamped_fanout([1, 2, 1, 3, 4, 1], [2, 2, 2, 5, 1, 4])
+        shared, single = Network(5), Network(5)
+        for net in (shared, single):
+            net.enqueue([early], alive)
+        assert shared.enqueue([record], alive) == single.enqueue(
+            expand([record]), alive)
+        return record, shared, single
+
+    def agree(self, shared, single):
+        for pid in range(5):
+            assert queue_view(shared, pid) == queue_view(single, pid)
+            assert shared.pending_for(pid) == single.pending_for(pid)
+            assert (shared.earliest_deliverable(pid)
+                    == single.earliest_deliverable(pid))
+        assert (shared.in_flight, shared.total_enqueued, shared.byz_enqueued
+                ) == (single.in_flight, single.total_enqueued,
+                      single.byz_enqueued)
+
+    def test_queued_for_yields_the_expanded_messages(self):
+        record, shared, single = self.pair(alive={0, 1, 2, 4})
+        self.agree(shared, single)
+        assert shared.pending_for(3) == 0 and shared.in_flight == 6
+        # Pid 1 holds three copies, two of them in its slot at time 2.
+        assert sorted(m.uid for m in shared.queued_for(1)
+                      if m.uid >= record.uid) == [
+            record.uid, record.uid + 2, record.uid + 5]
+
+    def test_remove_takes_out_one_destination_copy(self):
+        record, shared, single = self.pair()
+        for dst, uid in ((1, record.uid + 2), (1, record.uid + 2),
+                         (3, record.uid), (3, record.uid + 3),
+                         (2, record.uid + 1), (1, record.uid + 5)):
+            assert shared.remove(dst, uid) == single.remove(dst, uid)
+            self.agree(shared, single)
+        for pid in range(5):
+            got, want = shared.collect(pid, 9), single.collect(pid, 9)
+            assert [(m.src, m.kind, m.sent_at) for m in got] == [
+                (m.src, m.kind, m.sent_at) for m in want]
+        assert shared.max_delivered_delay == single.max_delivered_delay == 2
+
+    def test_collect_delivers_the_record_in_uid_order(self):
+        record, shared, single = self.pair()
+        got = shared.collect(1, 4)
+        assert got[1:] == [record, record, record]
+        assert [m.uid for m in single.collect(1, 4)] == [
+            got[0].uid, record.uid, record.uid + 2, record.uid + 5]
+        assert shared.max_delivered_delay == single.max_delivered_delay == 4
+
+    def test_a_record_older_than_what_is_queued_is_sorted_in(self):
+        record = stamped_fanout([1, 2, 1], [2, 2, 2])
+        newer = [stamped(1, 2), stamped(2, 2)]
+        shared, single = Network(3), Network(3)
+        for net, outbox in ((shared, [record]), (single, expand([record]))):
+            net.enqueue(newer, alive=range(3))
+            net.enqueue(outbox, alive=range(3))
+        for pid in (1, 2):
+            got = shared.collect(pid, 2)
+            assert [m.uid for m in got] == [
+                m.uid for m in single.collect(pid, 2)]
+            assert [m.uid for m in got] == sorted(m.uid for m in got)
+
+    def test_a_bad_delay_in_a_record_queues_nothing(self):
+        net = Network(4)
+        with pytest.raises(InvalidDelayError):
+            net.enqueue([stamped(1, 1), stamped_fanout([1, 2, 3], [1, 0, 2])],
+                        alive=range(4))
+        assert (net.in_flight, net.total_enqueued) == (0, 0)
+
+
 def blocks_allocated_by(call):
     gc.collect()
     gc.disable()
@@ -262,10 +361,11 @@ class TestSendMany:
         ctx = self.context()
         payload = ("mask", None)
         assert ctx.send_many([4, 0, 5], payload, kind="direct") == 3
-        assert [(m.src, m.dst, m.kind) for m in ctx.outbox] == [
+        outbox = expand(ctx.outbox)
+        assert [(m.src, m.dst, m.kind) for m in outbox] == [
             (2, 4, "direct"), (2, 0, "direct"), (2, 5, "direct")]
-        assert all(m.payload is payload for m in ctx.outbox)
-        uids = [m.uid for m in ctx.outbox]
+        assert all(m.payload is payload for m in outbox)
+        uids = [m.uid for m in outbox]
         assert uids == sorted(uids)
         assert ctx.send_many(iter(()), payload) == 0
 
@@ -289,6 +389,48 @@ class TestSendMany:
             ctx.send_many([good, bad, good], "x")
         assert str(many.value) == str(single.value)
         assert [m.payload for m in ctx.outbox] == ["before"]
+
+    @pytest.mark.parametrize("neighbors, dsts, first_bad", [
+        (None, [0, 1, 3, 4, 7, 5], 7),
+        (None, [-2, 1, 3, 9, 4], -2),
+        (None, [1, 3, 4, 5, 6], 6),
+        ((0, 1, 3, 5), [0, 1, 3, 5, 2, 4], 2),
+        ((0, 1, 3, 5), [5, 3, 1, 0, 0, 6], 6),
+    ])
+    def test_a_fan_out_rejects_its_first_bad_destination_as_send_does(
+            self, neighbors, dsts, first_bad):
+        one = self.context(neighbors)
+        with pytest.raises(AlgorithmError) as single:
+            one.send(first_bad, "x")
+        ctx = self.context(neighbors)
+        ctx.send_many([0, 1, 3], "before")
+        with pytest.raises(AlgorithmError) as many:
+            ctx.send_many(iter(dsts), "x")
+        assert str(many.value) == str(single.value)
+        assert [m.payload for m in expand(ctx.outbox)] == ["before"] * 3
+
+    def test_a_fan_out_takes_the_uids_its_messages_would_have(self):
+        """k destinations: one record, the next k uids of the counter, in
+        destination order — the very uids k Message(...) calls take."""
+        ctx = self.context()
+        dsts = [5, 0, 5, 3, 1]
+        before = Message(0, 1, None).uid
+        assert ctx.send_many(dsts, "x", kind="k") == 5
+        after = Message(0, 1, None).uid
+        (record,) = ctx.outbox
+        assert type(record) is FanOut
+        dsts.append(4)                      # the caller keeps its list
+        assert record.dsts == (5, 0, 5, 3, 1)
+        messages = expand(ctx.outbox)
+        assert [m.uid for m in messages] == list(range(before + 1, after))
+        assert [(m.src, m.dst, m.kind, m.payload, m.sent_at, m.delay)
+                for m in messages] == [(2, dst, "k", "x", -1, 1)
+                                       for dst in (5, 0, 5, 3, 1)]
+        # Below the threshold nothing changes: a Message per destination.
+        ctx.outbox = []
+        assert ctx.send_many([4, 4], "y") == 2
+        assert [type(m) for m in ctx.outbox] == [Message, Message]
+        assert ctx.outbox[1].uid == ctx.outbox[0].uid + 1 == after + 2
 
 
 TRACED_BOUNDARIES = {
@@ -355,3 +497,204 @@ def test_an_adversary_that_only_implements_assign_delay_is_asked_per_message():
     assert calls["delay_outbox"] == calls["record_send"] > 0
     assert calls["assign_delay"] == sim.metrics.messages_sent
     assert sim.metrics.realized_d == 3
+
+
+# -- the fan-out record against its expansion -------------------------------- #
+#
+# A bare Observer() overrides nothing, yet attaching it makes the engine
+# expand every fan-out record into its messages: the expanded run is the
+# send path as it was before records existed, and the oracle for the
+# record path. Everything observable must agree.
+
+def from_spec(spec, adversary=None):
+    def make(observers):
+        built = build(spec, observers=observers,
+                      adversary=adversary() if adversary else None)
+        return built.sim, built.max_steps
+    return make
+
+
+def by_hand(algorithms, n, f, adversary, monitor=None):
+    def make(observers):
+        sim = Simulation(
+            n=n, f=f, algorithms=algorithms(n, f), adversary=adversary(),
+            monitor=monitor() if monitor else None, seed=4,
+            observers=observers,
+        )
+        return sim, 20_000
+    return make
+
+
+def observe(make, observers):
+    # uids come from one process-wide counter: count them from the run's
+    # first one.
+    first_uid = Message(0, 0, None).uid + 1
+    sim, max_steps = make(observers)
+    views = []
+    for _ in range(6):
+        sim.run_for(1)
+        views.append([
+            sorted((m.deliverable_at, m.uid - first_uid, m.src, m.dst, m.kind,
+                    m.sent_at, m.delay, m.payload)
+                   for m in sim.network.queued_for(pid))
+            for pid in range(sim.n)
+        ])
+    result = sim.run(max_steps=max_steps)
+    network = sim.network
+    return (
+        result, views, sim.metrics.snapshot(),
+        [list(sim.metrics.sent_to(pid).items()) for pid in range(sim.n)],
+        [sim.processes[pid].ctx.rng.getstate() for pid in range(sim.n)],
+        (network.total_enqueued, network.in_flight,
+         network.max_delivered_delay),
+    )
+
+
+def assert_record_path_is_exact(make):
+    assert observe(make, ()) == observe(make, (Observer(),))
+
+
+class Burst(Algorithm):
+    """Mixed outboxes: a single send, a two-destination send_many and a
+    fan-out with a repeated destination, every step for four steps."""
+
+    def __init__(self):
+        self.sent = 0
+
+    def on_step(self, ctx, inbox):
+        for msg in inbox:
+            assert (msg.kind, msg.payload[0]) in (
+                ("one", "a"), ("two", "b"), ("many", "c"))
+        if self.sent < 4:
+            draw = ctx.random_peers(5)
+            ctx.send(draw[0], ("a", ctx.pid), kind="one")
+            ctx.send_many(draw[:2], ("b", ctx.pid), kind="two")
+            ctx.send_many(draw + draw[:2], ("c", ctx.pid), kind="many")
+            self.sent += 1
+
+    def is_quiescent(self):
+        return self.sent >= 4
+
+
+def _leap_suite():
+    """Every case of tests/sim/test_engine_leap.py's differential suite."""
+    cases = [
+        pytest.param(from_spec(RunSpec(algorithm=algorithm, n=12, seed=5,
+                                       **cell.values[0])),
+                     id=f"{algorithm}-{cell.id}")
+        for algorithm in ALGORITHMS for cell in SPEC_CELLS
+    ]
+    cases += [
+        pytest.param(from_spec(RunSpec(algorithm="ears", n=12, d=2, delta=9,
+                                       seed=2, check_interval=interval)),
+                     id=f"interval-{interval}")
+        for interval in (3, 7, 13)
+    ]
+    cases.append(pytest.param(from_spec(RunSpec(
+        kind="consensus", algorithm="ears", n=9, f=2, d=2, delta=5, seed=1,
+    )), id="consensus"))
+    for plan in PLAN_FACTORIES:
+        for crashes in (None, {3: [1], 11: [4, 7]}):
+            def factory(plan=plan.values[0], crashes=crashes):
+                return ObliviousAdversary(
+                    schedule=plan(), delays=HashDelay(3, seed=8),
+                    crashes=crash_at(crashes) if crashes else None)
+            cases.append(pytest.param(
+                from_spec(RunSpec(algorithm="ears", n=12, f=4, seed=7),
+                          factory),
+                id=f"{plan.id}-{'crashes' if crashes else 'failure-free'}"))
+    cases.append(pytest.param(from_spec(
+        RunSpec(algorithm="ears", n=12, f=0, seed=3, max_steps=300),
+        lambda: ObliviousAdversary(
+            schedule=SubsetEveryStep({0, 1, 2, 3}, target_delta=400),
+            delays=HashDelay(2, seed=1)),
+    ), id="subset-starvation"))
+    cases.append(pytest.param(from_spec(
+        RunSpec(algorithm="ears", n=12, f=11, seed=2, max_steps=500),
+        lambda: ObliviousAdversary(
+            schedule=RoundRobinWindows(6),
+            crashes=wave_crashes(range(1, 12), at=9)),
+    ), id="near-total-crash-wave"))
+    for name, factory in (
+            ("targeted-delay", lambda: TargetedDelayAdversary({1, 2}, d=4)),
+            ("crash-eager", lambda: CrashEagerSendersAdversary(budget=3))):
+        cases.append(pytest.param(from_spec(
+            RunSpec(algorithm="ears", n=12, f=4, seed=9), factory),
+            id=f"adaptive-{name}"))
+    return cases
+
+
+LEAP_SUITE = _leap_suite()
+
+
+def test_the_leap_suite_is_all_here():
+    assert len(LEAP_SUITE) == 86
+
+
+@pytest.mark.parametrize("make", LEAP_SUITE)
+def test_every_leap_differential_case_runs_as_its_expansion(make):
+    assert_record_path_is_exact(make)
+
+
+def _fanout_cells():
+    cases = []
+    for algorithm in ("trivial", "tears", "sears"):
+        for d, delta in ((2, 2), (5, 3), (1, 1)):
+            cases.append(pytest.param(from_spec(RunSpec(
+                algorithm=algorithm, n=40, f=16, d=d, delta=delta, seed=11,
+                crashes={"name": "wave", "count": 12, "at": 2},
+            )), id=f"{algorithm}-d{d}-delta{delta}-wave"))
+        cases.append(pytest.param(from_spec(RunSpec(
+            algorithm=algorithm, n=40, f=16, d=3, delta=2, seed=6, crashes=9,
+        )), id=f"{algorithm}-random-crashes"))
+    cases.append(pytest.param(by_hand(
+        lambda n, f: make_processes(n, f, DeterministicMajorityGossip),
+        40, 16,
+        lambda: ObliviousAdversary.uniform(
+            3, 2, seed=2, crashes=wave_crashes(range(5, 17), at=3)),
+        lambda: GossipCompletionMonitor(majority=True),
+    ), id="majority-wave"))
+    cases.append(pytest.param(by_hand(
+        lambda n, f: [Burst() for _ in range(n)], 9, 3,
+        lambda: ObliviousAdversary.uniform(
+            4, 2, seed=5, crashes=wave_crashes([2, 7], at=2)),
+    ), id="mixed-outboxes-repeated-destinations"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _fanout_cells())
+def test_fan_out_cells_with_crashes_run_as_their_expansion(make):
+    assert_record_path_is_exact(make)
+
+
+def outbox_types(sim, steps=4):
+    """The entry types the network was handed in the first steps."""
+    seen = set()
+    enqueue = sim.network.enqueue
+
+    def spy(outbox, alive):
+        seen.update(map(type, outbox))
+        return enqueue(outbox, alive)
+
+    sim.network.enqueue = spy
+    sim.run_for(steps)
+    return seen
+
+
+@pytest.mark.parametrize("adversary, records", [
+    (None, True),
+    ({"name": "gst", "gst": 3}, False),
+    ({"name": "byzantine", "b": 1}, False),
+])
+def test_records_travel_only_where_nothing_looks_at_single_messages(
+        adversary, records):
+    spec = RunSpec(algorithm="trivial", n=10, f=2, d=3, delta=2, seed=1,
+                   adversary=adversary)
+    assert (FanOut in outbox_types(build(spec).sim)) is records
+    assert FanOut not in outbox_types(
+        build(spec, observers=(Observer(),)).sim)
+    # A wrapper installed after build (as fault injectors do) is asked
+    # again at the next step.
+    sim = build(spec).sim
+    sim.adversary = _AdversaryProxy(sim.adversary)
+    assert FanOut not in outbox_types(sim)

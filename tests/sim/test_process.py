@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.adversary.oblivious import ObliviousAdversary
+from repro.sim.engine import Simulation
 from repro.sim.process import (
     Algorithm,
     Context,
@@ -29,12 +31,17 @@ class TestProcessHandle:
         handle = make_handle()
         out = handle.run_step([])
         assert len(out) == 2
-        assert handle.messages_sent == 2
         assert handle.steps_taken == 1
         # A fresh step starts a fresh outbox.
         out2 = handle.run_step([])
         assert len(out2) == 2
-        assert handle.messages_sent == 4
+        # What a process sent is the metrics' count, not the handle's.
+        sim = Simulation(n=4, f=1, algorithms=[Chatter() for _ in range(4)],
+                         adversary=ObliviousAdversary.synchronous_like())
+        sim.step()
+        assert sim.metrics.messages_by_sender[0] == 2
+        sim.step()
+        assert sim.metrics.messages_by_sender[0] == 4
 
     def test_local_step_advances(self):
         handle = make_handle()

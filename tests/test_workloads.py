@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.message import expand
 from repro.sim.process import Context
 from repro.sim.errors import AlgorithmError
 from repro.sim.rng import derive_rng
@@ -73,7 +74,7 @@ class TestContextPlumbing:
     def test_send_many_counts(self):
         ctx = self.make()
         assert ctx.send_many([1, 2, 3], "x") == 3
-        assert len(ctx.outbox) == 3
+        assert len(expand(ctx.outbox)) == 3
 
     def test_random_peer_in_range(self):
         ctx = self.make()
