@@ -3,7 +3,8 @@
 Reproduces the "CK [9]" row — deterministic synchronous gossip in
 O(polylog n) rounds and O(n polylog n) messages — via the expander-overlay
 baseline, and the Karp et al. [19] single-rumor result the introduction
-cites (O(log n) rounds, O(n log log n) transmissions).
+cites (O(log n) rounds, O(n log log n) transmissions). Both run on the
+d = δ = 1 execution of the one engine, so a CK run's ``steps`` are rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def test_ck_gossip_polylog(once, n):
                   crashes=random_crashes(n, n // 4, 6, seed=1), seed=1)
     assert result.completed
     # Rounds O(log n), messages O(n log² n) with small constants.
-    assert result.rounds <= 4 * ceil_log2(n)
+    assert result.steps <= 4 * ceil_log2(n)
     assert result.messages <= 6 * n * ln(n) ** 2
 
 
@@ -30,7 +31,7 @@ def test_ck_rounds_scale_logarithmically(once):
     large = once(run_ck_gossip, 512)
     assert large.completed
     # 16x the processes, well under 16x the rounds.
-    assert large.rounds <= 2.5 * small.rounds
+    assert large.steps <= 2.5 * small.steps
 
 
 @pytest.mark.parametrize("n", [256, 1024])

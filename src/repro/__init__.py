@@ -9,7 +9,7 @@ The package provides:
 * :mod:`repro.adversary` — oblivious and adaptive adversaries, including
   the executable Theorem 1 lower-bound strategy;
 * :mod:`repro.core` — the gossip algorithms: Trivial, EARS, SEARS, TEARS;
-* :mod:`repro.sync` — synchronous baselines (lock-step rounds);
+* :mod:`repro.sync` — synchronous baselines (the d = δ = 1 execution);
 * :mod:`repro.consensus` — the Canetti–Rabin-based randomized consensus
   protocols built on each gossip algorithm (Section 6);
 * :mod:`repro.analysis` — complexity bound formulas, scaling-exponent

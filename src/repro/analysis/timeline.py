@@ -108,7 +108,7 @@ class TimelineRecorder(TraceObserver):
         sim.run()
         print(recorder.render(width=80))
 
-    Works on both engines (synchronous rounds render as time steps).
+    A synchronous (d = δ = 1) run renders one round per time step.
     """
 
     def __init__(self, trace: Optional[EventTrace] = None) -> None:

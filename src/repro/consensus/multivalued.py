@@ -109,7 +109,7 @@ class MultivaluedConsensus(Algorithm):
                 return
             # Validity of the inner consensus guarantees the proposal
             # exists somewhere (the 1-voter's own messages carried it);
-            # _try_conclude_won_round picks it up as soon as it arrives.
+            # _try_conclude_winning_round picks it up as soon as it arrives.
         if self.decided is None and self.mv_round == mv_round:
             self.mv_round += 1
             self._inner = None
@@ -126,9 +126,9 @@ class MultivaluedConsensus(Algorithm):
                 else:
                     self.decided_rounds[mv_round] = outcome
         # A won round whose value has since arrived can now conclude.
-        self._try_conclude_won_round()
+        self._try_conclude_winning_round()
 
-    def _try_conclude_won_round(self) -> None:
+    def _try_conclude_winning_round(self) -> None:
         if self.decided is not None:
             return
         for mv_round, outcome in self.decided_rounds.items():

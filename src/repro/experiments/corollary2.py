@@ -63,7 +63,7 @@ def _sync_baseline(n: int, f: int, seeds: Sequence[int]):
             n, f=f, crashes=random_crashes(n, f, 6, seed=seed), seed=seed
         )
         if result.completed:
-            times.append(float(result.rounds))
+            times.append(float(result.steps))
             msgs.append(float(result.messages))
     return summarize(times).mean, summarize(msgs).mean
 

@@ -94,7 +94,7 @@ def run_table1(
             crashes = random_crashes(n, f, 6, seed=seed) if crash else None
             result = run_ck_gossip(n, f=f, crashes=crashes, seed=seed)
             if result.completed:
-                times.append(float(result.rounds))
+                times.append(float(result.steps))
                 msgs.append(float(result.messages))
         bound_t, bound_m = _bounds_for("ck-sync", n, f, 1, 1)
         rows.append(

@@ -7,7 +7,6 @@ scheduling gap) are measured properties of each execution, never inputs to
 algorithm code.
 """
 
-from .base import EngineCore
 from .engine import RunResult, SimSnapshot, Simulation
 from .errors import (
     AlgorithmError,
@@ -72,7 +71,6 @@ __all__ = [
     "Context",
     "CrashBudgetExceeded",
     "CrashConsistencyInvariant",
-    "EngineCore",
     "EventTrace",
     "EveryStep",
     "ExplicitSchedule",

@@ -6,10 +6,18 @@ scheduled set; each scheduled process receives deliverable messages, computes,
 and sends. The engine *measures* the synchrony parameters ``d`` and ``δ`` of
 the execution it produces — algorithms never see them.
 
+The synchronous model is one execution of this engine, not a second
+engine: under :meth:`~repro.adversary.oblivious.ObliviousAdversary.
+synchronous_like` (d = δ = 1) every live process steps every step and every
+message arrives one step after it was sent, so a step is a round. The
+synchronous baselines of :mod:`repro.sync` run there.
+
 The engine is deterministic given (algorithms, adversary, master seed).
 Instrumentation (event traces, bit metering, profilers, samplers) attaches
-through the observer bus (:mod:`repro.sim.events`); a run with no observers
-pays one empty-list check per emission site.
+through the observer bus (:mod:`repro.sim.events`): the per-event handler
+lists (``_obs_send``, ``_obs_deliver``, ...) hold exactly the callbacks each
+registered observer *overrides*, so a run with no observers pays one
+empty-list check per emission site.
 
 :meth:`Simulation.fork` produces an independent copy via the component
 snapshot protocol — each part (network, metrics, process handles, RNG
@@ -21,17 +29,18 @@ algorithm's future behaviour without paying ``copy.deepcopy`` per sample.
 from __future__ import annotations
 
 import copy
-from typing import Dict, FrozenSet, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .base import EngineCore, RunResult
 from .errors import (
     ConfigurationError,
     CrashBudgetExceeded,
     IncompleteRunError,
     InvalidScheduleError,
 )
-from .events import Observer
+from .events import EVENT_METHODS, Observer, overridden_events
 from .message import expand
+from .metrics import Metrics
 from .monitor import CompletionMonitor, quiescent
 from .network import Network
 from .process import Algorithm, Context, ProcessHandle
@@ -56,6 +65,28 @@ __all__ = [
 ENGINES = ("auto", "stepwise", "leap")
 
 
+@dataclass
+class RunResult:
+    """Outcome of a run: ``steps`` counts global time steps (rounds on the
+    d = δ = 1 execution); ``metrics`` is the
+    :meth:`~repro.sim.metrics.Metrics.snapshot` dict of the execution."""
+
+    completed: bool
+    reason: str
+    completion_time: Optional[int]
+    steps: int
+    messages: int
+    metrics: dict
+
+    def require_completed(self) -> "RunResult":
+        if not self.completed:
+            raise IncompleteRunError(
+                f"run did not complete (reason={self.reason!r}, "
+                f"steps={self.steps}, messages={self.messages})"
+            )
+        return self
+
+
 class SimSnapshot:
     """A reusable point-in-time capture of a :class:`Simulation`.
 
@@ -75,7 +106,7 @@ class SimSnapshot:
         return self._frozen.now
 
 
-class Simulation(EngineCore):
+class Simulation:
     """One execution of ``n`` processes under a given adversary."""
 
     def __init__(
@@ -91,7 +122,16 @@ class Simulation(EngineCore):
         engine: str = "auto",
         topology=None,
     ) -> None:
-        self._init_core(n, f, seed, monitor)
+        if n < 1:
+            raise ConfigurationError(f"n must be >= 1, got {n}")
+        if not 0 <= f < n:
+            raise ConfigurationError(f"require 0 <= f < n, got f={f}, n={n}")
+        self.n = n
+        self.f = f
+        self.seed = seed
+        self.monitor = monitor
+        self.metrics = Metrics(n=n)
+        self._reset_observers()
         if len(algorithms) != n:
             raise ConfigurationError(
                 f"expected {n} algorithm instances, got {len(algorithms)}"
@@ -171,6 +211,52 @@ class Simulation(EngineCore):
 
     def is_alive(self, pid: int) -> bool:
         return pid in self._alive
+
+    # ------------------------------------------------------------------ #
+    # Observer bus
+    # ------------------------------------------------------------------ #
+
+    def _reset_observers(self) -> None:
+        self._observers: List[Observer] = []
+        self._obs_step_begin: list = []
+        self._obs_crash: list = []
+        self._obs_schedule: list = []
+        self._obs_deliver: list = []
+        self._obs_send: list = []
+        self._obs_step_end: list = []
+        self._obs_complete: list = []
+
+    @property
+    def observers(self) -> Tuple[Observer, ...]:
+        return tuple(self._observers)
+
+    def add_observer(self, observer: Observer) -> Observer:
+        """Subscribe ``observer``; only its overridden callbacks are wired.
+
+        Returns the observer for call chaining. Observers added mid-run see
+        only subsequent events.
+        """
+        observer.on_attach(self)
+        self._observers.append(observer)
+        for kind in overridden_events(observer):
+            handler = getattr(observer, EVENT_METHODS[kind])
+            getattr(self, "_obs_" + kind).append(handler)
+        return observer
+
+    def remove_observer(self, observer: Observer) -> None:
+        """Unsubscribe ``observer`` and rebuild the handler lists."""
+        remaining = [obs for obs in self._observers if obs is not observer]
+        self._reset_observers()
+        for obs in remaining:
+            self._observers.append(obs)
+            for kind in overridden_events(obs):
+                handler = getattr(obs, EVENT_METHODS[kind])
+                getattr(self, "_obs_" + kind).append(handler)
+
+    def _emit_complete(self, t: int) -> None:
+        if self._obs_complete:
+            for handler in self._obs_complete:
+                handler(t)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -1,9 +1,9 @@
-"""The observer/event bus shared by both execution engines.
+"""The observer/event bus of the execution engine.
 
-Every instrumentation concern that used to be wired into the engines with
+Every instrumentation concern that used to be wired into the engine with
 ad-hoc keyword arguments — event traces, bit metering, S-curve sampling,
 timeline recording, profiling — is an :class:`Observer` registered on an
-engine. The engines emit a small, fixed vocabulary of events:
+engine. The engine emits a small, fixed vocabulary of events:
 
 - ``on_schedule(t, pid)`` — a process is about to take a local step;
 - ``on_deliver(t, pid, inbox)`` — a non-empty inbox was handed to ``pid``;
@@ -12,9 +12,9 @@ engine. The engines emit a small, fixed vocabulary of events:
 - ``on_crash(t, pid)`` — a process crashed;
 - ``on_complete(t)`` — the completion condition first held;
 - ``on_step_begin(t)`` / ``on_step_end(t)`` — brackets around one global
-  time step (one synchronous round on the lock-step engine).
+  time step (one round of a d = δ = 1 execution).
 
-Observers override only the callbacks they care about; the engines keep
+Observers override only the callbacks they care about; the engine keeps
 per-event handler lists containing exactly the overridden callbacks, so a
 run with no observers pays one empty-list truth test per emission site (the
 zero-observer fast path) and a run with, say, only a trace observer pays

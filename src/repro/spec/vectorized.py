@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.params import DEFAULT_EARS, DEFAULT_SEARS
-from ..sim.base import RunResult
+from ..sim.engine import RunResult
 from ..sim.batch import batch_ineligibility as _gate_ineligibility
 from ..sim.errors import ConfigurationError
 from .builder import _apply_scenario, default_step_limit, resolve_crash_plan

@@ -100,9 +100,12 @@ class SqliteStore(Store):
             os.makedirs(parent, exist_ok=True)
         conn = sqlite3.connect(self.path, isolation_level=None)
         conn.execute("PRAGMA busy_timeout = 30000")
-        conn.execute("PRAGMA journal_mode = WAL")
+        # Before the switch to WAL: that switch syncs the file at the
+        # connection's synchronous level, which would otherwise still be
+        # the default FULL.
         conn.execute("PRAGMA synchronous = {}".format(
             "FULL" if self.fsync == "always" else "OFF"))
+        conn.execute("PRAGMA journal_mode = WAL")
         conn.executescript(_DDL)
         row = conn.execute(
             "SELECT value FROM meta WHERE key = 'layout'").fetchone()

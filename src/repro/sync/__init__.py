@@ -1,21 +1,25 @@
-"""Synchronous substrate and baselines.
+"""Synchronous baselines.
 
 The comparison side of Table 1 and Corollary 2: algorithms that *know*
-d = δ = 1 and run in lock-step rounds.
+d = δ = 1 and count rounds. They run on the d = δ = 1 execution of
+:class:`~repro.sim.engine.Simulation`
+(:meth:`~repro.adversary.oblivious.ObliviousAdversary.synchronous_like`),
+where one step is one round.
+
+Crashes there take effect at a round boundary: a process crashed at round r
+sends nothing from round r on, and what it sent in round r − 1 still
+delivers. The paper's synchronous references tolerate harsher mid-round
+crashes, which is part of why the CK-style baseline is a documented
+approximation (DESIGN.md §5).
 """
 
 from typing import Optional
 
 from ..adversary.crash_plans import CrashPlan
-from ..core.rumors import mask_of
+from ..adversary.oblivious import ObliviousAdversary
+from ..sim.engine import RunResult, Simulation
+from ..sim.monitor import GossipCompletionMonitor
 from .ck_gossip import CkStyleGossip
-from .engine import (
-    SyncAlgorithm,
-    SyncContext,
-    SyncMessage,
-    SyncResult,
-    SyncSimulation,
-)
 from .expander import (
     overlay_diameter_bound,
     random_regular_overlay,
@@ -30,41 +34,29 @@ def run_ck_gossip(
     crashes: Optional[CrashPlan] = None,
     seed: int = 0,
     max_rounds: int = 10_000,
-) -> SyncResult:
+) -> RunResult:
     """Run the deterministic expander-overlay gossip baseline to completion.
 
     Completion: every live process holds every live process's rumor and the
-    flooding has stabilized (each process's quiet budget exhausted).
+    flooding has stabilized (each process's quiet budget exhausted). The
+    result's ``steps`` are rounds.
     """
     neighbors = skip_graph_neighbors(n)
     algorithms = [
         CkStyleGossip(pid, n, f, neighbors=neighbors) for pid in range(n)
     ]
-
-    def gathered_and_done(sim: SyncSimulation) -> bool:
-        target = mask_of(sim.alive_pids)
-        return all(
-            not (target & ~sim.algorithm(p).rumor_mask)
-            and sim.algorithm(p).is_done()
-            for p in sim.alive_pids
-        )
-
-    sim = SyncSimulation(
-        n=n, f=f, algorithms=algorithms, crashes=crashes,
-        monitor=gathered_and_done, seed=seed,
+    sim = Simulation(
+        n=n, f=f, algorithms=algorithms,
+        adversary=ObliviousAdversary.synchronous_like(crashes),
+        monitor=GossipCompletionMonitor(), seed=seed,
     )
-    return sim.run(max_rounds=max_rounds)
+    return sim.run(max_steps=max_rounds)
 
 
 __all__ = [
     "CkStyleGossip",
     "KarpPushPull",
     "RumorSpreadResult",
-    "SyncAlgorithm",
-    "SyncContext",
-    "SyncMessage",
-    "SyncResult",
-    "SyncSimulation",
     "age_limit",
     "overlay_diameter_bound",
     "random_regular_overlay",

@@ -15,6 +15,10 @@ skip overlay keeps logarithmic reachability unless an adversary surgically
 cuts all ±2^j neighbors of a victim, which the oblivious/random crash plans
 used for the Table 1 and Corollary 2 baselines do not do. We do not claim
 the full CK worst-case adaptive resilience.
+
+The algorithm counts rounds, so it runs on the d = δ = 1 execution of
+:class:`~repro.sim.engine.Simulation`, where every live process steps every
+step and every message arrives one step later: one step is one round.
 """
 
 from __future__ import annotations
@@ -22,17 +26,18 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.rumors import RumorSet
-from .engine import SyncAlgorithm, SyncContext, SyncMessage
+from ..sim.message import Message
+from ..sim.process import Algorithm, Context
 from .expander import overlay_diameter_bound, skip_graph_neighbors
 
 
-class CkStyleGossip(SyncAlgorithm):
+class CkStyleGossip(Algorithm):
     """Flood rumor sets over a deterministic skip overlay until stable.
 
     A process forwards its rumor set to all overlay neighbors every round
     while its set keeps changing, and for up to ``patience`` =
     ⌈log₂ n⌉ + 1 quiet rounds after the last change (covering the overlay
-    diameter). It is done when the quiet budget is exhausted.
+    diameter). It is quiescent once the quiet budget is exhausted.
     """
 
     KIND = "ck"
@@ -55,7 +60,7 @@ class CkStyleGossip(SyncAlgorithm):
     def rumor_mask(self) -> int:
         return self.rumors.mask
 
-    def on_round(self, ctx: SyncContext, inbox: List[SyncMessage]) -> None:
+    def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         changed = self.rumors.merge_inbox(inbox)
         if changed or not self._started:
             self._quiet_rounds = 0
@@ -66,5 +71,5 @@ class CkStyleGossip(SyncAlgorithm):
             snapshot = self.rumors.snapshot()
             ctx.send_many(self._neighbors, snapshot, kind=self.KIND)
 
-    def is_done(self) -> bool:
+    def is_quiescent(self) -> bool:
         return self._started and self._quiet_rounds > self._patience

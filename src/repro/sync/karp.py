@@ -21,16 +21,25 @@ push for about log n rounds plus O(log log n) confirmation rounds, giving
 We count *rumor transmissions* (push and pull-reply messages, which carry
 the rumor) exactly as [19] does; pull requests and acks are connection
 overhead, reported separately.
+
+Like the CK baseline, the protocol runs on the d = δ = 1 execution of
+:class:`~repro.sim.engine.Simulation`: one step is one round.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..adversary.crash_plans import CrashPlan
-from .engine import SyncAlgorithm, SyncContext, SyncMessage, SyncSimulation
+from ..adversary.oblivious import ObliviousAdversary
+from ..sim.engine import Simulation
+from ..sim.message import Message
+from ..sim.monitor import PredicateMonitor
+from ..sim.process import Algorithm, Context
+from ..sim.rng import derive_rng
 
 KIND_PUSH = "push"
 KIND_PULL_REQUEST = "pull-req"
@@ -45,14 +54,21 @@ def age_limit(n: int, c_age: float = 3.0) -> int:
     return max(1, math.ceil(c_age * math.log2(max(2.0, math.log2(max(4, n))))))
 
 
-class KarpPushPull(SyncAlgorithm):
-    """One process of the push–pull protocol for a single rumor."""
+class KarpPushPull(Algorithm):
+    """One process of the push–pull protocol for a single rumor.
 
-    def __init__(self, pid: int, n: int, f: int = 0,
+    Partners are drawn from ``rng``, which the driver hands in, not from
+    the context's stream: :func:`run_push_pull` passes each process
+    ``derive_rng(seed, "sync-proc", pid)``, the stream the runs pinned in
+    ``tests/sync/test_baselines.py`` were measured with.
+    """
+
+    def __init__(self, pid: int, n: int, rng: random.Random, f: int = 0,
                  initially_informed: bool = False,
                  c_age: float = 3.0, answer_rounds: int = 4) -> None:
         self.pid = pid
         self.n = n
+        self.rng = rng
         self.informed = initially_informed
         self.age = 0
         self.age_limit = age_limit(n, c_age)
@@ -64,11 +80,11 @@ class KarpPushPull(SyncAlgorithm):
         """Still initiating contacts (uninformed, or age below threshold)."""
         return self.age <= self.age_limit
 
-    def _random_partner(self, ctx: SyncContext) -> int:
-        partner = ctx.rng.randrange(self.n - 1)
+    def _random_partner(self) -> int:
+        partner = self.rng.randrange(self.n - 1)
         return partner + 1 if partner >= self.pid else partner
 
-    def on_round(self, ctx: SyncContext, inbox: List[SyncMessage]) -> None:
+    def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         answering = self.active or self._rounds_past_limit <= self.answer_rounds
         for msg in inbox:
             if msg.kind == KIND_PUSH:
@@ -86,13 +102,13 @@ class KarpPushPull(SyncAlgorithm):
         if not self.active:
             self._rounds_past_limit += 1
             return
-        partner = self._random_partner(ctx)
+        partner = self._random_partner()
         if self.informed:
             ctx.send(partner, "rumor", kind=KIND_PUSH)
         else:
             ctx.send(partner, None, kind=KIND_PULL_REQUEST)
 
-    def is_done(self) -> bool:
+    def is_quiescent(self) -> bool:
         return self.informed and not self.active
 
 
@@ -104,6 +120,8 @@ class RumorSpreadResult:
     overhead_messages: int
     informed: int
     total_messages: int
+    #: The run's :meth:`~repro.sim.metrics.Metrics.snapshot`.
+    metrics: dict
 
 
 def run_push_pull(
@@ -114,30 +132,37 @@ def run_push_pull(
     c_age: float = 3.0,
     max_rounds: int = 10_000,
 ) -> RumorSpreadResult:
-    """Spread one rumor from ``source``; measure rounds and transmissions."""
+    """Spread one rumor from ``source``; measure rounds and transmissions.
+
+    The run ends in the first round after which every live process is
+    quiescent; acks may still be in flight then, which is why this is not
+    a :class:`~repro.sim.monitor.QuiescenceMonitor`.
+    """
     algorithms = [
-        KarpPushPull(pid, n, initially_informed=(pid == source), c_age=c_age)
+        KarpPushPull(pid, n, derive_rng(seed, "sync-proc", pid),
+                     initially_informed=(pid == source), c_age=c_age)
         for pid in range(n)
     ]
     f = crashes.total if crashes is not None else 0
 
-    def spread_and_settled(sim: SyncSimulation) -> bool:
-        return all(sim.algorithm(p).is_done() for p in sim.alive_pids)
+    def spread_and_settled(sim: Simulation) -> bool:
+        return all(sim.algorithm(p).is_quiescent() for p in sim.alive_pids)
 
-    sim = SyncSimulation(
-        n=n, f=f, algorithms=algorithms, crashes=crashes,
-        monitor=spread_and_settled, seed=seed,
+    sim = Simulation(
+        n=n, f=f, algorithms=algorithms,
+        adversary=ObliviousAdversary.synchronous_like(crashes),
+        monitor=PredicateMonitor(spread_and_settled, "spread-and-settled"),
+        seed=seed,
     )
-    result = sim.run(max_rounds=max_rounds)
-    transmissions = sum(
-        sim.metrics.messages_by_kind.get(kind, 0)
-        for kind in TRANSMISSION_KINDS
-    )
+    result = sim.run(max_steps=max_rounds)
+    by_kind = result.metrics["messages_by_kind"]
+    transmissions = sum(by_kind.get(kind, 0) for kind in TRANSMISSION_KINDS)
     return RumorSpreadResult(
         completed=result.completed,
-        rounds=result.rounds,
+        rounds=result.steps,
         transmissions=transmissions,
         overhead_messages=result.messages - transmissions,
         informed=sum(1 for p in sim.alive_pids if sim.algorithm(p).informed),
         total_messages=result.messages,
+        metrics=result.metrics,
     )

@@ -1,10 +1,11 @@
 """The folded inbox loops against the one-merge-per-message bodies they
 replaced (the pattern of ``test_epidemic.py``'s on_step differential).
 
-Each reference class below carries the previous ``on_step``/``on_round``
-verbatim; both versions are driven through the same 50 randomized steps
-and must agree, after every step, on V(p), the payload dict (keys and
-insertion order), every counter, the outbox and the RNG state.
+Each reference class below carries the previous ``on_step`` verbatim (for
+the CK baseline, whose step is a round, the previous round body); both
+versions are driven through the same 50 randomized steps and must agree,
+after every step, on V(p), the payload dict (keys and insertion order),
+every counter, the outbox and the RNG state.
 """
 
 import random
@@ -26,7 +27,6 @@ from repro.sim.message import Message, expand
 from repro.sim.process import Context
 from repro.sim.rng import derive_rng
 from repro.sync.ck_gossip import CkStyleGossip
-from repro.sync.engine import SyncContext, SyncMessage
 
 
 # -- the previous bodies, verbatim ------------------------------------------ #
@@ -137,7 +137,7 @@ class PerMessageMajority(DeterministicMajorityGossip):
 
 
 class PerMessageCk(CkStyleGossip):
-    def on_round(self, ctx, inbox):
+    def on_step(self, ctx, inbox):
         changed = False
         for msg in inbox:
             mask, payloads = msg.payload
@@ -243,17 +243,17 @@ def test_on_round_matches_the_per_message_body(n, with_payloads):
     pid = 3
     procs = [
         (cls(pid, n, 1, rumor_payload="v3" if with_payloads else None),
-         SyncContext(pid, n, 1, derive_rng(7, "t", pid)))
+         Context(pid, n, 1, derive_rng(7, "t", pid)))
         for cls in (PerMessageCk, CkStyleGossip)
     ]
     quiet = 0
     for _ in range(50):
         inbox = random_inbox(rng, n, pid, procs[0][0].rumors.mask,
-                             with_payloads, False, SyncMessage)
+                             with_payloads, False, Message)
         states = []
         for algo, ctx in procs:
             ctx.outbox = []
-            algo.on_round(ctx, inbox)
+            algo.on_step(ctx, inbox)
             states.append(state_of(algo, ctx))
         assert states[0] == states[1]
         quiet += states[0][3]["_quiet_rounds"] > 0

@@ -1,7 +1,8 @@
-"""Observer bus: dispatch, fast path, cross-engine parity."""
+"""Observer bus: dispatch, fast path, synchronous runs."""
 
 import pytest
 
+from repro.adversary.crash_plans import crash_at
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.core.base import make_processes
 from repro.core.ears import Ears
@@ -16,8 +17,8 @@ from repro.sim.events import (
     overridden_events,
 )
 from repro.sim.monitor import GossipCompletionMonitor
+from repro.sim.process import Algorithm
 from repro.sim.trace import EventTrace
-from repro.sync.engine import SyncContext, SyncSimulation
 from repro.sync.ck_gossip import CkStyleGossip
 
 
@@ -143,9 +144,6 @@ class TestObserversOnly:
         for kwargs in ({"trace": EventTrace()}, {"bit_meter": BitMeter(8)}):
             with pytest.raises(TypeError):
                 make_sim(**kwargs)
-            with pytest.raises(TypeError):
-                SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                               **kwargs)
 
     def test_bit_meter_observer_fills_bits_sent(self):
         run = make_sim(observers=(BitMeterObserver(BitMeter(8)),)).run()
@@ -153,51 +151,89 @@ class TestObserversOnly:
         assert make_sim().run().metrics["bits_sent"] == 0
 
 
-class SyncCounter:
-    """Minimal sync algorithm: everyone pings pid 0 each round."""
+class SyncCounter(Algorithm):
+    """Minimal synchronous algorithm: everyone pings pid 0 in rounds 0-2."""
 
-    def on_round(self, ctx: SyncContext, inbox):
-        if ctx.round < 3 and ctx.pid != 0:
+    def on_step(self, ctx, inbox):
+        if ctx.local_step < 3 and ctx.pid != 0:
             ctx.send(0, payload=ctx.pid)
 
-    def is_done(self):
+    def is_quiescent(self):
         return True
 
 
+def make_sync_sim(algorithms, f=0, crashes=None, **kwargs):
+    """The synchronous (d = δ = 1) execution of ``algorithms``."""
+    return Simulation(
+        n=len(algorithms), f=f, algorithms=algorithms,
+        adversary=ObliviousAdversary.synchronous_like(crashes), **kwargs,
+    )
+
+
 class TestSyncEngineObservers:
-    """The sync engine reports through the same bus (new capability)."""
+    """Synchronous runs report through the same bus."""
 
     def test_trace_on_sync_run(self):
         trace = EventTrace()
-        sim = SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                             observers=(TraceObserver(trace),))
-        sim.run(max_rounds=5)
-        assert trace.count("send") == sim.metrics.messages_sent > 0
+        sim = make_sync_sim([SyncCounter() for _ in range(4)],
+                            observers=(TraceObserver(trace),))
+        sim.run(max_steps=5)
+        assert trace.count("send") == sim.metrics.messages_sent == 9
         assert trace.count("schedule") > 0
         sends = [e for e in trace.events if e.kind == "send"]
         assert all(e.get("delay") == 1 for e in sends)
 
     def test_bit_meter_on_sync_run(self):
-        sim = SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                             observers=(BitMeterObserver(BitMeter(4)),))
-        sim.run(max_rounds=5)
+        sim = make_sync_sim([SyncCounter() for _ in range(4)],
+                            observers=(BitMeterObserver(BitMeter(4)),))
+        sim.run(max_steps=5)
         assert sim.metrics.bits_sent > 0
 
     def test_recording_observer_on_ck_gossip(self):
         n = 8
         observer = RecordingObserver()
-        sim = SyncSimulation(
-            n, 0, [CkStyleGossip(pid=p, n=n, f=0) for p in range(n)],
-            observers=(observer,),
+        sim = make_sync_sim(
+            [CkStyleGossip(pid=p, n=n, f=0) for p in range(n)],
+            monitor=GossipCompletionMonitor(), observers=(observer,),
         )
         result = sim.run()
         assert result.completed
         kinds = [event[0] for event in observer.seen]
         assert kinds.count("complete") == 1
-        assert kinds.count("step_begin") == result.rounds
+        assert kinds.count("step_begin") == result.steps
+
+    def test_observer_stream_of_a_synchronous_run(self):
+        """Per round: begin, crashes, then each live pid in order —
+        scheduled, handed last round's messages, sending — then end."""
+        observer = RecordingObserver()
+        sim = make_sync_sim([SyncCounter() for _ in range(3)], f=1,
+                            crashes=crash_at({1: [2]}),
+                            observers=(observer,))
+        result = sim.run()
+        # Quiescent from the first round on, the run stops once the
+        # network has drained.
+        assert (result.completed, result.steps) == (True, 4)
+        assert observer.seen == [
+            ("step_begin", 0),
+            ("schedule", 0, 0), ("schedule", 0, 1), ("send", 0, 1, 0),
+            ("schedule", 0, 2), ("send", 0, 2, 0),
+            ("step_end", 0),
+            ("step_begin", 1), ("crash", 1, 2),
+            ("schedule", 1, 0), ("deliver", 1, 0, 2),
+            ("schedule", 1, 1), ("send", 1, 1, 0),
+            ("step_end", 1),
+            ("step_begin", 2),
+            ("schedule", 2, 0), ("deliver", 2, 0, 1),
+            ("schedule", 2, 1), ("send", 2, 1, 0),
+            ("step_end", 2),
+            ("step_begin", 3),
+            ("schedule", 3, 0), ("deliver", 3, 0, 1), ("schedule", 3, 1),
+            ("step_end", 3),
+            ("complete", 4),
+        ]
 
     def test_zero_observer_sync_lists_empty(self):
-        sim = SyncSimulation(3, 0, [SyncCounter() for _ in range(3)])
+        sim = make_sync_sim([SyncCounter() for _ in range(3)])
         for kind in EVENT_METHODS:
             assert getattr(sim, f"_obs_{kind}") == []
 
@@ -221,9 +257,9 @@ class TestStepProfiler:
 
     def test_profiler_works_on_sync_engine(self):
         profiler = StepProfiler()
-        sim = SyncSimulation(4, 0, [SyncCounter() for _ in range(4)],
-                             observers=(profiler,))
-        sim.run(max_rounds=5)
+        sim = make_sync_sim([SyncCounter() for _ in range(4)],
+                            observers=(profiler,))
+        sim.run(max_steps=5)
         assert profiler.steps > 0
 
 

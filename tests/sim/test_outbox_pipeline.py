@@ -38,7 +38,6 @@ from repro.sim.network import Network
 from repro.sim.process import Algorithm, Context
 from repro.sim.scheduler import RoundRobinWindows, SubsetEveryStep
 from repro.spec import RunSpec, build
-from repro.sync.engine import SyncContext
 
 from .test_engine_leap import ALGORITHMS, PLAN_FACTORIES, SPEC_CELLS
 
@@ -368,11 +367,6 @@ class TestSendMany:
         uids = [m.uid for m in outbox]
         assert uids == sorted(uids)
         assert ctx.send_many(iter(()), payload) == 0
-
-    def test_sync_context_returns_the_count_too(self):
-        sync = SyncContext(2, 6, 0, random.Random(0))
-        assert sync.send_many([4, 0, 5], "x", kind="direct") == 3
-        assert [m.dst for m in sync.outbox] == [4, 0, 5]
 
     @pytest.mark.parametrize("neighbors, bad", [
         (None, 6), (None, -1), ((0, 1, 3), 4), ((0, 1, 3), 2),

@@ -122,6 +122,28 @@ class TestWalVisibility:
         store.sync()  # checkpoints without error
         store.close()
 
+    @pytest.mark.parametrize("fsync, level", [("never", "OFF"),
+                                               ("always", "FULL")])
+    def test_synchronous_is_set_before_the_switch_to_wal(
+            self, tmp_path, monkeypatch, fsync, level):
+        """The switch to WAL syncs the new file at the connection's
+        synchronous level, so ``fsync="never"`` must be in force first:
+        otherwise creating a store pays an fsync at the default FULL."""
+        statements = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        SqliteStore(str(tmp_path / "runs.sqlite"), fsync=fsync).put(
+            SPEC, {"completed": True})
+        pragmas = [s for s in statements if s.startswith("PRAGMA ")]
+        assert pragmas.index(f"PRAGMA synchronous = {level}") < \
+            pragmas.index("PRAGMA journal_mode = WAL")
+
     def test_context_manager_closes(self, tmp_path):
         with SqliteStore(str(tmp_path / "runs.sqlite")) as store:
             store.put(SPEC, {"completed": True})
