@@ -43,7 +43,6 @@ def run_gossip(
     payloads: Optional[Sequence[Any]] = None,
     max_steps: Optional[int] = None,
     majority: Optional[bool] = None,
-    check_interval: int = 1,
     measure_bits: bool = False,
     observers: Sequence[Observer] = (),
     engine: str = "auto",
@@ -69,7 +68,6 @@ def run_gossip(
         max_steps: step ceiling; default derived from (n, f, d, delta).
         majority: override the completion notion; default is majority
             gossip for ``tears`` and full gossip otherwise.
-        check_interval: how often (in steps) the monitor is evaluated.
         observers: :class:`~repro.sim.events.Observer` instances to
             subscribe on the simulation (tracers, profilers, samplers).
         engine: execution strategy — ``auto`` (event-driven time-leap
@@ -103,7 +101,6 @@ def run_gossip(
         ),
         majority=majority,
         measure_bits=measure_bits,
-        check_interval=check_interval,
         max_steps=max_steps,
         engine=engine,
         topology=topology,

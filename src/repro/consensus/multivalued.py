@@ -50,14 +50,13 @@ class MultivaluedConsensus(Algorithm):
     """Agree on one of n arbitrary proposed values."""
 
     def __init__(self, pid: int, n: int, f: int, proposal: Any,
-                 gossip_factory: Callable, probe_interval: int = 6) -> None:
+                 gossip_factory: Callable) -> None:
         if proposal is None:
             raise ValueError("proposals must not be None")
         self.pid = pid
         self.n = n
         self.f = f
         self.gossip_factory = gossip_factory
-        self.probe_interval = probe_interval
 
         self.proposals: Dict[int, Any] = {pid: proposal}
         self.mv_round = 0
@@ -93,7 +92,6 @@ class MultivaluedConsensus(Algorithm):
                 else 0
             self._inner = CanettiRabinConsensus(
                 self.pid, self.n, self.f, vote, self.gossip_factory,
-                probe_interval=self.probe_interval,
             )
 
     def _mv_decide_round(self, mv_round: int, outcome: int) -> None:

@@ -51,7 +51,6 @@ def run_consensus(
     crashes: Union[None, int, CrashPlan] = None,
     params: Any = None,
     max_steps: Optional[int] = None,
-    probe_interval: int = 6,
     adversary=None,
     engine: str = "auto",
 ) -> ConsensusRun:
@@ -82,9 +81,6 @@ def run_consensus(
             else crashes
         ),
         values=tuple(values) if values is not None else None,
-        # The builder's default is 6; leave the field unset at that value
-        # so this call hashes identically to the minimal declarative spec.
-        probe_interval=probe_interval if probe_interval != 6 else None,
         max_steps=max_steps,
         engine=engine,
     )

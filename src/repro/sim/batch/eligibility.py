@@ -2,7 +2,7 @@
 
 The batch engine specializes the exact coordinates big campaigns run:
 Figure 2 epidemic gossip (EARS/SEARS) under the oblivious ``uniform``
-adversary with per-step monitor checks. Everything else — adaptive
+adversary. Everything else — adaptive
 adversaries (Theorem 1), consensus, invariant checking, bit metering,
 observers, custom payloads — transparently falls back to the scalar
 engines with results identical to today.
@@ -71,11 +71,6 @@ def batch_ineligibility(spec) -> Optional[str]:
             return f"adversary {adversary!r} is not the oblivious uniform"
     if spec.n > MAX_BATCH_N:
         return f"n={spec.n} exceeds the batch state cap ({MAX_BATCH_N})"
-    if spec.check_interval != 1:
-        return (
-            f"check_interval={spec.check_interval} (batch checks every "
-            "step)"
-        )
     if spec.check_invariants:
         return "invariant observers are per-trial only"
     if spec.measure_bits:

@@ -16,9 +16,9 @@ Semantics contract (the conformance suite enforces it):
   L(p)=∅ → send → stamp sequence with payloads snapshotted before
   stamping, receiver-side inference, delivery at the receiver's first
   scheduled step at-or-after ``sent_at + λ``, sends to crashed
-  destinations counted then dropped, completion back-dating
-  ``max(known_false + 1, last_active + 1, 0)``, the stalled-system
-  early stop, the final step-limit check, and the trailing-gap δ fold
+  destinations counted then dropped, completion recorded at the step
+  whose post-step check first holds, the stalled-system early stop,
+  and the trailing-gap δ fold
   (shared with scalar via :func:`repro.sim.metrics.trailing_gap`).
 * The RNG discipline changes: fanout targets and message delays come
   from counter-based per-``(trial, pid)`` streams
@@ -205,7 +205,6 @@ class BatchSimulation:
             st.crashes[b] += live.size
             st.msg_dropped[b] += st.drop_queued_for(b, live)
             st.in_flight[b] = st.queued_count(b)
-            st.last_active[b] = t
             st.alive_words[b] = pack_alive(
                 st.alive[b : b + 1], st.bitcol
             )[0]
@@ -275,16 +274,13 @@ class BatchSimulation:
             return
         if self._has_crashes:
             eff = st.running[:, None] & st.alive[:, s_pids]
-            any_eff = eff.any(axis=1)
             st.local_steps += eff.sum(axis=1)
         else:
             # All processes alive: every scheduled lane of a running
             # trial is effective, and a (B, 1) mask broadcasts through
             # the per-lane ops below without materializing (B, S).
             eff = st.running[:, None]
-            any_eff = st.running
             st.local_steps[st.running] += s_pids.size
-        st.last_active[any_eff] = t
 
         # record_scheduled: fold the observed gap, stamp last_sched.
         prev = st.last_sched[:, s_pids]
@@ -429,7 +425,7 @@ class BatchSimulation:
         I_flat[stamp_flat] |= pay_V if k == 1 else pay_V[m_lane]
 
     # ------------------------------------------------------------------ #
-    # Monitor + stall checks (every step: check_interval == 1)
+    # Monitor + stall checks (after every step, as the scalar loop)
     # ------------------------------------------------------------------ #
 
     def _gathered(self) -> np.ndarray:
@@ -462,15 +458,10 @@ class BatchSimulation:
         if done.any():
             st.completed[done] = True
             st.reason[done] = REASON_COMPLETED
-            st.completion_time[done] = np.maximum(
-                np.maximum(st.known_false[done], st.last_active[done]) + 1,
-                0,
-            )
+            st.completion_time[done] = now
             st.steps_end[done] = now
             st.running[done] = False
             running = st.running
-        # Monitor evaluated false for everything still running.
-        st.known_false[running] = now
 
         stalled = running & quiesc & (self.max_crash_time < now)
         if stalled.any():
@@ -491,9 +482,8 @@ class BatchSimulation:
             t += 1
         leftovers = st.running
         if leftovers.any():
-            # check_interval == 1 means the monitor was evaluated right
-            # after the final step; the scalar loop skips the redundant
-            # re-check and reports the step limit.
+            # The monitor was evaluated right after the final step, so
+            # these trials hit the step limit.
             st.reason[leftovers] = REASON_STEP_LIMIT
             st.steps_end[leftovers] = t
             st.running[leftovers] = False

@@ -119,8 +119,6 @@ class BatchState:
         self.running = np.ones(B, dtype=bool)
         self.reason = np.full(B, REASON_RUNNING, dtype=np.int8)
         self.completed = np.zeros(B, dtype=bool)
-        self.known_false = np.full(B, -1, dtype=np.int64)
-        self.last_active = np.full(B, -1, dtype=np.int64)
         self.steps_end = np.zeros(B, dtype=np.int64)
 
         # Columnar Metrics.

@@ -117,7 +117,6 @@ class Simulation:
         adversary,
         monitor: Optional[CompletionMonitor] = None,
         seed: int = 0,
-        check_interval: int = 1,
         observers: Sequence[Observer] = (),
         engine: str = "auto",
         topology=None,
@@ -141,7 +140,6 @@ class Simulation:
                 f"unknown engine {engine!r}; choose from {list(ENGINES)}"
             )
         self.engine = engine
-        self.check_interval = max(1, check_interval)
         #: Communication topology (:class:`~repro.sim.topology.Topology`)
         #: or ``None`` for the paper's complete graph. Immutable, so forks
         #: share it.
@@ -157,11 +155,6 @@ class Simulation:
         self._alive_frozen: Optional[FrozenSet[int]] = frozenset(range(n))
         self._now = 0
         self._completed = False
-        #: Index of the last step at which anything happened (a process
-        #: stepped or a crash fired). Between that step and now the state
-        #: is frozen, which is what lets interval-checked runs report the
-        #: first step at which the monitor could have become true.
-        self._last_active_step = -1
 
         for observer in observers:
             self.add_observer(observer)
@@ -293,8 +286,6 @@ class Simulation:
 
         alive = self.alive_pids
         scheduled = self.adversary.schedule_at(t, alive)
-        if scheduled or crashed:
-            self._last_active_step = t
         if not scheduled <= alive:
             raise InvalidScheduleError(
                 f"schedule at t={t} contains non-live pids: "
@@ -363,14 +354,11 @@ class Simulation:
         adversary events can never satisfy a currently-false monitor, so the
         run stops early with ``reason="stalled"``.
 
-        The monitor is evaluated every ``check_interval`` steps and once
-        more before a step-limit return, so a run whose monitor became
-        true between checks (or exactly at the limit) is never misreported
-        as ``"step-limit"``. When an interval check fires, the recorded
-        ``completion_time`` is the first step at which the monitor can
-        have become true: the state cannot have changed after the last
-        step in which a process was scheduled or a crash fired, so the
-        completion is back-dated to that step rather than to the check.
+        The monitor is evaluated after every step, so a completed run's
+        ``completion_time`` is the step at which it stopped. A run entered
+        at or past ``max_steps`` executes nothing but still checks its
+        monitor once, so an already-completed state is never misreported
+        as ``"step-limit"``.
 
         With ``strict=True`` an incomplete run raises
         :class:`~repro.sim.errors.IncompleteRunError` carrying the stop
@@ -388,37 +376,26 @@ class Simulation:
         seed-for-seed bit-identical (same RunResult, same metrics, same
         RNG consumption, same observer stream).
         """
+        if (self._now >= max_steps and self.monitor is not None
+                and self.monitor.check(self)):
+            return self._complete()
         ask = self.engine != "stepwise"
-        # Step index of the last monitor check that returned False; the
-        # completion cannot pre-date it.
-        known_false_at = self._now - 1
         while self._now < max_steps:
             if ask:
                 nxt = self.adversary.next_event_at(self._now)
                 if nxt is not None and nxt > self._now:
-                    outcome, known_false_at = self._leap_gap(
-                        min(nxt, max_steps), known_false_at, strict
-                    )
+                    outcome = self._leap_gap(min(nxt, max_steps), strict)
                     if outcome is not None:
                         return outcome
                     if self._now >= max_steps:
                         break
             self.step()
-            if self.monitor is not None and (
-                self._now % self.check_interval == 0
-            ):
-                if self.monitor.check(self):
-                    return self._complete(known_false_at)
-                known_false_at = self._now
+            if self.monitor is not None and self.monitor.check(self):
+                return self._complete()
             if quiescent(self) and not self.adversary.has_pending_events(
                 self._now
             ):
-                return self._stall_stop(known_false_at, strict)
-        # Final check: the monitor may have become true since the last
-        # interval check (or the interval may not divide max_steps).
-        if (self.monitor is not None and known_false_at != self._now
-                and self.monitor.check(self)):
-            return self._complete(known_false_at)
+                return self._stall_stop(strict)
         return self._finish(False, "step-limit", strict)
 
     def _skip_to(self, target: int) -> None:
@@ -436,13 +413,19 @@ class Simulation:
         self._now = target
         self.metrics.steps_elapsed = target
 
-    def _leap_gap(self, target: int, known_false_at: int, strict: bool):
+    def _leap_gap(self, target: int, strict: bool) -> Optional[RunResult]:
         """Jump ``_now`` over the inert gap up to ``target``.
 
-        Returns ``(result_or_None, known_false_at)``: a result when the
-        jump hit a stepwise stopping point (monitor became true at a
-        check boundary, or the stalled-system stop fired inside the gap).
+        Returns a result when the jump hit a stepwise stopping point (the
+        monitor held after the gap's first step, or the stalled-system
+        stop fired inside the gap), else ``None``.
         """
+        monitor = self.monitor
+        if monitor is not None and not getattr(monitor, "leap_safe", False):
+            # A monitor that reads the clock (not just state) is evaluated
+            # after every step for real: the gap is one step long.
+            target = self._now + 1
+
         # Stepwise runs its stall check after every (inert) step: with the
         # state frozen across the gap, the run would stop at the first
         # post-step time u with no pending adversary events. Find it
@@ -465,57 +448,36 @@ class Simulation:
             if stop_at is not None:
                 target = stop_at
 
-        # Monitors that read the clock (not just state) must be evaluated
-        # at every check boundary for real: cap the jump at the next one.
-        k = self.check_interval
-        boundary = ((self._now // k) + 1) * k
-        frozen_verdict = (
-            self.monitor is None
-            or getattr(self.monitor, "leap_safe", False)
-        )
-        if not frozen_verdict and boundary < target:
-            target = boundary
-            if stop_at is not None and target < stop_at:
-                stop_at = None
-
-        if self.monitor is not None and boundary <= target:
-            # State is frozen across the gap, so every interval check in
-            # (now, target] returns the same verdict: evaluate once at
-            # the first boundary — with the clock showing the boundary,
-            # reproducing both a true-verdict stop and time-stamped side
-            # effects (gathering_time) exactly as stepwise would — then
-            # fast-forward. (For non-leap-safe monitors the jump was
-            # capped at the first boundary above, so this *is* the real
-            # per-boundary evaluation.)
-            self._skip_to(boundary)
-            if self.monitor.check(self):
-                return self._complete(known_false_at), known_false_at
-            known_false_at = (target // k) * k
+        if monitor is not None:
+            # State is frozen across the gap, so the check after each of
+            # its steps returns the same verdict: evaluate once, after the
+            # first step — with the clock showing that step, reproducing
+            # both a true-verdict stop and time-stamped side effects
+            # (gathering_time) exactly as stepwise would — then
+            # fast-forward.
+            self._skip_to(self._now + 1)
+            if monitor.check(self):
+                return self._complete()
         self._skip_to(target)
 
         if stop_at is not None and self._now == stop_at:
-            return self._stall_stop(known_false_at, strict), known_false_at
-        return None, known_false_at
+            return self._stall_stop(strict)
+        return None
 
-    def _stall_stop(self, known_false_at: int, strict: bool) -> RunResult:
+    def _stall_stop(self, strict: bool) -> RunResult:
         """The early stop for a stalled system with no pending events."""
         if self.monitor is None:
-            self._completed = True
-            self.metrics.completion_time = self._now
-            self._emit_complete(self._now)
-            return self._result(True, "quiescent")
+            return self._complete("quiescent")
         if self.monitor.check(self):
-            return self._complete(known_false_at)
+            return self._complete()
         return self._finish(False, "stalled", strict)
 
-    def _complete(self, known_false_at: int) -> RunResult:
-        """Record a monitored completion, back-dated to the first step at
-        which the (interval-checked) monitor can have become true."""
+    def _complete(self, reason: str = "completed") -> RunResult:
+        """Record a completion at the current step."""
         self._completed = True
-        first_true = max(known_false_at + 1, self._last_active_step + 1, 0)
-        self.metrics.completion_time = first_true
-        self._emit_complete(first_true)
-        return self._result(True, "completed")
+        self.metrics.completion_time = self._now
+        self._emit_complete(self._now)
+        return self._result(True, reason)
 
     def _finish(self, completed: bool, reason: str,
                 strict: bool) -> RunResult:
@@ -603,7 +565,6 @@ class Simulation:
         target.f = self.f
         target.seed = self.seed
         target.engine = self.engine
-        target.check_interval = self.check_interval
         # Topologies are immutable; forks share the graph.
         target.topology = self.topology
         # Monitors hold a little mutable state (e.g. gathering_time) with no
@@ -619,7 +580,6 @@ class Simulation:
         target._alive_frozen = frozenset(target._alive)
         target._now = self._now
         target._completed = self._completed
-        target._last_active_step = self._last_active_step
 
         target._reset_observers()
         for observer in self._observers:

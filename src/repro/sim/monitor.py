@@ -40,14 +40,14 @@ class CompletionMonitor(ABC):
     #: True when :meth:`check`'s verdict is a pure function of the
     #: simulation *state* (process state, network, live set) and not of
     #: ``sim.now`` itself, so its answer cannot change across steps in
-    #: which nothing happens. The time-leap engine collapses the interval
+    #: which nothing happens. The time-leap engine collapses the per-step
     #: checks inside a jumped-over gap of inert steps to a single
-    #: evaluation for such monitors; for monitors that leave this False it
-    #: caps every jump at the next ``check_interval`` boundary and
-    #: evaluates there for real. (Reading ``sim.now`` for a *timestamp*
-    #: side effect, as :class:`GossipCompletionMonitor` does for
-    #: ``gathering_time``, is fine — the engine presents the exact
-    #: boundary time stepwise execution would have.)
+    #: evaluation for such monitors; for monitors that leave this False
+    #: every gap is one step long, so each check is made for real.
+    #: (Reading ``sim.now`` for a *timestamp* side effect, as
+    #: :class:`GossipCompletionMonitor` does for ``gathering_time``, is
+    #: fine — the engine presents the exact step time stepwise execution
+    #: would have.)
     leap_safe = False
 
     @abstractmethod

@@ -323,12 +323,11 @@ class Network:
         """Earliest ``deliverable_at`` across *all* receivers, or ``None``
         when nothing is in flight.
 
-        This is the network's contribution to the time-leap protocol: no
-        delivery can happen before this time. (In the paper's model
-        deliveries only occur at a receiver's scheduled steps, so the
-        engine's leap decisions are driven by the schedule — this query
-        exists for observers, diagnostics and future delivery-driven
-        plans.)
+        No delivery can happen before this time. The engine never asks:
+        in the paper's model deliveries only occur at a receiver's
+        scheduled steps, so its leap decisions are driven by the schedule
+        alone. This query exists for observers, diagnostics and future
+        delivery-driven plans.
         """
         return min(
             (times[0] for times in self._times.values() if times),

@@ -333,7 +333,6 @@ def _build_gossip(spec, observers, payloads, adversary) -> BuiltRun:
         adversary=adversary,
         monitor=monitor,
         seed=seed,
-        check_interval=spec.check_interval,
         observers=observers,
         engine=_scalar_engine(spec.engine),
         topology=topology,
@@ -408,9 +407,6 @@ def _build_consensus(spec, observers, adversary) -> BuiltRun:
     if adversary is None:
         plan = resolve_crash_plan(crashes, n, f, d, delta, seed)
 
-    probe_interval = (
-        spec.probe_interval if spec.probe_interval is not None else 6
-    )
     if spec.algorithm == BEN_OR:
         knobs = _algorithm_kwargs(spec, BenOrConsensus, f)  # it has none
         algorithms = [
@@ -421,10 +417,7 @@ def _build_consensus(spec, observers, adversary) -> BuiltRun:
         transport = make_transport(spec.algorithm)
         factory = partial(transport, **_algorithm_kwargs(spec, transport, f))
         algorithms = [
-            CanettiRabinConsensus(
-                pid, n, f, values[pid], factory,
-                probe_interval=probe_interval,
-            )
+            CanettiRabinConsensus(pid, n, f, values[pid], factory)
             for pid in range(n)
         ]
 
@@ -440,8 +433,8 @@ def _build_consensus(spec, observers, adversary) -> BuiltRun:
     observers = _with_invariants(spec, observers)
     sim = Simulation(
         n=n, f=f, algorithms=algorithms, adversary=adversary,
-        monitor=monitor, seed=seed, check_interval=spec.check_interval,
-        observers=observers, engine=_scalar_engine(spec.engine),
+        monitor=monitor, seed=seed, observers=observers,
+        engine=_scalar_engine(spec.engine),
     )
     limit = (
         spec.max_steps if spec.max_steps is not None

@@ -78,8 +78,8 @@ class RunSpec:
             (default: the paper's complete graph; gossip only).
         values: consensus initial values (one per process).
         majority: override the gossip completion notion.
-        measure_bits / check_interval / probe_interval / max_steps:
-            instrumentation and limit knobs, as in the legacy entry points.
+        measure_bits / max_steps: instrumentation and limit knobs, as in
+            the legacy entry points.
         check_invariants: attach the kind's runtime safety invariants
             (:func:`repro.sim.invariants.default_invariants`) so the run
             raises :class:`~repro.sim.errors.InvariantViolation` the step
@@ -108,8 +108,6 @@ class RunSpec:
     values: Optional[Tuple[Any, ...]] = None
     majority: Optional[bool] = None
     measure_bits: bool = False
-    check_interval: int = 1
-    probe_interval: Optional[int] = None
     max_steps: Optional[int] = None
     check_invariants: bool = False
     #: Communication topology: ``None`` / ``"complete"`` (the paper's

@@ -19,6 +19,7 @@ from repro.core.trivial import TrivialGossip
 from repro.core.uniform import UniformEpidemicGossip
 from repro.sim.engine import Simulation
 from repro.sim.errors import ConfigurationError
+from repro.sim.monitor import GossipCompletionMonitor
 from repro.spec import GOSSIP_ALGORITHMS, TRANSPORTS, RunSpec
 from repro.spec import build as build_spec
 from repro.spec.registry import PARAMS_CLASSES
@@ -38,7 +39,7 @@ configs = st.fixed_dictionaries(
 )
 
 
-def build(cfg):
+def build(cfg, monitored=False):
     n = cfg["n"]
     crash_count = min(cfg["crash_count"], n - 1)
     plan = (
@@ -46,12 +47,16 @@ def build(cfg):
         if crash_count else None
     )
     algorithm_class = ALGORITHMS[cfg["algorithm_index"]]
+    monitor = None
+    if monitored:
+        monitor = GossipCompletionMonitor(majority=algorithm_class is Tears)
     return Simulation(
         n=n, f=crash_count,
         algorithms=make_processes(n, crash_count, algorithm_class),
         adversary=ObliviousAdversary.uniform(
             cfg["d"], cfg["delta"], seed=cfg["seed"], crashes=plan,
         ),
+        monitor=monitor,
         seed=cfg["seed"],
     )
 
@@ -97,6 +102,20 @@ class TestRealizedBounds:
         sim.run_for(cfg["steps"])
         assert sim.metrics.crashes <= sim.f
         assert len(sim.alive_pids) == cfg["n"] - sim.metrics.crashes
+
+
+class TestCompletionTime:
+    @given(configs, st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_completed_run_stops_at_its_completion_time(self, cfg, monitored):
+        """The monitor is checked after every step, so a run (here entered
+        mid-execution) stops at the step its completion is recorded at:
+        ``completion_time == steps``."""
+        sim = build(cfg, monitored)
+        sim.run_for(cfg["steps"])
+        result = sim.run(max_steps=20_000)
+        if result.completed:
+            assert result.completion_time == result.steps == sim.now
 
 
 class TestStateMonotonicity:

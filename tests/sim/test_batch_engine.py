@@ -188,11 +188,6 @@ FALLBACK_SPECS = [
         id="gst-adversary",
     ),
     pytest.param(
-        RunSpec(kind="gossip", algorithm="ears", n=12, d=2, delta=9,
-                seed=6, check_interval=3),
-        id="check-interval",
-    ),
-    pytest.param(
         RunSpec(kind="gossip", algorithm="ears", n=12, d=2, delta=3,
                 seed=7, measure_bits=True),
         id="bit-metering",
@@ -236,13 +231,12 @@ class TestEligibility:
             (EARS16.replace(algorithm="trivial"), "vectorized"),
             (EARS16.replace(adversary={"name": "gst", "gst": 5}),
              "adversary"),
-            (EARS16.replace(check_interval=2), "check_interval"),
             (EARS16.replace(check_invariants=True), "invariant"),
             (EARS16.replace(measure_bits=True), "bit metering"),
             (EARS16.replace(params={"fanout": 2}), "params"),
         ],
-        ids=["kind", "algorithm", "adversary", "interval", "invariants",
-             "bits", "params"],
+        ids=["kind", "algorithm", "adversary", "invariants", "bits",
+             "params"],
     )
     def test_ineligibility_reasons(self, spec, needle):
         reason = batch_ineligibility(spec)

@@ -101,16 +101,6 @@ class TestSpecMatrix:
         )
         run_pair(spec)
 
-    @pytest.mark.parametrize("interval", [3, 7, 13])
-    def test_check_interval_boundaries(self, interval):
-        # Completion is back-dated from interval checks; leaping must hit
-        # exactly the boundaries stepwise would have checked at.
-        spec = RunSpec(
-            kind="gossip", algorithm="ears", n=12, d=2, delta=9, seed=2,
-            check_interval=interval,
-        )
-        run_pair(spec)
-
     def test_consensus_kind(self):
         for engine in ("stepwise", "leap"):
             spec = RunSpec(
@@ -256,11 +246,9 @@ class TestObserverBackfill:
 
     @pytest.mark.parametrize("seed", [3, 9, 11])
     def test_backfill_stops_at_the_completing_boundary(self, seed):
-        # A never-quiescing algorithm completes at an interval-check
-        # boundary inside a gap; the back-fill must not run past it.
-        streams = self._streams(
-            algorithm="ps-push-pull", seed=seed, check_interval=7
-        )
+        # A never-quiescing algorithm completes inside a gap; the
+        # back-fill must not run past the completing step.
+        streams = self._streams(algorithm="ps-push-pull", seed=seed)
         assert streams["stepwise"] == streams["leap"]
 
 
@@ -464,10 +452,9 @@ class TestAutoEngineProbe:
         assert_equivalent(runs["stepwise"], runs["auto"])
 
     def test_auto_bit_identical_on_dense_long_run(self):
-        # Every step busy, interval checks that do not divide the run.
+        # Every step busy: every iteration asks and then steps.
         spec = RunSpec(
             kind="gossip", algorithm="ears", n=12, d=2, delta=12, seed=5,
-            check_interval=7,
         )
         runs = {}
         for engine in ("stepwise", "auto"):

@@ -578,12 +578,6 @@ def _leap_suite():
                      id=f"{algorithm}-{cell.id}")
         for algorithm in ALGORITHMS for cell in SPEC_CELLS
     ]
-    cases += [
-        pytest.param(from_spec(RunSpec(algorithm="ears", n=12, d=2, delta=9,
-                                       seed=2, check_interval=interval)),
-                     id=f"interval-{interval}")
-        for interval in (3, 7, 13)
-    ]
     cases.append(pytest.param(from_spec(RunSpec(
         kind="consensus", algorithm="ears", n=9, f=2, d=2, delta=5, seed=1,
     )), id="consensus"))
@@ -622,7 +616,7 @@ LEAP_SUITE = _leap_suite()
 
 
 def test_the_leap_suite_is_all_here():
-    assert len(LEAP_SUITE) == 86
+    assert len(LEAP_SUITE) == 83
 
 
 @pytest.mark.parametrize("make", LEAP_SUITE)

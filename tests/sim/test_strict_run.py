@@ -1,4 +1,4 @@
-"""Run-loop robustness: strict mode, final monitor check, back-dating."""
+"""Run-loop robustness: strict mode and the final monitor check."""
 
 import pytest
 
@@ -6,13 +6,11 @@ from repro.adversary.oblivious import ObliviousAdversary
 from repro.sim.engine import Simulation
 from repro.sim.errors import IncompleteRunError
 from repro.sim.monitor import PredicateMonitor, QuiescenceMonitor
-from repro.sim.scheduler import ExplicitSchedule
 
 from .algos import RandomSpammer, RingSender, Silent
 
 
-def make_sim(algorithms, adversary=None, f=None, monitor=None,
-             check_interval=1):
+def make_sim(algorithms, adversary=None, f=None, monitor=None):
     n = len(algorithms)
     return Simulation(
         n=n,
@@ -20,7 +18,6 @@ def make_sim(algorithms, adversary=None, f=None, monitor=None,
         algorithms=algorithms,
         adversary=adversary or ObliviousAdversary.synchronous_like(),
         monitor=monitor,
-        check_interval=check_interval,
     )
 
 
@@ -60,45 +57,14 @@ class TestStrictMode:
 
 
 class TestFinalMonitorCheck:
-    def _completing_sim(self, check_interval):
-        return make_sim(
-            [RingSender(count=1) for _ in range(3)],
-            monitor=QuiescenceMonitor(),
-            check_interval=check_interval,
-        )
-
     def test_completion_found_at_step_limit(self):
-        # The condition holds by step 2, but the interval (50) never
-        # divides a step within the limit: only the final check at loop
-        # exit can see it.
-        result = self._completing_sim(check_interval=50).run(max_steps=4)
+        # The condition holds by step 2. A run entered at its step limit
+        # executes nothing, but must still check the monitor once rather
+        # than report "step-limit".
+        sim = make_sim([RingSender(count=1) for _ in range(3)],
+                       monitor=QuiescenceMonitor())
+        sim.run_for(4)
+        result = sim.run(max_steps=sim.now)
         assert result.completed
         assert result.reason == "completed"
-
-    def test_interval_check_backdates_completion(self):
-        baseline = self._completing_sim(check_interval=1).run(max_steps=100)
-        coarse = self._completing_sim(check_interval=7).run(max_steps=100)
-        assert baseline.completed and coarse.completed
-        assert coarse.completion_time == baseline.completion_time
-
-    def test_backdating_ignores_frozen_steps(self):
-        # Schedule activity only at steps 0-1; afterwards the state is
-        # frozen, so however late the monitor is checked, completion is
-        # dated to the first frozen step.
-        # Explicit schedules fall back to everyone beyond the table, so
-        # pad it with empty steps to keep the tail frozen.
-        schedule = ExplicitSchedule([{0, 1, 2}, {0, 1, 2}] + [set()] * 40)
-        adversary = ObliviousAdversary(schedule=schedule)
-        sim = make_sim(
-            [RingSender(count=1) for _ in range(3)],
-            adversary=adversary,
-            monitor=PredicateMonitor(
-                lambda s: all(
-                    s.algorithm(pid).sent == 1 for pid in range(3)
-                )
-            ),
-            check_interval=9,
-        )
-        result = sim.run(max_steps=30)
-        assert result.completed
-        assert result.completion_time <= 2
+        assert result.completion_time == sim.now == 4

@@ -83,8 +83,8 @@ class TestHashStability:
         # Defaulted knobs are omitted from the canonical form, so writing
         # one out explicitly must not change the identity of the run.
         implicit = RunSpec(algorithm="ears", n=32)
-        explicit = RunSpec(algorithm="ears", n=32, check_interval=1,
-                           measure_bits=False)
+        explicit = RunSpec(algorithm="ears", n=32, measure_bits=False,
+                           check_invariants=False)
         assert implicit.spec_hash == explicit.spec_hash
 
     def test_hash_differs_across_seeds(self):
