@@ -42,8 +42,8 @@ __version__ = "1.7.0"
 # ``import repro`` is what every ``repro.x.y`` import pays first.
 _EXPORTS = {
     "GossipRun": "api",
-    "run_consensus": "api",
     "run_gossip": "api",
+    "run_consensus": "consensus",
     "Ears": "core",
     "Sears": "core",
     "Tears": "core",

@@ -1,9 +1,10 @@
-"""High-level one-call API for running gossip and consensus executions.
+"""High-level one-call API for running gossip executions.
 
 This is the entry point a downstream user (and the examples/) should reach
-for.  Since the declarative configuration plane landed, both calls are
-thin shims: they pack their arguments into a
-:class:`~repro.spec.runspec.RunSpec` and hand it to
+for.  Since the declarative configuration plane landed, :func:`run_gossip`
+is a thin shim, like :func:`repro.consensus.run_consensus` (which
+``repro.run_consensus`` names): it packs its arguments into a
+:class:`~repro.spec.runspec.RunSpec` and hands it to
 :func:`repro.spec.builder.execute`, which owns algorithm resolution,
 crash-plan defaulting, adversary construction and the run loop.  Results
 are bit-identical to the historical implementations (pinned by
@@ -26,7 +27,6 @@ __all__ = [
     "GossipRun",
     "MAJORITY_ALGORITHMS",
     "default_step_limit",
-    "run_consensus",
     "run_gossip",
 ]
 
@@ -107,39 +107,3 @@ def run_gossip(
     )
     return execute(spec, observers=observers, payloads=payloads)
 
-
-def run_consensus(
-    gossip: str = "ears",
-    n: int = 16,
-    f: Optional[int] = None,
-    d: int = 1,
-    delta: int = 1,
-    seed: int = 0,
-    values: Optional[Sequence[int]] = None,
-    crashes: Union[None, int, CrashPlan] = None,
-    max_steps: Optional[int] = None,
-    engine: str = "auto",
-):
-    """Run one randomized consensus execution (Section 6).
-
-    ``gossip`` selects the get-core transport: ``all-to-all`` (the original
-    Canetti–Rabin style O(n²) exchange), or ``ears`` / ``sears`` / ``tears``
-    for the paper's message-efficient variants. Requires f < n/2.
-
-    Implemented in :mod:`repro.consensus`; see
-    :func:`repro.consensus.run_consensus` for the full signature.
-    """
-    from .consensus.runner import run_consensus as _run
-
-    return _run(
-        gossip=gossip,
-        n=n,
-        f=f,
-        d=d,
-        delta=delta,
-        seed=seed,
-        values=values,
-        crashes=crashes,
-        max_steps=max_steps,
-        engine=engine,
-    )

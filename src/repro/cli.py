@@ -48,7 +48,19 @@ _F_RULES = {
 }
 
 
-def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
+def _add_backend(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backend", default="auto", choices=["auto", "jsonl", "sqlite"],
+        help="artifact-store backend: 'auto' picks by extension "
+             "(.sqlite/.sqlite3/.db → sqlite, anything else → the JSONL "
+             "write-ahead log)",
+    )
+
+
+def _add_campaign(parser: argparse.ArgumentParser) -> None:
+    """The options :func:`_campaign` hands to ``execute_batch``."""
+    parser.add_argument("--processes", type=int, default=1,
+                        help="worker processes (default: sequential)")
     parser.add_argument(
         "--trial-timeout", type=float, default=None,
         help="per-trial wall-clock timeout in seconds (parallel runs "
@@ -60,18 +72,6 @@ def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
         help="retry failed/timed-out trials this many times before "
              "reporting them as failures",
     )
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", default="auto", choices=["auto", "jsonl", "sqlite"],
-        help="artifact-store backend: 'auto' picks by extension "
-             "(.sqlite/.sqlite3/.db → sqlite, anything else → the JSONL "
-             "write-ahead log)",
-    )
-
-
-def _add_checkpointing(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume", default=None, metavar="MANIFEST",
         help="checkpoint manifest path: progress is saved there "
@@ -192,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["jsonl", "sqlite"],
                    help="store backend under --out-dir "
                         "(default: jsonl)")
-    p.add_argument("--processes", type=int, default=1,
-                   help="worker processes (default: sequential)")
-    _add_fault_tolerance(p)
-    _add_checkpointing(p)
+    _add_campaign(p)
     p.add_argument("--profile", action="store_true",
                    help="print per-phase wall time from the observer bus "
                         "(forces sequential, uncached execution)")
@@ -220,16 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash", action="store_true",
                    help="crash the full failure budget")
     _add_topology(p)
-    p.add_argument("--processes", type=int, default=1,
-                   help="worker processes (default: sequential)")
     p.add_argument("--engine", default="auto",
                    choices=["auto", "stepwise", "leap", "batch"],
                    help="execution strategy per run; 'batch' groups each "
                         "cell's seeds through the vectorized engine "
                         "(plain sweeps only — profiled, fault-tolerant "
                         "and checkpointed sweeps stay per-trial)")
-    _add_fault_tolerance(p)
-    _add_checkpointing(p)
+    _add_campaign(p)
     p.add_argument("--profile", action="store_true",
                    help="print per-phase wall time from the observer bus "
                         "(forces sequential execution)")
@@ -254,14 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this spec-hash shard of the batch "
                         "(e.g. 0/4 .. 3/4 on four hosts); merge the "
                         "shard stores afterwards with 'store merge'")
-    p.add_argument("--processes", type=int, default=1,
-                   help="worker processes (default: sequential)")
     p.add_argument("--batch-size", type=int, default=64,
                    help="seeds per vectorized engine tick for specs "
                         "with engine='batch' (default: 64; capped so "
                         "one group chunk stays in memory budget)")
-    _add_fault_tolerance(p)
-    _add_checkpointing(p)
+    _add_campaign(p)
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="print the full provenance records as JSON")
 
@@ -505,19 +496,33 @@ def _drained_exit(exc) -> int:
     return DRAIN_EXIT_CODE
 
 
-def _resumable(args, call, **kwargs):
-    """``call(**kwargs)`` — under ``--resume`` with the manifest, the
-    checkpoint cadence and a SIGINT/SIGTERM drain guard, where a graceful
-    drain exits with the resumable code."""
+def _campaign(args, specs, store=None, profiler=None, **options):
+    """The records of ``specs``: one :func:`~repro.store.execute_batch`
+    call with ``store`` and the :func:`_add_campaign` options, under
+    ``--resume`` with the manifest, the checkpoint cadence and a
+    SIGINT/SIGTERM drain guard, where a graceful drain exits with the
+    resumable code.  A ``profiler`` must see every step, which cannot
+    cross a process boundary: profiled campaigns run inline and uncached.
+    """
+    from .store import execute_batch, make_record, metrics_of
+
+    if profiler is not None:
+        from .spec import execute
+
+        return [make_record(spec, metrics_of(execute(
+            spec, observers=(profiler,)))) for spec in specs]
+    options.update(store=store, processes=args.processes,
+                   trial_timeout=args.trial_timeout, retries=args.retries)
     if not args.resume:
-        return call(**kwargs)
+        return execute_batch(specs, **options)
     from .experiments import CampaignDrained, GracefulShutdown
 
     with GracefulShutdown() as shutdown:
         try:
-            return call(manifest=args.resume,
-                        checkpoint_every=args.checkpoint_every,
-                        shutdown=shutdown, **kwargs)
+            return execute_batch(
+                specs, manifest=args.resume,
+                checkpoint_every=args.checkpoint_every, shutdown=shutdown,
+                **options)
         except CampaignDrained as exc:
             raise SystemExit(_drained_exit(exc))
 
@@ -539,6 +544,11 @@ def _run(args) -> int:
 
         args.checkpoint_every = validate_checkpoint_every(
             args.checkpoint_every)
+    if getattr(args, "profile", False) and args.resume:
+        print("--resume and --profile cannot be combined: profiling "
+              "runs cells sequentially without checkpointing",
+              file=sys.stderr)
+        return 2
 
     if args.command == "gossip":
         from .api import run_gossip
@@ -631,14 +641,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "grid":
-        from .experiments import GridRunner, GridSpec, aggregate
+        from .experiments import GridSpec, aggregate, open_grid_store
         from .sim.events import StepProfiler
 
-        if args.resume and args.profile:
-            print("--resume and --profile cannot be combined: profiling "
-                  "runs cells sequentially without checkpointing",
-                  file=sys.stderr)
-            return 2
         algorithms = [a.strip() for a in args.algorithms.split(",")
                       if a.strip()]
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
@@ -657,37 +662,18 @@ def _run(args) -> int:
                   for n in ns],
             seeds=list(range(args.seeds)),
         )
+        specs = spec.specs()
         profiler = StepProfiler() if args.profile else None
-        if profiler is not None:
-            # Profiling wants the observer on every step of every cell, so
-            # run the cells directly (sequential, bypassing the cache).
-            from .spec import execute
-
-            rows = []
-            for cell, run_spec in zip(spec.cells(), spec.specs()):
-                run = execute(run_spec, observers=(profiler,))
-                rows.append({**cell, "time": run.completion_time,
-                             "messages": run.messages})
-        else:
-            rows = _resumable(
-                args,
-                lambda manifest=None, **checkpointing: GridRunner(
-                    out_dir=args.out_dir,
-                    processes=args.processes,
-                    trial_timeout=args.trial_timeout,
-                    retries=args.retries,
-                    manifest_path=manifest,
-                    backend=args.backend,
-                    **checkpointing,
-                ).run(spec),
-            )
-            failed = sum(row["reason"] == "trial-failed" for row in rows)
-            timed_out = sum(row["reason"] == "trial-timeout" for row in rows)
-            if failed or timed_out:
-                print(f"partial grid: {len(rows) - failed - timed_out}/"
-                      f"{len(rows)} cells ok, {failed} failed, "
-                      f"{timed_out} timed out "
-                      f"(failed cells stay uncached; re-run retries them)")
+        store = (open_grid_store(args.out_dir, spec.name, args.backend)
+                 if args.out_dir is not None and profiler is None else None)
+        rows = spec.rows(_campaign(args, specs, store, profiler))
+        failed = sum(row["reason"] == "trial-failed" for row in rows)
+        timed_out = sum(row["reason"] == "trial-timeout" for row in rows)
+        if failed or timed_out:
+            print(f"partial grid: {len(rows) - failed - timed_out}/"
+                  f"{len(rows)} cells ok, {failed} failed, "
+                  f"{timed_out} timed out "
+                  f"(failed cells stay uncached; re-run retries them)")
         time_by = aggregate(rows, ["algorithm", "n"], "time")
         msgs_by = aggregate(rows, ["algorithm", "n"], "messages")
         print(f"{'algorithm':>16s} {'n':>6s} {'time':>9s} {'messages':>11s}")
@@ -704,24 +690,18 @@ def _run(args) -> int:
         from .sim.events import StepProfiler
         from .workloads import sweeps
 
-        if args.resume and args.profile:
-            print("--resume and --profile cannot be combined: profiling "
-                  "runs cells sequentially without checkpointing",
-                  file=sys.stderr)
-            return 2
         profiler = StepProfiler() if args.profile else None
-        points = _resumable(
-            args, sweeps.sweep_gossip, algorithm=args.algorithm,
+        specs = sweeps.sweep_specs(
+            args.algorithm,
             ns=sweeps.geometric_ns(args.min_n, args.max_n, args.factor),
             f_of_n=getattr(sweeps, _F_RULES[args.f_rule]),
             d=args.d, delta=args.delta,
             seeds=range(args.seeds), crash=args.crash,
-            processes=1 if args.profile else args.processes,
-            profile=profiler,
-            trial_timeout=args.trial_timeout, retries=args.retries,
             engine=args.engine,
             topology=_parse_topology(args),
         )
+        points = sweeps.sweep_points(
+            specs, _campaign(args, specs, profiler=profiler))
         for point in points:
             print(f"{args.algorithm}: n={point.n:5d} f={point.f:4d} "
                   f"completion={point.completion_rate:4.2f} "
@@ -744,7 +724,7 @@ def _run(args) -> int:
         import json as _json
 
         from .spec import RunSpec
-        from .store import execute_batch, open_store, parse_shard, shard_specs
+        from .store import open_store, parse_shard, shard_specs
 
         specs = RunSpec.load_many(args.specs)
         if args.shard:
@@ -757,12 +737,8 @@ def _run(args) -> int:
             open_store(args.store, backend=args.backend, fsync=args.fsync)
             if args.store else None
         )
-        records = _resumable(
-            args, execute_batch, specs=specs,
-            store=store, processes=args.processes,
-            trial_timeout=args.trial_timeout, retries=args.retries,
-            batch_size=args.batch_size,
-        )
+        records = _campaign(args, specs, store,
+                            batch_size=args.batch_size)
         if args.as_json:
             print(_json.dumps(records, indent=2, sort_keys=True))
         else:
@@ -942,6 +918,10 @@ def _run(args) -> int:
             run_fleet_campaign,
         )
 
+        if args.trials < 1:
+            # Zero trials would detect nothing and still report 100%.
+            raise ConfigurationError(
+                f"--trials must be >= 1, got {args.trials}")
         trials = 1 if args.quick else args.trials
         # matrix -> runner; ``pick(registry)`` is the --faults selection
         # the registry owns, or None (no --faults: the matrix defaults).

@@ -23,9 +23,9 @@ _EXPORTS = {
     "format_corollary2": "corollary2",
     "run_coa_growth": "corollary2",
     "run_corollary2": "corollary2",
-    "GridRunner": "grid",
     "GridSpec": "grid",
     "aggregate": "grid",
+    "open_grid_store": "grid",
     "TrialPool": "pool",
     "EarsMilestones": "lemmas",
     "TearsLemmaReport": "lemmas",

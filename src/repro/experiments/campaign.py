@@ -20,10 +20,10 @@ process death:
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
 * :func:`run_jobs` — the one execution loop behind every driver
-  (:func:`repro.store.execute_batch` — and ``GridRunner`` and
-  ``sweep_gossip`` through it — and ``run_theorem1``): key dedupe, the
-  pool, the ok/cancelled/failed triage, manifest checkpointing and the
-  drain.
+  (:func:`repro.store.execute_batch`, which runs every spec campaign —
+  grids, sweeps, ``repro batch`` — and ``run_theorem1``): key dedupe,
+  the pool, the ok/cancelled/failed triage, manifest checkpointing and
+  the drain.
   Store-less drivers keep their results in the manifest; with an
   artifact store the store is the source of truth and the manifest
   tracks membership and progress.
@@ -374,10 +374,9 @@ def run_jobs(
 ) -> List[TrialOutcome]:
     """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
 
-    The one execution loop behind ``execute_batch`` (and, through it,
-    ``GridRunner`` and ``sweep_gossip``) and ``run_theorem1``: those
-    drivers build jobs, pick a ``sink`` and shape the outcomes;
-    everything else is here.
+    The one execution loop behind ``execute_batch`` (and so every spec
+    campaign) and ``run_theorem1``: those drivers build jobs, pick a
+    ``sink`` and shape the outcomes; everything else is here.
 
     * ``keys`` name the jobs (default :func:`job_key` of each job).
       Jobs sharing a key execute once and share the outcome.
@@ -407,7 +406,20 @@ def run_jobs(
       ``stop_check``) drains: in-flight jobs finish, ``store`` is
       synced (when it has a ``sync()``), the checkpoint is written
       with ``drained=True`` and :class:`CampaignDrained` is raised.
+
+    ``processes < 1``, ``retries < 0`` and ``trial_timeout <= 0`` are a
+    :class:`~repro.sim.errors.ConfigurationError` before any job runs.
     """
+    from ..sim.errors import ConfigurationError
+
+    for name, value, valid, rule in (
+        ("processes", processes, processes >= 1, ">= 1"),
+        ("retries", retries, retries >= 0, ">= 0"),
+        ("trial_timeout", trial_timeout,
+         trial_timeout is None or trial_timeout > 0, "> 0 seconds"),
+    ):
+        if not valid:
+            raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
     jobs = list(jobs)
     keys = ([job_key(job) for job in jobs] if keys is None else list(keys))
     if shutdown is not None and manifest is None:

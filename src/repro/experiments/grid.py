@@ -7,14 +7,18 @@ a list of specs:
 
 * a :class:`GridSpec` names the spec kind and the field lists to cross;
   :meth:`GridSpec.specs` is the list of ``RunSpec``\\ s it stands for;
-* :class:`GridRunner` hands that list to
-  :func:`repro.store.execute_batch` with the artifact store
-  ``<out_dir>/<name>.jsonl`` (or ``.sqlite``), so a grid's cache *is* a
-  spec store: re-running executes only the missing cells, and ``repro
-  store query/verify/merge`` and ``repro fleet run`` work on it like on
-  any other;
-* rows are the cells flattened with their realized metrics, ready for
-  :func:`aggregate`.
+* :func:`repro.store.execute_batch` runs that list like any other,
+  with every campaign option it takes; :func:`open_grid_store` opens
+  ``<out_dir>/<name>.jsonl`` (or ``.sqlite``) as its store, so a grid's
+  cache *is* a spec store: re-running executes only the missing cells,
+  and ``repro store query/verify/merge`` and ``repro fleet run`` work on
+  it like on any other;
+* :meth:`GridSpec.rows` flattens the cells with their realized metrics,
+  ready for :func:`aggregate`::
+
+      records = execute_batch(grid.specs(), store=open_grid_store(
+          "results", grid.name), processes=4)
+      rows = grid.rows(records)
 
 An experiment that is not a ``RunSpec`` goes to the job runner of
 :mod:`repro.experiments.campaign` directly, as ``execute_batch`` does.
@@ -33,7 +37,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Union,
 )
@@ -81,85 +84,47 @@ class GridSpec:
         return [RunSpec.from_dict({**cell, "kind": self.kind})
                 for cell in self.cells()]
 
-
-def _refuse_cell_log(path: str) -> None:
-    """Refuse a JSONL *cell log* — the ``{"params", "record"}`` lines
-    grids wrote before they became spec stores — without touching it.
-    The store would refuse it too, but only as "schema version None"."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first = json.loads(handle.readline() or "null")
-    except (OSError, ValueError):
-        return  # absent, or corrupt: the store's recovery scan decides
-    if isinstance(first, dict) and "params" in first and "record" in first:
-        raise ConfigurationError(
-            f"{path!r} is a grid cell log in the pre-RunSpec format "
-            f"({{\"params\", \"record\"}} lines), which this build does "
-            f"not read: grids now cache into a spec store; move the file "
-            f"aside or choose another out_dir and re-run"
-        )
-
-
-@dataclass
-class GridRunner:
-    """Runs grid specs through :func:`~repro.store.execute_batch`.
-
-    ``out_dir`` holds one artifact store per grid name —
-    ``<name>.jsonl`` or, with ``backend="sqlite"``, ``<name>.sqlite`` —
-    keyed by spec hash like every other store; without it nothing
-    outlives a :meth:`run` call.  The remaining fields are
-    ``execute_batch``'s, unchanged: ``processes``; ``trial_timeout``
-    (seconds) and ``retries`` turn cells that hang, raise or kill their
-    worker into failure rows (see
-    :func:`~repro.experiments.pool.failure_record`) that are never
-    stored, so re-running the grid executes only them;
-    ``manifest_path`` checkpoints the run into a
-    :class:`~repro.experiments.campaign.CampaignManifest` at least
-    every ``checkpoint_every`` completions, and ``shutdown`` (a
-    0-argument callable, e.g. a
-    :class:`~repro.experiments.campaign.GracefulShutdown`) drains it
-    and raises :class:`~repro.experiments.campaign.CampaignDrained`.
-    """
-
-    out_dir: Optional[str] = None
-    processes: int = 1
-    trial_timeout: Optional[float] = None
-    retries: int = 0
-    manifest_path: Optional[str] = None
-    checkpoint_every: int = 8
-    shutdown: Optional[Any] = None
-    backend: str = "jsonl"
-
-    def _store(self, name: str) -> Optional[Any]:
-        if self.out_dir is None:
-            return None
-        from ..store import open_store
-
-        suffix = "sqlite" if self.backend == "sqlite" else "jsonl"
-        path = os.path.join(self.out_dir, f"{name}.{suffix}")
-        if suffix == "jsonl":
-            _refuse_cell_log(path)
-        return open_store(path, backend=self.backend)
-
-    def run(self, spec: GridSpec) -> List[Dict[str, Any]]:
-        """Execute every missing cell; return all rows, in cell order.
-
-        A row is ``cell ∪ metrics ∪ {"spec_hash"}``; a cell that failed
-        or timed out (see class docstring) contributes its failure row
-        for this call only.
-        """
-        from ..store import execute_batch
-
-        records = execute_batch(
-            spec.specs(), store=self._store(spec.name),
-            processes=self.processes, trial_timeout=self.trial_timeout,
-            retries=self.retries, manifest=self.manifest_path,
-            checkpoint_every=self.checkpoint_every, shutdown=self.shutdown,
-        )
+    def rows(self, records: Iterable[Mapping[str, Any]]
+             ) -> List[Dict[str, Any]]:
+        """One row per cell, in cell order, from the records of
+        :meth:`specs`: ``cell ∪ metrics ∪ {"spec_hash"}``.  A cell that
+        failed or timed out contributes its failure row (see
+        :func:`~repro.experiments.pool.failure_record`), which no store
+        holds, so re-running the grid executes only it."""
         return [
             {**cell, **record["metrics"], "spec_hash": record["spec_hash"]}
-            for cell, record in zip(spec.cells(), records)
+            for cell, record in zip(self.cells(), records)
         ]
+
+
+def open_grid_store(out_dir: str, name: str, backend: str = "jsonl") -> Any:
+    """The artifact store of grid ``name`` under ``out_dir``:
+    ``<name>.jsonl``, or ``<name>.sqlite`` with ``backend="sqlite"``,
+    keyed by spec hash like every other store.
+
+    A JSONL *cell log* — the ``{"params", "record"}`` lines grids wrote
+    before they became spec stores — is refused without being touched.
+    The store would refuse it too, but only as "schema version None".
+    """
+    from ..store import open_store
+
+    suffix = "sqlite" if backend == "sqlite" else "jsonl"
+    path = os.path.join(out_dir, f"{name}.{suffix}")
+    if suffix == "jsonl":
+        try:
+            with open(path, encoding="utf-8") as handle:
+                first = json.loads(handle.readline() or "null")
+        except (OSError, ValueError):
+            first = None  # absent, or corrupt: the store's recovery decides
+        if isinstance(first, dict) and "params" in first \
+                and "record" in first:
+            raise ConfigurationError(
+                f"{path!r} is a grid cell log in the pre-RunSpec format "
+                f"({{\"params\", \"record\"}} lines), which this build does "
+                f"not read: grids now cache into a spec store; move the "
+                f"file aside or choose another out_dir and re-run"
+            )
+    return open_store(path, backend=backend)
 
 
 def aggregate(rows: Iterable[Dict[str, Any]], by: Sequence[str],

@@ -18,7 +18,7 @@ from ..analysis.stats import Summary, summarize, summarize_completed
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
-from ..store import Store, execute_batch
+from ..store import execute_batch
 from ..sync import run_ck_gossip
 
 
@@ -74,14 +74,10 @@ def run_table1(
     algorithms: Sequence[str] = ASYNC_ALGORITHMS,
     crash: bool = True,
     include_sync: bool = True,
-    store: Optional[Store] = None,
-    processes: int = 1,
 ) -> List[Table1Row]:
     """Measure every Table 1 row at one (n, f, d, δ) configuration.
 
-    The asynchronous rows are submitted as a :class:`RunSpec` batch;
-    passing ``store`` makes every cell resumable — a spec hash already in
-    the store is a cache hit and runs no simulation.
+    The asynchronous rows are submitted as a :class:`RunSpec` batch.
     """
     if f is None:
         f = n // 4
@@ -115,7 +111,7 @@ def run_table1(
             for seed in seeds
         ]
         rate, time, messages = summarize_completed(
-            execute_batch(specs, store=store, processes=processes))
+            execute_batch(specs))
         bound_t, bound_m = _bounds_for(algorithm, n, f, d, delta)
         rows.append(
             Table1Row(

@@ -17,7 +17,7 @@ from ..analysis.stats import Summary, summarize_completed
 from ..analysis.tables import render_table
 from ..core.params import DEFAULT_SEARS
 from ..spec.runspec import RunSpec
-from ..store import Store, execute_batch
+from ..store import execute_batch
 
 
 @dataclass
@@ -68,14 +68,10 @@ def run_table2(
     crash: bool = True,
     include_ben_or: bool = False,
     max_steps: Optional[int] = None,
-    store: Optional[Store] = None,
-    processes: int = 1,
 ) -> List[Table2Row]:
     """Measure every Table 2 row at one (n, f, d, δ) configuration.
 
-    Rows are submitted as :class:`RunSpec` batches; passing ``store``
-    makes every cell resumable — a spec hash already in the store is a
-    cache hit and runs no simulation.
+    Rows are submitted as :class:`RunSpec` batches.
     """
     if f is None:
         f = (n - 1) // 2
@@ -91,7 +87,7 @@ def run_table2(
             )
             for seed in seeds
         ]
-        records = execute_batch(specs, store=store, processes=processes)
+        records = execute_batch(specs)
         rate, time, messages, rounds = summarize_completed(
             records, ("time", "messages", "rounds"))
         safe = [record["metrics"]["agreement"]

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..sim.errors import SimulationError
+from ..sim.errors import ConfigurationError, SimulationError
 from ..spec.runspec import RunSpec
 from .layout import FleetCampaign, FleetConfig
 from .leases import read_all_leases
@@ -120,7 +120,7 @@ def start_fleet(root: str, specs: Optional[List[RunSpec]] = None,
     """Create/open the campaign at ``root`` and launch ``workers``
     subprocesses (sharded ``i/workers`` unless ``shard=False``)."""
     if workers < 1:
-        raise SimulationError(f"need at least 1 worker, got {workers}")
+        raise ConfigurationError(f"need at least 1 worker, got {workers}")
     campaign = FleetCampaign.ensure(root, specs=specs, config=config)
     fleet = LiveFleet(campaign=campaign)
     for index in range(workers):

@@ -15,8 +15,9 @@ provenance-stamped record format:
   journal mode, ``ingest``/``export`` round-trips with the JSONL form.
 * :mod:`repro.store.batch` — :func:`execute_cached` /
   :func:`execute_batch`, the cache-hit-never-re-simulates execution
-  layer over any backend (a :class:`~repro.experiments.grid.GridRunner`
-  grid is one ``execute_batch`` call into ``<out_dir>/<name>.jsonl``).
+  layer over any backend, and the one entry point of every spec
+  campaign (a grid is one ``execute_batch`` call into
+  ``<out_dir>/<name>.jsonl``).
 * :mod:`repro.store.merge` — deterministic shard merge for stores and
   campaign manifests, plus spec-hash sharding helpers.
 * :mod:`repro.store.query` — the filter language behind

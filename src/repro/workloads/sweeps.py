@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from ..analysis.stats import Summary, summarize_completed
-from ..sim.events import StepProfiler
-from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 
 
@@ -38,7 +46,7 @@ def geometric_ns(start: int = 16, stop: int = 256, factor: int = 2
     return ns
 
 
-def sweep_gossip(
+def sweep_specs(
     algorithm: str,
     ns: Sequence[int],
     f_of_n: Callable[[int], int],
@@ -48,51 +56,26 @@ def sweep_gossip(
     crash: bool = False,
     params_of_n: Optional[Callable[[int], Any]] = None,
     max_steps: Optional[int] = None,
-    processes: int = 1,
-    profile: Optional[StepProfiler] = None,
-    trial_timeout: Optional[float] = None,
-    retries: int = 0,
-    manifest: Optional[Any] = None,
-    checkpoint_every: int = 8,
-    shutdown: Optional[Callable[[], bool]] = None,
     engine: str = "auto",
     topology: Any = None,
-) -> List[SweepPoint]:
-    """Run ``algorithm`` across a population sweep; aggregate per n.
+) -> List[RunSpec]:
+    """The (n × seed) specs of a population sweep of ``algorithm``, n
+    by n; run them with :func:`repro.store.execute_batch` (any campaign
+    option it takes applies) and reduce with :func:`sweep_points`.
 
-    ``processes > 1`` distributes the (n × seed) runs over a
-    :class:`~repro.experiments.pool.TrialPool` (each run is a
-    deterministic function of its parameters, so aggregates are identical
-    to the sequential sweep). ``profile`` attaches a
-    :class:`~repro.sim.events.StepProfiler` to every run, accumulating a
-    per-phase wall-time breakdown; profiled sweeps run sequentially so
-    the observer sees every step.
-
-    ``trial_timeout``/``retries``, ``manifest``/``checkpoint_every`` and
-    ``shutdown`` are :func:`repro.store.execute_batch`'s, which runs the
-    (n × seed) specs: a run that hangs, raises, or kills its worker
-    counts as a not-completed trial in its cell's ``completion_rate``
-    instead of aborting the sweep; a checkpointed sweep killed mid-way
-    resumes seed-for-seed, re-executing only the missing runs; a
-    graceful-stop request drains it and raises
-    :class:`~repro.experiments.campaign.CampaignDrained`.
+    ``crash`` crashes the full failure budget ``f_of_n(n)``.
+    ``params_of_n`` gives the algorithm's knobs at each n — a mapping or
+    a :mod:`repro.core.params` object, either way part of the spec.
 
     ``engine`` selects the execution strategy for every run;
     ``"batch"`` lets a plain sweep's eligible same-cell seeds ride one
     vectorized engine tick, as in any other ``execute_batch`` call.
-
-    ``params_of_n`` gives the algorithm's knobs at each n — a mapping or
-    a :mod:`repro.core.params` object, either way part of the spec.
 
     ``topology`` restricts every run to a communication graph (a family
     name or ``{"name": ..., **knobs}``); ``None``/``"complete"`` is the
     paper's model.  Non-complete topologies are batch-ineligible, so a
     ``"batch"`` sweep over them transparently runs per-trial.
     """
-    # Lazy import: resolving a scenario name imports this package, and a
-    # worker that only does that should not load the store layer.
-    from ..store import execute_batch, make_record, metrics_of
-
     seeds = list(seeds)
     specs = []
     for n in ns:
@@ -107,32 +90,48 @@ def sweep_gossip(
             )
             for seed in seeds
         ]
-    if profile is not None:
-        # The profiler must see every step, so it cannot cross a
-        # process boundary: profiled sweeps run inline.
-        records = [
-            make_record(spec, metrics_of(execute(spec, observers=(profile,))))
-            for spec in specs
-        ]
-    else:
-        records = execute_batch(
-            specs, processes=processes, trial_timeout=trial_timeout,
-            retries=retries, manifest=manifest,
-            checkpoint_every=checkpoint_every, shutdown=shutdown,
-        )
+    return specs
 
+
+def sweep_points(specs: Sequence[RunSpec],
+                 records: Sequence[Mapping[str, Any]]) -> List[SweepPoint]:
+    """One :class:`SweepPoint` per n of a :func:`sweep_specs` list, from
+    its records in spec order: consecutive specs of one n are its seeds.
+    A run that failed or timed out (a
+    :func:`~repro.store.failed_record`) counts as a not-completed trial
+    in its point's ``completion_rate``."""
     points = []
-    for index, n in enumerate(ns):
+    for n, group in itertools.groupby(zip(specs, records),
+                                      key=lambda pair: pair[0].n):
+        group = list(group)
+        spec = group[0][0]
         rate, time, messages = summarize_completed(
-            records[index * len(seeds):(index + 1) * len(seeds)])
+            record for _, record in group)
         points.append(
             SweepPoint(
-                algorithm=algorithm, n=n, f=f_of_n(n), d=d, delta=delta,
-                seeds=len(seeds), completion_rate=rate, time=time,
-                messages=messages, extras={},
+                algorithm=spec.algorithm, n=n, f=spec.f, d=spec.d,
+                delta=spec.delta, seeds=len(group), completion_rate=rate,
+                time=time, messages=messages, extras={},
             )
         )
     return points
+
+
+def sweep_gossip(*args: Any, **kwargs: Any) -> List[SweepPoint]:
+    """Run ``algorithm`` across a population sweep; aggregate per n.
+
+    Takes :func:`sweep_specs`'s arguments and runs its specs in one
+    store-less, sequential :func:`repro.store.execute_batch` call; a
+    campaign that wants workers, timeouts, a store or a checkpoint
+    passes them to ``execute_batch`` itself and reduces with
+    :func:`sweep_points`.
+    """
+    # Lazy import: resolving a scenario name imports this package, and a
+    # worker that only does that should not load the store layer.
+    from ..store import execute_batch
+
+    specs = sweep_specs(*args, **kwargs)
+    return sweep_points(specs, execute_batch(specs))
 
 
 def quarter(n: int) -> int:

@@ -90,7 +90,6 @@ def sweep_topology_gossip(
     d: int = 1,
     delta: int = 1,
     max_steps: Optional[int] = None,
-    processes: int = 1,
     engine: str = "auto",
 ) -> List[TopologyCurve]:
     """Fit per-topology spread-time exponents for one algorithm.
@@ -108,8 +107,7 @@ def sweep_topology_gossip(
         name = topology_name(config)
         points = sweep_gossip(
             algorithm, ns, lambda n: 0, d=d, delta=delta, seeds=seeds,
-            max_steps=max_steps, processes=processes, engine=engine,
-            topology=config,
+            max_steps=max_steps, engine=engine, topology=config,
         )
         times = [p.time.mean for p in points]
         shape = PREDICTED_EXPONENTS.get(

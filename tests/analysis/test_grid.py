@@ -8,7 +8,7 @@ import time
 import pytest
 
 import repro.store.batch as batch_module
-from repro.experiments.grid import GridRunner, GridSpec, aggregate
+from repro.experiments.grid import GridSpec, aggregate, open_grid_store
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
 from repro.store import execute_batch, open_store
@@ -18,6 +18,14 @@ AXES = {"algorithm": ["trivial"], "n": [8], "f": [0], "d": [1], "delta": [1]}
 
 def small(name, seeds=(0, 1), **axes):
     return GridSpec(name, "gossip", grid={**AXES, **axes}, seeds=list(seeds))
+
+
+def run(spec, out_dir=None, backend="jsonl", **options):
+    """A grid run: its specs through ``execute_batch`` (into the grid's
+    store under ``out_dir``, if any), shaped into rows."""
+    store = (None if out_dir is None
+             else open_grid_store(str(out_dir), spec.name, backend))
+    return spec.rows(execute_batch(spec.specs(), store=store, **options))
 
 
 @pytest.fixture
@@ -65,8 +73,11 @@ class TestGridSpec:
 
 
 class TestGridRunner:
+    """A grid run is ``execute_batch(spec.specs(), store=...)`` plus
+    ``spec.rows``; these pin what that pair does for a grid."""
+
     def test_runs_all_cells(self, executed):
-        rows = GridRunner().run(small("run-all", n=[8, 10, 12], seeds=[0]))
+        rows = run(small("run-all", n=[8, 10, 12], seeds=[0]))
         assert [r["n"] for r in rows] == [8, 10, 12]
         assert [r["messages"] for r in rows] == [n * (n - 1)
                                                  for n in (8, 10, 12)]
@@ -75,65 +86,61 @@ class TestGridRunner:
     def test_in_memory_cache_avoids_reruns(self, executed):
         """What is left of the in-memory cache: duplicate cells within
         one call run once.  Across calls only ``out_dir`` caches."""
-        runner = GridRunner()
         spec = small("cache", n=[8, 8], seeds=[0, 1])
-        rows = runner.run(spec)
+        rows = run(spec)
         assert len(rows) == 4 and rows[0] == rows[2]
         assert executed == [(8, 0), (8, 1)]
-        runner.run(spec)
+        run(spec)
         assert len(executed) == 4  # store-less: the second call re-runs
 
     def test_jsonl_persistence_across_runners(self, tmp_path, executed):
         spec = small("persist", n=[8, 12], seeds=[0])
         for backend in ("jsonl", "sqlite"):
             del executed[:]
-            first = GridRunner(out_dir=str(tmp_path),
-                               backend=backend).run(spec)
+            first = run(spec, tmp_path, backend)
             assert len(executed) == 2
-            again = GridRunner(out_dir=str(tmp_path),
-                               backend=backend).run(spec)
+            again = run(spec, tmp_path, backend)
             assert len(executed) == 2  # loaded from disk
             assert again == first
             assert (tmp_path / f"persist.{backend}").exists()
 
     def test_partial_grid_extension(self, tmp_path, executed):
-        runner = GridRunner(out_dir=str(tmp_path))
-        runner.run(small("extend", n=[8], seeds=[0]))
-        runner.run(small("extend", n=[8, 12], seeds=[0]))
+        run(small("extend", n=[8], seeds=[0]), tmp_path)
+        run(small("extend", n=[8, 12], seeds=[0]), tmp_path)
         assert executed == [(8, 0), (12, 0)]
 
     def test_unknown_recorder(self):
         """The second GridSpec field used to name a recorder; it is the
         spec kind, and an unknown one is refused like any bad spec."""
         with pytest.raises(ConfigurationError, match="alchemy"):
-            GridRunner().run(GridSpec("t", "alchemy", grid={"n": [8]}))
+            run(GridSpec("t", "alchemy", grid={"n": [8]}))
 
     def test_tuple_valued_params_hit_cache_after_reload(self, tmp_path,
                                                         executed):
         # Regression: tuple-valued axis values (here consensus initial
         # values) must be cache hits when the store — where they come
-        # back as lists — is reloaded by a fresh runner.
+        # back as lists — is reopened by a later run.
         spec = GridSpec("tuples", "consensus",
                         grid={"algorithm": ["all-to-all"], "n": [4],
                               "values": [(0, 1, 0, 1), (1, 1, 0, 0)]},
                         seeds=[0])
-        GridRunner(out_dir=str(tmp_path)).run(spec)
+        run(spec, tmp_path)
         assert len(executed) == 2
-        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        rows = run(spec, tmp_path)
         assert len(executed) == 2  # all cells served from the store
         assert len(rows) == 2
 
     def test_parallel_run_matches_sequential(self, tmp_path):
         spec = small("par", n=[8, 12], seeds=[0])
-        sequential = GridRunner().run(spec)
-        parallel = GridRunner(processes=2).run(spec)
+        sequential = run(spec)
+        parallel = run(spec, processes=2)
         assert sequential == parallel
 
     def test_grid_store_and_execute_batch_satisfy_each_other(
             self, tmp_path, executed):
         """A grid's cache *is* a spec store, in both directions."""
         spec = small("shared", n=[8, 12])
-        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        rows = run(spec, tmp_path)
         del executed[:]
         records = execute_batch(
             spec.specs(), store=open_store(str(tmp_path / "shared.jsonl")))
@@ -145,7 +152,7 @@ class TestGridRunner:
         execute_batch(other.specs(),
                       store=open_store(str(tmp_path / "other.jsonl")))
         del executed[:]
-        GridRunner(out_dir=str(tmp_path)).run(other)
+        run(other, tmp_path)
         assert executed == []
 
 
@@ -166,8 +173,7 @@ class TestFaultTolerantGrid:
         # Workers are forked at the first parallel map, after the patch.
         monkeypatch.setattr(batch_module, "_spec_job", misbehaving)
         spec = small("chaos", seeds=[0, 1, 2, 3])
-        rows = GridRunner(out_dir=str(tmp_path), processes=2,
-                          trial_timeout=1.0).run(spec)
+        rows = run(spec, tmp_path, processes=2, trial_timeout=1.0)
         by_seed = {r["seed"]: r for r in rows}
         assert by_seed[0]["completed"] and by_seed[0]["messages"] == 56
         assert by_seed[3]["completed"] and by_seed[3]["messages"] == 56
@@ -176,7 +182,7 @@ class TestFaultTolerantGrid:
         assert "cell exploded" in by_seed[1]["error"]
         assert not by_seed[2]["completed"]
         assert by_seed[2]["reason"] == "trial-timeout"
-        # Failure rows never reach the store: a fresh runner executes
+        # Failure rows never reach the store: a later run executes
         # exactly the failed cells and nothing else.
         stored = open_store(str(tmp_path / "chaos.jsonl"))
         assert sorted(r["spec"]["seed"] for r in stored.records()) == [0, 3]
@@ -187,7 +193,7 @@ class TestFaultTolerantGrid:
             return real_job(spec_dict)
 
         monkeypatch.setattr(batch_module, "_spec_job", spy)
-        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
+        rows = run(spec, tmp_path)
         assert retried == [1, 2]
         assert all(r["completed"] for r in rows)
 
@@ -205,7 +211,7 @@ class TestLegacyFormats:
         }) + "\n")
         before = path.read_bytes()
         with pytest.raises(ConfigurationError, match="cell log"):
-            GridRunner(out_dir=str(tmp_path)).run(small("old"))
+            run(small("old"), tmp_path)
         assert path.read_bytes() == before
         assert not (tmp_path / "old.jsonl.quarantine").exists()
 
@@ -216,14 +222,13 @@ class TestLegacyFormats:
         conn.execute("INSERT INTO cells VALUES ('k', '{}', '{}')")
         conn.commit()
         conn.close()
-        runner = GridRunner(out_dir=str(tmp_path), backend="sqlite")
-        assert len(runner.run(small("old"))) == 2
+        assert len(run(small("old"), tmp_path, "sqlite")) == 2
         assert len(executed) == 2
-        runner.run(small("old"))
+        run(small("old"), tmp_path, "sqlite")
         assert len(executed) == 2
 
 
-#: ``GridRunner().run`` of this grid at the parent commit (cba37b0),
+#: The rows of this grid at commit cba37b0,
 #: where a gossip row was ``cell ∪ gossip_recorder(**cell)``.
 PARENT_GRID = GridSpec(
     "gossip-grid", "gossip",
@@ -256,18 +261,18 @@ class TestBuiltInRecorders:
                   "f": [3], "d": [1], "delta": [1]},
             seeds=[0, 1],
         )
-        rows = GridRunner().run(spec)
+        rows = run(spec)
         assert len(rows) == 4
         assert all(r["completed"] for r in rows)
         trivial_rows = [r for r in rows if r["algorithm"] == "trivial"]
         assert all(r["messages"] == 12 * 11 for r in trivial_rows)
 
     def test_gossip_rows_equal_the_parent_rows(self, tmp_path):
-        assert GridRunner().run(PARENT_GRID) == PARENT_ROWS
+        assert run(PARENT_GRID) == PARENT_ROWS
         for backend in ("jsonl", "sqlite"):
-            runner = GridRunner(out_dir=str(tmp_path), backend=backend)
-            assert runner.run(PARENT_GRID) == PARENT_ROWS  # fresh
-            assert runner.run(PARENT_GRID) == PARENT_ROWS  # from the store
+            assert run(PARENT_GRID, tmp_path, backend) == PARENT_ROWS  # fresh
+            # ... and from the store
+            assert run(PARENT_GRID, tmp_path, backend) == PARENT_ROWS
 
     def test_consensus_recorder_end_to_end(self):
         spec = GridSpec(
@@ -275,7 +280,7 @@ class TestBuiltInRecorders:
             grid={"algorithm": ["all-to-all"], "n": [8], "f": [3]},
             seeds=[0],
         )
-        rows = GridRunner().run(spec)
+        rows = run(spec)
         assert rows[0]["agreement"] and rows[0]["validity"]
 
     def test_batch_engine_axis_runs_vectorized_chunks(self, monkeypatch):
@@ -293,7 +298,7 @@ class TestBuiltInRecorders:
                         grid={"algorithm": ["ears"], "n": [16], "f": [4],
                               "engine": ["batch"]},
                         seeds=range(4))
-        rows = GridRunner().run(spec)
+        rows = run(spec)
         assert all(r["completed"] for r in rows)
         assert len(jobs) == 1 and len(jobs[0]) == 4
 
@@ -323,7 +328,7 @@ def test_params_is_a_grid_axis():
         "algorithm": ["sears"], "n": [32], "f": [8],
         "params": [{"eps": 0.25}, {"eps": 0.5}],
     })
-    rows = GridRunner().run(spec)
+    rows = run(spec)
     assert [row["params"] for row in rows] == [{"eps": 0.25}, {"eps": 0.5}]
     assert rows[0]["spec_hash"] != rows[1]["spec_hash"]
     assert rows[0]["completed"] and rows[1]["completed"]

@@ -29,6 +29,15 @@ def _fast_config(**overrides):
 
 
 class TestDrain:
+    def test_zero_workers_is_refused_before_the_campaign_exists(
+            self, tmp_path):
+        from repro.fleet.driver import start_fleet
+        from repro.sim.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="at least 1 worker"):
+            start_fleet(str(tmp_path / "c"), _specs(1), workers=0)
+        assert not (tmp_path / "c").exists()
+
     def test_single_worker_drains_and_cleans_up(self, tmp_path):
         specs = _specs()
         campaign = FleetCampaign.create(str(tmp_path / "c"), specs,

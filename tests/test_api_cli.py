@@ -152,6 +152,23 @@ class TestCli:
         assert "phase" in out and "seconds" in out
 
     @pytest.mark.parametrize("argv", [
+        ["grid", "--algorithms", "trivial,ears", "--ns", "8,12",
+         "--seeds", "2"],
+        ["sweep", "--algorithm", "ears", "--min-n", "8", "--max-n", "16",
+         "--seeds", "2"],
+    ])
+    def test_profile_prints_the_plain_table(self, capsys, argv):
+        """A profiled campaign runs inline and uncached, and its table is
+        the plain run's; only the profiler report follows it."""
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--profile", "--processes", "2"]) == 0
+        profiled = capsys.readouterr().out
+        table, report = profiled.split("\n\n", 1)
+        assert table + "\n" == plain
+        assert "phase" in report
+
+    @pytest.mark.parametrize("argv", [
         ["grid", "--algorithms", "trivial", "--ns", "8", "--seeds", "1"],
         ["sweep", "--algorithm", "trivial", "--min-n", "8",
          "--max-n", "8", "--seeds", "1"],
@@ -160,10 +177,34 @@ class TestCli:
             self, capsys, tmp_path, argv):
         """Regression: --resume used to be silently ignored when
         --profile was set (no checkpointing, no warning)."""
-        argv = argv + ["--profile", "--resume",
-                       str(tmp_path / "campaign.json")]
+        manifest = tmp_path / "campaign.json"
+        argv = argv + ["--profile", "--resume", str(manifest)]
         assert main(argv) == 2
-        assert "cannot be combined" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cannot be combined" in captured.err
+        assert captured.out == "" and not manifest.exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
+          "--seeds", "1", "--processes", "0"], "processes must be >= 1"),
+        (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
+          "--seeds", "1", "--retries", "-3"], "retries must be >= 0"),
+        (["grid", "--algorithms", "trivial", "--ns", "8", "--seeds", "1",
+          "--trial-timeout", "-1", "--processes", "2"],
+         "trial_timeout must be > 0"),
+        (["chaos", "--trials", "0"], "--trials must be >= 1"),
+        (["fleet", "run", "--dir", "{tmp}/fleet", "--workers", "0"],
+         "need at least 1 worker"),
+    ], ids=["processes", "retries", "trial-timeout", "chaos-trials",
+            "fleet-workers"])
+    def test_invalid_campaign_number_is_one_error_line(
+            self, capsys, tmp_path, argv, needle):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     @pytest.mark.parametrize("argv", [

@@ -9,14 +9,18 @@ from repro.experiments import (
     CampaignDrained,
     CampaignManifest,
     GracefulShutdown,
-    GridRunner,
     GridSpec,
     run_jobs,
     run_theorem1,
 )
 from repro.spec import RunSpec
 from repro.store import JsonlStore, execute_batch
-from repro.workloads.sweeps import quarter, sweep_gossip
+from repro.workloads.sweeps import (
+    quarter,
+    sweep_gossip,
+    sweep_points,
+    sweep_specs,
+)
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
 
@@ -313,11 +317,13 @@ class TestCheckpointedBatch:
 
 class TestCheckpointedDrivers:
     def test_sweep_checkpointed_equals_plain(self, tmp_path):
-        kwargs = dict(ns=[16, 32], f_of_n=quarter, seeds=range(2))
-        plain = sweep_gossip("ears", **kwargs)
+        specs = sweep_specs("ears", ns=[16, 32], f_of_n=quarter,
+                            seeds=range(2))
+        plain = sweep_gossip("ears", ns=[16, 32], f_of_n=quarter,
+                             seeds=range(2))
         manifest_path = str(tmp_path / "sweep.json")
-        checkpointed = sweep_gossip("ears", manifest=manifest_path,
-                                    **kwargs)
+        checkpointed = sweep_points(
+            specs, execute_batch(specs, manifest=manifest_path))
         assert checkpointed == plain
         meta = CampaignManifest.load(manifest_path).meta
         assert meta["driver"] == "execute_batch"
@@ -340,8 +346,8 @@ class TestCheckpointedDrivers:
 
         with pytest.raises(ConfigurationError,
                            match="written by the 'sweep' driver"):
-            sweep_gossip("ears", ns=[16], f_of_n=quarter, seeds=[0],
-                         manifest=old.path)
+            execute_batch(sweep_specs("ears", ns=[16], f_of_n=quarter,
+                                      seeds=[0]), manifest=old.path)
         assert (tmp_path / "sweep.json").read_text() == before
 
     @pytest.mark.parametrize("driver", ["sweep", "theorem1", "batch",
@@ -349,14 +355,15 @@ class TestCheckpointedDrivers:
     def test_shutdown_requires_manifest(self, driver):
         shutdown = GracefulShutdown(verbose=False)
         run = {
-            "sweep": lambda: sweep_gossip(
-                "ears", ns=[16], f_of_n=quarter, shutdown=shutdown),
+            "sweep": lambda: execute_batch(sweep_specs(
+                "ears", ns=[16], f_of_n=quarter), shutdown=shutdown),
             "theorem1": lambda: run_theorem1(
                 n=32, f=8, seeds=[0], algorithms=["trivial"],
                 shutdown=shutdown),
             "batch": lambda: execute_batch([SPEC], shutdown=shutdown),
-            "grid": lambda: GridRunner(shutdown=shutdown).run(GridSpec(
-                "g", "gossip", grid={"algorithm": ["trivial"], "n": [8]})),
+            "grid": lambda: execute_batch(GridSpec(
+                "g", "gossip", grid={"algorithm": ["trivial"], "n": [8]},
+            ).specs(), shutdown=shutdown),
         }[driver]
         with pytest.raises(ValueError, match="needs a manifest"):
             run()

@@ -8,15 +8,16 @@ import pytest
 
 from repro.experiments import (
     CampaignManifest,
-    GridRunner,
     GridSpec,
     TrialPool,
+    open_grid_store,
+    run_jobs,
     run_theorem1,
 )
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
 from repro.store import execute_batch, open_store
-from repro.workloads.sweeps import quarter, sweep_gossip
+from repro.workloads.sweeps import quarter, sweep_points, sweep_specs
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
 SPECS = [SPEC.replace(seed=seed) for seed in range(4)]
@@ -56,15 +57,14 @@ def _batch_mixed(tmp_path, tag, **kwargs):
     return _metrics(execute_batch(MIXED, store=store, **kwargs))
 
 
-def _grid(tmp_path, tag, manifest=None, **kwargs):
-    runner = GridRunner(out_dir=str(tmp_path / tag), manifest_path=manifest,
-                        **kwargs)
-    return runner.run(GRID)
+def _grid(tmp_path, tag, **kwargs):
+    store = open_grid_store(str(tmp_path / tag), GRID.name)
+    return GRID.rows(execute_batch(GRID.specs(), store=store, **kwargs))
 
 
 def _sweep(tmp_path, tag, **kwargs):
-    return sweep_gossip("ears", ns=[16, 24], f_of_n=quarter,
-                        seeds=range(2), **kwargs)
+    specs = sweep_specs("ears", ns=[16, 24], f_of_n=quarter, seeds=range(2))
+    return sweep_points(specs, execute_batch(specs, **kwargs))
 
 
 def _theorem1(tmp_path, tag, **kwargs):
@@ -132,10 +132,21 @@ def test_grid_manifest_written_by_an_older_build_is_refused(tmp_path):
     old.save()
     before = (tmp_path / "old.json").read_bytes()
 
-    runner = GridRunner(out_dir=str(tmp_path / "grid"),
-                        manifest_path=old.path)
     with pytest.raises(ConfigurationError,
                        match="written by the 'grid' driver"):
-        runner.run(GRID)
+        _grid(tmp_path, "grid", manifest=old.path)
     assert (tmp_path / "old.json").read_bytes() == before
     assert not (tmp_path / "grid").exists()  # nothing ran
+
+
+def _never(job):
+    raise AssertionError("an invalid campaign must not run a job")
+
+
+@pytest.mark.parametrize("options", [
+    {"processes": 0}, {"retries": -3}, {"trial_timeout": 0},
+    {"trial_timeout": -1.0, "processes": 2},
+], ids=["processes", "retries", "zero-timeout", "negative-timeout"])
+def test_invalid_campaign_numbers_are_refused_before_any_job(options):
+    with pytest.raises(ConfigurationError, match=next(iter(options))):
+        run_jobs(_never, [(1,)], **options)
