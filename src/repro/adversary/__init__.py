@@ -30,12 +30,13 @@ from .delay_plans import (
     SlowLinksDelay,
 )
 from .gst import GstAdversary
-from .lower_bound import (
-    LowerBoundExperiment,
-    LowerBoundReport,
-    run_lower_bound,
-)
 from .oblivious import ObliviousAdversary
+from .._util import lazy_exports
+
+# The Theorem 1 strategy loads on first use: no other run plays it.
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("LowerBoundExperiment", "LowerBoundReport", "run_lower_bound"),
+    "lower_bound"))
 
 __all__ = [
     "AdaptiveAdversary",

@@ -107,6 +107,16 @@ class LowerBoundExperiment:
                 "the Theorem 1 construction needs an effective f >= 8 "
                 f"(min(f, n//4) = {self.f}); increase n or f"
             )
+        # Out of range, each divides by zero or reports an unplayed case.
+        for name, value, valid, rule in (
+            ("samples", samples, samples >= 1, ">= 1"),
+            ("phase1_cap", phase1_cap, phase1_cap >= 1, ">= 1"),
+            ("promiscuity_factor", promiscuity_factor,
+             promiscuity_factor > 0, "> 0"),
+        ):
+            if not valid:
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {value!r}")
         self.seed = seed
         self.samples = samples
         self.phase1_cap = phase1_cap

@@ -527,6 +527,20 @@ def _campaign(args, specs, store=None, profiler=None, **options):
             raise SystemExit(_drained_exit(exc))
 
 
+def _record_status(record):
+    """``(status, summary)`` of a record for ``run`` and ``batch``: a
+    lower-bound record (it has a ``case``) is ok, any other iff complete."""
+    metrics = record["metrics"]
+    if "case" in metrics:
+        return "ok", (f"case={metrics['case']} "
+                      f"forced_time={metrics['measured_time']} "
+                      f"forced_messages={metrics['measured_messages']}")
+    status = ("FAILED" if record.get("failed")
+              else "ok" if metrics.get("completed") else "incomplete")
+    return status, (f"time={metrics.get('time')} "
+                    f"messages={metrics.get('messages')}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -743,14 +757,8 @@ def _run(args) -> int:
             print(_json.dumps(records, indent=2, sort_keys=True))
         else:
             for record in records:
-                metrics = record["metrics"]
-                status = (
-                    "FAILED" if record.get("failed")
-                    else ("ok" if metrics.get("completed") else "incomplete")
-                )
-                print(f"{record['spec_hash']}  {status:10s} "
-                      f"time={metrics.get('time')} "
-                      f"messages={metrics.get('messages')}")
+                status, summary = _record_status(record)
+                print(f"{record['spec_hash']}  {status:10s} {summary}")
         failed = sum(1 for record in records if record.get("failed"))
         print(f"batch: {len(records) - failed}/{len(records)} spec(s) ok"
               + (f", {failed} failed (re-run to retry)" if failed else ""))
@@ -1108,7 +1116,7 @@ def _run(args) -> int:
                   + (" [cache hit]" if hit else ""))
             for key in sorted(metrics):
                 print(f"  {key} = {metrics[key]}")
-        return 0 if metrics.get("completed") else 1
+        return 0 if _record_status(record)[0] == "ok" else 1
 
     if args.command == "list":
         from .spec.registry import (

@@ -49,6 +49,8 @@ _EXPORTS = {
     "Theorem1Row": "theorem1",
     "format_theorem1": "theorem1",
     "run_theorem1": "theorem1",
+    "theorem1_rows": "theorem1",
+    "theorem1_specs": "theorem1",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,9 +1,9 @@
 """Crash-safe campaigns: checkpoint manifests and graceful shutdown.
 
 A *campaign* is any long multi-trial driver — a spec batch, a grid, a
-population sweep, a Theorem 1 portfolio run.  PR 3 made the individual
-trials fault-tolerant; this module makes the campaign itself survive
-process death:
+population sweep, a Theorem 1 portfolio run.  The trial pool makes the
+individual trials fault-tolerant; this module makes the campaign itself
+survive process death:
 
 * :class:`CampaignManifest` — a small JSON checkpoint, atomically
   replaced on a configurable cadence, recording every **submitted** job
@@ -19,11 +19,11 @@ process death:
   :class:`CampaignDrained` and the CLI exits with
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
-* :func:`run_jobs` — the one execution loop behind every driver
-  (:func:`repro.store.execute_batch`, which runs every spec campaign —
-  grids, sweeps, ``repro batch`` — and ``run_theorem1``): key dedupe,
-  the pool, the ok/cancelled/failed triage, manifest checkpointing and
-  the drain.
+* :func:`run_jobs` — the one execution loop behind
+  :func:`repro.store.execute_batch`, which runs every spec campaign —
+  grids, sweeps, Theorem 1 portfolios, ``repro batch``: key dedupe, the
+  pool, the ok/cancelled/failed triage, manifest checkpointing and the
+  drain.
   Store-less drivers keep their results in the manifest; with an
   artifact store the store is the source of truth and the manifest
   tracks membership and progress.
@@ -370,13 +370,12 @@ def run_jobs(
     shutdown: Optional[Callable[[], bool]] = None,
     store: Any = None,
     sink: Optional[Callable[[int, Any], Any]] = None,
-    decode: Optional[Callable[[Any], Any]] = None,
 ) -> List[TrialOutcome]:
     """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
 
-    The one execution loop behind ``execute_batch`` (and so every spec
-    campaign) and ``run_theorem1``: those drivers build jobs, pick a
-    ``sink`` and shape the outcomes; everything else is here.
+    The one execution loop behind ``execute_batch``, and so behind every
+    spec campaign: it builds the jobs, picks a ``sink`` and shapes the
+    outcomes; everything else is here.
 
     * ``keys`` name the jobs (default :func:`job_key` of each job).
       Jobs sharing a key execute once and share the outcome.
@@ -399,9 +398,9 @@ def run_jobs(
       atomically rewritten after each chunk.  Jobs the manifest (or
       ``store``) already completed never re-execute; failed jobs are
       recorded and stay missing, so the next run retries exactly them.
-      A recorded result is revived with ``decode``; fresh results take
-      the same JSON round-trip, so resumed and uninterrupted runs return
-      identical shapes.  Without a manifest the run is one pool call.
+      Recorded and fresh results both come back in their JSON form, so
+      resumed and uninterrupted runs return identical shapes.  Without a
+      manifest the run is one pool call.
     * ``shutdown`` truthy between chunks (or mid-chunk, via the pool's
       ``stop_check``) drains: in-flight jobs finish, ``store`` is
       synced (when it has a ``sync()``), the checkpoint is written
@@ -435,11 +434,6 @@ def run_jobs(
         for key, job in zip(keys, jobs):
             manifest.submit(key, job)
 
-    def revive(payload: Any) -> Any:
-        if payload is None or decode is None:
-            return payload
-        return decode(payload)
-
     def drain() -> None:
         if hasattr(store, "sync"):
             store.sync()
@@ -460,7 +454,7 @@ def run_jobs(
                 manifest.complete(key)
         else:
             done = manifest is not None and key in manifest.completed
-            value = revive(manifest.completed[key]) if done else None
+            value = manifest.completed[key] if done else None
         if done:
             by_key[key] = TrialOutcome(index, OK, value=value, attempts=0)
         else:
@@ -499,8 +493,8 @@ def run_jobs(
                         if manifest is not None:
                             manifest.complete(key, payload)
                             if payload is not None:
-                                outcome.value = revive(json.loads(
-                                    json.dumps(payload, default=str)))
+                                outcome.value = json.loads(
+                                    json.dumps(payload, default=str))
                     elif outcome.status == CANCELLED:
                         cancelled = True
                     elif manifest is not None:

@@ -1,9 +1,9 @@
 """A reusable, fault-tolerant worker pool for independent seeded trials.
 
 Every sweep-shaped driver in the repository — the spec campaigns of
-:func:`repro.store.execute_batch` (grid cells, sweep points, ``repro
-batch``), the per-seed Theorem 1 executions — has the same shape: a list
-of independent jobs whose results are combined in job order.
+:func:`repro.store.execute_batch` (grid cells, sweep points, Theorem 1
+portfolios, ``repro batch``) — has the same shape: a list of independent
+jobs whose results are combined in job order.
 :class:`TrialPool` is the one implementation of that shape:
 
 * ``processes=1`` (the default) runs jobs inline, with zero setup cost and

@@ -18,7 +18,7 @@ included, is spec data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
@@ -37,6 +37,7 @@ from .registry import (
     CRASH_PLANS,
     GATHERING_ONLY_ALGORITHMS,
     GOSSIP_ALGORITHMS,
+    LOWER_BOUND,
     MAJORITY_ALGORITHMS,
     PARAMS_CLASSES,
     ensure_scenarios,
@@ -148,13 +149,10 @@ def _apply_scenario(spec: RunSpec, f: int):
     return scenario.d, scenario.delta, crashes
 
 
-def _make_adversary(
-    config: Optional[Mapping[str, Any]],
-    d: int,
-    delta: int,
-    seed: int,
-    plan: CrashPlan,
-):
+def _make_adversary(config: Optional[Mapping[str, Any]], *coordinates):
+    """The factory ``config`` names, called with its family's coordinates
+    — ``(d, delta, seed, plan)``, ``lower-bound``'s ``(make_algorithm, n,
+    f, seed)`` — and the config's own knobs."""
     if config is None:
         config = {"name": "uniform"}
     knobs = dict(config)
@@ -163,7 +161,7 @@ def _make_adversary(
         raise ConfigurationError("an adversary config needs a 'name'")
     factory = ADVERSARIES[name]
     try:
-        return factory(d, delta, seed, plan, **knobs)
+        return factory(*coordinates, **knobs)
     except TypeError as exc:
         raise ConfigurationError(
             f"bad knobs for adversary {name!r}: {exc}"
@@ -223,6 +221,9 @@ def build(
     adversary: Any = None,
 ) -> BuiltRun:
     """Realize ``spec`` into a :class:`BuiltRun` without running it."""
+    if (spec.adversary or {}).get("name") == LOWER_BOUND:
+        raise ConfigurationError(f"a {LOWER_BOUND!r} spec steers its own "
+                                 f"Simulation; execute() it, not build()")
     if spec.kind == "gossip":
         return _build_gossip(spec, observers, payloads, adversary)
     if payloads is not None:
@@ -238,7 +239,8 @@ def execute(
     adversary: Any = None,
 ):
     """Build and run ``spec``; returns a :class:`GossipRun` or
-    :class:`~repro.consensus.values.ConsensusRun` by kind.
+    :class:`~repro.consensus.values.ConsensusRun` by kind (a
+    ``lower-bound`` adversary spec: its ``LowerBoundReport``).
 
     ``engine="batch"`` routes eligible specs (EARS/SEARS under the
     oblivious uniform adversary, no runtime overrides) through the
@@ -248,6 +250,9 @@ def execute(
     above — store batch execution, campaign manifests, grids, sweeps,
     the CLI — inherits the routing for free.
     """
+    if (spec.adversary or {}).get("name") == LOWER_BOUND:
+        return _execute_lower_bound(spec, observers=observers,
+                                    payloads=payloads, adversary=adversary)
     if spec.engine == "batch" and not (
         observers or payloads is not None or adversary is not None
     ):
@@ -259,6 +264,33 @@ def execute(
     return build(
         spec, observers=observers, payloads=payloads, adversary=adversary,
     ).run()
+
+
+#: The fields a lower-bound spec may set. The construction fixes
+#: d = δ = 1 and its own crashes, so any other field or override would be
+#: ignored, letting two spec hashes name one execution: it is refused.
+#: ``engine`` is not identity; the adaptive adversary runs stepwise.
+_LOWER_BOUND_FIELDS = ("algorithm", "n", "f", "seed", "params", "adversary",
+                       "engine")
+
+
+def _execute_lower_bound(spec: RunSpec, **overrides):
+    """Run the Theorem 1 construction against ``spec.algorithm``."""
+    ignored = [knob.name for knob in fields(spec)
+               if knob.name not in _LOWER_BOUND_FIELDS
+               and getattr(spec, knob.name) != knob.default]
+    ignored += [name for name, value in overrides.items()
+                if value not in (None, ())]
+    if ignored:
+        raise ConfigurationError(
+            f"the {LOWER_BOUND!r} adversary plays gossip at d = delta = 1 "
+            f"with crashes of its own choosing; it cannot honor {ignored}")
+    algorithm_class = GOSSIP_ALGORITHMS[spec.algorithm]
+    f = spec.resolved_f
+    make_algorithm = partial(algorithm_class,
+                             **_algorithm_kwargs(spec, algorithm_class, f))
+    return _make_adversary(
+        spec.adversary, make_algorithm, spec.n, f, spec.seed).execute()
 
 
 def _scalar_engine(engine: str) -> str:

@@ -201,11 +201,30 @@ def _byzantine_adversary(d, delta, seed, crashes, *, b=1,
     )
 
 
+def _lower_bound_adversary(make_algorithm, n, f, seed, *, samples=6,
+                           phase1_cap=4000, promiscuity_factor=32.0,
+                           slow_quiesce_threshold=None):
+    """The Theorem 1 construction (Figure 1): a whole adaptive execution,
+    returned as the ``LowerBoundExperiment`` to run; imported here so no
+    other cell loads it."""
+    from ..adversary.lower_bound import LowerBoundExperiment
+
+    return LowerBoundExperiment(
+        make_algorithm, n, f, seed=seed, samples=samples,
+        phase1_cap=phase1_cap, promiscuity_factor=promiscuity_factor,
+        slow_quiesce_threshold=slow_quiesce_threshold,
+    )
+
+
+#: The adversary whose specs ``execute`` runs as a Theorem 1 execution.
+LOWER_BOUND = "lower-bound"
+
 ADVERSARIES = Registry("adversary")
 ADVERSARIES.register("uniform", _uniform_adversary)
 ADVERSARIES.register("synchronous", _synchronous_adversary)
 ADVERSARIES.register("gst", _gst_adversary)
 ADVERSARIES.register("byzantine", _byzantine_adversary)
+ADVERSARIES.register(LOWER_BOUND, _lower_bound_adversary)
 
 
 # -- named crash plans ----------------------------------------------------- #

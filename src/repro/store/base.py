@@ -27,6 +27,7 @@ primitive ``put_record`` (what :mod:`repro.store.merge` and
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
@@ -96,6 +97,11 @@ def metrics_of(outcome: Any) -> Dict[str, Any]:
             "realized_delta": outcome.realized_delta,
             "crashes": outcome.crashes,
         }
+    if hasattr(outcome, "case"):
+        # LowerBoundReport (duck-typed, like ConsensusRun below): its
+        # fields in their stored JSON form (string pids, a list pair), so
+        # a fresh record equals its round trip through any store.
+        return json.loads(json.dumps(dataclasses.asdict(outcome)))
     # ConsensusRun (duck-typed: consensus imports stay lazy)
     return {
         "completed": outcome.completed,

@@ -29,6 +29,20 @@ class TestConstruction:
         exp = LowerBoundExperiment(maker(TrivialGossip), n=64, f=16)
         assert sorted(exp.s1 + exp.s2) == list(range(64))
 
+    # Unchecked, each divides by zero (samples, promiscuity_factor 0) or
+    # reports a case never played: a blow-up against a negative bound, a
+    # non-quiescent S1 that never stepped (phase1_cap 0).
+    @pytest.mark.parametrize("knob, value, rule", [
+        ("samples", 0, ">= 1"),
+        ("promiscuity_factor", 0, "> 0"),
+        ("promiscuity_factor", -1.0, "> 0"),
+        ("phase1_cap", 0, ">= 1"),
+    ])
+    def test_out_of_range_knob_is_refused_by_name(self, knob, value, rule):
+        with pytest.raises(ConfigurationError,
+                           match=f"{knob} must be {rule}, got {value}"):
+            run_lower_bound(maker(TrivialGossip), n=32, f=8, **{knob: value})
+
 
 class TestCaseSelection:
     def test_trivial_lands_in_message_blowup(self):

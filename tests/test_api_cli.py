@@ -7,6 +7,12 @@ from repro.cli import main
 from repro.sim.errors import ConfigurationError
 from repro.workloads import SCENARIOS, get_scenario
 
+#: A small Theorem 1 execution: trivial gossip forced into Case 1.
+LOWER_BOUND_SPEC = {
+    "algorithm": "trivial", "n": 32, "f": 8,
+    "adversary": {"name": "lower-bound", "samples": 2, "phase1_cap": 300},
+}
+
 
 class TestRunGossipValidation:
     def test_unknown_algorithm(self):
@@ -309,6 +315,22 @@ class TestCli:
         ({"algorithm": "ben-or", "kind": "consensus", "n": 8,
           "params": {"eps": 0.25}}, "bad params for algorithm 'ben-or'"),
         ({"algorithm": "ears", "fanout": 2}, "unknown RunSpec field"),
+        ({**LOWER_BOUND_SPEC, "d": 2}, "cannot honor ['d']"),
+        ({**LOWER_BOUND_SPEC, "adversary": {"name": "lower-bound",
+                                            "sample": 2}},
+         "bad knobs for adversary 'lower-bound'"),
+        ({**LOWER_BOUND_SPEC, "adversary": {"name": "lower-bound",
+                                            "samples": 0}},
+         "samples must be >= 1"),
+        ({**LOWER_BOUND_SPEC, "adversary": {"name": "lower-bound",
+                                            "phase1_cap": 0}},
+         "phase1_cap must be >= 1"),
+        ({**LOWER_BOUND_SPEC, "adversary": {"name": "lower-bound",
+                                            "promiscuity_factor": 0}},
+         "promiscuity_factor must be > 0"),
+        ({**LOWER_BOUND_SPEC, "adversary": {"name": "lower-bound",
+                                            "promiscuity_factor": -1.0}},
+         "promiscuity_factor must be > 0"),
     ])
     def test_malformed_spec_is_one_error_line(self, capsys, tmp_path,
                                               spec, needle):
@@ -321,6 +343,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and needle in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_lower_bound_record_is_ok(self, capsys, tmp_path):
+        """A lower-bound record has no ``completed``: ``run`` and ``batch``
+        judge it ok by its forced case, not as an incomplete run."""
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(LOWER_BOUND_SPEC))
+        assert main(["run", "--spec", str(path)]) == 0
+        assert "case = message-blowup" in capsys.readouterr().out
+        assert main(["batch", "--specs", str(path)]) == 0
+        line, summary = capsys.readouterr().out.splitlines()
+        assert line.split()[1:] == [
+            "ok", "case=message-blowup", "forced_time=None",
+            "forced_messages=124"]
+        assert summary == "batch: 1/1 spec(s) ok"
 
     def test_refused_manifest_is_one_error_line(self, capsys, tmp_path):
         from repro.experiments import CampaignManifest

@@ -11,7 +11,8 @@ from repro.experiments import (
     GracefulShutdown,
     GridSpec,
     run_jobs,
-    run_theorem1,
+    theorem1_rows,
+    theorem1_specs,
 )
 from repro.spec import RunSpec
 from repro.store import JsonlStore, execute_batch
@@ -176,13 +177,12 @@ class TestCheckpointedJobs:
 
     def test_fresh_and_resumed_results_share_shape(self, tmp_path):
         """Regression: fresh jobs returned raw values while resumed jobs
-        returned decode(JSON-coerced) ones, so a resumed run could yield
+        returned JSON-coerced ones, so a resumed run could yield
         structurally different results (nested tuples became lists).
-        Both paths must take the same encode → JSON → decode trip."""
+        Both paths must take the same encode → JSON trip."""
         path = str(tmp_path / "campaign.json")
         jobs = [(1,), (2,)]
-        kwargs = dict(manifest=path, sink=lambda _index, value: list(value),
-                      decode=tuple)
+        kwargs = dict(manifest=path, sink=lambda _index, value: list(value))
         fresh = _values(jobs, _nested_tuple, **kwargs)
 
         def boom(args):
@@ -190,9 +190,8 @@ class TestCheckpointedJobs:
 
         resumed = _values(jobs, boom, **kwargs)
         assert fresh == resumed
-        # decode=tuple revives the outer tuple only; the nested tuple is
-        # JSON-coerced to a list in both runs alike.
-        assert fresh == [(1, [1, 2]), (2, [2, 3])]
+        # The nested tuple is JSON-coerced to a list in both runs alike.
+        assert fresh == [[1, [1, 2]], [2, [2, 3]]]
 
     def test_failed_jobs_stay_missing_and_retry(self, tmp_path):
         path = str(tmp_path / "campaign.json")
@@ -357,8 +356,8 @@ class TestCheckpointedDrivers:
         run = {
             "sweep": lambda: execute_batch(sweep_specs(
                 "ears", ns=[16], f_of_n=quarter), shutdown=shutdown),
-            "theorem1": lambda: run_theorem1(
-                n=32, f=8, seeds=[0], algorithms=["trivial"],
+            "theorem1": lambda: execute_batch(theorem1_specs(
+                n=32, f=8, seeds=[0], algorithms=["trivial"]),
                 shutdown=shutdown),
             "batch": lambda: execute_batch([SPEC], shutdown=shutdown),
             "grid": lambda: execute_batch(GridSpec(
@@ -368,16 +367,23 @@ class TestCheckpointedDrivers:
         with pytest.raises(ValueError, match="needs a manifest"):
             run()
 
-    def test_theorem1_checkpointed_equals_plain(self, tmp_path):
-        kwargs = dict(n=32, f=8, seeds=[0], algorithms=["trivial"],
-                      samples=2, phase1_cap=200)
-        plain = run_theorem1(**kwargs)
+    def test_theorem1_checkpointed_equals_plain(self, tmp_path,
+                                                monkeypatch):
+        specs = theorem1_specs(n=32, f=8, seeds=[0], algorithms=["trivial"],
+                               samples=2, phase1_cap=200)
+        plain = execute_batch(specs)
         manifest_path = str(tmp_path / "thm1.json")
-        checkpointed = run_theorem1(manifest=manifest_path, **kwargs)
-        assert len(checkpointed) == len(plain) == 1
-        assert checkpointed[0].cases == plain[0].cases
-        assert checkpointed[0].reports == plain[0].reports
+        checkpointed = execute_batch(specs, manifest=manifest_path)
+        assert checkpointed == plain
+        assert len(theorem1_rows(checkpointed)) == 1
 
-        # Resume decodes the persisted reports instead of re-running.
-        resumed = run_theorem1(manifest=manifest_path, **kwargs)
-        assert resumed[0].reports == plain[0].reports
+        # Resume reads the persisted reports instead of re-running.
+        import repro.store.batch as batch_module
+
+        def boom(spec_dict):
+            raise AssertionError("resume must not re-execute")
+
+        monkeypatch.setattr(batch_module, "_spec_job", boom)
+        resumed = execute_batch(specs, manifest=manifest_path)
+        assert resumed == plain
+        assert theorem1_rows(resumed) == theorem1_rows(plain)

@@ -73,6 +73,8 @@ def test_one_gossip_cell_loads_no_other_subcommand():
         "repro.workloads.sweeps",
         # never loaded by a single cell, before or after
         "numpy", "multiprocessing", "repro.fleet", "repro.faults",
+        # registered as an adversary, imported only by its factory
+        "repro.adversary.lower_bound",
     ])
 
 

@@ -12,7 +12,8 @@ from repro.experiments import (
     TrialPool,
     open_grid_store,
     run_jobs,
-    run_theorem1,
+    theorem1_rows,
+    theorem1_specs,
 )
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
@@ -68,9 +69,10 @@ def _sweep(tmp_path, tag, **kwargs):
 
 
 def _theorem1(tmp_path, tag, **kwargs):
-    rows = run_theorem1(n=32, f=8, seeds=[0, 1], algorithms=["trivial"],
-                        samples=2, phase1_cap=200, **kwargs)
-    return [(row.algorithm, row.cases, row.reports) for row in rows]
+    records = execute_batch(theorem1_specs(
+        n=32, f=8, seeds=[0, 1], algorithms=["trivial"], samples=2,
+        phase1_cap=200), **kwargs)
+    return _metrics(records), theorem1_rows(records)
 
 
 VIEWS = [_batch_with_store, _batch_storeless, _batch_mixed, _grid,

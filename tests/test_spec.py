@@ -144,7 +144,7 @@ class TestRegistries:
         assert "ears" in GOSSIP_ALGORITHMS
         assert sorted(TRANSPORTS) == ["all-to-all", "ears", "sears", "tears"]
         assert set(ADVERSARIES) == {
-            "uniform", "synchronous", "gst", "byzantine"}
+            "uniform", "synchronous", "gst", "byzantine", "lower-bound"}
         assert "random-early" in CRASH_PLANS
 
     def test_unknown_name_suggests_close_match(self):
