@@ -15,14 +15,14 @@ figure of the paper can be regenerated from a shell:
     repro-gossip sweep --algorithm ears --max-n 128 --profile
     repro-gossip list
     repro-gossip run --spec examples/spec_ears.json --store runs.jsonl
-    repro-gossip batch --specs specs.jsonl --store runs.jsonl \\
-        --resume campaign.manifest.json
-    repro-gossip store verify runs.jsonl
+    repro-gossip batch --specs specs.jsonl --resume runs.sqlite
+    repro-gossip store verify runs.sqlite
 
 Campaign subcommands (``grid``, ``sweep``, ``batch``) accept
-``--resume MANIFEST``: progress checkpoints to the manifest, SIGINT or
-SIGTERM drains gracefully (exit code 75), and re-running the same
-command resumes exactly the missing cells, seed for seed.
+``--resume STORE``: every finished spec is recorded in that artifact
+store (created if missing), SIGINT or SIGTERM drains gracefully (exit
+code 75), and re-running the same command against the same store runs
+exactly the missing specs, seed for seed.
 """
 
 from __future__ import annotations
@@ -73,16 +73,12 @@ def _add_campaign(parser: argparse.ArgumentParser) -> None:
              "reporting them as failures",
     )
     parser.add_argument(
-        "--resume", default=None, metavar="MANIFEST",
-        help="checkpoint manifest path: progress is saved there "
-             "atomically, SIGINT/SIGTERM drains instead of aborting, and "
-             "re-running with the same manifest resumes exactly the "
-             "missing cells (created if the file does not exist yet)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=8,
-        help="write the checkpoint manifest at least every N completed "
-             "trials (default: 8)",
+        "--resume", default=None, metavar="STORE",
+        help="the campaign's artifact store (created if missing): every "
+             "finished spec is recorded there, SIGINT/SIGTERM drains "
+             "instead of aborting, and re-running with the same store "
+             "runs exactly the missing specs; it must be the file "
+             "batch --store or grid --out-dir opens, if given",
     )
 
 
@@ -328,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     action = store_sub.add_parser(
         "merge",
-        help="merge shard stores (and optionally their campaign "
-             "manifests) into one artifact set")
+        help="merge shard stores into one artifact set")
     action.add_argument("dest", help="destination store path")
-    action.add_argument("sources", nargs="*", default=[],
+    action.add_argument("sources", nargs="+",
                         help="shard store path(s) to merge in")
     _add_backend(action)
     action.add_argument(
@@ -339,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="conflict policy for divergent records with the same spec "
              "hash: 'error' refuses, 'provenance' keeps the newest "
              "build deterministically (default: error)")
-    action.add_argument(
-        "--manifest", default=None, metavar="DEST_MANIFEST",
-        help="also merge campaign manifests into this path")
-    action.add_argument(
-        "--manifests", nargs="*", default=[], metavar="SHARD_MANIFEST",
-        help="manifest shard path(s) to merge into --manifest")
     action.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the merge report as JSON")
 
@@ -486,23 +475,45 @@ def _drained_exit(exc) -> int:
     """Report a graceful drain and return the resumable exit code."""
     from .experiments import DRAIN_EXIT_CODE
 
-    summary = exc.manifest.summary()
     print(
-        f"campaign drained: {summary['completed']}/{summary['submitted']} "
-        f"trial(s) checkpointed, {summary['missing']} remaining; "
-        f"re-run with --resume {exc.manifest.path} to finish",
+        f"campaign drained: {exc.completed}/{exc.completed + exc.remaining}"
+        f" spec(s) stored, {exc.remaining} remaining; "
+        f"re-run with --resume {exc.path} to finish",
         file=sys.stderr,
     )
     return DRAIN_EXIT_CODE
 
 
+def _resume_store(path, store):
+    """The store ``--resume PATH`` names: ``store`` when it opens that
+    same file, a new fsync-always store when there is no ``store``."""
+    from .store import open_store
+
+    if path.endswith(".json"):
+        raise ConfigurationError(
+            f"--resume {path!r} names a JSON manifest, which this build "
+            f"no longer reads: a campaign's progress is its store, and "
+            f"the records the campaign finished are there; pass the "
+            f"campaign's store instead (e.g. --resume runs.sqlite)"
+        )
+    if store is None:
+        return open_store(path, fsync="always")
+    if os.path.realpath(store.path) != os.path.realpath(path):
+        raise ConfigurationError(
+            f"--resume {path!r} names a different file than the "
+            f"campaign's store {store.path!r}; a campaign has one store, "
+            f"so pass the same path to both or drop one"
+        )
+    return store
+
+
 def _campaign(args, specs, store=None, profiler=None, **options):
     """The records of ``specs``: one :func:`~repro.store.execute_batch`
     call with ``store`` and the :func:`_add_campaign` options, under
-    ``--resume`` with the manifest, the checkpoint cadence and a
-    SIGINT/SIGTERM drain guard, where a graceful drain exits with the
-    resumable code.  A ``profiler`` must see every step, which cannot
-    cross a process boundary: profiled campaigns run inline and uncached.
+    ``--resume`` into the store it names with a SIGINT/SIGTERM drain
+    guard, where a graceful drain exits with the resumable code.  A
+    ``profiler`` must see every step, which cannot cross a process
+    boundary: profiled campaigns run inline and uncached.
     """
     from .store import execute_batch, make_record, metrics_of
 
@@ -511,18 +522,17 @@ def _campaign(args, specs, store=None, profiler=None, **options):
 
         return [make_record(spec, metrics_of(execute(
             spec, observers=(profiler,)))) for spec in specs]
-    options.update(store=store, processes=args.processes,
+    options.update(processes=args.processes,
                    trial_timeout=args.trial_timeout, retries=args.retries)
     if not args.resume:
-        return execute_batch(specs, **options)
+        return execute_batch(specs, store=store, **options)
     from .experiments import CampaignDrained, GracefulShutdown
 
+    store = _resume_store(args.resume, store)
     with GracefulShutdown() as shutdown:
         try:
-            return execute_batch(
-                specs, manifest=args.resume,
-                checkpoint_every=args.checkpoint_every, shutdown=shutdown,
-                **options)
+            return execute_batch(specs, store=store, shutdown=shutdown,
+                                 **options)
         except CampaignDrained as exc:
             raise SystemExit(_drained_exit(exc))
 
@@ -547,20 +557,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run(args)
     except ConfigurationError as exc:
         # Unknown names, bad knobs, unknown spec fields, refused
-        # manifests: one line, not a traceback.
+        # --resume paths: one line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _run(args) -> int:
-    if getattr(args, "checkpoint_every", None) is not None:
-        from .experiments.campaign import validate_checkpoint_every
-
-        args.checkpoint_every = validate_checkpoint_every(
-            args.checkpoint_every)
     if getattr(args, "profile", False) and args.resume:
         print("--resume and --profile cannot be combined: profiling "
-              "runs cells sequentially without checkpointing",
+              "runs cells sequentially without a store",
               file=sys.stderr)
         return 2
 
@@ -747,10 +752,9 @@ def _run(args) -> int:
             specs = shard_specs(specs, index, count)
             print(f"shard {index}/{count}: {len(specs)}/{total} spec(s)",
                   file=sys.stderr)
-        store = (
-            open_store(args.store, backend=args.backend, fsync=args.fsync)
-            if args.store else None
-        )
+        path = args.store or args.resume
+        store = (open_store(path, backend=args.backend, fsync=args.fsync)
+                 if path else None)
         records = _campaign(args, specs, store,
                             batch_size=args.batch_size)
         if args.as_json:
@@ -798,17 +802,12 @@ def _run(args) -> int:
             return 0
 
         if args.action == "merge":
-            from .store import MergeConflict, merge_manifests, merge_stores
+            from .store import MergeConflict, merge_stores
 
             dest = open_store(args.dest, backend=args.backend)
             try:
                 report = merge_stores(dest, args.sources,
                                       policy=args.policy)
-                if args.manifest and args.manifests:
-                    manifest = merge_manifests(args.manifest,
-                                               args.manifests,
-                                               policy=args.policy)
-                    report["manifest"] = manifest.summary()
             except MergeConflict as exc:
                 print(f"merge conflict: {exc}", file=sys.stderr)
                 return 1
@@ -821,11 +820,6 @@ def _run(args) -> int:
                       f"{report['replaced']} replaced "
                       f"({report['conflicts']} conflict(s) resolved); "
                       f"{len(dest)} record(s) total")
-                if "manifest" in report:
-                    summary = report["manifest"]
-                    print(f"{args.manifest}: {summary['completed']}/"
-                          f"{summary['submitted']} job(s) completed, "
-                          f"{summary['missing']} missing")
             return 0
 
         store = open_store(args.path, backend=args.backend)

@@ -15,7 +15,6 @@ from .._util import lazy_exports
 # a pool worker that wants TrialPool does not load the report generator.
 _EXPORTS = {
     "CampaignDrained": "campaign",
-    "CampaignManifest": "campaign",
     "DRAIN_EXIT_CODE": "campaign",
     "GracefulShutdown": "campaign",
     "run_jobs": "campaign",

@@ -135,7 +135,7 @@ def run_fleet(root: str, specs: Optional[List[RunSpec]] = None,
               workers: int = 2, config: Optional[FleetConfig] = None,
               shard: bool = True,
               timeout: float = 300.0) -> Dict[str, Any]:
-    """Blocking fleet run: spawn, drain, verify, render the manifest.
+    """Blocking fleet run: spawn, drain, verify.
 
     Returns the final status dict plus worker exit codes and the store
     verify report.  Raises :class:`FleetTimeout` on livelock.
@@ -150,7 +150,6 @@ def run_fleet(root: str, specs: Optional[List[RunSpec]] = None,
     campaign = fleet.campaign
     store = campaign.open_store()
     verify = store.verify()
-    campaign.write_manifest_view(store=store)
     status = campaign.status(store=store)
     status["exit_codes"] = exit_codes
     status["verify_ok"] = bool(verify.get("ok"))

@@ -18,7 +18,6 @@ no single point of failure:
       attempts/<hash>.json  per-key attempt count, backoff, last error
       failed/<hash>.json    terminal failures (re-issue budget exhausted)
       timings.jsonl         completion durations (straggler median feed)
-      manifest.json         CampaignManifest view (written by the driver)
 
 Progress is defined purely by the store and the ``failed/`` directory: a
 key is *done* when the store holds its record or a terminal failure is
@@ -38,7 +37,6 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from ..experiments.campaign import MAX_FAILURE_CHARS
 from ..sim.errors import ConfigurationError
 from ..spec.runspec import RunSpec
 from ..store import open_store
@@ -52,6 +50,11 @@ __all__ = [
 ]
 
 FLEET_SCHEMA_VERSION = 1
+
+#: Recorded failure strings are capped at this many characters: a job
+#: that fails with a multi-kilobyte traceback on every retry must not
+#: grow its attempts and failure files without bound.
+MAX_FAILURE_CHARS = 2000
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,6 @@ class FleetCampaign:
     @property
     def timings_path(self) -> str:
         return os.path.join(self.root, "timings.jsonl")
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, "manifest.json")
 
     # -- lifecycle ---------------------------------------------------------#
 
@@ -408,35 +407,3 @@ class FleetCampaign:
                 if now - worker.get("updated_at", 0) <= stale_after),
             "complete": not missing,
         }
-
-    def write_manifest_view(self, store: Optional[Store] = None) -> Any:
-        """Render the campaign as a :class:`CampaignManifest` checkpoint.
-
-        The fleet's source of truth stays the store plus the ``failed/``
-        directory; the manifest is the interop view — ``store merge
-        --manifest`` and ``--resume`` tooling read it, and per-key
-        attempt counts ride along so re-issue budgets survive into
-        merged campaigns.
-        """
-        from ..experiments.campaign import CampaignManifest
-
-        store = store if store is not None else self.open_store()
-        manifest = CampaignManifest(self.manifest_path, meta={
-            "driver": "fleet",
-            "root": self.root,
-            "store": self.config.store,
-        })
-        failed = self.terminal_failures()
-        for spec in self.load_specs():
-            key = spec.spec_hash
-            manifest.submit(key, spec.to_dict())
-            state = self.attempt_state(key)
-            if state["attempts"]:
-                manifest.attempts[key] = state["attempts"]
-            if key in store:
-                manifest.complete(key)
-            elif key in failed:
-                manifest.fail(key, failed[key].get("error", "failed"),
-                              attempts=failed[key].get("attempts", 1))
-        manifest.save()
-        return manifest

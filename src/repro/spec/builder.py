@@ -247,7 +247,7 @@ def execute(
     vectorized batch engine as a batch of one; everything else falls
     back to the scalar engines with results identical to
     ``engine="auto"``. This is the single choke point, so every layer
-    above — store batch execution, campaign manifests, grids, sweeps,
+    above — store batch execution, resumable campaigns, grids, sweeps,
     the CLI — inherits the routing for free.
     """
     if (spec.adversary or {}).get("name") == LOWER_BOUND:

@@ -18,8 +18,8 @@ provenance-stamped record format:
   layer over any backend, and the one entry point of every spec
   campaign (a grid is one ``execute_batch`` call into
   ``<out_dir>/<name>.jsonl``).
-* :mod:`repro.store.merge` — deterministic shard merge for stores and
-  campaign manifests, plus spec-hash sharding helpers.
+* :mod:`repro.store.merge` — deterministic shard merge for stores,
+  plus spec-hash sharding helpers.
 * :mod:`repro.store.query` — the filter language behind
   :meth:`Store.select` and ``repro-gossip store query``.
 
@@ -49,7 +49,6 @@ _EXPORTS = {
     "JsonlStore": "jsonl",
     "MERGE_POLICIES": "merge",
     "MergeConflict": "merge",
-    "merge_manifests": "merge",
     "merge_stores": "merge",
     "parse_shard": "merge",
     "shard_of": "merge",

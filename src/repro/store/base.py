@@ -8,8 +8,8 @@ This module owns that format (:func:`make_record`, :func:`record_crc`,
 :func:`metrics_of`), the one rule for whether a stored record is
 readable (:func:`classify_line`, :func:`check_schema`, and
 ``Store.verify`` / ``Store._compaction`` on top of them), plus the
-write-discipline helpers shared by the backends and the checkpoint
-manifests (:func:`atomic_replace_json`, :func:`advisory_lock`).
+write-discipline helpers shared by the backends and the fleet's
+campaign directory (:func:`atomic_replace_json`, :func:`advisory_lock`).
 
 :class:`Store` is the backend protocol extracted from the original
 monolithic JSONL store's surface: ``get``/``put``/``records``/``verify``/
@@ -67,7 +67,7 @@ STORE_SCHEMA_VERSION = 2
 
 #: ``fsync`` policies for store writes. ``"always"`` makes every write
 #: durable before the cache sees it (crash-safe to the last record, the
-#: right setting for checkpointed campaigns); ``"never"`` leaves
+#: right setting for resumable campaigns); ``"never"`` leaves
 #: flushing to the OS (fastest; a crash can lose recently buffered
 #: records, which the recovery machinery then handles).
 FSYNC_POLICIES = ("always", "never")
@@ -222,8 +222,8 @@ def atomic_replace_json(path: str, payload: Any) -> None:
 
     The temporary file is fsynced before the rename and the directory
     after it, so a crash leaves either the old file or the new one —
-    never a torn mixture.  This is the write discipline behind both
-    checkpoint manifests and store compaction.
+    never a torn mixture.  This is the write discipline behind store
+    compaction, quarantine sidecars and the fleet's campaign files.
     """
     parent = os.path.dirname(path)
     if parent:
@@ -471,7 +471,8 @@ def classify_line(raw: str):
 
     The one readability rule for both backends: ``raw`` is a JSONL log
     line or a SQLite row's blob.  Problems are *corruption* (unparseable
-    text, a non-object, a checksum mismatch) — recoverable by
+    text; a non-object, or an object without a string ``spec_hash`` such
+    as a JSON manifest line; a checksum mismatch) — recoverable by
     quarantine.  Unknown schema versions are not corruption and are left
     to the caller: the record is returned with problem
     ``"unknown-schema"`` so ``verify`` can report it while loaders
@@ -481,7 +482,8 @@ def classify_line(raw: str):
         entry = json.loads(raw)
     except json.JSONDecodeError:
         return None, "torn-or-unparseable"
-    if not isinstance(entry, dict):
+    if not isinstance(entry, dict) \
+            or not isinstance(entry.get("spec_hash"), str):
         return None, "not-a-record"
     schema = entry.get("schema")
     if not _known_schema(schema):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..sim.errors import ConfigurationError
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 from .base import Store, make_record, metrics_of
@@ -113,8 +112,6 @@ def execute_batch(
     processes: int = 1,
     trial_timeout: Optional[float] = None,
     retries: int = 0,
-    manifest: Any = None,
-    checkpoint_every: int = 8,
     shutdown: Any = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> List[Dict[str, Any]]:
@@ -123,12 +120,15 @@ def execute_batch(
     Specs travel to workers as their serialized dicts, so parallel
     batches need no pickling support beyond plain data.  Records come
     back in spec order; previously stored specs are cache hits and
-    duplicate hashes within the batch execute once.
+    duplicate hashes within the batch execute once.  The store is the
+    batch's only progress record: a batch killed mid-run is resumed by
+    re-running it against the same store, which re-runs exactly the
+    missing specs, seed for seed.
 
     Specs requesting ``engine="batch"`` are grouped by cell and ride the
     vectorized engine ``batch_size`` seeds per job (ineligible cells
     run per-trial in the same pool) unless the batch is fault-tolerant
-    or checkpointed, where execution stays per-trial — a whole group is
+    or drainable, where execution stays per-trial — a whole group is
     not a unit the fault machinery can retry seed-by-seed, and
     ``execute()`` still vectorizes each eligible spec as a batch of one.
 
@@ -139,50 +139,20 @@ def execute_batch(
     stored — re-running the same batch against the same store retries
     only the failed specs.
 
-    ``manifest`` (a :class:`~repro.experiments.campaign.CampaignManifest`
-    or a path) switches the batch to **checkpointed** execution: specs
-    run in chunks, and after each chunk the manifest — which records
-    every submitted spec (dict and hash), the completed/failed hashes,
-    and the batch's RNG provenance — is atomically rewritten, at least
-    every ``checkpoint_every`` completions.  With a store, the store
-    holds the results and completions carry no payload; without one,
-    realized metrics live in the manifest itself.  A batch killed
-    mid-run can then be resumed from the manifest alone and re-runs
-    exactly the missing specs, seed for seed.  ``shutdown`` (a
-    :class:`~repro.experiments.campaign.GracefulShutdown` or any
-    0-argument callable) is polled between submissions: when it turns
-    truthy the batch stops submitting, drains in-flight trials, flushes
-    the store, writes the manifest, and raises
+    ``shutdown`` (a :class:`~repro.experiments.campaign.GracefulShutdown`
+    or any 0-argument callable; it needs a ``store``) is polled between
+    chunks of specs: when it turns truthy the batch stops submitting,
+    drains in-flight trials, syncs the store, and raises
     :class:`~repro.experiments.campaign.CampaignDrained`.
     """
-    from ..experiments.campaign import CampaignManifest, run_jobs
+    from ..experiments.campaign import run_jobs
 
     specs = list(specs)
-    meta = {
-        "driver": "execute_batch",
-        "specs": len(specs),
-        "rng": {"seeds": sorted({spec.seed for spec in specs})},
-    }
-    if manifest is not None:
-        manifest = CampaignManifest.ensure(
-            manifest, meta=meta, checkpoint_every=checkpoint_every)
-        driver = manifest.meta.get("driver", "execute_batch")
-        if driver not in ("execute_batch", "fleet"):
-            # Sweeps and grids once kept their own job keys (parameter
-            # tuples, cell dicts); no spec hash can match those, so a
-            # resume would re-run everything and leave them missing.
-            raise ConfigurationError(
-                f"manifest {manifest.path!r} was written by the "
-                f"{driver!r} driver, whose jobs are not keyed by spec "
-                f"hash, so this build cannot resume it; finish it with "
-                f"the build that wrote it or start a fresh manifest"
-            )
     hashes = [spec.spec_hash for spec in specs]
     unique: Dict[str, RunSpec] = {}
     for key, spec in zip(hashes, specs):
         unique.setdefault(key, spec)
-    plain = (trial_timeout is None and retries <= 0
-             and manifest is None and shutdown is None)
+    plain = trial_timeout is None and retries <= 0 and shutdown is None
     chunks = _vector_chunks(unique, store, batch_size) if plain else []
     chunked = {key for chunk in chunks for key in chunk}
     singles = [key for key in unique if key not in chunked]
@@ -201,9 +171,8 @@ def execute_batch(
         + [unique[key].to_dict() for key in singles],
         keys=[unit[0] for unit in units],
         processes=processes, trial_timeout=trial_timeout, retries=retries,
-        manifest=manifest, meta=meta,
-        checkpoint_every=checkpoint_every, shutdown=shutdown,
-        store=store, sink=put if store is not None else None,
+        shutdown=shutdown, store=store,
+        sink=put if store is not None else None,
     )
     fresh: Dict[str, Dict[str, Any]] = {}
     for index, (unit, outcome) in enumerate(zip(units, outcomes)):

@@ -1,11 +1,11 @@
-"""Shard merge for stores and campaign manifests.
+"""Shard merge for stores.
 
 A large campaign can be split across hosts by spec hash
 (:func:`shard_of` / :func:`shard_specs`, with :func:`parse_shard`
 reading the ``INDEX/COUNT`` form every ``--shard`` flag takes): each
 host runs its slice
-against its own store and manifest, and the shards are merged back into
-one artifact set afterwards.  Merging is **deterministic**: the result
+against its own store, and the shards are merged back into one artifact
+set afterwards.  Merging is **deterministic**: the result
 is independent of the order the shards are merged in.
 
 Record identity is the canonical body (every stamped field except the
@@ -22,19 +22,14 @@ versions — resolves by policy:
   digest makes the winner order-independent even between records with
   identical stamps.
 
-:func:`merge_manifests` applies the same discipline to
-:class:`~repro.experiments.campaign.CampaignManifest` checkpoints:
-submitted sets union, a completion in any shard completes the job
-(completion beats a stale failure from another shard), and divergent
-completion payloads resolve by the same policy.  Merging the stores and
-the manifests of two disjoint shards therefore yields a campaign from
-which ``--resume`` finds zero missing cells.
+A store is its campaign's only progress record, so merging the stores
+of disjoint shards yields a store against which ``--resume`` of the
+whole campaign finds zero missing cells and runs nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,7 +39,6 @@ from .base import Store, canonical_body, iter_records
 __all__ = [
     "MERGE_POLICIES",
     "MergeConflict",
-    "merge_manifests",
     "merge_stores",
     "parse_shard",
     "shard_of",
@@ -149,78 +143,6 @@ def merge_stores(
         "replaced": replaced,
         "conflicts": conflicts,
     }
-
-
-def merge_manifests(
-    dest: Any,
-    sources: Iterable[Any],
-    policy: str = "error",
-) -> Any:
-    """Merge campaign manifest shards into ``dest`` and save it.
-
-    ``dest``/``sources`` are :class:`~repro.experiments.campaign.
-    CampaignManifest` instances or paths (paths load if they exist; a
-    fresh ``dest`` path starts empty).  Submitted jobs union (first
-    payload wins — payloads are the job key's own JSON, identical by
-    construction); a completion anywhere completes the job and clears
-    any failure recorded by another shard; failures union for jobs no
-    shard completed.  Divergent completion *payloads* (store-less
-    campaigns carry results in the manifest) resolve by ``policy``:
-    ``"error"`` raises :class:`MergeConflict`, ``"provenance"`` keeps
-    the payload with the greater canonical-JSON digest (deterministic,
-    order-independent).  The merged manifest is saved atomically and
-    returned.
-    """
-    from ..experiments.campaign import CampaignManifest
-
-    if policy not in MERGE_POLICIES:
-        raise ConfigurationError(
-            f"unknown merge policy {policy!r}; "
-            f"choose from {list(MERGE_POLICIES)}"
-        )
-    manifest = CampaignManifest.ensure(dest)
-    for source in sources:
-        if not isinstance(source, CampaignManifest):
-            source = CampaignManifest.load(str(source))
-        if not manifest.meta:
-            manifest.meta = dict(source.meta)
-        for key, payload in source.submitted.items():
-            manifest.submit(key, payload)
-        for key, result in source.completed.items():
-            if key not in manifest.completed:
-                manifest.complete(key, result)
-                continue
-            ours = manifest.completed[key]
-            if ours == result:
-                continue
-            our_json = json.dumps(ours, sort_keys=True, default=str)
-            their_json = json.dumps(result, sort_keys=True, default=str)
-            if our_json == their_json:
-                continue
-            if policy == "error":
-                raise MergeConflict(
-                    f"job {key!r} completed with divergent results in "
-                    f"two shards; re-merge with policy='provenance'"
-                )
-            if _body_digest(their_json) > _body_digest(our_json):
-                manifest.complete(key, result)
-        for key, error in source.failed.items():
-            if key not in manifest.completed \
-                    and key not in manifest.failed:
-                manifest.fail(key, error,
-                              attempts=source.attempts.get(key, 1))
-        # Attempt counts take the max across shards: each shard counted
-        # its own tries, and a re-issue budget must see the worst case.
-        for key, count in source.attempts.items():
-            manifest.attempts[key] = max(
-                manifest.attempts.get(key, 0), int(count))
-    # A completion in any shard beats a failure from another.
-    for key in list(manifest.failed):
-        if key in manifest.completed:
-            manifest.failed.pop(key)
-    manifest.drained = False
-    manifest.save()
-    return manifest
 
 
 def shard_of(spec_hash: str, shards: int) -> int:

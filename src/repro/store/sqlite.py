@@ -34,6 +34,7 @@ import os
 import sqlite3
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.errors import ConfigurationError
 from .base import (
     Store,
     UnknownSchemaError,
@@ -99,14 +100,24 @@ class SqliteStore(Store):
         if parent:
             os.makedirs(parent, exist_ok=True)
         conn = sqlite3.connect(self.path, isolation_level=None)
-        conn.execute("PRAGMA busy_timeout = 30000")
-        # Before the switch to WAL: that switch syncs the file at the
-        # connection's synchronous level, which would otherwise still be
-        # the default FULL.
-        conn.execute("PRAGMA synchronous = {}".format(
-            "FULL" if self.fsync == "always" else "OFF"))
-        conn.execute("PRAGMA journal_mode = WAL")
-        conn.executescript(_DDL)
+        try:
+            conn.execute("PRAGMA busy_timeout = 30000")
+            # Before the switch to WAL: that switch syncs the file at the
+            # connection's synchronous level, which would otherwise still
+            # be the default FULL.
+            conn.execute("PRAGMA synchronous = {}".format(
+                "FULL" if self.fsync == "always" else "OFF"))
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.executescript(_DDL)
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            if isinstance(exc, sqlite3.OperationalError):
+                raise  # locked, read-only, ...: not the file's format
+            raise ConfigurationError(
+                f"store {self.path!r} is not a SQLite database ({exc}); "
+                f"name a .jsonl path for the JSONL backend, or move the "
+                f"file aside"
+            ) from None
         row = conn.execute(
             "SELECT value FROM meta WHERE key = 'layout'").fetchone()
         if row is None:

@@ -122,7 +122,7 @@ def sweep_gossip(*args: Any, **kwargs: Any) -> List[SweepPoint]:
 
     Takes :func:`sweep_specs`'s arguments and runs its specs in one
     store-less, sequential :func:`repro.store.execute_batch` call; a
-    campaign that wants workers, timeouts, a store or a checkpoint
+    campaign that wants workers, timeouts, a store or a drain hook
     passes them to ``execute_batch`` itself and reduces with
     :func:`sweep_points`.
     """

@@ -1,5 +1,7 @@
 """In-process fleet worker behavior: drain, steal, poison, dedupe."""
 
+import os
+
 import pytest
 
 from repro.fleet import (
@@ -54,15 +56,30 @@ class TestDrain:
         assert verify["ok"] and verify["unique"] == len(specs)
         assert verify["superseded"] == 0
 
-    def test_manifest_view_interops_with_resume(self, tmp_path):
+    def test_store_interops_with_resume(self, tmp_path, monkeypatch):
+        """The fleet's store is an ordinary campaign store: a resumable
+        ``execute_batch`` of the same specs against it runs nothing,
+        and the per-key attempt counts stay in ``attempts/``."""
+        import repro.store.batch as batch_module
+        from repro.experiments import GracefulShutdown
+        from repro.store import execute_batch
+
         specs = _specs(count=4)
         campaign = FleetCampaign.create(str(tmp_path / "c"), specs,
                                         config=_fast_config())
         FleetWorker(campaign, "w0").run()
-        manifest = campaign.write_manifest_view()
-        assert manifest.missing_keys() == []
-        assert set(manifest.completed) == {s.spec_hash for s in specs}
-        assert sum(manifest.attempts.values()) == len(specs)
+        assert campaign.missing_keys() == []
+        assert sum(campaign.attempt_state(s.spec_hash)["attempts"]
+                   for s in specs) == len(specs)
+
+        def boom(spec_dict):
+            raise AssertionError("resume of a drained fleet must not run")
+
+        monkeypatch.setattr(batch_module, "_spec_job", boom)
+        records = execute_batch(specs, store=campaign.open_store(),
+                                shutdown=GracefulShutdown(verbose=False))
+        assert [r["spec_hash"] for r in records] == [
+            s.spec_hash for s in specs]
 
     def test_sharded_worker_steals_foreign_keys(self, tmp_path):
         specs = _specs(count=8)
@@ -111,9 +128,10 @@ class TestPoisonJob:
         assert len(failures[poisoned]["error"]) <= 2000
         # terminal failure completes the campaign
         assert campaign.status()["complete"]
-        manifest = campaign.write_manifest_view()
-        assert manifest.attempts[poisoned] == 3
-        assert poisoned in manifest.failed
+        # attempts/ and failed/ are the fleet's record of the poison job
+        assert campaign.attempt_state(poisoned)["attempts"] == 3
+        assert os.path.exists(
+            os.path.join(campaign.failed_dir, f"{poisoned}.json"))
 
     def test_backoff_delays_reclaim(self, tmp_path):
         campaign = FleetCampaign.create(

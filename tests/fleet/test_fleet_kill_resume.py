@@ -89,7 +89,3 @@ def test_fleet_survives_worker_sigkill(tmp_path, reference, backend,
     for spec in specs:
         attempts = campaign.attempt_state(spec.spec_hash)["attempts"]
         assert attempts <= config.max_attempts
-
-    # the manifest view resumes to zero missing cells
-    manifest = campaign.write_manifest_view(store=store)
-    assert manifest.missing_keys() == []

@@ -182,13 +182,13 @@ class TestCli:
     def test_resume_and_profile_are_mutually_exclusive(
             self, capsys, tmp_path, argv):
         """Regression: --resume used to be silently ignored when
-        --profile was set (no checkpointing, no warning)."""
-        manifest = tmp_path / "campaign.json"
-        argv = argv + ["--profile", "--resume", str(manifest)]
+        --profile was set (no store, no warning)."""
+        store = tmp_path / "campaign.sqlite"
+        argv = argv + ["--profile", "--resume", str(store)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "cannot be combined" in captured.err
-        assert captured.out == "" and not manifest.exists()
+        assert captured.out == "" and not store.exists()
 
     @pytest.mark.parametrize("argv, needle", [
         (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
@@ -212,19 +212,31 @@ class TestCli:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("bad", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [
-        ["grid", "--algorithms", "trivial", "--ns", "8", "--seeds", "1"],
-        ["sweep", "--algorithm", "trivial", "--min-n", "8",
-         "--max-n", "8", "--seeds", "1"],
-        ["batch", "--specs", "unused.jsonl"],
-    ])
-    def test_checkpoint_every_rejects_non_positive(
-            self, capsys, tmp_path, argv, bad):
-        argv = argv + ["--resume", str(tmp_path / "campaign.json"),
-                       "--checkpoint-every", bad]
+    @pytest.mark.parametrize("argv, needle", [
+        (["batch", "--specs", "{spec}", "--resume", "{tmp}/x.json"],
+         "names a JSON manifest"),
+        (["batch", "--specs", "{spec}", "--store", "{tmp}/a.sqlite",
+          "--resume", "{tmp}/b.sqlite"], "names a different file"),
+        (["grid", "--algorithms", "trivial", "--ns", "8", "--seeds", "1",
+          "--out-dir", "{tmp}/D", "--resume", "{tmp}/other.jsonl"],
+         "names a different file"),
+    ], ids=["json-manifest", "batch-store", "grid-out-dir"])
+    def test_refused_resume_is_one_error_line(self, capsys, tmp_path,
+                                              argv, needle):
+        from repro.spec import RunSpec
+
+        spec_path = tmp_path / "specs.json"
+        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        argv = [arg.format(tmp=tmp_path, spec=spec_path) for arg in argv]
         assert main(argv) == 2
-        assert "checkpoint_every must be" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.err.count("\n") == 1
+        # The --resume path is named, and nothing was created.
+        resume = argv[argv.index("--resume") + 1]
+        assert resume in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["specs.json"]
 
     @pytest.mark.parametrize("shard", ["1", "4/4"])
     def test_batch_bad_shard_is_one_error_line(self, capsys, tmp_path,
@@ -360,14 +372,36 @@ class TestCli:
             "forced_messages=124"]
         assert summary == "batch: 1/1 spec(s) ok"
 
-    def test_refused_manifest_is_one_error_line(self, capsys, tmp_path):
-        from repro.experiments import CampaignManifest
+    @pytest.mark.parametrize("command", ["batch", "verify"])
+    def test_sqlite_path_that_is_not_a_database_is_one_error_line(
+            self, capsys, tmp_path, command):
+        from repro.spec import RunSpec
 
-        old = CampaignManifest(str(tmp_path / "old.json"),
-                               meta={"driver": "sweep"})
-        old.save()
+        spec_path = tmp_path / "specs.json"
+        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        notdb = tmp_path / "notdb.sqlite"
+        notdb.write_text("not a database\n" * 100)
+        argv = {"batch": ["batch", "--specs", str(spec_path),
+                          "--store", str(notdb)],
+                "verify": ["store", "verify", str(notdb)]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(notdb) in captured.err
+        assert "not a SQLite database" in captured.err
+
+    def test_refused_manifest_is_one_error_line(self, capsys, tmp_path):
+        import json
+
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"schema": 1, "meta": {"driver": "sweep"},
+                                   "submitted": {}, "completed": {}}))
         assert main(["sweep", "--algorithm", "trivial", "--min-n", "8",
                      "--max-n", "8", "--seeds", "1",
-                     "--resume", old.path]) == 2
+                     "--resume", str(old)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'sweep' driver" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "names a JSON manifest" in err
+        assert "the campaign's store" in err

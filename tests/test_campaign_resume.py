@@ -1,13 +1,13 @@
 """Kill-and-resume: a SIGKILLed campaign finishes correctly on resume.
 
-The crash-safety end-to-end test: a real child process runs a
-checkpointed ``execute_batch``; the parent SIGKILLs it mid-campaign
-(after at least a few records hit the store) and then resumes from the
-manifest.  The final record set must be identical, spec for spec, to an
-uninterrupted run — no lost records, no duplicates, no re-seeded cells.
+The crash-safety end-to-end test: a real child process runs a drainable
+``execute_batch``; the parent SIGKILLs it mid-campaign (after at least a
+few records hit the store) and then resumes from the store alone, the
+campaign's only progress record.  The final record set must be
+identical, spec for spec, to an uninterrupted run — no lost records, no
+duplicates, no re-seeded cells.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.experiments import CampaignManifest
+from repro.experiments import GracefulShutdown
 from repro.spec import RunSpec
 from repro.store import JsonlStore, execute_batch, open_store
 
@@ -25,6 +25,7 @@ N_SPECS = 30
 CHILD_SCRIPT = """\
 import sys
 
+from repro.experiments import GracefulShutdown
 from repro.spec import RunSpec
 from repro.store import execute_batch, open_store
 
@@ -33,12 +34,9 @@ specs = [
             engine="{engine}")
     for seed in range({n_specs})
 ]
-execute_batch(
-    specs,
-    store=open_store(sys.argv[1], fsync="always"),
-    manifest=sys.argv[2],
-    checkpoint_every=1,
-)
+with GracefulShutdown() as shutdown:
+    execute_batch(specs, store=open_store(sys.argv[1], fsync="always"),
+                  shutdown=shutdown)
 """
 
 
@@ -94,7 +92,7 @@ def _metrics_by_hash(records):
 
 
 # engine="batch" exercises the vectorized engine under the same kill:
-# checkpointed campaigns stay per-trial (a chunk is not a retryable unit)
+# drainable campaigns stay per-trial (a chunk is not a retryable unit)
 # but every eligible spec still routes through the batch engine as a
 # batch of one, so resume must land the *batch* RNG discipline's records
 # and the uninterrupted comparison run must reproduce them.
@@ -105,12 +103,11 @@ def _metrics_by_hash(records):
 def test_sigkill_mid_campaign_then_resume_matches_uninterrupted(
         tmp_path, backend, engine):
     store_path = str(tmp_path / f"runs.{backend}")
-    manifest_path = str(tmp_path / "campaign.json")
     script = tmp_path / "campaign_child.py"
     script.write_text(CHILD_SCRIPT.format(n_specs=N_SPECS, engine=engine))
 
     proc = subprocess.Popen(
-        [sys.executable, str(script), store_path, manifest_path],
+        [sys.executable, str(script), store_path],
         env=_child_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -128,14 +125,14 @@ def test_sigkill_mid_campaign_then_resume_matches_uninterrupted(
     survived = len(interrupted)
     assert 0 < survived < N_SPECS, "kill landed mid-campaign"
 
-    # Resume from the manifest: exactly the missing specs re-run.
+    # Resume from the store: exactly the missing specs re-run.
     records = execute_batch(
         _specs(engine), store=open_store(store_path, fsync="always"),
-        manifest=manifest_path, checkpoint_every=1,
+        shutdown=GracefulShutdown(verbose=False),
     )
     assert len(records) == N_SPECS
-    manifest = CampaignManifest.load(manifest_path)
-    assert manifest.missing_keys() == []
+    assert not any(record.get("failed") for record in records)
+    assert len(open_store(store_path)) == N_SPECS
 
     # Byte-for-byte the same science as a never-interrupted campaign.
     uninterrupted = execute_batch(
@@ -150,10 +147,9 @@ def test_sigkill_mid_campaign_then_resume_matches_uninterrupted(
 
 
 def test_cli_batch_drains_on_sigterm_and_resumes(tmp_path):
-    """One SIGTERM → graceful drain, exit 75, resumable manifest; the
+    """One SIGTERM → graceful drain, exit 75, a resumable store; the
     re-run finishes the campaign and exits 0."""
     store_path = str(tmp_path / "runs.jsonl")
-    manifest_path = str(tmp_path / "campaign.json")
     specs_path = tmp_path / "specs.jsonl"
     with open(specs_path, "w", encoding="utf-8") as handle:
         for spec in _specs():
@@ -161,8 +157,7 @@ def test_cli_batch_drains_on_sigterm_and_resumes(tmp_path):
 
     argv = [
         sys.executable, "-m", "repro", "batch",
-        "--specs", str(specs_path), "--store", store_path,
-        "--resume", manifest_path, "--checkpoint-every", "1",
+        "--specs", str(specs_path), "--resume", store_path,
     ]
     proc = subprocess.Popen(
         argv, env=_child_env(),
@@ -178,10 +173,7 @@ def test_cli_batch_drains_on_sigterm_and_resumes(tmp_path):
             proc.wait(timeout=30)
 
     assert returncode == 75  # DRAIN_EXIT_CODE: interrupted but resumable
-    with open(manifest_path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["drained"] is True
-    assert len(payload["completed"]) < N_SPECS
+    assert 0 < len(JsonlStore(store_path)) < N_SPECS
 
     finish = subprocess.run(argv, env=_child_env(), capture_output=True,
                             text=True, timeout=120)

@@ -1,4 +1,5 @@
-"""Checkpoint manifests, graceful shutdown, and resumable drivers."""
+"""Graceful shutdown and resumable drivers: a campaign resumes from its
+store."""
 
 import json
 import signal
@@ -7,15 +8,15 @@ import pytest
 
 from repro.experiments import (
     CampaignDrained,
-    CampaignManifest,
     GracefulShutdown,
     GridSpec,
     run_jobs,
     theorem1_rows,
     theorem1_specs,
 )
+from repro.experiments.campaign import DRAIN_CHUNK, job_key
 from repro.spec import RunSpec
-from repro.store import JsonlStore, execute_batch
+from repro.store import JsonlStore, execute_batch, open_store
 from repro.workloads.sweeps import (
     quarter,
     sweep_gossip,
@@ -36,91 +37,16 @@ def _maybe_square(args):
     return args[0] * args[0]
 
 
-def _nested_tuple(args):
-    return (args[0], (args[0], args[0] + 1))
+def _keeper(jobs, store):
+    """A ``run_jobs`` sink that records each fresh value in ``store``."""
+    def keep(index, value):
+        store[job_key(jobs[index])] = value
+    return keep
 
 
 def _values(jobs, fn, **kwargs):
     """``run_jobs`` reduced to its values (None for a failed job)."""
     return [outcome.value for outcome in run_jobs(fn, jobs, **kwargs)]
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        manifest = CampaignManifest(path, meta={"driver": "test",
-                                                "rng": {"seeds": [0, 1]}})
-        manifest.submit("a", {"x": 1})
-        manifest.submit("b", {"x": 2})
-        manifest.complete("a", 17)
-        manifest.fail("b", "boom")
-        manifest.save()
-
-        loaded = CampaignManifest.load(path)
-        assert loaded.meta["rng"] == {"seeds": [0, 1]}
-        assert loaded.completed == {"a": 17}
-        assert loaded.failed == {"b": "boom"}
-        assert loaded.missing_keys() == ["b"]
-        assert not (tmp_path / "campaign.json.tmp").exists()
-
-    def test_ensure_resumes_existing_path_keeping_meta(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        CampaignManifest(path, meta={"driver": "original"}).save()
-        resumed = CampaignManifest.ensure(path, meta={"driver": "other"})
-        assert resumed.meta["driver"] == "original"
-        fresh = CampaignManifest.ensure(str(tmp_path / "new.json"),
-                                        meta={"driver": "other"})
-        assert fresh.meta["driver"] == "other"
-
-    def test_unknown_manifest_schema_refused(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        path.write_text(json.dumps({"schema": 99}))
-        from repro.sim.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="schema version"):
-            CampaignManifest.load(str(path))
-
-    def test_checkpoint_cadence(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        manifest = CampaignManifest(str(path), checkpoint_every=3)
-        manifest.complete("a")
-        manifest.complete("b")
-        assert not manifest.maybe_save() and not path.exists()
-        manifest.complete("c")
-        assert manifest.maybe_save() and path.exists()
-
-    @pytest.mark.parametrize("bad", [0, -1, "three", None, 2.5])
-    def test_checkpoint_every_rejects_non_positive(self, tmp_path, bad):
-        from repro.sim.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="checkpoint_every"):
-            CampaignManifest(str(tmp_path / "c.json"),
-                             checkpoint_every=bad)
-
-    def test_failure_strings_truncated_and_attempts_counted(
-            self, tmp_path):
-        from repro.experiments.campaign import MAX_FAILURE_CHARS
-
-        path = str(tmp_path / "campaign.json")
-        manifest = CampaignManifest(path)
-        manifest.submit("job", {"x": 1})
-        manifest.fail("job", "boom " * 10000)
-        assert len(manifest.failed["job"]) \
-            <= MAX_FAILURE_CHARS + len(" ... [truncated 99999 chars]")
-        assert "truncated" in manifest.failed["job"]
-        manifest.fail("job", "boom again")
-        assert manifest.failed["job"] == "boom again"
-        assert manifest.attempts["job"] == 2
-
-        manifest.save()
-        loaded = CampaignManifest.load(path)
-        assert loaded.attempts == {"job": 2}
-        assert loaded.summary()["attempts"] == 2
-        # explicit attempts (e.g. merged from a shard) take the max
-        loaded.fail("job", "merged", attempts=5)
-        assert loaded.attempts["job"] == 5
-        loaded.fail("job", "stale shard", attempts=3)
-        assert loaded.attempts["job"] == 5
 
 
 class TestGracefulShutdown:
@@ -163,45 +89,53 @@ class TestGracefulShutdown:
 
 
 class TestCheckpointedJobs:
-    def test_results_match_plain_map_and_resume_skips(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
+    """``run_jobs`` against a store: anything answering ``key in store``
+    (here a dict the sink fills) is the campaign's progress record."""
+
+    def test_results_match_plain_map_and_resume_skips(self):
         jobs = [(value,) for value in range(5)]
-        results = _values(jobs, _square, manifest=path, checkpoint_every=2)
+        store = {}
+        results = _values(jobs, _square, store=store,
+                          sink=_keeper(jobs, store))
         assert results == [0, 1, 4, 9, 16]
+        assert [store[job_key(job)] for job in jobs] == results
 
         # Resume re-executes nothing: a poisoned job_fn proves it.
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        assert _values(jobs, boom, manifest=path) == results
+        outcomes = run_jobs(boom, jobs, store=store)
+        assert all(o.ok and o.attempts == 0 for o in outcomes)
 
     def test_fresh_and_resumed_results_share_shape(self, tmp_path):
-        """Regression: fresh jobs returned raw values while resumed jobs
-        returned JSON-coerced ones, so a resumed run could yield
-        structurally different results (nested tuples became lists).
-        Both paths must take the same encode → JSON trip."""
-        path = str(tmp_path / "campaign.json")
-        jobs = [(1,), (2,)]
-        kwargs = dict(manifest=path, sink=lambda _index, value: list(value))
-        fresh = _values(jobs, _nested_tuple, **kwargs)
+        """Regression: fresh results once came back raw while resumed
+        ones came back JSON-coerced, so a resumed run could yield
+        structurally different results.  Both now come from the store."""
+        store = JsonlStore(str(tmp_path / "runs.jsonl"))
+        specs = [SPEC.replace(seed=seed) for seed in range(2)]
+        fresh = execute_batch(specs, store=store)
 
-        def boom(args):
+        def boom(spec_dict):
             raise AssertionError("resume must not re-run completed jobs")
 
-        resumed = _values(jobs, boom, **kwargs)
-        assert fresh == resumed
-        # The nested tuple is JSON-coerced to a list in both runs alike.
-        assert fresh == [[1, [1, 2]], [2, [2, 3]]]
+        import repro.store.batch as batch_module
 
-    def test_failed_jobs_stay_missing_and_retry(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
+        real = batch_module._spec_job
+        try:
+            batch_module._spec_job = boom
+            resumed = execute_batch(
+                specs, store=JsonlStore(str(tmp_path / "runs.jsonl")))
+        finally:
+            batch_module._spec_job = real
+        assert fresh == resumed
+
+    def test_failed_jobs_stay_missing_and_retry(self):
         jobs = [(2,), (-1,), (3,)]
-        results = _values(jobs, _maybe_square, manifest=path,
-                          trial_timeout=30)
+        store = {}
+        results = _values(jobs, _maybe_square, store=store,
+                          sink=_keeper(jobs, store), trial_timeout=30)
         assert results == [4, None, 9]
-        manifest = CampaignManifest.load(path)
-        assert len(manifest.failed) == 1
-        assert manifest.missing_keys() == list(manifest.failed)
+        assert job_key((-1,)) not in store  # failures are never stored
 
         # The retry run executes only the failed job.
         executed = []
@@ -210,23 +144,22 @@ class TestCheckpointedJobs:
             executed.append(args)
             return _square(args)
 
-        results = _values(jobs, tracked, manifest=path, trial_timeout=30)
-        assert results == [4, 1, 9]
+        _values(jobs, tracked, store=store, sink=_keeper(jobs, store),
+                trial_timeout=30)
         assert executed == [(-1,)]  # only the failed job re-ran
+        assert [store[job_key(job)] for job in jobs] == [4, 1, 9]
 
-    def test_preset_shutdown_drains_before_work(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
+    def test_preset_shutdown_drains_before_work(self):
         shutdown = GracefulShutdown(verbose=False)
         shutdown.requested = True
         with pytest.raises(CampaignDrained) as excinfo:
-            _values([(1,)], _square, manifest=path, shutdown=shutdown)
-        assert excinfo.value.remaining == 1
-        assert CampaignManifest.load(path).drained
+            _values([(1,)], _square, store={}, shutdown=shutdown)
+        assert (excinfo.value.completed, excinfo.value.remaining) == (0, 1)
 
-    def test_drain_mid_campaign_then_resume(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
+    def test_drain_mid_campaign_then_resume(self):
         shutdown = GracefulShutdown(verbose=False)
-        jobs = [(value,) for value in range(6)]
+        jobs = [(value,) for value in range(20)]
+        store = {}
         done = []
 
         def stop_after_two(args):
@@ -236,41 +169,37 @@ class TestCheckpointedJobs:
             return _square(args)
 
         with pytest.raises(CampaignDrained) as excinfo:
-            _values(jobs, stop_after_two, manifest=path,
-                    checkpoint_every=1, shutdown=shutdown)
-        assert 0 < excinfo.value.completed < 6
-        assert excinfo.value.completed + excinfo.value.remaining == 6
+            _values(jobs, stop_after_two, store=store,
+                    sink=_keeper(jobs, store), shutdown=shutdown)
+        # The chunk in flight finishes; the next one never starts.
+        assert excinfo.value.completed == len(store) == DRAIN_CHUNK
+        assert excinfo.value.remaining == 20 - DRAIN_CHUNK
 
-        results = _values(jobs, _square, manifest=path)
-        assert results == [0, 1, 4, 9, 16, 25]
+        _values(jobs, _square, store=store, sink=_keeper(jobs, store))
+        assert [store[job_key(job)] for job in jobs] == [
+            value * value for value in range(20)]
 
 
 class TestCheckpointedBatch:
     def test_batch_checkpoints_and_resumes_from_store(self, tmp_path):
         store_path = str(tmp_path / "runs.jsonl")
-        manifest_path = str(tmp_path / "batch.json")
         specs = [SPEC.replace(seed=seed) for seed in range(3)]
 
         records = execute_batch(specs, store=JsonlStore(store_path),
-                                manifest=manifest_path, checkpoint_every=1)
+                                shutdown=GracefulShutdown(verbose=False))
         assert all(r["metrics"]["completed"] for r in records)
-        manifest = CampaignManifest.load(manifest_path)
-        assert sorted(manifest.submitted) == sorted(
-            spec.spec_hash for spec in specs
-        )
-        assert manifest.missing_keys() == []
-        # Store is the source of truth: completions carry no payload.
-        assert set(manifest.completed.values()) == {None}
+        assert sorted(r["spec_hash"] for r in JsonlStore(
+            store_path).records()) == sorted(s.spec_hash for s in specs)
 
-        # Identical records to an unmanifested batch on the same store.
+        # Identical records to a batch without a drain hook.
         plain = execute_batch(specs, store=JsonlStore(store_path))
         assert plain == records
 
-    def test_batch_backfills_manifest_from_store(self, tmp_path):
-        """Records that reached the store before a crash could write the
-        checkpoint are recognized on resume (the store wins)."""
+    def test_batch_resumes_from_records_stored_before_a_crash(
+            self, tmp_path):
+        """Records that reached the store before a crash are cache hits
+        on resume: the store is the progress record."""
         store_path = str(tmp_path / "runs.jsonl")
-        manifest_path = str(tmp_path / "batch.json")
         specs = [SPEC.replace(seed=seed) for seed in range(2)]
         execute_batch(specs[:1], store=JsonlStore(store_path))
 
@@ -286,32 +215,11 @@ class TestCheckpointedBatch:
         try:
             batch_module._spec_job = spy
             execute_batch(specs, store=JsonlStore(store_path),
-                          manifest=manifest_path)
+                          shutdown=GracefulShutdown(verbose=False))
         finally:
             batch_module._spec_job = real_job
         assert executed == [1]
-        manifest = CampaignManifest.load(manifest_path)
-        assert manifest.missing_keys() == []
-
-    def test_storeless_batch_keeps_metrics_in_manifest(self, tmp_path):
-        manifest_path = str(tmp_path / "batch.json")
-        specs = [SPEC.replace(seed=seed) for seed in range(2)]
-        records = execute_batch(specs, manifest=manifest_path)
-
-        def boom(spec_dict):
-            raise AssertionError("resume must not re-execute")
-
-        import repro.store.batch as batch_module
-
-        real = batch_module._spec_job
-        try:
-            batch_module._spec_job = boom
-            resumed = execute_batch(specs, manifest=manifest_path)
-        finally:
-            batch_module._spec_job = real
-        assert [r["metrics"] for r in resumed] == [
-            r["metrics"] for r in records
-        ]
+        assert len(JsonlStore(store_path)) == 2
 
 
 class TestCheckpointedDrivers:
@@ -320,38 +228,39 @@ class TestCheckpointedDrivers:
                             seeds=range(2))
         plain = sweep_gossip("ears", ns=[16, 32], f_of_n=quarter,
                              seeds=range(2))
-        manifest_path = str(tmp_path / "sweep.json")
-        checkpointed = sweep_points(
-            specs, execute_batch(specs, manifest=manifest_path))
+        store = open_store(str(tmp_path / "sweep.sqlite"))
+        checkpointed = sweep_points(specs, execute_batch(
+            specs, store=store, shutdown=GracefulShutdown(verbose=False)))
         assert checkpointed == plain
-        meta = CampaignManifest.load(manifest_path).meta
-        assert meta["driver"] == "execute_batch"
-        assert meta["rng"] == {"seeds": [0, 1]}
+        assert len(store) == len(specs)
 
     def test_sweep_refuses_manifest_in_the_older_tuple_format(
-            self, tmp_path):
-        """Sweep jobs used to be positional tuples; such a manifest can
-        never key-match a spec job, so it is refused, not half-resumed."""
-        from repro.experiments.campaign import job_key
-        from repro.sim.errors import ConfigurationError
+            self, tmp_path, capsys):
+        """Sweeps once checkpointed positional job tuples into a JSON
+        manifest.  ``--resume`` now names a store, so such a file is
+        refused by name and left as it was, not half-resumed."""
+        from repro.cli import main
 
-        job = ("ears", 16, 4, 1, 1, 0, None, None, None, "auto", None)
-        old = CampaignManifest(str(tmp_path / "sweep.json"),
-                               meta={"driver": "sweep"})
-        old.submit(job_key(job), list(job))
-        old.complete(job_key(job), [True, 30, 500])
-        old.save()
-        before = (tmp_path / "sweep.json").read_text()
+        path = tmp_path / "sweep.json"
+        job = ["ears", 16, 4, 1, 1, 0, None, None, None, "auto", None]
+        path.write_text(json.dumps({
+            "schema": 1, "meta": {"driver": "sweep"},
+            "submitted": {json.dumps(job): job},
+            "completed": {json.dumps(job): [True, 30, 500]},
+        }))
+        before = path.read_text()
 
-        with pytest.raises(ConfigurationError,
-                           match="written by the 'sweep' driver"):
-            execute_batch(sweep_specs("ears", ns=[16], f_of_n=quarter,
-                                      seeds=[0]), manifest=old.path)
-        assert (tmp_path / "sweep.json").read_text() == before
+        assert main(["sweep", "--algorithm", "ears", "--min-n", "16",
+                     "--max-n", "16", "--seeds", "1",
+                     "--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names a JSON manifest" in captured.err
+        assert path.read_text() == before
 
     @pytest.mark.parametrize("driver", ["sweep", "theorem1", "batch",
                                         "grid"])
-    def test_shutdown_requires_manifest(self, driver):
+    def test_shutdown_requires_store(self, driver):
         shutdown = GracefulShutdown(verbose=False)
         run = {
             "sweep": lambda: execute_batch(sweep_specs(
@@ -364,7 +273,7 @@ class TestCheckpointedDrivers:
                 "g", "gossip", grid={"algorithm": ["trivial"], "n": [8]},
             ).specs(), shutdown=shutdown),
         }[driver]
-        with pytest.raises(ValueError, match="needs a manifest"):
+        with pytest.raises(ValueError, match="needs a store"):
             run()
 
     def test_theorem1_checkpointed_equals_plain(self, tmp_path,
@@ -372,18 +281,22 @@ class TestCheckpointedDrivers:
         specs = theorem1_specs(n=32, f=8, seeds=[0], algorithms=["trivial"],
                                samples=2, phase1_cap=200)
         plain = execute_batch(specs)
-        manifest_path = str(tmp_path / "thm1.json")
-        checkpointed = execute_batch(specs, manifest=manifest_path)
-        assert checkpointed == plain
+        store_path = str(tmp_path / "thm1.sqlite")
+        checkpointed = execute_batch(
+            specs, store=open_store(store_path),
+            shutdown=GracefulShutdown(verbose=False))
+        assert [r["metrics"] for r in checkpointed] == [
+            r["metrics"] for r in plain]
         assert len(theorem1_rows(checkpointed)) == 1
 
-        # Resume reads the persisted reports instead of re-running.
+        # Resume reads the stored reports instead of re-running.
         import repro.store.batch as batch_module
 
         def boom(spec_dict):
             raise AssertionError("resume must not re-execute")
 
         monkeypatch.setattr(batch_module, "_spec_job", boom)
-        resumed = execute_batch(specs, manifest=manifest_path)
-        assert resumed == plain
+        resumed = execute_batch(specs, store=open_store(store_path),
+                                shutdown=GracefulShutdown(verbose=False))
+        assert resumed == checkpointed
         assert theorem1_rows(resumed) == theorem1_rows(plain)

@@ -1,13 +1,13 @@
 """Driver parity: every view of ``run_jobs`` returns the same results
-plain, fault-tolerant, checkpointed, and killed-then-resumed — and a
-parallel call creates exactly one worker pool."""
+plain, fault-tolerant, drainable into a store, and killed-then-resumed
+from that store — and a parallel call creates exactly one worker pool."""
 
 import json
 
 import pytest
 
 from repro.experiments import (
-    CampaignManifest,
+    GracefulShutdown,
     GridSpec,
     TrialPool,
     open_grid_store,
@@ -17,7 +17,7 @@ from repro.experiments import (
 )
 from repro.sim.errors import ConfigurationError
 from repro.spec import RunSpec
-from repro.store import execute_batch, open_store
+from repro.store import SqliteStore, execute_batch, open_store
 from repro.workloads.sweeps import quarter, sweep_points, sweep_specs
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
@@ -45,8 +45,8 @@ def _metrics(records):
 
 
 def _batch_with_store(tmp_path, tag, **kwargs):
-    store = open_store(str(tmp_path / f"{tag}.jsonl"))
-    return _metrics(execute_batch(SPECS, store=store, **kwargs))
+    kwargs.setdefault("store", open_store(str(tmp_path / f"{tag}.jsonl")))
+    return _metrics(execute_batch(SPECS, **kwargs))
 
 
 def _batch_storeless(tmp_path, tag, **kwargs):
@@ -54,13 +54,14 @@ def _batch_storeless(tmp_path, tag, **kwargs):
 
 
 def _batch_mixed(tmp_path, tag, **kwargs):
-    store = open_store(str(tmp_path / f"{tag}.sqlite"))
-    return _metrics(execute_batch(MIXED, store=store, **kwargs))
+    kwargs.setdefault("store", open_store(str(tmp_path / f"{tag}.sqlite")))
+    return _metrics(execute_batch(MIXED, **kwargs))
 
 
 def _grid(tmp_path, tag, **kwargs):
-    store = open_grid_store(str(tmp_path / tag), GRID.name)
-    return GRID.rows(execute_batch(GRID.specs(), store=store, **kwargs))
+    kwargs.setdefault("store",
+                      open_grid_store(str(tmp_path / tag), GRID.name))
+    return GRID.rows(execute_batch(GRID.specs(), **kwargs))
 
 
 def _sweep(tmp_path, tag, **kwargs):
@@ -83,29 +84,33 @@ class _Killed(BaseException):
     """Stands in for SIGKILL: nothing on the way out may catch it."""
 
 
+def _resumable(path):
+    """A resumable campaign's options: its store and a drain hook."""
+    return {"store": open_store(path),
+            "shutdown": GracefulShutdown(verbose=False)}
+
+
 @pytest.mark.parametrize("view", VIEWS)
 def test_modes_agree(view, tmp_path, monkeypatch):
     plain = view(tmp_path, "plain")
     assert view(tmp_path, "tolerant", retries=1) == plain
-    assert view(tmp_path, "checkpointed",
-                manifest=str(tmp_path / "checkpointed.json"),
-                checkpoint_every=1) == plain
+    assert view(tmp_path, "stored",
+                **_resumable(str(tmp_path / "stored.sqlite"))) == plain
 
-    # Die right after the first checkpoint reaches disk, then resume.
-    path = str(tmp_path / "killed.json")
-    real_save = CampaignManifest.maybe_save
+    # Die right after the first record reaches the store, then resume.
+    path = str(tmp_path / "killed.sqlite")
+    real_put = SqliteStore.put
 
-    def save_then_die(self, force=False):
-        if real_save(self, force):
-            raise _Killed
+    def put_then_die(self, spec, metrics):
+        real_put(self, spec, metrics)
+        raise _Killed
 
     with monkeypatch.context() as patched:
-        patched.setattr(CampaignManifest, "maybe_save", save_then_die)
+        patched.setattr(SqliteStore, "put", put_then_die)
         with pytest.raises(_Killed):
-            view(tmp_path, "killed", manifest=path, checkpoint_every=1)
-    assert CampaignManifest.load(path).missing_keys()
-    assert view(tmp_path, "killed", manifest=path) == plain
-    assert CampaignManifest.load(path).missing_keys() == []
+            view(tmp_path, "killed", **_resumable(path))
+    assert len(open_store(path)) == 1
+    assert view(tmp_path, "killed", **_resumable(path)) == plain
 
 
 @pytest.mark.parametrize("view", VIEWS)
@@ -123,21 +128,27 @@ def test_one_call_creates_one_pool(view, tmp_path, monkeypatch):
     assert len(created) == 1
 
 
-def test_grid_manifest_written_by_an_older_build_is_refused(tmp_path):
-    """Grid manifests used to be keyed by canonical cell params; no spec
-    hash can ever match those keys, so resuming one is refused (as for
-    positional-tuple sweep manifests) and the file is left as it was."""
-    old = CampaignManifest(str(tmp_path / "old.json"),
-                           meta={"driver": "grid", "grid": GRID.name})
-    for cell in GRID.cells():
-        old.submit(json.dumps(cell, sort_keys=True), cell)
-    old.save()
-    before = (tmp_path / "old.json").read_bytes()
+def test_grid_manifest_written_by_an_older_build_is_refused(tmp_path,
+                                                            capsys):
+    """Grid manifests were keyed by canonical cell params.  ``--resume``
+    now names a store, so such a file is refused by name, left as it
+    was, and nothing runs."""
+    from repro.cli import main
 
-    with pytest.raises(ConfigurationError,
-                       match="written by the 'grid' driver"):
-        _grid(tmp_path, "grid", manifest=old.path)
-    assert (tmp_path / "old.json").read_bytes() == before
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "schema": 1, "meta": {"driver": "grid", "grid": GRID.name},
+        "submitted": {json.dumps(cell, sort_keys=True): cell
+                      for cell in GRID.cells()},
+    }))
+    before = old.read_bytes()
+
+    assert main(["grid", "--algorithms", "trivial", "--ns", "8",
+                 "--seeds", "1", "--out-dir", str(tmp_path / "grid"),
+                 "--resume", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "names a JSON manifest" in err
+    assert old.read_bytes() == before
     assert not (tmp_path / "grid").exists()  # nothing ran
 
 

@@ -205,6 +205,44 @@ def test_planted_record_gets_one_reason_on_both_backends(tmp_path, reason):
             == [reason]
 
 
+#: A line of a JSON campaign manifest: a known schema, but no spec hash.
+MANIFEST_LINE = json.dumps({"schema": 1, "meta": {"driver": "sweep"},
+                            "submitted": {}, "completed": {}})
+
+
+@pytest.mark.parametrize("scan", ["jsonl-load", "jsonl-verify",
+                                  "sqlite-ingest", "sqlite-verify"])
+def test_object_without_spec_hash_is_not_a_record(tmp_path, scan):
+    """An object without a string ``spec_hash`` — an old manifest line
+    in a store path, say — is quarantined as ``not-a-record`` by every
+    scan of both backends, not a ``KeyError``."""
+    log = tmp_path / "runs.jsonl"
+    JsonlStore(str(log)).put(SPEC, {"completed": True})
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(MANIFEST_LINE + "\n")
+    index = SqliteStore(str(tmp_path / "runs.sqlite"))
+    if scan == "jsonl-load":
+        store = JsonlStore(str(log))
+        assert len(store) == 1
+        assert [entry["reason"] for entry in store.quarantined_entries()] \
+            == ["not-a-record"]
+    elif scan == "jsonl-verify":
+        assert JsonlStore(str(log)).verify()["corrupt"] == [
+            {"line": 2, "reason": "not-a-record"}]
+    elif scan == "sqlite-ingest":
+        report = index.ingest(str(log))
+        assert (report["ingested"], report["quarantined"]) == (1, 1)
+        assert len(index) == 1
+    else:
+        index.put(SPEC, {"completed": True})
+        conn = index._connect()
+        (rowid,) = conn.execute("SELECT rowid FROM records").fetchone()
+        conn.execute("UPDATE records SET record = ? WHERE rowid = ?",
+                     (MANIFEST_LINE, rowid))
+        assert index.verify()["corrupt"] == [
+            {"line": rowid, "reason": "not-a-record"}]
+
+
 def test_v1_records_load_and_compact_restamps(fresh_store):
     """Stores written before the checksum era keep working unchanged,
     and compaction upgrades them to the current schema."""

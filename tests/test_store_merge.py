@@ -1,7 +1,7 @@
-"""Shard merge: stores, manifests, and the zero-missing resume contract.
+"""Shard merge: stores and the zero-missing resume contract.
 
 A campaign split by spec hash (``shard_specs``) runs each slice against
-its own store and manifest; merging the shards back must be
+its own store; merging the shards back must be
 deterministic, order-independent, and leave ``--resume`` with zero
 missing cells — the acceptance bar for sharded campaigns.
 """
@@ -10,13 +10,12 @@ import pytest
 
 import repro.store.batch as batch_module
 from repro import __version__
-from repro.experiments import CampaignManifest
+from repro.experiments import GracefulShutdown
 from repro.spec import RunSpec
 from repro.store import (
     MergeConflict,
     execute_batch,
     make_record,
-    merge_manifests,
     merge_stores,
     open_store,
     shard_of,
@@ -140,72 +139,26 @@ class TestMergeStores:
         assert other.get(SPEC.spec_hash) == dest.get(SPEC.spec_hash)
 
 
-class TestMergeManifests:
-    def test_union_and_completion_beats_failure(self, tmp_path):
-        a = CampaignManifest(str(tmp_path / "a.json"))
-        a.submit("x", {"n": 1})
-        a.submit("y", {"n": 2})
-        a.complete("x", 10)
-        a.fail("y", "boom")
-        a.save()
-        b = CampaignManifest(str(tmp_path / "b.json"))
-        b.submit("y", {"n": 2})
-        b.submit("z", {"n": 3})
-        b.complete("y", 20)
-        b.complete("z", 30)
-        b.save()
-
-        merged = merge_manifests(str(tmp_path / "merged.json"),
-                                 [a.path, b.path])
-        assert merged.completed == {"x": 10, "y": 20, "z": 30}
-        assert merged.failed == {}
-        assert merged.missing_keys() == []
-        # Saved atomically and reloadable.
-        reloaded = CampaignManifest.load(str(tmp_path / "merged.json"))
-        assert reloaded.completed == merged.completed
-
-    def test_divergent_payloads_follow_policy(self, tmp_path):
-        a = CampaignManifest(str(tmp_path / "a.json"))
-        a.submit("x", {})
-        a.complete("x", {"value": 1})
-        b = CampaignManifest(str(tmp_path / "b.json"))
-        b.submit("x", {})
-        b.complete("x", {"value": 2})
-
-        with pytest.raises(MergeConflict, match="divergent"):
-            merge_manifests(str(tmp_path / "err.json"), [a, b])
-        left = merge_manifests(str(tmp_path / "lr.json"), [a, b],
-                               policy="provenance")
-        right = merge_manifests(str(tmp_path / "rl.json"), [b, a],
-                                policy="provenance")
-        assert left.completed == right.completed  # order-independent
-
-
 class TestShardedCampaignResume:
     def test_merged_shards_resume_with_zero_missing(self, tmp_path,
                                                     backend, monkeypatch):
         """The acceptance contract: run a campaign as two spec-hash
-        shards, merge the stores and the manifests, and a ``--resume``
-        of the full campaign finds nothing left to execute."""
+        shards, merge the stores, and a ``--resume`` of the full
+        campaign against the merged store finds nothing left to
+        execute."""
         specs = _specs(10)
-        shard_stores, shard_manifests = [], []
+        shard_stores = []
         for index in range(2):
             part = shard_specs(specs, index, 2)
             assert part, "shard unexpectedly empty"
             store = _store(tmp_path, backend, f"shard{index}")
-            manifest_path = str(tmp_path / f"shard{index}.json")
-            execute_batch(part, store=store, manifest=manifest_path)
+            execute_batch(part, store=store,
+                          shutdown=GracefulShutdown(verbose=False))
             shard_stores.append(store)
-            shard_manifests.append(manifest_path)
 
         merged_store = _store(tmp_path, backend, "merged")
         report = merge_stores(merged_store, shard_stores)
         assert report["added"] == len(specs)
-        merged_manifest = str(tmp_path / "merged.json")
-        manifest = merge_manifests(merged_manifest, shard_manifests)
-        assert sorted(manifest.submitted) == \
-            sorted(spec.spec_hash for spec in specs)
-        assert manifest.missing_keys() == []
 
         def boom(spec_dict):
             raise AssertionError(
@@ -214,7 +167,46 @@ class TestShardedCampaignResume:
 
         monkeypatch.setattr(batch_module, "_spec_job", boom)
         records = execute_batch(specs, store=merged_store,
-                                manifest=merged_manifest)
+                                shutdown=GracefulShutdown(verbose=False))
         assert [r["spec_hash"] for r in records] == \
             [spec.spec_hash for spec in specs]
         assert all(r["metrics"]["completed"] for r in records)
+
+
+class TestMergeCli:
+    def test_merge_without_a_source_is_refused(self, tmp_path, capsys):
+        """Argparse refuses a merge with nothing to merge in (exit 2)
+        instead of leaving an empty store behind."""
+        from repro.cli import main
+
+        dest = tmp_path / "d.sqlite"
+        with pytest.raises(SystemExit) as info:
+            main(["store", "merge", str(dest)])
+        assert info.value.code == 2
+        assert "sources" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_merged_shard_stores_resume_to_nothing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        specs = tmp_path / "specs.jsonl"
+        specs.write_text("".join(
+            spec.to_json(indent=None) + "\n" for spec in _specs(4)))
+        for index in range(2):
+            assert main(["batch", "--specs", str(specs), "--shard",
+                         f"{index}/2", "--resume",
+                         str(tmp_path / f"shard{index}.sqlite")]) == 0
+        merged = str(tmp_path / "merged.sqlite")
+        assert main(["store", "merge", merged,
+                     str(tmp_path / "shard0.sqlite"),
+                     str(tmp_path / "shard1.sqlite")]) == 0
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(batch_module, "_spec_job", _never)
+            assert main(["batch", "--specs", str(specs),
+                         "--resume", merged]) == 0
+        assert "batch: 4/4 spec(s) ok" in capsys.readouterr().out
+
+
+def _never(spec_dict):
+    raise AssertionError("a merged campaign's resume must run nothing")
