@@ -13,13 +13,23 @@ the inversion the message counts hide:
   tracks its message count;
 * Trivial's single-rumor-set broadcasts make it surprisingly competitive
   in bits.
+
+It also counts what sits in memory, with the same encoding model, so
+state and traffic numbers are directly comparable: EARS/SEARS carry the
+packed informed-list I(p) — Θ(n²) bits per process — and push-pull keeps
+one too but never ships it; TEARS keeps Θ(n)-bit masks plus counters,
+and trivial only its rumor set.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, List
+
 import pytest
 
 from repro.api import run_gossip
+from repro.sim.bits import BitMeter, mask_bits
 
 N, F = 96, 24
 SEEDS = range(3)
@@ -79,3 +89,86 @@ def test_message_vs_bit_inversion(benchmark):
     assert per_message["push-pull"] < per_message["ears"] / 10
     assert rows["push-pull"]["bits"] < rows["ears"]["bits"]
     assert rows["push-pull"]["messages"] > rows["ears"]["messages"]
+
+
+# -- state bits --------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class StateFootprint:
+    """Estimated state bits per process for one finished simulation."""
+
+    n: int
+    per_process: Dict[int, int]
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_process.values())
+
+    @property
+    def maximum(self) -> int:
+        return max(self.per_process.values(), default=0)
+
+    @property
+    def mean(self) -> float:
+        if not self.per_process:
+            return 0.0
+        return self.total / len(self.per_process)
+
+
+#: Algorithm attributes that hold protocol state worth counting. Private
+#: packed informed-lists are included explicitly (they dominate EARS).
+_STATE_ATTRIBUTES = (
+    "_I",                       # packed informed-lists (EARS/push-pull)
+    "up_msg_cnt",
+    "first_level_rumor_mask",
+    "safe_rumor_mask",
+    "sleep_cnt",
+)
+
+
+def algorithm_state_bits(algorithm, meter: BitMeter) -> int:
+    """Estimate one algorithm instance's protocol state in bits."""
+    total = 0
+    rumors = getattr(algorithm, "rumors", None)
+    if rumors is not None:
+        total += mask_bits(rumors.mask)
+        if rumors.payloads:
+            total += meter(rumors.payloads)
+    for attribute in _STATE_ATTRIBUTES:
+        value = getattr(algorithm, attribute, None)
+        if value is not None:
+            total += meter(value)
+    return total
+
+
+def measure_state(sim) -> StateFootprint:
+    """State footprint of every live process in a simulation."""
+    meter = BitMeter(sim.n)
+    return StateFootprint(
+        n=sim.n,
+        per_process={
+            pid: algorithm_state_bits(sim.algorithm(pid), meter)
+            for pid in sim.alive_pids
+        },
+    )
+
+
+def compare_state(algorithms: List[str], n: int = 64, f: int = 16,
+                  seed: int = 1) -> Dict[str, StateFootprint]:
+    """Run each named gossip algorithm and report its state footprint."""
+    return {name: measure_state(run_gossip(name, n=n, f=f, seed=seed).sim)
+            for name in algorithms}
+
+
+def test_state_footprint(benchmark):
+    """EXPERIMENTS.md's BITS state figures (n = 64, f = 16)."""
+    footprints = benchmark.pedantic(
+        compare_state, args=(["trivial", "tears", "ears", "push-pull"],),
+        rounds=1, iterations=1)
+    for name, footprint in footprints.items():
+        benchmark.extra_info[f"{name}_state_bits"] = round(footprint.mean)
+    # The quadratic certificate sits in memory for both EARS and
+    # push-pull; only EARS ships it.
+    assert footprints["ears"].mean > 10 * footprints["tears"].mean
+    assert footprints["push-pull"].mean >= 64 * 64 / 2
+    assert footprints["tears"].mean > footprints["trivial"].mean

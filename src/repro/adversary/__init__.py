@@ -33,10 +33,15 @@ from .gst import GstAdversary
 from .oblivious import ObliviousAdversary
 from .._util import lazy_exports
 
-# The Theorem 1 strategy loads on first use: no other run plays it.
-__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
-    ("LowerBoundExperiment", "LowerBoundReport", "run_lower_bound"),
-    "lower_bound"))
+# name -> defining submodule, imported on first use (see lazy_exports):
+# the Theorem 1 strategy loads only for the runs that play it.
+_EXPORTS = {
+    "LowerBoundExperiment": "lower_bound",
+    "LowerBoundReport": "lower_bound",
+    "run_lower_bound": "lower_bound",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdaptiveAdversary",

@@ -1,17 +1,10 @@
 """Complexity analysis utilities: paper bound formulas, scaling fits,
-cost-of-asynchrony ratios, and aggregation statistics."""
+cost-of-asynchrony ratios, execution timelines, and aggregation
+statistics."""
 
 from . import bounds
 from .coa import CoaReport, coa_report
-from .convergence import (
-    DisseminationCurve,
-    SCurveSampler,
-    curves_over_latency,
-    measure_dissemination,
-    render_curve,
-)
 from .timeline import TimelineRecorder, crash_summary, render_timeline
-from .memory import StateFootprint, compare_state, measure_state
 from .fitting import (
     PowerLawFit,
     SkippedFit,
@@ -25,23 +18,15 @@ from .tables import format_cell, format_fit, render_markdown, render_table
 
 __all__ = [
     "CoaReport",
-    "DisseminationCurve",
     "PowerLawFit",
-    "SCurveSampler",
     "SkippedFit",
-    "StateFootprint",
     "Summary",
     "TimelineRecorder",
     "bounds",
     "coa_report",
-    "compare_state",
     "crash_summary",
-    "curves_over_latency",
     "render_timeline",
     "doubling_ratio",
-    "measure_dissemination",
-    "measure_state",
-    "render_curve",
     "fit_power_law",
     "fit_power_law_with_log",
     "format_cell",

@@ -101,29 +101,44 @@ def _parse_topology(args) -> "object":
     return parse_topology_arg(getattr(args, "topology", None))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-n", type=int, default=64, help="process count")
-    parser.add_argument("-f", type=int, default=None,
-                        help="failure bound (default: algorithm-appropriate)")
-    parser.add_argument("-d", type=int, default=1, help="target max delay")
-    parser.add_argument("--delta", type=int, default=1,
-                        help="target max scheduling gap")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="number of seeds for aggregated experiments")
-    parser.add_argument("--crashes", type=int, default=None,
-                        help="random crash count (default: none)")
-    parser.add_argument("--engine", default="auto",
-                        choices=["auto", "stepwise", "leap", "batch"],
-                        help="execution strategy: 'auto' (time-leap fast "
-                             "path with stepwise fallback), 'stepwise' "
-                             "(reference loop), 'leap', or 'batch' (the "
-                             "vectorized batched-trial engine). auto/"
-                             "stepwise/leap are seed-for-seed "
-                             "bit-identical; batch is seed-deterministic "
-                             "with its own RNG streams, matching the "
-                             "scalar engines in distribution, and falls "
-                             "back to scalar for ineligible cells")
+#: The run flags by name. Each subcommand adds exactly the ones its
+#: branch of ``_run`` reads, so argparse refuses the rest; those
+#: subcommands take no abbreviations, or ``--seed`` would pass as
+#: ``--seeds``.
+_RUN_FLAGS = {
+    "n": (["-n"], dict(type=int, default=64, help="process count")),
+    "f": (["-f"], dict(type=int, default=None,
+                       help="failure bound (default: algorithm-appropriate)")),
+    "d": (["-d"], dict(type=int, default=1, help="target max delay")),
+    "delta": (["--delta"], dict(type=int, default=1,
+                                help="target max scheduling gap")),
+    "seed": (["--seed"], dict(type=int, default=0)),
+    "seeds": (["--seeds"], dict(
+        type=int, default=3,
+        help="number of seeds for aggregated experiments")),
+    "crashes": (["--crashes"], dict(
+        type=int, default=None, help="random crash count (default: none)")),
+    "engine": (["--engine"], dict(
+        default="auto", choices=["auto", "stepwise", "leap", "batch"],
+        help="execution strategy: 'auto' (time-leap fast path with "
+             "stepwise fallback), 'stepwise' (reference loop), 'leap', or "
+             "'batch' (the vectorized batched-trial engine). auto/"
+             "stepwise/leap are seed-for-seed bit-identical; batch is "
+             "seed-deterministic with its own RNG streams, matching the "
+             "scalar engines in distribution, and falls back to scalar "
+             "for ineligible cells")),
+}
+
+#: One traced or untraced execution (``gossip``, ``consensus``,
+#: ``inspect``); a table runs every row over ``--seeds``.
+_ONE_RUN = ("n", "f", "d", "delta", "seed", "crashes")
+_TABLE = ("n", "f", "d", "delta", "seeds")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, options = _RUN_FLAGS[name]
+        parser.add_argument(*flags, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,28 +149,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gossip", help="run one gossip execution")
-    _add_common(p)
+    p = sub.add_parser("gossip", help="run one gossip execution",
+                       allow_abbrev=False)
+    _add_run_flags(p, *_ONE_RUN, "engine")
     _add_topology(p)
     p.add_argument("--algorithm", default="ears",
                    choices=sorted(GOSSIP_ALGORITHMS))
 
-    p = sub.add_parser("consensus", help="run one consensus execution")
-    _add_common(p)
+    p = sub.add_parser("consensus", help="run one consensus execution",
+                       allow_abbrev=False)
+    _add_run_flags(p, *_ONE_RUN, "engine")
     p.add_argument("--transport", default="ears",
                    choices=["all-to-all", "ears", "sears", "tears", "ben-or"])
 
-    p = sub.add_parser("table1", help="regenerate Table 1")
-    _add_common(p)
+    p = sub.add_parser("table1", help="regenerate Table 1",
+                       allow_abbrev=False)
+    _add_run_flags(p, *_TABLE)
 
-    p = sub.add_parser("table2", help="regenerate Table 2")
-    _add_common(p)
+    p = sub.add_parser("table2", help="regenerate Table 2",
+                       allow_abbrev=False)
+    _add_run_flags(p, *_TABLE)
 
-    p = sub.add_parser("theorem1", help="run the lower-bound adversary")
-    _add_common(p)
+    p = sub.add_parser("theorem1", help="run the lower-bound adversary",
+                       allow_abbrev=False)
+    _add_run_flags(p, "n", "f", "seeds")
 
-    p = sub.add_parser("corollary2", help="measure the cost of asynchrony")
-    _add_common(p)
+    p = sub.add_parser("corollary2", help="measure the cost of asynchrony",
+                       allow_abbrev=False)
+    _add_run_flags(p, "n", "f", "seeds")
 
     p = sub.add_parser("scaling", help="fit message-scaling exponents")
     p.add_argument("--min-n", type=int, default=32)
@@ -172,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated algorithm names")
     p.add_argument("--ns", default="32,64",
                    help="comma-separated process counts")
-    p.add_argument("-d", type=int, default=1, help="target max delay")
-    p.add_argument("--delta", type=int, default=1,
-                   help="target max scheduling gap")
+    _add_run_flags(p, "d", "delta")
     p.add_argument("--f-frac", type=float, default=0.25,
                    help="failure bound as a fraction of n")
     p.add_argument("--seeds", type=int, default=2)
@@ -206,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-rule", default="quarter",
                    choices=sorted(_F_RULES),
                    help="how the failure bound scales with n")
-    p.add_argument("-d", type=int, default=1, help="target max delay")
-    p.add_argument("--delta", type=int, default=1,
-                   help="target max scheduling gap")
+    _add_run_flags(p, "d", "delta")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--crash", action="store_true",
                    help="crash the full failure budget")
@@ -462,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "inspect",
         help="run one traced gossip execution and show its timeline",
+        allow_abbrev=False,
     )
-    _add_common(p)
+    _add_run_flags(p, *_ONE_RUN)
     p.add_argument("--algorithm", default="ears",
                    choices=sorted(GOSSIP_ALGORITHMS))
     p.add_argument("--width", type=int, default=100,
@@ -1153,6 +1171,9 @@ def _run(args) -> int:
         from .analysis.timeline import TimelineRecorder
         from .spec import RunSpec, build
 
+        if args.width < 1:
+            raise ConfigurationError(
+                f"--width must be >= 1, got {args.width}")
         recorder = TimelineRecorder()
         run = build(
             RunSpec(

@@ -136,8 +136,11 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown run kind {self.kind!r}; choose from {list(KINDS)}"
             )
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        for name, value in (("n", self.n), ("d", self.d),
+                            ("delta", self.delta)):
+            if value < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {value}")
         if self.scenario is not None and self.adversary is not None:
             raise ConfigurationError(
                 "a spec sets either 'scenario' or 'adversary', not both"

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.adversary.crash_plans import wave_crashes
-from repro.analysis.convergence import (
-    DisseminationCurve,
-    curves_over_latency,
-    measure_dissemination,
-    render_curve,
-)
 from repro.core.ears import Ears
 from repro.core.sears import Sears
 from repro.core.uniform import UniformEpidemicGossip
+
+from ..conftest import EXAMPLES, import_benchmark
+
+# The curve code lives in the example that plots it.
+curves = import_benchmark("epidemic_curves", EXAMPLES)
+DisseminationCurve = curves.DisseminationCurve
+curves_over_latency = curves.curves_over_latency
+measure_dissemination = curves.measure_dissemination
+render_curve = curves.render_curve
 
 
 class TestCurveExtraction:

@@ -1,7 +1,12 @@
-"""Tests for per-process state-size accounting."""
+"""Tests for per-process state-size accounting, which lives with the
+BITS bench that reports it (``benchmarks/bench_bit_complexity.py``)."""
 
-from repro.analysis.memory import compare_state, measure_state
 from repro.api import run_gossip
+
+from ..conftest import import_benchmark
+
+bench = import_benchmark("bench_bit_complexity")
+compare_state, measure_state = bench.compare_state, bench.measure_state
 
 
 class TestStateFootprint:

@@ -1,18 +1,60 @@
 """TrialPool: ordering, parallel/sequential equivalence, fault tolerance."""
 
+import os
+import time
+
 import pytest
 
 from repro.experiments.pool import TrialPool
-from repro.faults.jobs import (
-    flaky_until_marker_job,
-    hang_if_job,
-    raise_if_job,
-    square_job,
-)
 
+
+# Jobs ship to worker processes, so they are module-level functions.
 
 def _square(x):
     return x * x
+
+
+def square_job(value):
+    return value * value
+
+
+def raise_if_job(arg):
+    """``(value, should_raise)`` — raise deterministically on demand."""
+    value, should_raise = arg
+    if should_raise:
+        raise RuntimeError(f"injected failure for {value!r}")
+    return value
+
+
+def hang_if_job(arg):
+    """``(value, should_hang)`` — sleep far past any sane trial timeout."""
+    value, should_hang = arg
+    if should_hang:
+        time.sleep(3600)
+    return value
+
+
+def kill_worker_if_job(arg):
+    """``(value, should_die)`` — kill the worker process outright."""
+    value, should_die = arg
+    if should_die:
+        os._exit(17)
+    return value
+
+
+def flaky_until_marker_job(arg):
+    """``(value, marker_path)`` — fail once per missing marker, then pass.
+
+    The first call creates ``marker_path`` and raises; every later call
+    (a retry, possibly in a different worker) sees the marker and
+    succeeds, so retries are observable across process boundaries.
+    """
+    value, marker_path = arg
+    if not os.path.exists(marker_path):
+        with open(marker_path, "w", encoding="utf-8") as handle:
+            handle.write("failed-once\n")
+        raise RuntimeError(f"flaky failure for {value!r} (first attempt)")
+    return value
 
 
 def _run_cell_like(args):
@@ -97,6 +139,20 @@ class TestMapOutcomes:
         ]
         assert [o.value for o in outcomes] == [0, None, 2, 3]
         assert "timeout" in outcomes[1].error
+
+    def test_lost_worker_resubmits_without_burning_a_retry(self):
+        # Two workers: inline mode would take pytest down with the job.
+        jobs = [(i, i == 2) for i in range(6)]
+        with TrialPool(processes=2) as pool:
+            outcomes = pool.map_outcomes(kill_worker_if_job, jobs,
+                                         timeout=30)
+        assert [o.status for o in outcomes] == [
+            "ok", "ok", "failed", "ok", "ok", "ok",
+        ]
+        assert "worker process died 3 times" in outcomes[2].error
+        assert [o.value for o in outcomes] == [0, 1, None, 3, 4, 5]
+        # Jobs lost with their worker were resubmitted, not retried.
+        assert [o.attempts for o in outcomes] == [1] * 6
 
     def test_retry_succeeds_after_transient_failure(self, tmp_path):
         flaky_marker = str(tmp_path / "flaky-marker")

@@ -13,15 +13,17 @@ from repro.core.base import make_processes
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
 
-BENCHMARKS = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+EXAMPLES = os.path.join(ROOT, "examples")
 
 
-def import_benchmark(name):
-    """Import ``benchmarks/<name>.py``. The directory is not a package:
-    its scripts find ``_harness`` as a sibling, so it goes on the path."""
-    if BENCHMARKS not in sys.path:
-        sys.path.insert(0, BENCHMARKS)
+def import_benchmark(name, directory=BENCHMARKS):
+    """Import ``<directory>/<name>.py`` (``benchmarks/`` by default).
+    Neither scripts directory is a package: a bench finds ``_harness`` as
+    a sibling, so the directory goes on the path."""
+    if directory not in sys.path:
+        sys.path.insert(0, directory)
     return importlib.import_module(name)
 
 

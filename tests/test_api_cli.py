@@ -190,6 +190,37 @@ class TestCli:
         assert "cannot be combined" in captured.err
         assert captured.out == "" and not store.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--seeds") for command in ("gossip", "consensus")),
+        *((command, flag) for command in ("table1", "table2")
+          for flag in ("--seed", "--crashes", "--engine")),
+        *((command, flag) for command in ("theorem1", "corollary2")
+          for flag in ("-d", "--delta", "--seed", "--crashes", "--engine")),
+        ("inspect", "--seeds"), ("inspect", "--engine"),
+    ])
+    def test_flag_the_subcommand_never_reads_is_refused(
+            self, capsys, command, flag):
+        value = "leap" if flag == "--engine" else "2"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["gossip", "-n", "8", "-d", "-5"], "d must be >= 1, got -5"),
+        (["consensus", "-n", "8", "--delta", "0"],
+         "delta must be >= 1, got 0"),
+        (["inspect", "-n", "8", "--width", "0"],
+         "--width must be >= 1, got 0"),
+    ], ids=["gossip-d", "consensus-delta", "inspect-width"])
+    def test_invalid_run_number_is_one_error_line(self, capsys, argv,
+                                                  needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {needle}\n"
+
     @pytest.mark.parametrize("argv, needle", [
         (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
           "--seeds", "1", "--processes", "0"], "processes must be >= 1"),

@@ -11,11 +11,9 @@ import types
 
 import pytest
 
-from .conftest import BENCHMARKS, import_benchmark
+from .conftest import ROOT, import_benchmark
 
 harness = import_benchmark("_harness")
-
-ROOT = os.path.join(BENCHMARKS, os.pardir)
 
 
 def fake_cell(cell_id="a", gates=(), **measures):

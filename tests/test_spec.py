@@ -65,6 +65,15 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match="kind"):
             RunSpec(kind="broadcast")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("d", 0), ("d", -3), ("delta", 0), ("delta", -1),
+    ])
+    def test_model_bounds_below_one_rejected(self, field, value):
+        # The oblivious adversary would run d = δ = 1 under another hash.
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be >= 1, got {value}"):
+            RunSpec(algorithm="ears", **{"n": 8, field: value})
+
     def test_scenario_and_adversary_are_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):
             RunSpec(scenario="calm", adversary={"name": "uniform"})
