@@ -14,10 +14,6 @@ def _square(x):
     return x * x
 
 
-def square_job(value):
-    return value * value
-
-
 def raise_if_job(arg):
     """``(value, should_raise)`` — raise deterministically on demand."""
     value, should_raise = arg
@@ -112,13 +108,13 @@ class TestParallel:
 class TestMapOutcomes:
     def test_all_ok_preserves_order_and_values(self):
         with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(square_job, [3, 1, 2])
+            outcomes = pool.map_outcomes(_square, [3, 1, 2])
         assert [o.value for o in outcomes] == [9, 1, 4]
         assert all(o.ok and o.status == "ok" for o in outcomes)
         assert [o.index for o in outcomes] == [0, 1, 2]
 
     def test_empty_jobs(self):
-        assert TrialPool(2).map_outcomes(square_job, []) == []
+        assert TrialPool(2).map_outcomes(_square, []) == []
 
     def test_raising_job_is_failed_others_ok(self):
         jobs = [(0, False), (1, True), (2, False)]
@@ -187,7 +183,7 @@ class TestMapOutcomes:
         assert isinstance(outcomes[0].exception, RuntimeError)
 
     def test_inline_matches_map_semantics_when_clean(self):
-        inline = TrialPool(1).map_outcomes(square_job, range(5))
+        inline = TrialPool(1).map_outcomes(_square, range(5))
         assert [o.value for o in inline] == [x * x for x in range(5)]
 
     def test_pool_reusable_after_failures(self):

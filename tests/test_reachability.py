@@ -26,8 +26,8 @@ Import-time side effects are ignored: every registration lives in
 from __future__ import annotations
 
 import ast
+import re
 import textwrap
-import tomllib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -127,12 +127,19 @@ def unreached(src, package, roots):
     return sorted(set(files) - reached)
 
 
+def console_scripts(pyproject):
+    """The ``"module:function"`` targets of ``[project.scripts]``.
+
+    A line parse rather than ``tomllib``, which Python 3.10 lacks."""
+    table = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.findall(r'^\s*[\w.-]+\s*=\s*"([^"]+)"', table, re.MULTILINE)
+
+
 def repo_roots():
     """The declared roots, as module names under ``src``."""
-    scripts = tomllib.loads(
-        (REPO / "pyproject.toml").read_text())["project"]["scripts"]
     files = module_files(SRC, "repro")
-    roots = {target.split(":")[0] for target in scripts.values()}
+    roots = {target.split(":")[0] for target in
+             console_scripts((REPO / "pyproject.toml").read_text())}
     roots.add("repro.__main__")
     roots.update(name for name in files
                  if name.startswith("repro.experiments"))
