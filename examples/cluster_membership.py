@@ -8,15 +8,16 @@ crashes, message delays and scheduling skew, *and then stop gossiping* so
 the network goes quiet.
 
 The demo runs EARS with per-node payloads under the "flaky" scenario (mild
-asynchrony plus f early crashes) and prints the membership table every
+asynchrony plus f early crashes; a scenario is spec data, a (d, δ, crash
+plan) row of ``repro.spec.registry.SCENARIOS``) and prints the membership table every
 surviving node converged to, along with what the protocol cost.
 
 Run:  python examples/cluster_membership.py
 """
 
-from repro import run_gossip
+from repro import RunSpec, execute
 from repro.analysis import render_table
-from repro.workloads import get_scenario
+from repro.spec.registry import SCENARIOS
 
 N, F, SEED = 48, 12, 11
 
@@ -31,15 +32,8 @@ def host_record(pid: int) -> dict:
 
 
 def main() -> None:
-    scenario = get_scenario("flaky")
-    run = run_gossip(
-        "ears",
-        n=N,
-        f=F,
-        d=scenario.d,
-        delta=scenario.delta,
-        seed=SEED,
-        crashes=scenario.crashes(N, F, seed=SEED),
+    run = execute(
+        RunSpec(algorithm="ears", n=N, f=F, seed=SEED, scenario="flaky"),
         payloads=[host_record(pid) for pid in range(N)],
     )
     assert run.completed, f"gossip did not complete: {run.reason}"
@@ -54,7 +48,7 @@ def main() -> None:
         assert all(peer in rumors for peer in survivors)
 
     print(f"cluster of {N} nodes, {run.crashes} crashed during the run "
-          f"(scenario: {scenario.description})")
+          f"(scenario: {SCENARIOS['flaky']['description']})")
     print(f"gossip completed at step {run.completion_time} using "
           f"{run.messages} messages "
           f"({run.messages_by_kind.get('shutdown', 0)} of them shut-down)")

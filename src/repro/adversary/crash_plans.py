@@ -22,6 +22,10 @@ class CrashPlan:
         self._events: Dict[int, Set[int]] = {
             int(t): set(pids) for t, pids in (events or {}).items() if pids
         }
+        negative = sorted(t for t in self._events if t < 0)
+        if negative:
+            raise ConfigurationError(
+                f"crash plan has negative crash times {negative}")
         seen: Set[int] = set()
         for pids in self._events.values():
             overlap = seen & pids
@@ -89,6 +93,8 @@ def random_crashes(
     benchmarks: victims and times are decided before the run.
     """
     pool = list(candidates) if candidates is not None else list(range(n))
+    if count < 0:
+        raise ConfigurationError(f"cannot crash {count} processes")
     if count > len(pool):
         raise ConfigurationError(
             f"cannot crash {count} of {len(pool)} candidate processes"
@@ -117,6 +123,9 @@ def staggered_halving(
     epoch k (of length ``epoch_length``) ends with a wave crashing half of
     the remaining budget.
     """
+    if epoch_length < 1:
+        raise ConfigurationError(
+            f"epoch_length must be >= 1, got {epoch_length}")
     rng = derive_rng(seed, "staggered-halving", n, f, epoch_length)
     remaining = rng.sample(range(n), f)
     events: Dict[int, Set[int]] = {}

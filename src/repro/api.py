@@ -18,14 +18,11 @@ from typing import Any, Optional, Sequence, Union
 from .adversary.crash_plans import CrashPlan
 from .sim.events import Observer
 from .spec.builder import crash_plan_config, default_step_limit, execute
-from .spec.registry import GOSSIP_ALGORITHMS, MAJORITY_ALGORITHMS
 from .spec.results import GossipRun
 from .spec.runspec import RunSpec
 
 __all__ = [
-    "GOSSIP_ALGORITHMS",
     "GossipRun",
-    "MAJORITY_ALGORITHMS",
     "default_step_limit",
     "run_gossip",
 ]

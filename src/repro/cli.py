@@ -750,11 +750,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "scenarios":
-        from .workloads import SCENARIOS
+        from .spec.registry import SCENARIOS
 
         for name, scenario in sorted(SCENARIOS.items()):
-            print(f"{name:16s} d={scenario.d} delta={scenario.delta}  "
-                  f"{scenario.description}")
+            print(f"{name:16s} d={scenario['d']} delta={scenario['delta']}  "
+                  f"{scenario['description']}")
         return 0
 
     if args.command == "batch":
@@ -1131,23 +1131,21 @@ def _run(args) -> int:
         return 0 if _record_status(record)[0] == "ok" else 1
 
     if args.command == "list":
+        from .sim.topology import TOPOLOGY_BUILDERS
         from .spec.registry import (
             ADVERSARIES,
             CRASH_PLANS,
-            SCENARIOS as SPEC_SCENARIOS,
-            TOPOLOGIES,
+            SCENARIOS,
             TRANSPORTS,
-            ensure_scenarios,
         )
 
-        ensure_scenarios()
         sections = [
             ("gossip algorithms", sorted(GOSSIP_ALGORITHMS)),
             ("consensus transports", sorted(TRANSPORTS) + ["ben-or"]),
             ("adversaries", sorted(ADVERSARIES)),
             ("crash plans", sorted(CRASH_PLANS)),
-            ("topologies", sorted(TOPOLOGIES)),
-            ("scenarios", sorted(SPEC_SCENARIOS)),
+            ("topologies", sorted(TOPOLOGY_BUILDERS)),
+            ("scenarios", sorted(SCENARIOS)),
         ]
         for title, names in sections:
             print(f"{title}:")

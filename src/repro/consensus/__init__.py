@@ -16,7 +16,7 @@ from .properties import (
     termination_holds,
     validity_holds,
 )
-from .runner import TRANSPORTS, default_values, make_transport, run_consensus
+from .runner import default_values, run_consensus
 from .values import (
     BOTTOM,
     ConsensusRun,
@@ -37,7 +37,6 @@ __all__ = [
     "Envelope",
     "InstanceTag",
     "MultivaluedConsensus",
-    "TRANSPORTS",
     "run_multivalued_consensus",
     "VOTING_COIN",
     "VOTING_ESTIMATE",
@@ -49,7 +48,6 @@ __all__ = [
     "default_values",
     "first_instance",
     "flip",
-    "make_transport",
     "next_instance",
     "run_consensus",
     "termination_holds",

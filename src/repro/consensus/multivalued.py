@@ -208,8 +208,8 @@ def run_multivalued_consensus(
     from ..sim.engine import Simulation
     from ..sim.errors import ConfigurationError
     from ..sim.monitor import PredicateMonitor
+    from ..spec.registry import TRANSPORTS
     from .properties import agreement_holds, validity_holds
-    from .runner import make_transport
     from .values import ConsensusRun
 
     if f is None:
@@ -233,7 +233,7 @@ def run_multivalued_consensus(
         plan = random_crashes(n, int(crashes), max(1, 8 * (d + delta)),
                               seed=seed)
 
-    factory = make_transport(gossip)
+    factory = TRANSPORTS[gossip]
     algorithms = [
         MultivaluedConsensus(pid, n, f, proposals[pid], factory)
         for pid in range(n)

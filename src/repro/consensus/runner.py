@@ -4,9 +4,8 @@
 plane: it packs its arguments into a
 :class:`~repro.spec.runspec.RunSpec` and defers to
 :func:`repro.spec.builder.execute`, which owns transport resolution,
-crash-plan defaulting and the run loop.  The transport table itself lives
-in the central registry (:data:`repro.spec.registry.TRANSPORTS`) and is
-re-exported here for compatibility.
+crash-plan defaulting and the run loop.  The transport table is
+:data:`repro.spec.registry.TRANSPORTS`.
 """
 
 from __future__ import annotations
@@ -14,25 +13,12 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from ..adversary.crash_plans import CrashPlan
-from ..spec.registry import TRANSPORTS
 from .values import ConsensusRun
 
 __all__ = [
-    "TRANSPORTS",
     "default_values",
-    "make_transport",
     "run_consensus",
 ]
-
-
-def make_transport(name: str):
-    """Resolve a transport name to its gossip class.
-
-    Unknown names raise through the registry's did-you-mean lookup.
-    (``'ben-or'`` is *not* suggested: it is a standalone consensus
-    protocol selected by algorithm name, not a get-core transport.)
-    """
-    return TRANSPORTS[name]
 
 
 def default_values(n: int) -> list:

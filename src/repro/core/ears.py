@@ -22,6 +22,9 @@ from .params import DEFAULT_EARS, EarsParams
 class Ears(EpidemicGossip):
     """EARS: fanout 1, shut-down phase of Θ((n/(n−f)) log n) sends."""
 
+    #: A spec's ``params`` mapping names this dataclass's fields.
+    params_class = EarsParams
+
     def __init__(
         self,
         pid: int,

@@ -21,6 +21,9 @@ from .params import DEFAULT_SEARS, SearsParams
 class Sears(EpidemicGossip):
     """SEARS: fanout Θ(nᵉ log n), exactly one shut-down send."""
 
+    #: A spec's ``params`` mapping names this dataclass's fields.
+    params_class = SearsParams
+
     def __init__(
         self,
         pid: int,

@@ -42,6 +42,9 @@ KIND_SECOND_LEVEL = "second-level"
 class Tears(GossipAlgorithm):
     """The Figure 3 two-hop majority-gossip process."""
 
+    #: A spec's ``params`` mapping names this dataclass's fields.
+    params_class = TearsParams
+
     def __init__(
         self,
         pid: int,

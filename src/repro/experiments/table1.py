@@ -36,14 +36,6 @@ class Table1Row:
     bound_time: float
     bound_messages: float
 
-    @property
-    def time_vs_bound(self) -> float:
-        return self.time.mean / max(1.0, self.bound_time)
-
-    @property
-    def messages_vs_bound(self) -> float:
-        return self.messages.mean / max(1.0, self.bound_messages)
-
 
 ASYNC_ALGORITHMS = ("trivial", "ears", "sears", "tears")
 

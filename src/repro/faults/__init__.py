@@ -5,7 +5,7 @@ defensive half lives in :mod:`repro.sim.invariants`.  It holds three
 matrices, numbered as ``repro chaos --matrix model|fleet|byzantine``
 lists them.
 
-The first, ``model`` (:mod:`repro.faults.campaign`): seeded, registrable
+The first, ``model`` (:mod:`repro.faults.campaign`): seeded, named
 fault injectors that deliberately break the paper's execution model
 (:mod:`repro.faults.injectors`), run against the canonical
 algorithm/scenario cells with each fault armed, asserting the invariant
@@ -61,8 +61,6 @@ from .injectors import (
     ScheduleStallFault,
     SilentStallFault,
     StepBudgetFault,
-    make_fault,
-    register_fault,
 )
 from .fleet_faults import (
     FLEET_FAULTS,
@@ -71,8 +69,6 @@ from .fleet_faults import (
     HeartbeatStallFault,
     LeaseTamperFault,
     WorkerKillFault,
-    make_fleet_fault,
-    register_fleet_fault,
     run_fleet_campaign,
 )
 from .store_faults import (
@@ -80,8 +76,6 @@ from .store_faults import (
     ChecksumFlipFault,
     StoreFault,
     TornWriteFault,
-    make_store_fault,
-    register_store_fault,
 )
 
 __all__ = [
@@ -115,12 +109,6 @@ __all__ = [
     "byzantine_agreement_grid",
     "format_agreement_grid",
     "format_campaign",
-    "make_fault",
-    "make_fleet_fault",
-    "make_store_fault",
-    "register_fault",
-    "register_fleet_fault",
-    "register_store_fault",
     "run_byzantine_campaign",
     "run_campaign",
     "run_fleet_campaign",

@@ -48,8 +48,8 @@ from ..sim.monitor import PredicateMonitor
 from ..sim.rng import derive_rng
 from ..spec.builder import build
 from ..spec.runspec import RunSpec
-from .injectors import FAULTS, make_fault
-from .store_faults import STORE_FAULTS, make_store_fault
+from .injectors import FAULTS
+from .store_faults import STORE_FAULTS
 
 __all__ = [
     "CampaignCell",
@@ -161,7 +161,7 @@ def _execute_sim_cell(cell: Dict[str, Any]) -> Verdict:
     built = build(_cell_spec(cell))
     fault = None
     if cell["matrix"] == "model" and not cell["control"]:
-        fault = make_fault(cell["fault"])
+        fault = FAULTS[cell["fault"]]()
         fault.arm(built, derive_rng(*cell["rng"]))
     if cell["expected"] and cell["expected"] != ["liveness"]:
         # Detection needs the victim rescheduled *after* the tamper; keep
@@ -275,7 +275,7 @@ def _execute_store_cell(cell: Dict[str, Any]) -> Verdict:
                 return None, "clean store verified clean", False
             return ("store-corruption",
                     f"clean store failed verify: {clean['corrupt']}", False)
-        fault = make_store_fault(cell["fault"])
+        fault = STORE_FAULTS[cell["fault"]]()
         rng = derive_rng(cell["seed"], "chaos-store", fault.name,
                          cell["trial"])
         detected, message = _judge_store(path, fault.inject(path, rng))
@@ -291,10 +291,10 @@ def _execute_fleet_cell(cell: Dict[str, Any]) -> Verdict:
     """
     from ..fleet import FleetConfig, start_fleet
     from .fleet_faults import (
+        FLEET_FAULTS,
         _fleet_specs,
         _judge_cell,
         _reference_metrics,
-        make_fleet_fault,
     )
 
     control, trial = cell["control"], cell["trial"]
@@ -313,7 +313,7 @@ def _execute_fleet_cell(cell: Dict[str, Any]) -> Verdict:
         info: Dict[str, Any] = {}
         if not control:
             rng = random.Random(repr((cell["seed"], cell["fault"], trial)))
-            info = make_fleet_fault(cell["fault"]).inject(fleet, rng)
+            info = FLEET_FAULTS[cell["fault"]]().inject(fleet, rng)
         defect = _judge_cell(fleet.campaign, fleet.wait(timeout=120.0),
                              reference, info)
     except Exception as error:  # noqa: BLE001 — verdict, not crash
@@ -399,7 +399,7 @@ def run_campaign(
     cells = []
     for trial in range(trials):
         for name in faults:
-            fault = make_fault(name)
+            fault = FAULTS[name]()
             kinds = (("gossip", "consensus") if fault.kind == "any"
                      else (fault.kind,))
             cells += [
@@ -414,7 +414,7 @@ def run_campaign(
     # the durability layer (verify + recovery load) must flag it.
     cells += [
         chaos_cell("store", name, "store", "runstore", trial, seed + trial,
-                   make_store_fault(name).expects)
+                   STORE_FAULTS[name].expects)
         for trial in range(trials) for name in store_faults
     ]
     if store_faults:

@@ -37,9 +37,9 @@ import os
 import random
 import signal
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..sim.errors import ConfigurationError
+from ..sim.errors import Registry
 from ..spec.builder import execute
 from ..spec.runspec import RunSpec
 from ..store.base import metrics_of
@@ -52,8 +52,6 @@ __all__ = [
     "HeartbeatStallFault",
     "LeaseTamperFault",
     "WorkerKillFault",
-    "make_fleet_fault",
-    "register_fleet_fault",
     "run_fleet_campaign",
 ]
 
@@ -71,25 +69,6 @@ class FleetFault:
 
     def inject(self, fleet: Any, rng: random.Random) -> Dict[str, Any]:
         raise NotImplementedError
-
-
-FLEET_FAULTS: Dict[str, Callable[[], FleetFault]] = {}
-
-
-def register_fleet_fault(factory: Callable[[], FleetFault]):
-    """Register a fleet fault under its instance ``name`` (decorator)."""
-    FLEET_FAULTS[factory().name] = factory
-    return factory
-
-
-def make_fleet_fault(name: str) -> FleetFault:
-    try:
-        return FLEET_FAULTS[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown fleet fault {name!r}; "
-            f"registered: {sorted(FLEET_FAULTS)}"
-        ) from None
 
 
 def _victim_lease(fleet: Any, rng: random.Random,
@@ -110,7 +89,6 @@ def _victim_lease(fleet: Any, rng: random.Random,
     raise FleetTimeout("no worker-held lease appeared to inject into")
 
 
-@register_fleet_fault
 class WorkerKillFault(FleetFault):
     """SIGKILL a worker mid-lease; peers must re-issue its job."""
 
@@ -123,7 +101,6 @@ class WorkerKillFault(FleetFault):
                 "killed": 1}
 
 
-@register_fleet_fault
 class HeartbeatStallFault(FleetFault):
     """SIGSTOP a lease holder until peers reap it, then SIGCONT.
 
@@ -154,7 +131,6 @@ class HeartbeatStallFault(FleetFault):
         return {"victim_pid": lease.pid, "stalled_key": lease.key}
 
 
-@register_fleet_fault
 class LeaseTamperFault(FleetFault):
     """Overwrite an active lease file with torn garbage.
 
@@ -175,7 +151,6 @@ class LeaseTamperFault(FleetFault):
         return {"tampered_key": lease.key, "torn_bytes": len(torn)}
 
 
-@register_fleet_fault
 class DuplicateClaimFault(FleetFault):
     """Forge a zombie lease and race the fleet on a second key.
 
@@ -212,6 +187,11 @@ class DuplicateClaimFault(FleetFault):
             info["raced_key"] = raced
             info["race_inserted"] = inserted
         return info
+
+
+FLEET_FAULTS = Registry("fleet fault", {cls.name: cls for cls in (
+    WorkerKillFault, HeartbeatStallFault, LeaseTamperFault,
+    DuplicateClaimFault)})
 
 
 def _fleet_specs(seed: int, trial: int, count: int) -> List[RunSpec]:
@@ -290,7 +270,7 @@ def run_fleet_campaign(
              "keep_dirs": keep_dirs}
     cells = [
         chaos_cell("fleet", name, "fleet", "ears", trial, seed,
-                   make_fleet_fault(name).expects, **sizes)
+                   FLEET_FAULTS[name].expects, **sizes)
         for name in names for trial in range(trials)
     ]
     cells.append(chaos_cell("fleet", "(none)", "fleet", "ears", 0, seed,

@@ -20,15 +20,16 @@ Injectors come in three mechanical flavors:
 
 Every injector is seeded: victims and trigger details come from the
 ``random.Random`` handed to :meth:`FaultInjector.arm`, so campaigns are
-reproducible. New injectors register with :func:`register_fault` and
-become available to the campaign and the ``repro chaos`` CLI.
+reproducible. An injector listed in :data:`FAULTS` is available to the
+campaign and the ``repro chaos`` CLI.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..adversary.base import Adversary
+from ..sim.errors import Registry
 from ..sim.events import Observer
 from ..sim.message import Message
 
@@ -46,8 +47,6 @@ __all__ = [
     "ScheduleStallFault",
     "SilentStallFault",
     "StepBudgetFault",
-    "make_fault",
-    "register_fault",
 ]
 
 
@@ -485,25 +484,7 @@ class MessageLossFault(FaultInjector):
 
 # -- registry ----------------------------------------------------------------#
 
-FAULTS: Dict[str, Callable[..., FaultInjector]] = {}
-
-
-def register_fault(name: str, factory: Callable[..., FaultInjector]) -> None:
-    """Register a fault factory under ``name`` (campaign/CLI lookup)."""
-    FAULTS[name] = factory
-
-
-def make_fault(name: str, **knobs) -> FaultInjector:
-    try:
-        factory = FAULTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fault {name!r}; registered: {sorted(FAULTS)}"
-        ) from None
-    return factory(**knobs)
-
-
-for _cls in (
+FAULTS = Registry("fault", {cls.name: cls for cls in (
     RumorLossFault,
     ForeignRumorFault,
     ForgedMessageFault,
@@ -515,5 +496,4 @@ for _cls in (
     StepBudgetFault,
     MessageDuplicationFault,
     MessageLossFault,
-):
-    register_fault(_cls.name, _cls)
+)})

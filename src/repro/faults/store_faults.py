@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Any, Callable, Dict
+from typing import Any, Dict
+
+from ..sim.errors import Registry
 
 __all__ = [
     "STORE_FAULTS",
     "ChecksumFlipFault",
     "StoreFault",
     "TornWriteFault",
-    "make_store_fault",
-    "register_store_fault",
 ]
 
 
@@ -141,25 +141,5 @@ class ChecksumFlipFault(StoreFault):
 
 # -- registry ----------------------------------------------------------------#
 
-STORE_FAULTS: Dict[str, Callable[..., StoreFault]] = {}
-
-
-def register_store_fault(name: str,
-                         factory: Callable[..., StoreFault]) -> None:
-    """Register a store-fault factory under ``name``."""
-    STORE_FAULTS[name] = factory
-
-
-def make_store_fault(name: str, **knobs: Any) -> StoreFault:
-    try:
-        factory = STORE_FAULTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown store fault {name!r}; "
-            f"registered: {sorted(STORE_FAULTS)}"
-        ) from None
-    return factory(**knobs)
-
-
-for _cls in (TornWriteFault, ChecksumFlipFault):
-    register_store_fault(_cls.name, _cls)
+STORE_FAULTS = Registry("store fault", {
+    cls.name: cls for cls in (TornWriteFault, ChecksumFlipFault)})

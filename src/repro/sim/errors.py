@@ -2,10 +2,15 @@
 
 All substrate-level failures raise a subclass of :class:`SimulationError` so
 callers can distinguish misconfiguration and model violations from ordinary
-Python errors raised inside algorithm code.
+Python errors raised inside algorithm code. :class:`Registry`, the one
+table type for every set of names in the package, lives here too, so
+that its miss (:class:`UnknownNameError`) is a configuration error.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator
 
 
 class SimulationError(Exception):
@@ -90,3 +95,50 @@ class InvariantViolation(SimulationError):
         self.step = step
         self.pid = pid
         self.digest = digest or {}
+
+
+class UnknownNameError(ConfigurationError, KeyError):
+    """A name was looked up in a :class:`Registry` that does not hold it.
+
+    Both a :class:`ConfigurationError` (the substrate's misconfiguration
+    type) and a :class:`KeyError` (a registry is a mapping).
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+
+    def __str__(self) -> str:  # KeyError would repr()-quote the message
+        return self.message
+
+
+class Registry(Mapping):
+    """A fixed ``name -> entry`` table, built once from a dict; a missing
+    name raises :class:`UnknownNameError` listing the choices and the
+    closest one."""
+
+    def __init__(self, kind: str, entries: Mapping[str, Any]) -> None:
+        self.kind = kind
+        self._entries: Dict[str, Any] = dict(entries)
+
+    def __getitem__(self, name: str) -> Any:
+        try:
+            return self._entries[name]
+        except KeyError:
+            pass
+        import difflib
+
+        message = f"unknown {self.kind} {name!r}; choose from {sorted(self)}"
+        close = difflib.get_close_matches(str(name), list(self), n=1)
+        if close:
+            message += f" (did you mean {close[0]!r}?)"
+        raise UnknownNameError(message)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)

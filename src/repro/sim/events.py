@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .bits import BitMeter
 from .trace import EventTrace
 
 #: Event-kind -> Observer method name, in emission order within a step.
@@ -158,10 +157,6 @@ class BitMeterObserver(Observer):
     def clone(self) -> "BitMeterObserver":
         # The meter is stateless and shareable; on_attach rebinds metrics.
         return BitMeterObserver(self.meter)
-
-    @classmethod
-    def for_n(cls, n: int) -> "BitMeterObserver":
-        return cls(BitMeter(n))
 
 
 class StepProfiler(Observer):

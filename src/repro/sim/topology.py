@@ -37,15 +37,14 @@ by every process context and by simulation forks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .._util import ln
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Registry
 from .rng import derive_rng
 
 __all__ = [
     "TOPOLOGY_BUILDERS",
-    "TOPOLOGY_NAMES",
     "Topology",
     "build_topology",
     "normalize_topology",
@@ -297,15 +296,13 @@ def _build_small_world(n: int, rng, *, k: int = 4,
 
 
 #: name -> builder(n, rng, **knobs) -> adjacency list.
-TOPOLOGY_BUILDERS: Dict[str, Callable[..., List[set]]] = {
+TOPOLOGY_BUILDERS = Registry("topology", {
     "complete": _build_complete,
     "ring": _build_ring,
     "gnp": _build_gnp,
     "random-regular": _build_random_regular,
     "small-world": _build_small_world,
-}
-
-TOPOLOGY_NAMES: Tuple[str, ...] = tuple(sorted(TOPOLOGY_BUILDERS))
+})
 
 TopologyConfig = Union[None, str, Mapping[str, Any]]
 
@@ -331,10 +328,7 @@ def normalize_topology(config: TopologyConfig) -> Optional[Dict[str, Any]]:
             f"{type(config).__name__}"
         )
     name = cfg.get("name")
-    if name not in TOPOLOGY_BUILDERS:
-        raise ConfigurationError(
-            f"unknown topology {name!r}; choose from {list(TOPOLOGY_NAMES)}"
-        )
+    TOPOLOGY_BUILDERS[name]  # an unknown family fails here, by name
     if name == "complete":
         if len(cfg) > 1:
             raise ConfigurationError(

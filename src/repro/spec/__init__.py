@@ -2,9 +2,9 @@
 
 * :class:`~repro.spec.runspec.RunSpec` — a frozen, serializable,
   canonically-hashable description of one execution;
-* :mod:`repro.spec.registry` — the central name registries (gossip
-  algorithms, consensus transports, scenarios, adversaries, crash plans)
-  that every entry point resolves through;
+* :mod:`repro.spec.registry` — the name tables (gossip algorithms,
+  consensus transports, scenarios, adversaries, crash plans) that every
+  entry point resolves through;
 * :mod:`repro.spec.builder` — ``build(spec) -> Simulation`` and
   ``execute(spec) -> run``, the single implementation behind
   ``run_gossip``, ``run_consensus``, grids and the CLI.
@@ -20,12 +20,8 @@ from .registry import (
     GATHERING_ONLY_ALGORITHMS,
     GOSSIP_ALGORITHMS,
     MAJORITY_ALGORITHMS,
-    Registry,
     SCENARIOS,
-    TOPOLOGIES,
     TRANSPORTS,
-    UnknownNameError,
-    ensure_scenarios,
 )
 from .runspec import RunSpec, SPEC_SCHEMA_VERSION
 from .results import GossipRun
@@ -47,17 +43,13 @@ __all__ = [
     "GOSSIP_ALGORITHMS",
     "GossipRun",
     "MAJORITY_ALGORITHMS",
-    "Registry",
     "RunSpec",
     "SCENARIOS",
     "SPEC_SCHEMA_VERSION",
-    "TOPOLOGIES",
     "TRANSPORTS",
-    "UnknownNameError",
     "build",
     "crash_plan_config",
     "default_step_limit",
-    "ensure_scenarios",
     "execute",
     "resolve_crash_plan",
 ]

@@ -39,8 +39,8 @@ from .registry import (
     GOSSIP_ALGORITHMS,
     LOWER_BOUND,
     MAJORITY_ALGORITHMS,
-    PARAMS_CLASSES,
-    ensure_scenarios,
+    SCENARIOS,
+    TRANSPORTS,
 )
 from .results import GossipRun
 from .runspec import RunSpec
@@ -84,7 +84,8 @@ def resolve_crash_plan(
     victims (horizon ``8·(d+δ)``), a :class:`CrashPlan` passes through,
     and a mapping is either an explicit ``{"events": ...}`` table or a
     registered factory ``{"name": ..., **knobs}``.  Whatever the form,
-    the resolved plan must respect the failure bound ``f``.
+    the resolved plan must respect the failure bound ``f`` and name only
+    pids in ``[0, n)``.
     """
     if crashes is None:
         plan = no_crashes()
@@ -100,6 +101,10 @@ def resolve_crash_plan(
         raise ConfigurationError(
             f"crash plan kills {plan.total} > f={f} processes"
         )
+    strangers = sorted(pid for pid in plan.victims if not 0 <= pid < n)
+    if strangers:
+        raise ConfigurationError(
+            f"crash plan names pids {strangers} outside [0, n={n})")
     return plan
 
 
@@ -138,15 +143,14 @@ def crash_plan_config(plan: CrashPlan) -> Dict[str, Any]:
 
 # -- scenario / adversary resolution --------------------------------------- #
 
-def _apply_scenario(spec: RunSpec, f: int):
-    """Realized (d, delta, crashes) after the named scenario, if any."""
+def _apply_scenario(spec: RunSpec):
+    """(d, delta, crashes) after the named scenario, if any: its (d, δ)
+    and, unless the spec sets ``crashes``, its crash-plan config."""
     if spec.scenario is None:
         return spec.d, spec.delta, spec.crashes
-    scenario = ensure_scenarios()[spec.scenario]
-    crashes = spec.crashes
-    if crashes is None:
-        crashes = scenario.crashes(spec.n, f, seed=spec.seed)
-    return scenario.d, scenario.delta, crashes
+    scenario = SCENARIOS[spec.scenario]
+    crashes = scenario["crashes"] if spec.crashes is None else spec.crashes
+    return scenario["d"], scenario["delta"], crashes
 
 
 def _make_adversary(config: Optional[Mapping[str, Any]], *coordinates):
@@ -171,12 +175,11 @@ def _make_adversary(config: Optional[Mapping[str, Any]], *coordinates):
 def _algorithm_kwargs(spec: RunSpec, algorithm_class: type,
                       f: int) -> Dict[str, Any]:
     """The constructor keywords ``spec.params`` stands for: the fields of
-    the algorithm's parameter dataclass where it has one
-    (:data:`~repro.spec.registry.PARAMS_CLASSES`), the constructor's own
-    keywords otherwise."""
+    the algorithm's parameter dataclass where it names one
+    (``params_class``), the constructor's own keywords otherwise."""
     if not spec.params:
         return {}
-    params_class = PARAMS_CLASSES.get(algorithm_class)
+    params_class = getattr(algorithm_class, "params_class", None)
     try:
         kwargs = (dict(spec.params) if params_class is None
                   else {"params": params_class(**spec.params)})
@@ -315,7 +318,7 @@ def _build_gossip(spec, observers, payloads, adversary) -> BuiltRun:
     algorithm_class = GOSSIP_ALGORITHMS[spec.algorithm]
     n, seed = spec.n, spec.seed
     f = spec.resolved_f
-    d, delta, crashes = _apply_scenario(spec, f)
+    d, delta, crashes = _apply_scenario(spec)
     kwargs = _algorithm_kwargs(spec, algorithm_class, f)
 
     if adversary is None:
@@ -414,11 +417,10 @@ def _finish_gossip(built: BuiltRun) -> GossipRun:
 # -- consensus ------------------------------------------------------------- #
 
 def _build_consensus(spec, observers, adversary) -> BuiltRun:
-    # Lazy: repro.consensus imports this module's registry sibling, so a
-    # top-level import here would be circular.
+    # Lazy: a gossip cell does not load the consensus package.
     from ..consensus.ben_or import BenOrConsensus
     from ..consensus.canetti_rabin import CanettiRabinConsensus
-    from ..consensus.runner import default_values, make_transport
+    from ..consensus.runner import default_values
 
     n, seed = spec.n, spec.seed
     f = spec.resolved_f
@@ -433,7 +435,7 @@ def _build_consensus(spec, observers, adversary) -> BuiltRun:
         raise ConfigurationError(
             f"expected {n} initial values, got {len(values)}"
         )
-    d, delta, crashes = _apply_scenario(spec, f)
+    d, delta, crashes = _apply_scenario(spec)
 
     plan = None
     if adversary is None:
@@ -446,7 +448,7 @@ def _build_consensus(spec, observers, adversary) -> BuiltRun:
             for pid in range(n)
         ]
     else:
-        transport = make_transport(spec.algorithm)
+        transport = TRANSPORTS[spec.algorithm]
         factory = partial(transport, **_algorithm_kwargs(spec, transport, f))
         algorithms = [
             CanettiRabinConsensus(pid, n, f, values[pid], factory)

@@ -1,26 +1,20 @@
-"""Central name registries for the declarative configuration plane.
+"""The name tables of the declarative configuration plane.
 
-Every ``run_*`` entry point used to resolve names from its own dict:
-``repro.api`` kept ``GOSSIP_ALGORITHMS``, ``repro.consensus.runner`` kept
-``TRANSPORTS``, ``repro.workloads.scenarios`` kept ``SCENARIOS``.  This
-module is now the single home for all of them, plus the named adversaries
-and crash-plan factories a :class:`~repro.spec.runspec.RunSpec` may refer
-to.  The legacy modules re-export these registries, so existing imports
-keep working while every lookup — including did-you-mean diagnostics —
-goes through one implementation.
+Every name a :class:`~repro.spec.runspec.RunSpec` may mention — gossip
+algorithm, consensus transport, adversary, crash plan, scenario —
+resolves through one :class:`~repro.sim.errors.Registry` here, built
+once from a dict literal and never mutated. (Topology names resolve
+through :data:`repro.sim.topology.TOPOLOGY_BUILDERS`, the same kind of
+table, because ``repro.sim`` must not import ``repro.spec``.) Nothing
+registers at import time and no other module keeps a copy: importers
+name this module.
 
-A :class:`Registry` is a read-mostly :class:`~collections.abc.Mapping`;
-missing names raise :class:`UnknownNameError`, which subclasses both
-:class:`~repro.sim.errors.ConfigurationError` (the substrate's
-misconfiguration type) and :class:`KeyError` (the registries replace plain
-dicts, and historical callers catch ``KeyError``).
+A missing name raises :class:`~repro.sim.errors.UnknownNameError`, both
+a :class:`~repro.sim.errors.ConfigurationError` and a :class:`KeyError`,
+with the choices and a did-you-mean hint.
 """
 
 from __future__ import annotations
-
-import difflib
-from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional
 
 from ..adversary.crash_plans import (
     no_crashes,
@@ -34,7 +28,6 @@ from ..adversary.gst import GstAdversary
 from ..adversary.oblivious import ObliviousAdversary
 from ..core.adaptive_fanout import AdaptiveFanoutGossip
 from ..core.ears import Ears
-from ..core.params import EarsParams, SearsParams, TearsParams
 from ..core.ps_push_pull import PanagiotouSpeidelPushPull
 from ..core.push_pull import PushPullGossip
 from ..core.sears import Sears
@@ -42,101 +35,38 @@ from ..core.sparse import SparseGossip
 from ..core.tears import Tears
 from ..core.trivial import TrivialGossip
 from ..core.uniform import UniformEpidemicGossip
-from ..sim.errors import ConfigurationError
+from ..sim.errors import Registry
 
 __all__ = [
     "ADVERSARIES",
+    "BEN_OR",
     "CRASH_PLANS",
     "GATHERING_ONLY_ALGORITHMS",
     "GOSSIP_ALGORITHMS",
+    "LOWER_BOUND",
     "MAJORITY_ALGORITHMS",
-    "PARAMS_CLASSES",
-    "Registry",
     "SCENARIOS",
-    "TOPOLOGIES",
     "TRANSPORTS",
-    "UnknownNameError",
-    "ensure_scenarios",
 ]
 
 
-class UnknownNameError(ConfigurationError, KeyError):
-    """A name was looked up in a registry that does not hold it."""
+# -- gossip algorithms ----------------------------------------------------- #
+#
+# An algorithm whose knobs are the fields of a parameter dataclass names
+# it as its ``params_class`` (EARS, SEARS, TEARS); every other
+# algorithm's knobs are its constructor's own keywords.
 
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-        self.message = message
-
-    def __str__(self) -> str:  # KeyError would repr()-quote the message
-        return self.message
-
-
-class Registry(Mapping):
-    """A named ``name -> entry`` mapping with did-you-mean diagnostics."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: Dict[str, Any] = {}
-
-    def register(self, name: str, entry: Any, *,
-                 overwrite: bool = False) -> Any:
-        """Add ``entry`` under ``name``; re-registering the same entry is
-        a no-op, a *different* entry requires ``overwrite=True``."""
-        if not overwrite and name in self._entries:
-            existing = self._entries[name]
-            if existing is not entry and existing != entry:
-                raise ConfigurationError(
-                    f"{self.kind} {name!r} is already registered; "
-                    f"pass overwrite=True to replace it"
-                )
-        self._entries[name] = entry
-        return entry
-
-    def __getitem__(self, name: str) -> Any:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownNameError(self.describe_miss(name)) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> List[str]:
-        return sorted(self._entries)
-
-    def suggest(self, name: str) -> Optional[str]:
-        """Closest registered name, if any is plausibly what was meant."""
-        close = difflib.get_close_matches(str(name), list(self._entries), n=1)
-        return close[0] if close else None
-
-    def describe_miss(self, name: str) -> str:
-        hint = (
-            f"unknown {self.kind} {name!r}; choose from {self.names()}"
-        )
-        suggestion = self.suggest(name)
-        if suggestion is not None:
-            hint += f" (did you mean {suggestion!r}?)"
-        return hint
-
-
-# -- gossip algorithms (formerly repro.api.GOSSIP_ALGORITHMS) -------------- #
-
-GOSSIP_ALGORITHMS = Registry("gossip algorithm")
-for _name, _cls in (
-    ("trivial", TrivialGossip),
-    ("ears", Ears),
-    ("sears", Sears),
-    ("tears", Tears),
-    ("uniform", UniformEpidemicGossip),
-    ("adaptive-fanout", AdaptiveFanoutGossip),
-    ("sparse", SparseGossip),
-    ("push-pull", PushPullGossip),
-    ("ps-push-pull", PanagiotouSpeidelPushPull),
-):
-    GOSSIP_ALGORITHMS.register(_name, _cls)
+GOSSIP_ALGORITHMS = Registry("gossip algorithm", {
+    "trivial": TrivialGossip,
+    "ears": Ears,
+    "sears": Sears,
+    "tears": Tears,
+    "uniform": UniformEpidemicGossip,
+    "adaptive-fanout": AdaptiveFanoutGossip,
+    "sparse": SparseGossip,
+    "push-pull": PushPullGossip,
+    "ps-push-pull": PanagiotouSpeidelPushPull,
+})
 
 #: Algorithms that solve the weaker *majority gossip* problem (Section 5).
 MAJORITY_ALGORITHMS = frozenset({"tears"})
@@ -149,22 +79,15 @@ MAJORITY_ALGORITHMS = frozenset({"tears"})
 #: standard monitor applies.
 GATHERING_ONLY_ALGORITHMS = frozenset({"uniform", "ps-push-pull"})
 
-#: Algorithms whose knobs are the fields of a parameter dataclass: a
-#: spec's ``params`` mapping names those fields. Every other algorithm's
-#: knobs are its constructor's own keywords.
-PARAMS_CLASSES = {Ears: EarsParams, Sears: SearsParams, Tears: TearsParams}
 
+# -- consensus get-core transports ----------------------------------------- #
 
-# -- consensus get-core transports (formerly consensus.runner.TRANSPORTS) -- #
-
-TRANSPORTS = Registry("consensus transport")
-for _name, _cls in (
-    ("all-to-all", TrivialGossip),  # the original Canetti–Rabin O(n²) row
-    ("ears", Ears),
-    ("sears", Sears),
-    ("tears", Tears),
-):
-    TRANSPORTS.register(_name, _cls)
+TRANSPORTS = Registry("consensus transport", {
+    "all-to-all": TrivialGossip,  # the original Canetti–Rabin O(n²) row
+    "ears": Ears,
+    "sears": Sears,
+    "tears": Tears,
+})
 
 #: Consensus algorithm name that is a protocol of its own, not a get-core
 #: transport; ``RunSpec(kind="consensus", algorithm=BEN_OR)`` selects it.
@@ -219,12 +142,13 @@ def _lower_bound_adversary(make_algorithm, n, f, seed, *, samples=6,
 #: The adversary whose specs ``execute`` runs as a Theorem 1 execution.
 LOWER_BOUND = "lower-bound"
 
-ADVERSARIES = Registry("adversary")
-ADVERSARIES.register("uniform", _uniform_adversary)
-ADVERSARIES.register("synchronous", _synchronous_adversary)
-ADVERSARIES.register("gst", _gst_adversary)
-ADVERSARIES.register("byzantine", _byzantine_adversary)
-ADVERSARIES.register(LOWER_BOUND, _lower_bound_adversary)
+ADVERSARIES = Registry("adversary", {
+    "uniform": _uniform_adversary,
+    "synchronous": _synchronous_adversary,
+    "gst": _gst_adversary,
+    "byzantine": _byzantine_adversary,
+    LOWER_BOUND: _lower_bound_adversary,
+})
 
 
 # -- named crash plans ----------------------------------------------------- #
@@ -256,37 +180,46 @@ def _staggered_halving_plan(n, f, d, delta, seed, *, epoch_length=24):
     return staggered_halving(n, f, epoch_length=epoch_length, seed=seed)
 
 
-CRASH_PLANS = Registry("crash plan")
-CRASH_PLANS.register("none", _none_plan)
-CRASH_PLANS.register("random-early", _random_early_plan)
-CRASH_PLANS.register("wave", _wave_plan)
-CRASH_PLANS.register("staggered-halving", _staggered_halving_plan)
-
-
-# -- communication topologies ---------------------------------------------- #
-#
-# The builder functions themselves live in :mod:`repro.sim.topology`
-# (``repro.sim`` must not import ``repro.spec``); this registry gives the
-# spec plane the same lookup-with-diagnostics surface as every other name
-# a RunSpec may mention.
-
-from ..sim.topology import TOPOLOGY_BUILDERS  # noqa: E402
-
-TOPOLOGIES = Registry("topology")
-for _name, _builder in sorted(TOPOLOGY_BUILDERS.items()):
-    TOPOLOGIES.register(_name, _builder)
+CRASH_PLANS = Registry("crash plan", {
+    "none": _none_plan,
+    "random-early": _random_early_plan,
+    "wave": _wave_plan,
+    "staggered-halving": _staggered_halving_plan,
+})
 
 
 # -- named scenarios ------------------------------------------------------- #
+#
+# The oblivious (d, δ)-adversary fixes delays and crashes before the run,
+# so a scenario is only a (d, δ, crash plan) triple: ``crashes`` is a
+# ``CRASH_PLANS`` config (``None``: failure-free), resolved with the
+# spec's (n, f, seed) unless the spec sets ``crashes`` itself.
 
-#: Populated by :mod:`repro.workloads.scenarios` at import time; use
-#: :func:`ensure_scenarios` when resolving scenario names so the catalogue
-#: is registered regardless of import order.
-SCENARIOS = Registry("scenario")
-
-
-def ensure_scenarios() -> Registry:
-    """Return :data:`SCENARIOS` with the built-in catalogue registered."""
-    from ..workloads import scenarios  # noqa: F401  (import registers)
-
-    return SCENARIOS
+SCENARIOS = Registry("scenario", {
+    "calm": {
+        "d": 1, "delta": 1, "crashes": None,
+        "description": "failure-free, maximal synchrony (d = δ = 1)",
+    },
+    "lossy-links": {
+        "d": 4, "delta": 1, "crashes": None,
+        "description": "slow network: message delays up to 4",
+    },
+    "skewed-speeds": {
+        "d": 1, "delta": 4, "crashes": None,
+        "description": "uneven scheduling: up to 4 steps between turns",
+    },
+    "flaky": {
+        "d": 2, "delta": 2,
+        "crashes": {"name": "random-early", "horizon": 16},
+        "description": "mild asynchrony plus f random early crashes",
+    },
+    "failure-wave": {
+        "d": 2, "delta": 2, "crashes": {"name": "wave"},
+        "description": "all f victims crash simultaneously at t = 4",
+    },
+    "halving-epochs": {
+        "d": 2, "delta": 2, "crashes": {"name": "staggered-halving"},
+        "description": "crash waves halving the failure budget per epoch "
+                       "(the EARS analysis's epoch structure)",
+    },
+})

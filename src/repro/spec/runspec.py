@@ -141,6 +141,15 @@ class RunSpec:
             if value < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {value}")
+        if self.f is not None and not 0 <= self.f < self.n:
+            raise ConfigurationError(
+                f"f must be in [0, n={self.n}), got {self.f}")
+        if isinstance(self.crashes, int) and self.crashes < 0:
+            raise ConfigurationError(
+                f"crashes must be >= 0, got {self.crashes}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigurationError(
+                f"max_steps must be >= 1, got {self.max_steps}")
         if self.scenario is not None and self.adversary is not None:
             raise ConfigurationError(
                 "a spec sets either 'scenario' or 'adversary', not both"

@@ -118,7 +118,7 @@ def run_batch_specs(specs: Sequence[RunSpec]) -> List[GossipRun]:
     for spec in specs:
         # Scenario crash workloads and int crash counts are seeded per
         # trial, exactly like the scalar builder.
-        sd, sdelta, crashes = _apply_scenario(spec, f)
+        sd, sdelta, crashes = _apply_scenario(spec)
         plan = resolve_crash_plan(crashes, n, f, sd, sdelta, spec.seed)
         crash_events.append(
             [(when, sorted(pids)) for when, pids in plan.events()]

@@ -1,6 +1,8 @@
-"""Workload generation: named scenarios, sweep drivers, topology sweeps."""
+"""Workload generation: sweep drivers, topology sweeps.
 
-from .scenarios import SCENARIOS, Scenario, get_scenario
+Named scenarios are spec data: :data:`repro.spec.registry.SCENARIOS`.
+"""
+
 from .sweeps import (
     SweepPoint,
     geometric_ns,
@@ -20,14 +22,11 @@ from .topology import (
 
 __all__ = [
     "PREDICTED_EXPONENTS",
-    "SCENARIOS",
-    "Scenario",
     "SweepPoint",
     "TopologyCurve",
     "format_topology_curves",
     "format_topology_matrix",
     "geometric_ns",
-    "get_scenario",
     "near_half",
     "quarter",
     "sweep_gossip",

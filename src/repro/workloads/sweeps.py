@@ -126,8 +126,7 @@ def sweep_gossip(*args: Any, **kwargs: Any) -> List[SweepPoint]:
     passes them to ``execute_batch`` itself and reduces with
     :func:`sweep_points`.
     """
-    # Lazy import: resolving a scenario name imports this package, and a
-    # worker that only does that should not load the store layer.
+    # Lazy: a worker that only builds sweep specs does not load the store.
     from ..store import execute_batch
 
     specs = sweep_specs(*args, **kwargs)

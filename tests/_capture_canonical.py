@@ -16,11 +16,12 @@ from repro.adversary.adaptive import (
     TargetedDelayAdversary,
 )
 from repro.adversary.lower_bound import run_lower_bound
-from repro.api import GOSSIP_ALGORITHMS, run_gossip
+from repro.api import run_gossip
 from repro.core.base import make_processes
 from repro.experiments.theorem1 import PORTFOLIO
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
+from repro.spec.registry import GOSSIP_ALGORITHMS
 
 
 def oblivious_cell(algorithm, seed):

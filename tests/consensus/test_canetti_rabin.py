@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus import run_consensus
-from repro.consensus.runner import TRANSPORTS
+from repro.spec.registry import TRANSPORTS
 
 ALL_TRANSPORTS = sorted(TRANSPORTS)
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.adversary.crash_plans import crash_at
 from repro.adversary.oblivious import ObliviousAdversary
-from repro.api import GOSSIP_ALGORITHMS
 from repro.core.base import make_processes
 from repro.core.epidemic import (
     KIND_GOSSIP,
@@ -21,6 +20,7 @@ from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.message import Message, expand
 from repro.sim.process import Context
 from repro.sim.rng import derive_rng
+from repro.spec.registry import GOSSIP_ALGORITHMS
 
 
 def make_proc(pid=0, n=4, f=1, fanout=1, shutdown_sends=2):

@@ -8,13 +8,7 @@ that still exercises claim/reap/re-issue against real workers.
 
 import pytest
 
-from repro.faults import (
-    FLEET_FAULTS,
-    FleetFault,
-    make_fleet_fault,
-    register_fleet_fault,
-    run_fleet_campaign,
-)
+from repro.faults import FLEET_FAULTS, run_fleet_campaign
 from repro.sim.errors import ConfigurationError
 
 
@@ -25,25 +19,13 @@ class TestRegistry:
                 "fleet-duplicate-claim"} <= set(FLEET_FAULTS)
 
     def test_make_fleet_fault(self):
-        fault = make_fleet_fault("fleet-worker-kill")
+        fault = FLEET_FAULTS["fleet-worker-kill"]()
         assert fault.name == "fleet-worker-kill"
         assert fault.expects == ("fleet-recovered",)
         with pytest.raises(ConfigurationError, match="unknown fleet"):
-            make_fleet_fault("fleet-nope")
-
-    def test_register_decorator(self):
-        @register_fleet_fault
-        class _Probe(FleetFault):
-            name = "fleet-test-probe"
-
-            def inject(self, fleet, rng):
-                return {}
-
-        try:
-            assert isinstance(make_fleet_fault("fleet-test-probe"),
-                              _Probe)
-        finally:
-            FLEET_FAULTS.pop("fleet-test-probe")
+            FLEET_FAULTS["fleet-nope"]
+        with pytest.raises(KeyError):
+            FLEET_FAULTS["fleet-nope"]
 
 
 class TestLiveCell:

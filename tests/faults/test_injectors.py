@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults.injectors import FAULTS, FaultInjector, make_fault
+from repro.faults.injectors import FAULTS, FaultInjector
 from repro.sim.errors import IncompleteRunError, InvariantViolation
 from repro.sim.monitor import PredicateMonitor
 from repro.sim.rng import derive_rng
@@ -27,7 +27,7 @@ def _built(kind="gossip", algorithm="ears", with_crashes=False, seed=0):
 
 def _run_with_fault(fault_name, kind="gossip", algorithm="ears", seed=0,
                     run_on=True):
-    fault = make_fault(fault_name)
+    fault = FAULTS[fault_name]()
     built = _built(kind, algorithm, with_crashes=fault.needs_crashes,
                    seed=seed)
     fault.arm(built, derive_rng(seed, "test", fault_name))
@@ -103,8 +103,8 @@ class TestRegistry:
         } <= set(FAULTS)
 
     def test_unknown_fault_lists_registered(self):
-        with pytest.raises(KeyError, match="registered"):
-            make_fault("no-such-fault")
+        with pytest.raises(KeyError, match="choose from"):
+            FAULTS["no-such-fault"]
 
     def test_faults_are_seeded_and_reproducible(self):
         first, built_a = _run_with_fault("rumor-loss", seed=3)

@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.faults import (
-    STORE_FAULTS,
-    make_store_fault,
-    run_campaign,
-)
+from repro.faults import STORE_FAULTS, run_campaign
 from repro.spec import RunSpec
 from repro.store import JsonlStore
 
@@ -29,7 +25,7 @@ def test_injected_corruption_is_detected_and_salvaged(
         tmp_path, fault_name, trial):
     path = tmp_path / "runs.jsonl"
     _store_with_records(path)
-    fault = make_store_fault(fault_name)
+    fault = STORE_FAULTS[fault_name]()
     info = fault.inject(str(path), random.Random(trial))
 
     report = JsonlStore(str(path)).verify()
@@ -45,8 +41,7 @@ def test_injected_corruption_is_detected_and_salvaged(
 def test_torn_write_leaves_no_trailing_newline(tmp_path):
     path = tmp_path / "runs.jsonl"
     _store_with_records(path)
-    make_store_fault("store-torn-write").inject(str(path),
-                                               random.Random(0))
+    STORE_FAULTS["store-torn-write"]().inject(str(path), random.Random(0))
     assert not path.read_text().endswith("\n")
 
 
@@ -55,7 +50,7 @@ def test_checksum_flip_keeps_line_as_valid_json(tmp_path):
 
     path = tmp_path / "runs.jsonl"
     _store_with_records(path)
-    info = make_store_fault("store-checksum-flip").inject(
+    info = STORE_FAULTS["store-checksum-flip"]().inject(
         str(path), random.Random(0))
     lines = path.read_text().splitlines()
     flipped = json.loads(lines[info["line"] - 1])  # still parses
@@ -69,13 +64,13 @@ def test_faults_refuse_uncorruptible_stores(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     with pytest.raises(ValueError, match="no lines"):
-        make_store_fault("store-torn-write").inject(str(empty),
-                                                    random.Random(0))
+        STORE_FAULTS["store-torn-write"]().inject(str(empty),
+                                                  random.Random(0))
     no_crc = tmp_path / "v1.jsonl"
     no_crc.write_text('{"schema": 1, "spec_hash": "aa", "metrics": {}}\n')
     with pytest.raises(ValueError, match="no checksummed"):
-        make_store_fault("store-checksum-flip").inject(str(no_crc),
-                                                       random.Random(0))
+        STORE_FAULTS["store-checksum-flip"]().inject(str(no_crc),
+                                                     random.Random(0))
 
 
 def test_campaign_store_matrix_detects_all(tmp_path):

@@ -22,7 +22,6 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.spec import GOSSIP_ALGORITHMS, TRANSPORTS, RunSpec
 from repro.spec import build as build_spec
-from repro.spec.registry import PARAMS_CLASSES
 
 ALGORITHMS = [TrivialGossip, Ears, Tears, UniformEpidemicGossip]
 
@@ -149,7 +148,7 @@ class TestStateMonotonicity:
 # -- the RunSpec space ------------------------------------------------------ #
 
 def _knob_names(algorithm_class):
-    params_class = PARAMS_CLASSES.get(algorithm_class)
+    params_class = getattr(algorithm_class, "params_class", None)
     if params_class is not None:
         return [knob.name for knob in dataclasses.fields(params_class)]
     return list(inspect.signature(algorithm_class).parameters)[4:]

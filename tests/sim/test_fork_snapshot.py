@@ -17,10 +17,10 @@ from repro.adversary.adaptive import (
 )
 from repro.adversary.crash_plans import crash_at
 from repro.adversary.oblivious import ObliviousAdversary
-from repro.api import GOSSIP_ALGORITHMS
 from repro.core.base import make_processes
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
+from repro.spec.registry import GOSSIP_ALGORITHMS
 
 from ..conftest import import_benchmark
 

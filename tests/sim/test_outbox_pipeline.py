@@ -24,7 +24,6 @@ from repro.adversary.base import Adversary
 from repro.adversary.crash_plans import crash_at, wave_crashes
 from repro.adversary.delay_plans import HashDelay
 from repro.adversary.oblivious import ObliviousAdversary
-from repro.api import GOSSIP_ALGORITHMS
 from repro.core.base import make_processes
 from repro.core.majority import DeterministicMajorityGossip
 from repro.faults.injectors import _AdversaryProxy
@@ -38,6 +37,7 @@ from repro.sim.network import Network
 from repro.sim.process import Algorithm, Context
 from repro.sim.scheduler import RoundRobinWindows, SubsetEveryStep
 from repro.spec import RunSpec, build
+from repro.spec.registry import GOSSIP_ALGORITHMS
 
 from .test_engine_leap import ALGORITHMS, PLAN_FACTORIES, SPEC_CELLS
 

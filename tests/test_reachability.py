@@ -19,8 +19,10 @@ a declared root. The walk reads source only (``ast``), never executes it:
   that ``__init__`` with its imports. Reaching a module marks its parent
   packages present without following their imports.
 
-Import-time side effects are ignored: every registration lives in
-``repro/spec/registry.py``, which imports what it registers.
+Import-time side effects are ignored: nothing registers at import
+time. Every name table is one literal ``Registry`` in a module that
+imports what it names (``repro/spec/registry.py``, and the topology and
+fault tables beside their entries).
 """
 
 from __future__ import annotations

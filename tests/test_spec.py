@@ -7,22 +7,27 @@ import weakref
 import pytest
 
 from repro.adversary.adaptive import TargetedDelayAdversary
-from repro.sim.errors import ConfigurationError
+from repro.adversary.crash_plans import (
+    CrashPlan,
+    random_crashes,
+    staggered_halving,
+)
+from repro.sim.errors import ConfigurationError, UnknownNameError
 from repro.spec import (
     GOSSIP_ALGORITHMS,
     RunSpec,
     SPEC_SCHEMA_VERSION,
     TRANSPORTS,
-    UnknownNameError,
     build,
     execute,
+    resolve_crash_plan,
 )
 from repro.spec.registry import (
     ADVERSARIES,
     CRASH_PLANS,
     SCENARIOS,
-    ensure_scenarios,
 )
+from repro.store.base import metrics_of
 
 
 # -- RunSpec serialization -------------------------------------------------- #
@@ -166,25 +171,84 @@ class TestRegistries:
         with pytest.raises(ConfigurationError):
             TRANSPORTS["nope"]
 
-    def test_make_transport_does_not_suggest_ben_or(self):
+    def test_transports_do_not_suggest_ben_or(self):
         # 'ben-or' is a consensus protocol, not a gossip transport; the
         # old error message wrongly listed it among the choices.
-        from repro.consensus import make_transport
-
         with pytest.raises(UnknownNameError) as err:
-            make_transport("ben-or")
+            TRANSPORTS["ben-or"]
         assert "ben-or" not in str(err.value).split("choose from")[1]
 
     def test_scenarios_register_centrally(self):
-        ensure_scenarios()
-        assert "flaky" in SCENARIOS
-        from repro.workloads import SCENARIOS as legacy
+        # One table, no import-time registration: a scenario is a row of
+        # (d, delta, crash-plan config) and nothing else keeps a copy.
+        import repro.workloads
 
-        assert set(legacy) == set(SCENARIOS)
+        assert SCENARIOS["flaky"] == {
+            "d": 2, "delta": 2,
+            "crashes": {"name": "random-early", "horizon": 16},
+            "description": "mild asynchrony plus f random early crashes",
+        }
+        assert not hasattr(repro.workloads, "SCENARIOS")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            GOSSIP_ALGORITHMS.register("ears", object)
+
+# -- a scenario is spec data ------------------------------------------------ #
+
+class TestScenarioIsSpec:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_equals_its_explicit_spec(self, name, seed):
+        row = SCENARIOS[name]
+        named = RunSpec(algorithm="ears", n=32, f=8, seed=seed,
+                        scenario=name)
+        explicit = RunSpec(algorithm="ears", n=32, f=8, seed=seed,
+                           d=row["d"], delta=row["delta"],
+                           crashes=row["crashes"])
+        assert metrics_of(execute(named)) == metrics_of(execute(explicit))
+
+    def test_consensus_scenario_equals_its_explicit_spec(self):
+        row = SCENARIOS["failure-wave"]
+        named = RunSpec(kind="consensus", algorithm="ears", n=16, f=4,
+                        seed=2, scenario="failure-wave")
+        explicit = RunSpec(kind="consensus", algorithm="ears", n=16, f=4,
+                           seed=2, d=row["d"], delta=row["delta"],
+                           crashes=row["crashes"])
+        assert metrics_of(execute(named)) == metrics_of(execute(explicit))
+
+    @pytest.mark.parametrize("name, events", [
+        # The plans the scenario catalogue's own crash factories drew
+        # before scenarios became configs (n=16, f=4, seed=1).
+        ("calm", []),
+        ("flaky", [(7, [6]), (10, [1, 15]), (14, [7])]),
+        ("failure-wave", [(4, [1, 3, 5, 14])]),
+        ("halving-epochs", [(0, [0, 1]), (24, [8]), (48, [10])]),
+    ])
+    def test_scenario_crash_plan_is_pinned(self, name, events):
+        row = SCENARIOS[name]
+        plan = resolve_crash_plan(row["crashes"], 16, 4, row["d"],
+                                  row["delta"], seed=1)
+        assert [(t, sorted(pids)) for t, pids in plan.events()] == events
+
+
+# -- inputs out of range are refused by name -------------------------------- #
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: RunSpec(n=8, f=-1), "f must be in"),
+    (lambda: RunSpec(n=8, f=8), "f must be in"),
+    (lambda: RunSpec(n=8, f=2, crashes=-2), "crashes must be >= 0"),
+    (lambda: RunSpec(max_steps=0), "max_steps must be >= 1"),
+    (lambda: RunSpec(max_steps=-5), "max_steps must be >= 1"),
+    (lambda: resolve_crash_plan({"events": {"2": [99]}}, 16, 4, 1, 1, 0),
+     "outside"),
+    (lambda: CrashPlan({-3: {1}}), "negative crash times"),
+    (lambda: random_crashes(8, -1, 4), "cannot crash -1"),
+    (lambda: staggered_halving(16, 4, epoch_length=0),
+     "epoch_length must be >= 1"),
+], ids=["f-negative", "f-equals-n", "crashes-negative", "max-steps-zero",
+        "max-steps-negative", "pid-outside-n", "negative-time",
+        "count-negative", "epoch-length-zero"])
+def test_out_of_range_inputs_are_refused(make, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make()
 
 
 # -- builder ---------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.sim.errors import AlgorithmError, ConfigurationError
 from repro.sim.process import Context
 from repro.sim.rng import derive_rng
 from repro.sim.topology import (
-    TOPOLOGY_NAMES,
+    TOPOLOGY_BUILDERS,
     build_topology,
     normalize_topology,
     parse_topology_arg,
@@ -33,7 +33,7 @@ RANDOM_FAMILIES = ("gnp", "random-regular", "small-world")
 # -- graph construction ----------------------------------------------------- #
 
 class TestConstruction:
-    @pytest.mark.parametrize("name", [n for n in TOPOLOGY_NAMES
+    @pytest.mark.parametrize("name", [n for n in sorted(TOPOLOGY_BUILDERS)
                                       if n != "complete"])
     def test_deterministic_per_seed(self, name):
         a = build_topology(name, 32, seed=7)
@@ -126,6 +126,8 @@ class TestSpecIdentity:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
             normalize_topology("torus")
+        with pytest.raises(KeyError, match="did you mean 'ring'"):
+            normalize_topology("rnig")
 
     def test_explicit_complete_hash_matches_default(self):
         # The tentpole's hash-stability contract: pre-topology specs (no
