@@ -9,7 +9,7 @@ smaller adaptive strategies used in tests and ablations.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set
 
 from ..sim.message import Message
 from .base import Adversary
@@ -45,6 +45,11 @@ class ScriptedAdversary(AdaptiveAdversary):
     full speed", "starve S2", "deliver nothing for f/2 steps", ...); between
     phases the driver mutates :attr:`scheduled`, :attr:`delay` and pushes
     crash events. Within a phase the behaviour is fixed.
+
+    The driver also names the senders whose traffic it reads
+    (:meth:`count_sends`): who sent to whom is the adaptive adversary's
+    own observation, so it is counted here, on the way through the delay
+    layer, and nowhere else.
     """
 
     def __init__(self) -> None:
@@ -52,6 +57,15 @@ class ScriptedAdversary(AdaptiveAdversary):
         self.delay = 1
         self._crash_queue: Set[int] = set()
         self.suppress_delivery_until: Optional[int] = None
+        #: Messages each counted sender has sent, in total and per
+        #: destination (destinations in first-send order).
+        self.sent: Dict[int, int] = {}
+        self.sent_to: Dict[int, Dict[int, int]] = {}
+
+    def count_sends(self, pids: Iterable[int]) -> None:
+        """Count, from now on, what each of ``pids`` sends."""
+        self.sent = {pid: 0 for pid in pids}
+        self.sent_to = {pid: {} for pid in self.sent}
 
     def queue_crashes(self, pids) -> None:
         self._crash_queue |= set(pids)
@@ -72,6 +86,14 @@ class ScriptedAdversary(AdaptiveAdversary):
             return max(self.delay, self.suppress_delivery_until - msg.sent_at)
         return self.delay
 
+    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+        super().delay_outbox(outbox, t)
+        for msg in outbox:
+            sent_to = self.sent_to.get(msg.src)
+            if sent_to is not None:
+                self.sent[msg.src] += 1
+                sent_to[msg.dst] = sent_to.get(msg.dst, 0) + 1
+
     def clone_into(self, sim) -> "ScriptedAdversary":
         """O(state) copy: the phase script is a few scalars and pid sets.
 
@@ -83,6 +105,8 @@ class ScriptedAdversary(AdaptiveAdversary):
         dup.delay = self.delay
         dup._crash_queue = set(self._crash_queue)
         dup.suppress_delivery_until = self.suppress_delivery_until
+        dup.sent = dict(self.sent)
+        dup.sent_to = {pid: dict(to) for pid, to in self.sent_to.items()}
         dup.sim = sim
         return dup
 

@@ -143,6 +143,8 @@ class LowerBoundExperiment:
         adversary = ScriptedAdversary()
         adversary.scheduled = set(self.s1)
         adversary.delay = 1
+        # Phase B, Case 1 and Case 2 read S2's sends and nothing else.
+        adversary.count_sends(self.s2)
         algorithms = [
             self.make_algorithm(pid, self.n, self.requested_f)
             for pid in range(self.n)
@@ -232,13 +234,12 @@ class LowerBoundExperiment:
         fork.processes[p].ctx.rng = derive_rng(
             self.seed, "lb-sample", p, i
         )
-        base_sent = fork.metrics.messages_by_sender[p]
-        sent = fork.metrics.sent_to(p)
+        base_sent = fork_adversary.sent[p]
+        sent = fork_adversary.sent_to[p]
         base_pairs = {q: sent.get(q, 0) for q in peers}
         fork.run_for(self.isolated_steps)
-        sent = fork.metrics.sent_to(p)
         contacted = {q for q in peers if sent.get(q, 0) > base_pairs[q]}
-        return fork.metrics.messages_by_sender[p] - base_sent, contacted
+        return fork_adversary.sent[p] - base_sent, contacted
 
     def _run_phase_b(
         self, sim: Simulation
@@ -273,11 +274,9 @@ class LowerBoundExperiment:
         adversary.suppress_delivery_until = (
             sim.now + self.isolated_steps + self.f
         )
-        before = {p: sim.metrics.messages_by_sender[p] for p in self.s2}
+        before = dict(adversary.sent)
         sim.run_for(self.isolated_steps)
-        measured = sum(
-            sim.metrics.messages_by_sender[p] - before[p] for p in self.s2
-        )
+        measured = sum(adversary.sent[p] - before[p] for p in self.s2)
         return LowerBoundReport(
             n=self.n, requested_f=self.requested_f, f=self.f,
             case="message-blowup", phase1_time=phase1_time,
@@ -338,17 +337,17 @@ class LowerBoundExperiment:
         adversary.delay = 1
         adversary.suppress_delivery_until = None
 
-        sent_to = sim.metrics.sent_to
-        cross_before = sent_to(p).get(q, 0) + sent_to(q).get(p, 0)
+        sent_to = adversary.sent_to
+        cross_before = sent_to[p].get(q, 0) + sent_to[q].get(p, 0)
         s1 = set(self.s1)
         pair = sorted((p, q))
-        seen = {src: dict(sent_to(src)) for src in pair}
+        seen = {src: dict(sent_to[src]) for src in pair}
         for _ in range(self.isolated_steps):
             sim.step()
             # Fail every S1 process p or q contacted, before it can act
             # (it is never scheduled anyway, but the proof crashes it).
             for src in pair:
-                for dst, count in sent_to(src).items():
+                for dst, count in sent_to[src].items():
                     if dst in s1 and count > seen[src].get(dst, 0):
                         seen[src][dst] = count
                         if (sim.is_alive(dst)
@@ -356,7 +355,7 @@ class LowerBoundExperiment:
                             sim.crash(dst)
                             crashes_used += 1
 
-        cross_after = sent_to(p).get(q, 0) + sent_to(q).get(p, 0)
+        cross_after = sent_to[p].get(q, 0) + sent_to[q].get(p, 0)
         exchanged_rumors = (
             sim.algorithm(p).knows_rumor_of(q)
             or sim.algorithm(q).knows_rumor_of(p)

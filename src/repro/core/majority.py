@@ -52,8 +52,8 @@ class DeterministicMajorityGossip(GossipAlgorithm):
             degree_constant * math.sqrt(n) * max(1.0, ln(n) / 2)
         )))
         stride2 = max(1, n // self.k)
-        self.pi1 = [(pid + i) % n for i in range(1, self.k + 1)]
-        self.pi2 = [(pid + i * stride2) % n for i in range(1, self.k + 1)]
+        self.pi1 = tuple((pid + i) % n for i in range(1, self.k + 1))
+        self.pi2 = tuple((pid + i * stride2) % n for i in range(1, self.k + 1))
         self.first_sent = False
         self.first_level_received = 0
         #: Re-broadcast every time another ``threshold`` first-level

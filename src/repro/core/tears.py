@@ -28,7 +28,7 @@ into one batch (their payloads would be identical anyway).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..sim.message import Message
 from ..sim.process import Context
@@ -60,8 +60,8 @@ class Tears(GossipAlgorithm):
         self.up_msg_cnt = 0
         self.first_level_sent = False
         self.second_level_batches = 0
-        self.pi1: Optional[List[int]] = None
-        self.pi2: Optional[List[int]] = None
+        self.pi1: Optional[Tuple[int, ...]] = None
+        self.pi2: Optional[Tuple[int, ...]] = None
         #: Rumors received specifically in first-level messages — the only
         #: rumors that can become *safe* (Section 5.2).
         self.first_level_rumor_mask = 1 << pid
@@ -83,14 +83,14 @@ class Tears(GossipAlgorithm):
         """
         prob = self.params.membership_probability(self.n)
         candidates = ctx.peers()
-        self.pi1 = [
+        self.pi1 = tuple(
             q for q in candidates
             if q != self.pid and ctx.rng.random() < prob
-        ]
-        self.pi2 = [
+        )
+        self.pi2 = tuple(
             q for q in candidates
             if q != self.pid and ctx.rng.random() < prob
-        ]
+        )
 
     # -- trigger rule ------------------------------------------------------#
 

@@ -60,8 +60,11 @@ __all__ = [
 #: default) are the same path: ask ``next_event_at`` before each step and
 #: jump over the inert gap it reports; when the adversary cannot predict
 #: (``None``) that iteration is a plain step. The query is O(log n) on the
-#: built-in residue schedules, so dense runs pay nothing measurable for
-#: it. Both names stay because specs, stores and the CLI carry them.
+#: built-in residue schedules. At d = δ = 2 (``dense-epidemic``, about 428
+#: queries a round) that costs nothing measurable; on the dense RRW(64)
+#: n = 128 control it does: ``BENCH_engine_leap.json`` records ``leap`` at
+#: 0.91x and ``auto`` at 0.92x of stepwise (ROADMAP item 12). Both names
+#: stay because specs, stores and the CLI carry them.
 ENGINES = ("auto", "stepwise", "leap")
 
 
@@ -309,7 +312,6 @@ class Simulation:
         for pid in sorted(scheduled):
             handle = self.processes[pid]
             metrics.record_scheduled(pid, t)
-            handle.last_scheduled_at = t
             if self._obs_schedule:
                 for handler in self._obs_schedule:
                     handler(t, pid)
@@ -331,7 +333,7 @@ class Simulation:
             # The outbox pipeline: the whole outbox is delayed, then
             # counted, then announced, then enqueued.
             self.adversary.delay_outbox(outbox, t)
-            metrics.record_send(pid, outbox, t)
+            metrics.record_send(outbox, t)
             if self._obs_send:
                 for msg in outbox:
                     for handler in self._obs_send:

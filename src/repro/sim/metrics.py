@@ -9,11 +9,9 @@ these are per-execution quantities the algorithm never sees.
 
 from __future__ import annotations
 
-from collections import Counter, _count_elements, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-from types import MappingProxyType
-from typing import DefaultDict, Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .message import FanOut, is_byzantine_kind
 
@@ -21,8 +19,6 @@ from .message import FanOut, is_byzantine_kind
 #: engine's columnar ``last_scheduled`` arrays use it directly; the scalar
 #: :class:`Metrics` maps its ``dict.get(pid) is None`` case onto it.
 NEVER_SCHEDULED = -1
-
-_dst = attrgetter("dst")
 
 
 def trailing_gap(end, last_scheduled):
@@ -60,7 +56,6 @@ class Metrics:
     #: sent == delivered + dropped + in-flight, always.
     messages_dropped: int = 0
     messages_by_kind: Counter = field(default_factory=Counter)
-    messages_by_sender: Counter = field(default_factory=Counter)
     #: Estimated payload bits sent (populated only when the simulation has
     #: a bit meter attached; see repro.sim.bits).
     bits_sent: int = 0
@@ -84,33 +79,25 @@ class Metrics:
     last_send_time: Optional[int] = None
 
     _last_scheduled: Dict[int, int] = field(default_factory=dict)
-    # Point-to-point counts, one plain ``{dst: count}`` dict per sender;
-    # read through ``sent_to`` / ``messages_by_pair``.
-    _sent_to: DefaultDict[int, Dict[int, int]] = field(
-        default_factory=lambda: defaultdict(dict)
-    )
 
-    def record_send(self, sender: int, outbox, now: int) -> None:
+    def record_send(self, outbox, now: int) -> None:
         """Count one process-step's outbox: every message in it was sent
-        by ``sender`` at ``now``.
+        at ``now``.
 
-        ``sender`` is the process that took the step, whatever ``msg.src``
-        claims (a Byzantine forgery spoofs the field, not the accounting).
-        Totals move once per outbox, the pair counts in one C counting
-        loop over the destinations, and the per-kind counters once per run
-        of equal kinds — the run detection is the one statement left per
-        message (cheaper than any C spelling measured, see
+        Totals move once per outbox and the per-kind counters once per
+        run of equal kinds — the run detection is the one statement left
+        per message (cheaper than any C spelling measured, see
         docs/performance.md). A :class:`FanOut` counts as its
-        ``len(dsts)`` messages, with one counting loop over ``dsts``.
+        ``len(dsts)`` messages. Who sent to whom is not kept here: the
+        Theorem 1 adversary, its one reader, counts the sends it reads
+        (:class:`~repro.adversary.adaptive.ScriptedAdversary`).
         """
         if not outbox:
             return
-        sent_to = self._sent_to[sender]
         if FanOut in map(type, outbox):
-            count = self._count_entries(sent_to, outbox)
+            count = self._count_entries(outbox)
         else:
             count = len(outbox)
-            _count_elements(sent_to, map(_dst, outbox))
             kind = outbox[0].kind
             run = 0
             for msg in outbox:
@@ -121,44 +108,22 @@ class Metrics:
                 run += 1
             self._count_kind(kind, run)
         self.messages_sent += count
-        self.messages_by_sender[sender] += count
         self.last_send_time = now
 
-    def _count_entries(self, sent_to: Dict[int, int], outbox) -> int:
-        """The pair and kind counts of an outbox holding fan-out records,
-        entry by entry in outbox order (``sent_to`` keeps first-send
-        order); returns the number of messages."""
+    def _count_entries(self, outbox) -> int:
+        """The kind counts of an outbox holding fan-out records, entry by
+        entry; returns the number of messages."""
         count = 0
         for msg in outbox:
-            dsts = msg.dsts if type(msg) is FanOut else (msg.dst,)
-            _count_elements(sent_to, dsts)
-            self._count_kind(msg.kind, len(dsts))
-            count += len(dsts)
+            size = len(msg.dsts) if type(msg) is FanOut else 1
+            self._count_kind(msg.kind, size)
+            count += size
         return count
 
     def _count_kind(self, kind: str, count: int) -> None:
         self.messages_by_kind[kind] += count
         if is_byzantine_kind(kind):
             self.byz_messages_sent += count
-
-    def sent_to(self, src: int) -> Mapping[int, int]:
-        """Read-only ``{dst: count}`` of everything ``src`` has sent so
-        far, destinations in first-send order; O(1), and
-        ``sent_to(src).get(dst, 0)`` is one pair's count. Ask again after
-        a step instead of holding the mapping: a sender that has sent
-        nothing gets a fresh empty one that later sends do not reach."""
-        return MappingProxyType(self._sent_to.get(src, {}))
-
-    @property
-    def messages_by_pair(self) -> Counter:
-        """Point-to-point ``(src, dst)`` counts as a fresh ``Counter`` —
-        O(pairs) to build, for tests and outside readers; code that asks
-        per step uses :meth:`sent_to`."""
-        return Counter({
-            (src, dst): count
-            for src, counts in self._sent_to.items()
-            for dst, count in counts.items()
-        })
 
     def record_delivery(self, count: int, max_delay: int) -> None:
         self.messages_delivered += count
@@ -214,7 +179,6 @@ class Metrics:
             messages_delivered=self.messages_delivered,
             messages_dropped=self.messages_dropped,
             messages_by_kind=Counter(self.messages_by_kind),
-            messages_by_sender=Counter(self.messages_by_sender),
             bits_sent=self.bits_sent,
             byz_messages_sent=self.byz_messages_sent,
             steps_elapsed=self.steps_elapsed,
@@ -226,9 +190,6 @@ class Metrics:
             completion_time=self.completion_time,
             last_send_time=self.last_send_time,
             _last_scheduled=dict(self._last_scheduled),
-            _sent_to=defaultdict(dict, {
-                src: dict(counts) for src, counts in self._sent_to.items()
-            }),
         )
 
     @property

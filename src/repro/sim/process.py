@@ -130,8 +130,9 @@ class Context:
         exactly as :meth:`send` validates them, and the outbox grows only
         once every one of them passed — a call that raises queues nothing.
         From ``_SHORT_OUTBOX`` destinations on, the call is queued as one
-        :class:`~repro.sim.message.FanOut` record over a copy of ``dsts``
-        instead of a :class:`Message` per destination.
+        :class:`~repro.sim.message.FanOut` record over ``tuple(dsts)``
+        instead of a :class:`Message` per destination; a sender that keeps
+        its destinations as a tuple has it queued as is, without a copy.
         """
         dsts = tuple(dsts)
         n = self.n
@@ -294,10 +295,10 @@ class Algorithm(ABC):
 
 
 class ProcessHandle:
-    """Engine-side record for one process: algorithm + status + counters."""
+    """Engine-side record for one process: algorithm + context + status."""
 
     __slots__ = ("pid", "algorithm", "ctx", "status", "crashed_at",
-                 "steps_taken", "last_scheduled_at", "byzantine")
+                 "byzantine")
 
     def __init__(self, pid: int, algorithm: Algorithm, ctx: Context) -> None:
         self.pid = pid
@@ -305,8 +306,6 @@ class ProcessHandle:
         self.ctx = ctx
         self.status = ProcessStatus.ALIVE
         self.crashed_at: Optional[int] = None
-        self.steps_taken = 0
-        self.last_scheduled_at: Optional[int] = None
         #: Marked by a Byzantine adversary at attach time. The process
         #: itself runs the honest algorithm either way (corruption happens
         #: to its *traffic*); the mark lets monitors, metrics reporting
@@ -323,23 +322,20 @@ class ProcessHandle:
         self.crashed_at = now
 
     def clone(self) -> "ProcessHandle":
-        """Copy for simulation forking: algorithm + context + counters."""
+        """Copy for simulation forking: algorithm + context + status."""
         dup = ProcessHandle.__new__(ProcessHandle)
         dup.pid = self.pid
         dup.algorithm = self.algorithm.clone()
         dup.ctx = self.ctx.clone()
         dup.status = self.status
         dup.crashed_at = self.crashed_at
-        dup.steps_taken = self.steps_taken
-        dup.last_scheduled_at = self.last_scheduled_at
         dup.byzantine = self.byzantine
         return dup
 
     def run_step(self, inbox: List[Message]) -> List[Message]:
         """Run one local step and return its outbox (messages and fan-out
-        records; ``Metrics.messages_by_sender`` counts the messages)."""
+        records; ``Metrics.messages_sent`` counts the messages)."""
         self.ctx.outbox = []
         self.algorithm.on_step(self.ctx, inbox)
         self.ctx._local_step += 1
-        self.steps_taken += 1
         return self.ctx.outbox

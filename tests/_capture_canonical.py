@@ -118,8 +118,23 @@ def lower_bound_cell(algorithm, seed):
     }
 
 
+def case2_cell(seed):
+    """Sparse gossip at the size where the adversary isolates a pair: the
+    pair and its crash count follow the first-send order of its counts."""
+    report = run_lower_bound(PORTFOLIO["sparse"], n=128, f=32, seed=seed,
+                             samples=3, promiscuity_factor=8)
+    pair = report.isolation_pair
+    return {
+        "case": report.case,
+        "isolation_pair": None if pair is None else list(pair),
+        "isolation_success": report.isolation_success,
+        "crashes_used": report.crashes_used,
+        "cross_messages": report.details.get("cross_messages"),
+    }
+
+
 def main():
-    out = {"oblivious": {}, "adaptive": {}, "lower_bound": {}}
+    out = {"oblivious": {}, "adaptive": {}, "lower_bound": {}, "case2": {}}
     for algorithm in sorted(GOSSIP_ALGORITHMS):
         for seed in (0, 1):
             out["oblivious"][f"{algorithm}/{seed}"] = oblivious_cell(
@@ -131,6 +146,8 @@ def main():
                     algorithm, seed, kind)
     for algorithm in ("trivial", "ears", "sears", "tears", "sparse"):
         out["lower_bound"][f"{algorithm}/0"] = lower_bound_cell(algorithm, 0)
+    for seed in range(4):
+        out["case2"][f"sparse/{seed}"] = case2_cell(seed)
     out["batch"] = {}
     for algorithm in ("ears", "sears"):
         for seed in (0, 1):

@@ -100,9 +100,11 @@ class TestIsolationCase:
 
     def test_isolated_pair_never_exchanged_rumors(self, report):
         if report.isolation_success:
+            assert report.details["cross_messages"] == 0
+            assert report.measured_time == 2 * (report.f // 2)
             assert report.measured_time >= report.time_bound
-        else:  # constant-probability failure is legitimate; must be logged
-            assert report.details["cross_messages"] > 0 or True
+        else:  # constant-probability failure is legitimate: no time forced
+            assert report.measured_time == 0
 
     def test_succeeds_for_most_seeds(self):
         # The proof guarantees success with probability >= 1/8; empirically

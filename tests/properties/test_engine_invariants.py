@@ -6,10 +6,12 @@ substrate's bookkeeping, which all complexity measurements rest on.
 
 import dataclasses
 import inspect
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.adaptive import ScriptedAdversary
 from repro.adversary.crash_plans import random_crashes
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.core.base import make_processes
@@ -19,6 +21,7 @@ from repro.core.trivial import TrivialGossip
 from repro.core.uniform import UniformEpidemicGossip
 from repro.sim.engine import Simulation
 from repro.sim.errors import ConfigurationError
+from repro.sim.events import Observer
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.spec import GOSSIP_ALGORITHMS, TRANSPORTS, RunSpec
 from repro.spec import build as build_spec
@@ -81,8 +84,55 @@ class TestConservation:
         sim.run_for(cfg["steps"])
         m = sim.metrics
         assert sum(m.messages_by_kind.values()) == m.messages_sent
-        assert sum(m.messages_by_sender.values()) == m.messages_sent
-        assert sum(m.messages_by_pair.values()) == m.messages_sent
+
+
+class PairLog(Observer):
+    """Every message's (src, dst), in send order."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def on_send(self, t, msg):
+        self.pairs.append((msg.src, msg.dst))
+
+
+class TestScriptedSendCounts:
+    """The Theorem 1 adversary's books: what it counts for its named
+    senders is exactly what they sent, in a fork as in the original."""
+
+    @given(configs, st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_counts_sum_to_what_the_counted_senders_sent(self, cfg, data):
+        n = cfg["n"]
+        counted = data.draw(st.sets(st.integers(0, n - 1)) | st.just(
+            set(range(n))))
+        adversary = ScriptedAdversary()
+        adversary.delay = cfg["d"]
+        adversary.count_sends(counted)
+        sim = Simulation(
+            n=n, f=0, seed=cfg["seed"], monitor=None, adversary=adversary,
+            algorithms=make_processes(
+                n, 0, ALGORITHMS[cfg["algorithm_index"]]),
+        )
+        sim.add_observer(PairLog())
+        sim.run_for(cfg["steps"] // 2)
+        fork = sim.fork()
+        fork.adversary.scheduled = set(range(0, n, 2))
+        for run in (sim, fork):
+            run.run_for(cfg["steps"] - cfg["steps"] // 2)
+            books, log = run.adversary, run.observers[0].pairs
+            mine = [(src, dst) for src, dst in log if src in counted]
+            assert sum(books.sent.values()) == len(mine)
+            assert Counter(mine) == Counter({
+                (src, dst): count for src, to in books.sent_to.items()
+                for dst, count in to.items()})
+            for src in counted:
+                assert books.sent[src] == sum(books.sent_to[src].values())
+                # Destinations in first-send order.
+                assert list(books.sent_to[src]) == list(dict.fromkeys(
+                    dst for s, dst in mine if s == src))
+            if counted == set(range(n)):
+                assert sum(books.sent.values()) == run.metrics.messages_sent
 
 
 class TestRealizedBounds:

@@ -14,17 +14,16 @@ from .algos import RingSender
 class TestSendAccounting:
     def test_counts_by_kind_and_sender(self):
         m = Metrics(n=4)
-        m.record_send(0, [Message(0, 1, None, "gossip")], now=3)
-        m.record_send(0, [Message(0, 2, None, "gossip")], now=4)
-        m.record_send(1, [Message(1, 0, None, "shutdown")], now=5)
+        m.record_send([Message(0, 1, None, "gossip")], now=3)
+        m.record_send([Message(0, 2, None, "gossip")], now=4)
+        m.record_send([Message(1, 0, None, "shutdown")], now=5)
         assert m.messages_sent == 3
         assert m.messages_by_kind["gossip"] == 2
-        assert m.messages_by_sender[0] == 2
         assert m.last_send_time == 5
 
     def test_bulk_count(self):
         m = Metrics(n=4)
-        m.record_send(2, [Message(2, 0, None, "spam")] * 10, now=1)
+        m.record_send([Message(2, 0, None, "spam")] * 10, now=1)
         assert m.messages_sent == 10
         assert m.messages_by_kind["spam"] == 10
 
@@ -161,12 +160,12 @@ class TestRealizedD:
 class TestSnapshot:
     def test_snapshot_round_trip(self):
         m = Metrics(n=3)
-        m.record_send(0, [Message(0, 1, None, "x")], now=1)
+        m.record_send([Message(0, 1, None, "x")], now=1)
         m.record_scheduled(0, 0)
         snap = m.snapshot()
         assert snap["messages_sent"] == 1
         assert snap["messages_by_kind"] == {"x": 1}
         assert snap["n"] == 3
         # Snapshot must be detached from the live object.
-        m.record_send(0, [Message(0, 1, None, "x")], now=2)
+        m.record_send([Message(0, 1, None, "x")], now=2)
         assert snap["messages_sent"] == 1

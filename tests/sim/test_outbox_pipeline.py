@@ -1,7 +1,7 @@
 """The send path's unit of work is one process-step's outbox.
 
 ``Context.send_many`` → engine (delay, count, announce, enqueue) →
-``Metrics.record_send(sender, outbox, now)`` → ``Network.enqueue(outbox,
+``Metrics.record_send(outbox, now)`` → ``Network.enqueue(outbox,
 alive)``. These tests pin that the batch forms account exactly as the
 per-message forms they replaced, and that the engine keeps calling the
 layer boundaries the e2e tracer patches by name.
@@ -44,16 +44,12 @@ from .test_engine_leap import ALGORITHMS, PLAN_FACTORIES, SPEC_CELLS
 KINDS = ("gossip", "shutdown", "byz:tamper:gossip", "byz:forge:shutdown")
 
 
-def per_message_accounting(metrics, pairs, sender, kind, now, dst):
-    """What ``record_send`` did when it was called once per message; the
-    pair counts go to the reference's own ``pairs`` Counter
-    (``messages_by_pair`` is a derived view: writes to it are lost)."""
+def per_message_accounting(metrics, kind, now):
+    """What ``record_send`` did when it was called once per message."""
     metrics.messages_sent += 1
     metrics.messages_by_kind[kind] += 1
-    metrics.messages_by_sender[sender] += 1
     if is_byzantine_kind(kind):
         metrics.byz_messages_sent += 1
-    pairs[(sender, dst)] += 1
     metrics.last_send_time = now
 
 
@@ -61,7 +57,6 @@ def send_state(metrics):
     return (
         metrics.messages_sent,
         +metrics.messages_by_kind,
-        +metrics.messages_by_sender,
         metrics.byz_messages_sent,
         metrics.last_send_time,
     )
@@ -69,87 +64,33 @@ def send_state(metrics):
 
 class TestRecordSend:
     @given(st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),              # sender
-            st.lists(st.tuples(
-                st.integers(min_value=0, max_value=5),          # dst
-                st.sampled_from(KINDS),
-                st.booleans(),                                  # fresh str?
-            ), max_size=12),
-        ),
+        st.lists(st.tuples(
+            st.integers(min_value=0, max_value=5),              # dst
+            st.sampled_from(KINDS),
+            st.booleans(),                                      # fresh str?
+        ), max_size=12),
         max_size=8,
     ))
     @settings(max_examples=120, deadline=None)
     def test_outbox_accounting_equals_the_per_message_sum(self, steps):
-        batch, reference, pairs = Metrics(n=6), Metrics(n=6), Counter()
-        for now, (sender, sends) in enumerate(steps):
+        batch, reference = Metrics(n=6), Metrics(n=6)
+        for now, sends in enumerate(steps):
             outbox = [
                 # An equal-but-not-identical kind string must count the
                 # same as a shared one (runs are an optimization only).
-                Message(sender, dst, None,
+                Message(0, dst, None,
                         "".join(list(kind)) if fresh else kind)
                 for dst, kind, fresh in sends
             ]
-            batch.record_send(sender, outbox, now)
+            batch.record_send(outbox, now)
             for msg in outbox:
-                per_message_accounting(reference, pairs, sender, msg.kind,
-                                       now, msg.dst)
+                per_message_accounting(reference, msg.kind, now)
         assert send_state(batch) == send_state(reference)
-        view = batch.messages_by_pair
-        assert view == pairs and min(view.values(), default=1) > 0
-        # The accessor answers as the view does, absent pairs and silent
-        # senders included; a sender's destinations come in first-send
-        # order (the Theorem 1 adversary walks them).
-        for src in range(6):
-            sent = batch.sent_to(src)
-            assert list(sent.items()) == [
-                (dst, count) for (s, dst), count in pairs.items() if s == src]
-            for dst in range(6):
-                assert sent.get(dst, 0) == pairs[(src, dst)]
 
     def test_empty_outbox_leaves_no_trace(self):
         m = Metrics(n=3)
-        m.record_send(1, [], now=4)
+        m.record_send([], now=4)
         assert send_state(m) == send_state(Metrics(n=3))
-        assert m.messages_by_pair == Counter()
-
-    def test_pairs_follow_the_stepping_process_not_a_spoofed_src(self):
-        m = Metrics(n=4)
-        m.record_send(2, [Message(0, 3, None, "byz:forge:gossip")], now=1)
-        assert m.messages_by_pair == Counter({(2, 3): 1})
-        assert m.messages_by_sender == Counter({2: 1})
-        assert dict(m.sent_to(2)) == {3: 1} and not m.sent_to(0)
-
-    def test_the_pair_view_is_a_copy_and_the_accessor_read_only(self):
-        m = Metrics(n=4)
-        m.record_send(1, [Message(1, 2, None), Message(1, 2, None)], now=0)
-        m.messages_by_pair[(1, 2)] += 5
-        assert m.sent_to(1)[2] == 2
-        with pytest.raises(TypeError):
-            m.sent_to(1)[2] = 0
-
-    def test_the_private_counting_helper_counts_into_a_plain_dict(self):
-        """``record_send`` calls ``collections._count_elements``, a private
-        stdlib name: an interpreter that drops it, or changes what it does
-        to a plain dict fed an iterator, fails here by name."""
-        from collections import _count_elements
-
-        counts = {3: 2}
-        _count_elements(counts, iter([3, 1, 3, 2, 1]))
-        assert counts == Counter({3: 2}) + Counter([3, 1, 3, 2, 1])
-        assert type(counts) is dict and list(counts) == [3, 1, 2]
-
-    def test_a_clone_counts_pairs_on_its_own(self):
-        m = Metrics(n=4)
-        m.record_send(1, [Message(1, 2, None), Message(1, 3, None)], now=0)
-        dup = m.clone()
-        dup.record_send(1, [Message(1, 2, None)], now=1)
-        dup.record_send(0, [Message(0, 2, None)], now=1)
-        m.record_send(3, [Message(3, 0, None)], now=1)
-        assert m.messages_by_pair == Counter(
-            {(1, 2): 1, (1, 3): 1, (3, 0): 1})
-        assert dup.messages_by_pair == Counter(
-            {(1, 2): 2, (1, 3): 1, (0, 2): 1})
 
 
 def stamped(dst, delay, kind="gossip", sent_at=0):
@@ -304,13 +245,13 @@ def blocks_allocated_by(call):
 def test_a_message_costs_no_allocation_past_its_own():
     """Between ``send_many`` and ``on_step`` the ``Message`` is the only
     thing allocated per message: queueing an outbox grows the heap by its
-    slots, counting it by its distinct destinations."""
+    slots, counting it not at all."""
     outbox = [stamped(dst=1 + i % 4, delay=3) for i in range(10_000)]
     net, metrics = Network(6), Metrics(n=6)
     alive = frozenset(range(6))
     assert blocks_allocated_by(lambda: net.enqueue(outbox, alive)) <= 64
     assert blocks_allocated_by(
-        lambda: metrics.record_send(0, outbox, 0)) <= 64
+        lambda: metrics.record_send(outbox, 0)) <= 64
     assert net.in_flight == metrics.messages_sent == 10_000
     assert [net.pending_for(pid) for pid in range(6)] == [
         0, 2500, 2500, 2500, 2500, 0]
@@ -537,7 +478,6 @@ def observe(make, observers):
     network = sim.network
     return (
         result, views, sim.metrics.snapshot(),
-        [list(sim.metrics.sent_to(pid).items()) for pid in range(sim.n)],
         [sim.processes[pid].ctx.rng.getstate() for pid in range(sim.n)],
         (network.total_enqueued, network.in_flight,
          network.max_delivered_delay),

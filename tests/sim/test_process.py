@@ -31,17 +31,17 @@ class TestProcessHandle:
         handle = make_handle()
         out = handle.run_step([])
         assert len(out) == 2
-        assert handle.steps_taken == 1
+        assert handle.ctx.local_step == 1
         # A fresh step starts a fresh outbox.
         out2 = handle.run_step([])
         assert len(out2) == 2
-        # What a process sent is the metrics' count, not the handle's.
+        # What the processes sent is the metrics' count, not the handle's.
         sim = Simulation(n=4, f=1, algorithms=[Chatter() for _ in range(4)],
                          adversary=ObliviousAdversary.synchronous_like())
         sim.step()
-        assert sim.metrics.messages_by_sender[0] == 2
+        assert sim.metrics.messages_sent == 8
         sim.step()
-        assert sim.metrics.messages_by_sender[0] == 4
+        assert sim.metrics.messages_sent == 16
 
     def test_local_step_advances(self):
         handle = make_handle()

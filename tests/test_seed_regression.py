@@ -10,7 +10,7 @@ an *intentional* semantic change, and say so in the commit message.
 Covers each gossip algorithm under the oblivious uniform (d, delta)
 adversary (two seeds), the adaptive targeted-delay and crash-eager
 adversaries, and the Theorem 1 lower-bound adversary (whose Phase B is the
-fork/snapshot hot path).
+fork/snapshot hot path), its Case 2 isolation included.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from tests._capture_canonical import (
     adaptive_cell,
     batch_cell,
     byzantine_cell,
+    case2_cell,
     lower_bound_cell,
     oblivious_cell,
 )
@@ -140,6 +141,36 @@ CANONICAL = {
             "messages": 992,
             "realized_d": 4,
             "realized_delta": 1
+        }
+    },
+    "case2": {
+        "sparse/0": {
+            "case": "isolation",
+            "crashes_used": 15,
+            "cross_messages": 0,
+            "isolation_pair": [112, 113],
+            "isolation_success": True
+        },
+        "sparse/1": {
+            "case": "isolation",
+            "crashes_used": 16,
+            "cross_messages": 0,
+            "isolation_pair": [112, 113],
+            "isolation_success": True
+        },
+        "sparse/2": {
+            "case": "slow-quiesce",
+            "crashes_used": 16,
+            "cross_messages": None,
+            "isolation_pair": None,
+            "isolation_success": None
+        },
+        "sparse/3": {
+            "case": "isolation",
+            "crashes_used": 16,
+            "cross_messages": 0,
+            "isolation_pair": [112, 113],
+            "isolation_success": True
         }
     },
     "lower_bound": {
@@ -344,6 +375,15 @@ def test_lower_bound_pins(key):
         lower_bound_cell(algorithm, int(seed))
         == CANONICAL["lower_bound"][key]
     )
+
+
+# Case 2 of the same adversary, sparse gossip at n = 128: which pair it
+# isolates, and which S1 contacts it crashes, depend on its per-pair send
+# counts and their first-send order.
+@pytest.mark.parametrize("key", sorted(CANONICAL["case2"]))
+def test_case2_pins(key):
+    seed = key.rsplit("/", 1)[1]
+    assert case2_cell(int(seed)) == CANONICAL["case2"][key]
 
 
 # The Byzantine adversary derives every corruption decision from sealed
