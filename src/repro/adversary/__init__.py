@@ -12,8 +12,6 @@ from .adaptive import (
     TargetedDelayAdversary,
 )
 from .base import Adversary
-from .byzantine import BEHAVIORS as BYZANTINE_BEHAVIORS
-from .byzantine import ByzantineAdversary
 from .crash_plans import (
     CrashPlan,
     crash_at,
@@ -46,8 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "AdaptiveAdversary",
     "Adversary",
-    "BYZANTINE_BEHAVIORS",
-    "ByzantineAdversary",
     "CrashEagerSendersAdversary",
     "CrashPlan",
     "DelayPlan",

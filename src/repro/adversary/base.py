@@ -27,11 +27,6 @@ class Adversary(ABC):
     #: eventual (GST) or adaptive leave it False.
     declares_bounds = False
 
-    #: True when this adversary rewrites process outboxes via
-    #: :meth:`corrupt_outbox`. The engine caches this flag at construction
-    #: so honest runs pay nothing for the hook.
-    corrupts_traffic = False
-
     #: True when :meth:`delay_outbox` also stamps
     #: :class:`~repro.sim.message.FanOut` records (``sent_at`` and one
     #: delay per destination). An adversary that leaves it False is handed
@@ -99,21 +94,6 @@ class Adversary(ABC):
         for msg in outbox:
             msg.sent_at = t
             msg.delay = int(assign_delay(msg))
-
-    def corrupt_outbox(self, t: int, pid: int, outbox):
-        """Rewrite the messages ``pid`` emitted at step ``t``.
-
-        Called by the engine between a process's ``run_step`` and delay
-        assignment, and only when :attr:`corrupts_traffic` is declared.
-        The returned sequence replaces the outbox wholesale: a Byzantine
-        adversary may mutate payloads (tampering), add conflicting copies
-        (equivocation), spoof ``src`` (identity forgery) or drop messages
-        (silence). Everything returned still flows through the normal
-        delay/metrics/delivery path — corruption is in-band, never
-        out-of-band state editing. The identity default keeps honest
-        adversaries honest.
-        """
-        return outbox
 
     def has_pending_events(self, t: int) -> bool:
         """True if the adversary may still act after time ``t``.

@@ -103,8 +103,8 @@ class HashDelay(DelayPlan):
         """:meth:`assign`'s delays for a whole outbox.
 
         Past a couple of messages (and for every :class:`FanOut`) the
-        ``"{seed}/{src}/"`` prefix is hashed once per run of equal ``src``
-        (a Byzantine forgery may spoof ``src`` mid-outbox) and each
+        ``"{seed}/{src}/"`` prefix is hashed once per outbox — one
+        process-step's sends all carry that process as ``src`` — and each
         destination feeds only its own ``"{dst}/{t}"`` to a copy of that
         state — the same digest. Nothing is remembered between calls:
         plans are shared across forks and a hash state does not pickle.
@@ -124,16 +124,12 @@ class HashDelay(DelayPlan):
                 msg.sent_at = t
                 msg.delay = self.assign(msg)
             return
-        seed = self.seed
+        prefix = _keyed(f"{self.seed}/{outbox[0].src}/").copy
         tail = f"/{t}".encode()
         digits = _DIGITS
         known = len(digits)
         first_word = _FIRST_WORD
-        src = prefix = None
         for msg in outbox:
-            if msg.src != src:
-                src = msg.src
-                prefix = _keyed(f"{seed}/{src}/").copy
             msg.sent_at = t
             if type(msg) is FanOut:
                 delays = []

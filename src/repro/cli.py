@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", default=None,
                    help="comma-separated fault names in any mix: "
                         "simulation or store faults (model), fleet-* "
-                        "(fleet), byz-<behavior> (byzantine); a matrix "
-                        "given none of its own runs its controls only "
-                        "(default: all registered except message-loss)")
+                        "(fleet); a matrix given none of its own runs "
+                        "its controls only (default: all registered "
+                        "except message-loss)")
     p.add_argument("-n", type=int, default=24,
                    help="gossip population for campaign cells")
     p.add_argument("--consensus-n", type=int, default=9,
@@ -380,13 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(orchestrator-level faults: worker kills, "
                         "heartbeat stalls, lease tampering, duplicate-"
                         "claim races against real worker processes), "
-                        "'byzantine' (in-band equivocation/tampering/"
-                        "silence/forgery behaviors classified tolerated "
-                        "vs detected, plus the (n, f, b) agreement "
-                        "grid), or 'all' (all three)")
+                        "or 'all' (both)")
     p.add_argument("--quick", action="store_true",
-                   help="smoke mode: one trial per cell and no "
-                        "agreement grid (CI)")
+                   help="smoke mode: one trial per cell (CI)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker processes per fleet-matrix cell "
                         "(default: 2)")
@@ -926,14 +922,10 @@ def _run(args) -> int:
 
     if args.command == "chaos":
         from .faults import (
-            BYZANTINE_MATRIX,
             FAULTS,
             FLEET_FAULTS,
             STORE_FAULTS,
-            byzantine_agreement_grid,
-            format_agreement_grid,
             format_campaign,
-            run_byzantine_campaign,
             run_campaign,
             run_fleet_campaign,
         )
@@ -953,10 +945,6 @@ def _run(args) -> int:
             "fleet": lambda pick: run_fleet_campaign(
                 seed=args.seed, trials=trials, faults=pick(FLEET_FAULTS),
                 workers=args.workers),
-            "byzantine": lambda pick: run_byzantine_campaign(
-                seed=args.seed, trials=trials,
-                behaviors=pick(BYZANTINE_MATRIX, prefix="byz-"),
-                n=args.n, consensus_n=args.consensus_n),
         }
         matrices = (*runners, "all")
         if args.matrix not in matrices:
@@ -972,8 +960,7 @@ def _run(args) -> int:
             names = [name.strip() for name in args.faults.split(",")
                      if name.strip()]
             registries = (sorted(FAULTS), sorted(STORE_FAULTS),
-                          sorted(FLEET_FAULTS),
-                          [f"byz-{name}" for name in sorted(BYZANTINE_MATRIX)])
+                          sorted(FLEET_FAULTS))
             unknown = [name for name in names
                        if not any(name in known for known in registries)]
             if unknown:
@@ -981,12 +968,10 @@ def _run(args) -> int:
                       f"{' + '.join(map(str, registries))}", file=sys.stderr)
                 return 2
 
-        def pick(registry, prefix=""):
+        def pick(registry):
             if names is None:
                 return None
-            owned = [name.removeprefix(prefix) for name in names
-                     if name.startswith(prefix)]
-            return [name for name in owned if name in registry]
+            return [name for name in names if name in registry]
 
         ok = True
         for matrix, run in runners.items():
@@ -995,10 +980,6 @@ def _run(args) -> int:
             report = run(pick)
             print(format_campaign(report))
             ok = ok and report.ok
-            if matrix == "byzantine" and not args.quick:
-                print()
-                print(format_agreement_grid(
-                    byzantine_agreement_grid(seed=args.seed)))
         return 0 if ok else 1
 
     if args.command == "fleet":

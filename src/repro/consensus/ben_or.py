@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.message import Message, base_kind
+from ..sim.message import Message
 from ..sim.process import Algorithm, Context
 
 PHASE_REPORT = "R"
@@ -74,10 +74,7 @@ class BenOrConsensus(Algorithm):
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         for msg in inbox:
             payload = msg.payload
-            # A Byzantine adversary tags corrupt traffic byz:<behavior>:<kind>
-            # but it must still ride the normal dispatch path; base_kind
-            # strips the provenance tag.
-            if base_kind(msg.kind) == KIND_DECIDE:
+            if msg.kind == KIND_DECIDE:
                 self._decide(payload)
                 continue
             phase, rnd, value = payload

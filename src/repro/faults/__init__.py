@@ -1,9 +1,8 @@
 """Fault injection and chaos campaigns.
 
 This package is the offensive half of the robustness story whose
-defensive half lives in :mod:`repro.sim.invariants`.  It holds three
-matrices, numbered as ``repro chaos --matrix model|fleet|byzantine``
-lists them.
+defensive half lives in :mod:`repro.sim.invariants`.  It holds two
+matrices, numbered as ``repro chaos --matrix model|fleet`` lists them.
 
 The first, ``model`` (:mod:`repro.faults.campaign`): seeded, named
 fault injectors that deliberately break the paper's execution model
@@ -19,13 +18,6 @@ The second, ``fleet`` (:mod:`repro.faults.fleet_faults`), breaks the
 fleet protocol — leases, heartbeats, re-issue — against live worker
 processes and asserts the campaign still finishes with a clean store.
 
-The third, ``byzantine`` (:mod:`repro.faults.byzantine_faults`),
-attacks in-band: each cell runs a canonical algorithm under the
-:class:`~repro.adversary.byzantine.ByzantineAdversary` with one behavior
-active — equivocation, tampering, silence or identity forgery — and is
-classified *tolerated* (run completes, honest invariants clean) or
-*detected* (a Byzantine-aware invariant names the corruption).
-
 Each matrix is a list of cells — plain dicts — and one runner executes
 them all: :func:`repro.faults.campaign.run_chaos_cells` hands the list
 to :func:`repro.experiments.campaign.run_jobs`, whose job,
@@ -34,13 +26,6 @@ matrix to the simulation, store or fleet executor, and folds the
 outcomes (controls included) into one :class:`CampaignReport`.
 """
 
-from .byzantine_faults import (
-    AgreementCell,
-    BYZANTINE_MATRIX,
-    byzantine_agreement_grid,
-    format_agreement_grid,
-    run_byzantine_campaign,
-)
 from .campaign import (
     CampaignCell,
     CampaignReport,
@@ -79,8 +64,6 @@ from .store_faults import (
 )
 
 __all__ = [
-    "AgreementCell",
-    "BYZANTINE_MATRIX",
     "CampaignCell",
     "CampaignReport",
     "ChecksumFlipFault",
@@ -106,10 +89,7 @@ __all__ = [
     "StoreFault",
     "TornWriteFault",
     "WorkerKillFault",
-    "byzantine_agreement_grid",
-    "format_agreement_grid",
     "format_campaign",
-    "run_byzantine_campaign",
     "run_campaign",
     "run_fleet_campaign",
 ]

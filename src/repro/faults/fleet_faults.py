@@ -1,12 +1,11 @@
 """Fleet-level chaos: orchestrator faults against real worker processes.
 
 The second chaos matrix (``repro chaos --matrix fleet``; ``model`` is
-the first, ``byzantine`` the third).  Simulation faults break the
-execution model, store faults break the artifact log; these break the
-**fleet protocol** itself — the lease/heartbeat/re-issue machinery of
-:mod:`repro.fleet` — against live ``repro fleet join`` subprocesses
-draining a real campaign directory.  Each injector reproduces one
-distributed-systems failure:
+the first).  Simulation faults break the execution model, store faults
+break the artifact log; these break the **fleet protocol** itself — the
+lease/heartbeat/re-issue machinery of :mod:`repro.fleet` — against live
+``repro fleet join`` subprocesses draining a real campaign directory.
+Each injector reproduces one distributed-systems failure:
 
 * :class:`WorkerKillFault` — SIGKILL a worker while it holds a lease
   (crash mid-job; the lease must expire and a peer must re-issue);

@@ -179,9 +179,6 @@ class Simulation:
 
         self.adversary = adversary
         adversary.on_attach(self)
-        # Cached so the per-step hot path pays a single attribute read for
-        # runs whose adversary never rewrites traffic (the usual case).
-        self._corrupts = bool(getattr(adversary, "corrupts_traffic", False))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -306,7 +303,7 @@ class Simulation:
         # messages it stands for. Asked every step, because observers and
         # adversary wrappers are attached after construction.
         per_message = bool(
-            self._observers or self._corrupts
+            self._observers
             or not getattr(self.adversary, "stamps_fanouts", False)
         )
         for pid in sorted(scheduled):
@@ -326,8 +323,6 @@ class Simulation:
             outbox = handle.run_step(inbox)
             if per_message:
                 outbox = expand(outbox)
-            if self._corrupts:
-                outbox = self.adversary.corrupt_outbox(t, pid, outbox)
             if not outbox:
                 continue
             # The outbox pipeline: the whole outbox is delayed, then
@@ -588,9 +583,6 @@ class Simulation:
             target.add_observer(observer.clone())
 
         target.adversary = self.adversary.clone_into(target)
-        target._corrupts = bool(
-            getattr(target.adversary, "corrupts_traffic", False)
-        )
 
     def _result(self, completed: bool, reason: str) -> RunResult:
         # Fold trailing scheduling gaps (starvation from a process's last

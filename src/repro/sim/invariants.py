@@ -31,14 +31,6 @@ Invariant catalog (see ``docs/robustness.md`` for the full contract):
   emitted by the process the engine scheduled (``src`` honest) and
   actually passed through the send path (no out-of-band injection).
 
-Byzantine awareness: when the attached adversary exposes a
-``byzantine_pids`` set (:class:`~repro.adversary.byzantine.ByzantineAdversary`),
-the per-process *state* checks restrict themselves to honest pids — a
-Byzantine process's own state is outside the safety contract — while the
-wire-side nets stay armed for all traffic, so honest-state corruption
-traced to a ``byz:*``-tagged message is still a hard violation (reports
-carry the last Byzantine delivery seen by the corrupted process).
-
 Every check raises :class:`~repro.sim.errors.InvariantViolation` carrying
 the invariant name, step, pid and a :func:`state_digest` of the simulation.
 
@@ -55,7 +47,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import InvariantViolation
 from .events import Observer
-from .message import base_kind, is_byzantine_kind
 
 __all__ = [
     "BoundConsistencyInvariant",
@@ -64,15 +55,9 @@ __all__ = [
     "GossipValidityInvariant",
     "Invariant",
     "TrafficProvenanceInvariant",
-    "byzantine_pids",
     "default_invariants",
     "state_digest",
 ]
-
-
-def byzantine_pids(sim) -> frozenset:
-    """The adversary's corrupt set, or the empty set for honest models."""
-    return frozenset(getattr(sim.adversary, "byzantine_pids", ()) or ())
 
 
 def state_digest(sim) -> Dict[str, Any]:
@@ -146,13 +131,6 @@ class GossipValidityInvariant(Invariant):
       started with → ``gossip-validity``;
     - a bit present before and absent now is a lost rumor →
       ``gossip-integrity`` (collected sets only grow).
-
-    Byzantine-aware: corrupt pids are excluded from the per-process state
-    checks (their rumor sets are the adversary's to ruin), but their
-    *initial* rumors stay in the valid mask — an honest process receiving
-    a Byzantine process's genuine rumor is fine; holding a rumor nobody
-    started with is not, and the report names the last ``byz:*``-tagged
-    delivery the corrupted process received.
     """
 
     name = "gossip-validity"
@@ -162,18 +140,15 @@ class GossipValidityInvariant(Invariant):
         self._valid_mask: Optional[int] = None
         self._last_masks: Dict[int, int] = {}
         self._stepped: List[int] = []
-        self._byz_trace: Dict[int, str] = {}
 
     def _prime(self) -> None:
-        byz = byzantine_pids(self.sim)
         masks: Dict[int, int] = {}
         self._valid_mask = 0
         for pid, handle in self.sim.processes.items():
             mask = getattr(handle.algorithm, "rumor_mask", None)
             if mask is not None:
                 self._valid_mask |= mask
-                if pid not in byz:
-                    masks[pid] = mask
+                masks[pid] = mask
         self._last_masks = masks
 
     def _check(self, pid: int, t: int) -> None:
@@ -183,29 +158,17 @@ class GossipValidityInvariant(Invariant):
         if foreign:
             self.fail(
                 f"process holds rumor bit(s) {_bits(foreign)} that no "
-                "process started with" + self._provenance(pid),
+                "process started with",
                 name="gossip-validity", t=t, pid=pid,
             )
         lost = last & ~mask
         if lost:
             self.fail(
                 f"rumor set shrank: bit(s) {_bits(lost)} were collected "
-                "and are now gone" + self._provenance(pid),
+                "and are now gone",
                 name="gossip-integrity", t=t, pid=pid,
             )
         self._last_masks[pid] = mask
-
-    def _provenance(self, pid: int) -> str:
-        trace = self._byz_trace.get(pid)
-        return f" ({trace})" if trace else ""
-
-    def on_deliver(self, t: int, pid: int, inbox: Sequence) -> None:
-        for msg in inbox:
-            if is_byzantine_kind(msg.kind):
-                self._byz_trace[pid] = (
-                    f"last Byzantine delivery: {msg.kind!r} from pid "
-                    f"{msg.src} at step {t}"
-                )
 
     def on_step_begin(self, t: int) -> None:
         if self._valid_mask is None:
@@ -229,7 +192,6 @@ class GossipValidityInvariant(Invariant):
         dup = GossipValidityInvariant()
         dup._valid_mask = self._valid_mask
         dup._last_masks = dict(self._last_masks)
-        dup._byz_trace = dict(self._byz_trace)
         return dup
 
 
@@ -299,9 +261,8 @@ class TrafficProvenanceInvariant(Invariant):
     Two nets:
 
     - *send-side*: a message emitted during pid ``p``'s step must carry
-      ``src == p`` — a mismatch is identity forgery (the Byzantine
-      ``forge`` behavior, or any injector spoofing ``src`` on the send
-      path);
+      ``src == p`` — a mismatch is identity forgery (an injector
+      spoofing ``src`` on the send path);
     - *deliver-side*: every delivered message's ``(src, dst, kind,
       sent_at)`` signature must have been seen on the send path — a miss
       is out-of-band injection straight into the network (forged traffic
@@ -431,26 +392,23 @@ class ConsensusInvariant(Invariant):
     the process's initial value. Initial values are captured at the first
     step (before any message exchange can have changed an estimate).
 
-    Byzantine-aware: corrupt pids are exempt from the per-process state
-    checks (agreement/validity/irrevocability are honest-only claims),
-    and two wire-side nets arm on Ben-Or traffic for *all* senders:
+    Two wire-side nets arm on Ben-Or traffic:
 
     - ``consensus-equivocation`` — one sender delivered two different
       values for the same (phase, round), or two different decisions;
     - ``consensus-integrity`` — a delivered vote or decision lies outside
       the value universe (initial values ∪ {0, 1, ⊥}), i.e. tampered
-      state about to enter an honest process's vote table.
+      state about to enter a process's vote table.
 
-    Honest Ben-Or never trips either net (one broadcast per phase per
-    round, values drawn from estimates and coins), so they double as a
-    zero-false-positive detector for Byzantine tampering/equivocation.
+    Ben-Or never trips either net (one broadcast per phase per round,
+    values drawn from estimates and coins), so a trip is traffic that
+    did not come from the algorithm.
     """
 
     name = "consensus-agreement"
 
-    #: Ben-Or wire kinds the deliver-side nets understand (after any
-    #: ``byz:*`` provenance tag is stripped). String literals to keep the
-    #: substrate free of a consensus-layer import.
+    #: Ben-Or wire kinds the deliver-side nets understand. String
+    #: literals to keep the substrate free of a consensus-layer import.
     _VOTE_KIND = "ben-or"
     _DECIDE_KIND = "ben-or-decide"
 
@@ -460,14 +418,12 @@ class ConsensusInvariant(Invariant):
         self._initial_values: List[Any] = []
         self._decisions: Dict[int, Any] = {}
         self._stepped: List[int] = []
-        self._byz: frozenset = frozenset()
         self._universe: List[Any] = []
         self._vote_values: Dict[Any, Any] = {}
         self._decide_values: Dict[int, Any] = {}
 
     def _prime(self) -> None:
         self._primed = True
-        self._byz = byzantine_pids(self.sim)
         for handle in self.sim.processes.values():
             algorithm = handle.algorithm
             if hasattr(algorithm, "estimate"):
@@ -475,8 +431,6 @@ class ConsensusInvariant(Invariant):
         self._universe = list(self._initial_values) + [0, 1, None]
 
     def _check(self, pid: int, t: int) -> None:
-        if pid in self._byz:
-            return
         algorithm = self.sim.processes[pid].algorithm
         value = getattr(algorithm, "decided", None)
         if pid in self._decisions:
@@ -526,21 +480,19 @@ class ConsensusInvariant(Invariant):
 
     def on_deliver(self, t: int, pid: int, inbox: Sequence) -> None:
         for msg in inbox:
-            kind = base_kind(msg.kind)
-            tag = " (Byzantine-tagged)" if is_byzantine_kind(msg.kind) else ""
+            kind = msg.kind
             if kind == self._VOTE_KIND:
                 payload = msg.payload
                 if not (isinstance(payload, tuple) and len(payload) == 3):
                     self.fail(
-                        f"malformed {msg.kind!r} vote payload "
-                        f"{payload!r}{tag}",
+                        f"malformed {kind!r} vote payload {payload!r}",
                         name="consensus-integrity", t=t, pid=msg.src,
                     )
                 phase, rnd, value = payload
                 if not self._in_universe(value):
                     self.fail(
                         f"vote value {value!r} for ({phase!r}, round "
-                        f"{rnd}) is outside the value universe{tag}",
+                        f"{rnd}) is outside the value universe",
                         name="consensus-integrity", t=t, pid=msg.src,
                     )
                 key = (msg.src, phase, rnd)
@@ -549,7 +501,7 @@ class ConsensusInvariant(Invariant):
                         self.fail(
                             f"equivocation: voted both "
                             f"{self._vote_values[key]!r} and {value!r} "
-                            f"for ({phase!r}, round {rnd}){tag}",
+                            f"for ({phase!r}, round {rnd})",
                             name="consensus-equivocation", t=t,
                             pid=msg.src,
                         )
@@ -560,15 +512,14 @@ class ConsensusInvariant(Invariant):
                 if not self._in_universe(value):
                     self.fail(
                         f"broadcast decision {value!r} is outside the "
-                        f"value universe{tag}",
+                        "value universe",
                         name="consensus-integrity", t=t, pid=msg.src,
                     )
                 if msg.src in self._decide_values:
                     if self._decide_values[msg.src] != value:
                         self.fail(
                             f"equivocation: broadcast decisions "
-                            f"{self._decide_values[msg.src]!r} and "
-                            f"{value!r}{tag}",
+                            f"{self._decide_values[msg.src]!r} and {value!r}",
                             name="consensus-equivocation", t=t,
                             pid=msg.src,
                         )
@@ -580,7 +531,6 @@ class ConsensusInvariant(Invariant):
         dup._primed = self._primed
         dup._initial_values = list(self._initial_values)
         dup._decisions = dict(self._decisions)
-        dup._byz = self._byz
         dup._universe = list(self._universe)
         dup._vote_values = dict(self._vote_values)
         dup._decide_values = dict(self._decide_values)

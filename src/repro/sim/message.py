@@ -25,29 +25,6 @@ _skip = deque(maxlen=0).extend
 #: that few).
 _SHORT_OUTBOX = 3
 
-#: Prefix a Byzantine adversary stamps on the ``kind`` of every message it
-#: mutated, forged or fabricated: ``byz:<behavior>:<original-kind>``. The
-#: tag is provenance, not semantics — receivers dispatch on the original
-#: kind via :func:`base_kind`, so corrupt traffic rides the normal
-#: delivery path while invariants and metrics can still tell it apart.
-BYZ_PREFIX = "byz:"
-
-
-def base_kind(kind: str) -> str:
-    """The algorithm-level kind underneath any ``byz:*`` provenance tag.
-
-    ``base_kind("byz:tamper:ben-or") == "ben-or"``; untagged kinds pass
-    through unchanged.
-    """
-    if kind.startswith(BYZ_PREFIX):
-        return kind.rsplit(":", 1)[-1]
-    return kind
-
-
-def is_byzantine_kind(kind: str) -> bool:
-    """True for message kinds carrying a Byzantine provenance tag."""
-    return kind.startswith(BYZ_PREFIX)
-
 
 @dataclass(slots=True)
 class Message:

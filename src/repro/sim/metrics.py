@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .message import FanOut, is_byzantine_kind
+from .message import FanOut
 
 #: Sentinel for "never scheduled" in :func:`trailing_gap`. The batch
 #: engine's columnar ``last_scheduled`` arrays use it directly; the scalar
@@ -59,10 +59,6 @@ class Metrics:
     #: Estimated payload bits sent (populated only when the simulation has
     #: a bit meter attached; see repro.sim.bits).
     bits_sent: int = 0
-    #: Messages sent under a ``byz:*`` provenance tag (corrupt traffic a
-    #: Byzantine adversary injected or rewrote); honest message complexity
-    #: is ``messages_sent - byz_messages_sent``.
-    byz_messages_sent: int = 0
     steps_elapsed: int = 0
     local_steps_taken: int = 0
     crashes: int = 0
@@ -94,36 +90,26 @@ class Metrics:
         """
         if not outbox:
             return
+        by_kind = self.messages_by_kind
         if FanOut in map(type, outbox):
-            count = self._count_entries(outbox)
+            count = 0
+            for msg in outbox:
+                size = len(msg.dsts) if type(msg) is FanOut else 1
+                by_kind[msg.kind] += size
+                count += size
         else:
             count = len(outbox)
             kind = outbox[0].kind
             run = 0
             for msg in outbox:
                 if msg.kind is not kind:
-                    self._count_kind(kind, run)
+                    by_kind[kind] += run
                     kind = msg.kind
                     run = 0
                 run += 1
-            self._count_kind(kind, run)
+            by_kind[kind] += run
         self.messages_sent += count
         self.last_send_time = now
-
-    def _count_entries(self, outbox) -> int:
-        """The kind counts of an outbox holding fan-out records, entry by
-        entry; returns the number of messages."""
-        count = 0
-        for msg in outbox:
-            size = len(msg.dsts) if type(msg) is FanOut else 1
-            self._count_kind(msg.kind, size)
-            count += size
-        return count
-
-    def _count_kind(self, kind: str, count: int) -> None:
-        self.messages_by_kind[kind] += count
-        if is_byzantine_kind(kind):
-            self.byz_messages_sent += count
 
     def record_delivery(self, count: int, max_delay: int) -> None:
         self.messages_delivered += count
@@ -180,7 +166,6 @@ class Metrics:
             messages_dropped=self.messages_dropped,
             messages_by_kind=Counter(self.messages_by_kind),
             bits_sent=self.bits_sent,
-            byz_messages_sent=self.byz_messages_sent,
             steps_elapsed=self.steps_elapsed,
             local_steps_taken=self.local_steps_taken,
             crashes=self.crashes,
@@ -192,26 +177,8 @@ class Metrics:
             _last_scheduled=dict(self._last_scheduled),
         )
 
-    @property
-    def honest_messages_sent(self) -> int:
-        """Message complexity attributable to honest (untagged) traffic."""
-        return self.messages_sent - self.byz_messages_sent
-
     def snapshot(self) -> dict:
-        """Immutable summary used by results, benches and tests.
-
-        The Byzantine counters appear only when corrupt traffic actually
-        flowed, so honest-run snapshots — and every seed pin taken from
-        them — are byte-identical to the pre-Byzantine format.
-        """
-        if self.byz_messages_sent:
-            base = self._snapshot_base()
-            base["byz_messages_sent"] = self.byz_messages_sent
-            base["honest_messages_sent"] = self.honest_messages_sent
-            return base
-        return self._snapshot_base()
-
-    def _snapshot_base(self) -> dict:
+        """Immutable summary used by results, benches and tests."""
         return {
             "n": self.n,
             "messages_sent": self.messages_sent,

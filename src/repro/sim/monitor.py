@@ -59,7 +59,7 @@ class CompletionMonitor(ABC):
 
 
 #: ``GossipCompletionMonitor``'s scope memo before any live set was seen.
-_NO_SCOPE = (None, None, frozenset(), 0)
+_NO_SCOPE = (None, 0)
 
 
 class GossipCompletionMonitor(CompletionMonitor):
@@ -76,12 +76,6 @@ class GossipCompletionMonitor(CompletionMonitor):
     ``majority=True``: every live process knows a strict majority
     (``⌊n/2⌋ + 1``) of all rumors — the paper's *majority gossip* from
     Section 5.
-
-    Byzantine-aware: when the adversary owns a corrupt set, the gathering
-    requirement is scoped to honest processes — a silenced Byzantine
-    process's rumor can never spread, and a Byzantine process's own
-    gathering state is the adversary's business — while quiescence still
-    covers every live process (corrupt or not, the network must drain).
     """
 
     leap_safe = True
@@ -91,40 +85,38 @@ class GossipCompletionMonitor(CompletionMonitor):
         #: First time at which the rumor-gathering condition held (quiescence
         #: may lag behind it); useful for separating the two costs.
         self.gathering_time: Optional[int] = None
-        # Pure memo: (alive, byz, honest pids, their target mask) for the
-        # last live set seen, keyed on identity — the engine hands over the
-        # same cached frozenset until a crash — plus the pid that failed
-        # the last scan. Clones start empty (see __getstate__).
+        # Pure memo: (alive, its target mask) for the last live set seen,
+        # keyed on identity — the engine hands over the same cached
+        # frozenset until a crash — plus the pid that failed the last
+        # scan. Clones start empty (see __getstate__).
         self._scope: tuple = _NO_SCOPE
         self._witness: Optional[int] = None
 
     def __getstate__(self) -> dict:
         return dict(self.__dict__, _scope=_NO_SCOPE)
 
-    def _honest(self, sim) -> tuple:
-        """``(honest live pids, their rumor bits)``, rebuilt per live set."""
+    def _target(self, sim) -> tuple:
+        """``(live pids, their rumor bits)``, rebuilt per live set."""
         alive = sim.alive_pids
-        byz = getattr(sim.adversary, "byzantine_pids", None)
         scope = self._scope
-        if scope[0] is not alive or scope[1] is not byz:
-            honest = alive.difference(byz) if byz else alive
+        if scope[0] is not alive:
             target = 0
-            for pid in honest:
+            for pid in alive:
                 target |= 1 << pid
-            scope = self._scope = (alive, byz, honest, target)
+            scope = self._scope = (alive, target)
             self._witness = None
-        return scope[2], scope[3]
+        return scope
 
     def gathered(self, sim) -> bool:
         """Exact at every call: a false verdict re-tests the pid that failed
         last time first (O(1) while it still lacks a rumor); a true verdict
         is never latched, because state tampering (chaos runs) can make
         V(p) shrink."""
-        honest, target = self._honest(sim)
+        alive, target = self._target(sim)
         processes = sim.processes
-        candidates = honest
+        candidates = alive
         if self._witness is not None:
-            candidates = chain((self._witness,), honest)
+            candidates = chain((self._witness,), alive)
         if self.majority:
             need = sim.n // 2 + 1
             for pid in candidates:

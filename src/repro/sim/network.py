@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Container, Dict, Iterator, List, Optional, Sequence
 
 from .errors import InvalidDelayError
-from .message import FanOut, Message, is_byzantine_kind
+from .message import FanOut, Message
 
 _uid = attrgetter("uid")
 _sent_at = attrgetter("sent_at")
@@ -72,9 +72,6 @@ class Network:
         self._times: Dict[int, List[int]] = {pid: [] for pid in range(n)}
         self._in_flight = 0
         self.total_enqueued = 0
-        #: Messages that entered the queues carrying a ``byz:*`` provenance
-        #: tag — corrupt traffic riding the normal delivery path.
-        self.byz_enqueued = 0
         self.max_delivered_delay = 0
         # Largest delay ever offered to ``enqueue`` (1 is the least there
         # is): a ceiling on ``max_delivered_delay``, which ``collect`` stops
@@ -123,19 +120,12 @@ class Network:
         mailboxes = self._slots
         newest = self._newest_uid
         dropped = 0
-        byz = 0
-        kind = None
-        tagged = False
         for msg in outbox:
-            if msg.kind is not kind:
-                kind = msg.kind
-                tagged = is_byzantine_kind(kind)
             if type(msg) is FanOut:
-                queued = self._enqueue_fanout(msg, alive, newest)
-                dropped += len(msg.dsts) - queued
+                dropped += len(msg.dsts) - self._enqueue_fanout(
+                    msg, alive, newest
+                )
                 newest = max(newest, msg.uid + len(msg.dsts) - 1)
-                if tagged:
-                    byz += queued
                 continue
             dst = msg.dst
             if dst not in alive:
@@ -154,13 +144,10 @@ class Network:
                 newest = uid
             else:
                 self._unordered.add((dst, at))
-            if tagged:
-                byz += 1
         self._newest_uid = newest
         queued = sent - dropped
         self._in_flight += queued
         self.total_enqueued += queued
-        self.byz_enqueued += byz
         return dropped
 
     def _enqueue_fanout(self, record: FanOut, alive: Container[int],
@@ -291,7 +278,6 @@ class Network:
         dup._times = {pid: list(times) for pid, times in self._times.items()}
         dup._in_flight = self._in_flight
         dup.total_enqueued = self.total_enqueued
-        dup.byz_enqueued = self.byz_enqueued
         dup.max_delivered_delay = self.max_delivered_delay
         dup._delay_ceiling = self._delay_ceiling
         dup._newest_uid = self._newest_uid

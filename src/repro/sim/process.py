@@ -297,8 +297,7 @@ class Algorithm(ABC):
 class ProcessHandle:
     """Engine-side record for one process: algorithm + context + status."""
 
-    __slots__ = ("pid", "algorithm", "ctx", "status", "crashed_at",
-                 "byzantine")
+    __slots__ = ("pid", "algorithm", "ctx", "status", "crashed_at")
 
     def __init__(self, pid: int, algorithm: Algorithm, ctx: Context) -> None:
         self.pid = pid
@@ -306,11 +305,6 @@ class ProcessHandle:
         self.ctx = ctx
         self.status = ProcessStatus.ALIVE
         self.crashed_at: Optional[int] = None
-        #: Marked by a Byzantine adversary at attach time. The process
-        #: itself runs the honest algorithm either way (corruption happens
-        #: to its *traffic*); the mark lets monitors, metrics reporting
-        #: and campaign summaries scope claims to honest processes.
-        self.byzantine = False
 
     @property
     def alive(self) -> bool:
@@ -329,7 +323,6 @@ class ProcessHandle:
         dup.ctx = self.ctx.clone()
         dup.status = self.status
         dup.crashed_at = self.crashed_at
-        dup.byzantine = self.byzantine
         return dup
 
     def run_step(self, inbox: List[Message]) -> List[Message]:

@@ -22,8 +22,6 @@ from ..adversary.crash_plans import (
     staggered_halving,
     wave_crashes,
 )
-from ..adversary.byzantine import BEHAVIORS as BYZANTINE_BEHAVIORS
-from ..adversary.byzantine import ByzantineAdversary
 from ..adversary.gst import GstAdversary
 from ..adversary.oblivious import ObliviousAdversary
 from ..core.adaptive_fanout import AdaptiveFanoutGossip
@@ -115,15 +113,6 @@ def _gst_adversary(d, delta, seed, crashes, *, gst, pre_gst_delta=None):
     )
 
 
-def _byzantine_adversary(d, delta, seed, crashes, *, b=1,
-                         behaviors=BYZANTINE_BEHAVIORS,
-                         silence_mode="total"):
-    return ByzantineAdversary.uniform(
-        d, delta, b=b, behaviors=tuple(behaviors), seed=seed,
-        crashes=crashes, silence_mode=silence_mode,
-    )
-
-
 def _lower_bound_adversary(make_algorithm, n, f, seed, *, samples=6,
                            phase1_cap=4000, promiscuity_factor=32.0,
                            slow_quiesce_threshold=None):
@@ -146,7 +135,6 @@ ADVERSARIES = Registry("adversary", {
     "uniform": _uniform_adversary,
     "synchronous": _synchronous_adversary,
     "gst": _gst_adversary,
-    "byzantine": _byzantine_adversary,
     LOWER_BOUND: _lower_bound_adversary,
 })
 

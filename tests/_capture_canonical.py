@@ -81,31 +81,6 @@ def batch_cell(algorithm, seed):
     }
 
 
-def byzantine_cell(algorithm, seed):
-    """Byzantine-adversary pin: tolerated behaviors only (equivocation
-    plus selective silence), so the run completes among honest pids and
-    its corrupt-traffic accounting is pinnable alongside the usual
-    complexity measures."""
-    from repro.spec import RunSpec, execute
-
-    run = execute(RunSpec(
-        kind="gossip", algorithm=algorithm, n=24, f=6, d=2, delta=2,
-        seed=seed, check_invariants=True,
-        adversary={"name": "byzantine", "b": 3,
-                   "behaviors": ["equivocate", "silence"],
-                   "silence_mode": "selective"},
-    ))
-    metrics = run.result.metrics
-    return {
-        "completed": run.completed,
-        "completion_time": run.completion_time,
-        "messages": run.messages,
-        "byz_messages": metrics.get("byz_messages_sent", 0),
-        "realized_d": run.realized_d,
-        "realized_delta": run.realized_delta,
-    }
-
-
 def lower_bound_cell(algorithm, seed):
     report = run_lower_bound(PORTFOLIO[algorithm], n=64, f=16, seed=seed,
                              samples=3, phase1_cap=1200)
@@ -152,11 +127,6 @@ def main():
     for algorithm in ("ears", "sears"):
         for seed in (0, 1):
             out["batch"][f"{algorithm}/{seed}"] = batch_cell(algorithm, seed)
-    out["byzantine"] = {}
-    for algorithm in ("ears", "tears"):
-        for seed in (0, 1):
-            out["byzantine"][f"{algorithm}/{seed}"] = byzantine_cell(
-                algorithm, seed)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
 
 

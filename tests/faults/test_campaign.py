@@ -28,6 +28,14 @@ class TestCampaign:
         }
         assert report.ok
 
+    def test_forged_message_live_detected_in_model_matrix(self):
+        report = run_campaign(seed=0, trials=1,
+                              faults=["forged-message-live"])
+        assert report.ok
+        assert {c.kind for c in report.cells} == {"gossip", "consensus"}
+        for cell in report.cells:
+            assert cell.detected == "traffic-provenance"
+
     def test_report_formatting(self):
         report = run_campaign(seed=0, trials=1, faults=["foreign-rumor"])
         text = format_campaign(report)

@@ -3,8 +3,8 @@
 Pins the cells each matrix produced before its driver became a cell
 builder (the oracle below), that every control kind turns a trip into a
 false positive, that a fleet control is torn down like any fleet cell,
-and that ``--faults`` selects rows across all three matrices without
-ever widening one.
+and that ``--faults`` selects rows across both matrices without ever
+widening one.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.faults import (
     campaign,
     fleet_faults,
     format_campaign,
-    run_byzantine_campaign,
     run_campaign,
     run_fleet_campaign,
 )
@@ -64,24 +63,6 @@ MODEL_ORACLE = [
      "store-corruption", True, True),
 ]
 
-#: The same for ``run_byzantine_campaign(seed=0, trials=1)``.
-BYZANTINE_ORACLE = [
-    ("byz-equivocate", "gossip", "ears", 0, 0, (), None, True, True),
-    ("byz-equivocate", "consensus", "ben-or", 0, 0,
-     ("consensus-equivocation",), "consensus-equivocation", True, True),
-    ("byz-forge", "gossip", "ears", 0, 0, ("traffic-provenance",),
-     "traffic-provenance", True, True),
-    ("byz-forge", "consensus", "ben-or", 0, 0, ("traffic-provenance",),
-     "traffic-provenance", True, True),
-    ("byz-silence", "gossip", "ears", 0, 0, (), None, True, True),
-    ("byz-silence", "consensus", "ben-or", 0, 0, (), None, True, True),
-    ("byz-tamper", "gossip", "ears", 0, 0, ("gossip-validity",),
-     "gossip-validity", True, True),
-    ("byz-tamper", "consensus", "ben-or", 0, 0, ("consensus-integrity",),
-     "consensus-integrity", True, True),
-]
-
-
 def _tuples(report):
     return [(c.fault, c.kind, c.algorithm, c.trial, c.seed, c.expected,
              c.detected, c.fired, c.ok) for c in report.cells]
@@ -100,11 +81,6 @@ class TestOracle:
         report = run_campaign(seed=0, trials=1)
         assert _tuples(report) == MODEL_ORACLE
         assert report.controls == 9 and not report.false_positives
-
-    def test_byzantine_matrix_cells_unchanged(self):
-        report = run_byzantine_campaign(seed=0, trials=1)
-        assert _tuples(report) == BYZANTINE_ORACLE
-        assert report.controls == 4 and not report.false_positives
 
 
 # -- every control kind turns a trip into a false positive ----------------- #
@@ -148,11 +124,6 @@ def _trip_store(monkeypatch):
     return report, 9
 
 
-def _trip_byzantine(monkeypatch):
-    _starve(monkeypatch, lambda spec: spec.kind == "consensus")
-    return run_byzantine_campaign(seed=0, trials=1, behaviors=[]), 4
-
-
 class _StubFleet:
     campaign = None
 
@@ -172,9 +143,8 @@ def _trip_fleet(monkeypatch):
                               specs_per_cell=1), 1
 
 
-@pytest.mark.parametrize("trip", [_trip_model, _trip_store,
-                                  _trip_byzantine, _trip_fleet],
-                         ids=["model", "store", "byzantine-b0", "fleet"])
+@pytest.mark.parametrize("trip", [_trip_model, _trip_store, _trip_fleet],
+                         ids=["model", "store", "fleet"])
 def test_tripped_control_is_a_false_positive(monkeypatch, trip):
     report, controls = trip(monkeypatch)
     assert report.controls == controls
@@ -215,39 +185,42 @@ def test_fleet_control_timeout_kills_workers(monkeypatch):
 # -- --faults selects across matrices and never widens one ----------------- #
 
 class TestFaultSelection:
-    def test_byzantine_behavior_selects_its_rows(self, capsys):
-        code = main(["chaos", "--matrix", "byzantine", "--quick",
-                     "--faults", "byz-tamper"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert _table_faults(out) == ["byz-tamper", "byz-tamper"]
-        assert "gossip" in out and "consensus" in out
-        assert "controls: 4 clean" in out
-
     def test_foreign_selection_runs_controls_only(self, capsys):
-        code = main(["chaos", "--matrix", "byzantine", "--quick",
-                     "--faults", "foreign-rumor"])
+        code = main(["chaos", "--matrix", "model", "--quick",
+                     "--faults", "fleet-worker-kill"])
         out = capsys.readouterr().out
         assert code == 0
         assert _table_faults(out) == []
-        assert "detection: 0/0" in out and "controls: 4 clean" in out
+        assert "detection: 0/0" in out and "controls: 8 clean" in out
 
-    def test_unknown_behavior_lists_byzantine_names(self, capsys):
-        assert main(["chaos", "--faults", "byz-gaslight"]) == 2
-        err = capsys.readouterr().err
-        assert "byz-gaslight" in err and "byz-tamper" in err
+    # The removed Byzantine matrix and its byz-<behavior> faults are
+    # unknown names like any other, with no neighbour to suggest.
+    @pytest.mark.parametrize("argv, listed, hint", [
+        (["--matrix", "fleat"], "choose from model, fleet, all",
+         "did you mean 'fleet'"),
+        (["--matrix", "byzantine"], "choose from model, fleet, all", None),
+        (["--faults", "byz-tamper"], "fleet-worker-kill", None),
+    ], ids=["matrix-typo", "matrix-byzantine", "fault-byzantine"])
+    def test_unknown_names_exit_2(self, capsys, argv, listed, hint):
+        assert main(["chaos", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[1] in captured.err and listed in captured.err
+        if hint is None:
+            assert "did you mean" not in captured.err
+        else:
+            assert hint in captured.err
 
     def test_all_matrices_with_one_fault_each(self, capsys):
-        selected = ["foreign-rumor", "store-torn-write", "byz-tamper",
+        selected = ["foreign-rumor", "store-torn-write",
                     "fleet-worker-kill"]
         code = main(["chaos", "--matrix", "all", "--quick",
                      "--faults", ",".join(selected), "--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0
         sections = out.split(TITLE)[1:]
-        assert len(sections) == 3
-        model, fleet, byzantine = map(_table_faults, sections)
+        assert len(sections) == 2
+        model, fleet = map(_table_faults, sections)
         assert set(model) == {"foreign-rumor", "store-torn-write"}
         assert fleet == ["fleet-worker-kill"]
-        assert set(byzantine) == {"byz-tamper"}
-        assert set(model + fleet + byzantine) <= set(selected)
+        assert set(model + fleet) <= set(selected)

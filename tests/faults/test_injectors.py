@@ -102,6 +102,12 @@ class TestRegistry:
             "step-budget", "message-duplication", "message-loss",
         } <= set(FAULTS)
 
+    def test_forged_message_live_registered(self):
+        assert "forged-message-live" in FAULTS
+        fault = FAULTS["forged-message-live"]()
+        assert fault.kind == "any"
+        assert fault.expects == ("traffic-provenance",)
+
     def test_unknown_fault_lists_registered(self):
         with pytest.raises(KeyError, match="choose from"):
             FAULTS["no-such-fault"]

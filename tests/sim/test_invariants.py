@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.errors import InvariantViolation
+from repro.sim.events import Observer
 from repro.sim.invariants import (
     BoundConsistencyInvariant,
     ConsensusInvariant,
@@ -216,6 +217,63 @@ class TestConsensusInvariant:
         with pytest.raises(InvariantViolation) as info:
             sim.run_for(2)
         assert info.value.invariant == "consensus-validity"
+
+    # -- the wire nets, fed through ``network.enqueue`` --------------------- #
+    #
+    # Each case replays a message Ben-Or really sent, under its own
+    # (src, dst, kind, sent_at) signature, so traffic-provenance lets it
+    # through, but with a payload the sender never sent. Put straight
+    # into the network the way a fault injector puts its messages.
+
+    def _sent(self, kind, steps=2000):
+        """Run until some process sends a ``kind`` message; return the
+        built run and that message."""
+        class Tap(Observer):
+            sent = None
+
+            def on_send(self, t, msg):
+                if self.sent is None and msg.kind == kind:
+                    self.sent = msg
+
+        built = self._built()
+        tap = built.sim.add_observer(Tap())
+        while tap.sent is None and built.sim.now < steps:
+            built.sim.run_for(1)
+        assert tap.sent is not None, f"no {kind!r} message within {steps}"
+        return built, tap.sent
+
+    def _replay(self, built, msg, payload, steps=50):
+        """Enqueue ``msg`` again with ``payload``; run until it trips."""
+        sim = built.sim
+        sim.network.enqueue([Message(
+            src=msg.src, dst=msg.dst, payload=payload, kind=msg.kind,
+            sent_at=msg.sent_at, delay=msg.delay,
+        )], sim.alive_pids)
+        with pytest.raises(InvariantViolation) as info:
+            sim.run_for(steps)
+        assert info.value.pid == msg.src
+        return info.value
+
+    def test_equivocating_vote_raises_equivocation(self):
+        built, vote = self._sent("ben-or")
+        phase, rnd, value = vote.payload
+        other = 1 if value == 0 else 0
+        violation = self._replay(built, vote, (phase, rnd, other))
+        assert violation.invariant == "consensus-equivocation"
+        assert "voted both" in str(violation)
+
+    def test_out_of_universe_vote_raises_integrity(self):
+        built, vote = self._sent("ben-or")
+        phase, rnd, value = vote.payload
+        violation = self._replay(built, vote, (phase, rnd, ("x", value)))
+        assert violation.invariant == "consensus-integrity"
+        assert "outside the value universe" in str(violation)
+
+    def test_out_of_universe_decision_raises_integrity(self):
+        built, decide = self._sent("ben-or-decide")
+        violation = self._replay(built, decide, ("x", decide.payload))
+        assert violation.invariant == "consensus-integrity"
+        assert "broadcast decision" in str(violation)
 
 
 class TestCatalog:

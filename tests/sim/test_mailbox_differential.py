@@ -14,7 +14,7 @@ from typing import Container, Dict, List, Optional, Sequence
 import pytest
 
 from repro.sim.errors import InvalidDelayError
-from repro.sim.message import Message, is_byzantine_kind
+from repro.sim.message import Message
 from repro.sim.network import Network
 
 
@@ -28,7 +28,6 @@ class HeapNetwork:
         self._pending: Dict[int, List] = {pid: [] for pid in range(n)}
         self._in_flight = 0
         self.total_enqueued = 0
-        self.byz_enqueued = 0
         self.max_delivered_delay = 0
 
     @property
@@ -39,9 +38,6 @@ class HeapNetwork:
         pending = self._pending
         push = heapq.heappush
         dropped = 0
-        byz = 0
-        kind = None
-        tagged = False
         for msg in outbox:
             delay = msg.delay
             if delay < 1:
@@ -53,15 +49,9 @@ class HeapNetwork:
                 dropped += 1
                 continue
             push(pending[dst], (msg.sent_at + delay, msg.uid, msg))
-            if msg.kind is not kind:
-                kind = msg.kind
-                tagged = is_byzantine_kind(kind)
-            if tagged:
-                byz += 1
         queued = len(outbox) - dropped
         self._in_flight += queued
         self.total_enqueued += queued
-        self.byz_enqueued += byz
         return dropped
 
     def collect(self, pid: int, now: int) -> List[Message]:
@@ -103,7 +93,6 @@ class HeapNetwork:
         dup._pending = {pid: list(heap) for pid, heap in self._pending.items()}
         dup._in_flight = self._in_flight
         dup.total_enqueued = self.total_enqueued
-        dup.byz_enqueued = self.byz_enqueued
         dup.max_delivered_delay = self.max_delivered_delay
         return dup
 
@@ -132,7 +121,6 @@ def observables(net, n):
     return {
         "in_flight": net.in_flight,
         "total_enqueued": net.total_enqueued,
-        "byz_enqueued": net.byz_enqueued,
         "max_delivered_delay": net.max_delivered_delay,
         "pending_for": [net.pending_for(pid) for pid in range(n)],
         "earliest": [net.earliest_deliverable(pid) for pid in range(n)],
@@ -211,7 +199,7 @@ def test_random_interleavings_agree_after_every_operation(seed):
         if op < 0.40:
             pair.enqueue(now, [
                 (rng.randrange(n), rng.randint(1, 5),
-                 rng.choice(("gossip", "gossip", "byz:tamper:gossip")))
+                 rng.choice(("gossip", "ben-or", "shutdown")))
                 for _ in range(rng.randrange(7))
             ])
         elif op < 0.75:

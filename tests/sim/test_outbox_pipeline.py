@@ -30,7 +30,7 @@ from repro.faults.injectors import _AdversaryProxy
 from repro.sim.engine import Simulation
 from repro.sim.errors import AlgorithmError, InvalidDelayError
 from repro.sim.events import Observer
-from repro.sim.message import FanOut, Message, expand, is_byzantine_kind
+from repro.sim.message import FanOut, Message, expand
 from repro.sim.metrics import Metrics
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.sim.network import Network
@@ -41,15 +41,13 @@ from repro.spec.registry import GOSSIP_ALGORITHMS
 
 from .test_engine_leap import ALGORITHMS, PLAN_FACTORIES, SPEC_CELLS
 
-KINDS = ("gossip", "shutdown", "byz:tamper:gossip", "byz:forge:shutdown")
+KINDS = ("gossip", "shutdown", "ben-or", "ben-or-decide")
 
 
 def per_message_accounting(metrics, kind, now):
     """What ``record_send`` did when it was called once per message."""
     metrics.messages_sent += 1
     metrics.messages_by_kind[kind] += 1
-    if is_byzantine_kind(kind):
-        metrics.byz_messages_sent += 1
     metrics.last_send_time = now
 
 
@@ -57,7 +55,6 @@ def send_state(metrics):
     return (
         metrics.messages_sent,
         +metrics.messages_by_kind,
-        metrics.byz_messages_sent,
         metrics.last_send_time,
     )
 
@@ -101,13 +98,11 @@ def stamped(dst, delay, kind="gossip", sent_at=0):
 class TestEnqueueOutbox:
     def test_crashed_destination_in_the_middle_of_an_outbox(self):
         net = Network(5)
-        outbox = [stamped(1, 2), stamped(2, 1, "byz:tamper:gossip"),
-                  stamped(3, 1), stamped(2, 4), stamped(4, 3,
-                                                        "byz:forge:gossip")]
+        outbox = [stamped(1, 2), stamped(2, 1, "shutdown"),
+                  stamped(3, 1), stamped(2, 4), stamped(4, 3, "ben-or")]
         assert net.enqueue(outbox, alive={0, 1, 3, 4}) == 2
         assert net.in_flight == 3
         assert net.total_enqueued == 3
-        assert net.byz_enqueued == 1
         assert net.pending_for(2) == 0
         assert [net.pending_for(pid) for pid in (1, 3, 4)] == [1, 1, 1]
 
@@ -122,15 +117,13 @@ class TestEnqueueOutbox:
     def test_an_enqueue_that_raises_queues_nothing(self, position):
         net = Network(4)
         net.enqueue([stamped(1, 2)], alive=range(4))
-        outbox = [stamped(1, 1), stamped(2, 1, "byz:tamper:gossip"),
-                  stamped(3, 1)]
+        outbox = [stamped(1, 1), stamped(2, 1, "shutdown"), stamped(3, 1)]
         outbox[position].delay = 0
         with pytest.raises(InvalidDelayError):
             net.enqueue(outbox, alive=range(4))
         # Queues and counters still agree for whoever catches the error.
         assert [net.pending_for(pid) for pid in range(4)] == [0, 1, 0, 0]
-        assert (net.in_flight, net.total_enqueued, net.byz_enqueued) == (
-            1, 1, 0)
+        assert (net.in_flight, net.total_enqueued) == (1, 1)
         assert len(net.collect(1, 5)) == 1
 
     def test_remove_takes_one_queued_message_out(self):
@@ -176,9 +169,8 @@ class TestFanOutEntries:
             assert shared.pending_for(pid) == single.pending_for(pid)
             assert (shared.earliest_deliverable(pid)
                     == single.earliest_deliverable(pid))
-        assert (shared.in_flight, shared.total_enqueued, shared.byz_enqueued
-                ) == (single.in_flight, single.total_enqueued,
-                      single.byz_enqueued)
+        assert (shared.in_flight, shared.total_enqueued) == (
+            single.in_flight, single.total_enqueued)
 
     def test_queued_for_yields_the_expanded_messages(self):
         record, shared, single = self.pair(alive={0, 1, 2, 4})
@@ -612,7 +604,6 @@ def outbox_types(sim, steps=4):
 @pytest.mark.parametrize("adversary, records", [
     (None, True),
     ({"name": "gst", "gst": 3}, False),
-    ({"name": "byzantine", "b": 1}, False),
 ])
 def test_records_travel_only_where_nothing_looks_at_single_messages(
         adversary, records):

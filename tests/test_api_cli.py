@@ -18,7 +18,7 @@ LIST_STDOUT = (
     "consensus transports:\n"
     "  all-to-all\n" "  ears\n" "  sears\n" "  tears\n" "  ben-or\n"
     "adversaries:\n"
-    "  byzantine\n" "  gst\n" "  lower-bound\n" "  synchronous\n" "  uniform\n"
+    "  gst\n" "  lower-bound\n" "  synchronous\n" "  uniform\n"
     "crash plans:\n"
     "  none\n" "  random-early\n" "  staggered-halving\n" "  wave\n"
     "topologies:\n"

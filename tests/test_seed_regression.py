@@ -18,47 +18,12 @@ import pytest
 from tests._capture_canonical import (
     adaptive_cell,
     batch_cell,
-    byzantine_cell,
     case2_cell,
     lower_bound_cell,
     oblivious_cell,
 )
 
 CANONICAL = {
-    "byzantine": {
-        "ears/0": {
-            "byz_messages": 39,
-            "completed": True,
-            "completion_time": 54,
-            "messages": 578,
-            "realized_d": 2,
-            "realized_delta": 2
-        },
-        "ears/1": {
-            "byz_messages": 33,
-            "completed": True,
-            "completion_time": 59,
-            "messages": 558,
-            "realized_d": 2,
-            "realized_delta": 2
-        },
-        "tears/0": {
-            "byz_messages": 4,
-            "completed": True,
-            "completion_time": 8,
-            "messages": 1562,
-            "realized_d": 2,
-            "realized_delta": 2
-        },
-        "tears/1": {
-            "byz_messages": 2,
-            "completed": True,
-            "completion_time": 8,
-            "messages": 1556,
-            "realized_d": 2,
-            "realized_delta": 2
-        },
-    },
     "batch": {
         "ears/0": {
             "completed": True,
@@ -384,15 +349,6 @@ def test_lower_bound_pins(key):
 def test_case2_pins(key):
     seed = key.rsplit("/", 1)[1]
     assert case2_cell(int(seed)) == CANONICAL["case2"][key]
-
-
-# The Byzantine adversary derives every corruption decision from sealed
-# (seed, "byz", ...) substreams, so the corrupt-traffic volume and the
-# honest completion profile are as pinnable as any oblivious cell.
-@pytest.mark.parametrize("key", sorted(CANONICAL["byzantine"]))
-def test_byzantine_pins(key):
-    algorithm, seed = key.rsplit("/", 1)
-    assert byzantine_cell(algorithm, int(seed)) == CANONICAL["byzantine"][key]
 
 
 # -- declarative-spec equivalence ----------------------------------------- #

@@ -158,7 +158,7 @@ class TestRegistries:
         assert "ears" in GOSSIP_ALGORITHMS
         assert sorted(TRANSPORTS) == ["all-to-all", "ears", "sears", "tears"]
         assert set(ADVERSARIES) == {
-            "uniform", "synchronous", "gst", "byzantine", "lower-bound"}
+            "uniform", "synchronous", "gst", "lower-bound"}
         assert "random-early" in CRASH_PLANS
 
     def test_unknown_name_suggests_close_match(self):
@@ -243,9 +243,14 @@ class TestScenarioIsSpec:
     (lambda: random_crashes(8, -1, 4), "cannot crash -1"),
     (lambda: staggered_halving(16, 4, epoch_length=0),
      "epoch_length must be >= 1"),
+    # Removed (the paper's adversary is crash-only), and with no
+    # neighbour to suggest: the message ends at the list of choices.
+    (lambda: build(RunSpec(adversary={"name": "byzantine"})),
+     r"^unknown adversary 'byzantine'; choose from "
+     r"\['gst', 'lower-bound', 'synchronous', 'uniform'\]$"),
 ], ids=["f-negative", "f-equals-n", "crashes-negative", "max-steps-zero",
         "max-steps-negative", "pid-outside-n", "negative-time",
-        "count-negative", "epoch-length-zero"])
+        "count-negative", "epoch-length-zero", "byzantine-adversary"])
 def test_out_of_range_inputs_are_refused(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
