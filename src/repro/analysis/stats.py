@@ -53,9 +53,7 @@ def summarize_completed(
     rate, Summary of metrics[0], Summary of metrics[1], ...)``.
 
     Rates count every record; the summaries cover the completed trials
-    only — a failed or timed-out trial's
-    :func:`~repro.store.failed_record` is one more not-completed row —
-    and are NaN for a cell where nothing completed.
+    only, and are NaN for a cell where nothing completed.
     """
     rows = [record["metrics"] for record in records]
     done = [row for row in rows if row["completed"]]

@@ -62,17 +62,6 @@ def _add_campaign(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--processes", type=int, default=1,
                         help="worker processes (default: sequential)")
     parser.add_argument(
-        "--trial-timeout", type=float, default=None,
-        help="per-trial wall-clock timeout in seconds (parallel runs "
-             "only); timed-out cells become failure rows instead of "
-             "hanging the command",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0,
-        help="retry failed/timed-out trials this many times before "
-             "reporting them as failures",
-    )
-    parser.add_argument(
         "--resume", default=None, metavar="STORE",
         help="the campaign's artifact store (created if missing): every "
              "finished spec is recorded there, SIGINT/SIGTERM drains "
@@ -234,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "stepwise", "leap", "batch"],
                    help="execution strategy per run; 'batch' groups each "
                         "cell's seeds through the vectorized engine "
-                        "(plain sweeps only — profiled, fault-tolerant "
-                        "and checkpointed sweeps stay per-trial)")
+                        "(plain sweeps only — profiled and checkpointed "
+                        "sweeps stay per-trial)")
     _add_campaign(p)
     p.add_argument("--profile", action="store_true",
                    help="print per-phase wall time from the observer bus "
@@ -536,8 +525,7 @@ def _campaign(args, specs, store=None, profiler=None, **options):
 
         return [make_record(spec, metrics_of(execute(
             spec, observers=(profiler,)))) for spec in specs]
-    options.update(processes=args.processes,
-                   trial_timeout=args.trial_timeout, retries=args.retries)
+    options.update(processes=args.processes)
     if not args.resume:
         return execute_batch(specs, store=store, **options)
     from .experiments import CampaignDrained, GracefulShutdown
@@ -559,8 +547,7 @@ def _record_status(record):
         return "ok", (f"case={metrics['case']} "
                       f"forced_time={metrics['measured_time']} "
                       f"forced_messages={metrics['measured_messages']}")
-    status = ("FAILED" if record.get("failed")
-              else "ok" if metrics.get("completed") else "incomplete")
+    status = "ok" if metrics.get("completed") else "incomplete"
     return status, (f"time={metrics.get('time')} "
                     f"messages={metrics.get('messages')}")
 
@@ -700,13 +687,6 @@ def _run(args) -> int:
         store = (open_grid_store(args.out_dir, spec.name, args.backend)
                  if args.out_dir is not None and profiler is None else None)
         rows = spec.rows(_campaign(args, specs, store, profiler))
-        failed = sum(row["reason"] == "trial-failed" for row in rows)
-        timed_out = sum(row["reason"] == "trial-timeout" for row in rows)
-        if failed or timed_out:
-            print(f"partial grid: {len(rows) - failed - timed_out}/"
-                  f"{len(rows)} cells ok, {failed} failed, "
-                  f"{timed_out} timed out "
-                  f"(failed cells stay uncached; re-run retries them)")
         time_by = aggregate(rows, ["algorithm", "n"], "time")
         msgs_by = aggregate(rows, ["algorithm", "n"], "messages")
         print(f"{'algorithm':>16s} {'n':>6s} {'time':>9s} {'messages':>11s}")
@@ -777,10 +757,8 @@ def _run(args) -> int:
             for record in records:
                 status, summary = _record_status(record)
                 print(f"{record['spec_hash']}  {status:10s} {summary}")
-        failed = sum(1 for record in records if record.get("failed"))
-        print(f"batch: {len(records) - failed}/{len(records)} spec(s) ok"
-              + (f", {failed} failed (re-run to retry)" if failed else ""))
-        return 0 if not failed else 1
+        print(f"batch: {len(records)}/{len(records)} spec(s) ok")
+        return 0
 
     if args.command == "store":
         import json as _json

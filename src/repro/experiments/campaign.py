@@ -1,25 +1,26 @@
 """Crash-safe campaigns: one job loop and graceful shutdown.
 
 A *campaign* is any long multi-trial driver — a spec batch, a grid, a
-population sweep, a Theorem 1 portfolio run.  The trial pool makes the
-individual trials fault-tolerant; this module makes the campaign itself
+population sweep, a Theorem 1 portfolio run.  The trial pool runs the
+individual trials fail-fast; this module makes the campaign itself
 survive process death:
 
 * :func:`run_jobs` — the one execution loop behind
   :func:`repro.store.execute_batch`, which runs every spec campaign —
   grids, sweeps, Theorem 1 portfolios, ``repro batch``: key dedupe, the
-  pool, the ok/cancelled/failed triage and the drain.  The campaign's
-  artifact store is its only progress record: a key the store holds is
-  done, so a campaign SIGKILLed mid-run resumes against its store alone
-  and re-runs exactly the missing jobs, seed for seed.
+  pool and the drain.  The campaign's artifact store is its only
+  progress record: a key the store holds is done, so a campaign
+  SIGKILLed mid-run (or stopped by a failing job) resumes against its
+  store alone and re-runs exactly the missing jobs, seed for seed.
 * :class:`GracefulShutdown` — a SIGINT/SIGTERM drain handler: the first
-  signal stops new submissions and lets in-flight trials finish (bounded
-  by the driver's per-trial timeout and chunk size); the second signal
-  hard-terminates.  Drivers surface the drain as
+  signal stops new submissions and lets the chunk in flight finish; the
+  second signal hard-terminates.  Drivers surface the drain as
   :class:`CampaignDrained` and the CLI exits with
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
-"""
+
+Retrying failing jobs and re-issuing the jobs of a killed worker is the
+fleet's work (``repro fleet run``), not this module's."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import (
     Sequence,
 )
 
-from .pool import CANCELLED, OK, TrialOutcome, TrialPool
+from .pool import TrialPool
 
 __all__ = [
     "CampaignDrained",
@@ -90,10 +91,10 @@ class GracefulShutdown:
     """SIGINT/SIGTERM drain handler for long campaigns.
 
     Used as a context manager around a campaign, and passed to drivers
-    as their ``shutdown`` (it is callable, so it plugs directly into the
-    pool's ``stop_check``).  First signal: set the drain flag — drivers
-    stop submitting, wait (bounded) for in-flight trials, sync their
-    stores, and raise :class:`CampaignDrained`.
+    as their ``shutdown`` (it is callable: :func:`run_jobs` polls it
+    between chunks).  First signal: set the drain flag — drivers stop
+    submitting, let the chunk in flight finish, sync their stores, and
+    raise :class:`CampaignDrained`.
     Second signal: raise ``KeyboardInterrupt`` from the handler — a hard
     stop that unwinds immediately (the ``TrialPool`` context manager
     terminates its workers on the way out).
@@ -155,53 +156,44 @@ def run_jobs(
     *,
     keys: Optional[Sequence[str]] = None,
     processes: int = 1,
-    trial_timeout: Optional[float] = None,
-    retries: int = 0,
     shutdown: Optional[Callable[[], bool]] = None,
     store: Any = None,
     sink: Optional[Callable[[int, Any], Any]] = None,
-) -> List[TrialOutcome]:
-    """Run ``fn`` over ``jobs``; one :class:`TrialOutcome` per job.
+) -> List[Any]:
+    """Run ``fn`` over ``jobs``; one value per job, in job order.
 
     The one execution loop behind ``execute_batch``, and so behind every
     spec campaign: it builds the jobs, picks a ``sink`` and shapes the
-    outcomes; everything else is here.
+    values; everything else is here.
 
     * ``keys`` name the jobs (default :func:`job_key` of each job).
-      Jobs sharing a key execute once and share the outcome.
+      Jobs sharing a key execute once and share the value.
     * ``store`` is the caller's result cache and progress record (an
       artifact store — anything answering ``key in store``).  A hit
-      runs nothing and comes back as an ok outcome with no value and
-      ``attempts == 0``; the caller reads the result from its store.
-      Failed jobs are never stored, so the next run retries exactly
-      them.
-    * ``trial_timeout``/``retries`` select the fault-tolerant
-      :meth:`~repro.experiments.pool.TrialPool.map_outcomes`: a job
-      that hangs, raises or kills its worker yields a non-ok outcome
-      instead of aborting the run.  Otherwise the first job exception
-      propagates (fail-fast ``map``).
-    * ``sink(index, value)`` receives every freshly executed ok value,
-      in job order — ``execute_batch`` stores it there.
+      runs nothing and its value is ``None``; the caller reads the
+      result from its store.
+    * ``sink(index, value)`` receives every freshly executed value, in
+      job order — ``execute_batch`` stores it there.
+    * Fail-fast: the first job exception propagates, and so does the
+      death of a worker process (see
+      :meth:`~repro.experiments.pool.TrialPool.map`).  A campaign that
+      must survive failing, slow or killed jobs runs under
+      ``repro fleet run``.
     * ``shutdown`` needs a ``store``.  Jobs then run in chunks of
       ``max(DRAIN_CHUNK, processes)``; ``shutdown`` truthy between
-      chunks (or mid-chunk, via the pool's ``stop_check``) drains:
-      in-flight jobs finish, ``store`` is synced and
-      :class:`CampaignDrained` is raised.  Without ``shutdown`` the run
-      is one pool call.
+      chunks drains: the chunk in flight finishes, ``store`` is synced
+      and :class:`CampaignDrained` is raised.  The chunks finished
+      before a failure are in ``store`` too, so a re-run executes only
+      the rest.  Without ``shutdown`` the run is one pool call.
 
-    ``processes < 1``, ``retries < 0`` and ``trial_timeout <= 0`` are a
-    :class:`~repro.sim.errors.ConfigurationError` before any job runs.
+    ``processes < 1`` is a :class:`~repro.sim.errors.ConfigurationError`
+    before any job runs.
     """
     from ..sim.errors import ConfigurationError
 
-    for name, value, valid, rule in (
-        ("processes", processes, processes >= 1, ">= 1"),
-        ("retries", retries, retries >= 0, ">= 0"),
-        ("trial_timeout", trial_timeout,
-         trial_timeout is None or trial_timeout > 0, "> 0 seconds"),
-    ):
-        if not valid:
-            raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+    if processes < 1:
+        raise ConfigurationError(
+            f"processes must be >= 1, got {processes!r}")
     jobs = list(jobs)
     keys = ([job_key(job) for job in jobs] if keys is None else list(keys))
     if shutdown is not None and store is None:
@@ -218,18 +210,17 @@ def run_jobs(
         raise CampaignDrained(getattr(store, "path", None), completed,
                               len(distinct) - completed)
 
-    by_key: Dict[str, TrialOutcome] = {}
+    values: Dict[str, Any] = {}
     first: Dict[str, int] = {}  # key -> index of the job that runs it
     for index, key in enumerate(keys):
-        if key in by_key or key in first:
+        if key in values or key in first:
             continue
         if store is not None and key in store:
-            by_key[key] = TrialOutcome(index, OK, attempts=0)
+            values[key] = None
         else:
             first[key] = index
     pending = list(first.values())
 
-    tolerant = trial_timeout is not None or retries > 0
     chunk_size = (len(pending) if shutdown is None
                   else max(DRAIN_CHUNK, processes))
     if pending:
@@ -238,27 +229,11 @@ def run_jobs(
                 if shutdown is not None and shutdown():
                     drain()
                 chunk = pending[start:start + chunk_size]
-                chunk_jobs = [jobs[index] for index in chunk]
-                if tolerant:
-                    outcomes = pool.map_outcomes(
-                        fn, chunk_jobs, timeout=trial_timeout,
-                        retries=retries, stop_check=shutdown,
-                    )
-                else:
-                    outcomes = [
-                        TrialOutcome(index, OK, value=value)
-                        for index, value in zip(
-                            chunk, pool.map(fn, chunk_jobs))
-                    ]
-                cancelled = False
-                for index, outcome in zip(chunk, outcomes):
-                    outcome.index = index
-                    by_key[keys[index]] = outcome
-                    if outcome.ok and sink is not None:
-                        sink(index, outcome.value)
-                    cancelled |= outcome.status == CANCELLED
-                if cancelled:
-                    drain()
+                chunk_values = pool.map(fn, [jobs[index] for index in chunk])
+                for index, value in zip(chunk, chunk_values):
+                    values[keys[index]] = value
+                    if sink is not None:
+                        sink(index, value)
     if shutdown is not None and shutdown():
         drain()
-    return [by_key[key] for key in keys]
+    return [values[key] for key in keys]

@@ -87,10 +87,10 @@ class GridSpec:
     def rows(self, records: Iterable[Mapping[str, Any]]
              ) -> List[Dict[str, Any]]:
         """One row per cell, in cell order, from the records of
-        :meth:`specs`: ``cell ∪ metrics ∪ {"spec_hash"}``.  A cell that
-        failed or timed out contributes its failure row (see
-        :func:`~repro.experiments.pool.failure_record`), which no store
-        holds, so re-running the grid executes only it."""
+        :meth:`specs`: ``cell ∪ metrics ∪ {"spec_hash"}``.  Every cell
+        has a record: a cell whose execution raises aborts the run
+        before any row is made, and re-running the grid against its
+        store executes only the cells it does not hold."""
         return [
             {**cell, **record["metrics"], "spec_hash": record["spec_hash"]}
             for cell, record in zip(self.cells(), records)

@@ -96,12 +96,10 @@ def theorem1_specs(
 
 def theorem1_rows(records: Iterable[Dict[str, Any]]) -> List[Theorem1Row]:
     """One row per algorithm of a :func:`theorem1_specs` campaign's
-    records, in campaign order. A failed record is dropped, and an
-    algorithm whose every seed failed gets no row."""
+    records, in campaign order."""
     groups: Dict[str, List[Dict[str, Any]]] = {}
     for record in records:
-        if not record.get("failed"):
-            groups.setdefault(record["spec"]["algorithm"], []).append(record)
+        groups.setdefault(record["spec"]["algorithm"], []).append(record)
     rows = []
     for name, group in groups.items():
         reports = [record["metrics"] for record in group]

@@ -341,8 +341,8 @@ def run_chaos_cells(cells: Sequence[Dict[str, Any]]) -> CampaignReport:
     counted, and a control judged not ok becomes a false positive.
     """
     report = CampaignReport()
-    for cell, outcome in zip(cells, run_jobs(run_chaos_cell, cells)):
-        detected, message, fired = outcome.value
+    for cell, (detected, message, fired) in zip(
+            cells, run_jobs(run_chaos_cell, cells)):
         expected = tuple(cell["expected"])
         judged = CampaignCell(
             fault=cell["fault"], kind=cell["kind"],

@@ -200,7 +200,9 @@ class ExplicitSchedule(SchedulePlan):
     """A schedule given as an explicit table ``t -> set of pids``.
 
     Steps beyond the table fall back to scheduling everyone. Used by tests
-    and by the scripted phases of the lower-bound adversary.
+    and hand-built adversaries; the lower-bound adversary scripts its
+    phases through :attr:`ScriptedAdversary.scheduled
+    <repro.adversary.adaptive.ScriptedAdversary.scheduled>` instead.
     """
 
     def __init__(self, table: Sequence[Set[int]], target_delta: int = 1) -> None:
@@ -228,9 +230,12 @@ class SubsetEveryStep(SchedulePlan):
     """Schedule a fixed subset every step; everyone else is frozen out.
 
     Only valid as a *phase* of an execution (the frozen processes' realized
-    scheduling gap grows with the phase length); the lower-bound adversary
-    uses this to run ``S1`` while starving ``S2``, which is exactly how the
-    proof of Theorem 1 inflates ``δ``.
+    scheduling gap grows with the phase length).  Running ``S1`` while
+    starving ``S2`` is how the proof of Theorem 1 inflates ``δ``; the
+    lower-bound adversary does that by setting
+    :attr:`ScriptedAdversary.scheduled
+    <repro.adversary.adaptive.ScriptedAdversary.scheduled>`, not with
+    this plan.
     """
 
     def __init__(self, subset: Set[int], target_delta: int = 1) -> None:

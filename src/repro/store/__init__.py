@@ -45,7 +45,6 @@ _EXPORTS = {
     "record_crc": "base",
     "execute_batch": "batch",
     "execute_cached": "batch",
-    "failed_record": "batch",
     "JsonlStore": "jsonl",
     "MERGE_POLICIES": "merge",
     "MergeConflict": "merge",

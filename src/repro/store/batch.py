@@ -20,7 +20,6 @@ from .base import Store, make_record, metrics_of
 __all__ = [
     "execute_batch",
     "execute_cached",
-    "failed_record",
 ]
 
 #: Default number of seeds one vectorized engine tick advances together.
@@ -46,22 +45,6 @@ def execute_cached(
 def _spec_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one serialized spec in a (possibly worker) process."""
     return metrics_of(execute(RunSpec.from_dict(spec_dict)))
-
-
-def failed_record(spec: RunSpec, outcome: Any) -> Dict[str, Any]:
-    """A record-shaped stand-in for a spec whose execution failed.
-
-    Same layout as :func:`~repro.store.base.make_record` plus
-    ``"failed": True`` and a ``metrics`` block that downstream readers
-    treat as a not-completed run (the pool's
-    :func:`~repro.experiments.pool.failure_record` row). Never written
-    to a store, so a resumed batch retries exactly these specs.
-    """
-    from ..experiments.pool import failure_record
-
-    record = make_record(spec, failure_record(outcome))
-    record["failed"] = True
-    return record
 
 
 def _unit_job(job: Any) -> Any:
@@ -110,8 +93,6 @@ def execute_batch(
     specs: Iterable[RunSpec],
     store: Optional[Store] = None,
     processes: int = 1,
-    trial_timeout: Optional[float] = None,
-    retries: int = 0,
     shutdown: Any = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> List[Dict[str, Any]]:
@@ -127,17 +108,16 @@ def execute_batch(
 
     Specs requesting ``engine="batch"`` are grouped by cell and ride the
     vectorized engine ``batch_size`` seeds per job (ineligible cells
-    run per-trial in the same pool) unless the batch is fault-tolerant
-    or drainable, where execution stays per-trial — a whole group is
-    not a unit the fault machinery can retry seed-by-seed, and
-    ``execute()`` still vectorizes each eligible spec as a batch of one.
+    run per-trial in the same pool) unless the batch is drainable,
+    where execution stays per-trial — a drain stops between chunks of
+    specs, not inside a group — and ``execute()`` still vectorizes each
+    eligible spec as a batch of one.
 
-    ``trial_timeout`` (seconds per spec) and ``retries`` switch the
-    batch to partial-result mode: a spec whose execution hangs, raises,
-    or kills its worker yields a :func:`failed_record` (marked
-    ``"failed": True``) instead of aborting the batch, and is **not**
-    stored — re-running the same batch against the same store retries
-    only the failed specs.
+    The batch is fail-fast: a spec whose execution raises, or whose
+    worker dies, aborts it with that error (see
+    :func:`~repro.experiments.campaign.run_jobs`); what reached the
+    store before stays there.  Retries of failing specs are the
+    fleet's (``repro fleet run``).
 
     ``shutdown`` (a :class:`~repro.experiments.campaign.GracefulShutdown`
     or any 0-argument callable; it needs a ``store``) is polled between
@@ -152,8 +132,8 @@ def execute_batch(
     unique: Dict[str, RunSpec] = {}
     for key, spec in zip(hashes, specs):
         unique.setdefault(key, spec)
-    plain = trial_timeout is None and retries <= 0 and shutdown is None
-    chunks = _vector_chunks(unique, store, batch_size) if plain else []
+    chunks = (_vector_chunks(unique, store, batch_size)
+              if shutdown is None else [])
     chunked = {key for chunk in chunks for key in chunk}
     singles = [key for key in unique if key not in chunked]
     units = chunks + [[key] for key in singles]
@@ -165,22 +145,19 @@ def execute_batch(
         for key, metrics in zip(units[index], values_of(index, value)):
             store.put(unique[key], metrics)
 
-    outcomes = run_jobs(
+    values = run_jobs(
         _unit_job,
         [[unique[key].to_dict() for key in chunk] for chunk in chunks]
         + [unique[key].to_dict() for key in singles],
         keys=[unit[0] for unit in units],
-        processes=processes, trial_timeout=trial_timeout, retries=retries,
-        shutdown=shutdown, store=store,
+        processes=processes, shutdown=shutdown, store=store,
         sink=put if store is not None else None,
     )
-    fresh: Dict[str, Dict[str, Any]] = {}
-    for index, (unit, outcome) in enumerate(zip(units, outcomes)):
-        if not outcome.ok:
-            fresh[unit[0]] = failed_record(unique[unit[0]], outcome)
-        elif store is None:
-            for key, metrics in zip(unit, values_of(index, outcome.value)):
-                fresh[key] = make_record(unique[key], metrics)
-    if store is None:
-        return [fresh[key] for key in hashes]
-    return [store.get(key) or fresh[key] for key in hashes]
+    if store is not None:
+        return [store.get(key) for key in hashes]
+    fresh = {
+        key: make_record(unique[key], metrics)
+        for index, unit in enumerate(units)
+        for key, metrics in zip(unit, values_of(index, values[index]))
+    }
+    return [fresh[key] for key in hashes]

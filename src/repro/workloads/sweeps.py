@@ -16,6 +16,7 @@ from typing import (
 )
 
 from ..analysis.stats import Summary, summarize_completed
+from ..sim.errors import ConfigurationError
 from ..spec.runspec import RunSpec
 
 
@@ -37,7 +38,17 @@ class SweepPoint:
 
 def geometric_ns(start: int = 16, stop: int = 256, factor: int = 2
                  ) -> List[int]:
-    """Geometric population sweep: start, start·factor, … ≤ stop."""
+    """Geometric population sweep: start, start·factor, … ≤ stop.
+
+    ``start < 1`` or ``factor < 2`` would never pass ``stop``: each is a
+    :class:`~repro.sim.errors.ConfigurationError` naming the value.
+    """
+    if start < 1:
+        raise ConfigurationError(
+            f"a geometric sweep must start at n >= 1, got {start}")
+    if factor < 2:
+        raise ConfigurationError(
+            f"a geometric sweep's factor must be >= 2, got {factor}")
     ns = []
     n = start
     while n <= stop:
@@ -97,9 +108,8 @@ def sweep_points(specs: Sequence[RunSpec],
                  records: Sequence[Mapping[str, Any]]) -> List[SweepPoint]:
     """One :class:`SweepPoint` per n of a :func:`sweep_specs` list, from
     its records in spec order: consecutive specs of one n are its seeds.
-    A run that failed or timed out (a
-    :func:`~repro.store.failed_record`) counts as a not-completed trial
-    in its point's ``completion_rate``."""
+    A run that did not complete counts in its point's
+    ``completion_rate``."""
     points = []
     for n, group in itertools.groupby(zip(specs, records),
                                       key=lambda pair: pair[0].n):
@@ -122,7 +132,7 @@ def sweep_gossip(*args: Any, **kwargs: Any) -> List[SweepPoint]:
 
     Takes :func:`sweep_specs`'s arguments and runs its specs in one
     store-less, sequential :func:`repro.store.execute_batch` call; a
-    campaign that wants workers, timeouts, a store or a drain hook
+    campaign that wants workers, a store or a drain hook
     passes them to ``execute_batch`` itself and reduces with
     :func:`sweep_points`.
     """

@@ -3,7 +3,6 @@
 
 import json
 import sqlite3
-import time
 
 import pytest
 
@@ -154,48 +153,6 @@ class TestGridRunner:
         del executed[:]
         run(other, tmp_path)
         assert executed == []
-
-
-class TestFaultTolerantGrid:
-    """Cells that hang or raise degrade to failure rows, not crashes."""
-
-    def test_partial_results_and_store_resume(self, tmp_path, monkeypatch):
-        real_job = batch_module._spec_job
-
-        def misbehaving(spec_dict):
-            """Seed 1 raises, seed 2 hangs, everything else succeeds."""
-            if spec_dict["seed"] == 1:
-                raise RuntimeError("cell exploded")
-            if spec_dict["seed"] == 2:
-                time.sleep(3600)
-            return real_job(spec_dict)
-
-        # Workers are forked at the first parallel map, after the patch.
-        monkeypatch.setattr(batch_module, "_spec_job", misbehaving)
-        spec = small("chaos", seeds=[0, 1, 2, 3])
-        rows = run(spec, tmp_path, processes=2, trial_timeout=1.0)
-        by_seed = {r["seed"]: r for r in rows}
-        assert by_seed[0]["completed"] and by_seed[0]["messages"] == 56
-        assert by_seed[3]["completed"] and by_seed[3]["messages"] == 56
-        assert not by_seed[1]["completed"]
-        assert by_seed[1]["reason"] == "trial-failed"
-        assert "cell exploded" in by_seed[1]["error"]
-        assert not by_seed[2]["completed"]
-        assert by_seed[2]["reason"] == "trial-timeout"
-        # Failure rows never reach the store: a later run executes
-        # exactly the failed cells and nothing else.
-        stored = open_store(str(tmp_path / "chaos.jsonl"))
-        assert sorted(r["spec"]["seed"] for r in stored.records()) == [0, 3]
-        retried = []
-
-        def spy(spec_dict):
-            retried.append(spec_dict["seed"])
-            return real_job(spec_dict)
-
-        monkeypatch.setattr(batch_module, "_spec_job", spy)
-        rows = run(spec, tmp_path)
-        assert retried == [1, 2]
-        assert all(r["completed"] for r in rows)
 
 
 class TestLegacyFormats:

@@ -57,13 +57,9 @@ class TestSummarizeCompleted:
         assert time.count == 1  # the NaN placeholder, as the tables print
 
     def test_a_failed_trial_is_one_more_not_completed_row(self):
-        from repro.experiments.pool import TIMED_OUT, TrialOutcome
-        from repro.spec import RunSpec
-        from repro.store import failed_record
-
-        failed = failed_record(
-            RunSpec(algorithm="trivial", n=8),
-            TrialOutcome(0, TIMED_OUT, error="timed out", attempts=2))
+        # A trial that hit its step limit: counted in the rate, and its
+        # partial figures stay out of the summaries.
+        failed = self.record(False, 999, 99999)
         rate, time, messages = summarize_completed(
             [self.record(True, 10, 100), failed, self.record(True, 30, 200)])
         assert rate == pytest.approx(2 / 3)

@@ -1,11 +1,18 @@
-"""TrialPool: ordering, parallel/sequential equivalence, fault tolerance."""
+"""TrialPool: ordering, parallel/sequential equivalence, and a dead
+worker raising instead of hanging."""
 
+import json
 import os
-import time
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.experiments.pool import TrialPool
+
+from ..conftest import ROOT
 
 
 # Jobs ship to worker processes, so they are module-level functions.
@@ -14,42 +21,11 @@ def _square(x):
     return x * x
 
 
-def raise_if_job(arg):
-    """``(value, should_raise)`` — raise deterministically on demand."""
-    value, should_raise = arg
-    if should_raise:
-        raise RuntimeError(f"injected failure for {value!r}")
-    return value
-
-
-def hang_if_job(arg):
-    """``(value, should_hang)`` — sleep far past any sane trial timeout."""
-    value, should_hang = arg
-    if should_hang:
-        time.sleep(3600)
-    return value
-
-
 def kill_worker_if_job(arg):
     """``(value, should_die)`` — kill the worker process outright."""
     value, should_die = arg
     if should_die:
         os._exit(17)
-    return value
-
-
-def flaky_until_marker_job(arg):
-    """``(value, marker_path)`` — fail once per missing marker, then pass.
-
-    The first call creates ``marker_path`` and raises; every later call
-    (a retry, possibly in a different worker) sees the marker and
-    succeeds, so retries are observable across process boundaries.
-    """
-    value, marker_path = arg
-    if not os.path.exists(marker_path):
-        with open(marker_path, "w", encoding="utf-8") as handle:
-            handle.write("failed-once\n")
-        raise RuntimeError(f"flaky failure for {value!r} (first attempt)")
     return value
 
 
@@ -105,90 +81,78 @@ class TestParallel:
         assert pool._pool is None
 
 
-class TestMapOutcomes:
-    def test_all_ok_preserves_order_and_values(self):
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(_square, [3, 1, 2])
-        assert [o.value for o in outcomes] == [9, 1, 4]
-        assert all(o.ok and o.status == "ok" for o in outcomes)
-        assert [o.index for o in outcomes] == [0, 1, 2]
+class TestDeadWorker:
+    """A worker that dies mid-batch makes ``map`` raise, never hang.
 
-    def test_empty_jobs(self):
-        assert TrialPool(2).map_outcomes(_square, []) == []
+    Each case runs in a child interpreter under a ``timeout``: were the
+    lost job awaited forever, the child would hang, and the bound turns
+    that into a failure instead of a stuck suite."""
 
-    def test_raising_job_is_failed_others_ok(self):
-        jobs = [(0, False), (1, True), (2, False)]
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(raise_if_job, jobs)
-        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
-        assert outcomes[1].value is None
-        assert "injected failure" in outcomes[1].error
-        assert outcomes[1].attempts == 1
+    def _child(self, code):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), ROOT])}
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], cwd=ROOT,
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
 
-    def test_hung_job_times_out_and_batch_completes(self):
-        jobs = [(0, False), (1, True), (2, False), (3, False)]
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(hang_if_job, jobs,
-                                         timeout=1.0)
-        assert [o.status for o in outcomes] == [
-            "ok", "timed-out", "ok", "ok",
-        ]
-        assert [o.value for o in outcomes] == [0, None, 2, 3]
-        assert "timeout" in outcomes[1].error
+    def test_map_raises_naming_the_dead_worker(self):
+        result = self._child("""
+            import json, time
+            from repro.experiments.pool import TrialPool
+            from repro.sim.errors import SimulationError
+            from tests.analysis.test_trial_pool import kill_worker_if_job
 
-    def test_lost_worker_resubmits_without_burning_a_retry(self):
-        # Two workers: inline mode would take pytest down with the job.
-        jobs = [(i, i == 2) for i in range(6)]
-        with TrialPool(processes=2) as pool:
-            outcomes = pool.map_outcomes(kill_worker_if_job, jobs,
-                                         timeout=30)
-        assert [o.status for o in outcomes] == [
-            "ok", "ok", "failed", "ok", "ok", "ok",
-        ]
-        assert "worker process died 3 times" in outcomes[2].error
-        assert [o.value for o in outcomes] == [0, 1, None, 3, 4, 5]
-        # Jobs lost with their worker were resubmitted, not retried.
-        assert [o.attempts for o in outcomes] == [1] * 6
+            jobs = [(i, i == 5) for i in range(12)]
+            with TrialPool(2) as pool:
+                start = time.monotonic()
+                try:
+                    pool.map(kill_worker_if_job, jobs)
+                except SimulationError as exc:
+                    print(json.dumps({"error": str(exc),
+                                      "seconds": time.monotonic() - start,
+                                      "torn_down": pool._pool is None}))
+        """)
+        assert result["seconds"] < 10
+        assert "trial pool worker pid " in result["error"]
+        assert "(exit code 17) died" in result["error"]
+        assert result["torn_down"]
 
-    def test_retry_succeeds_after_transient_failure(self, tmp_path):
-        flaky_marker = str(tmp_path / "flaky-marker")
-        steady_marker = str(tmp_path / "steady-marker")
-        (tmp_path / "steady-marker").write_text("pre-existing\n")
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(
-                flaky_until_marker_job,
-                [(7, flaky_marker), (8, steady_marker)],
-                retries=2,
-            )
-        flaky, steady = outcomes
-        # The job that failed once was retried and succeeded; attempts
-        # shows both executions.
-        assert flaky.ok and flaky.value == 7 and flaky.attempts == 2
-        # The sibling whose marker pre-existed passed on its first try.
-        assert steady.ok and steady.value == 8 and steady.attempts == 1
+    def test_finished_chunks_are_stored_and_a_rerun_runs_the_rest(self):
+        result = self._child("""
+            import json
+            from repro.experiments import GracefulShutdown, run_jobs
+            from repro.experiments.campaign import DRAIN_CHUNK, job_key
+            from repro.sim.errors import SimulationError
+            from tests.analysis.test_trial_pool import kill_worker_if_job
 
-    def test_retry_exhaustion_in_parallel(self):
-        with TrialPool(2) as pool:
-            outcomes = pool.map_outcomes(raise_if_job, [(0, True)],
-                                         retries=1, backoff=0.0)
-        assert outcomes[0].status == "failed"
-        assert outcomes[0].attempts == 2
+            jobs = [(i, i == DRAIN_CHUNK + 2) for i in range(20)]
+            store = {}
 
-    def test_inline_retry_exhaustion(self):
-        outcomes = TrialPool(1).map_outcomes(
-            raise_if_job, [(0, True)], retries=2, backoff=0.0,
-        )
-        assert outcomes[0].status == "failed"
-        assert outcomes[0].attempts == 3
-        assert isinstance(outcomes[0].exception, RuntimeError)
+            def keep(index, value):
+                store[job_key(jobs[index])] = value
 
-    def test_inline_matches_map_semantics_when_clean(self):
-        inline = TrialPool(1).map_outcomes(_square, range(5))
-        assert [o.value for o in inline] == [x * x for x in range(5)]
+            try:
+                run_jobs(kill_worker_if_job, jobs, processes=2, store=store,
+                         sink=keep,
+                         shutdown=GracefulShutdown(verbose=False))
+            except SimulationError:
+                pass
+            stored = sorted(store.values())
+            rerun = []
 
-    def test_pool_reusable_after_failures(self):
-        with TrialPool(2) as pool:
-            bad = pool.map_outcomes(raise_if_job, [(0, True), (1, False)])
-            good = pool.map(_square, range(4))
-        assert bad[0].status == "failed" and bad[1].ok
-        assert good == [0, 1, 4, 9]
+            def tracked(job):
+                rerun.append(job[0])
+                return job[0]
+
+            values = run_jobs(tracked, jobs, store=store, sink=keep)
+            print(json.dumps({"chunk": DRAIN_CHUNK, "stored": stored,
+                              "rerun": rerun, "values": values}))
+        """)
+        chunk = result["chunk"]
+        # The first chunk finished before the death; the dying chunk
+        # stored nothing and the third never started.
+        assert result["stored"] == list(range(chunk))
+        assert result["rerun"] == list(range(chunk, 20))
+        assert result["values"] == [None] * chunk + list(range(chunk, 20))

@@ -1,0 +1,44 @@
+"""Execution probe hook: record every ``src/repro`` function a process
+enters.
+
+Put this directory first on ``PYTHONPATH`` and name an output file in
+``REPRO_PROBE_OUT``; every Python process started with that environment
+(the command itself, its pool workers, the fleet's worker
+subprocesses) then appends one ``<path>:<first line>`` line to the file
+the first time it enters each function defined under the package
+directory.  Lines are written unbuffered with ``O_APPEND``, so a worker
+that exits through ``os._exit`` or is SIGKILLed keeps what it recorded,
+and concurrent writers never interleave within a line.  A forked child
+inherits the hook and its parent's record of what was already written.
+
+Without ``REPRO_PROBE_OUT`` this module does nothing.  See
+``execution_probe.py`` beside it for the roots and the report.
+"""
+
+import os
+import sys
+import threading
+
+
+def _install(out: str) -> None:
+    fd = os.open(out, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    seen = set()
+    marker = os.sep + "repro" + os.sep
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in seen:
+            return
+        seen.add(code)
+        if marker in code.co_filename:
+            os.write(fd, f"{code.co_filename}:{code.co_firstlineno}\n"
+                     .encode())
+
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+
+
+if os.environ.get("REPRO_PROBE_OUT"):
+    _install(os.environ["REPRO_PROBE_OUT"])

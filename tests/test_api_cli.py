@@ -240,6 +240,9 @@ class TestCli:
         *((command, flag) for command in ("theorem1", "corollary2")
           for flag in ("-d", "--delta", "--seed", "--crashes", "--engine")),
         ("inspect", "--seeds"), ("inspect", "--engine"),
+        # Retries and timeouts are the fleet's (repro fleet run).
+        *((command, flag) for command in ("grid", "sweep")
+          for flag in ("--retries", "--trial-timeout")),
     ])
     def test_flag_the_subcommand_never_reads_is_refused(
             self, capsys, command, flag):
@@ -267,16 +270,15 @@ class TestCli:
     @pytest.mark.parametrize("argv, needle", [
         (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
           "--seeds", "1", "--processes", "0"], "processes must be >= 1"),
-        (["sweep", "--algorithm", "trivial", "--min-n", "8", "--max-n", "8",
-          "--seeds", "1", "--retries", "-3"], "retries must be >= 0"),
-        (["grid", "--algorithms", "trivial", "--ns", "8", "--seeds", "1",
-          "--trial-timeout", "-1", "--processes", "2"],
-         "trial_timeout must be > 0"),
         (["chaos", "--trials", "0"], "--trials must be >= 1"),
         (["fleet", "run", "--dir", "{tmp}/fleet", "--workers", "0"],
          "need at least 1 worker"),
-    ], ids=["processes", "retries", "trial-timeout", "chaos-trials",
-            "fleet-workers"])
+        (["sweep", "--factor", "1"], "factor must be >= 2, got 1"),
+        (["sweep", "--factor", "0"], "factor must be >= 2, got 0"),
+        (["sweep", "--min-n", "0"], "start at n >= 1, got 0"),
+        (["scaling", "--min-n", "0"], "start at n >= 1, got 0"),
+    ], ids=["processes", "chaos-trials", "fleet-workers", "sweep-factor-1",
+            "sweep-factor-0", "sweep-min-n-0", "scaling-min-n-0"])
     def test_invalid_campaign_number_is_one_error_line(
             self, capsys, tmp_path, argv, needle):
         argv = [arg.format(tmp=tmp_path) for arg in argv]

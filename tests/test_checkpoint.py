@@ -44,11 +44,6 @@ def _keeper(jobs, store):
     return keep
 
 
-def _values(jobs, fn, **kwargs):
-    """``run_jobs`` reduced to its values (None for a failed job)."""
-    return [outcome.value for outcome in run_jobs(fn, jobs, **kwargs)]
-
-
 class TestGracefulShutdown:
     def test_first_signal_sets_flag_second_hard_stops(self):
         with GracefulShutdown(signals=(signal.SIGTERM,),
@@ -95,17 +90,17 @@ class TestCheckpointedJobs:
     def test_results_match_plain_map_and_resume_skips(self):
         jobs = [(value,) for value in range(5)]
         store = {}
-        results = _values(jobs, _square, store=store,
-                          sink=_keeper(jobs, store))
+        results = run_jobs(_square, jobs, store=store,
+                           sink=_keeper(jobs, store))
         assert results == [0, 1, 4, 9, 16]
         assert [store[job_key(job)] for job in jobs] == results
 
-        # Resume re-executes nothing: a poisoned job_fn proves it.
+        # Resume re-executes nothing: a poisoned job_fn proves it, and
+        # every job is a store hit (its value is read from the store).
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        outcomes = run_jobs(boom, jobs, store=store)
-        assert all(o.ok and o.attempts == 0 for o in outcomes)
+        assert run_jobs(boom, jobs, store=store) == [None] * len(jobs)
 
     def test_fresh_and_resumed_results_share_shape(self, tmp_path):
         """Regression: fresh results once came back raw while resumed
@@ -130,30 +125,34 @@ class TestCheckpointedJobs:
         assert fresh == resumed
 
     def test_failed_jobs_stay_missing_and_retry(self):
-        jobs = [(2,), (-1,), (3,)]
+        """Fail-fast: a failing job aborts the run and its chunk stores
+        nothing, the chunks before it stay stored, and the retry run
+        executes only what is missing."""
+        jobs = [(value,) for value in range(DRAIN_CHUNK)] + [(-1,), (100,)]
         store = {}
-        results = _values(jobs, _maybe_square, store=store,
-                          sink=_keeper(jobs, store), trial_timeout=30)
-        assert results == [4, None, 9]
+        with pytest.raises(ValueError, match="negative"):
+            run_jobs(_maybe_square, jobs, store=store,
+                     sink=_keeper(jobs, store),
+                     shutdown=GracefulShutdown(verbose=False))
+        assert len(store) == DRAIN_CHUNK
         assert job_key((-1,)) not in store  # failures are never stored
 
-        # The retry run executes only the failed job.
         executed = []
 
         def tracked(args):
             executed.append(args)
             return _square(args)
 
-        _values(jobs, tracked, store=store, sink=_keeper(jobs, store),
-                trial_timeout=30)
-        assert executed == [(-1,)]  # only the failed job re-ran
-        assert [store[job_key(job)] for job in jobs] == [4, 1, 9]
+        run_jobs(tracked, jobs, store=store, sink=_keeper(jobs, store))
+        assert executed == [(-1,), (100,)]  # only the missing jobs ran
+        assert [store[job_key(job)] for job in jobs] == [
+            value * value for value in range(DRAIN_CHUNK)] + [1, 10000]
 
     def test_preset_shutdown_drains_before_work(self):
         shutdown = GracefulShutdown(verbose=False)
         shutdown.requested = True
         with pytest.raises(CampaignDrained) as excinfo:
-            _values([(1,)], _square, store={}, shutdown=shutdown)
+            run_jobs(_square, [(1,)], store={}, shutdown=shutdown)
         assert (excinfo.value.completed, excinfo.value.remaining) == (0, 1)
 
     def test_drain_mid_campaign_then_resume(self):
@@ -169,13 +168,13 @@ class TestCheckpointedJobs:
             return _square(args)
 
         with pytest.raises(CampaignDrained) as excinfo:
-            _values(jobs, stop_after_two, store=store,
-                    sink=_keeper(jobs, store), shutdown=shutdown)
+            run_jobs(stop_after_two, jobs, store=store,
+                     sink=_keeper(jobs, store), shutdown=shutdown)
         # The chunk in flight finishes; the next one never starts.
         assert excinfo.value.completed == len(store) == DRAIN_CHUNK
         assert excinfo.value.remaining == 20 - DRAIN_CHUNK
 
-        _values(jobs, _square, store=store, sink=_keeper(jobs, store))
+        run_jobs(_square, jobs, store=store, sink=_keeper(jobs, store))
         assert [store[job_key(job)] for job in jobs] == [
             value * value for value in range(20)]
 

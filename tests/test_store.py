@@ -331,38 +331,6 @@ def test_batch_dedupes_within_batch_without_store(monkeypatch):
     assert [r["spec"]["seed"] for r in records] == [0, 1, 0]
 
 
-def test_batch_partial_results_and_resume(fresh_store, monkeypatch):
-    good = [SPEC.replace(seed=seed) for seed in (0, 1)]
-    bad = SPEC.replace(algorithm="nonexistent")
-    specs = [good[0], bad, good[1]]
-
-    records = execute_batch(specs, store=fresh_store(), trial_timeout=30)
-    assert records[0]["metrics"]["completed"]
-    assert records[2]["metrics"]["completed"]
-    failed = records[1]
-    assert failed["failed"] is True
-    assert failed["spec_hash"] == bad.spec_hash
-    assert failed["metrics"]["completed"] is False
-    assert failed["metrics"]["error"]
-
-    # Only the good specs were stored; a re-run retries exactly the
-    # failed spec and nothing else.
-    store = fresh_store()
-    assert good[0].spec_hash in store and good[1].spec_hash in store
-    assert bad.spec_hash not in store
-
-    executed = []
-    real_job = batch_module._spec_job
-
-    def spy(spec_dict):
-        executed.append(spec_dict["algorithm"])
-        return real_job(spec_dict)
-
-    monkeypatch.setattr(batch_module, "_spec_job", spy)
-    execute_batch(specs, store=fresh_store(), trial_timeout=30)
-    assert executed == ["nonexistent"]
-
-
 # -- backend-independent pieces (no store parametrization needed) --------- #
 
 def test_missing_schema_stamp_refused(tmp_path):
@@ -377,14 +345,6 @@ def test_batch_without_store_returns_records_in_order():
     records = execute_batch(specs)
     assert [r["spec_hash"] for r in records] == [s.spec_hash for s in specs]
     assert all(r["metrics"]["completed"] for r in records)
-
-
-def test_batch_partial_results_without_store():
-    bad = SPEC.replace(algorithm="nonexistent")
-    records = execute_batch([SPEC, bad], retries=1)
-    assert records[0]["metrics"]["completed"]
-    assert records[1]["failed"] is True
-    assert records[1]["metrics"]["attempts"] == 2
 
 
 def test_metrics_round_trip_through_json(tmp_path):

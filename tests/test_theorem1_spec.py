@@ -112,12 +112,3 @@ def test_the_adversary_forces_each_strategy_into_its_case():
     assert all(row.bound_satisfied for row in rows)
 
 
-def test_rows_drop_failed_records_and_empty_algorithms():
-    records = execute_batch(theorem1_specs(
-        algorithms=["trivial", "ears"], **{**SMALL, "seeds": [0, 1]}))
-    failed = [dict(record, failed=True, metrics={}) for record in records]
-    rows = theorem1_rows(records[:1] + failed[1:3] + records[3:])
-    assert [(row.algorithm, sum(row.cases.values())) for row in rows] == [
-        ("trivial", 1), ("ears", 1)]
-    assert theorem1_rows(failed[:2] + records[2:]) == theorem1_rows(
-        records)[1:]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.message import expand
 from repro.sim.process import Context
-from repro.sim.errors import AlgorithmError
+from repro.sim.errors import AlgorithmError, ConfigurationError
 from repro.sim.rng import derive_rng
 from repro.workloads.sweeps import (
     geometric_ns,
@@ -24,6 +24,15 @@ class TestGeometricNs:
 
     def test_stop_excluded_if_overshoot(self):
         assert geometric_ns(16, 100) == [16, 32, 64]
+
+    @pytest.mark.parametrize("start, factor, needle", [
+        (0, 2, "got 0"), (-3, 2, "got -3"), (16, 1, "got 1"),
+        (16, 0, "got 0"), (16, -2, "got -2"),
+    ])
+    def test_a_sweep_that_never_grows_past_stop_is_refused(
+            self, start, factor, needle):
+        with pytest.raises(ConfigurationError, match=needle):
+            geometric_ns(start, 128, factor)
 
 
 class TestFailureFractions:
