@@ -26,11 +26,6 @@ def iter_bits(mask: int):
         index += 1
 
 
-def full_mask(n: int) -> int:
-    """Mask with bits ``0..n-1`` set."""
-    return (1 << n) - 1
-
-
 def ceil_log2(n: int) -> int:
     """Smallest k with 2**k >= n (and 1 for n <= 2, convenient for bounds)."""
     if n <= 2:

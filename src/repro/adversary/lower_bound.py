@@ -72,13 +72,6 @@ class LowerBoundReport:
     crashes_used: int = 0
     details: dict = field(default_factory=dict)
 
-    @property
-    def forced_cost(self) -> str:
-        """Which resource the adversary inflated: ``time`` or ``messages``."""
-        if self.case in ("slow-quiesce", "non-quiescent", "isolation"):
-            return "time"
-        return "messages"
-
 
 class LowerBoundExperiment:
     """Drives one full Theorem 1 execution against a gossip algorithm."""

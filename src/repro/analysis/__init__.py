@@ -8,7 +8,6 @@ from .timeline import TimelineRecorder, crash_summary, render_timeline
 from .fitting import (
     PowerLawFit,
     SkippedFit,
-    doubling_ratio,
     fit_power_law,
     fit_power_law_with_log,
     safe_fit_power_law,
@@ -26,7 +25,6 @@ __all__ = [
     "coa_report",
     "crash_summary",
     "render_timeline",
-    "doubling_ratio",
     "fit_power_law",
     "fit_power_law_with_log",
     "format_cell",

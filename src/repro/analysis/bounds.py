@@ -62,28 +62,6 @@ def ck_messages(n: int) -> float:
     return n * ln(n) ** 2
 
 
-# -- Theorem 1 / Corollary 2 --------------------------------------------- #
-
-def lower_bound_messages(n: int, f: int) -> float:
-    """Theorem 1 alternative (1): Ω(n + f²)."""
-    return float(n + f * f)
-
-
-def lower_bound_time(f: int, d: int, delta: int) -> float:
-    """Theorem 1 alternative (2): Ω(f · (d + δ))."""
-    return float(f * (d + delta))
-
-
-def coa_time(f: int) -> float:
-    """Corollary 2: time cost-of-asynchrony Ω(f)."""
-    return float(f)
-
-
-def coa_messages(n: int, f: int) -> float:
-    """Corollary 2: message cost-of-asynchrony Ω(1 + f²/n)."""
-    return 1.0 + f * f / n
-
-
 # -- Table 2: consensus --------------------------------------------------- #
 
 def cr_time(d: int, delta: int) -> float:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import coa_messages, coa_time
-
 
 @dataclass(frozen=True)
 class CoaReport:
@@ -43,27 +41,6 @@ class CoaReport:
     @property
     def message_ratio(self) -> float:
         return self.asynch_messages / max(1.0, self.synch_messages)
-
-    @property
-    def predicted_time_floor(self) -> float:
-        """Corollary 2: if the message ratio stays O(1+f²/n)-bounded, the
-        time ratio must be Ω(f)."""
-        return coa_time(self.f)
-
-    @property
-    def predicted_message_floor(self) -> float:
-        return coa_messages(self.n, self.f)
-
-    def satisfies_corollary(self, slack: float = 1.0) -> bool:
-        """True if at least one ratio reaches its floor (÷ slack).
-
-        The corollary is a disjunction: an algorithm may be fast *or*
-        frugal, but not both; one ratio must be large.
-        """
-        return (
-            self.time_ratio * slack >= self.predicted_time_floor
-            or self.message_ratio * slack >= self.predicted_message_floor
-        )
 
 
 def coa_report(

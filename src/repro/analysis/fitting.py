@@ -141,7 +141,3 @@ def safe_fit_power_law(
         return fit_power_law_with_log(fxs, fys, log_power)
     return fit_power_law(fxs, fys)
 
-
-def doubling_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Average factor y grows per doubling of x (2^exponent estimate)."""
-    return 2 ** fit_power_law(xs, ys).exponent

@@ -23,9 +23,6 @@ class Summary:
     maximum: float
     ci95: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetics
-        return f"{self.mean:.1f} ± {self.ci95:.1f} (n={self.count})"
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Summarize a sample; stdev/ci are 0 for singleton samples."""

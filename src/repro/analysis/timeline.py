@@ -129,8 +129,3 @@ class TimelineRecorder(TraceObserver):
     def crash_lines(self) -> List[str]:
         """One line per recorded crash, in time order."""
         return crash_summary(self.trace)
-
-    def clone(self) -> "TimelineRecorder":
-        dup = TimelineRecorder(self.trace.clone())
-        dup.n = self.n
-        return dup

@@ -357,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated fault names in any mix: "
                         "simulation or store faults (model), fleet-* "
                         "(fleet); a matrix given none of its own runs "
-                        "its controls only (default: all registered "
-                        "except message-loss)")
+                        "its controls only (default: all registered)")
     p.add_argument("-n", type=int, default=24,
                    help="gossip population for campaign cells")
     p.add_argument("--consensus-n", type=int, default=9,
@@ -930,9 +929,9 @@ def _run(args) -> int:
 
             close = difflib.get_close_matches(args.matrix, matrices, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            print(f"unknown matrix {args.matrix!r}; choose from "
-                  f"{', '.join(matrices)}{hint}", file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"unknown matrix {args.matrix!r}; choose from "
+                f"{', '.join(matrices)}{hint}")
         names = None
         if args.faults:
             names = [name.strip() for name in args.faults.split(",")
@@ -942,9 +941,9 @@ def _run(args) -> int:
             unknown = [name for name in names
                        if not any(name in known for known in registries)]
             if unknown:
-                print(f"unknown fault(s): {', '.join(unknown)}; registered: "
-                      f"{' + '.join(map(str, registries))}", file=sys.stderr)
-                return 2
+                raise ConfigurationError(
+                    f"unknown fault(s): {', '.join(unknown)}; registered: "
+                    f"{' + '.join(map(str, registries))}")
 
         def pick(registry):
             if names is None:

@@ -8,7 +8,7 @@ the Table 2 protocols: CR (all-to-all), CR-ears, CR-sears and CR-tears.
 
 from .ben_or import BenOrConsensus
 from .canetti_rabin import CanettiRabinConsensus
-from .coin import all_agree_probability_lower_bound, combine, flip
+from .coin import combine, flip
 from .multivalued import MultivaluedConsensus, run_multivalued_consensus
 from .properties import (
     agreement_holds,
@@ -26,7 +26,6 @@ from .values import (
     VOTING_ESTIMATE,
     VOTING_PREFERENCE,
     first_instance,
-    next_instance,
 )
 
 __all__ = [
@@ -42,13 +41,11 @@ __all__ = [
     "VOTING_ESTIMATE",
     "VOTING_PREFERENCE",
     "agreement_holds",
-    "all_agree_probability_lower_bound",
     "collect_decisions",
     "combine",
     "default_values",
     "first_instance",
     "flip",
-    "next_instance",
     "run_consensus",
     "termination_holds",
     "validity_holds",

@@ -285,12 +285,3 @@ class CanettiRabinConsensus(Algorithm):
     def is_quiescent(self) -> bool:
         # Decided processes only ever react; undecided ones keep probing.
         return self.decided is not None
-
-    def summary(self) -> dict:
-        return {
-            "pid": self.pid,
-            "instance": self.instance,
-            "estimate": self.estimate,
-            "decided": self.decided,
-            "round": self.instance[0],
-        }

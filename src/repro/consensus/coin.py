@@ -31,7 +31,3 @@ def combine(votes: Dict[int, int]) -> int:
     """The coin output given the get-core view of everyone's flips."""
     return 0 if any(value == 0 for value in votes.values()) else 1
 
-
-def all_agree_probability_lower_bound() -> float:
-    """The analytical constant used in tests: Pr[all outputs equal] ≥ 1/4."""
-    return 0.25

@@ -178,14 +178,6 @@ class MultivaluedConsensus(Algorithm):
     def is_quiescent(self) -> bool:
         return self.decided is not None
 
-    def summary(self) -> dict:
-        return {
-            "pid": self.pid,
-            "mv_round": self.mv_round,
-            "proposals_known": len(self.proposals),
-            "decided": self.decided,
-        }
-
 
 def run_multivalued_consensus(
     gossip: str = "ears",

@@ -22,15 +22,6 @@ def first_instance() -> InstanceTag:
     return (1, VOTING_ESTIMATE, 0)
 
 
-def next_instance(tag: InstanceTag) -> InstanceTag:
-    """Successor in the fixed (round, voting, stage) order."""
-    rnd, voting, stage = tag
-    if stage < 2:
-        return (rnd, voting, stage + 1)
-    if voting < VOTING_COIN:
-        return (rnd, voting + 1, 0)
-    return (rnd + 1, VOTING_ESTIMATE, 0)
-
 
 @dataclass
 class Envelope:

@@ -71,8 +71,3 @@ class AdaptiveFanoutGossip(GossipAlgorithm):
 
     def is_quiescent(self) -> bool:
         return self.quiet_steps >= self.quiet_threshold
-
-    def summary(self) -> dict:
-        data = super().summary()
-        data.update(fanout=self.fanout, quiet_steps=self.quiet_steps)
-        return data

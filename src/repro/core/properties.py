@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .._util import full_mask, popcount
+from .._util import popcount
 from .rumors import mask_of
 
 
@@ -51,7 +51,7 @@ def validity_holds(sim, initial_payloads: Optional[dict] = None) -> bool:
     the run attached payloads, additionally check that every stored payload
     equals the originator's initial payload (no corruption en route).
     """
-    bound = full_mask(sim.n)
+    bound = (1 << sim.n) - 1
     for pid in range(sim.n):
         algorithm = sim.algorithm(pid)
         if algorithm.rumor_mask & ~bound:

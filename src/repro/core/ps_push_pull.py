@@ -75,8 +75,3 @@ class PanagiotouSpeidelPushPull(GossipAlgorithm):
             # Push half: one uniformly random neighbor per clock ring.
             ctx.send(ctx.random_peer(), self.rumors.snapshot(),
                      kind=KIND_EXCHANGE)
-
-    def is_quiescent(self) -> bool:
-        # The PS protocol has no stopping rule; completion is gathering
-        # only (the builder attaches the gathering-only monitor).
-        return False

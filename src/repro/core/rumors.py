@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
-from .._util import full_mask, iter_bits, popcount
+from .._util import iter_bits, popcount
 
 
 def mask_of(pids: Iterable[int]) -> int:
@@ -114,10 +114,7 @@ class RumorSet:
 
     def missing_from(self, n: int) -> int:
         """Mask of rumors *not* held, out of the full population of n."""
-        return full_mask(n) & ~self.mask
+        return ((1 << n) - 1) & ~self.mask
 
     def value_of(self, pid: int, default: Any = None) -> Any:
         return self.payloads.get(pid, default)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RumorSet({sorted(iter_bits(self.mask))})"

@@ -173,11 +173,3 @@ class Tears(GossipAlgorithm):
             second_level_batches=self.second_level_batches,
         )
         return data
-
-    @staticmethod
-    def expected_first_level_fanout(n: int,
-                                    params: Optional[TearsParams] = None
-                                    ) -> float:
-        """E[|Π1|] = (n−1)·a/n ≈ a; used by tests against Lemma 8's range."""
-        p = (params or DEFAULT_TEARS).membership_probability(n)
-        return (n - 1) * p

@@ -41,7 +41,6 @@ from .injectors import (
     ForgedMessageFault,
     ForgedMessageLiveFault,
     MessageDuplicationFault,
-    MessageLossFault,
     RumorLossFault,
     ScheduleStallFault,
     SilentStallFault,
@@ -80,7 +79,6 @@ __all__ = [
     "HeartbeatStallFault",
     "LeaseTamperFault",
     "MessageDuplicationFault",
-    "MessageLossFault",
     "RumorLossFault",
     "STORE_FAULTS",
     "ScheduleStallFault",

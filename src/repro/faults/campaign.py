@@ -371,9 +371,7 @@ def run_campaign(
     """Run the chaos matrix: every fault × every applicable algorithm ×
     ``trials`` seeds, plus clean control runs of every canonical cell.
 
-    ``faults`` defaults to every registered fault except the explicitly
-    out-of-model :class:`~repro.faults.injectors.MessageLossFault`
-    toggle (whose impact is algorithm-dependent by design).
+    ``faults`` defaults to every registered fault.
 
     ``store_faults`` selects the artifact-store corruption injectors
     (:mod:`repro.faults.store_faults`); each runs ``trials`` times
@@ -386,7 +384,7 @@ def run_campaign(
     if store_faults is None:
         store_faults = sorted(STORE_FAULTS) if faults is None else ()
     if faults is None:
-        faults = sorted(name for name in FAULTS if name != "message-loss")
+        faults = sorted(FAULTS)
     sizes = {"gossip": n, "consensus": consensus_n}
 
     cells = []

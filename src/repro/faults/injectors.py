@@ -42,7 +42,6 @@ __all__ = [
     "ForgedMessageFault",
     "ForgedMessageLiveFault",
     "MessageDuplicationFault",
-    "MessageLossFault",
     "RumorLossFault",
     "ScheduleStallFault",
     "SilentStallFault",
@@ -110,11 +109,6 @@ class FaultInjector(Observer):
         if not pids:
             return None
         return pids[self.rng.randrange(len(pids))]
-
-    def clone(self) -> "FaultInjector":  # pragma: no cover - forks unused
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support simulation forking"
-        )
 
 
 # -- state tamperers -------------------------------------------------------- #
@@ -445,43 +439,6 @@ class MessageDuplicationFault(FaultInjector):
         self.fired_at = t
 
 
-class MessageLossFault(FaultInjector):
-    """Silently drop one just-sent message (out-of-model).
-
-    The paper's channels are reliable, so this breaks an assumption no
-    invariant owns; it exists as a toggle for exploring algorithm
-    sensitivity to loss and is not part of the default campaign matrix
-    (whether a single loss delays or prevents completion is
-    algorithm-dependent).
-    """
-
-    name = "message-loss"
-    kind = "gossip"
-    expects = ()
-
-    def __init__(self, trigger_step: int = 2) -> None:
-        super().__init__(trigger_step)
-        self._target: Optional[Tuple[int, int]] = None
-
-    def on_send(self, t: int, msg) -> None:
-        # The send event fires before the engine enqueues the message, so
-        # only mark the target here and remove it at step end, once it is
-        # guaranteed to sit in the receiver's queue (delay >= 1 means it
-        # cannot be delivered within the sending step).
-        if self.fired or self._target is not None or t < self.trigger_step:
-            return
-        if msg.dst in self.sim.alive_pids:
-            self._target = (msg.dst, msg.uid)
-
-    def on_step_end(self, t: int) -> None:
-        if self.fired or self._target is None:
-            return
-        if self.sim.network.remove(*self._target):
-            self.fired_at = t
-        else:
-            self._target = None  # message never enqueued; try the next send
-
-
 # -- registry ----------------------------------------------------------------#
 
 FAULTS = Registry("fault", {cls.name: cls for cls in (
@@ -495,5 +452,4 @@ FAULTS = Registry("fault", {cls.name: cls for cls in (
     SilentStallFault,
     StepBudgetFault,
     MessageDuplicationFault,
-    MessageLossFault,
 )})

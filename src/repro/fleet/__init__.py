@@ -11,7 +11,7 @@ safety/liveness argument.
 
 from .driver import (FleetTimeout, LiveFleet, run_fleet, spawn_worker,
                      start_fleet)
-from .heartbeat import alive_workers, beat, read_workers
+from .heartbeat import beat, read_workers
 from .layout import FLEET_SCHEMA_VERSION, FleetCampaign, FleetConfig
 from .leases import (Lease, claim, read_all_leases, read_lease,
                      reap_expired, refresh, release)
@@ -26,7 +26,6 @@ __all__ = [
     "FleetWorker",
     "Lease",
     "LiveFleet",
-    "alive_workers",
     "beat",
     "claim",
     "read_all_leases",

@@ -17,7 +17,11 @@ from typing import Any, Dict, List, Optional
 
 from ..store.base import atomic_replace_json
 
-__all__ = ["alive_workers", "beat", "read_workers"]
+__all__ = ["EXITED", "beat", "read_workers"]
+
+#: The states a worker beats as it leaves its loop: its record stays fresh
+#: for a while, but the worker is gone.
+EXITED = frozenset({"done", "timeout", "budget-exhausted"})
 
 
 def beat(workers_dir: str, worker_id: str, state: str,
@@ -51,10 +55,3 @@ def read_workers(workers_dir: str) -> List[Dict[str, Any]]:
             continue
     return out
 
-
-def alive_workers(workers_dir: str, stale_after: float,
-                  now: Optional[float] = None) -> List[Dict[str, Any]]:
-    """Workers whose heartbeat is fresher than ``stale_after`` seconds."""
-    now = time.time() if now is None else now
-    return [worker for worker in read_workers(workers_dir)
-            if now - float(worker.get("updated_at", 0)) <= stale_after]

@@ -381,7 +381,7 @@ class FleetCampaign:
         ]
 
     def status(self, store: Optional[Store] = None) -> Dict[str, Any]:
-        from .heartbeat import read_workers
+        from .heartbeat import EXITED, read_workers
         from .leases import read_all_leases
 
         store = store if store is not None else self.open_store()
@@ -404,6 +404,7 @@ class FleetCampaign:
             "workers": len(workers),
             "live_workers": sum(
                 1 for worker in workers
-                if now - worker.get("updated_at", 0) <= stale_after),
+                if worker.get("state") not in EXITED
+                and now - worker.get("updated_at", 0) <= stale_after),
             "complete": not missing,
         }

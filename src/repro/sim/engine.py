@@ -195,10 +195,6 @@ class Simulation:
             self._alive_frozen = frozenset(self._alive)
         return self._alive_frozen
 
-    @property
-    def completed(self) -> bool:
-        return self._completed
-
     def algorithm(self, pid: int) -> Algorithm:
         return self.processes[pid].algorithm
 
@@ -235,16 +231,6 @@ class Simulation:
             handler = getattr(observer, EVENT_METHODS[kind])
             getattr(self, "_obs_" + kind).append(handler)
         return observer
-
-    def remove_observer(self, observer: Observer) -> None:
-        """Unsubscribe ``observer`` and rebuild the handler lists."""
-        remaining = [obs for obs in self._observers if obs is not observer]
-        self._reset_observers()
-        for obs in remaining:
-            self._observers.append(obs)
-            for kind in overridden_events(obs):
-                handler = getattr(obs, EVENT_METHODS[kind])
-                getattr(self, "_obs_" + kind).append(handler)
 
     def _emit_complete(self, t: int) -> None:
         if self._obs_complete:
@@ -523,12 +509,14 @@ class Simulation:
         """An independent copy of the entire execution state.
 
         Forks share nothing mutable with the original: process state, RNG
-        streams, network queues, metrics, observers and the adversary are
-        all copied via their component ``clone`` methods (in-flight
-        :class:`Message` objects are shared — they are frozen once
-        enqueued). This is the primitive the Theorem 1 adversary uses to
-        estimate expectations over an algorithm's coin flips, so it must be
-        O(live state), not O(object graph).
+        streams, network queues, metrics and the adversary are all copied
+        via their component ``clone`` methods (in-flight :class:`Message`
+        objects are shared — they are frozen once enqueued). This is the
+        primitive the Theorem 1 adversary uses to estimate expectations
+        over an algorithm's coin flips, so it must be O(live state), not
+        O(object graph). That adversary forks a run with no observers, and
+        a simulation that has any is refused with a
+        :class:`~repro.sim.errors.ConfigurationError` naming them.
         """
         clone = Simulation.__new__(Simulation)
         self._copy_into(clone)
@@ -558,6 +546,10 @@ class Simulation:
 
     def _copy_into(self, target: "Simulation") -> None:
         """Clone every component of this simulation into ``target``."""
+        if self._observers:
+            raise ConfigurationError(
+                "cannot fork a simulation with observers: "
+                + ", ".join(type(obs).__name__ for obs in self._observers))
         target.n = self.n
         target.f = self.f
         target.seed = self.seed
@@ -579,9 +571,6 @@ class Simulation:
         target._completed = self._completed
 
         target._reset_observers()
-        for observer in self._observers:
-            target.add_observer(observer.clone())
-
         target.adversary = self.adversary.clone_into(target)
 
     def _result(self, completed: bool, reason: str) -> RunResult:

@@ -47,11 +47,8 @@ class Observer:
     so an observer that only implements ``on_send`` adds zero overhead to
     scheduling, delivery and crash handling.
 
-    Observers attached to a simulation are carried across
-    :meth:`~repro.sim.engine.Simulation.fork`: each is cloned via
-    :meth:`clone` (default: ``copy.deepcopy``) and re-attached to the
-    fork, so forked executions keep their instrumentation without sharing
-    mutable state with the original.
+    A simulation with observers cannot be forked:
+    :meth:`~repro.sim.engine.Simulation.fork` refuses it and names them.
     """
 
     def on_attach(self, engine) -> None:
@@ -86,12 +83,6 @@ class Observer:
 
     def on_complete(self, t: int) -> None:
         """The engine's completion condition first held at time ``t``."""
-
-    def clone(self) -> "Observer":
-        """Independent copy for simulation forking (default: deepcopy)."""
-        import copy
-
-        return copy.deepcopy(self)
 
 
 def overridden_events(observer: Observer) -> List[str]:
@@ -133,15 +124,12 @@ class TraceObserver(Observer):
     def on_complete(self, t: int) -> None:
         self.trace.record(t, "complete")
 
-    def clone(self) -> "TraceObserver":
-        return TraceObserver(self.trace.clone())
-
 
 class BitMeterObserver(Observer):
     """Accumulates estimated wire bits into ``engine.metrics.bits_sent``.
 
     The meter itself is stateless; the accumulator lives in the engine's
-    metrics, so results survive engine forks with the metrics clone.
+    metrics.
     """
 
     def __init__(self, meter: Callable[[Any], int]) -> None:
@@ -153,10 +141,6 @@ class BitMeterObserver(Observer):
 
     def on_send(self, t: int, msg) -> None:
         self._metrics.bits_sent += self.meter(msg.payload)
-
-    def clone(self) -> "BitMeterObserver":
-        # The meter is stateless and shareable; on_attach rebinds metrics.
-        return BitMeterObserver(self.meter)
 
 
 class StepProfiler(Observer):

@@ -88,10 +88,7 @@ class Invariant(Observer):
 
     Invariants prime their baselines lazily at the first ``step_begin``
     (the engine is fully constructed by then, whereas ``on_attach`` fires
-    mid-``__init__``), and carry those baselines across simulation forks
-    via :meth:`clone` — a fork must keep the *original* baselines, or a
-    post-fork check would accept state the execution was never allowed to
-    reach.
+    mid-``__init__``).
     """
 
     name = "invariant"
@@ -110,12 +107,6 @@ class Invariant(Observer):
             step=self.sim.now if t is None else t,
             pid=pid,
             digest=state_digest(self.sim),
-        )
-
-    def clone(self) -> "Invariant":
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement clone() so forks keep "
-            "their baselines without dragging the simulation along"
         )
 
 
@@ -188,12 +179,6 @@ class GossipValidityInvariant(Invariant):
     def on_crash(self, t: int, pid: int) -> None:
         self._last_masks.pop(pid, None)
 
-    def clone(self) -> "GossipValidityInvariant":
-        dup = GossipValidityInvariant()
-        dup._valid_mask = self._valid_mask
-        dup._last_masks = dict(self._last_masks)
-        return dup
-
 
 class CrashConsistencyInvariant(Invariant):
     """Crashes are permanent and total: no post-crash activity, ever.
@@ -249,11 +234,6 @@ class CrashConsistencyInvariant(Invariant):
                     f"at step {crash_time}", t=t, pid=msg.src,
                 )
 
-    def clone(self) -> "CrashConsistencyInvariant":
-        dup = CrashConsistencyInvariant()
-        dup._crashed_at = dict(self._crashed_at)
-        return dup
-
 
 class TrafficProvenanceInvariant(Invariant):
     """Every delivered message really left its claimed sender in-band.
@@ -302,12 +282,6 @@ class TrafficProvenanceInvariant(Invariant):
                     "never passed through the send path",
                     t=t, pid=msg.src,
                 )
-
-    def clone(self) -> "TrafficProvenanceInvariant":
-        dup = TrafficProvenanceInvariant()
-        dup._stepping = self._stepping
-        dup._seen = set(self._seen)
-        return dup
 
 
 class BoundConsistencyInvariant(Invariant):
@@ -373,15 +347,6 @@ class BoundConsistencyInvariant(Invariant):
 
     def on_crash(self, t: int, pid: int) -> None:
         self._last_scheduled.pop(pid, None)
-
-    def clone(self) -> "BoundConsistencyInvariant":
-        dup = BoundConsistencyInvariant(self._explicit_d,
-                                        self._explicit_delta)
-        dup._d = self._d
-        dup._delta = self._delta
-        dup._primed = self._primed
-        dup._last_scheduled = dict(self._last_scheduled)
-        return dup
 
 
 class ConsensusInvariant(Invariant):
@@ -525,16 +490,6 @@ class ConsensusInvariant(Invariant):
                         )
                 else:
                     self._decide_values[msg.src] = value
-
-    def clone(self) -> "ConsensusInvariant":
-        dup = ConsensusInvariant()
-        dup._primed = self._primed
-        dup._initial_values = list(self._initial_values)
-        dup._decisions = dict(self._decisions)
-        dup._universe = list(self._universe)
-        dup._vote_values = dict(self._vote_values)
-        dup._decide_values = dict(self._decide_values)
-        return dup
 
 
 def default_invariants(kind: str = "gossip") -> List[Invariant]:

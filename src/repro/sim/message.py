@@ -56,12 +56,6 @@ class Message:
         """First global time step at which this message may be received."""
         return self.sent_at + self.delay
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message({self.src}->{self.dst} kind={self.kind!r} "
-            f"sent_at={self.sent_at} delay={self.delay})"
-        )
-
 
 class FanOut:
     """One payload sent to ``len(dsts)`` destinations in one call: the
@@ -100,12 +94,6 @@ class FanOut:
         return Message(self.src, self.dsts[index], self.payload, self.kind,
                        self.sent_at, 1 if delays is None else delays[index],
                        self.uid + index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FanOut({self.src}->{list(self.dsts)} kind={self.kind!r} "
-            f"sent_at={self.sent_at})"
-        )
 
 
 def expand(outbox: Sequence) -> Sequence[Message]:

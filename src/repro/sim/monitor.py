@@ -54,9 +54,6 @@ class CompletionMonitor(ABC):
     def check(self, sim) -> bool:
         """Return True once the execution has completed."""
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 #: ``GossipCompletionMonitor``'s scope memo before any live set was seen.
 _NO_SCOPE = (None, 0)
@@ -142,9 +139,6 @@ class GossipCompletionMonitor(CompletionMonitor):
         self.gathering_time = sim.now
         return quiescent(sim)
 
-    def describe(self) -> str:
-        return "majority-gossip" if self.majority else "gossip"
-
 
 class QuiescenceMonitor(CompletionMonitor):
     """Completes when the system can provably send no further message."""
@@ -171,6 +165,3 @@ class PredicateMonitor(CompletionMonitor):
 
     def check(self, sim) -> bool:
         return bool(self.predicate(sim))
-
-    def describe(self) -> str:
-        return self.name

@@ -11,7 +11,7 @@ known bound.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 from operator import attrgetter
 from typing import Container, Dict, Iterator, List, Optional, Sequence
@@ -220,27 +220,6 @@ class Network:
         self._in_flight -= len(inbox)
         return inbox
 
-    def remove(self, dst: int, uid: int) -> bool:
-        """Take the queued message ``uid`` out of ``dst``'s queue (a lossy
-        link, used by fault injection); returns whether it was there. A
-        fan-out record loses only ``dst``'s copy: the slots searched hold
-        their messages to ``dst`` from then on."""
-        slots = self._slots.get(dst, {})
-        for at, slot in slots.items():
-            slot[:] = _messages_in(dst, at, slot)
-            for index, msg in enumerate(slot):
-                if msg.uid == uid:
-                    del slot[index]
-                    if not slot:
-                        del slots[at]
-                        times = self._times[dst]
-                        times.remove(at)
-                        heapify(times)
-                        self._unordered.discard((dst, at))
-                    self._in_flight -= 1
-                    return True
-        return False
-
     def drop_all_for(self, pid: int) -> int:
         """Discard pending messages to a crashed process; returns the count.
 
@@ -296,26 +275,3 @@ class Network:
     def pending_for(self, pid: int) -> int:
         """Number of messages currently queued for ``pid``."""
         return sum(map(len, self._slots[pid].values()))
-
-    def earliest_deliverable(self, pid: int) -> Optional[int]:
-        """Earliest ``deliverable_at`` among messages queued for ``pid``.
-
-        Returns ``None`` when the queue is empty.
-        """
-        times = self._times[pid]
-        return times[0] if times else None
-
-    def earliest_deliverable_any(self) -> Optional[int]:
-        """Earliest ``deliverable_at`` across *all* receivers, or ``None``
-        when nothing is in flight.
-
-        No delivery can happen before this time. The engine never asks:
-        in the paper's model deliveries only occur at a receiver's
-        scheduled steps, so its leap decisions are driven by the schedule
-        alone. This query exists for observers, diagnostics and future
-        delivery-driven plans.
-        """
-        return min(
-            (times[0] for times in self._times.values() if times),
-            default=None,
-        )

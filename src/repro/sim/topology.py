@@ -173,14 +173,6 @@ def _add_edge(adjacency: List[set], u: int, v: int) -> None:
     adjacency[v].add(u)
 
 
-def _build_complete(n: int, rng) -> List[set]:
-    adjacency = _empty_adjacency(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            _add_edge(adjacency, u, v)
-    return adjacency
-
-
 def _build_ring(n: int, rng, *, k: int = 1) -> List[set]:
     if k < 1:
         raise ConfigurationError(f"ring needs k >= 1, got k={k}")
@@ -295,9 +287,10 @@ def _build_small_world(n: int, rng, *, k: int = 4,
     return adjacency
 
 
-#: name -> builder(n, rng, **knobs) -> adjacency list.
+#: name -> builder(n, rng, **knobs) -> adjacency list.  ``complete`` has
+#: no builder: it normalizes to no topology at all.
 TOPOLOGY_BUILDERS = Registry("topology", {
-    "complete": _build_complete,
+    "complete": None,
     "ring": _build_ring,
     "gnp": _build_gnp,
     "random-regular": _build_random_regular,

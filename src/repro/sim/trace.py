@@ -51,15 +51,5 @@ class EventTrace:
     def count(self, kind: str) -> int:
         return sum(1 for _ in self.of_kind(kind))
 
-    def clone(self) -> "EventTrace":
-        """Independent copy for simulation forking.
-
-        :class:`TraceEvent` records are frozen, so the ring buffers may
-        share them; only the deque itself is duplicated.
-        """
-        dup = EventTrace(self.events.maxlen)
-        dup.events.extend(self.events)
-        return dup
-
     def __len__(self) -> int:
         return len(self.events)

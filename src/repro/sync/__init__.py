@@ -22,7 +22,6 @@ from ..sim.monitor import GossipCompletionMonitor
 from .ck_gossip import CkStyleGossip
 from .expander import (
     overlay_diameter_bound,
-    random_regular_overlay,
     skip_graph_neighbors,
 )
 from .karp import KarpPushPull, RumorSpreadResult, age_limit, run_push_pull
@@ -59,7 +58,6 @@ __all__ = [
     "RumorSpreadResult",
     "age_limit",
     "overlay_diameter_bound",
-    "random_regular_overlay",
     "run_ck_gossip",
     "run_push_pull",
     "skip_graph_neighbors",

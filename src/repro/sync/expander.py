@@ -3,15 +3,9 @@
 The Chlebus–Kowalski synchronous gossip results [8, 9] route communication
 along explicit expander graphs so that O(polylog n) rounds over an
 O(log n)-degree overlay disseminate everything with O(n polylog n) messages.
-We provide two constructions:
-
-* :func:`skip_graph_neighbors` — the deterministic "±2^j" skip overlay
-  (a circulant graph): degree ≤ 2⌈log₂ n⌉, diameter ≤ ⌈log₂ n⌉, and decent
-  vertex expansion; fully deterministic and dependency-free.
-* :func:`random_regular_overlay` — a seeded random d-regular graph (via
-  networkx when available), which is an expander w.h.p.; "deterministic"
-  in the derandomized-by-fixed-seed sense the paper alludes to with
-  "expander graphs that approximate random interactions".
+:func:`skip_graph_neighbors` is the deterministic "±2^j" skip overlay (a
+circulant graph): degree ≤ 2⌈log₂ n⌉, diameter ≤ ⌈log₂ n⌉, and decent
+vertex expansion; fully deterministic and dependency-free.
 """
 
 from __future__ import annotations
@@ -52,20 +46,3 @@ def overlay_diameter_bound(n: int) -> int:
     """Hop bound for the skip overlay: ⌈log₂ n⌉ (binary routing)."""
     return max(1, ceil_log2(n))
 
-
-def random_regular_overlay(n: int, degree: int, seed: int = 0
-                           ) -> Dict[int, List[int]]:
-    """A seeded random d-regular overlay (expander w.h.p.).
-
-    Requires ``networkx``; falls back to the skip overlay when the product
-    n·degree is odd or networkx is unavailable, so callers always get a
-    usable overlay.
-    """
-    try:
-        import networkx as nx
-    except ImportError:  # pragma: no cover - optional dependency
-        return skip_graph_neighbors(n)
-    if degree >= n or (n * degree) % 2 == 1:
-        return skip_graph_neighbors(n)
-    graph = nx.random_regular_graph(degree, n, seed=seed)
-    return {i: sorted(graph.neighbors(i)) for i in range(n)}

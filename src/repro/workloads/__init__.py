@@ -14,23 +14,17 @@ from .sweeps import (
 from .topology import (
     PREDICTED_EXPONENTS,
     TopologyCurve,
-    format_topology_curves,
-    format_topology_matrix,
     sweep_topology_gossip,
-    topology_scenario_matrix,
 )
 
 __all__ = [
     "PREDICTED_EXPONENTS",
     "SweepPoint",
     "TopologyCurve",
-    "format_topology_curves",
-    "format_topology_matrix",
     "geometric_ns",
     "near_half",
     "quarter",
     "sweep_gossip",
     "sweep_topology_gossip",
     "three_quarters",
-    "topology_scenario_matrix",
 ]

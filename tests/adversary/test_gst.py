@@ -35,6 +35,8 @@ class TestDelayRegimes:
 
     def test_post_gst_delays_bounded(self):
         adversary = GstAdversary(gst=50, d=3, delta=1)
+        # The bounds it declares are the post-GST ones.
+        assert (adversary.target_d, adversary.target_delta) == (3, 1)
         for t in (50, 60, 99):
             msg = Message(src=0, dst=1, payload=None)
             msg.sent_at = t

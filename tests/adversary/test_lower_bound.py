@@ -68,12 +68,6 @@ class TestCaseSelection:
         assert report.case == "non-quiescent"
         assert report.measured_time == 400
 
-    def test_forced_cost_labels(self):
-        blowup = run_lower_bound(maker(TrivialGossip), n=64, f=16, seed=1)
-        assert blowup.forced_cost == "messages"
-        slow = run_lower_bound(maker(Ears), n=64, f=16, seed=1)
-        assert slow.forced_cost == "time"
-
 
 class TestIsolationCase:
     @pytest.fixture(scope="class")

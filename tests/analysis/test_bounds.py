@@ -43,16 +43,6 @@ class TestTable1Shapes:
         assert ratios[-1] < 1  # sub-quadratic wins by n = 2^50
 
 
-class TestLowerBoundShapes:
-    def test_theorem1(self):
-        assert bounds.lower_bound_messages(100, 20) == 500
-        assert bounds.lower_bound_time(20, 2, 3) == 100
-
-    def test_corollary2(self):
-        assert bounds.coa_time(16) == 16
-        assert bounds.coa_messages(64, 32) == pytest.approx(17.0)
-
-
 class TestTable2Shapes:
     def test_cr_baseline(self):
         assert bounds.cr_messages(24) == 576

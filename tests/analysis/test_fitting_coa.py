@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.coa import coa_report
-from repro.analysis.fitting import doubling_ratio, fit_power_law
+from repro.analysis.fitting import fit_power_law
 
 
 class TestFitValidation:
@@ -36,10 +36,6 @@ class TestFitBehaviour:
         fit = fit_power_law([2.0, 4.0, 8.0], [4.0, 16.0, 64.0])
         assert fit.predict(16.0) == pytest.approx(256.0, rel=1e-6)
 
-    def test_doubling_ratio(self):
-        assert doubling_ratio([2.0, 4.0, 8.0], [4.0, 16.0, 64.0]) == \
-            pytest.approx(4.0, rel=1e-6)
-
 
 class TestCoaReport:
     def test_ratios(self):
@@ -48,25 +44,3 @@ class TestCoaReport:
                             synch_messages=5000)
         assert report.time_ratio == 16.0
         assert report.message_ratio == 1.0
-
-    def test_corollary_disjunction_time_branch(self):
-        report = coa_report("x", n=64, f=16, asynch_time=200,
-                            asynch_messages=100, synch_time=10,
-                            synch_messages=100)
-        assert report.time_ratio >= report.predicted_time_floor
-        assert report.satisfies_corollary()
-
-    def test_corollary_disjunction_message_branch(self):
-        report = coa_report("x", n=64, f=16, asynch_time=10,
-                            asynch_messages=100_000, synch_time=10,
-                            synch_messages=100)
-        assert report.message_ratio >= report.predicted_message_floor
-        assert report.satisfies_corollary()
-
-    def test_fast_and_frugal_fails(self):
-        # An algorithm that is both fast and frugal would contradict the
-        # corollary; the report machinery must flag it.
-        report = coa_report("x", n=64, f=16, asynch_time=12,
-                            asynch_messages=120, synch_time=10,
-                            synch_messages=100)
-        assert not report.satisfies_corollary()

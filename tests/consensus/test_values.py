@@ -1,13 +1,24 @@
 """Tests for instance-tag ordering and envelope records."""
 
+from repro.consensus.canetti_rabin import CanettiRabinConsensus
 from repro.consensus.values import (
     VOTING_COIN,
     VOTING_ESTIMATE,
     VOTING_PREFERENCE,
     Envelope,
     first_instance,
-    next_instance,
 )
+
+
+def next_instance(tag):
+    """The instance a Canetti-Rabin process moves to when ``tag``
+    completes with split votes (no decision)."""
+    process = CanettiRabinConsensus(pid=0, n=4, f=1, initial_value=0,
+                                    gossip_factory=None)
+    process.instance = tag
+    process._complete_instance({0: 0, 1: 1})
+    assert process.decided is None
+    return process.instance
 
 
 class TestInstanceOrder:

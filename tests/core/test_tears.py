@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import run_gossip
-from repro.core.params import TearsParams
+from repro.core.params import DEFAULT_TEARS, TearsParams
 from repro.core.properties import majority_gathering_holds, validity_holds
 from repro.core.tears import Tears
 from repro.sim.process import Context
@@ -60,7 +60,8 @@ class TestMembership:
         ctx = Context(7, n, 100, derive_rng(1, "p", 7))
         algo.on_step(ctx, [])
         assert 7 not in algo.pi1 and 7 not in algo.pi2
-        expected = Tears.expected_first_level_fanout(n)
+        # E[|Π1|] = (n−1)·a/n ≈ a, against Lemma 8's range.
+        expected = (n - 1) * DEFAULT_TEARS.membership_probability(n)
         assert 0.5 * expected <= len(algo.pi1) <= 1.5 * expected
 
     def test_first_step_sends_first_level_with_flag(self):

@@ -193,18 +193,23 @@ class TestFaultSelection:
         assert _table_faults(out) == []
         assert "detection: 0/0" in out and "controls: 8 clean" in out
 
-    # The removed Byzantine matrix and its byz-<behavior> faults are
-    # unknown names like any other, with no neighbour to suggest.
+    # The removed Byzantine matrix, its byz-<behavior> faults and the
+    # out-of-model message-loss fault (the paper's channels are reliable)
+    # are unknown names like any other, with no neighbour to suggest.
     @pytest.mark.parametrize("argv, listed, hint", [
         (["--matrix", "fleat"], "choose from model, fleet, all",
          "did you mean 'fleet'"),
         (["--matrix", "byzantine"], "choose from model, fleet, all", None),
         (["--faults", "byz-tamper"], "fleet-worker-kill", None),
-    ], ids=["matrix-typo", "matrix-byzantine", "fault-byzantine"])
+        (["--faults", "message-loss"], "message-duplication", None),
+    ], ids=["matrix-typo", "matrix-byzantine", "fault-byzantine",
+            "fault-message-loss"])
     def test_unknown_names_exit_2(self, capsys, argv, listed, hint):
         assert main(["chaos", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: unknown ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
         assert argv[1] in captured.err and listed in captured.err
         if hint is None:
             assert "did you mean" not in captured.err

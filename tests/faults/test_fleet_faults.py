@@ -1,6 +1,6 @@
 """Fleet chaos injectors: registry plumbing plus one live campaign cell.
 
-The full matrix (every injector, multiple trials) runs in CI via
+CI's fleet chaos smoke runs the other three injectors through
 ``repro chaos --matrix fleet``; here we keep one cheap live cell —
 lease tampering needs no process signals, so it is the fastest injector
 that still exercises claim/reap/re-issue against real workers.

@@ -93,6 +93,20 @@ class TestDrain:
         assert summary["stolen"] == foreign > 0
         assert campaign.status()["complete"]
 
+    def test_status_after_run_fleet_counts_no_live_worker(self, tmp_path):
+        """Each worker beats ``done`` as it leaves; that record is still
+        fresh (30 s here), but it is not a live worker."""
+        from repro.fleet import run_fleet
+
+        root = str(tmp_path / "c")
+        status = run_fleet(root, specs=_specs(count=4, n=16), workers=2,
+                           config=_fast_config(lease_ttl=60.0,
+                                               heartbeat_interval=10.0),
+                           timeout=120.0)
+        assert status["exit_codes"] == [0, 0] and status["complete"]
+        assert status["workers"] == 2 and status["live_workers"] == 0
+        assert FleetCampaign.open(root).status()["live_workers"] == 0
+
     def test_max_jobs_budget_stops_early(self, tmp_path):
         campaign = FleetCampaign.create(str(tmp_path / "c"), _specs(),
                                         config=_fast_config())

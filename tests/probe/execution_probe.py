@@ -8,12 +8,14 @@ every ``examples/*.py`` and the commands CI's smoke steps run — with
 ``sitecustomize.py`` from this directory on ``PYTHONPATH``, so each
 process they start (pool workers and fleet worker subprocesses too)
 records the functions it enters.  It then prints, per module, the
-functions defined under ``src/repro`` that no root entered, and their
-total.
+functions defined under ``src/repro`` that no root entered, each with
+its verdict from ``verdicts.txt`` beside this script, and their total.
 
-It is a report, not a gate: it exits 1 only when a root itself does not
-end with the exit code it should, which means the probe is broken.
-CI steps that run pytest files and the benchmark scripts are not roots.
+It is a gate: it exits 1 when an unentered function has no verdict, when
+a verdict names a function that a root now enters or that no longer
+exists, when the verdict file is malformed, or when a root itself does
+not end with the exit code it should.  CI steps that run pytest files
+and the benchmark scripts are not roots.
 
     python tests/probe/execution_probe.py            # from the repo root
 """
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from typing import Dict, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -35,6 +38,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 PROBE = os.path.dirname(os.path.abspath(__file__))
+VERDICTS = os.path.join(PROBE, "verdicts.txt")
+
+#: Why an unentered function stays: it is abstract (or a no-op base
+#: method), an oracle tests compare a fast path against, patched by name
+#: by ``benchmarks/e2e``, or part of ROADMAP item 2's batch engine.
+#: ``bench:<file>`` and ``tier1:<file>`` name the benchmark or test file
+#: that enters it.
+REASONS = ("abstract", "oracle", "e2e", "item-2")
+FILE_REASONS = {"bench": "benchmarks/bench_", "tier1": "tests/"}
 
 #: Paper drivers at small n: ``repro`` argv.
 PAPER = [
@@ -55,6 +67,14 @@ FILES = {
                          "crashes": {"events": {"2": [99]}}},
     "thm1-d2.json": {"algorithm": "trivial", "n": 32, "f": 8, "d": 2,
                      "adversary": {"name": "lower-bound"}},
+    **{f"spec-{scenario}.json": {"algorithm": "ears", "n": 32, "f": 8,
+                                 "scenario": scenario}
+       for scenario in ("failure-wave", "halving-epochs")},
+    "spec-gst.json": {"algorithm": "ears", "n": 32, "d": 2, "delta": 2,
+                      "adversary": {"name": "gst", "gst": 12}},
+    "spec-sync.json": {"algorithm": "ears", "n": 16,
+                       "adversary": {"name": "synchronous"},
+                       "crashes": {"name": "none"}},
     **{f"fanout-{algorithm}-{checked}.json".lower(): {
         "algorithm": algorithm, "n": 64, "f": 16, "crashes": 8, "d": 3,
         "delta": 2, "seed": 4, "check_invariants": checked}
@@ -62,6 +82,10 @@ FILES = {
 }
 CAMPAIGN_SPECS = [{"algorithm": "trivial", "n": 8, "seed": 0},
                   {"algorithm": "ears", "n": 12, "f": 3, "seed": 1}]
+#: Jobs that outlast the fleet smoke's 0.1 s heartbeat, so every worker
+#: refreshes its lease at least once.
+FLEET_SPECS = [{"algorithm": "ears", "n": 512, "seed": seed}
+               for seed in range(2)]
 
 GRID = ["grid", "--algorithms", "trivial,ears", "--ns", "8,12", "--seeds",
         "2", "--out-dir", "{tmp}/grid"]
@@ -92,6 +116,10 @@ SMOKE = [
     (["run", "--spec", "{tmp}/spec_sears_epz.json"], 2),
     (["run", "--spec", "{tmp}/spec_interval.json"], 2),
     (["store", "verify", "{tmp}/specs.jsonl"], 0),
+    *[(["run", "--spec", f"{{tmp}}/spec-{name}.json"], 0)
+      for name in ("failure-wave", "halving-epochs", "gst", "sync")],
+    (["inspect", "-n", "12"], 0),
+    (["report", "--output", "{tmp}/report.md"], 0),
     # Fan-out oracle.
     *[(["run", "--spec", f"{{tmp}}/fanout-{algorithm}-{checked}.json",
         "--json"], 0)
@@ -112,6 +140,11 @@ SMOKE = [
     (["store", "query", "{tmp}/specs.sqlite", "--format", "csv"], 0),
     (["store", "merge", "{tmp}/merged.sqlite", "{tmp}/specs.jsonl",
       "{tmp}/specs.sqlite"], 0),
+    (["store", "export", "{tmp}/runs.sqlite", "{tmp}/export.jsonl"], 0),
+    (["store", "compact", "{tmp}/export.jsonl"], 0),
+    (["store", "verify", "{tmp}/export.jsonl"], 0),
+    (["store", "query", "{tmp}/export.jsonl", "--where",
+      "metrics.completed==true", "--count"], 0),
     # Campaign smoke.
     (GRID, 0), (GRID, 0),
     (["store", "verify", "{tmp}/grid/cli-grid.jsonl"], 0),
@@ -119,6 +152,8 @@ SMOKE = [
       "algorithm=ears", "--count"], 0),
     (SWEEP, 0), (SWEEP, 0),
     (["store", "verify", "{tmp}/sweep.sqlite"], 0),
+    (["sweep", "--algorithm", "ears", "--min-n", "8", "--max-n", "16",
+      "--seeds", "2", "--crash", "--profile"], 0),
     (BATCH, 0), (BATCH, 0),
     (["store", "verify", "{tmp}/campaign.sqlite"], 0),
     *[(argv.split(), 2) for argv in (
@@ -142,6 +177,12 @@ SMOKE = [
     # Fleet chaos smoke and chaos selection smoke.
     (["chaos", "--matrix", "fleet", "--faults", "fleet-worker-kill",
       "--trials", "1", "--workers", "2"], 0),
+    (["chaos", "--matrix", "fleet", "--faults",
+      "fleet-heartbeat-stall,fleet-duplicate-claim", "--trials", "1",
+      "--workers", "2"], 0),
+    (["fleet", "run", "--specs", "{tmp}/fleet-specs.jsonl", "--dir",
+      "{tmp}/fleet", "--workers", "2", "--lease-ttl", "0.4"], 0),
+    (["fleet", "status", "--dir", "{tmp}/fleet"], 0),
     (["chaos", "--matrix", "all", "--quick", "--faults",
       "foreign-rumor,store-torn-write,fleet-worker-kill", "--workers",
       "2"], 0),
@@ -149,7 +190,9 @@ SMOKE = [
     *[(["gossip", "--algorithm", algorithm, "-n", "32", "--seed", "1",
         "--topology", topology], 0)
       for algorithm, topology in (("ears", "ring"), ("ears", "gnp"),
-                                  ("ps-push-pull", "gnp"))],
+                                  ("ps-push-pull", "gnp"),
+                                  ("ears", "random-regular"),
+                                  ("ears", "small-world"))],
 ]
 
 
@@ -196,6 +239,54 @@ def definitions() -> Dict[Tuple[str, int], Tuple[str, str, int]]:
     return found
 
 
+def function_key(module: str, name: str) -> str:
+    """``repro.sim.engine:Simulation.fork`` for the ``Simulation.fork``
+    that :func:`definitions` reports in ``sim/engine.py``."""
+    parts = module[:-len(".py")].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro"] + parts) + ":" + name
+
+
+def valid_reason(reason: str) -> bool:
+    if reason in REASONS:
+        return True
+    kind, _, path = reason.partition(":")
+    prefix = FILE_REASONS.get(kind)
+    return (prefix is not None and path.startswith(prefix)
+            and os.path.isfile(os.path.join(ROOT, path)))
+
+
+def read_verdicts(keys: Set[str], path: str = VERDICTS
+                  ) -> Tuple[Dict[str, str], List[str]]:
+    """The verdict file as ``{key: reason}``, and what is wrong with it:
+    a duplicate key, a reason outside the closed set, or a key that
+    names no function defined under ``src/repro`` (``keys``)."""
+    verdicts: Dict[str, str] = {}
+    errors = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            where = f"{os.path.basename(path)}:{number}"
+            if len(fields) != 2:
+                errors.append(f"{where}: expected '<module>:<qualname> "
+                              f"<reason>', got {line.strip()!r}")
+                continue
+            key, reason = fields
+            if key in verdicts:
+                errors.append(f"{where}: duplicate verdict for {key}")
+            if not valid_reason(reason):
+                errors.append(f"{where}: reason {reason!r} is not one of "
+                              f"{', '.join(REASONS)}, bench:<file>, "
+                              f"tier1:<file>")
+            if key not in keys:
+                errors.append(f"{where}: {key} is not defined")
+            verdicts[key] = reason
+    return verdicts, errors
+
+
 def entered(record: str) -> Set[Tuple[str, int]]:
     seen = set()
     with open(record, encoding="utf-8") as handle:
@@ -210,9 +301,10 @@ def run_roots(tmp: str) -> Tuple[Set[Tuple[str, int]], int, List[str]]:
     for name, spec in FILES.items():
         with open(os.path.join(tmp, name), "w", encoding="utf-8") as out:
             json.dump(spec, out)
-    with open(os.path.join(tmp, "campaign-specs.jsonl"), "w",
-              encoding="utf-8") as out:
-        out.writelines(json.dumps(spec) + "\n" for spec in CAMPAIGN_SPECS)
+    for name, specs in (("campaign-specs.jsonl", CAMPAIGN_SPECS),
+                        ("fleet-specs.jsonl", FLEET_SPECS)):
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as out:
+            out.writelines(json.dumps(spec) + "\n" for spec in specs)
     record = os.path.join(tmp, "entered.txt")
     env = {**os.environ, "REPRO_PROBE_OUT": record,
            "PYTHONPATH": os.pathsep.join([PROBE, SRC])}
@@ -236,10 +328,16 @@ def main() -> int:
     seconds = time.monotonic() - start
 
     defined = definitions()
+    keys = {function_key(module, name)
+            for module, name, _ in defined.values()}
+    verdicts, errors = read_verdicts(keys)
     unentered: Dict[str, List[Tuple[str, int, int]]] = {}
     for (path, first), (module, name, lines) in defined.items():
         if (os.path.realpath(path), first) not in seen:
             unentered.setdefault(module, []).append((name, first, lines))
+    unentered_keys = {function_key(module, name)
+                      for module, functions in unentered.items()
+                      for name, _, _ in functions}
     total_lines = 0
     for module in sorted(unentered, key=lambda m: (
             -sum(lines for _, _, lines in unentered[m]), m)):
@@ -248,12 +346,22 @@ def main() -> int:
         total_lines += lines
         print(f"{module}: {len(functions)} unentered ({lines} lines)")
         for name, first, count in functions:
-            print(f"    {name}:{first} ({count})")
+            verdict = verdicts.get(function_key(module, name), "NO VERDICT")
+            print(f"    {name}:{first} ({count}) {verdict}")
+    errors += [f"no verdict: {key}"
+               for key in sorted(unentered_keys - set(verdicts))]
+    errors += [f"verdict for a function a root enters: {key}"
+               for key in sorted(set(verdicts) & keys - unentered_keys)]
     count = sum(len(functions) for functions in unentered.values())
+    by_reason = Counter(verdicts[key].partition(":")[0]
+                        for key in unentered_keys & set(verdicts))
     print(f"unentered: {count} of {len(defined)} functions "
           f"({total_lines} lines) after {count_roots} roots in "
-          f"{seconds:.0f} s")
-    return 1 if broken else 0
+          f"{seconds:.0f} s; verdicts: " + ", ".join(
+              f"{reason} {n}" for reason, n in sorted(by_reason.items())))
+    for error in errors:
+        print(error, file=sys.stderr)
+    return 1 if broken or errors else 0
 
 
 if __name__ == "__main__":

@@ -106,21 +106,31 @@ class TestScriptedSendCounts:
         n = cfg["n"]
         counted = data.draw(st.sets(st.integers(0, n - 1)) | st.just(
             set(range(n))))
-        adversary = ScriptedAdversary()
-        adversary.delay = cfg["d"]
-        adversary.count_sends(counted)
-        sim = Simulation(
-            n=n, f=0, seed=cfg["seed"], monitor=None, adversary=adversary,
-            algorithms=make_processes(
-                n, 0, ALGORITHMS[cfg["algorithm_index"]]),
-        )
-        sim.add_observer(PairLog())
+
+        def build():
+            adversary = ScriptedAdversary()
+            adversary.delay = cfg["d"]
+            adversary.count_sends(counted)
+            return Simulation(
+                n=n, f=0, seed=cfg["seed"], monitor=None,
+                adversary=adversary, algorithms=make_processes(
+                    n, 0, ALGORITHMS[cfg["algorithm_index"]]),
+            )
+
+        # A simulation with observers cannot be forked, so the fork is
+        # taken from an uninstrumented twin of the logged run, and its
+        # log starts as a copy of the original's.
+        sim, twin = build(), build()
+        logged = sim.add_observer(PairLog())
         sim.run_for(cfg["steps"] // 2)
-        fork = sim.fork()
+        twin.run_for(cfg["steps"] // 2)
+        fork = twin.fork()
         fork.adversary.scheduled = set(range(0, n, 2))
-        for run in (sim, fork):
+        fork_log = fork.add_observer(PairLog())
+        fork_log.pairs = list(logged.pairs)
+        for run, log in ((sim, logged), (fork, fork_log)):
             run.run_for(cfg["steps"] - cfg["steps"] // 2)
-            books, log = run.adversary, run.observers[0].pairs
+            books, log = run.adversary, log.pairs
             mine = [(src, dst) for src, dst in log if src in counted]
             assert sum(books.sent.values()) == len(mine)
             assert Counter(mine) == Counter({

@@ -1,6 +1,5 @@
 """Tests for bit-complexity accounting (the paper's future-work metric)."""
 
-from repro._util import full_mask
 from repro.api import run_gossip
 from repro.sim.bits import BitMeter, mask_bits
 
@@ -11,7 +10,7 @@ class TestMaskBits:
 
     def test_dense_mask_uses_bitmap(self):
         n = 256
-        dense = mask_bits(full_mask(n))
+        dense = mask_bits((1 << n) - 1)
         assert dense <= n + 16
 
     def test_sparse_mask_uses_index_list(self):
@@ -20,7 +19,7 @@ class TestMaskBits:
         assert mask_bits(1 << 255) <= 9 + 16
 
     def test_monotone_in_content(self):
-        assert mask_bits(full_mask(64)) >= mask_bits(full_mask(8))
+        assert mask_bits((1 << 64) - 1) >= mask_bits((1 << 8) - 1)
 
 
 class TestBitMeter:

@@ -8,6 +8,7 @@ from repro.core.base import make_processes
 from repro.core.ears import Ears
 from repro.sim.bits import BitMeter
 from repro.sim.engine import Simulation
+from repro.sim.errors import ConfigurationError
 from repro.sim.events import (
     EVENT_METHODS,
     BitMeterObserver,
@@ -121,14 +122,6 @@ class TestDispatch:
         completes = [e for e in observer.seen if e[0] == "complete"]
         assert len(completes) == 1
         assert completes[0][1] == result.completion_time
-
-    def test_remove_observer_unsubscribes(self):
-        observer = SendOnlyObserver()
-        sim = make_sim(observers=(observer,))
-        sim.remove_observer(observer)
-        assert sim._obs_send == []
-        sim.run()
-        assert observer.sends == 0
 
     def test_observer_does_not_change_metrics(self):
         plain = make_sim().run()
@@ -263,28 +256,17 @@ class TestStepProfiler:
         assert profiler.steps > 0
 
 
-class TestForkCarriesObservers:
-    def test_forked_trace_diverges_independently(self):
-        trace = EventTrace()
-        sim = make_sim(observers=(TraceObserver(trace),))
+class TestForkRefusesObservers:
+    def test_fork_names_the_observers(self):
+        sim = make_sim(observers=(TraceObserver(EventTrace()),
+                                  RecordingObserver()))
         sim.run_for(3)
-        fork = sim.fork()
-        (forked,) = fork._observers
-        assert isinstance(forked, TraceObserver)
-        assert forked.trace is not trace
-        before = len(trace.events)
-        fork.run_for(2)
-        assert len(trace.events) == before
-        assert len(forked.trace.events) > before
-
-    def test_forked_recording_observer_rebinds(self):
-        observer = RecordingObserver()
-        sim = make_sim(observers=(observer,))
-        sim.run_for(2)
-        fork = sim.fork()
-        assert len(fork.observers) == 1
-        assert fork.observers[0] is not observer
-        assert fork.observers[0].attached_to is fork
+        with pytest.raises(ConfigurationError,
+                           match="TraceObserver, RecordingObserver"):
+            sim.fork()
+        with pytest.raises(ConfigurationError, match="TraceObserver"):
+            sim.snapshot()
+        assert sim.now == 3 and sim.run().completed  # the run is intact
 
 
 def test_unknown_algorithm_count_still_validates():

@@ -9,7 +9,6 @@ from repro.sim.invariants import (
     ConsensusInvariant,
     CrashConsistencyInvariant,
     GossipValidityInvariant,
-    Invariant,
     TrafficProvenanceInvariant,
     default_invariants,
     state_digest,
@@ -82,19 +81,6 @@ class TestGossipValidity:
             sim.run_for(3)
         assert info.value.invariant == "gossip-validity"
         assert info.value.pid == 3
-
-    def test_clone_keeps_baselines(self):
-        built = _gossip_built()
-        sim = built.sim
-        sim.run_for(2)
-        invariant = next(
-            obs for obs in sim.observers
-            if isinstance(obs, GossipValidityInvariant)
-        )
-        dup = invariant.clone()
-        assert dup._valid_mask == invariant._valid_mask
-        assert dup._last_masks == invariant._last_masks
-        assert dup._last_masks is not invariant._last_masks
 
 
 class TestCrashConsistency:
@@ -291,10 +277,6 @@ class TestCatalog:
         assert GossipValidityInvariant not in {
             type(inv) for inv in consensus
         }
-
-    def test_base_clone_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Invariant().clone()
 
     def test_state_digest_shape(self):
         sim = _gossip_built().sim

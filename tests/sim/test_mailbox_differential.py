@@ -4,12 +4,12 @@
 mailboxes stopped holding an entry per message, kept verbatim as the
 oracle. Every operation is applied to both and every observable compared
 afterwards: the inbox (same uids, same order), the counters, and the queue
-queries.
+lengths.
 """
 
 import heapq
 import random
-from typing import Container, Dict, List, Optional, Sequence
+from typing import Container, Dict, List, Sequence
 
 import pytest
 
@@ -71,16 +71,6 @@ class HeapNetwork:
         self._in_flight -= len(inbox)
         return inbox
 
-    def remove(self, dst: int, uid: int) -> bool:
-        heap = self._pending.get(dst, ())
-        for index, entry in enumerate(heap):
-            if entry[1] == uid:
-                del heap[index]
-                heapq.heapify(heap)
-                self._in_flight -= 1
-                return True
-        return False
-
     def drop_all_for(self, pid: int) -> int:
         dropped = len(self._pending[pid])
         self._pending[pid] = []
@@ -99,19 +89,6 @@ class HeapNetwork:
     def pending_for(self, pid: int) -> int:
         return len(self._pending[pid])
 
-    def earliest_deliverable(self, pid: int) -> Optional[int]:
-        heap = self._pending[pid]
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def earliest_deliverable_any(self) -> Optional[int]:
-        earliest: Optional[int] = None
-        for heap in self._pending.values():
-            if heap and (earliest is None or heap[0][0] < earliest):
-                earliest = heap[0][0]
-        return earliest
-
 
 def uids(inbox):
     return [msg.uid for msg in inbox]
@@ -123,8 +100,6 @@ def observables(net, n):
         "total_enqueued": net.total_enqueued,
         "max_delivered_delay": net.max_delivered_delay,
         "pending_for": [net.pending_for(pid) for pid in range(n)],
-        "earliest": [net.earliest_deliverable(pid) for pid in range(n)],
-        "earliest_any": net.earliest_deliverable_any(),
     }
 
 
@@ -170,10 +145,6 @@ class Pair:
         self.agree()
         return got
 
-    def remove(self, dst, uid):
-        assert self.new.remove(dst, uid) == self.old.remove(dst, uid)
-        self.agree()
-
     def crash(self, pid):
         self.alive.discard(pid)
         assert self.new.drop_all_for(pid) == self.old.drop_all_for(pid)
@@ -204,10 +175,6 @@ def test_random_interleavings_agree_after_every_operation(seed):
             ])
         elif op < 0.75:
             pair.collect(rng.randrange(n), now)
-        elif op < 0.83 and pair.uids:
-            # Queued, already delivered, or never queued (dead dst): all
-            # three must answer alike.
-            pair.remove(*rng.choice(pair.uids))
         elif op < 0.86:
             pair.crash(rng.randrange(n))
         elif op < 0.90:
@@ -262,20 +229,6 @@ def test_the_largest_delay_may_never_be_delivered():
     pair.collect(2, 1)
     pair.collect(2, 3)
     assert pair.new.max_delivered_delay == 3
-
-
-def test_removal_from_the_sorted_part_and_from_the_unsorted_tail():
-    pair = Pair(2)
-    pair.enqueue(0, [(1, 5), (1, 3), (1, 4)])
-    pair.collect(1, 0)                           # sorts, delivers nothing
-    pair.remove(*pair.uids[1])                   # out of the sorted part
-    pair.enqueue(0, [(1, 1)])                    # back to the sorted length
-    assert len(pair.collect(1, 1)) == 1
-    pair.enqueue(1, [(1, 2), (1, 1)])            # unsorted tail
-    pair.remove(*pair.uids[-1])                  # out of the tail
-    pair.remove(*pair.uids[0])
-    pair.enqueue(1, [(1, 1)])
-    assert len(pair.collect(1, 10)) == 3
 
 
 def test_a_clone_that_sorts_leaves_the_original_to_sort_for_itself():
@@ -336,20 +289,6 @@ def test_many_distinct_pending_times_and_few_of_them_due():
     assert delivered == pair.new.total_enqueued and pair.new.in_flight == 0
 
 
-def test_removing_the_last_message_of_a_slot_removes_its_time():
-    pair = Pair(2)
-    pair.enqueue(0, [(1, 2), (1, 5), (1, 9), (1, 5)])
-    pair.remove(*pair.uids[0])                   # the only one due at 2
-    assert pair.new.earliest_deliverable(1) == 5
-    assert pair.collect(1, 2) == []
-    pair.remove(*pair.uids[2])                   # ... and the one at 9
-    pair.remove(*pair.uids[1])                   # slot 5 keeps a message
-    assert len(pair.collect(1, 5)) == 1
-    assert pair.new.earliest_deliverable_any() is None
-    pair.enqueue(5, [(1, 4)])                    # time 9 is usable again
-    assert len(pair.collect(1, 9)) == 1
-
-
 def test_a_mark_goes_when_its_slot_does():
     """Crashed receivers and emptied slots leave no mark behind for every
     later fork to copy."""
@@ -359,12 +298,10 @@ def test_a_mark_goes_when_its_slot_does():
     assert pair.new._unordered == {(1, 2), (2, 4)}
     pair.crash(2)
     assert pair.new._unordered == {(1, 2)}
-    pair.remove(*pair.uids[0])
-    assert pair.new._unordered == {(1, 2)}       # the slot is still there
-    pair.remove(*pair.uids[1])
+    assert len(pair.collect(1, 2)) == 2          # the slot is emptied
     assert not pair.new._unordered
-    pair.enqueue(0, [(1, 2), (1, 2)])            # the same slot, in order
-    assert not pair.new._unordered and len(pair.collect(1, 2)) == 2
+    pair.enqueue(2, [(1, 2), (1, 2)])            # a new slot, in order
+    assert not pair.new._unordered and len(pair.collect(1, 4)) == 2
 
 
 def test_a_clone_taken_with_an_unordered_slot_in_flight():

@@ -92,21 +92,3 @@ class TestAccounting:
         net = Network(4)
         with pytest.raises(InvalidDelayError):
             net.enqueue([msg(0, 1, 0, 0)], EVERYONE)
-
-    def test_earliest_deliverable(self):
-        net = Network(4)
-        assert net.earliest_deliverable(1) is None
-        net.enqueue([msg(0, 1, 0, 4)], EVERYONE)
-        net.enqueue([msg(0, 1, 0, 2)], EVERYONE)
-        assert net.earliest_deliverable(1) == 2
-
-    def test_earliest_deliverable_any(self):
-        net = Network(4)
-        assert net.earliest_deliverable_any() is None
-        net.enqueue([msg(0, 1, 0, 4)], EVERYONE)
-        net.enqueue([msg(0, 2, 1, 2)], EVERYONE)
-        assert net.earliest_deliverable_any() == 3
-        net.collect(2, 5)
-        assert net.earliest_deliverable_any() == 4
-        net.collect(1, 5)
-        assert net.earliest_deliverable_any() is None

@@ -126,16 +126,6 @@ class TestEnqueueOutbox:
         assert (net.in_flight, net.total_enqueued) == (1, 1)
         assert len(net.collect(1, 5)) == 1
 
-    def test_remove_takes_one_queued_message_out(self):
-        net = Network(3)
-        outbox = [stamped(1, delay) for delay in (3, 1, 2)]
-        net.enqueue(outbox, alive=range(3))
-        assert net.remove(1, outbox[1].uid) is True
-        assert net.remove(1, outbox[1].uid) is False
-        assert net.remove(2, outbox[0].uid) is False
-        assert net.in_flight == 2
-        assert net.collect(1, 10) == [outbox[2], outbox[0]]
-
 
 def stamped_fanout(dsts, delays, kind="gossip", sent_at=0):
     record = FanOut(0, tuple(dsts), None, kind)
@@ -167,8 +157,6 @@ class TestFanOutEntries:
         for pid in range(5):
             assert queue_view(shared, pid) == queue_view(single, pid)
             assert shared.pending_for(pid) == single.pending_for(pid)
-            assert (shared.earliest_deliverable(pid)
-                    == single.earliest_deliverable(pid))
         assert (shared.in_flight, shared.total_enqueued) == (
             single.in_flight, single.total_enqueued)
 
@@ -180,19 +168,6 @@ class TestFanOutEntries:
         assert sorted(m.uid for m in shared.queued_for(1)
                       if m.uid >= record.uid) == [
             record.uid, record.uid + 2, record.uid + 5]
-
-    def test_remove_takes_out_one_destination_copy(self):
-        record, shared, single = self.pair()
-        for dst, uid in ((1, record.uid + 2), (1, record.uid + 2),
-                         (3, record.uid), (3, record.uid + 3),
-                         (2, record.uid + 1), (1, record.uid + 5)):
-            assert shared.remove(dst, uid) == single.remove(dst, uid)
-            self.agree(shared, single)
-        for pid in range(5):
-            got, want = shared.collect(pid, 9), single.collect(pid, 9)
-            assert [(m.src, m.kind, m.sent_at) for m in got] == [
-                (m.src, m.kind, m.sent_at) for m in want]
-        assert shared.max_delivered_delay == single.max_delivered_delay == 2
 
     def test_collect_delivers_the_record_in_uid_order(self):
         record, shared, single = self.pair()

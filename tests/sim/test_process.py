@@ -135,38 +135,6 @@ class TestSubContext:
         assert parent.outbox == []  # only the wrap decides what is sent
 
 
-class TestExpanderOverlayOptional:
-    def test_random_regular_overlay_regular(self):
-        from repro.sync.expander import random_regular_overlay
-
-        overlay = random_regular_overlay(20, degree=4, seed=1)
-        assert set(overlay) == set(range(20))
-        for node, peers in overlay.items():
-            assert len(peers) == 4
-            assert node not in peers
-            for peer in peers:
-                assert node in overlay[peer]
-
-    def test_falls_back_on_impossible_parameters(self):
-        from repro.sync.expander import (
-            random_regular_overlay,
-            skip_graph_neighbors,
-        )
-
-        # degree >= n is impossible for a simple regular graph.
-        assert random_regular_overlay(8, degree=8) == \
-            skip_graph_neighbors(8)
-
-    def test_odd_product_falls_back(self):
-        from repro.sync.expander import (
-            random_regular_overlay,
-            skip_graph_neighbors,
-        )
-
-        assert random_regular_overlay(9, degree=3) == \
-            skip_graph_neighbors(9)
-
-
 class TestBoundsRegistry:
     def test_predicted_exponent_table(self):
         from repro.analysis.bounds import PREDICTED_MESSAGE_EXPONENTS

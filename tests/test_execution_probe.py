@@ -1,7 +1,7 @@
 """The execution probe's hook sees pool workers: a function that only a
-worker process runs is recorded (``tests/probe/``; the report itself is
-a CI step, not a tier-1 test), and its smoke roots are the commands
-CI's smoke steps run."""
+worker process runs is recorded (``tests/probe/``; the gate itself is a
+CI step, not a tier-1 test), its smoke roots are the commands CI's smoke
+steps run, and its verdict file is well formed (parsed, not run)."""
 
 import importlib.util
 import inspect
@@ -81,3 +81,42 @@ def test_the_smoke_roots_are_the_commands_ci_runs():
                               for pattern in patterns.values()))
     assert not missing, f"CI runs these; SMOKE does not: {missing}"
     assert not extra, f"SMOKE runs these; CI does not: {extra}"
+
+
+def test_every_verdict_names_a_defined_function_for_a_known_reason():
+    probe = _probe_module()
+    keys = {probe.function_key(module, name)
+            for module, name, _ in probe.definitions().values()}
+    verdicts, errors = probe.read_verdicts(keys)
+    assert not errors, errors
+    assert "repro.sim.engine:Simulation.snapshot" in verdicts
+
+
+def test_a_stale_or_malformed_verdict_is_named(tmp_path):
+    probe = _probe_module()
+    path = tmp_path / "verdicts.txt"
+    path.write_text(
+        "# a comment line\n"
+        "repro.sim.engine:Simulation.restore e2e  # a trailing comment\n"
+        "repro.sim.engine:Simulation.restore e2e\n"
+        "repro.sim.engine:Simulation.snapshot unused\n"
+        "repro.sim.engine:Simulation.rewind tier1:tests/test_spec.py\n"
+        "repro.sim.engine:Simulation.run bench:tests/test_spec.py\n"
+        "repro.sim.engine:Simulation.step\n")
+    keys = {f"repro.sim.engine:Simulation.{name}"
+            for name in ("restore", "snapshot", "run", "step")}
+    verdicts, errors = probe.read_verdicts(keys, str(path))
+    assert verdicts["repro.sim.engine:Simulation.restore"] == "e2e"
+    assert [error.split(": ", 1)[1] for error in errors] == [
+        "duplicate verdict for repro.sim.engine:Simulation.restore",
+        "reason 'unused' is not one of abstract, oracle, e2e, item-2, "
+        "bench:<file>, tier1:<file>",
+        "repro.sim.engine:Simulation.rewind is not defined",
+        "reason 'bench:tests/test_spec.py' is not one of abstract, oracle, "
+        "e2e, item-2, bench:<file>, tier1:<file>",
+        "expected '<module>:<qualname> <reason>', got "
+        "'repro.sim.engine:Simulation.step'",
+    ]
+    assert [error.split(": ", 1)[0] for error in errors] == [
+        "verdicts.txt:3", "verdicts.txt:4", "verdicts.txt:5",
+        "verdicts.txt:6", "verdicts.txt:7"]

@@ -276,8 +276,6 @@ class TestSweepsAndFits:
         ``benchmarks/bench_topology_sweep.py`` runs — complete / gnp /
         ring over n in {16, 32, 64, 128} x 3 seeds — against the bench's
         own three constants, so bench and test cannot disagree."""
-        from repro.workloads import format_topology_curves
-
         bench = import_benchmark("bench_topology_sweep")
         curves = bench.run_sweep(quick=False)
         by_name = {c.topology: c for c in curves}
@@ -295,23 +293,6 @@ class TestSweepsAndFits:
         assert gnp <= bench.SUBLINEAR_MAX_EXPONENT
         assert complete <= bench.SUBLINEAR_MAX_EXPONENT
         assert ring - gnp >= bench.MIN_SEPARATION
-        assert "ring" in format_topology_curves(curves)
-
-    def test_topology_scenario_matrix(self):
-        from repro.workloads import (
-            format_topology_matrix,
-            topology_scenario_matrix,
-        )
-
-        rows = topology_scenario_matrix(
-            "ears", n=16, topologies=("complete", "ring"),
-            scenarios=({"label": "calm", "scenario": "calm"},),
-            seeds=range(2),
-        )
-        assert {(r["topology"], r["scenario"]) for r in rows} == \
-            {("complete", "calm"), ("ring", "calm")}
-        assert all(r["completion_rate"] == 1.0 for r in rows)
-        assert "calm" in format_topology_matrix(rows)
 
     def test_safe_fit_degrades_not_raises(self):
         skipped = safe_fit_power_law([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
