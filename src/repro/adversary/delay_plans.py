@@ -15,7 +15,7 @@ from struct import Struct
 from typing import Iterable, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
-from ..sim.message import _SHORT_OUTBOX, FanOut, Message
+from ..sim.message import _SHORT_OUTBOX, FanOut, Message, pack, typecode
 
 _FIRST_WORD = Struct(">I").unpack_from
 #: ASCII decimal digits of the small pids, so the hot loop formats none.
@@ -40,25 +40,28 @@ class DelayPlan(ABC):
     def stamp(self, outbox: Sequence, t: int) -> None:
         """Stamp ``sent_at = t`` and :meth:`assign`'s delay on each message
         of an outbox, in order — on a :class:`FanOut`, one delay per
-        destination, each asked for that destination's message. A plan
-        overrides this only to compute the same delays more cheaply."""
+        destination, each asked for that destination's message, packed in
+        the typecode of :attr:`target_d`. A plan overrides this only to
+        compute the same delays more cheaply."""
         assign = self.assign
         for msg in outbox:
             msg.sent_at = t
             if type(msg) is FanOut:
-                msg.delays = [int(assign(msg.message(index)))
-                              for index in range(len(msg.dsts))]
+                msg.delays = pack(typecode(self.target_d), [
+                    int(assign(msg.message(index)))
+                    for index in range(len(msg.dsts))
+                ])
             else:
                 msg.delay = int(assign(msg))
 
 
 def _stamp_fixed(outbox: Sequence, t: int, d: int) -> None:
     """Stamp ``sent_at = t`` and delay ``d`` on every message and every
-    destination of a record."""
+    destination of a record (packed in ``d``'s typecode)."""
     for msg in outbox:
         msg.sent_at = t
         if type(msg) is FanOut:
-            msg.delays = [d] * len(msg.dsts)
+            msg.delays = pack(typecode(d), [d]) * len(msg.dsts)
         else:
             msg.delay = d
 
@@ -106,8 +109,9 @@ class HashDelay(DelayPlan):
         ``"{seed}/{src}/"`` prefix is hashed once per outbox — one
         process-step's sends all carry that process as ``src`` — and each
         destination feeds only its own ``"{dst}/{t}"`` to a copy of that
-        state — the same digest. Nothing is remembered between calls:
-        plans are shared across forks and a hash state does not pickle.
+        state — the same digest. A record's delays are packed in the
+        typecode of ``d``. Nothing is remembered between calls: plans are
+        shared across forks and a hash state does not pickle.
         """
         d = self.target_d
         if d == 1:
@@ -126,6 +130,7 @@ class HashDelay(DelayPlan):
             return
         prefix = _keyed(f"{self.seed}/{outbox[0].src}/").copy
         tail = f"/{t}".encode()
+        code = typecode(d)
         digits = _DIGITS
         known = len(digits)
         first_word = _FIRST_WORD
@@ -141,7 +146,7 @@ class HashDelay(DelayPlan):
                     )
                     state.update(tail)
                     delays.append(1 + first_word(state.digest())[0] % d)
-                msg.delays = delays
+                msg.delays = pack(code, delays)
                 continue
             state = prefix()
             dst = msg.dst

@@ -48,10 +48,11 @@ class GossipAlgorithm(Algorithm):
 
         Every core gossip algorithm keeps exactly one shared-mutable object
         — its :class:`RumorSet` — plus immutable scalars (counters, flags,
-        params objects) and build-once tuples (the Π1/Π2 of TEARS and
-        the deterministic majority scheme, which ``Context.send_many``
-        queues as they are, without a copy). A shallow ``copy.copy`` plus
-        a fresh rumor set is therefore a faithful independent copy.
+        params objects) and build-once arrays (the packed Π1/Π2 of TEARS
+        and the deterministic majority scheme, which ``Context.send_many``
+        queues as they are, without a copy; nothing changes them). A
+        shallow ``copy.copy`` plus a fresh rumor set is therefore a
+        faithful independent copy.
 
         Subclasses that add mutable containers beyond the rumor set must
         override this (or fall back to ``copy.deepcopy(self)``).

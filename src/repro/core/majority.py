@@ -34,7 +34,7 @@ from typing import List
 
 from .._util import ln
 from ..adversary.crash_plans import CrashPlan, wave_crashes
-from ..sim.message import Message
+from ..sim.message import Message, pack_pids
 from ..sim.process import Context
 from .base import GossipAlgorithm
 
@@ -52,8 +52,10 @@ class DeterministicMajorityGossip(GossipAlgorithm):
             degree_constant * math.sqrt(n) * max(1.0, ln(n) / 2)
         )))
         stride2 = max(1, n // self.k)
-        self.pi1 = tuple((pid + i) % n for i in range(1, self.k + 1))
-        self.pi2 = tuple((pid + i * stride2) % n for i in range(1, self.k + 1))
+        self.pi1 = pack_pids(n, ((pid + i) % n
+                                 for i in range(1, self.k + 1)))
+        self.pi2 = pack_pids(n, ((pid + i * stride2) % n
+                                 for i in range(1, self.k + 1)))
         self.first_sent = False
         self.first_level_received = 0
         #: Re-broadcast every time another ``threshold`` first-level

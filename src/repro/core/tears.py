@@ -28,9 +28,10 @@ into one batch (their payloads would be identical anyway).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from array import array
+from typing import List, Optional
 
-from ..sim.message import Message
+from ..sim.message import Message, pack_pids
 from ..sim.process import Context
 from .base import GossipAlgorithm
 from .params import DEFAULT_TEARS, TearsParams
@@ -60,8 +61,8 @@ class Tears(GossipAlgorithm):
         self.up_msg_cnt = 0
         self.first_level_sent = False
         self.second_level_batches = 0
-        self.pi1: Optional[Tuple[int, ...]] = None
-        self.pi2: Optional[Tuple[int, ...]] = None
+        self.pi1: Optional[array] = None
+        self.pi2: Optional[array] = None
         #: Rumors received specifically in first-level messages — the only
         #: rumors that can become *safe* (Section 5.2).
         self.first_level_rumor_mask = 1 << pid
@@ -79,18 +80,20 @@ class Tears(GossipAlgorithm):
         in the context; the draw is still independent of all communication.
         Under a restricted topology the candidate pool is the process's
         neighbor set rather than [n]∖{p} (on the complete graph the loop —
-        and its RNG draw sequence — is exactly the historical one).
+        and its RNG draw sequence — is exactly the historical one). Both
+        are packed as ``Context.send_many`` packs a fan-out's
+        destinations, so it queues them without a copy.
         """
         prob = self.params.membership_probability(self.n)
         candidates = ctx.peers()
-        self.pi1 = tuple(
+        self.pi1 = pack_pids(self.n, (
             q for q in candidates
             if q != self.pid and ctx.rng.random() < prob
-        )
-        self.pi2 = tuple(
+        ))
+        self.pi2 = pack_pids(self.n, (
             q for q in candidates
             if q != self.pid and ctx.rng.random() < prob
-        )
+        ))
 
     # -- trigger rule ------------------------------------------------------#
 

@@ -9,10 +9,13 @@ destinations — and counts as that many messages everywhere.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Any, List, Optional, Sequence, Tuple
+from struct import error as StructError
+from struct import pack as _struct_pack
+from typing import Any, Iterable, List, Optional, Sequence
 
 _UID_COUNTER = count()
 # Consumes an iterator in C (the itertools "consume" recipe).
@@ -24,6 +27,46 @@ _skip = deque(maxlen=0).extend
 #: costs more than it saves on one or two messages (every EARS step sends
 #: that few).
 _SHORT_OUTBOX = 3
+
+
+#: Unsigned ``array`` typecodes, narrowest first, with the bits each holds.
+_UNSIGNED = tuple((code, 8 * array(code).itemsize) for code in "BHIL")
+
+
+def typecode(limit: int) -> str:
+    """The narrowest unsigned :class:`array.array` typecode that holds
+    every integer in ``[0, limit]``; ``"Q"`` (64 bits) past the others,
+    even past 64 bits, where :func:`pack` then keeps its input."""
+    bits = limit.bit_length()
+    for code, width in _UNSIGNED:
+        if bits <= width:
+            return code
+    return "Q"
+
+
+def pack(code: str, values: Sequence[int]) -> Sequence[int]:
+    """``values`` packed in an ``array`` of ``code``, or ``values`` itself
+    when one of them does not fit: a pid outside ``[0, n)``, which
+    ``Context.send_many`` then rejects as ``send`` does, or a delay below
+    1 or past its plan's bound, which ``Network.enqueue`` rejects or
+    accepts as it would any other.
+
+    The bytes are filled by ``bytes`` or :mod:`struct`, three times
+    faster in C than ``array`` fills itself from a sequence.
+    """
+    try:
+        if code == "B":
+            return array(code, bytes(values))
+        return array(code, _struct_pack(f"{len(values)}{code}", *values))
+    except (TypeError, ValueError, StructError):
+        return values
+
+
+def pack_pids(n: int, pids: Iterable[int]) -> array:
+    """``pids`` packed as ``Context.send_many`` packs a fan-out's
+    destinations among ``n`` processes: a sender that keeps its
+    destinations so has them queued without a copy."""
+    return array(typecode(n - 1), pids)
 
 
 @dataclass(slots=True)
@@ -71,12 +114,19 @@ class FanOut:
     live destination's mailbox, so a receiver reads ``src``, ``kind``,
     ``payload`` and ``sent_at`` off a record it shares with the other
     receivers of the fan-out.
+
+    Both sequences are packed: ``send_many`` queues ``dsts`` as an
+    ``array`` of ``typecode(n - 1)`` (1 byte a destination up to n = 256,
+    2 up to n = 65,536), and the delay layer stamps ``delays`` as an
+    ``array`` of ``typecode(d)`` for its bound d (1 byte a destination up
+    to d = 255; see :func:`pack` for a delay that does not fit).
+    Everything reads them as the sequences of ints they are.
     """
 
     __slots__ = ("src", "dsts", "payload", "kind", "sent_at", "delays",
                  "uid")
 
-    def __init__(self, src: int, dsts: Tuple[int, ...], payload: Any,
+    def __init__(self, src: int, dsts: Sequence[int], payload: Any,
                  kind: str = "msg") -> None:
         self.src = src
         self.dsts = dsts
@@ -84,7 +134,7 @@ class FanOut:
         self.kind = kind
         self.sent_at = -1
         #: One delay per destination, stamped by the delay layer.
-        self.delays: Optional[List[int]] = None
+        self.delays: Optional[Sequence[int]] = None
         self.uid = _UID_COUNTER.__next__()
         _skip(islice(_UID_COUNTER, len(dsts) - 1))
 

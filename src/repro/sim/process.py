@@ -17,6 +17,7 @@ import copy
 import enum
 import random
 from abc import ABC, abstractmethod
+from array import array
 from typing import (
     Any,
     Callable,
@@ -29,7 +30,7 @@ from typing import (
 )
 
 from .errors import AlgorithmError
-from .message import _SHORT_OUTBOX, FanOut, Message
+from .message import _SHORT_OUTBOX, FanOut, Message, pack, typecode
 from .rng import clone_rng
 
 
@@ -57,7 +58,7 @@ class Context:
     """
 
     __slots__ = ("pid", "n", "f", "rng", "outbox", "_local_step",
-                 "neighbors", "_neighbor_set")
+                 "neighbors", "_neighbor_set", "_pid_code")
 
     def __init__(self, pid: int, n: int, f: int, rng: random.Random,
                  neighbors: Optional[Sequence[int]] = None) -> None:
@@ -67,6 +68,8 @@ class Context:
         self.rng = rng
         self.outbox: List[Message] = []
         self._local_step = 0
+        # The typecode a fan-out's destinations are packed in.
+        self._pid_code = typecode(n - 1)
         if neighbors is None:
             self.neighbors: Optional[Tuple[int, ...]] = None
             self._neighbor_set: Optional[frozenset] = None
@@ -130,14 +133,21 @@ class Context:
         exactly as :meth:`send` validates them, and the outbox grows only
         once every one of them passed — a call that raises queues nothing.
         From ``_SHORT_OUTBOX`` destinations on, the call is queued as one
-        :class:`~repro.sim.message.FanOut` record over ``tuple(dsts)``
-        instead of a :class:`Message` per destination; a sender that keeps
-        its destinations as a tuple has it queued as is, without a copy.
+        :class:`~repro.sim.message.FanOut` record over the destinations
+        packed once in an ``array`` of ``typecode(n - 1)`` instead of a
+        :class:`Message` per destination; a sender that keeps its
+        destinations packed that way (and never changes them) has its
+        array queued as is, without a copy.
         """
-        dsts = tuple(dsts)
+        code = self._pid_code
+        if type(dsts) is not array or dsts.typecode != code:
+            dsts = tuple(dsts)
+            if len(dsts) >= _SHORT_OUTBOX:
+                # Left a tuple if a pid does not fit: the loop raises.
+                dsts = pack(code, dsts)
         n = self.n
         allowed = self._neighbor_set
-        if (len(dsts) >= _SHORT_OUTBOX and 0 <= min(dsts)
+        if (type(dsts) is array and len(dsts) >= _SHORT_OUTBOX
                 and max(dsts) < n
                 and (allowed is None or allowed.issuperset(dsts))):
             self.outbox.append(FanOut(self.pid, dsts, payload, kind))

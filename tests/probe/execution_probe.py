@@ -75,10 +75,11 @@ FILES = {
     "spec-sync.json": {"algorithm": "ears", "n": 16,
                        "adversary": {"name": "synchronous"},
                        "crashes": {"name": "none"}},
-    **{f"fanout-{algorithm}-{checked}.json".lower(): {
-        "algorithm": algorithm, "n": 64, "f": 16, "crashes": 8, "d": 3,
+    **{f"fanout-{algorithm}-d{d}-{checked}.json".lower(): {
+        "algorithm": algorithm, "n": 64, "f": 16, "crashes": 8, "d": d,
         "delta": 2, "seed": 4, "check_invariants": checked}
-       for algorithm in ("trivial", "tears") for checked in (False, True)},
+       for algorithm in ("trivial", "tears") for d in (3, 300)
+       for checked in (False, True)},
 }
 CAMPAIGN_SPECS = [{"algorithm": "trivial", "n": 8, "seed": 0},
                   {"algorithm": "ears", "n": 12, "f": 3, "seed": 1}]
@@ -121,9 +122,10 @@ SMOKE = [
     (["inspect", "-n", "12"], 0),
     (["report", "--output", "{tmp}/report.md"], 0),
     # Fan-out oracle.
-    *[(["run", "--spec", f"{{tmp}}/fanout-{algorithm}-{checked}.json",
+    *[(["run", "--spec", f"{{tmp}}/fanout-{algorithm}-d{d}-{checked}.json",
         "--json"], 0)
-      for algorithm in ("trivial", "tears") for checked in ("false", "true")],
+      for algorithm in ("trivial", "tears") for d in (3, 300)
+      for checked in ("false", "true")],
     # Import guard.
     (["gossip", "--algorithm", "ears", "-n", "32", "--seed", "1"], 0),
     # Store smoke.

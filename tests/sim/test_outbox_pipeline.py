@@ -322,7 +322,7 @@ class TestSendMany:
         (record,) = ctx.outbox
         assert type(record) is FanOut
         dsts.append(4)                      # the caller keeps its list
-        assert record.dsts == (5, 0, 5, 3, 1)
+        assert tuple(record.dsts) == (5, 0, 5, 3, 1)
         messages = expand(ctx.outbox)
         assert [m.uid for m in messages] == list(range(before + 1, after))
         assert [(m.src, m.dst, m.kind, m.payload, m.sent_at, m.delay)
@@ -542,6 +542,12 @@ def _fanout_cells():
         cases.append(pytest.param(from_spec(RunSpec(
             algorithm=algorithm, n=40, f=16, d=3, delta=2, seed=6, crashes=9,
         )), id=f"{algorithm}-random-crashes"))
+    # Delays past one byte: each record's delays are packed two-byte.
+    for algorithm in ("trivial", "tears"):
+        cases.append(pytest.param(from_spec(RunSpec(
+            algorithm=algorithm, n=40, f=16, d=300, delta=2, seed=3,
+            crashes={"name": "wave", "count": 12, "at": 2},
+        )), id=f"{algorithm}-d300-delta2-wave"))
     cases.append(pytest.param(by_hand(
         lambda n, f: make_processes(n, f, DeterministicMajorityGossip),
         40, 16,
