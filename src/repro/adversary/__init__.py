@@ -7,7 +7,6 @@ adaptive adversaries react to it. The executable Theorem 1 strategy lives in
 
 from .adaptive import (
     AdaptiveAdversary,
-    CrashEagerSendersAdversary,
     ScriptedAdversary,
     TargetedDelayAdversary,
 )
@@ -24,8 +23,6 @@ from .delay_plans import (
     DelayPlan,
     FixedDelay,
     HashDelay,
-    MutableDelay,
-    SlowLinksDelay,
 )
 from .gst import GstAdversary
 from .oblivious import ObliviousAdversary
@@ -44,7 +41,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "AdaptiveAdversary",
     "Adversary",
-    "CrashEagerSendersAdversary",
     "CrashPlan",
     "DelayPlan",
     "FixedDelay",
@@ -52,11 +48,9 @@ __all__ = [
     "HashDelay",
     "LowerBoundExperiment",
     "LowerBoundReport",
-    "MutableDelay",
     "ObliviousAdversary",
     "run_lower_bound",
     "ScriptedAdversary",
-    "SlowLinksDelay",
     "TargetedDelayAdversary",
     "crash_at",
     "no_crashes",

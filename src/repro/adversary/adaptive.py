@@ -43,8 +43,8 @@ class ScriptedAdversary(AdaptiveAdversary):
 
     The Theorem 1 orchestration runs the execution in phases ("run S1 at
     full speed", "starve S2", "deliver nothing for f/2 steps", ...); between
-    phases the driver mutates :attr:`scheduled`, :attr:`delay` and pushes
-    crash events. Within a phase the behaviour is fixed.
+    phases the driver mutates :attr:`scheduled` and :attr:`delay`. Within a
+    phase the behaviour is fixed; it never crashes a process.
 
     The driver also names the senders whose traffic it reads
     (:meth:`count_sends`): who sent to whom is the adaptive adversary's
@@ -55,7 +55,6 @@ class ScriptedAdversary(AdaptiveAdversary):
     def __init__(self) -> None:
         self.scheduled: Optional[Set[int]] = None  # None = everyone alive
         self.delay = 1
-        self._crash_queue: Set[int] = set()
         self.suppress_delivery_until: Optional[int] = None
         #: Messages each counted sender has sent, in total and per
         #: destination (destinations in first-send order).
@@ -66,13 +65,6 @@ class ScriptedAdversary(AdaptiveAdversary):
         """Count, from now on, what each of ``pids`` sends."""
         self.sent = {pid: 0 for pid in pids}
         self.sent_to = {pid: {} for pid in self.sent}
-
-    def queue_crashes(self, pids) -> None:
-        self._crash_queue |= set(pids)
-
-    def crashes_at(self, t: int) -> Set[int]:
-        fired, self._crash_queue = self._crash_queue, set()
-        return fired
 
     def schedule_at(self, t: int, alive: FrozenSet[int]) -> Set[int]:
         if self.scheduled is None:
@@ -103,7 +95,6 @@ class ScriptedAdversary(AdaptiveAdversary):
         dup = ScriptedAdversary()
         dup.scheduled = None if self.scheduled is None else set(self.scheduled)
         dup.delay = self.delay
-        dup._crash_queue = set(self._crash_queue)
         dup.suppress_delivery_until = self.suppress_delivery_until
         dup.sent = dict(self.sent)
         dup.sent_to = {pid: dict(to) for pid, to in self.sent_to.items()}
@@ -126,32 +117,3 @@ class TargetedDelayAdversary(AdaptiveAdversary):
         if msg.src in self.victims or msg.dst in self.victims:
             return self.d
         return 1
-
-
-class CrashEagerSendersAdversary(AdaptiveAdversary):
-    """Crashes the first ``budget`` distinct processes observed sending.
-
-    With ``watch_dst`` set, only senders addressing that particular process
-    are marked. Demonstrates adaptivity: victims are then a function of the
-    algorithm's own random target choices, which no oblivious plan could
-    express.
-    """
-
-    def __init__(self, budget: int, watch_dst: Optional[int] = None) -> None:
-        self.budget = budget
-        self.watch_dst = watch_dst
-        self._victims: Set[int] = set()
-        self._pending: Set[int] = set()
-
-    def assign_delay(self, msg: Message) -> int:
-        if self.watch_dst is not None and msg.dst != self.watch_dst:
-            return 1
-        if len(self._victims) + len(self._pending) < self.budget:
-            if msg.src not in self._victims:
-                self._pending.add(msg.src)
-        return 1
-
-    def crashes_at(self, t: int) -> Set[int]:
-        fired, self._pending = self._pending, set()
-        self._victims |= fired
-        return fired

@@ -62,10 +62,6 @@ class CrashPlan:
             return None
         return self._times[idx]
 
-    def correct_pids(self, n: int) -> frozenset:
-        """The paper's *correct* processes: those that never crash."""
-        return frozenset(range(n)) - self._victims
-
     def events(self) -> List[Tuple[int, Set[int]]]:
         return sorted((t, set(p)) for t, p in self._events.items())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from hashlib import sha256
 from struct import Struct
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 from ..sim.errors import ConfigurationError
 from ..sim.message import _SHORT_OUTBOX, FanOut, Message, pack, typecode
@@ -155,50 +155,3 @@ class HashDelay(DelayPlan):
             )
             state.update(tail)
             msg.delay = 1 + first_word(state.digest())[0] % d
-
-
-class SlowLinksDelay(DelayPlan):
-    """Fast delays everywhere except a fixed set of slow directed links.
-
-    Models the paper's motivating pathology ("the e-mail that took two days"):
-    most traffic is fast, but particular links realize the worst-case ``d``.
-    """
-
-    def __init__(
-        self,
-        slow_links: Iterable[Tuple[int, int]],
-        d_slow: int,
-        d_fast: int = 1,
-    ) -> None:
-        if not 1 <= d_fast <= d_slow:
-            raise ConfigurationError(
-                f"need 1 <= d_fast <= d_slow, got {d_fast}, {d_slow}"
-            )
-        self.slow_links = frozenset(slow_links)
-        self.d_slow = d_slow
-        self.d_fast = d_fast
-        self.target_d = d_slow
-
-    def assign(self, msg: Message) -> int:
-        if (msg.src, msg.dst) in self.slow_links:
-            return self.d_slow
-        return self.d_fast
-
-
-class MutableDelay(DelayPlan):
-    """A delay plan whose bound can be swapped between execution phases.
-
-    Used by scripted executions (e.g. the Theorem 1 orchestration) where the
-    adversary runs distinct phases with different delay regimes.
-    """
-
-    def __init__(self, d: int = 1) -> None:
-        self.target_d = d
-
-    def set(self, d: int) -> None:
-        if d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {d}")
-        self.target_d = d
-
-    def assign(self, msg: Message) -> int:
-        return self.target_d

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import FrozenSet, Optional, Sequence, Set
 
 from ..sim.errors import ConfigurationError
-from ..sim.message import Message
+from ..sim.message import FanOut, Message, pack, typecode
 from ..sim.scheduler import RoundRobinWindows
 from .base import Adversary
 from .crash_plans import CrashPlan, no_crashes
@@ -35,6 +35,8 @@ from .delay_plans import HashDelay
 
 class GstAdversary(Adversary):
     """Chaotic before ``gst``, uniform (d, δ)-bounded afterwards."""
+
+    stamps_fanouts = True
 
     def __init__(
         self,
@@ -90,8 +92,15 @@ class GstAdversary(Adversary):
         self._delays.stamp(outbox, t)
         hold = self.gst - t
         if hold > 0:
+            # A record's delays are re-packed in the typecode of the
+            # longest one a pre-GST send can take.
+            code = typecode(self.d + hold)
             for msg in outbox:
-                msg.delay += hold
+                if type(msg) is FanOut:
+                    msg.delays = pack(code, [delay + hold
+                                             for delay in msg.delays])
+                else:
+                    msg.delay += hold
 
     def has_pending_events(self, t: int) -> bool:
         # Crashes may still fire, and before GST the world still changes.
@@ -118,11 +127,3 @@ class GstAdversary(Adversary):
         if crash is None:
             return sched
         return min(sched, crash)
-
-    @property
-    def target_d(self) -> int:
-        return self.d
-
-    @property
-    def target_delta(self) -> int:
-        return self.delta

@@ -15,7 +15,7 @@ from ..sim.message import Message
 from ..sim.scheduler import EveryStep, RoundRobinWindows, SchedulePlan
 from .base import Adversary
 from .crash_plans import CrashPlan, no_crashes
-from .delay_plans import DelayPlan, FixedDelay, HashDelay, MutableDelay
+from .delay_plans import DelayPlan, FixedDelay, HashDelay
 
 
 class ObliviousAdversary(Adversary):
@@ -113,14 +113,9 @@ class ObliviousAdversary(Adversary):
         """O(1) copy for simulation forking.
 
         The composed plans are decided before the execution and never
-        mutated while it runs (StaggeredWindows keeps only a pure memo
-        cache), so the fork shares them. The one exception is
-        :class:`MutableDelay`, whose bound a driver may swap between
-        phases — forks get their own copy so phase changes on one
-        execution never leak into another.
+        mutated while it runs (a plan keeps at most a pure memo), so the
+        fork shares them.
         """
         dup = copy.copy(self)
-        if isinstance(self.delays, MutableDelay):
-            dup.delays = MutableDelay(self.delays.target_d)
         dup.sim = sim
         return dup

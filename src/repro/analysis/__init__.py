@@ -12,8 +12,8 @@ from .fitting import (
     fit_power_law_with_log,
     safe_fit_power_law,
 )
-from .stats import Summary, success_rate, summarize, wilson_interval
-from .tables import format_cell, format_fit, render_markdown, render_table
+from .stats import Summary, success_rate, summarize
+from .tables import format_cell, render_markdown, render_table
 
 __all__ = [
     "CoaReport",
@@ -28,11 +28,9 @@ __all__ = [
     "fit_power_law",
     "fit_power_law_with_log",
     "format_cell",
-    "format_fit",
     "safe_fit_power_law",
     "render_markdown",
     "render_table",
     "success_rate",
     "summarize",
-    "wilson_interval",
 ]

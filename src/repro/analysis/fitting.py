@@ -23,12 +23,6 @@ class PowerLawFit:
     r_squared: float
     log_power: float = 0.0
 
-    def predict(self, x: float) -> float:
-        value = self.coefficient * x ** self.exponent
-        if self.log_power:
-            value *= math.log(max(2.0, x)) ** self.log_power
-        return value
-
 
 @dataclass(frozen=True)
 class SkippedFit:
@@ -51,13 +45,6 @@ class SkippedFit:
     coefficient: float = float("nan")
     r_squared: float = float("nan")
     log_power: float = 0.0
-
-    @property
-    def skipped(self) -> bool:
-        return True
-
-    def predict(self, x: float) -> float:
-        return float("nan")
 
 
 def _least_squares_line(xs: Sequence[float], ys: Sequence[float]):

@@ -65,17 +65,3 @@ def success_rate(outcomes: Sequence[bool]) -> float:
         raise ValueError("cannot take the rate of an empty sample")
     return sum(bool(o) for o in outcomes) / len(outcomes)
 
-
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a Bernoulli success probability."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    phat = successes / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials ** 2))
-        / denom
-    )
-    return max(0.0, center - half), min(1.0, center + half)

@@ -35,23 +35,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-def format_fit(fit: Any) -> str:
-    """One table cell for a power-law fit result.
-
-    Accepts a :class:`~repro.analysis.fitting.PowerLawFit`, a
-    :class:`~repro.analysis.fitting.SkippedFit` (rendered as
-    ``skipped: <reason>`` so degenerate sweeps stay readable in
-    reports), or ``None``.
-    """
-    if fit is None:
-        return "-"
-    if getattr(fit, "skipped", False):
-        return f"skipped: {fit.reason}"
-    cell = f"{fit.exponent:+.2f} (R²={fit.r_squared:.3f})"
-    if fit.log_power:
-        cell += f" ·ln^{format_cell(fit.log_power)}"
-    return cell
-
 
 def render_markdown(headers: Sequence[str],
                     rows: Sequence[Sequence[Any]]) -> str:

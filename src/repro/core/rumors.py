@@ -53,11 +53,6 @@ class RumorSet:
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
 
-    def add(self, pid: int, payload: Any = None) -> None:
-        self.mask |= 1 << pid
-        if payload is not None:
-            self.payloads[pid] = payload
-
     def merge(self, mask: int, payloads: Optional[Dict[int, Any]] = None
               ) -> bool:
         """Union in another rumor set; returns True if anything was new."""
@@ -86,9 +81,6 @@ class RumorSet:
         self.mask = merged = before | got
         return merged != before
 
-    def merge_set(self, other: "RumorSet") -> bool:
-        return self.merge(other.mask, other.payloads)
-
     def clone(self) -> "RumorSet":
         """Independent copy. Payload *values* are shared: rumor content is
         immutable once created (module contract above), so only the dict
@@ -103,18 +95,6 @@ class RumorSet:
         flight, and in-flight messages must not change retroactively.
         """
         return self.mask, (dict(self.payloads) if self.payloads else None)
-
-    def covers(self, mask: int) -> bool:
-        """True if every rumor in ``mask`` is in this set."""
-        return not (mask & ~self.mask)
-
-    def is_majority(self, n: int) -> bool:
-        """True if this set holds a strict majority (⌊n/2⌋ + 1) of n rumors."""
-        return popcount(self.mask) >= n // 2 + 1
-
-    def missing_from(self, n: int) -> int:
-        """Mask of rumors *not* held, out of the full population of n."""
-        return ((1 << n) - 1) & ~self.mask
 
     def value_of(self, pid: int, default: Any = None) -> Any:
         return self.payloads.get(pid, default)

@@ -116,9 +116,6 @@ class GracefulShutdown:
     def __call__(self) -> bool:
         return self.requested
 
-    def __bool__(self) -> bool:
-        return self.requested
-
     def _handle(self, signum: int, frame: Any) -> None:
         self.signal_count += 1
         self.requested = True

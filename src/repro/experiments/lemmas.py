@@ -71,13 +71,6 @@ class EarsMilestones:
     exchange_time: Optional[int]   # Lemma 3: tagged rumor origin -> all
     completed: bool
 
-    @property
-    def shutdown_wave(self) -> Optional[int]:
-        """Steps between the first process sleeping and global sleep."""
-        if self.first_sleep is None or self.all_asleep is None:
-            return None
-        return self.all_asleep - self.first_sleep
-
 
 def measure_ears_milestones(
     n: int = 64,

@@ -63,23 +63,6 @@ class LiveFleet:
     campaign: FleetCampaign
     procs: List[subprocess.Popen] = field(default_factory=list)
 
-    def wait_for_active_lease(self, timeout: float = 30.0,
-                              pid: Optional[int] = None) -> Any:
-        """Block until some worker (or worker ``pid``) holds a lease.
-        Chaos injectors use this to aim faults at a mid-job worker."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            for lease in read_all_leases(self.campaign.leases_dir):
-                if pid is None or lease.pid == pid:
-                    return lease
-            if all(proc.poll() is not None for proc in self.procs):
-                break
-            time.sleep(0.02)
-        raise FleetTimeout(
-            f"no active lease appeared within {timeout}s"
-            + (f" for pid {pid}" if pid is not None else "")
-        )
-
     def wait(self, timeout: float = 300.0) -> List[int]:
         """Wait for every worker to exit; kill-and-raise on overrun."""
         deadline = time.time() + timeout

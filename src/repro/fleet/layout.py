@@ -297,19 +297,12 @@ class FleetCampaign:
             "not_before": time.time() + self.backoff_for(attempts),
             "error": error, "updated_at": time.time(),
         })
-        if attempts >= self.config.max_attempts:
-            return self.record_terminal_failure(key, worker, error,
-                                                attempts)
-        return None
-
-    def record_terminal_failure(self, key: str, worker: str, error: str,
-                                attempts: int) -> Dict[str, Any]:
-        """Mark ``key`` permanently failed (exactly-once via hard link)."""
-        payload = {
-            "key": key, "error": str(error)[:MAX_FAILURE_CHARS],
-            "attempts": attempts, "worker": worker, "time": time.time(),
-        }
-        # Exactly once: if a peer recorded the failure first, its stands.
+        if attempts < self.config.max_attempts:
+            return None
+        payload = {"key": key, "error": error, "attempts": attempts,
+                   "worker": worker, "time": time.time()}
+        # Exactly once (a hard link): if a peer recorded the terminal
+        # failure first, its stands.
         create_exclusive(os.path.join(self.failed_dir, f"{key}.json"),
                          payload, worker)
         return payload

@@ -52,11 +52,8 @@ from .process import (
 from .rng import clone_rng, derive_rng, derive_seed
 from .scheduler import (
     EveryStep,
-    ExplicitSchedule,
     RoundRobinWindows,
     SchedulePlan,
-    StaggeredWindows,
-    SubsetEveryStep,
 )
 from .trace import EventTrace, TraceEvent
 
@@ -73,7 +70,6 @@ __all__ = [
     "CrashConsistencyInvariant",
     "EventTrace",
     "EveryStep",
-    "ExplicitSchedule",
     "GossipCompletionMonitor",
     "GossipValidityInvariant",
     "IncompleteRunError",
@@ -95,10 +91,8 @@ __all__ = [
     "SimSnapshot",
     "Simulation",
     "SimulationError",
-    "StaggeredWindows",
     "StepProfiler",
     "SubContext",
-    "SubsetEveryStep",
     "TraceEvent",
     "TraceObserver",
     "clone_rng",

@@ -103,11 +103,6 @@ class SimSnapshot:
     def __init__(self, frozen: "Simulation") -> None:
         self._frozen = frozen
 
-    @property
-    def now(self) -> int:
-        """Global time at which the snapshot was taken."""
-        return self._frozen.now
-
 
 class Simulation:
     """One execution of ``n`` processes under a given adversary."""

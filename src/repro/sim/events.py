@@ -194,14 +194,6 @@ class StepProfiler(Observer):
     def on_complete(self, t: int) -> None:
         self._account("between-steps")
 
-    def merge(self, other: "StepProfiler") -> None:
-        """Fold another profiler's buckets into this one (sweep drivers)."""
-        for phase, secs in other.seconds.items():
-            self.seconds[phase] = self.seconds.get(phase, 0.0) + secs
-        for phase, count in other.counts.items():
-            self.counts[phase] = self.counts.get(phase, 0) + count
-        self.steps += other.steps
-
     def report(self) -> str:
         total = sum(self.seconds.values()) or 1e-12
         lines = [f"{'phase':>14s}  {'seconds':>9s}  {'share':>6s}  "

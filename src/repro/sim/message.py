@@ -94,11 +94,6 @@ class Message:
     delay: int = 1
     uid: int = field(default_factory=_UID_COUNTER.__next__)
 
-    @property
-    def deliverable_at(self) -> int:
-        """First global time step at which this message may be received."""
-        return self.sent_at + self.delay
-
 
 class FanOut:
     """One payload sent to ``len(dsts)`` destinations in one call: the

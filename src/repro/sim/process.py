@@ -316,10 +316,6 @@ class ProcessHandle:
         self.status = ProcessStatus.ALIVE
         self.crashed_at: Optional[int] = None
 
-    @property
-    def alive(self) -> bool:
-        return self.status is ProcessStatus.ALIVE
-
     def crash(self, now: int) -> None:
         """Permanently halt this process (the paper's crash failure)."""
         self.status = ProcessStatus.CRASHED

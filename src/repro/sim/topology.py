@@ -96,21 +96,6 @@ class Topology:
         """The sorted pids adjacent to ``pid``."""
         return self._neighbors[pid]
 
-    def degree(self, pid: int) -> int:
-        return len(self._neighbors[pid])
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self._neighbors) // 2
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in self._neighbors[u] if u < v
-        ]
-
     # -- connectivity ------------------------------------------------------ #
 
     def components(self) -> List[List[int]]:
@@ -142,20 +127,6 @@ class Topology:
     def largest_component_size(self) -> int:
         components = self.components()
         return len(components[0]) if components else 0
-
-    def describe(self) -> Dict[str, Any]:
-        """Diagnostic summary (name, knobs, size, connectivity)."""
-        degrees = [len(row) for row in self._neighbors]
-        return {
-            "name": self.name,
-            "n": self.n,
-            "params": dict(self.params),
-            "edges": self.edge_count,
-            "min_degree": min(degrees) if degrees else 0,
-            "max_degree": max(degrees) if degrees else 0,
-            "connected": self.connected(),
-            "components": len(self.components()),
-        }
 
 
 # -- builders --------------------------------------------------------------- #

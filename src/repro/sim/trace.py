@@ -47,9 +47,3 @@ class EventTrace:
 
     def of_kind(self, kind: str) -> Iterator[TraceEvent]:
         return (e for e in self.events if e.kind == kind)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for _ in self.of_kind(kind))
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -30,8 +30,3 @@ class GossipRun:
     crashes: int
     result: RunResult
     sim: Simulation
-
-    @property
-    def time(self) -> Optional[int]:
-        """Alias for the paper's time complexity measure."""
-        return self.completion_time

@@ -259,10 +259,6 @@ class RunSpec:
             for line in text.splitlines() if line.strip()
         ]
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-
     # -- identity ---------------------------------------------------------#
 
     def canonical_json(self) -> str:

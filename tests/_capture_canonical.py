@@ -5,16 +5,13 @@ each pinned execution; running this file as a script re-captures the full
 pin set as JSON on stdout (for deliberate regeneration after an intentional
 semantic change):
 
-    PYTHONPATH=src python tests/_capture_canonical.py > pins.json
+    PYTHONPATH=src python -m tests._capture_canonical > pins.json
 """
 
 import json
 import sys
 
-from repro.adversary.adaptive import (
-    CrashEagerSendersAdversary,
-    TargetedDelayAdversary,
-)
+from repro.adversary.adaptive import TargetedDelayAdversary
 from repro.adversary.lower_bound import run_lower_bound
 from repro.api import run_gossip
 from repro.core.base import make_processes
@@ -22,6 +19,7 @@ from repro.experiments.theorem1 import PORTFOLIO
 from repro.sim.engine import Simulation
 from repro.sim.monitor import GossipCompletionMonitor
 from repro.spec.registry import GOSSIP_ALGORITHMS
+from tests.plans import CrashEagerSendersAdversary
 
 
 def oblivious_cell(algorithm, seed):

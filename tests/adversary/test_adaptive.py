@@ -1,10 +1,6 @@
 """Tests for adaptive adversary strategies."""
 
-from repro.adversary.adaptive import (
-    CrashEagerSendersAdversary,
-    ScriptedAdversary,
-    TargetedDelayAdversary,
-)
+from repro.adversary.adaptive import ScriptedAdversary, TargetedDelayAdversary
 from repro.core.base import make_processes
 from repro.core.trivial import TrivialGossip
 from repro.core.uniform import UniformEpidemicGossip
@@ -12,6 +8,8 @@ from repro.sim.engine import Simulation
 from repro.sim.events import Observer
 from repro.sim.message import Message
 from repro.sim.monitor import GossipCompletionMonitor
+
+from ..plans import CrashEagerSendersAdversary
 
 
 class Senders(Observer):

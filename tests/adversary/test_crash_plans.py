@@ -38,10 +38,6 @@ class TestCrashPlanBasics:
         assert plan.has_pending(7)
         assert not plan.has_pending(8)
 
-    def test_correct_pids(self):
-        plan = crash_at({0: [1, 3]})
-        assert plan.correct_pids(5) == frozenset({0, 2, 4})
-
     def test_events_sorted(self):
         plan = crash_at({7: [5], 3: [1]})
         assert [t for t, _ in plan.events()] == [3, 7]

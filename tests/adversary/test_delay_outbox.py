@@ -13,22 +13,17 @@ import pytest
 import repro.adversary  # noqa: F401  (defines every Adversary subclass)
 from repro.adversary.adaptive import (
     AdaptiveAdversary,
-    CrashEagerSendersAdversary,
     ScriptedAdversary,
     TargetedDelayAdversary,
 )
 from repro.adversary.base import Adversary
-from repro.adversary.delay_plans import (
-    DelayPlan,
-    FixedDelay,
-    HashDelay,
-    MutableDelay,
-    SlowLinksDelay,
-)
+from repro.adversary.delay_plans import DelayPlan, FixedDelay, HashDelay
 from repro.adversary.gst import GstAdversary
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.faults.injectors import _AdversaryProxy, _BurstDelays
 from repro.sim.message import FanOut, Message, expand
+
+from ..plans import CrashEagerSendersAdversary
 
 SEEDS = (0, 12345, -7, 2 ** 70)
 LENGTHS = (0, 1, 2, 3, 255)
@@ -83,8 +78,6 @@ class HalfStepsPlan(DelayPlan):
 
 @pytest.mark.parametrize("plan", [
     FixedDelay(4),
-    SlowLinksDelay({(3, 677), (3, 30), (2, 0)}, d_slow=9, d_fast=2),
-    MutableDelay(6),
     HalfStepsPlan(),
 ], ids=lambda plan: type(plan).__name__)
 @pytest.mark.parametrize("length", LENGTHS)
@@ -102,8 +95,6 @@ def test_the_default_stamp_asks_assign_for_every_message(plan, length):
     FixedDelay(4),
     HashDelay(1, seed=3),
     HashDelay(7, seed=5),
-    SlowLinksDelay({(3, 677), (3, 30), (2, 0)}, d_slow=9, d_fast=2),
-    MutableDelay(6),
     HalfStepsPlan(),
 ], ids=lambda plan: f"{type(plan).__name__}-{plan.target_d}")
 @pytest.mark.parametrize("shape", ["record", "record-message",

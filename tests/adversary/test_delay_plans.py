@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.adversary.delay_plans import (
-    FixedDelay,
-    HashDelay,
-    MutableDelay,
-    SlowLinksDelay,
-)
+from repro.adversary.delay_plans import FixedDelay, HashDelay
 from repro.sim.errors import ConfigurationError
 from repro.sim.message import Message
 
@@ -50,25 +45,3 @@ class TestHashDelay:
 
     def test_d_one_short_circuits(self):
         assert HashDelay(1).assign(msg()) == 1
-
-
-class TestSlowLinks:
-    def test_slow_and_fast(self):
-        plan = SlowLinksDelay({(0, 1)}, d_slow=9, d_fast=2)
-        assert plan.assign(msg(0, 1)) == 9
-        assert plan.assign(msg(1, 0)) == 2
-        assert plan.target_d == 9
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SlowLinksDelay(set(), d_slow=2, d_fast=3)
-
-
-class TestMutableDelay:
-    def test_phase_swap(self):
-        plan = MutableDelay(1)
-        assert plan.assign(msg()) == 1
-        plan.set(10)
-        assert plan.assign(msg()) == 10
-        with pytest.raises(ConfigurationError):
-            plan.set(0)

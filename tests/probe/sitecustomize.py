@@ -10,12 +10,15 @@ directory.  Lines are written unbuffered with ``O_APPEND``, so a worker
 that exits through ``os._exit`` or is SIGKILLed keeps what it recorded,
 and concurrent writers never interleave within a line.  A forked child
 inherits the hook and its parent's record of what was already written.
+A Python signal handler is recorded when the signal arrives, wherever
+the process is.
 
 Without ``REPRO_PROBE_OUT`` this module does nothing.  See
 ``execution_probe.py`` beside it for the roots and the report.
 """
 
 import os
+import signal
 import sys
 import threading
 
@@ -25,17 +28,34 @@ def _install(out: str) -> None:
     seen = set()
     marker = os.sep + "repro" + os.sep
 
-    def profile(frame, event, arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        if code in seen:
-            return
+    def record(code) -> None:
         seen.add(code)
         if marker in code.co_filename:
             os.write(fd, f"{code.co_filename}:{code.co_firstlineno}\n"
                      .encode())
 
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code not in seen:
+            record(frame.f_code)
+
+    # A signal handler that runs while ``profile`` itself runs gets no
+    # profile event, so a handler is recorded when it is called.
+    install_handler = signal.signal
+
+    def recorded(signum, handler):
+        code = getattr(getattr(handler, "__func__", handler), "__code__",
+                       None)
+        if code is None:
+            return install_handler(signum, handler)
+
+        def call(number, frame):
+            if code not in seen:
+                record(code)
+            return handler(number, frame)
+
+        return install_handler(signum, call)
+
+    signal.signal = recorded
     sys.setprofile(profile)
     threading.setprofile(profile)
 

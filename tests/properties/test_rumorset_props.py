@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import popcount
-from repro.core.rumors import RumorSet, mask_of
+from repro.core.rumors import RumorSet
 
 pids = st.integers(min_value=0, max_value=63)
 masks = st.integers(min_value=0, max_value=2 ** 64 - 1)
@@ -59,31 +59,14 @@ class TestMergeAlgebra:
             assert (pid in listed) == (pid in r)
 
 
-class TestMajorityAndCoverage:
-    @given(masks, st.integers(min_value=1, max_value=64))
-    def test_majority_threshold(self, a, n):
-        r = RumorSet(a & mask_of(range(n)))
-        assert r.is_majority(n) == (len(r) >= n // 2 + 1)
-
-    @given(masks, masks)
-    def test_covers_iff_superset(self, a, b):
-        assert RumorSet(a).covers(b) == (a | b == a)
-
-    @given(masks, st.integers(min_value=1, max_value=64))
-    def test_missing_partitions(self, a, n):
-        r = RumorSet(a & mask_of(range(n)))
-        missing = r.missing_from(n)
-        assert missing & r.mask == 0
-        assert missing | r.mask == mask_of(range(n))
-
-
 class TestSnapshots:
     @given(pids, st.text(max_size=5))
     @settings(max_examples=25)
     def test_snapshot_immune_to_later_changes(self, pid, payload):
         r = RumorSet.initial(pid, payload or None)
         mask, payloads = r.snapshot()
-        r.add((pid + 1) % 64, "later")
+        later = (pid + 1) % 64
+        r.merge(1 << later, {later: "later"})
         assert mask == 1 << pid
         if payload:
             assert payloads == {pid: payload}

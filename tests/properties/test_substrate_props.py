@@ -9,7 +9,9 @@ from repro.adversary.delay_plans import HashDelay
 from repro.analysis.fitting import fit_power_law, fit_power_law_with_log
 from repro.sim.message import Message
 from repro.sim.rng import derive_seed
-from repro.sim.scheduler import RoundRobinWindows, StaggeredWindows
+from repro.sim.scheduler import RoundRobinWindows
+
+from ..plans import StaggeredWindows
 
 
 class TestSchedulerGuarantees:

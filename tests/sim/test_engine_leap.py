@@ -11,25 +11,24 @@ comparing everything observable.
 
 import pytest
 
-from repro.adversary.adaptive import (
-    CrashEagerSendersAdversary,
-    TargetedDelayAdversary,
-)
+from repro.adversary.adaptive import TargetedDelayAdversary
 from repro.adversary.crash_plans import crash_at, wave_crashes
 from repro.adversary.delay_plans import HashDelay
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.sim.engine import ENGINES, Simulation
 from repro.sim.errors import ConfigurationError
 from repro.sim.events import Observer
-from repro.sim.scheduler import (
-    ExplicitSchedule,
-    RoundRobinWindows,
-    StaggeredWindows,
-    SubsetEveryStep,
-)
+from repro.sim.scheduler import RoundRobinWindows
 from repro.spec.builder import execute
 from repro.spec.registry import GOSSIP_ALGORITHMS
 from repro.spec.runspec import RunSpec
+
+from ..plans import (
+    CrashEagerSendersAdversary,
+    ExplicitSchedule,
+    StaggeredWindows,
+    SubsetEveryStep,
+)
 
 ALGORITHMS = sorted(GOSSIP_ALGORITHMS)
 

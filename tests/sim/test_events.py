@@ -171,8 +171,9 @@ class TestSyncEngineObservers:
         sim = make_sync_sim([SyncCounter() for _ in range(4)],
                             observers=(TraceObserver(trace),))
         sim.run(max_steps=5)
-        assert trace.count("send") == sim.metrics.messages_sent == 9
-        assert trace.count("schedule") > 0
+        sends = len(list(trace.of_kind("send")))
+        assert sends == sim.metrics.messages_sent == 9
+        assert len(list(trace.of_kind("schedule"))) > 0
         sends = [e for e in trace.events if e.kind == "send"]
         assert all(e.get("delay") == 1 for e in sends)
 
@@ -239,14 +240,6 @@ class TestStepProfiler:
         assert profiler.seconds
         assert "compute+send" in profiler.counts
         assert "total" in profiler.report()
-
-    def test_merge_accumulates(self):
-        a, b = StepProfiler(), StepProfiler()
-        make_sim(observers=(a,)).run()
-        make_sim(seed=1, observers=(b,)).run()
-        steps = a.steps + b.steps
-        a.merge(b)
-        assert a.steps == steps
 
     def test_profiler_works_on_sync_engine(self):
         profiler = StepProfiler()

@@ -6,8 +6,8 @@ from repro.adversary.oblivious import ObliviousAdversary
 from repro.sim.engine import Simulation
 from repro.sim.message import Message
 from repro.sim.metrics import NEVER_SCHEDULED, Metrics, trailing_gap
-from repro.sim.scheduler import ExplicitSchedule
 
+from ..plans import ExplicitSchedule
 from .algos import RingSender
 
 

@@ -15,13 +15,7 @@ from array import array
 
 import pytest
 
-from repro.adversary.delay_plans import (
-    DelayPlan,
-    FixedDelay,
-    HashDelay,
-    MutableDelay,
-    SlowLinksDelay,
-)
+from repro.adversary.delay_plans import DelayPlan, FixedDelay, HashDelay
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.core.base import make_processes
 from repro.core.majority import DeterministicMajorityGossip
@@ -33,6 +27,16 @@ from repro.sim.message import FanOut, expand, typecode
 from repro.sim.network import Network
 from repro.sim.process import Context
 from repro.spec import RunSpec, build
+
+
+class ByDestination(DelayPlan):
+    """A plan on the default ``stamp``: its delays vary by destination."""
+
+    def __init__(self, d):
+        self.target_d = d
+
+    def assign(self, msg):
+        return 1 + msg.dst * 7 % self.target_d
 
 
 def context(n, pid=0):
@@ -65,8 +69,7 @@ class TestTypecodes:
         assert list(record.dsts) == list(range(1, n))
 
     @pytest.mark.parametrize("plan", [
-        HashDelay(2, seed=1), FixedDelay(2), MutableDelay(2),
-        SlowLinksDelay({(0, 3)}, d_slow=2),
+        HashDelay(2, seed=1), FixedDelay(2), ByDestination(2),
     ], ids=lambda plan: type(plan).__name__)
     def test_delays_take_one_byte_at_d_2(self, plan):
         record = record_to_all(512, plan)
@@ -74,8 +77,7 @@ class TestTypecodes:
         assert set(record.delays) <= {1, 2}
 
     @pytest.mark.parametrize("plan", [
-        HashDelay(300, seed=1), FixedDelay(300), MutableDelay(300),
-        SlowLinksDelay({(0, 3)}, d_slow=300),
+        HashDelay(300, seed=1), FixedDelay(300), ByDestination(300),
     ], ids=lambda plan: type(plan).__name__)
     def test_delays_take_two_bytes_at_d_300(self, plan):
         record = record_to_all(64, plan, t=11)

@@ -5,14 +5,9 @@ import pickle
 
 import pytest
 
-from repro.sim.scheduler import (
-    EveryStep,
-    ExplicitSchedule,
-    RoundRobinWindows,
-    SchedulePlan,
-    StaggeredWindows,
-    SubsetEveryStep,
-)
+from repro.sim.scheduler import EveryStep, RoundRobinWindows, SchedulePlan
+
+from ..plans import ExplicitSchedule, StaggeredWindows, SubsetEveryStep
 
 ALIVE = frozenset(range(8))
 

@@ -74,7 +74,6 @@ class TestRunGossipResult:
     def test_result_fields(self):
         run = run_gossip("ears", n=16, f=4, d=2, delta=2, seed=1, crashes=4)
         assert run.algorithm == "ears"
-        assert run.time == run.completion_time
         assert run.messages == sum(run.messages_by_kind.values())
         assert run.crashes == 4
         assert run.result.metrics["n"] == 16
@@ -302,7 +301,8 @@ class TestCli:
         from repro.spec import RunSpec
 
         spec_path = tmp_path / "specs.json"
-        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        spec_path.write_text(
+            RunSpec(algorithm="trivial", n=8, seed=0).to_json())
         argv = [arg.format(tmp=tmp_path, spec=spec_path) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -320,7 +320,8 @@ class TestCli:
         from repro.spec import RunSpec
 
         spec_path = tmp_path / "specs.json"
-        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        spec_path.write_text(
+            RunSpec(algorithm="trivial", n=8, seed=0).to_json())
         assert main(["batch", "--specs", str(spec_path),
                      "--shard", shard]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -335,7 +336,8 @@ class TestCli:
         from repro.spec import RunSpec
 
         spec_path = tmp_path / "spec.json"
-        RunSpec(algorithm="trivial", n=12, seed=0).save(str(spec_path))
+        spec_path.write_text(
+            RunSpec(algorithm="trivial", n=12, seed=0).to_json())
         assert main(["run", "--spec", str(spec_path)]) == 0
         out = capsys.readouterr().out
         assert "completed = True" in out and "cache hit" not in out
@@ -344,7 +346,8 @@ class TestCli:
         from repro.spec import RunSpec
 
         spec_path = tmp_path / "spec.json"
-        RunSpec(algorithm="trivial", n=12, seed=0).save(str(spec_path))
+        spec_path.write_text(
+            RunSpec(algorithm="trivial", n=12, seed=0).to_json())
         argv = ["run", "--spec", str(spec_path),
                 "--store", str(tmp_path / "runs.jsonl")]
         assert main(argv) == 0
@@ -359,7 +362,7 @@ class TestCli:
 
         spec_path = tmp_path / "spec.json"
         spec = RunSpec(algorithm="trivial", n=12, seed=0)
-        spec.save(str(spec_path))
+        spec_path.write_text(spec.to_json())
         assert main(["run", "--spec", str(spec_path), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["spec_hash"] == spec.spec_hash
@@ -450,7 +453,8 @@ class TestCli:
         from repro.spec import RunSpec
 
         spec_path = tmp_path / "specs.json"
-        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        spec_path.write_text(
+            RunSpec(algorithm="trivial", n=8, seed=0).to_json())
         notdb = tmp_path / "notdb.sqlite"
         notdb.write_text("not a database\n" * 100)
         argv = {"batch": ["batch", "--specs", str(spec_path),

@@ -50,7 +50,7 @@ class TestGracefulShutdown:
                               verbose=False) as shutdown:
             assert not shutdown()
             signal.raise_signal(signal.SIGTERM)
-            assert shutdown() and bool(shutdown)
+            assert shutdown()
             with pytest.raises(KeyboardInterrupt, match="hard stop"):
                 signal.raise_signal(signal.SIGTERM)
 

@@ -1,17 +1,20 @@
-"""The execution probe's hook sees pool workers: a function that only a
-worker process runs is recorded (``tests/probe/``; the gate itself is a
-CI step, not a tier-1 test), its smoke roots are the commands CI's smoke
-steps run, and its verdict file is well formed (parsed, not run)."""
+"""The execution probe's hook sees pool workers and signal handlers: a
+function that only a worker process or a signal handler runs is recorded
+(``tests/probe/``; the gate itself is a CI step, not a tier-1 test), its
+smoke roots are the ``python -m repro`` steps it reads from CI's
+workflow, and its verdict file is well formed (parsed, not run) with no
+more ``tier1`` lines than its ceiling."""
 
 import importlib.util
 import inspect
 import os
-import re
 import subprocess
 import sys
 import textwrap
 
 import repro
+from repro.experiments import campaign
+from repro.experiments.campaign import GracefulShutdown
 from repro.store import batch
 
 from .conftest import ROOT
@@ -43,6 +46,31 @@ def test_a_function_only_a_pool_worker_enters_is_recorded(tmp_path):
         for path, _, line in (entry.rpartition(":") for entry in lines)}
 
 
+def test_a_signal_handler_is_recorded_without_a_profile_event(tmp_path):
+    # A handler that fires while the hook's own profile function runs
+    # gets no profile event; here the profile function is off outright.
+    record = tmp_path / "entered.txt"
+    env = {**os.environ, "REPRO_PROBE_OUT": str(record),
+           "PYTHONPATH": os.pathsep.join([
+               PROBE, os.path.dirname(os.path.dirname(repro.__file__))])}
+    code = textwrap.dedent("""
+        import os, signal, sys
+        from repro.experiments.campaign import GracefulShutdown
+
+        with GracefulShutdown(verbose=False) as shutdown:
+            sys.setprofile(None)
+            os.kill(os.getpid(), signal.SIGTERM)
+        assert shutdown.requested
+    """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
+    first = inspect.getsourcelines(GracefulShutdown._handle)[1]
+    assert f"{os.path.realpath(campaign.__file__)}:{first}" in {
+        f"{os.path.realpath(path)}:{line}"
+        for path, _, line in (entry.rpartition(":")
+                              for entry in record.read_text().splitlines())}
+
+
 def _probe_module():
     spec = importlib.util.spec_from_file_location(
         "execution_probe", os.path.join(PROBE, "execution_probe.py"))
@@ -51,36 +79,74 @@ def _probe_module():
     return module
 
 
-def _ci_commands():
-    """Every ``python -m repro`` command in CI's workflow, mapped to a
-    pattern: the argv up to the first redirection, pipe or shell
-    separator, with each shell variable free to match one argument."""
-    with open(os.path.join(ROOT, ".github", "workflows", "ci.yml"),
-              encoding="utf-8") as handle:
-        text = handle.read()
-    commands = [match.group(1) for line in text.splitlines()
-                if not line.lstrip().startswith("- name:")
-                for match in re.finditer(
-                    r"-m repro (.*?)\s*(?:2?>|\||<|;|&&|\)|$)", line)]
-    # The invalid-argument loop reads its argv from a heredoc.
-    for block in re.findall(r"done <<'EOF'\n(.*?)\n\s*EOF", text, re.DOTALL):
-        commands += [line.strip() for line in block.splitlines()]
-    return {command: re.sub(r"\\\$\w+", r"[^ ]+", re.escape(command))
-            for command in commands if command != "$args"}
+def test_the_smoke_roots_are_cis_repro_steps():
+    smoke = {name.split(" (")[0]: script
+             for name, script in _probe_module().smoke_steps()}
+    assert {"Chaos smoke", "Spec smoke", "Import guard", "Store smoke",
+            "Campaign smoke", "Drain-and-resume smoke", "Fleet chaos smoke",
+            "Topology smoke"} <= set(smoke)
+    assert not {"Tier-1 tests", "Kill-and-resume smoke",
+                "Execution probe"} & set(smoke)
+    # A multi-line step keeps its heredocs: their terminators are
+    # dedented to the start of a line, as CI runs them.
+    assert "\nEOF\n" in smoke["Topology smoke"]
+    assert "--delta 256" in smoke["Topology smoke"]
 
 
-def test_the_smoke_roots_are_the_commands_ci_runs():
-    smoke = {" ".join(arg.format(tmp="/tmp") for arg in argv)
-             for argv, _ in _probe_module().SMOKE}
-    patterns = _ci_commands()
-    missing = sorted(ci for ci, pattern in patterns.items()
-                     if not any(re.fullmatch(pattern, command)
-                                for command in smoke))
-    extra = sorted(command for command in smoke
-                   if not any(re.fullmatch(pattern, command)
-                              for pattern in patterns.values()))
-    assert not missing, f"CI runs these; SMOKE does not: {missing}"
-    assert not extra, f"SMOKE runs these; CI does not: {extra}"
+def test_a_step_is_read_as_ci_reads_it(tmp_path):
+    workflow = tmp_path / "ci.yml"
+    workflow.write_text(textwrap.dedent("""\
+        jobs:
+          one:
+            steps:
+              - uses: actions/checkout@v4
+              - name: Single line
+                run: python -m repro list
+              - name: Literal block (a python -m repro step)
+                timeout-minutes: 5
+                run: |
+                  python -m repro gossip -n 8
+                  python - <<'EOF'
+                  print("x")
+                  EOF
+                env:
+                  PYTHONPATH: src
+              - name: Folded block
+                run: >
+                  python -m pytest -q
+                  tests/test_spec.py
+              - run: echo unnamed
+        """))
+    probe = _probe_module()
+    assert probe.ci_steps(str(workflow)) == [
+        ("Single line", "python -m repro list"),
+        ("Literal block (a python -m repro step)",
+         "python -m repro gossip -n 8\npython - <<'EOF'\nprint(\"x\")\n"
+         "EOF\n"),
+        ("Folded block", "python -m pytest -q tests/test_spec.py\n"),
+        ("", "echo unnamed"),
+    ]
+    assert [name for name, _ in probe.smoke_steps(str(workflow))] == [
+        "Single line", "Literal block (a python -m repro step)"]
+
+
+#: The most ``tier1:`` verdicts ``verdicts.txt`` may hold. Lower it when
+#: one leaves; a function only tests enter is deleted, moved under
+#: ``tests/``, given a CI root or labelled ``oracle`` instead of raising it.
+TIER1_CEILING = 25
+
+
+def test_tier1_verdicts_stay_under_their_ceiling():
+    probe = _probe_module()
+    keys = {probe.function_key(module, name)
+            for module, name, _ in probe.definitions().values()}
+    verdicts, _ = probe.read_verdicts(keys)
+    tier1 = [key for key, reason in verdicts.items()
+             if reason.startswith("tier1:")]
+    surplus = tier1[TIER1_CEILING:]
+    assert not surplus, (
+        f"{len(tier1)} tier1 verdicts, ceiling {TIER1_CEILING}; "
+        f"past it: {surplus}")
 
 
 def test_every_verdict_names_a_defined_function_for_a_known_reason():

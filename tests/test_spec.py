@@ -54,7 +54,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
         spec = RunSpec(algorithm="tears", n=24, seed=9)
-        spec.save(str(path))
+        path.write_text(spec.to_json())
         assert RunSpec.load(str(path)) == spec
 
     def test_unknown_field_rejected(self):
