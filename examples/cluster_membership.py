@@ -10,12 +10,15 @@ the network goes quiet.
 The demo runs EARS with per-node payloads under the "flaky" scenario (mild
 asynchrony plus f early crashes; a scenario is spec data, a (d, δ, crash
 plan) row of ``repro.spec.registry.SCENARIOS``) and prints the membership table every
-surviving node converged to, along with what the protocol cost.
+surviving node converged to, along with what the protocol cost. It then
+replays the cluster through a correlated failure, a whole rack lost at
+once, written as an explicit crash plan.
 
 Run:  python examples/cluster_membership.py
 """
 
-from repro import RunSpec, execute
+from repro import RunSpec, execute, run_gossip
+from repro.adversary import crash_at
 from repro.analysis import render_table
 from repro.spec.registry import SCENARIOS
 
@@ -62,6 +65,18 @@ def main() -> None:
                        title="converged membership view (first 12 rows)"))
     print(f"... {len(rows) - 12} more rows; every surviving node holds an "
           f"identical view of the survivors.")
+
+    # A correlated failure: rack 0 (every fourth node) loses power at
+    # step 10. The plan is fixed before the run, like any oblivious one.
+    rack = [pid for pid in range(N) if pid % 4 == 0]
+    outage = run_gossip("ears", n=N, f=F, seed=SEED,
+                        crashes=crash_at({10: rack}),
+                        payloads=[host_record(pid) for pid in range(N)])
+    assert outage.completed, f"gossip did not complete: {outage.reason}"
+    print()
+    print(f"rack 0 ({len(rack)} nodes) lost at step 10: gossip completed "
+          f"at step {outage.completion_time} using {outage.messages} "
+          f"messages")
 
 
 if __name__ == "__main__":

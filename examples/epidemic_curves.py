@@ -118,13 +118,6 @@ class SCurveSampler(Observer):
             times=list(self.times), holders=list(self.holders),
         )
 
-    def clone(self) -> "SCurveSampler":
-        # Never deepcopy: self._sim is the whole engine; forks re-attach.
-        dup = SCurveSampler(self.tagged)
-        dup.times = list(self.times)
-        dup.holders = list(self.holders)
-        return dup
-
 
 def measure_dissemination(
     algorithm_class,

@@ -37,22 +37,12 @@ class DelayPlan(ABC):
     def assign(self, msg: Message) -> int:
         """Delay in ``[1, target_d]`` for ``msg``."""
 
+    @abstractmethod
     def stamp(self, outbox: Sequence, t: int) -> None:
         """Stamp ``sent_at = t`` and :meth:`assign`'s delay on each message
         of an outbox, in order — on a :class:`FanOut`, one delay per
-        destination, each asked for that destination's message, packed in
-        the typecode of :attr:`target_d`. A plan overrides this only to
-        compute the same delays more cheaply."""
-        assign = self.assign
-        for msg in outbox:
-            msg.sent_at = t
-            if type(msg) is FanOut:
-                msg.delays = pack(typecode(self.target_d), [
-                    int(assign(msg.message(index)))
-                    for index in range(len(msg.dsts))
-                ])
-            else:
-                msg.delay = int(assign(msg))
+        destination, the one :meth:`assign` gives that destination's
+        message, packed in the typecode of :attr:`target_d`."""
 
 
 def _stamp_fixed(outbox: Sequence, t: int, d: int) -> None:

@@ -8,7 +8,6 @@ and TEARS efficient.
 
 from __future__ import annotations
 
-import copy
 from typing import FrozenSet, Optional, Sequence, Set
 
 from ..sim.message import Message
@@ -108,14 +107,3 @@ class ObliviousAdversary(Adversary):
         if crash is None:
             return sched
         return min(sched, crash)
-
-    def clone_into(self, sim) -> "ObliviousAdversary":
-        """O(1) copy for simulation forking.
-
-        The composed plans are decided before the execution and never
-        mutated while it runs (a plan keeps at most a pure memo), so the
-        fork shares them.
-        """
-        dup = copy.copy(self)
-        dup.sim = sim
-        return dup

@@ -1007,8 +1007,8 @@ def _run(args) -> int:
                     f"{status['missing']} missing, store verify "
                     f"{'ok' if status['verify_ok'] else 'CORRUPT'}"
                 )
-            return 0 if (status["complete"]
-                         and status["verify_ok"]) else 1
+            return 0 if (status["complete"] and status["verify_ok"]
+                         and not status["failed"]) else 1
 
         if args.fleet_command == "join":
             campaign = FleetCampaign.open(args.fleet_dir)
@@ -1032,7 +1032,7 @@ def _run(args) -> int:
                             "live_workers"):
                     print(f"{key:>14}  {status[key]}")
                 print(f"{'complete':>14}  {status['complete']}")
-            return 0 if status["complete"] else 1
+            return 0 if status["complete"] and not status["failed"] else 1
 
         if args.fleet_command == "workers":
             workers = read_workers(campaign.workers_dir)

@@ -175,9 +175,6 @@ class MultivaluedConsensus(Algorithm):
                 and self.mv_round == round_before):
             self._mv_decide_round(round_before, self._inner.decided)
 
-    def is_quiescent(self) -> bool:
-        return self.decided is not None
-
 
 def run_multivalued_consensus(
     gossip: str = "ears",

@@ -91,30 +91,10 @@ class InformedListGossip(GossipAlgorithm):
         # ``shutdown_sends``, how many of them it keeps sending through.
         self.sleep_cnt = 0
 
-    @property
-    def informed_list(self) -> int:
-        """The packed informed-list I(p) (bit q·n + r ⟺ (r, q) ∈ I)."""
-        return self._I
-
-    def knows_sent(self, rumor: int, dst: int) -> bool:
-        """True iff (rumor, dst) ∈ I(p)."""
-        return bool(self._I >> (dst * self.n + rumor) & 1)
-
     def _uncertified(self) -> int:
         """``replicate(V) & ~I``: bit q·n + r ⟺ r ∈ V(p) and (r, q) ∉ I(p)."""
         informed = self._I
         return (_replicate(self.rumors.mask, self.n) | informed) ^ informed
-
-    def uncertified_mask(self) -> int:
-        """Bitmask of L(p): processes not yet known to have been sent all of V."""
-        n = self.n
-        mask = 0
-        rest = self._uncertified()
-        while rest:
-            q = _top_block(rest, n)
-            mask |= 1 << q
-            rest &= (1 << (q * n)) - 1
-        return mask
 
     def l_is_empty(self) -> bool:
         n = self.n

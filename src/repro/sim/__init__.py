@@ -39,7 +39,6 @@ from .monitor import (
     CompletionMonitor,
     GossipCompletionMonitor,
     PredicateMonitor,
-    QuiescenceMonitor,
 )
 from .network import Network
 from .process import (
@@ -84,7 +83,6 @@ __all__ = [
     "PredicateMonitor",
     "ProcessHandle",
     "ProcessStatus",
-    "QuiescenceMonitor",
     "RoundRobinWindows",
     "RunResult",
     "SchedulePlan",

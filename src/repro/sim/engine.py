@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .errors import (
     ConfigurationError,
@@ -80,14 +80,6 @@ class RunResult:
     steps: int
     messages: int
     metrics: dict
-
-    def require_completed(self) -> "RunResult":
-        if not self.completed:
-            raise IncompleteRunError(
-                f"run did not complete (reason={self.reason!r}, "
-                f"steps={self.steps}, messages={self.messages})"
-            )
-        return self
 
 
 class SimSnapshot:
@@ -209,10 +201,6 @@ class Simulation:
         self._obs_send: list = []
         self._obs_step_end: list = []
         self._obs_complete: list = []
-
-    @property
-    def observers(self) -> Tuple[Observer, ...]:
-        return tuple(self._observers)
 
     def add_observer(self, observer: Observer) -> Observer:
         """Subscribe ``observer``; only its overridden callbacks are wired.
@@ -511,7 +499,9 @@ class Simulation:
         over an algorithm's coin flips, so it must be O(live state), not
         O(object graph). That adversary forks a run with no observers, and
         a simulation that has any is refused with a
-        :class:`~repro.sim.errors.ConfigurationError` naming them.
+        :class:`~repro.sim.errors.ConfigurationError` naming them; every
+        algorithm of a forked run defines ``clone()``, as the gossip
+        algorithms do.
         """
         clone = Simulation.__new__(Simulation)
         self._copy_into(clone)

@@ -41,11 +41,10 @@ class IncompleteRunError(SimulationError):
     """A run that was required to complete did not.
 
     Raised by :meth:`Simulation.run(..., strict=True)
-    <repro.sim.engine.Simulation.run>` and by
-    :meth:`RunResult.require_completed`. When raised by the strict run
-    path it carries diagnostics: the engine's stop ``reason``, the number
-    of ``steps`` executed, the ``in_flight`` message count at stop time,
-    and the set of live pids that report themselves ``quiescent``.
+    <repro.sim.engine.Simulation.run>`, with diagnostics: the engine's
+    stop ``reason``, the number of ``steps`` executed, the ``in_flight``
+    message count at stop time, and the set of live pids that report
+    themselves ``quiescent``.
     """
 
     def __init__(

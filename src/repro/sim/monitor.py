@@ -85,12 +85,10 @@ class GossipCompletionMonitor(CompletionMonitor):
         # Pure memo: (alive, its target mask) for the last live set seen,
         # keyed on identity — the engine hands over the same cached
         # frozenset until a crash — plus the pid that failed the last
-        # scan. Clones start empty (see __getstate__).
+        # scan. A fork's deep copy holds another frozenset, never the
+        # engine's, so it rebuilds.
         self._scope: tuple = _NO_SCOPE
         self._witness: Optional[int] = None
-
-    def __getstate__(self) -> dict:
-        return dict(self.__dict__, _scope=_NO_SCOPE)
 
     def _target(self, sim) -> tuple:
         """``(live pids, their rumor bits)``, rebuilt per live set."""
@@ -137,15 +135,6 @@ class GossipCompletionMonitor(CompletionMonitor):
         if not self.gathered(sim):
             return False
         self.gathering_time = sim.now
-        return quiescent(sim)
-
-
-class QuiescenceMonitor(CompletionMonitor):
-    """Completes when the system can provably send no further message."""
-
-    leap_safe = True
-
-    def check(self, sim) -> bool:
         return quiescent(sim)
 
 

@@ -13,7 +13,6 @@ bounds").
 
 from __future__ import annotations
 
-import copy
 import enum
 import random
 from abc import ABC, abstractmethod
@@ -57,8 +56,8 @@ class Context:
     the pre-topology context (same RNG draws, same validation).
     """
 
-    __slots__ = ("pid", "n", "f", "rng", "outbox", "_local_step",
-                 "neighbors", "_neighbor_set", "_pid_code")
+    __slots__ = ("pid", "n", "f", "rng", "outbox", "neighbors",
+                 "_neighbor_set", "_pid_code")
 
     def __init__(self, pid: int, n: int, f: int, rng: random.Random,
                  neighbors: Optional[Sequence[int]] = None) -> None:
@@ -67,7 +66,6 @@ class Context:
         self.f = f
         self.rng = rng
         self.outbox: List[Message] = []
-        self._local_step = 0
         # The typecode a fan-out's destinations are packed in.
         self._pid_code = typecode(n - 1)
         if neighbors is None:
@@ -76,15 +74,6 @@ class Context:
         else:
             self.neighbors = tuple(neighbors)
             self._neighbor_set = frozenset(self.neighbors)
-
-    @property
-    def local_step(self) -> int:
-        """Number of local steps this process has taken (a local counter).
-
-        This is the "local clock" the paper's algorithms are allowed to use
-        (e.g. counting shut-down steps); it says nothing about global time.
-        """
-        return self._local_step
 
     @property
     def isolated(self) -> bool:
@@ -211,10 +200,8 @@ class Context:
         empty because the engine resets it at every ``run_step`` anyway (a
         fork between steps never observes a populated outbox).
         """
-        dup = Context(self.pid, self.n, self.f, clone_rng(self.rng),
-                      self.neighbors)
-        dup._local_step = self._local_step
-        return dup
+        return Context(self.pid, self.n, self.f, clone_rng(self.rng),
+                       self.neighbors)
 
 
 class SubContext(Context):
@@ -223,7 +210,7 @@ class SubContext(Context):
     Consensus runs gossip inside envelopes, multivalued consensus runs
     binary consensus inside envelopes of its own: the embedded layer
     must see the very same process — pid, n, f, the one RNG stream,
-    ``local_step``, the neighbor view — but its sends belong to the
+    the neighbor view — but its sends belong to the
     embedding layer.  So this *is* ``parent``'s context (every
     :class:`Context` slot is shared with it, whatever slots there are,
     and every method but the send path is inherited), and each message
@@ -231,7 +218,7 @@ class SubContext(Context):
     function: one call per message, in send order.
 
     Built per step around the live parent (a :class:`Context` or
-    another ``SubContext``), so ``local_step`` is the current one; it
+    another ``SubContext``), so it shares that step's outbox; it
     carries no state of its own.
     """
 
@@ -259,9 +246,11 @@ class SubContext(Context):
 class Algorithm(ABC):
     """Contract for per-process algorithm code.
 
-    Subclasses hold all per-process state. They must be deep-copyable: the
-    adaptive lower-bound adversary forks whole simulations to evaluate the
-    distribution of an algorithm's future behaviour.
+    Subclasses hold all per-process state. A subclass that the adaptive
+    lower-bound adversary may fork (it forks whole simulations to evaluate
+    the distribution of an algorithm's future behaviour) defines
+    ``clone()``, an independent copy of that state; see
+    :meth:`repro.core.base.GossipAlgorithm.clone`.
     """
 
     @abstractmethod
@@ -292,16 +281,6 @@ class Algorithm(ABC):
     def summary(self) -> dict:
         """Small diagnostic snapshot of algorithm state (for traces/tests)."""
         return {}
-
-    def clone(self) -> "Algorithm":
-        """Independent copy of all per-process state, for simulation forks.
-
-        The default is ``copy.deepcopy`` — always correct, never fast.
-        Subclasses whose mutable state is small and known (the core gossip
-        algorithms: a rumor set plus scalars) override this with an O(state)
-        copy; see :meth:`repro.core.base.GossipAlgorithm.clone`.
-        """
-        return copy.deepcopy(self)
 
 
 class ProcessHandle:
@@ -336,5 +315,4 @@ class ProcessHandle:
         records; ``Metrics.messages_sent`` counts the messages)."""
         self.ctx.outbox = []
         self.algorithm.on_step(self.ctx, inbox)
-        self.ctx._local_step += 1
         return self.ctx.outbox

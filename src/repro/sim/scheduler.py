@@ -86,8 +86,8 @@ class RoundRobinWindows(SchedulePlan):
         # the last ``alive`` frozenset seen, keyed on its identity — the
         # engine hands over the same cached object until a crash. It is
         # never part of the plan's identity: forks share the plan and may
-        # alternate live sets, which only costs rebuilds, and
-        # clones/pickles start empty.
+        # alternate live sets, which only costs rebuilds, and a copy's
+        # memo answers only for the very live set it was built from.
         self._index: tuple = _NO_INDEX
 
     def _indexed(self, alive: FrozenSet[int]) -> tuple:
@@ -105,9 +105,6 @@ class RoundRobinWindows(SchedulePlan):
             {residue: frozenset(pids) for residue, pids in buckets.items()},
             sorted(buckets),
         )
-
-    def __getstate__(self) -> dict:
-        return dict(self.__dict__, _index=_NO_INDEX)
 
     def scheduled_at(self, t: int, alive: FrozenSet[int]) -> Set[int]:
         return self._indexed(alive)[1].get(t % self.delta, frozenset())

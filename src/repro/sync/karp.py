@@ -136,7 +136,7 @@ def run_push_pull(
 
     The run ends in the first round after which every live process is
     quiescent; acks may still be in flight then, which is why this is not
-    a :class:`~repro.sim.monitor.QuiescenceMonitor`.
+    a monitor of :func:`~repro.sim.monitor.quiescent`.
     """
     algorithms = [
         KarpPushPull(pid, n, derive_rng(seed, "sync-proc", pid),

@@ -37,13 +37,13 @@ class TestTargetedDelay:
     def test_victim_links_realize_full_d(self):
         adversary = TargetedDelayAdversary(victims={0}, d=7)
         sim = make_sim(TrivialGossip, adversary)
-        sim.run(max_steps=200).require_completed()
+        assert sim.run(max_steps=200).completed
         assert sim.metrics.realized_d == 7
 
     def test_without_victims_network_is_fast(self):
         adversary = TargetedDelayAdversary(victims=set(), d=7)
         sim = make_sim(TrivialGossip, adversary)
-        sim.run(max_steps=200).require_completed()
+        assert sim.run(max_steps=200).completed
         assert sim.metrics.realized_d == 1
 
 

@@ -17,13 +17,13 @@ from repro.adversary.adaptive import (
     TargetedDelayAdversary,
 )
 from repro.adversary.base import Adversary
-from repro.adversary.delay_plans import DelayPlan, FixedDelay, HashDelay
+from repro.adversary.delay_plans import FixedDelay, HashDelay
 from repro.adversary.gst import GstAdversary
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.faults.injectors import _AdversaryProxy, _BurstDelays
 from repro.sim.message import FanOut, Message, expand
 
-from ..plans import CrashEagerSendersAdversary
+from ..plans import CrashEagerSendersAdversary, PerMessageDelays
 
 SEEDS = (0, 12345, -7, 2 ** 70)
 LENGTHS = (0, 1, 2, 3, 255)
@@ -67,7 +67,7 @@ class TestHashDelayStamp:
         assert max(msg.dst for msg in outbox_of(255)) > 1900
 
 
-class HalfStepsPlan(DelayPlan):
+class HalfStepsPlan(PerMessageDelays):
     """A foreign plan that answers in floats."""
 
     target_d = 3

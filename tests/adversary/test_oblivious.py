@@ -23,7 +23,7 @@ class TestRealizedBoundsMatchTargets:
     def test_realized_within_targets(self):
         for d, delta in [(1, 1), (3, 1), (1, 4), (4, 3)]:
             sim = build_gossip_sim(TrivialGossip, n=12, f=3, d=d, delta=delta)
-            sim.run(max_steps=1000).require_completed()
+            assert sim.run(max_steps=1000).completed
             assert sim.metrics.realized_d <= d
             assert sim.metrics.realized_delta <= delta
 

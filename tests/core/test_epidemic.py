@@ -37,6 +37,17 @@ def deliver(algo, ctx, payload, src=1):
     return expand(ctx.outbox)
 
 
+def knows_sent(algo, rumor, dst):
+    """True iff (rumor, dst) ∈ I(p): bit dst·n + rumor of the packed I."""
+    return bool(algo._I >> (dst * algo.n + rumor) & 1)
+
+
+def l_mask(uncertified, n):
+    """L(p) as a pid mask: the blocks of ``_uncertified()`` not empty."""
+    block = (1 << n) - 1
+    return sum(1 << q for q in range(n) if uncertified >> (q * n) & block)
+
+
 def step(algo, ctx):
     ctx.outbox = []
     algo.on_step(ctx, [])
@@ -58,8 +69,8 @@ class TestRepunit:
 class TestInformedList:
     def test_initially_knows_own_rumor_reached_self(self):
         algo, _ = make_proc(pid=2)
-        assert algo.knows_sent(rumor=2, dst=2)
-        assert not algo.knows_sent(rumor=2, dst=0)
+        assert knows_sent(algo, rumor=2, dst=2)
+        assert not knows_sent(algo, rumor=2, dst=0)
 
     def test_send_records_pairs_after_snapshot(self):
         algo, ctx = make_proc(pid=0)
@@ -67,7 +78,7 @@ class TestInformedList:
         assert len(out) == 1
         dst = out[0].dst
         # The pair (own rumor, dst) is in I(p) now...
-        assert algo.knows_sent(0, dst)
+        assert knows_sent(algo, 0, dst)
         # ...but was NOT in the message payload that just left (Figure 2
         # sends first, records after).
         _, _, informed_sent = out[0].payload
@@ -77,24 +88,24 @@ class TestInformedList:
         algo, ctx = make_proc(pid=0)
         deliver(algo, ctx, (mask_of([1]), None, 0), src=1)
         assert 1 in algo.rumors
-        assert algo.knows_sent(rumor=1, dst=0)
+        assert knows_sent(algo, rumor=1, dst=0)
 
     def test_merge_unions_informed_lists(self):
         algo, ctx = make_proc(pid=0, n=4)
         remote_informed = mask_of([2]) << (3 * 4)  # (rumor 2 sent to 3)
         out = deliver(algo, ctx, (mask_of([1, 2]), None, remote_informed),
                       src=1)
-        assert algo.knows_sent(2, 3)
+        assert knows_sent(algo, 2, 3)
         # (rumor 1, dst 3) was not in the merged informed-list; it can only
         # appear if this step's own epidemic send happened to target 3.
         if 3 not in {m.dst for m in out}:
-            assert not algo.knows_sent(1, 3)
-        assert not algo.knows_sent(3, 3)  # rumor 3 is unknown entirely
+            assert not knows_sent(algo, 1, 3)
+        assert not knows_sent(algo, 3, 3)  # rumor 3 is unknown entirely
 
     def test_uncertified_mask_lists_l(self):
         algo, ctx = make_proc(pid=0, n=3)
         # Knows only own rumor, sent only to itself: L = {1, 2}.
-        assert algo.uncertified_mask() == mask_of([1, 2])
+        assert l_mask(algo._uncertified(), 3) == mask_of([1, 2])
         assert not algo.l_is_empty()
 
 
@@ -200,7 +211,7 @@ def reference_l_is_empty(v, informed, n):
 
 
 def reference_uncertified_mask(v, informed, n):
-    """The per-destination loop uncertified_mask used to be."""
+    """L(p) as the per-destination loop over I(p)'s blocks."""
     mask = 0
     for q in range(n):
         if v & ~(informed >> (q * n)):
@@ -216,11 +227,11 @@ def check_predicate(algo):
     for _ in range(3):
         assert algo.l_is_empty() is expected
         assert 0 <= algo._witness < n
-        mask = algo.uncertified_mask()
-        assert 0 <= mask < 1 << n
-        assert (mask == 0) is expected
+        uncertified = algo._uncertified()
+        assert (uncertified == 0) is expected
         if v < 1 << n:
-            assert mask == reference_uncertified_mask(v, informed, n)
+            assert l_mask(uncertified, n) == reference_uncertified_mask(
+                v, informed, n)
 
 
 @pytest.mark.parametrize("cls", [EpidemicGossip, PushPullGossip])

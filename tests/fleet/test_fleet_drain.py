@@ -147,6 +147,21 @@ class TestPoisonJob:
         assert os.path.exists(
             os.path.join(campaign.failed_dir, f"{poisoned}.json"))
 
+    def test_a_terminal_failure_makes_run_and_status_exit_1(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        specs = tmp_path / "bad.jsonl"
+        specs.write_text('{"algorithm": "ears", "n": 16, "f": 4, '
+                         '"crashes": {"events": {"2": [99]}}}\n')
+        fleet = str(tmp_path / "fleet")
+        assert main(["fleet", "run", "--specs", str(specs), "--dir", fleet,
+                     "--workers", "1", "--max-attempts", "1"]) == 1
+        assert "1 terminal failure(s)" in capsys.readouterr().out
+        assert main(["fleet", "status", "--dir", fleet]) == 1
+        # Nothing is left to run: the failure is the campaign's outcome.
+        assert "complete  True" in capsys.readouterr().out
+
     def test_backoff_delays_reclaim(self, tmp_path):
         campaign = FleetCampaign.create(
             str(tmp_path / "c"), _specs(count=1),

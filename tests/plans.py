@@ -1,13 +1,13 @@
-"""Schedule plans and an adaptive adversary that only tests feed to the
-engine.
+"""Schedule plans, a delay-plan base and an adaptive adversary that only
+tests feed to the engine.
 
 No registry entry, driver or built-in adversary uses them: the shipped
 schedules are :class:`~repro.sim.scheduler.EveryStep` and
-:class:`~repro.sim.scheduler.RoundRobinWindows`, and Theorem 1 scripts its
-phases through :class:`~repro.adversary.adaptive.ScriptedAdversary`. They
-live here as inputs to tests of shipped code: the leap engine's
-differential suite, the fork protocol, the delay layer, the metrics and
-the seed pins.
+:class:`~repro.sim.scheduler.RoundRobinWindows`, the shipped delay plans
+stamp outboxes their own way, and Theorem 1 scripts its phases through
+:class:`~repro.adversary.adaptive.ScriptedAdversary`. They live here as
+inputs to tests of shipped code: the leap engine's differential suite,
+the fork protocol, the delay layer, the metrics and the seed pins.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import random
 from typing import FrozenSet, Optional, Sequence, Set
 
 from repro.adversary.adaptive import AdaptiveAdversary
-from repro.sim.message import Message
+from repro.adversary.delay_plans import DelayPlan
+from repro.sim.message import FanOut, Message, pack, typecode
 from repro.sim.scheduler import SchedulePlan
 
 
@@ -176,3 +177,22 @@ class CrashEagerSendersAdversary(AdaptiveAdversary):
         fired, self._pending = self._pending, set()
         self._victims |= fired
         return fired
+
+
+class PerMessageDelays(DelayPlan):
+    """A delay plan whose ``stamp`` asks :meth:`assign` for every message
+    and every destination of a record, in order: the contract a shipped
+    plan's ``stamp`` computes more cheaply, for plans that define only
+    ``assign``."""
+
+    def stamp(self, outbox: Sequence, t: int) -> None:
+        assign = self.assign
+        for msg in outbox:
+            msg.sent_at = t
+            if type(msg) is FanOut:
+                msg.delays = pack(typecode(self.target_d), [
+                    int(assign(msg.message(index)))
+                    for index in range(len(msg.dsts))
+                ])
+            else:
+                msg.delay = int(assign(msg))

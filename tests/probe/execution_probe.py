@@ -47,8 +47,9 @@ VERDICTS = os.path.join(PROBE, "verdicts.txt")
 #: Why an unentered function stays: it is abstract (or a no-op base
 #: method), an oracle tests compare shipped code against, patched by name
 #: by ``benchmarks/e2e``, or part of ROADMAP item 2's batch engine.
-#: ``bench:<file>`` and ``tier1:<file>`` name the benchmark or test file
-#: that enters it.
+#: ``bench:<file>`` names the paper benchmark that enters it;
+#: ``tier1:<file>`` the test that takes a safety path no root can reach
+#: (``TIER1_SAFETY`` in ``tests/test_execution_probe.py`` lists them).
 REASONS = ("abstract", "oracle", "e2e", "item-2")
 FILE_REASONS = {"bench": "benchmarks/bench_", "tier1": "tests/"}
 

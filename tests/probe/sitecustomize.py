@@ -25,18 +25,24 @@ import threading
 
 def _install(out: str) -> None:
     fd = os.open(out, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    # Keyed on what is written, not on the code object: code objects
+    # compare equal across files (the filename is not compared), so two
+    # identical one-line methods on the same line of two modules would
+    # otherwise be recorded once.
     seen = set()
     marker = os.sep + "repro" + os.sep
 
-    def record(code) -> None:
-        seen.add(code)
-        if marker in code.co_filename:
-            os.write(fd, f"{code.co_filename}:{code.co_firstlineno}\n"
-                     .encode())
+    def record(key) -> None:
+        seen.add(key)
+        if marker in key[0]:
+            os.write(fd, f"{key[0]}:{key[1]}\n".encode())
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code not in seen:
-            record(frame.f_code)
+        if event == "call":
+            code = frame.f_code
+            key = (code.co_filename, code.co_firstlineno)
+            if key not in seen:
+                record(key)
 
     # A signal handler that runs while ``profile`` itself runs gets no
     # profile event, so a handler is recorded when it is called.
@@ -48,9 +54,11 @@ def _install(out: str) -> None:
         if code is None:
             return install_handler(signum, handler)
 
+        key = (code.co_filename, code.co_firstlineno)
+
         def call(number, frame):
-            if code not in seen:
-                record(code)
+            if key not in seen:
+                record(key)
             return handler(number, frame)
 
         return install_handler(signum, call)

@@ -195,12 +195,12 @@ class TestStateMonotonicity:
     def test_ears_informed_list_only_grows(self, cfg):
         cfg = dict(cfg, algorithm_index=1)  # Ears
         sim = build(cfg)
-        previous = [sim.algorithm(pid).informed_list
+        previous = [sim.algorithm(pid)._I
                     for pid in range(cfg["n"])]
         for _ in range(cfg["steps"]):
             sim.step()
             for pid in sim.alive_pids:
-                informed = sim.algorithm(pid).informed_list
+                informed = sim.algorithm(pid)._I
                 assert informed & previous[pid] == previous[pid]
                 previous[pid] = informed
 

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import copy
+
+from repro.sim.monitor import PredicateMonitor, quiescent
 from repro.sim.process import Algorithm
 
 
-class Silent(Algorithm):
+def quiescence() -> PredicateMonitor:
+    """Completes once nothing is in flight and every live process is
+    quiescent: the system can provably send no further message."""
+    return PredicateMonitor(quiescent, name="quiescence", state_driven=True)
+
+
+class Forkable(Algorithm):
+    """A test algorithm a simulation fork copies whole."""
+
+    def clone(self):
+        return copy.deepcopy(self)
+
+
+class Silent(Forkable):
     """Never sends; records how many steps and messages it saw."""
 
     def __init__(self):
@@ -20,7 +36,7 @@ class Silent(Algorithm):
         return True
 
 
-class RingSender(Algorithm):
+class RingSender(Forkable):
     """Sends ``count`` messages to (pid+1) mod n, one per local step."""
 
     def __init__(self, count=3, kind="ring"):
@@ -40,7 +56,7 @@ class RingSender(Algorithm):
         return self.sent >= self.count
 
 
-class Echo(Algorithm):
+class Echo(Forkable):
     """Replies once to every message received; quiescent in between."""
 
     def __init__(self):
@@ -72,7 +88,7 @@ class Kickoff(Echo):
         return self.kicked
 
 
-class RandomSpammer(Algorithm):
+class RandomSpammer(Forkable):
     """Sends to one random peer per step forever (never quiescent)."""
 
     def __init__(self):

@@ -7,9 +7,8 @@ from repro.adversary.oblivious import ObliviousAdversary
 from repro.sim.engine import Simulation
 from repro.sim.errors import CrashBudgetExceeded
 from repro.sim.message import Message
-from repro.sim.monitor import QuiescenceMonitor
 
-from .algos import RingSender, Silent
+from .algos import RingSender, Silent, quiescence
 
 
 def make_sim(algorithms, adversary=None, f=None, monitor=None):
@@ -78,7 +77,7 @@ class TestQueueAccounting:
 class TestForkIndependence:
     def test_crash_after_fork_leaves_fork_untouched(self):
         algos = [RingSender(count=2) for _ in range(4)]
-        sim = make_sim(algos, f=2, monitor=QuiescenceMonitor())
+        sim = make_sim(algos, f=2, monitor=quiescence())
         sim.run_for(1)  # messages now in flight
         assert sim.network.in_flight > 0
         fork = sim.fork()
@@ -90,7 +89,7 @@ class TestForkIndependence:
 
     def test_fork_after_crash_drops_independently(self):
         sim = make_sim([RingSender(count=2) for _ in range(4)], f=2,
-                       monitor=QuiescenceMonitor())
+                       monitor=quiescence())
         sim.run_for(1)
         sim.crash(1)
         fork = sim.fork()

@@ -12,12 +12,19 @@ from repro.sim.errors import (
     IncompleteRunError,
 )
 from repro.sim.events import TraceObserver
-from repro.sim.monitor import PredicateMonitor, QuiescenceMonitor
+from repro.sim.monitor import PredicateMonitor
 from repro.sim.process import Algorithm
 from repro.sim.scheduler import RoundRobinWindows
 from repro.sim.trace import EventTrace
 
-from .algos import Echo, Kickoff, RandomSpammer, RingSender, Silent
+from .algos import (
+    Echo,
+    Kickoff,
+    RandomSpammer,
+    RingSender,
+    Silent,
+    quiescence,
+)
 
 
 def make_sim(algorithms, adversary=None, f=None, monitor=None, seed=0,
@@ -60,7 +67,7 @@ class TestConstruction:
 class TestStepSemantics:
     def test_ring_message_flow_synchronous(self):
         algos = [RingSender(count=1) for _ in range(4)]
-        sim = make_sim(algos, monitor=QuiescenceMonitor())
+        sim = make_sim(algos, monitor=quiescence())
         result = sim.run(max_steps=50)
         assert result.completed
         # Everyone sent one message and received one from its predecessor.
@@ -74,7 +81,7 @@ class TestStepSemantics:
         )
         algos = [RingSender(count=1) for _ in range(3)]
         sim = make_sim(algos, adversary=adversary, f=1,
-                       monitor=QuiescenceMonitor())
+                       monitor=quiescence())
         result = sim.run(max_steps=50)
         assert result.completed
         assert result.messages == 2  # pid 1 crashed before sending
@@ -111,8 +118,9 @@ class TestRealizedSynchrony:
 
         adversary = ObliviousAdversary(delays=FixedDelay(3))
         algos = [RingSender(count=2) for _ in range(4)]
-        sim = make_sim(algos, adversary=adversary, monitor=QuiescenceMonitor())
-        result = sim.run(max_steps=100).require_completed()
+        sim = make_sim(algos, adversary=adversary, monitor=quiescence())
+        result = sim.run(max_steps=100)
+        assert result.completed
         assert result.metrics["realized_d"] == 3
 
     def test_realized_delta_with_windows(self):
@@ -158,7 +166,8 @@ class TestRunControl:
         assert not result.completed
         assert result.reason == "step-limit"
         with pytest.raises(IncompleteRunError):
-            result.require_completed()
+            make_sim([RandomSpammer(), RandomSpammer()]).run(max_steps=5,
+                                                             strict=True)
 
     def test_stalled_detection(self):
         never = PredicateMonitor(lambda sim: False, name="never")
@@ -248,7 +257,7 @@ class TestTraceIntegration:
         )
         algos = [RingSender(count=1) for _ in range(3)]
         sim = make_sim(algos, adversary=adversary, f=1,
-                       monitor=QuiescenceMonitor(),
+                       monitor=quiescence(),
                        observers=(TraceObserver(trace),))
         sim.run(max_steps=20)
         assert len(list(trace.of_kind("send"))) == 3

@@ -397,7 +397,7 @@ class TestAutoEngineProbe:
         assert len(calls) == builds
 
     def test_forks_sharing_a_plan_stay_identical_to_stepwise(self):
-        # Forks share the oblivious plans, so two forks whose live sets
+        # Two forks that share one schedule plan and whose live sets
         # differ evict each other's index on every interleaved call; the
         # index is a pure memo, so that must cost rebuilds and nothing else.
         def continuations(engine, forked):
@@ -411,7 +411,8 @@ class TestAutoEngineProbe:
             if forked:
                 base = start()
                 keeps, crashes = base.fork(), base.fork()
-                assert keeps.adversary.schedule is crashes.adversary.schedule
+                # A fork deep-copies its adversary: hand both one plan.
+                crashes.adversary.schedule = keeps.adversary.schedule
             else:
                 keeps, crashes = start(), start()
             crashes.crash(5)

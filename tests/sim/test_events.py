@@ -147,9 +147,13 @@ class TestObserversOnly:
 class SyncCounter(Algorithm):
     """Minimal synchronous algorithm: everyone pings pid 0 in rounds 0-2."""
 
+    def __init__(self):
+        self.rounds = 0
+
     def on_step(self, ctx, inbox):
-        if ctx.local_step < 3 and ctx.pid != 0:
+        if self.rounds < 3 and ctx.pid != 0:
             ctx.send(0, payload=ctx.pid)
+        self.rounds += 1
 
     def is_quiescent(self):
         return True

@@ -46,7 +46,7 @@ class TestCleanRuns:
     def test_spec_without_invariants_keeps_fast_path(self):
         spec = RunSpec(kind="gossip", algorithm="ears", n=8, f=2)
         sim = build(spec).sim
-        assert sim.observers == ()
+        assert sim._observers == []
         assert sim._obs_schedule == [] and sim._obs_send == []
 
     def test_check_invariants_is_hash_stable(self):
@@ -103,7 +103,7 @@ class TestCrashConsistency:
         sim = built.sim
         sim.run_for(3)
         invariant = next(
-            obs for obs in sim.observers
+            obs for obs in sim._observers
             if isinstance(obs, CrashConsistencyInvariant)
         )
         with pytest.raises(InvariantViolation) as info:
@@ -115,7 +115,7 @@ class TestCrashConsistency:
         sim = built.sim
         sim.run_for(3)
         invariant = next(
-            obs for obs in sim.observers
+            obs for obs in sim._observers
             if isinstance(obs, CrashConsistencyInvariant)
         )
         with pytest.raises(InvariantViolation):
@@ -128,7 +128,7 @@ class TestBoundConsistency:
         sim = built.sim
         sim.run_for(2)
         invariant = next(
-            obs for obs in sim.observers
+            obs for obs in sim._observers
             if isinstance(obs, BoundConsistencyInvariant)
         )
         assert invariant._d == 2
@@ -142,7 +142,7 @@ class TestBoundConsistency:
         sim = built.sim
         sim.run_for(4)
         invariant = next(
-            obs for obs in sim.observers
+            obs for obs in sim._observers
             if isinstance(obs, BoundConsistencyInvariant)
         )
         assert invariant._delta == 2
@@ -159,7 +159,7 @@ class TestBoundConsistency:
         sim = build(spec).sim
         sim.run_for(3)
         invariant = next(
-            obs for obs in sim.observers
+            obs for obs in sim._observers
             if isinstance(obs, BoundConsistencyInvariant)
         )
         assert invariant._primed

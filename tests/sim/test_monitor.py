@@ -7,11 +7,7 @@ from repro.adversary.crash_plans import crash_at
 from repro.core.ears import Ears
 from repro.core.tears import Tears
 from repro.core.trivial import TrivialGossip
-from repro.sim.monitor import (
-    GossipCompletionMonitor,
-    QuiescenceMonitor,
-    quiescent,
-)
+from repro.sim.monitor import GossipCompletionMonitor, quiescent
 
 from ..conftest import build_gossip_sim
 
@@ -29,7 +25,7 @@ class TestGossipCompletionMonitor:
 
     def test_gathering_time_recorded_before_completion(self):
         sim = build_gossip_sim(TrivialGossip, n=8, f=2, d=3)
-        sim.run(max_steps=100).require_completed()
+        assert sim.run(max_steps=100).completed
         assert sim.monitor.gathering_time is not None
         assert sim.monitor.gathering_time <= sim.metrics.completion_time
 
@@ -102,8 +98,7 @@ def test_check_is_the_literal_conjunction_in_every_state():
 class TestQuiescenceMonitor:
     def test_holds_only_when_network_empty(self):
         sim = build_gossip_sim(TrivialGossip, n=4, f=0, d=5)
-        monitor = QuiescenceMonitor()
         sim.step()
-        assert not monitor.check(sim)
+        assert not quiescent(sim)
         sim.run_for(10)
-        assert monitor.check(sim)
+        assert quiescent(sim)

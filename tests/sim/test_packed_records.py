@@ -15,7 +15,7 @@ from array import array
 
 import pytest
 
-from repro.adversary.delay_plans import DelayPlan, FixedDelay, HashDelay
+from repro.adversary.delay_plans import FixedDelay, HashDelay
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.core.base import make_processes
 from repro.core.majority import DeterministicMajorityGossip
@@ -28,9 +28,11 @@ from repro.sim.network import Network
 from repro.sim.process import Context
 from repro.spec import RunSpec, build
 
+from ..plans import PerMessageDelays
 
-class ByDestination(DelayPlan):
-    """A plan on the default ``stamp``: its delays vary by destination."""
+
+class ByDestination(PerMessageDelays):
+    """A plan on the per-message ``stamp``: its delays vary by destination."""
 
     def __init__(self, d):
         self.target_d = d
@@ -118,7 +120,7 @@ class TestPackedSenders:
         assert tuple(record.dsts) == (1, 2, 3)
 
 
-class OneBadLink(DelayPlan):
+class OneBadLink(PerMessageDelays):
     """Delay ``bad`` to pid 3, ``target_d`` to everyone else."""
 
     def __init__(self, bad, target_d):

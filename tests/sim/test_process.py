@@ -31,7 +31,6 @@ class TestProcessHandle:
         handle = make_handle()
         out = handle.run_step([])
         assert len(out) == 2
-        assert handle.ctx.local_step == 1
         # A fresh step starts a fresh outbox.
         out2 = handle.run_step([])
         assert len(out2) == 2
@@ -42,12 +41,6 @@ class TestProcessHandle:
         assert sim.metrics.messages_sent == 8
         sim.step()
         assert sim.metrics.messages_sent == 16
-
-    def test_local_step_advances(self):
-        handle = make_handle()
-        for expected in range(3):
-            assert handle.ctx.local_step == expected
-            handle.run_step([])
 
     def test_crash_is_permanent(self):
         handle = make_handle()
@@ -106,10 +99,9 @@ class TestSubContext:
     def test_everything_but_sends_is_the_parent(self):
         parent = Context(2, 6, 1, derive_rng(0, "h", 2), neighbors=(1, 3))
         twin = Context(2, 6, 1, derive_rng(0, "h", 2), neighbors=(1, 3))
-        parent._local_step = twin._local_step = 5
         sub = SubContext(SubContext(parent, _envelope([])), _envelope([]))
         assert isinstance(sub, Context)
-        assert (sub.pid, sub.n, sub.f, sub.local_step) == (2, 6, 1, 5)
+        assert (sub.pid, sub.n, sub.f) == (2, 6, 1)
         assert sub.rng is parent.rng
         assert sub.peers() == (1, 3) and sub.neighbors == (1, 3)
         assert not sub.isolated

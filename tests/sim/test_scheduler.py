@@ -194,12 +194,13 @@ class TestNextEventAt:
         [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    def test_round_robin_clones_exclude_index(self, cloner):
+    def test_round_robin_clones_answer_as_the_original(self, cloner):
         plan = RoundRobinWindows(5)
         assert plan.next_event_at(4, ALIVE) == 4
         assert plan._index[0] is ALIVE  # warmed
         dup = cloner(plan)
-        assert dup._index[0] is None
+        assert dup.next_event_at(4, ALIVE) == 4
+        assert dup.scheduled_at(9, ALIVE) == plan.scheduled_at(9, ALIVE)
         assert dup.next_event_at(4, frozenset({2})) == 7
 
 

@@ -5,9 +5,9 @@ import pytest
 from repro.adversary.oblivious import ObliviousAdversary
 from repro.sim.engine import Simulation
 from repro.sim.errors import IncompleteRunError
-from repro.sim.monitor import PredicateMonitor, QuiescenceMonitor
+from repro.sim.monitor import PredicateMonitor
 
-from .algos import RandomSpammer, RingSender, Silent
+from .algos import RandomSpammer, RingSender, Silent, quiescence
 
 
 def make_sim(algorithms, adversary=None, f=None, monitor=None):
@@ -52,7 +52,7 @@ class TestStrictMode:
 
     def test_strict_completed_run_does_not_raise(self):
         sim = make_sim([RingSender(count=1) for _ in range(3)],
-                       monitor=QuiescenceMonitor())
+                       monitor=quiescence())
         assert sim.run(max_steps=50, strict=True).completed
 
 
@@ -62,7 +62,7 @@ class TestFinalMonitorCheck:
         # executes nothing, but must still check the monitor once rather
         # than report "step-limit".
         sim = make_sim([RingSender(count=1) for _ in range(3)],
-                       monitor=QuiescenceMonitor())
+                       monitor=quiescence())
         sim.run_for(4)
         result = sim.run(max_steps=sim.now)
         assert result.completed

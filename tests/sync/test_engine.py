@@ -1,8 +1,7 @@
 """Tests for the synchronous execution: Simulation at d = δ = 1.
 
 Every live process steps every step and every message arrives one step
-after it was sent, so a step is a round and ``ctx.local_step`` is the
-round number.
+after it was sent, so a step is a round.
 """
 
 import pytest
@@ -43,7 +42,8 @@ class RingTalker(Algorithm):
     def on_step(self, ctx, inbox):
         self.received.extend(m.payload for m in inbox)
         if self.sent < self.limit:
-            ctx.send((ctx.pid + 1) % ctx.n, ("r", ctx.local_step, ctx.pid))
+            # A process steps every round: its sends so far are the round.
+            ctx.send((ctx.pid + 1) % ctx.n, ("r", self.sent, ctx.pid))
             self.sent += 1
 
     def is_quiescent(self):
