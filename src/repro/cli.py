@@ -48,15 +48,6 @@ _F_RULES = {
 }
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", default="auto", choices=["auto", "jsonl", "sqlite"],
-        help="artifact-store backend: 'auto' picks by extension "
-             "(.sqlite/.sqlite3/.db → sqlite, anything else → the JSONL "
-             "write-ahead log)",
-    )
-
-
 def _add_campaign(parser: argparse.ArgumentParser) -> None:
     """The options :func:`_campaign` hands to ``execute_batch``."""
     parser.add_argument("--processes", type=int, default=1,
@@ -194,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                         ".sqlite (no caching if omitted)")
     p.add_argument("--backend", default="jsonl",
                    choices=["jsonl", "sqlite"],
-                   help="store backend under --out-dir "
-                        "(default: jsonl)")
+                   help="suffix of the store file under --out-dir, which "
+                        "picks its backend (default: jsonl)")
     _add_campaign(p)
     p.add_argument("--profile", action="store_true",
                    help="print per-phase wall time from the observer bus "
@@ -239,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spec file: a JSON array of RunSpec objects, a "
                         "single object, or JSONL (one spec per line)")
     p.add_argument("--store", default=None,
-                   help="artifact store; stored spec hashes are "
-                        "cache hits and run no simulation")
-    _add_backend(p)
+                   help="artifact store (.sqlite/.sqlite3/.db: SQLite, "
+                        "else JSONL); stored spec hashes are cache hits "
+                        "and run no simulation")
     p.add_argument("--fsync", default="always",
                    choices=["always", "never"],
                    help="store write durability policy (default: always "
@@ -261,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "store",
         help="artifact-store maintenance and queries: verify, compact, "
-             "quarantine, query, ingest, export, merge",
+             "quarantine, query, merge; a store path ending in "
+             ".sqlite/.sqlite3/.db is SQLite, any other a JSONL log",
     )
     store_sub = p.add_subparsers(dest="action", required=True)
 
@@ -269,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                       ) -> argparse.ArgumentParser:
         action = store_sub.add_parser(name, help=help_text)
         action.add_argument("path", help=path_help)
-        _add_backend(action)
         action.add_argument("--json", action="store_true", dest="as_json",
                             help="emit the result as JSON")
         return action
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _store_action(
         "quarantine",
-        "show corrupt lines salvaged by recovery or ingest",
+        "show corrupt lines a JSONL load salvaged",
         "store path (JSONL log or SQLite index)",
     )
 
@@ -313,28 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print only the matching record count")
 
     action = store_sub.add_parser(
-        "ingest",
-        help="replay JSONL write-ahead logs into a SQLite index "
-             "(corrupt lines are quarantined, exit 1 when any are)")
-    action.add_argument("dest", help="SQLite index path")
-    action.add_argument("sources", nargs="+",
-                        help="JSONL log path(s) to replay")
-    action.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the report as JSON")
-
-    action = store_sub.add_parser(
-        "export",
-        help="write a SQLite index back out as a JSONL log")
-    action.add_argument("source", help="SQLite index path")
-    action.add_argument("dest", help="JSONL log path to write")
-
-    action = store_sub.add_parser(
         "merge",
-        help="merge shard stores into one artifact set")
+        help="merge stores into one artifact set, across backends too "
+             "(exit 1 when a JSONL source had corrupt lines)")
     action.add_argument("dest", help="destination store path")
     action.add_argument("sources", nargs="+",
-                        help="shard store path(s) to merge in")
-    _add_backend(action)
+                        help="store path(s) to merge in")
     action.add_argument(
         "--policy", default="error", choices=["error", "provenance"],
         help="conflict policy for divergent records with the same spec "
@@ -394,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--dir", required=True, dest="fleet_dir",
                         help="campaign directory (created if missing)")
     action.add_argument("--workers", type=int, default=2)
-    _add_backend(action)
+    action.add_argument("--backend", default="jsonl",
+                        choices=["jsonl", "sqlite"],
+                        help="the campaign's store file: store.jsonl or "
+                             "store.sqlite (default: jsonl)")
     action.add_argument("--timeout", type=float, default=600.0,
                         help="wall-clock budget for the whole drain "
                              "(default: 600s)")
@@ -441,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True,
                    help="path to a RunSpec JSON file")
     p.add_argument("--store", default=None,
-                   help="artifact store; a stored spec hash is a "
-                        "cache hit and runs no simulation")
-    _add_backend(p)
+                   help="artifact store (.sqlite/.sqlite3/.db: SQLite, "
+                        "else JSONL); a stored spec hash is a cache hit "
+                        "and runs no simulation")
     _add_topology(p)
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="print the full provenance record as JSON")
@@ -746,8 +724,7 @@ def _run(args) -> int:
             print(f"shard {index}/{count}: {len(specs)}/{total} spec(s)",
                   file=sys.stderr)
         path = args.store or args.resume
-        store = (open_store(path, backend=args.backend, fsync=args.fsync)
-                 if path else None)
+        store = open_store(path, fsync=args.fsync) if path else None
         records = _campaign(args, specs, store,
                             batch_size=args.batch_size)
         if args.as_json:
@@ -764,38 +741,10 @@ def _run(args) -> int:
 
         from .store import open_store
 
-        if args.action == "ingest":
-            from .store import SqliteStore
-
-            store = SqliteStore(args.dest)
-            quarantined = 0
-            reports = []
-            for source in args.sources:
-                report = store.ingest(source)
-                reports.append(report)
-                quarantined += report["quarantined"]
-            store.sync()
-            if args.as_json:
-                print(_json.dumps(reports, indent=2, sort_keys=True))
-            else:
-                for report in reports:
-                    print(f"{report['source']}: {report['ingested']} "
-                          f"record(s) ingested, {report['quarantined']} "
-                          f"corrupt line(s) quarantined")
-                print(f"{args.dest}: {len(store)} record(s)")
-            return 0 if not quarantined else 1
-
-        if args.action == "export":
-            from .store import SqliteStore
-
-            count = SqliteStore(args.source).export(args.dest)
-            print(f"{args.dest}: {count} record(s) exported")
-            return 0
-
         if args.action == "merge":
             from .store import MergeConflict, merge_stores
 
-            dest = open_store(args.dest, backend=args.backend)
+            dest = open_store(args.dest)
             try:
                 report = merge_stores(dest, args.sources,
                                       policy=args.policy)
@@ -811,9 +760,12 @@ def _run(args) -> int:
                       f"{report['replaced']} replaced "
                       f"({report['conflicts']} conflict(s) resolved); "
                       f"{len(dest)} record(s) total")
-            return 0
+                if report["quarantined"]:
+                    print(f"{report['quarantined']} corrupt source "
+                          f"line(s) quarantined, not merged")
+            return 0 if not report["quarantined"] else 1
 
-        store = open_store(args.path, backend=args.backend)
+        store = open_store(args.path)
         if args.action == "query":
             filters = {}
             for item in args.filter:
@@ -978,12 +930,7 @@ def _run(args) -> int:
             specs = (RunSpec.load_many(args.specs)
                      if args.specs else None)
             config = FleetConfig(
-                # name the store so extension-routed tools (store
-                # verify/query/merge) pick the same backend the fleet
-                # wrote with
-                store=("store.sqlite" if args.backend == "sqlite"
-                       else "store.jsonl"),
-                backend=args.backend,
+                store=f"store.{args.backend}",
                 lease_ttl=args.lease_ttl,
                 heartbeat_interval=min(2.0, args.lease_ttl / 4.0),
                 max_attempts=args.max_attempts,
@@ -1072,9 +1019,7 @@ def _run(args) -> int:
             # precedence as runtime overrides in the builder).
             spec = spec.replace(topology=_parse_topology(args))
         if args.store:
-            record, hit = execute_cached(
-                spec, open_store(args.store, backend=args.backend)
-            )
+            record, hit = execute_cached(spec, open_store(args.store))
         else:
             record, hit = make_record(spec, metrics_of(execute(spec))), False
         metrics = record["metrics"]

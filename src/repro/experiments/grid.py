@@ -99,8 +99,8 @@ class GridSpec:
 
 def open_grid_store(out_dir: str, name: str, backend: str = "jsonl") -> Any:
     """The artifact store of grid ``name`` under ``out_dir``:
-    ``<name>.jsonl``, or ``<name>.sqlite`` with ``backend="sqlite"``,
-    keyed by spec hash like every other store.
+    ``<name>.<backend>``, so ``"jsonl"`` or ``"sqlite"`` only chooses
+    the file's suffix, which picks the backend as for every other store.
 
     A JSONL *cell log* — the ``{"params", "record"}`` lines grids wrote
     before they became spec stores — is refused without being touched.
@@ -124,7 +124,7 @@ def open_grid_store(out_dir: str, name: str, backend: str = "jsonl") -> Any:
                 f"not read: grids now cache into a spec store; move the "
                 f"file aside or choose another out_dir and re-run"
             )
-    return open_store(path, backend=backend)
+    return open_store(path)
 
 
 def aggregate(rows: Iterable[Dict[str, Any]], by: Sequence[str],

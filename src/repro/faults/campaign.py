@@ -24,6 +24,10 @@ executes in strict mode, and records which detector fired:
 * a tolerance fault (empty ``expects``) passes iff the run completed
   with **no** detector firing.
 
+A store cell corrupts a scratch JSONL store and is detected only if
+all three legs catch it: ``verify``, a recovery load, and a merge of
+the log into a fresh SQLite index (see :func:`_judge_store`).
+
 Every matrix also carries control cells — its canonical cells run clean
 (invariants on, no fault).  A control judged not ok is a false positive
 and fails the campaign.  ``repro chaos`` exits nonzero unless detection
@@ -214,12 +218,13 @@ def _judge_store(path: str,
 
     The read-only :meth:`~repro.store.JsonlStore.verify` scan must flag
     exactly the injected lines, a recovery load must salvage every
-    surviving record while quarantining the corrupt ones, and replaying
-    the corrupted WAL into an index
-    (:meth:`~repro.store.SqliteStore.ingest`) must quarantine exactly
-    the injected lines while ingesting exactly the survivors.
+    surviving record while quarantining the corrupt ones, and merging
+    the corrupted WAL into a fresh index
+    (:func:`~repro.store.merge_stores` into a ``.sqlite`` path) must
+    add exactly the survivors while counting exactly the injected lines
+    as quarantined.
     """
-    from ..store import JsonlStore, SqliteStore
+    from ..store import JsonlStore, SqliteStore, merge_stores
 
     report = JsonlStore(path).verify()
     if report["ok"] or len(report["corrupt"]) != info["corrupted_lines"]:
@@ -238,16 +243,16 @@ def _judge_store(path: str,
     if len(recovered.quarantined_entries()) != info["corrupted_lines"]:
         return None, "corrupt line was not quarantined"
     with SqliteStore(path + ".sqlite") as index:
-        ingest = index.ingest(path)
-        if (ingest["ingested"] != info["surviving_records"]
-                or ingest["quarantined"] != info["corrupted_lines"]):
+        merged = merge_stores(index, [path])
+        if (merged["added"] != info["surviving_records"]
+                or merged["quarantined"] != info["corrupted_lines"]):
             return None, (
-                f"sqlite ingest took {ingest['ingested']} record(s) and "
-                f"quarantined {ingest['quarantined']}, expected "
+                f"sqlite merge added {merged['added']} record(s) and "
+                f"quarantined {merged['quarantined']}, expected "
                 f"{info['surviving_records']}/{info['corrupted_lines']}"
             )
         if not index.verify()["ok"]:
-            return None, "sqlite index failed verify after ingest"
+            return None, "sqlite index failed verify after merge"
     return "store-corruption", (
         f"verify flagged line {info.get('line')} "
         f"({report['corrupt'][0]['reason']}); "

@@ -5,7 +5,7 @@ paper's *execution model* and expect the runtime invariants to catch
 them; these break the *artifact store's* on-disk promises and expect the
 store's durability layer to catch them — :meth:`repro.store.Store.verify`,
 the load-time recovery scan of the JSONL write-ahead log, and
-:meth:`repro.store.SqliteStore.ingest` replaying that WAL into an
+:func:`repro.store.merge_stores` copying that WAL into a SQLite
 index.  Each injector reproduces one real crash signature:
 
 * :class:`TornWriteFault` — a SIGKILL or power loss mid-append leaves a
@@ -18,9 +18,10 @@ index.  Each injector reproduces one real crash signature:
 Detection contract, asserted by the chaos campaign: ``verify()`` must
 report the injected line (``"store-corruption"`` detection), a fresh
 load must salvage exactly the valid records and quarantine the bad
-line, a WAL replay into a SQLite index must ingest exactly the
-survivors while quarantining the injected lines, and a clean store must
-verify with zero findings (the campaign's false-positive control).
+line, a merge of the WAL into a fresh SQLite index must add exactly
+the survivors while counting the injected lines as quarantined, and a
+clean store must verify with zero findings (the campaign's
+false-positive control).
 """
 
 from __future__ import annotations

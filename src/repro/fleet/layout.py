@@ -66,9 +66,10 @@ class FleetConfig:
     re-issue budget, and one backoff schedule.
     """
 
-    #: Store file name inside the campaign directory.
+    #: Store file name inside the campaign directory; its suffix picks
+    #: the backend (``store.sqlite`` is SQLite).  A ``backend`` key in a
+    #: config written by older builds is ignored on read.
     store: str = "store.jsonl"
-    backend: str = "auto"
     fsync: str = "always"
     #: Seconds a lease lives without a refresh before any peer may
     #: expire it and re-issue the job.
@@ -240,8 +241,7 @@ class FleetCampaign:
         return RunSpec.load_many(self.specs_path)
 
     def open_store(self) -> Store:
-        return open_store(self.store_path, backend=self.config.backend,
-                          fsync=self.config.fsync)
+        return open_store(self.store_path, fsync=self.config.fsync)
 
     # -- attempts, backoff, and the re-issue budget ------------------------#
 

@@ -5,21 +5,22 @@ provenance-stamped record format:
 
 * :mod:`repro.store.base` — the record format (schema, CRC stamps,
   :func:`make_record`/:func:`metrics_of`) and the :class:`Store`
-  backend protocol; :func:`open_store` picks a backend by extension.
+  backend protocol; :func:`open_store` picks a backend by the file
+  name alone.
 * :mod:`repro.store.jsonl` — :class:`JsonlStore`, the durable
   append-only JSONL write-ahead log:
   crash recovery by quarantine, advisory locking, fsync policies,
   cross-process freshness.
 * :mod:`repro.store.sqlite` — :class:`SqliteStore`, the indexed query
   backend: spec-hash primary key, indexed spec/metric columns, WAL
-  journal mode, ``ingest``/``export`` round-trips with the JSONL form.
+  journal mode.
 * :mod:`repro.store.batch` — :func:`execute_cached` /
   :func:`execute_batch`, the cache-hit-never-re-simulates execution
   layer over any backend, and the one entry point of every spec
   campaign (a grid is one ``execute_batch`` call into
   ``<out_dir>/<name>.jsonl``).
 * :mod:`repro.store.merge` — deterministic shard merge for stores,
-  plus spec-hash sharding helpers.
+  the one bridge between backends, plus spec-hash sharding helpers.
 * :mod:`repro.store.query` — the filter language behind
   :meth:`Store.select` and ``repro-gossip store query``.
 
@@ -32,7 +33,6 @@ from .._util import lazy_exports
 # name -> defining submodule, imported on first use (see lazy_exports):
 # a JSONL campaign does not load sqlite3, nor any campaign the merge tool.
 _EXPORTS = {
-    "BACKENDS": "base",
     "FSYNC_POLICIES": "base",
     "STORE_SCHEMA_VERSION": "base",
     "Store": "base",

@@ -14,9 +14,9 @@ campaign directory (:func:`atomic_replace_json`, :func:`advisory_lock`).
 :class:`Store` is the backend protocol extracted from the original
 monolithic JSONL store's surface: ``get``/``put``/``records``/``verify``/
 ``compact``/``sync``/``quarantined_entries``, plus the raw-record write
-primitive ``put_record`` (what :mod:`repro.store.merge` and
-``SqliteStore.ingest`` build on) and the query entry point
-:meth:`Store.select`.  Concrete backends:
+primitive ``put_record`` (what :mod:`repro.store.merge` builds on) and
+the query entry point :meth:`Store.select`.  Concrete backends, chosen
+by the file name alone (:func:`open_store`):
 
 * :class:`repro.store.jsonl.JsonlStore` — the durable append-only JSONL
   write-ahead log (CRC stamps, fsync policy, flock, torn-line
@@ -36,7 +36,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -157,8 +156,8 @@ def check_schema(schema: Any, where: str, compacting: bool = False) -> None:
     """Raise :class:`UnknownSchemaError` for a schema stamp this build
     cannot read.
 
-    The one unknown-schema refusal: loads, ``SqliteStore.ingest`` and the
-    SQLite row decoder refuse such a record, and ``compact()``
+    The one unknown-schema refusal: JSONL loads and the SQLite row
+    decoder refuse such a record, and ``compact()``
     (``compacting``) refuses to drop it.  ``where`` names the record,
     e.g. ``store 'runs.jsonl' line 7``.
     """
@@ -261,8 +260,8 @@ class Store:
       read the backend's :meth:`_scan` and judge each record by
       :func:`classify_line` here — the one integrity rule;
     * ``sync()`` is the drain/flush path for graceful shutdown;
-    * ``quarantined_entries()`` lists corrupt inputs the backend set
-      aside instead of refusing to load;
+    * ``quarantined_entries()`` lists corrupt lines a JSONL load set
+      aside instead of refusing to load (none for other backends);
     * ``select()`` answers filtered queries (see :meth:`select`).
 
     Subclasses implement the primitives; the query default here is a
@@ -280,10 +279,11 @@ class Store:
     def put_record(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Write one pre-stamped record verbatim (provenance preserved).
 
-        The raw-write primitive behind :meth:`put`, shard merge, and
-        WAL ingestion: the record's ``schema``/``package``/``crc`` stamps
-        are stored as given, never re-stamped, so a record copied from
-        another shard keeps the provenance of the host that produced it.
+        The raw-write primitive behind :meth:`put` and
+        :func:`~repro.store.merge.merge_stores`: the record's
+        ``schema``/``package``/``crc`` stamps are stored as given, never
+        re-stamped, so a record copied from another shard keeps the
+        provenance of the host that produced it.
         """
         raise NotImplementedError
 
@@ -297,7 +297,7 @@ class Store:
         raise NotImplementedError
 
     def quarantined_entries(self) -> List[Dict[str, Any]]:
-        raise NotImplementedError
+        return []
 
     # -- shared surface ----------------------------------------------------#
 
@@ -433,7 +433,8 @@ class Store:
 #: Filename suffixes routed to the SQLite backend by :func:`open_store`.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
-BACKENDS = ("auto", "jsonl", "sqlite")
+#: The first bytes of every SQLite database file.
+SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 def backend_for_path(path: str) -> str:
@@ -442,28 +443,21 @@ def backend_for_path(path: str) -> str:
     return "sqlite" if suffix in SQLITE_SUFFIXES else "jsonl"
 
 
-def open_store(path: str, backend: Optional[str] = None,
-               fsync: str = "never") -> Store:
-    """Open an artifact store, choosing the backend by extension.
+def open_store(path: str, fsync: str = "never") -> Store:
+    """Open an artifact store; the file name alone picks the backend.
 
-    ``backend`` forces the choice (``"jsonl"`` or ``"sqlite"``;
-    ``None``/``"auto"`` routes ``.sqlite``/``.sqlite3``/``.db`` paths to
-    :class:`~repro.store.sqlite.SqliteStore` and everything else to the
-    JSONL write-ahead log).
+    ``.sqlite``/``.sqlite3``/``.db`` paths open a
+    :class:`~repro.store.sqlite.SqliteStore`, everything else the JSONL
+    write-ahead log.  Each backend refuses the other's file by its
+    content, so a store can never be misread under the wrong name.
     """
-    if backend in (None, "auto"):
-        backend = backend_for_path(path)
-    if backend == "jsonl":
-        from .jsonl import JsonlStore
-
-        return JsonlStore(path, fsync=fsync)
-    if backend == "sqlite":
+    if backend_for_path(path) == "sqlite":
         from .sqlite import SqliteStore
 
         return SqliteStore(path, fsync=fsync)
-    raise ConfigurationError(
-        f"unknown store backend {backend!r}; choose from {list(BACKENDS)}"
-    )
+    from .jsonl import JsonlStore
+
+    return JsonlStore(path, fsync=fsync)
 
 
 def classify_line(raw: str):
@@ -497,17 +491,21 @@ def scan_jsonl_lines(path: str, start: int = 0, first_lineno: int = 1):
     """Scan a JSONL record log; yield
     ``(lineno, raw, record, problem, offset)``.
 
-    The shared recovery scan behind :class:`JsonlStore` loading,
-    ``verify``/``compact``, and ``SqliteStore.ingest``; line
-    classification is :func:`classify_line` (blank lines are skipped).
-    ``offset`` is the byte offset just past the line — where a later
-    tail scan resumes.
+    The shared recovery scan behind :class:`JsonlStore` loading and
+    ``verify``/``compact``; line classification is :func:`classify_line`
+    (blank lines are skipped).  ``offset`` is the byte offset just past
+    the line — where a later tail scan resumes.
 
     ``start``/``first_lineno`` support incremental tail scans: reading
     resumes at byte offset ``start``, numbering lines from
     ``first_lineno``.  Lines are decoded with ``errors="replace"`` so a
     corrupt byte sequence becomes an unparseable (quarantinable) line
     rather than an exception.
+
+    A file that starts with the SQLite header is refused
+    (:class:`ConfigurationError`) before its first line is judged: it is
+    a database under a log's name, and every line of it would read as
+    corruption that a compaction drops.
     """
     if not os.path.exists(path):
         return
@@ -516,18 +514,13 @@ def scan_jsonl_lines(path: str, start: int = 0, first_lineno: int = 1):
             handle.seek(start)
         offset, lineno = start, first_lineno - 1
         for line in handle:
+            if not offset and line.startswith(SQLITE_HEADER):
+                raise ConfigurationError(
+                    f"store {path!r} is a SQLite database, not a JSONL "
+                    f"log; rename it with a .sqlite suffix"
+                )
             offset += len(line)
             lineno += 1
             raw = line.decode("utf-8", errors="replace").rstrip("\n")
             if raw.strip():
                 yield (lineno, raw, *classify_line(raw), offset)
-
-
-def iter_records(source: Union[Store, str, Iterable[Dict[str, Any]]]
-                 ) -> Iterable[Dict[str, Any]]:
-    """Records of a store instance, a store path, or a record iterable."""
-    if isinstance(source, Store):
-        return source.records()
-    if isinstance(source, (str, os.PathLike)):
-        return open_store(str(source)).records()
-    return source

@@ -1,9 +1,11 @@
 """Durable, provenance-stamped JSONL write-ahead log.
 
 One backend of the layered store, and the original one: the durable
-write-ahead format that campaign workers
-append to, and that :class:`~repro.store.sqlite.SqliteStore` ingests
-into an indexed form for querying.
+write-ahead format that campaign workers append to, and that
+``repro-gossip store merge`` can copy into a
+:class:`~repro.store.sqlite.SqliteStore` for indexed queries.  A path
+with any suffix but ``.sqlite``/``.sqlite3``/``.db`` opens this backend;
+a SQLite database under such a name is refused on load.
 
 Record layout (one JSON object per line)::
 

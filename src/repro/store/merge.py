@@ -25,16 +25,24 @@ versions — resolves by policy:
 A store is its campaign's only progress record, so merging the stores
 of disjoint shards yields a store against which ``--resume`` of the
 whole campaign finds zero missing cells and runs nothing.
+
+Merge is also the one bridge between backends: merging a JSONL log
+into a fresh ``.sqlite`` path indexes it, and merging a SQLite store
+into a fresh ``.jsonl`` path dumps it in spec-hash order.  Corrupt
+lines a JSONL source's load quarantines are counted in the report, so
+a caller can refuse a lossy copy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
-from .base import Store, canonical_body, iter_records
+from .base import Store, canonical_body, open_store
+from .jsonl import JsonlStore
 
 __all__ = [
     "MERGE_POLICIES",
@@ -108,20 +116,25 @@ def merge_stores(
     """Merge every record of ``sources`` into ``dest``.
 
     ``sources`` may be :class:`Store` instances, store paths (backend
-    chosen by extension), or plain record iterables.  Records land via
-    ``put_record`` — provenance stamps travel verbatim, nothing is
+    chosen by the file name), or plain record iterables.  Records land
+    via ``put_record`` — provenance stamps travel verbatim, nothing is
     re-stamped.  Returns ``{"added", "identical", "replaced",
-    "conflicts"}`` counts (``conflicts`` counts divergences seen, won or
-    lost — zero for genuinely disjoint shards).
+    "conflicts", "quarantined"}`` counts (``conflicts`` counts
+    divergences seen, won or lost — zero for genuinely disjoint shards;
+    ``quarantined`` counts the corrupt lines the JSONL sources' loads
+    set aside, whose records are not merged).
     """
     if policy not in MERGE_POLICIES:
         raise ConfigurationError(
             f"unknown merge policy {policy!r}; "
             f"choose from {list(MERGE_POLICIES)}"
         )
-    added = identical = replaced = conflicts = 0
+    added = identical = replaced = conflicts = quarantined = 0
     for source in sources:
-        for record in iter_records(source):
+        if isinstance(source, (str, os.PathLike)):
+            source = open_store(str(source))
+        records = source.records() if isinstance(source, Store) else source
+        for record in records:
             spec_hash = record.get("spec_hash")
             existing = dest.get(spec_hash) if spec_hash else None
             if existing is None:
@@ -137,11 +150,14 @@ def merge_stores(
             if winner is not None:
                 dest.put_record(winner)
                 replaced += 1
+        if isinstance(source, JsonlStore):
+            quarantined += len(source.last_recovery["quarantined"])
     return {
         "added": added,
         "identical": identical,
         "replaced": replaced,
         "conflicts": conflicts,
+        "quarantined": quarantined,
     }
 
 

@@ -10,12 +10,9 @@ filtered selects hit the index instead of scanning and re-parsing a
 JSONL log — the difference between O(log N) and O(N) once campaigns
 reach 10^5+ records (see ``benchmarks/bench_store_query.py``).
 
-The two forms round-trip: :meth:`SqliteStore.ingest` replays a JSONL
-log into the index — quarantining torn/corrupt lines exactly as the
-JSONL recovery scan would, so the fault injectors in
-:mod:`repro.faults.store_faults` are detected on ingest too — and
-:meth:`SqliteStore.export` writes the records back out as JSONL,
-provenance preserved byte for byte.
+The two forms carry the same records, so
+:func:`~repro.store.merge.merge_stores` (``repro-gossip store merge``)
+moves them either way, provenance preserved byte for byte.
 
 Durability maps onto SQLite's own machinery: the database runs in WAL
 journal mode (readers never block the writer; a SIGKILL mid-commit is
@@ -41,7 +38,6 @@ from .base import (
     _validate_fsync,
     check_schema,
     classify_line,
-    scan_jsonl_lines,
 )
 
 __all__ = ["SqliteStore"]
@@ -64,10 +60,6 @@ CREATE TABLE IF NOT EXISTS records (
 CREATE INDEX IF NOT EXISTS records_algorithm_n ON records (algorithm, n);
 CREATE INDEX IF NOT EXISTS records_n ON records (n);
 CREATE INDEX IF NOT EXISTS records_seed ON records (seed);
-CREATE TABLE IF NOT EXISTS quarantine (
-    rowid INTEGER PRIMARY KEY,
-    source TEXT, line INTEGER, reason TEXT NOT NULL, raw TEXT
-);
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT);
 """
 
@@ -87,9 +79,6 @@ class SqliteStore(Store):
         self.path = str(path)
         self.fsync = _validate_fsync(fsync)
         self._conn: Optional[sqlite3.Connection] = None
-        #: Shape parity with the JSONL recovery report; SQLite recovers
-        #: through its own WAL, so quarantining happens on :meth:`ingest`.
-        self.last_recovery: Optional[Dict[str, Any]] = None
 
     # -- connection -------------------------------------------------------#
 
@@ -233,15 +222,6 @@ class SqliteStore(Store):
                 break
         return out
 
-    def quarantined_entries(self) -> List[Dict[str, Any]]:
-        rows = self._connect().execute(
-            "SELECT line, reason, raw FROM quarantine ORDER BY rowid"
-        ).fetchall()
-        return [
-            {"line": line, "reason": reason, "raw": raw}
-            for line, reason, raw in rows
-        ]
-
     # -- writes -----------------------------------------------------------#
 
     def put_record(self, record: Dict[str, Any]) -> Dict[str, Any]:
@@ -306,9 +286,9 @@ class SqliteStore(Store):
         The primary key already enforces one record per hash, so there
         are never superseded rows to drop.  In one transaction, rows
         :meth:`~repro.store.base.Store._compaction` keeps are rewritten
-        re-stamped (upgrading v1 records), corrupt rows are deleted and
-        the quarantine table is cleared; an unknown-schema row aborts
-        the whole transaction.  ``VACUUM`` then reclaims space.
+        re-stamped (upgrading v1 records) and corrupt rows are deleted;
+        an unknown-schema row aborts the whole transaction.  ``VACUUM``
+        then reclaims space.
         """
         conn = self._connect()
         kept = 0
@@ -327,7 +307,6 @@ class SqliteStore(Store):
                     "UPDATE records SET schema = ?, record = ? "
                     "WHERE rowid = ?",
                     (row["schema"], row["record"], rowid))
-            conn.execute("DELETE FROM quarantine")
         except BaseException:
             conn.execute("ROLLBACK")
             raise
@@ -338,71 +317,3 @@ class SqliteStore(Store):
             "dropped_superseded": 0,
             "dropped_corrupt": dropped,
         }
-
-    # -- WAL round-trip ---------------------------------------------------#
-
-    def ingest(self, jsonl_path: str,
-               source: Optional[str] = None) -> Dict[str, Any]:
-        """Replay a JSONL write-ahead log into the index.
-
-        Runs the same recovery scan the JSONL backend loads with: valid
-        records are stored verbatim (last line per hash wins, provenance
-        stamps untouched), torn/corrupt lines — including anything the
-        fault injectors in :mod:`repro.faults.store_faults` plant — land
-        in the quarantine table with their line number and reason, and a
-        record from a future schema aborts the ingest
-        (:class:`UnknownSchemaError`).
-
-        Returns ``{"ingested", "quarantined", "source"}`` and records
-        the same shape in :attr:`last_recovery`.
-        """
-        source = source or str(jsonl_path)
-        conn = self._connect()
-        ingested = 0
-        quarantined: List[Dict[str, Any]] = []
-        conn.execute("BEGIN")
-        try:
-            for lineno, raw, entry, problem, _ in scan_jsonl_lines(
-                    str(jsonl_path)):
-                if problem == "unknown-schema":
-                    check_schema(entry.get("schema"),
-                                 f"log {source!r} line {lineno}")
-                if problem is not None:
-                    quarantined.append(
-                        {"line": lineno, "reason": problem, "raw": raw})
-                    conn.execute(
-                        "INSERT INTO quarantine (source, line, reason, raw)"
-                        " VALUES (?, ?, ?, ?)",
-                        (source, lineno, problem, raw))
-                    continue
-                self.put_record(entry)
-                ingested += 1
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
-        self.last_recovery = {
-            "records": len(self),
-            "quarantined": quarantined,
-        }
-        return {
-            "ingested": ingested,
-            "quarantined": len(quarantined),
-            "source": source,
-        }
-
-    def export(self, jsonl_path: str) -> int:
-        """Write every record back out as a JSONL log, ordered by spec
-        hash (deterministic round-trip); returns the record count."""
-        parent = os.path.dirname(str(jsonl_path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        count = 0
-        with open(jsonl_path, "w", encoding="utf-8") as handle:
-            for record in self.records():
-                handle.write(json.dumps(record, default=str) + "\n")
-                count += 1
-            handle.flush()
-            if self.fsync == "always":
-                os.fsync(handle.fileno())
-        return count

@@ -1,5 +1,6 @@
 """In-process fleet worker behavior: drain, steal, poison, dedupe."""
 
+import json
 import os
 
 import pytest
@@ -55,6 +56,31 @@ class TestDrain:
         verify = store.verify()
         assert verify["ok"] and verify["unique"] == len(specs)
         assert verify["superseded"] == 0
+
+    @pytest.mark.parametrize("store, backend", [
+        ("store.jsonl", "auto"), ("store.sqlite", "sqlite")])
+    def test_config_with_a_backend_key_opens_and_drains(
+            self, tmp_path, store, backend):
+        """Older builds wrote a ``backend`` key into ``fleet.json``; the
+        store's file name now picks the backend, and the key is read
+        past."""
+        specs = _specs(count=2, n=16)
+        root = str(tmp_path / "c")
+        FleetCampaign.create(root, specs, config=_fast_config(store=store))
+        config_path = os.path.join(root, "fleet.json")
+        with open(config_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert "backend" not in payload
+        payload["backend"] = backend
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+
+        campaign = FleetCampaign.open(root)
+        assert FleetWorker(campaign, "w0").run()["completed"] == len(specs)
+        opened = campaign.open_store()
+        assert opened.backend == store.split(".")[1]
+        assert campaign.status(store=opened)["complete"]
+        assert opened.verify()["ok"] and len(opened) == len(specs)
 
     def test_store_interops_with_resume(self, tmp_path, monkeypatch):
         """The fleet's store is an ordinary campaign store: a resumable

@@ -62,7 +62,7 @@ def test_fleet_survives_worker_sigkill(tmp_path, reference, backend,
                                        store_name):
     specs = _specs()
     config = FleetConfig(
-        store=store_name, backend=backend,
+        store=store_name,
         lease_ttl=2.0, heartbeat_interval=0.5,
         backoff_base=0.1, backoff_cap=1.0, max_attempts=5,
         poll_interval=0.02,
@@ -83,6 +83,7 @@ def test_fleet_survives_worker_sigkill(tmp_path, reference, backend,
 
     campaign = fleet.campaign
     store = campaign.open_store()
+    assert store.backend == backend  # the file name picked it
     status = campaign.status(store=store)
     assert status["complete"] and status["missing"] == 0
     assert status["failed"] == 0

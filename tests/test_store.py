@@ -4,7 +4,7 @@ Every test here runs against both backends through the
 :class:`repro.store.Store` protocol — put/get/len, provenance stamps,
 cache-hit behavior, batch execution, schema refusal.  Format-specific
 durability mechanics live in ``test_store_durability.py`` (JSONL
-recovery scan) and ``test_store_sqlite.py`` (ingest/export, WAL).
+recovery scan) and ``test_store_sqlite.py`` (the merge bridge, WAL).
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.store import (
     execute_batch,
     execute_cached,
     make_record,
+    merge_stores,
     metrics_of,
     open_store,
 )
@@ -56,10 +57,23 @@ def test_open_store_picks_backend_by_extension(tmp_path):
     assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteStore)
     assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
     assert isinstance(open_store(str(tmp_path / "a.log")), JsonlStore)
-    assert isinstance(
-        open_store(str(tmp_path / "a.jsonl"), backend="sqlite"),
-        SqliteStore,
-    )
+
+
+def test_sqlite_file_under_a_jsonl_name_is_refused_untouched(tmp_path,
+                                                              capsys):
+    """A database under a log's name is refused by its header: compacting
+    it as a log would drop every "line" of it as corruption."""
+    from repro.cli import main
+
+    path = tmp_path / "runs.jsonl"
+    index = SqliteStore(str(path))
+    index.put(SPEC, {"completed": True})
+    index.close()
+    before = path.read_bytes()
+    assert main(["store", "compact", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "is a SQLite database" in err and ".sqlite" in err
+    assert path.read_bytes() == before
 
 
 def test_record_is_provenance_stamped(fresh_store):
@@ -169,14 +183,14 @@ PLANTS = {
 @pytest.mark.parametrize("reason", sorted(PLANTS))
 def test_planted_record_gets_one_reason_on_both_backends(tmp_path, reason):
     """One integrity rule: the same planted text is the same finding in
-    a JSONL log, in a SQLite row, and when the log is replayed through
-    ``SqliteStore.ingest``."""
+    a JSONL log, in a SQLite row, and when the log is merged into a
+    fresh SQLite store."""
     log = tmp_path / "runs.jsonl"
     wal = JsonlStore(str(log))
     for seed in range(3):
         wal.put(SPEC.replace(seed=seed), {"completed": True})
     index = SqliteStore(str(tmp_path / "runs.sqlite"))
-    index.ingest(str(log))
+    merge_stores(index, [str(log)])
     victim = SPEC.replace(seed=1).spec_hash
     planted = PLANTS[reason](wal.get(victim))
 
@@ -196,12 +210,13 @@ def test_planted_record_gets_one_reason_on_both_backends(tmp_path, reason):
     replay = SqliteStore(str(tmp_path / "replay.sqlite"))
     if reason == "unknown-schema":
         with pytest.raises(UnknownSchemaError) as info:
-            replay.ingest(str(log))
+            merge_stores(replay, [str(log)])
         assert str(log) in str(info.value)
         assert "schema version 99" in str(info.value)
     else:
-        replay.ingest(str(log))
-        assert [entry["reason"] for entry in replay.quarantined_entries()] \
+        assert merge_stores(replay, [str(log)])["quarantined"] == 1
+        assert [entry["reason"]
+                for entry in JsonlStore(str(log)).quarantined_entries()] \
             == [reason]
 
 
@@ -211,7 +226,7 @@ MANIFEST_LINE = json.dumps({"schema": 1, "meta": {"driver": "sweep"},
 
 
 @pytest.mark.parametrize("scan", ["jsonl-load", "jsonl-verify",
-                                  "sqlite-ingest", "sqlite-verify"])
+                                  "sqlite-merge", "sqlite-verify"])
 def test_object_without_spec_hash_is_not_a_record(tmp_path, scan):
     """An object without a string ``spec_hash`` — an old manifest line
     in a store path, say — is quarantined as ``not-a-record`` by every
@@ -229,9 +244,9 @@ def test_object_without_spec_hash_is_not_a_record(tmp_path, scan):
     elif scan == "jsonl-verify":
         assert JsonlStore(str(log)).verify()["corrupt"] == [
             {"line": 2, "reason": "not-a-record"}]
-    elif scan == "sqlite-ingest":
-        report = index.ingest(str(log))
-        assert (report["ingested"], report["quarantined"]) == (1, 1)
+    elif scan == "sqlite-merge":
+        report = merge_stores(index, [str(log)])
+        assert (report["added"], report["quarantined"]) == (1, 1)
         assert len(index) == 1
     else:
         index.put(SPEC, {"completed": True})

@@ -79,7 +79,7 @@ class TestMergeStores:
         dest = _store(tmp_path, backend, "merged")
         report = merge_stores(dest, shards)
         assert report == {"added": 8, "identical": 0, "replaced": 0,
-                          "conflicts": 0}
+                          "conflicts": 0, "quarantined": 0}
         reference = _store(tmp_path, backend, "reference")
         execute_batch(specs, store=reference)
         by_hash = {r["spec_hash"]: r for r in reference.records()}
@@ -93,7 +93,7 @@ class TestMergeStores:
         merge_stores(dest, [source])
         report = merge_stores(dest, [source])
         assert report == {"added": 0, "identical": 3, "replaced": 0,
-                          "conflicts": 0}
+                          "conflicts": 0, "quarantined": 0}
         assert len(dest) == 3
 
     def test_sources_may_be_paths_or_iterables(self, tmp_path, backend):
@@ -185,6 +185,53 @@ class TestMergeCli:
         assert info.value.code == 2
         assert "sources" in capsys.readouterr().err
         assert not dest.exists()
+
+    def test_merge_of_a_torn_log_exits_1_and_counts_it(self, tmp_path,
+                                                      capsys):
+        """A lossy copy is not a silent success: the survivors land,
+        the torn tail is counted, and the exit code says so."""
+        from repro.cli import main
+
+        log = tmp_path / "runs.jsonl"
+        source = open_store(str(log))
+        for spec in _specs(2):
+            source.put(spec, {"completed": True})
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write('{"schema": 2, "spec_hash": "ab')  # torn append
+        dest = str(tmp_path / "d.sqlite")
+        assert main(["store", "merge", dest, str(log)]) == 1
+        out = capsys.readouterr().out
+        assert "2 added" in out
+        assert "1 corrupt source line(s) quarantined, not merged" in out
+        assert len(open_store(dest)) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["store", "ingest", "d.sqlite", "s.jsonl"],
+        ["store", "export", "s.sqlite", "d.jsonl"],
+    ])
+    def test_removed_bridges_are_invalid_choices(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'merge'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--specs", "s.jsonl", "--store", "x.jsonl"],
+        ["run", "--spec", "s.json", "--store", "x.jsonl"],
+        ["store", "verify", "x.jsonl"],
+        ["store", "merge", "d.sqlite", "x.jsonl"],
+    ])
+    def test_backend_flag_is_gone_where_the_user_names_the_store(
+            self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--backend", "sqlite"])
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_merged_shard_stores_resume_to_nothing(self, tmp_path, capsys):
         from repro.cli import main

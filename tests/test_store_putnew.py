@@ -16,8 +16,7 @@ OTHER = RunSpec(kind="gossip", algorithm="ears", n=16, f=4, seed=4)
 
 
 def _store(tmp_path, backend):
-    name = "s.sqlite" if backend == "sqlite" else "s.jsonl"
-    return open_store(str(tmp_path / name), backend=backend)
+    return open_store(str(tmp_path / f"s.{backend}"))
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])

@@ -1,10 +1,11 @@
-"""SQLite backend specifics: WAL ingest/export round-trip, corruption
-detection on ingest, cross-handle visibility, layout guards.
+"""SQLite backend specifics: the merge bridge to and from the JSONL
+log, corruption counting on merge, cross-handle visibility, layout
+guards.
 
 Backend-agnostic store semantics live in ``test_store.py`` (conformance
 suite over jsonl|sqlite); this file covers what only the indexed backend
-does: replaying the JSONL write-ahead log into the index and back, and
-quarantining exactly what the fault injectors plant.
+does: taking the JSONL write-ahead log into the index and back through
+``merge_stores``, and counting exactly what the fault injectors plant.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.store import (
     SqliteStore,
     UnknownSchemaError,
     make_record,
+    merge_stores,
 )
 
 SPEC = RunSpec(algorithm="ears", n=16, f=4, d=1, delta=1, seed=0)
@@ -36,34 +38,36 @@ def _seed_jsonl(path, count=4):
     return store
 
 
-class TestIngestExport:
+class TestMergeBridge:
     def test_round_trip_preserves_records_verbatim(self, tmp_path):
         wal = _seed_jsonl(tmp_path / "runs.jsonl")
         index = SqliteStore(str(tmp_path / "runs.sqlite"))
-        report = index.ingest(wal.path)
-        assert report["ingested"] == 4
-        assert report["quarantined"] == 0
+        report = merge_stores(index, [wal.path])
+        assert (report["added"], report["quarantined"]) == (4, 0)
         assert sorted(index.records(), key=lambda r: r["spec_hash"]) == \
             sorted(wal.records(), key=lambda r: r["spec_hash"])
 
         out = tmp_path / "exported.jsonl"
-        assert index.export(str(out)) == 4
+        assert merge_stores(JsonlStore(str(out)), [index])["added"] == 4
+        # The dump is one line per record, in spec-hash order.
+        assert out.read_text() == "".join(
+            json.dumps(record) + "\n" for record in index.records())
         replayed = JsonlStore(str(out))
         assert sorted(replayed.records(), key=lambda r: r["spec_hash"]) == \
             sorted(wal.records(), key=lambda r: r["spec_hash"])
         assert replayed.verify()["ok"]
 
-    def test_ingest_is_last_write_wins(self, tmp_path):
+    def test_merge_is_last_write_wins(self, tmp_path):
         wal = JsonlStore(str(tmp_path / "runs.jsonl"))
         wal.put(SPEC, {"completed": True, "time": 1})
         wal.put(SPEC, {"completed": True, "time": 42})
         index = SqliteStore(str(tmp_path / "runs.sqlite"))
-        report = index.ingest(wal.path)
-        assert report["ingested"] == 2  # lines replayed
-        assert len(index) == 1  # one hash survives
+        report = merge_stores(index, [str(tmp_path / "runs.jsonl")])
+        assert report["added"] == 1  # the log's one live record
+        assert len(index) == 1
         assert index.get(SPEC.spec_hash)["metrics"]["time"] == 42
 
-    def test_ingest_refuses_future_schema_and_rolls_back(self, tmp_path):
+    def test_merge_refuses_future_schema_dest_untouched(self, tmp_path):
         wal_path = tmp_path / "runs.jsonl"
         _seed_jsonl(wal_path, count=2)
         future = make_record(SPEC.replace(seed=99), {"completed": True})
@@ -73,32 +77,29 @@ class TestIngestExport:
 
         index = SqliteStore(str(tmp_path / "runs.sqlite"))
         with pytest.raises(UnknownSchemaError, match="schema"):
-            index.ingest(str(wal_path))
-        # The whole ingest transaction rolled back: nothing half-loaded.
+            merge_stores(index, [str(wal_path)])
+        # The source is refused before any record is written.
         assert len(index) == 0
 
     @pytest.mark.parametrize("fault_cls", [TornWriteFault, ChecksumFlipFault])
-    def test_ingest_quarantines_injected_corruption(self, tmp_path,
-                                                    fault_cls):
-        """The chaos-campaign contract: replaying a corrupted WAL into
-        the index quarantines exactly the injected lines and ingests
-        exactly the survivors."""
+    def test_merge_counts_injected_corruption(self, tmp_path, fault_cls):
+        """The chaos-campaign contract: merging a corrupted WAL into
+        the index counts exactly the injected lines as quarantined and
+        adds exactly the survivors."""
         wal_path = str(tmp_path / "runs.jsonl")
         _seed_jsonl(wal_path, count=5)
         info = fault_cls().inject(wal_path, random.Random(7))
 
         index = SqliteStore(str(tmp_path / "runs.sqlite"))
-        report = index.ingest(wal_path)
+        report = merge_stores(index, [wal_path])
         assert report["quarantined"] == info["corrupted_lines"]
-        assert report["ingested"] == info["surviving_records"]
-        entries = index.quarantined_entries()
+        assert report["added"] == info["surviving_records"]
+        entries = JsonlStore(wal_path).quarantined_entries()
         assert [e["line"] for e in entries] == [info["line"]]
         assert entries[0]["reason"] in (
             "torn-or-unparseable", "checksum-mismatch",
         )
         assert index.verify()["ok"]
-        # Compaction clears the quarantine table.
-        index.compact()
         assert index.quarantined_entries() == []
 
 
