@@ -90,21 +90,17 @@ class CanettiRabinConsensus(Algorithm):
         self.instance: InstanceTag = first_instance()
         self.history: Dict[InstanceTag, Dict[int, Any]] = {}
         self.gossip: Optional[Any] = None
-        self._ctx: Optional[Context] = None
         self._idle_steps = 0
-        self._sent_this_step = 0
 
     # -- wiring ---------------------------------------------------------- #
 
-    def _send_enveloped(self, dst: int, inner: Any, kind: str) -> None:
-        envelope = Envelope(
-            instance=self.instance,
-            inner=inner,
-            history=dict(self.history),
-            decided=self.decided,
-        )
-        self._ctx.send(dst, envelope, kind=kind)
-        self._sent_this_step += 1
+    def _envelope(self, inner: Any, kind: str,
+                  probe: bool = False) -> Envelope:
+        """The embedded gossip's wrap, once per send call: all its
+        destinations share the envelope and its (immutable) ``history``."""
+        return Envelope(instance=self.instance, inner=inner,
+                        history=self.history, decided=self.decided,
+                        probe=probe)
 
     def _vote_for_current_voting(self, ctx: Context) -> Any:
         rnd, voting, stage = self.instance
@@ -150,9 +146,12 @@ class CanettiRabinConsensus(Algorithm):
         return view
 
     def _complete_instance(self, outcome: Dict[int, Any]) -> None:
-        """Record a completed stage and run the voting logic if it closed."""
+        """Record a completed stage and run the voting logic if it closed.
+
+        The one writer of ``history``: it binds a new dict, so envelopes
+        already sent keep the history they were sent with."""
         rnd, voting, stage = self.instance
-        self.history[self.instance] = outcome
+        self.history = {**self.history, self.instance: outcome}
         if stage < 2:
             self._advance((rnd, voting, stage + 1))
             return
@@ -201,26 +200,19 @@ class CanettiRabinConsensus(Algorithm):
             self._complete_instance(outcome)
 
     def _check_local_completion(self) -> None:
-        while (
-            self.decided is None
-            and self.gossip is not None
-            and popcount(self.gossip.rumor_mask) >= self.need
-        ):
-            rnd, voting, stage = self.instance
-            collected = {
-                origin: self.gossip.rumors.value_of(origin)
-                for origin in self.gossip.rumors
-            }
-            self._complete_instance(self._flatten_view(stage, collected))
-            # _advance cleared self.gossip; the next instance's gossip is
-            # created (and can only complete) on a later step.
-            break
+        # At most one stage a step: completing it clears self.gossip, and
+        # the next instance's gossip is created on a later step.
+        gossip = self.gossip
+        if (self.decided is None and gossip is not None
+                and popcount(gossip.rumor_mask) >= self.need):
+            collected = {origin: gossip.rumors.value_of(origin)
+                         for origin in gossip.rumors}
+            self._complete_instance(
+                self._flatten_view(self.instance[2], collected))
 
     # -- the per-step driver ------------------------------------------------
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        self._ctx = ctx
-        self._sent_this_step = 0
         instance_before = self.instance
 
         probers: List[int] = []
@@ -235,21 +227,14 @@ class CanettiRabinConsensus(Algorithm):
         if self.decided is not None:
             # Drain mode: answer anyone who still talks to us, once each.
             for src in sorted({m.src for m in inbox}):
-                ctx.send(
-                    src,
-                    Envelope(instance=None, inner=None, history={},
-                             decided=self.decided),
-                    kind=KIND_DECIDED,
-                )
+                ctx.send(src, Envelope(instance=None, inner=None,
+                                       decided=self.decided),
+                         kind=KIND_DECIDED)
             return
 
         for src in sorted(set(probers)):
-            ctx.send(
-                src,
-                Envelope(instance=self.instance, inner=None,
-                         history=dict(self.history), decided=None),
-                kind=KIND_PROBE_REPLY,
-            )
+            ctx.send(src, self._envelope(None, KIND_PROBE_REPLY),
+                     kind=KIND_PROBE_REPLY)
 
         sub_inbox = [
             Message(src=msg.src, dst=self.pid, payload=msg.payload.inner,
@@ -261,24 +246,21 @@ class CanettiRabinConsensus(Algorithm):
         ]
 
         self._ensure_gossip(ctx)
-        self.gossip.on_step(SubContext(ctx, self._send_enveloped), sub_inbox)
+        queued = len(ctx.outbox)
+        self.gossip.on_step(SubContext(ctx, self._envelope), sub_inbox)
         self._check_local_completion()
 
         if self.decided is not None:
             return
-        if self.instance != instance_before or self._sent_this_step:
+        if self.instance != instance_before or len(ctx.outbox) > queued:
             self._idle_steps = 0
         else:
             self._idle_steps += 1
             if self._idle_steps >= self.probe_interval:
                 self._idle_steps = 0
-                ctx.send(
-                    ctx.random_peer(),
-                    Envelope(instance=self.instance, inner=None,
-                             history=dict(self.history), decided=None,
-                             probe=True),
-                    kind=KIND_PROBE,
-                )
+                ctx.send(ctx.random_peer(),
+                         self._envelope(None, KIND_PROBE, probe=True),
+                         kind=KIND_PROBE)
 
     # -- inspection -------------------------------------------------------- #
 

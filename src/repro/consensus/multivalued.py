@@ -66,24 +66,20 @@ class MultivaluedConsensus(Algorithm):
         self.decided_rounds: Dict[int, int] = {}
 
         self._inner: Optional[CanettiRabinConsensus] = None
-        self._ctx: Optional[Context] = None
 
     # -- plumbing ----------------------------------------------------------
 
     def _candidate(self, mv_round: int) -> int:
         return mv_round % self.n
 
-    def _send_outer(self, dst: int, inner_payload: Any, kind: str) -> None:
-        self._ctx.send(
-            dst,
-            MvEnvelope(
-                mv_round=self.mv_round,
-                inner=inner_payload,
-                proposals=dict(self.proposals),
-                decided_rounds=dict(self.decided_rounds),
-                mv_decided=self.decided,
-            ),
-            kind=kind,
+    def _outer(self, inner: Any, kind: str) -> MvEnvelope:
+        """The inner consensus's wrap: one envelope per send call."""
+        return MvEnvelope(
+            mv_round=self.mv_round,
+            inner=inner,
+            proposals=dict(self.proposals),
+            decided_rounds=dict(self.decided_rounds),
+            mv_decided=self.decided,
         )
 
     def _ensure_inner(self) -> None:
@@ -141,7 +137,6 @@ class MultivaluedConsensus(Algorithm):
     # -- the per-step driver -------------------------------------------------
 
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
-        self._ctx = ctx
         inner_inbox: List[Message] = []
         for msg in inbox:
             envelope: MvEnvelope = msg.payload
@@ -158,7 +153,7 @@ class MultivaluedConsensus(Algorithm):
             # Drain mode at the outer layer: one reply per contact, which
             # carries the decision and the full proposal map.
             for src in sorted({m.src for m in inbox}):
-                self._ctx.send(
+                ctx.send(
                     src,
                     MvEnvelope(mv_round=None, inner=None,
                                proposals=dict(self.proposals),
@@ -170,7 +165,7 @@ class MultivaluedConsensus(Algorithm):
 
         self._ensure_inner()
         round_before = self.mv_round
-        self._inner.on_step(SubContext(ctx, self._send_outer), inner_inbox)
+        self._inner.on_step(SubContext(ctx, self._outer), inner_inbox)
         if (self._inner is not None and self._inner.decided is not None
                 and self.mv_round == round_before):
             self._mv_decide_round(round_before, self._inner.decided)

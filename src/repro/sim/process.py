@@ -210,37 +210,34 @@ class SubContext(Context):
     Consensus runs gossip inside envelopes, multivalued consensus runs
     binary consensus inside envelopes of its own: the embedded layer
     must see the very same process — pid, n, f, the one RNG stream,
-    the neighbor view — but its sends belong to the
-    embedding layer.  So this *is* ``parent``'s context (every
-    :class:`Context` slot is shared with it, whatever slots there are,
-    and every method but the send path is inherited), and each message
-    goes through ``wrap(dst, payload, kind)``, the owner's envelope
-    function: one call per message, in send order.
+    the neighbor view — but its sends belong to the embedding layer.
+    So this *is* ``parent``'s context (every :class:`Context` slot is
+    shared with it, and every method but the send path is inherited);
+    each ``send``/``send_many`` call wraps its payload once, in
+    ``wrap(payload, kind)``, the owner's envelope builder, and passes
+    that to ``parent``'s own call. Nested layers compose, innermost wrap
+    first, and a fan-out stays one ``FanOut`` carrying one envelope.
 
     Built per step around the live parent (a :class:`Context` or
     another ``SubContext``), so it shares that step's outbox; it
     carries no state of its own.
     """
 
-    __slots__ = ("_wrap",)
+    __slots__ = ("_parent", "_wrap")
 
     def __init__(self, parent: Context,
-                 wrap: Callable[[int, Any, str], Any]) -> None:
+                 wrap: Callable[[Any, str], Any]) -> None:
         for name in Context.__slots__:
             setattr(self, name, getattr(parent, name))
+        self._parent = parent
         self._wrap = wrap
 
-    def send(self, dst: int, payload: Any, kind: str = "msg") -> None:
-        self._wrap(dst, payload, kind)
+    def send(self, dst: int, payload: Any, kind: str = "msg") -> Message:
+        return self._parent.send(dst, self._wrap(payload, kind), kind)
 
     def send_many(self, dsts: Iterable[int], payload: Any,
                   kind: str = "msg") -> int:
-        wrap = self._wrap
-        sent = 0
-        for dst in dsts:
-            wrap(dst, payload, kind)
-            sent += 1
-        return sent
+        return self._parent.send_many(dsts, self._wrap(payload, kind), kind)
 
 
 class Algorithm(ABC):

@@ -31,10 +31,11 @@ import dataclasses
 import json
 import os
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterator,
     List,
@@ -298,6 +299,11 @@ class Store:
 
     def quarantined_entries(self) -> List[Dict[str, Any]]:
         return []
+
+    def transaction(self) -> ContextManager[None]:
+        """A block of writes SQLite commits as one, however the block
+        ends; a JSONL log appends each write as it comes."""
+        return nullcontext()
 
     # -- shared surface ----------------------------------------------------#
 

@@ -195,6 +195,9 @@ class JsonlStore(Store):
         ``os.replace``, so a crash mid-compaction leaves the original log
         untouched.
         """
+        # The scan's first line refuses a SQLite file under a log's name;
+        # read it before the lock would leave a sidecar beside that file.
+        next(self._scan(), None)
         with advisory_lock(self.lock_path):
             kept: Dict[str, Dict[str, Any]] = {}
             lines = 0

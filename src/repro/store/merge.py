@@ -122,7 +122,8 @@ def merge_stores(
     "conflicts", "quarantined"}`` counts (``conflicts`` counts
     divergences seen, won or lost — zero for genuinely disjoint shards;
     ``quarantined`` counts the corrupt lines the JSONL sources' loads
-    set aside, whose records are not merged).
+    set aside, whose records are not merged).  The writes are one
+    ``dest.transaction()``: a conflict keeps what merged before it.
     """
     if policy not in MERGE_POLICIES:
         raise ConfigurationError(
@@ -130,28 +131,30 @@ def merge_stores(
             f"choose from {list(MERGE_POLICIES)}"
         )
     added = identical = replaced = conflicts = quarantined = 0
-    for source in sources:
-        if isinstance(source, (str, os.PathLike)):
-            source = open_store(str(source))
-        records = source.records() if isinstance(source, Store) else source
-        for record in records:
-            spec_hash = record.get("spec_hash")
-            existing = dest.get(spec_hash) if spec_hash else None
-            if existing is None:
-                dest.put_record(record)
-                added += 1
-                continue
-            winner, divergent = _resolve(spec_hash, existing, record,
-                                         policy)
-            if divergent:
-                conflicts += 1
-            else:
-                identical += 1
-            if winner is not None:
-                dest.put_record(winner)
-                replaced += 1
-        if isinstance(source, JsonlStore):
-            quarantined += len(source.last_recovery["quarantined"])
+    with dest.transaction():
+        for source in sources:
+            if isinstance(source, (str, os.PathLike)):
+                source = open_store(str(source))
+            records = (source.records() if isinstance(source, Store)
+                       else source)
+            for record in records:
+                spec_hash = record.get("spec_hash")
+                existing = dest.get(spec_hash) if spec_hash else None
+                if existing is None:
+                    dest.put_record(record)
+                    added += 1
+                    continue
+                winner, divergent = _resolve(spec_hash, existing, record,
+                                             policy)
+                if divergent:
+                    conflicts += 1
+                else:
+                    identical += 1
+                if winner is not None:
+                    dest.put_record(winner)
+                    replaced += 1
+            if isinstance(source, JsonlStore):
+                quarantined += len(source.last_recovery["quarantined"])
     return {
         "added": added,
         "identical": identical,

@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.errors import ConfigurationError
 from .base import (
@@ -233,6 +234,15 @@ class SqliteStore(Store):
                 ", ".join("?" for _ in columns)),
             [row[c] for c in columns])
         return record
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        conn = self._connect()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        finally:
+            conn.execute("COMMIT")
 
     def put_record_new(self, record: Dict[str, Any]
                        ) -> Tuple[Dict[str, Any], bool]:

@@ -118,8 +118,7 @@ class TestVotingLogic:
 
 class TestHistoryCatchUp:
     def test_fast_forward_through_sender_history(self):
-        proc, ctx = make_proc(value=0)
-        proc._ctx = ctx
+        proc, _ = make_proc(value=0)
         # Sender already finished round 1 voting 1 (split view => pref ⊥).
         split = votes({p: p % 2 for p in range(8)})
         history = {
@@ -132,15 +131,13 @@ class TestHistoryCatchUp:
         assert proc.preference is BOTTOM
 
     def test_fast_forward_stops_at_gap(self):
-        proc, ctx = make_proc()
-        proc._ctx = ctx
+        proc, _ = make_proc()
         history = {(1, VOTING_ESTIMATE, 1): votes({0: 1})}  # not my stage
         proc._apply_history(history)
         assert proc.instance == (1, VOTING_ESTIMATE, 0)
 
     def test_fast_forward_can_decide(self):
-        proc, ctx = make_proc()
-        proc._ctx = ctx
+        proc, _ = make_proc()
         unanimous = votes({p: 7 for p in range(5)})
         history = {
             (1, VOTING_ESTIMATE, 0): unanimous,
@@ -149,6 +146,23 @@ class TestHistoryCatchUp:
         }
         proc._apply_history(history)
         assert proc.decided == 7
+
+    def test_sent_envelopes_keep_the_history_they_were_sent_with(self):
+        proc, ctx = make_proc()
+        view = votes({p: 1 for p in range(5)})
+        proc._complete_instance(view)
+        probe = Message(src=5, dst=0, payload=Envelope(
+            instance=(1, 1, 0), inner=None, probe=True))
+        proc.on_step(ctx, [probe])
+        reply, broadcast = ctx.outbox
+        assert reply.kind == "probe-reply"
+        # The gossip broadcast: one record, one envelope.
+        assert len(broadcast.dsts) == N - 1
+        proc._complete_instance(view)
+        assert proc.history == {(1, VOTING_ESTIMATE, 0): view,
+                                (1, VOTING_ESTIMATE, 1): view}
+        for sent in (reply.payload, broadcast.payload):
+            assert sent.history == {(1, VOTING_ESTIMATE, 0): view}
 
 
 class TestDrainMode:

@@ -12,6 +12,7 @@ from repro.sim.process import (
     SubContext,
 )
 from repro.sim.errors import AlgorithmError
+from repro.sim.message import FanOut
 from repro.sim.rng import derive_rng
 
 
@@ -87,9 +88,10 @@ class TestRandomPeers:
         assert all(0 <= peer < n for peer in expected)
 
 
-def _envelope(sink):
-    def wrap(dst, payload, kind):
-        sink.append((dst, payload, kind))
+def _envelope(sink, tag="env"):
+    def wrap(payload, kind):
+        sink.append((payload, kind))
+        return (tag, payload)
     return wrap
 
 
@@ -116,14 +118,47 @@ class TestSubContext:
         for name in Context.__slots__:
             assert getattr(sub, name) is getattr(parent, name)
 
-    def test_sends_go_through_the_wrap_one_call_per_message(self):
+    def test_sends_go_through_the_wrap_one_call_per_send(self):
         parent = Context(0, 4, 1, derive_rng(0, "h", 0))
         seen = []
         sub = SubContext(parent, _envelope(seen))
         sub.send(1, "a", kind="x")
         assert sub.send_many(iter([2, 3]), "b") == 2
-        assert seen == [(1, "a", "x"), (2, "b", "msg"), (3, "b", "msg")]
-        assert parent.outbox == []  # only the wrap decides what is sent
+        assert sub.send_many([0, 1, 2], "c", kind="y") == 3
+        assert seen == [("a", "x"), ("b", "msg"), ("c", "y")]
+        single, short_a, short_b, fan = parent.outbox
+        assert ((single.dst, single.payload, single.kind)
+                == (1, ("env", "a"), "x"))
+        assert [(m.dst, m.payload) for m in (short_a, short_b)] == [
+            (2, ("env", "b")), (3, ("env", "b"))]
+        # Three destinations: one record on the parent, one envelope.
+        assert type(fan) is FanOut
+        assert (list(fan.dsts), fan.payload, fan.kind) == (
+            [0, 1, 2], ("env", "c"), "y")
+
+    def test_nested_layers_wrap_inner_first(self):
+        parent = Context(0, 4, 1, derive_rng(0, "h", 0))
+        outer_seen, inner_seen = [], []
+        middle = SubContext(parent, _envelope(outer_seen, "outer"))
+        inner = SubContext(middle, _envelope(inner_seen, "inner"))
+        inner.send_many(range(4), "p", kind="k")
+        inner.send(2, "q")
+        assert inner_seen == [("p", "k"), ("q", "msg")]
+        assert outer_seen == [(("inner", "p"), "k"),
+                              (("inner", "q"), "msg")]
+        fan, single = parent.outbox
+        assert fan.payload == ("outer", ("inner", "p")) and fan.kind == "k"
+        assert (single.dst, single.payload) == (2, ("outer", ("inner", "q")))
+
+    @pytest.mark.parametrize("dsts", [[5], [1, 5], [0, 1, 2, 5], [-1, 0, 1]])
+    def test_bad_destination_raises_as_send_does(self, dsts):
+        parent = Context(0, 4, 1, derive_rng(0, "h", 0))
+        sub = SubContext(SubContext(parent, _envelope([])), _envelope([]))
+        with pytest.raises(AlgorithmError, match="invalid pid"):
+            sub.send_many(dsts, "x")
+        with pytest.raises(AlgorithmError, match="invalid pid"):
+            sub.send(next(d for d in dsts if not 0 <= d < 4), "x")
+        assert parent.outbox == []
 
 
 class TestBoundsRegistry:

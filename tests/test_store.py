@@ -74,6 +74,8 @@ def test_sqlite_file_under_a_jsonl_name_is_refused_untouched(tmp_path,
     err = capsys.readouterr().err
     assert "is a SQLite database" in err and ".sqlite" in err
     assert path.read_bytes() == before
+    # Refused before the lock: no sidecar is left beside the file.
+    assert [entry.name for entry in tmp_path.iterdir()] == ["runs.jsonl"]
 
 
 def test_record_is_provenance_stamped(fresh_store):

@@ -123,6 +123,26 @@ class TestMergeStores:
         with pytest.raises(MergeConflict, match="divergent"):
             merge_stores(dest, [[new]])
 
+    def test_a_conflict_keeps_what_merged_before_it(self, tmp_path,
+                                                    backend):
+        old, new = self._divergent_pair()
+        before = make_record(SPEC.replace(seed=9), {"completed": True})
+        dest = _store(tmp_path, backend, "merged")
+        dest.put_record(old)
+        with pytest.raises(MergeConflict, match="divergent"):
+            merge_stores(dest, [[before, new]])
+        assert open_store(dest.path).get(before["spec_hash"]) == before
+
+    def test_merge_into_sqlite_is_one_transaction(self, tmp_path):
+        records = [make_record(SPEC.replace(seed=seed), {"completed": True})
+                   for seed in range(200)]
+        dest = _store(tmp_path, "sqlite", "merged")
+        statements = []
+        dest._connect().set_trace_callback(statements.append)
+        assert merge_stores(dest, [records])["added"] == 200
+        assert sum(sql.startswith("BEGIN") for sql in statements) == 1
+        assert len(open_store(dest.path)) == 200
+
     def test_provenance_policy_keeps_newest_build(self, tmp_path, backend):
         old, new = self._divergent_pair()
         dest = _store(tmp_path, backend, "merged")
