@@ -19,10 +19,15 @@ Representation
 V(p) is an n-bit mask. I(p) is a single n²-bit integer with bit ``q·n + r``
 set iff (r, q) ∈ I(p), so merging a received informed-list is one integer
 OR. A step folds before it stamps: received lists are OR-ed into a local and
-received masks into one n-bit word before I(p) is assigned once, and the
-pairs for a step's targets are OR-ed together and added once, after the
-payload snapshot. Payloads share these immutable ints, so snapshotting
-costs nothing.
+received masks into one n-bit word before I(p) is assigned once. Payloads
+share these immutable ints, so snapshotting costs nothing, and a sender's
+I(p) *is* its last payload: the pairs of a send are kept as owed, ``(V,
+targets)``, and :meth:`InformedListGossip._settle` adds them at the next read
+of I(p) — the next step, or an outside ``l_is_empty`` between steps. Adding
+them at once would leave two n²-bit ints alive per sender, the one in flight
+and a copy one send larger. A shut-down send owes nothing: L(p) = ∅ was just
+shown, so with V < 2ⁿ each of its pairs is in I(p) already. Code that writes
+I(p) from outside settles first.
 
 "L(p) = ∅" is exactly ``replicate(V) & ~I == 0``, where ``replicate(V) =
 V · (Σ_q 2^{q·n})`` stamps V into every q-block. That product is the dearest
@@ -84,6 +89,8 @@ class InformedListGossip(GossipAlgorithm):
         super().__init__(pid, n, f, rumor_payload)
         # I(p), packed. Initially p knows its own rumor "reached" itself.
         self._I = self.rumors.mask << (pid * n)
+        # The pairs of the last send, (V, targets), not yet in I(p).
+        self._owed = None
         # A destination in [0, n) last found in L(p) (module docstring).
         self._witness = n - 1
         # Consecutive steps (including this one) during which L(p) was empty;
@@ -91,12 +98,25 @@ class InformedListGossip(GossipAlgorithm):
         # ``shutdown_sends``, how many of them it keeps sending through.
         self.sleep_cnt = 0
 
+    def _settle(self) -> None:
+        """Add the owed pairs (r, q), r ∈ V and q a target, to I(p)."""
+        if self._owed is None:
+            return
+        mask, targets = self._owed
+        self._owed = None
+        n = self.n
+        pairs = 0
+        for dst in targets:
+            pairs |= mask << (dst * n)
+        self._I |= pairs
+
     def _uncertified(self) -> int:
         """``replicate(V) & ~I``: bit q·n + r ⟺ r ∈ V(p) and (r, q) ∉ I(p)."""
         informed = self._I
         return (_replicate(self.rumors.mask, self.n) | informed) ^ informed
 
     def l_is_empty(self) -> bool:
+        self._settle()
         n = self.n
         v = self.rumors.mask
         # One block of I(p) decides only while the copies of V in
@@ -163,6 +183,7 @@ class EpidemicGossip(InformedListGossip):
     def on_step(self, ctx: Context, inbox: List[Message]) -> None:
         n = self.n
         rumors = self.rumors
+        self._settle()
         if inbox:
             informed = self._I
             got = 0
@@ -189,12 +210,11 @@ class EpidemicGossip(InformedListGossip):
             mask, payloads = rumors.snapshot()
             kind = KIND_SHUTDOWN if self.sleep_cnt >= 1 else KIND_GOSSIP
             ctx.send_many(targets, (mask, payloads, self._I), kind=kind)
-            # Record the new pairs only after the payload snapshot, exactly
-            # as Figure 2 sends ⟨V(p), I(p)⟩ first and extends I(p) after.
-            sent = 0
-            for dst in targets:
-                sent |= mask << (dst * n)
-            self._I |= sent
+            # Figure 2 sends ⟨V(p), I(p)⟩ first and extends I(p) after: the
+            # new pairs are owed, so I(p) stays the int just sent. A
+            # shut-down send's pairs are in I(p) unless V ≥ 2ⁿ.
+            if not self.sleep_cnt or mask >> n:
+                self._owed = (mask, targets)
 
     def summary(self) -> dict:
         data = super().summary()

@@ -129,18 +129,28 @@ class BitMeterObserver(Observer):
     """Accumulates estimated wire bits into ``engine.metrics.bits_sent``.
 
     The meter itself is stateless; the accumulator lives in the engine's
-    metrics.
+    metrics. The engine announces one outbox's messages in one loop, with
+    no algorithm code between them, so a payload that is the very object
+    of the previous message, at the same ``t`` from the same sender,
+    measures the same: a fan-out's shared payload is measured once.
     """
 
     def __init__(self, meter: Callable[[Any], int]) -> None:
         self.meter = meter
         self._metrics = None
+        # (t, src, payload, bits) of the last message measured.
+        self._last: tuple = (None, None, None, 0)
 
     def on_attach(self, engine) -> None:
         self._metrics = engine.metrics
 
     def on_send(self, t: int, msg) -> None:
-        self._metrics.bits_sent += self.meter(msg.payload)
+        payload = msg.payload
+        last_t, last_src, last_payload, bits = self._last
+        if payload is not last_payload or t != last_t or msg.src != last_src:
+            bits = self.meter(payload)
+            self._last = (t, msg.src, payload, bits)
+        self._metrics.bits_sent += bits
 
 
 class StepProfiler(Observer):

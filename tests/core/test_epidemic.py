@@ -77,12 +77,21 @@ class TestInformedList:
         out = step(algo, ctx)
         assert len(out) == 1
         dst = out[0].dst
-        # The pair (own rumor, dst) is in I(p) now...
+        # The pair (own rumor, dst) is in I(p) once the send is settled...
+        algo._settle()
         assert knows_sent(algo, 0, dst)
         # ...but was NOT in the message payload that just left (Figure 2
         # sends first, records after).
         _, _, informed_sent = out[0].payload
         assert not informed_sent >> (dst * algo.n + 0) & 1 or dst == 0
+
+    def test_a_sender_keeps_the_informed_list_it_sent(self):
+        algo, ctx = make_proc(pid=0, n=8, fanout=3)
+        out = step(algo, ctx)
+        assert out and all(algo._I is m.payload[2] for m in out)
+        assert algo._owed == (algo.rumors.mask, [m.dst for m in out])
+        assert not algo.l_is_empty() and algo._owed is None
+        assert all(knows_sent(algo, 0, m.dst) for m in out)
 
     def test_receiver_infers_rumor_reached_itself(self):
         algo, ctx = make_proc(pid=0)
@@ -312,10 +321,13 @@ class PerMessageEpidemic(EpidemicGossip):
                 self._I |= stamp << (dst * n)
 
 
-def random_inbox(rng, n, pid, known, with_payloads):
+def random_inbox(rng, n, pid, known, with_payloads, foreign=False):
     """0-4 messages carrying a few rumors and scattered pairs; now and then
     one that certifies all of ``known`` (the receiver's V before the step),
-    so that L(p) empties and the process sleeps until a new rumor wakes it."""
+    so that L(p) empties and the process sleeps until a new rumor wakes it.
+    With ``foreign``, now and then a rumor outside the population too, as
+    ``ForeignRumorFault`` sets one (V ≥ 2ⁿ from then on), and sparser
+    pairs, so that a shut-down send may owe pairs I(p) lacks."""
     inbox = []
     for _ in range(rng.randrange(5)):
         if rng.random() < 0.15:
@@ -324,6 +336,10 @@ def random_inbox(rng, n, pid, known, with_payloads):
             mask = (rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
                     | 1 << rng.randrange(n))
             informed = rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            if foreign:
+                informed &= rng.getrandbits(n * n) & rng.getrandbits(n * n)
+                if rng.random() < 0.3:
+                    mask |= 1 << n
         payloads = None
         if with_payloads and rng.random() < 0.7:
             payloads = {r: f"v{r}" for r in range(n) if mask >> r & 1}
@@ -332,13 +348,22 @@ def random_inbox(rng, n, pid, known, with_payloads):
     return inbox
 
 
+def settled_informed(algo):
+    """I(p) with the pairs of the last send added, ``algo`` left as it is
+    so that its next ``on_step`` settles them itself."""
+    view = algo.clone()
+    view._settle()
+    return view._I
+
+
 @pytest.mark.parametrize("with_payloads", [False, True])
-@pytest.mark.parametrize("n,fanout,neighbors", [
-    (5, 1, None), (12, 4, None), (64, 9, None), (12, 4, (1, 5, 6, 11)),
+@pytest.mark.parametrize("n,fanout,neighbors,foreign", [
+    (5, 1, None, False), (12, 4, None, False), (64, 9, None, False),
+    (12, 4, (1, 5, 6, 11), False), (64, 9, None, True),
 ])
-def test_on_step_matches_the_per_message_body(n, fanout, neighbors,
+def test_on_step_matches_the_per_message_body(n, fanout, neighbors, foreign,
                                               with_payloads):
-    rng = random.Random(n * 31 + fanout)
+    rng = random.Random(n * 31 + fanout + foreign)
     pid = 3
     procs = []
     for cls in (PerMessageEpidemic, EpidemicGossip):
@@ -346,16 +371,16 @@ def test_on_step_matches_the_per_message_body(n, fanout, neighbors,
                    fanout=fanout, shutdown_sends=2)
         procs.append((algo, Context(pid, n, 1, derive_rng(7, "t", pid),
                                     neighbors=neighbors)))
-    slept = woke = 0
+    slept = woke = foreign_shutdowns = 0
     for _ in range(50):
         inbox = random_inbox(rng, n, pid, procs[0][0].rumors.mask,
-                             with_payloads)
+                             with_payloads, foreign)
         states = []
         for algo, ctx in procs:
             ctx.outbox = []
             algo.on_step(ctx, inbox)
             states.append((
-                algo._I, algo.rumors.mask, algo.rumors.payloads,
+                settled_informed(algo), algo.rumors.mask, algo.rumors.payloads,
                 list(algo.rumors.payloads), algo.sleep_cnt,
                 [(m.dst, m.kind, m.payload) for m in expand(ctx.outbox)],
                 ctx.rng.getstate(),
@@ -363,7 +388,11 @@ def test_on_step_matches_the_per_message_body(n, fanout, neighbors,
         assert states[0] == states[1]
         slept += states[0][4] > 0
         woke += states[0][4] == 0
+        foreign_shutdowns += bool(states[0][4] and states[0][1] >> n
+                                  and states[0][5])
     assert slept and woke  # both branches of the sleep counter were driven
+    # Shut-down sends with V ≥ 2ⁿ were driven: they owe pairs (the guard).
+    assert bool(foreign_shutdowns) is foreign
 
 
 class TestWitnessUnderFork:
@@ -373,6 +402,7 @@ class TestWitnessUnderFork:
         twin = algo.clone()
         assert twin._witness == algo._witness
         before = algo._witness
+        twin._settle()
         twin._I = twin.rumors.mask * _repunit(twin.n)
         twin._I &= ~(1 << (2 * twin.n))          # only q=2 left in L(twin)
         assert not twin.l_is_empty() and twin._witness == 2

@@ -187,6 +187,26 @@ class TestSyncEngineObservers:
         sim.run(max_steps=5)
         assert sim.metrics.bits_sent > 0
 
+    def test_bit_meter_measures_a_fan_outs_shared_payload_once(self):
+        class FanOutOnce(SyncCounter):
+            def on_step(self, ctx, inbox):
+                if self.rounds == 0 and ctx.pid == 0:
+                    ctx.send_many(range(1, 6), payload=[ctx.pid] * 4)
+                self.rounds += 1
+
+        measured = []
+
+        def meter(payload):
+            measured.append(payload)
+            return 7
+
+        sim = make_sync_sim([FanOutOnce() for _ in range(6)],
+                            observers=(BitMeterObserver(meter),))
+        sim.run(max_steps=3)
+        assert sim.metrics.messages_sent == 5
+        assert measured == [[0, 0, 0, 0]]
+        assert sim.metrics.bits_sent == 5 * 7
+
     def test_recording_observer_on_ck_gossip(self):
         n = 8
         observer = RecordingObserver()

@@ -5,7 +5,7 @@ unsigned ``array`` typecode that holds n − 1, and every delay plan
 stamps its delays in the narrowest one that holds its bound. These
 tests pin the typecodes, the no-copy path for senders that keep their
 destinations packed, that packing changes no error a send or a plan
-raises, and the memory a quadratic-message trial peaks at.
+raises, and the memory a quadratic-message trial and an EARS trial peak at.
 """
 
 import gc
@@ -198,3 +198,20 @@ def test_a_tears_trial_at_n_256_peaks_below_its_memory_ceiling():
         tracemalloc.stop()
     assert result.completed
     assert peak < 3.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_an_ears_trial_at_n_256_peaks_below_its_memory_ceiling():
+    """An EARS sender's I(p) is the n²-bit int it last sent: the pairs of
+    the send are added at its next step, not to a second copy kept beside
+    the one in flight. The trial peaks near 3.8 MiB; with the copy it
+    peaked near 5.9 MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build(RunSpec(algorithm="ears", n=256, d=2, delta=2,
+                               seed=0)).run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.completed
+    assert peak < 4.8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
