@@ -12,9 +12,9 @@ from __future__ import annotations
 import copy
 import weakref
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Set
 
-from ..sim.message import Message
+from ..sim.message import Message, expand
 
 
 class Adversary(ABC):
@@ -26,13 +26,6 @@ class Adversary(ABC):
     #: checks adversaries that declare this; adversaries whose targets are
     #: eventual (GST) or adaptive leave it False.
     declares_bounds = False
-
-    #: True when :meth:`delay_outbox` also stamps
-    #: :class:`~repro.sim.message.FanOut` records (``sent_at`` and one
-    #: delay per destination). An adversary that leaves it False is handed
-    #: every fan-out expanded into its messages, so it sees nothing but
-    #: :class:`Message` objects.
-    stamps_fanouts = False
 
     _sim: Optional[weakref.ref] = None
 
@@ -79,17 +72,23 @@ class Adversary(ABC):
     def assign_delay(self, msg: Message) -> int:
         """Delay (>= 1) for a just-sent message; determines the execution's d."""
 
-    def delay_outbox(self, outbox: Sequence[Message], t: int) -> None:
+    def delay_outbox(self, outbox: List, t: int) -> None:
         """Stamp ``sent_at = t`` and a delay on every message of one
         process-step's outbox; the engine's one call into the delay layer.
 
-        Implement :meth:`assign_delay`: this default asks it once per
-        message, in outbox order, with ``sent_at`` already set. Override
-        the batch call only to compute those same delays, in that same
-        order, more cheaply (as :class:`ObliviousAdversary` does) — and
-        then anything that wraps or subclasses the adversary to change
-        ``assign_delay`` must bring the batch call back to this loop.
+        Implement :meth:`assign_delay`: this default first replaces every
+        :class:`~repro.sim.message.FanOut` record of ``outbox`` by its
+        messages, rewriting the list in place, then asks ``assign_delay``
+        once per message, in outbox order, with ``sent_at`` already set.
+        So an adversary on this default sees, and the rest of the step
+        carries, nothing but :class:`Message` objects. Override the batch
+        call only to compute those same delays, in that same order, more
+        cheaply, stamping records whole (as :class:`ObliviousAdversary`
+        does) — and then anything that wraps or subclasses the adversary
+        to change ``assign_delay`` must bring the batch call back to this
+        default.
         """
+        outbox[:] = expand(outbox)
         assign_delay = self.assign_delay
         for msg in outbox:
             msg.sent_at = t

@@ -36,8 +36,6 @@ from .delay_plans import HashDelay
 class GstAdversary(Adversary):
     """Chaotic before ``gst``, uniform (d, δ)-bounded afterwards."""
 
-    stamps_fanouts = True
-
     def __init__(
         self,
         gst: int,

@@ -265,10 +265,9 @@ class _AdversaryProxy:
         return getattr(self._inner, name)
 
     # Forwarded, the batch call would run the inner adversary's own delay
-    # pass and never reach a subclass's ``assign_delay`` — which also
-    # means this batch call stamps messages only.
+    # pass and never reach a subclass's ``assign_delay``; the base default
+    # expands the outbox and asks it per message.
     delay_outbox = Adversary.delay_outbox
-    stamps_fanouts = False
 
 
 class _BurstDelays(_AdversaryProxy):

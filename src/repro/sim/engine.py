@@ -267,14 +267,6 @@ class Simulation:
         # the built instances.
         metrics = self.metrics
         network = self.network
-        # Fan-out records travel as one object unless something may look
-        # at single messages: then each outbox is expanded into the
-        # messages it stands for. Asked every step, because observers and
-        # adversary wrappers are attached after construction.
-        per_message = bool(
-            self._observers
-            or not getattr(self.adversary, "stamps_fanouts", False)
-        )
         for pid in sorted(scheduled):
             handle = self.processes[pid]
             metrics.record_scheduled(pid, t)
@@ -290,16 +282,16 @@ class Simulation:
                     for handler in self._obs_deliver:
                         handler(t, pid, inbox)
             outbox = handle.run_step(inbox)
-            if per_message:
-                outbox = expand(outbox)
             if not outbox:
                 continue
             # The outbox pipeline: the whole outbox is delayed, then
-            # counted, then announced, then enqueued.
+            # counted, then announced, then enqueued. The engine never
+            # expands a fan-out record: it travels as one object, and only
+            # the announcement reads it as the messages it stands for.
             self.adversary.delay_outbox(outbox, t)
             metrics.record_send(outbox, t)
             if self._obs_send:
-                for msg in outbox:
+                for msg in expand(outbox):
                     for handler in self._obs_send:
                         handler(t, msg)
             # Messages to crashed processes count toward message

@@ -64,18 +64,26 @@ class Observer:
         """Process ``pid`` takes a local step at time ``t``."""
 
     def on_deliver(self, t: int, pid: int, inbox: Sequence) -> None:
-        """A non-empty ``inbox`` was handed to ``pid`` at time ``t``."""
+        """A non-empty ``inbox`` was handed to ``pid`` at time ``t``.
+
+        An entry may be a :class:`~repro.sim.message.FanOut` record,
+        observed run or not, shared with every other receiver of its
+        fan-out: read ``src``, ``kind``, ``payload`` and ``sent_at`` off
+        it, take the receiver from ``pid``, and write to none of them.
+        """
 
     def on_send(self, t: int, msg) -> None:
         """``msg`` left its sender at time ``t`` (delay already assigned).
 
-        Fires once per message, in outbox order, after the sending
-        process-step's *whole* outbox was delayed and counted and before
-        any of it is enqueued: ``metrics`` already includes every message
-        of the outbox (``messages_sent``, the per-kind/sender/pair
-        counters, ``last_send_time``), while ``network.in_flight``,
-        ``total_enqueued`` and ``metrics.messages_dropped`` do not yet
-        include any of them.
+        Fires once per message, in outbox order, with a fan-out record
+        announced as the stamped :class:`~repro.sim.message.Message`
+        objects it stands for (the network still carries the record),
+        after the sending process-step's *whole* outbox was delayed and
+        counted and before any of it is enqueued: ``metrics`` already
+        includes every message of the outbox (``messages_sent``, the
+        per-kind/sender/pair counters, ``last_send_time``), while
+        ``network.in_flight``, ``total_enqueued`` and
+        ``metrics.messages_dropped`` do not yet include any of them.
         """
 
     def on_step_end(self, t: int) -> None:
@@ -118,7 +126,7 @@ class TraceObserver(Observer):
     def on_send(self, t: int, msg) -> None:
         self.trace.record(
             t, "send", src=msg.src, dst=msg.dst,
-            kind=msg.kind, delay=getattr(msg, "delay", 1),
+            kind=msg.kind, delay=msg.delay,
         )
 
     def on_complete(self, t: int) -> None:

@@ -274,11 +274,12 @@ class TrafficProvenanceInvariant(Invariant):
         self._seen.add((msg.src, msg.dst, msg.kind, msg.sent_at))
 
     def on_deliver(self, t: int, pid: int, inbox: Sequence) -> None:
+        # The receiver is ``pid``: a delivered fan-out record has no dst.
         for msg in inbox:
-            if (msg.src, msg.dst, msg.kind, msg.sent_at) not in self._seen:
+            if (msg.src, pid, msg.kind, msg.sent_at) not in self._seen:
                 self.fail(
                     f"out-of-band message: delivered {msg.kind!r} "
-                    f"{msg.src}->{msg.dst} stamped sent_at={msg.sent_at} "
+                    f"{msg.src}->{pid} stamped sent_at={msg.sent_at} "
                     "never passed through the send path",
                     t=t, pid=msg.src,
                 )

@@ -255,12 +255,11 @@ class Algorithm(ABC):
         """Execute one local step: consume ``inbox``, compute, send via ctx.
 
         A receiver reads ``src``, ``kind``, ``payload`` and ``sent_at`` off
-        each inbox entry, and nothing else. An entry may be a
-        :class:`~repro.sim.message.FanOut` shared by every receiver of one
-        ``send_many``; the engine hands out plain :class:`Message` objects
-        instead whenever anything can look at single messages (an attached
-        observer, a traffic-rewriting adversary, a delay layer that does
-        not declare ``stamps_fanouts``).
+        each inbox entry, and nothing else. In any run, observed or not,
+        an entry may be a :class:`~repro.sim.message.FanOut` shared by
+        every receiver of one ``send_many``: only an adversary on the base
+        :meth:`~repro.adversary.base.Adversary.delay_outbox` turns records
+        into plain :class:`Message` objects.
         """
 
     def on_start(self, ctx: Context) -> None:

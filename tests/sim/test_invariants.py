@@ -13,7 +13,7 @@ from repro.sim.invariants import (
     default_invariants,
     state_digest,
 )
-from repro.sim.message import Message
+from repro.sim.message import FanOut, Message, expand
 from repro.sim.monitor import PredicateMonitor
 from repro.spec.builder import build, execute
 from repro.spec.runspec import RunSpec
@@ -120,6 +120,25 @@ class TestCrashConsistency:
         )
         with pytest.raises(InvariantViolation):
             invariant.on_crash(sim.now, 4)
+
+
+class TestTrafficProvenance:
+    def test_a_delivered_record_is_keyed_on_its_receiver(self):
+        sim = _gossip_built(algorithm="trivial").sim
+        invariant = next(
+            obs for obs in sim._observers
+            if isinstance(obs, TrafficProvenanceInvariant)
+        )
+        record = FanOut(1, [2, 3, 4], None, kind="gossip")
+        record.sent_at, record.delays = sim.now, [1, 1, 1]
+        invariant.on_schedule(sim.now, 1)
+        for msg in expand([record]):
+            invariant.on_send(sim.now, msg)
+        invariant.on_deliver(sim.now + 1, 3, [record])
+        with pytest.raises(InvariantViolation) as info:
+            invariant.on_deliver(sim.now + 1, 5, [record])
+        assert info.value.invariant == "traffic-provenance"
+        assert "1->5" in str(info.value)
 
 
 class TestBoundConsistency:

@@ -401,10 +401,24 @@ def test_an_adversary_that_only_implements_assign_delay_is_asked_per_message():
 
 # -- the fan-out record against its expansion -------------------------------- #
 #
-# A bare Observer() overrides nothing, yet attaching it makes the engine
-# expand every fan-out record into its messages: the expanded run is the
-# send path as it was before records existed, and the oracle for the
-# record path. Everything observable must agree.
+# An adversary whose batch call is the base default is handed every
+# fan-out record expanded into its messages and asked for their delays one
+# by one: that run is the send path as it was before records existed, and
+# the oracle for the record path. A bare Observer() overrides nothing and
+# must change nothing either. Everything observable must agree.
+
+class PerMessageDelays:
+    """The wrapped adversary, except that ``delay_outbox`` is the base
+    default: records expanded, ``assign_delay`` asked per message."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    delay_outbox = Adversary.delay_outbox
+
 
 def from_spec(spec, adversary=None):
     def make(observers):
@@ -425,11 +439,13 @@ def by_hand(algorithms, n, f, adversary, monitor=None):
     return make
 
 
-def observe(make, observers):
+def observe(make, observers=(), wrap=None):
     # uids come from one process-wide counter: count them from the run's
     # first one.
     first_uid = Message(0, 0, None).uid + 1
     sim, max_steps = make(observers)
+    if wrap is not None:
+        sim.adversary = wrap(sim.adversary)
     views = []
     for _ in range(6):
         sim.run_for(1)
@@ -450,7 +466,9 @@ def observe(make, observers):
 
 
 def assert_record_path_is_exact(make):
-    assert observe(make, ()) == observe(make, (Observer(),))
+    plain = observe(make)
+    assert observe(make, (Observer(),)) == plain
+    assert observe(make, wrap=PerMessageDelays) == plain
 
 
 class Burst(Algorithm):
@@ -580,19 +598,22 @@ def outbox_types(sim, steps=4):
     return seen
 
 
-@pytest.mark.parametrize("adversary, records", [
-    (None, True),
-    ({"name": "gst", "gst": 3}, True),
-])
-def test_records_travel_only_where_nothing_looks_at_single_messages(
-        adversary, records):
+@pytest.mark.parametrize("adversary", [None, {"name": "gst", "gst": 3}])
+def test_records_reach_the_network_unless_the_adversary_delays_per_message(
+        adversary):
     spec = RunSpec(algorithm="trivial", n=10, f=2, d=3, delta=2, seed=1,
                    adversary=adversary)
-    assert (FanOut in outbox_types(build(spec).sim)) is records
-    assert FanOut not in outbox_types(
-        build(spec, observers=(Observer(),)).sim)
-    # A wrapper installed after build (as fault injectors do) is asked
-    # again at the next step.
+    assert FanOut in outbox_types(build(spec).sim)
+    assert FanOut in outbox_types(build(spec, observers=(Observer(),)).sim)
+    # A wrapper on the base delay_outbox, installed after build (as fault
+    # injectors do), is handed messages from its first step on.
     sim = build(spec).sim
     sim.adversary = _AdversaryProxy(sim.adversary)
-    assert FanOut not in outbox_types(sim)
+    assert outbox_types(sim) == {Message}
+
+
+def test_an_invariant_checked_run_enqueues_records():
+    sim = build(RunSpec(algorithm="tears", n=32, f=8, seed=2,
+                        check_invariants=True)).sim
+    assert FanOut in outbox_types(sim)
+    assert sim.run(max_steps=5_000).completed
